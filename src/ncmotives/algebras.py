@@ -45,6 +45,7 @@ class Algebra:
                 self.table[(i, j)] = v
         self.quiver = quiver
         self._rad = None
+        self._cyclic = {}       # (n_max, cap) -> hochschild.CyclicData
         if check:
             self._check_axioms()
 
@@ -355,12 +356,6 @@ def tensor_algebra(a, b, name=None):
     return out
 
 
-def enveloping_algebra(a, b=None):
-    """A (x) B^op; bimodules over (A, B) are left modules over this."""
-    b = b if b is not None else a
-    return tensor_algebra(a, opposite(b), name="env(%s,%s)" % (a.name, b.name))
-
-
 # ---------------------------------------------------------------------------
 # one-sided modules and resolutions
 
@@ -401,12 +396,6 @@ class Module:
         return out
 
 
-def regular_module(a):
-    """A as a left module over itself."""
-    return Module(a, a.dim, [a.left_mult_matrix({i: 1}) for i in range(a.dim)],
-                  check=False)
-
-
 def submodule(m, vectors):
     """Submodule generated by the given vectors, with restricted action."""
     a = m.algebra
@@ -429,25 +418,11 @@ def submodule(m, vectors):
         entries = {}
         for c, v in enumerate(basis):
             w = m.action[i] * v
-            coords = _coords_in_rref(sub, w)
+            coords = sub.coordinates(w)
             for r, val in coords.items():
                 entries[(r, c)] = val
         action.append(QMatrix(len(basis), len(basis), entries))
     return Module(m.algebra, len(basis), action, check=False), basis
-
-
-def _coords_in_rref(subspace, vec):
-    """Coordinates of vec in the canonical basis of the subspace."""
-    coords = {}
-    v = dict(vec)
-    for r, row in enumerate(subspace.rows):
-        lead = min(row)
-        if lead in v:
-            coords[r] = v[lead]
-            vec_addmul(v, -v[lead], row)
-    if v:
-        raise InvariantError("vector not in subspace")
-    return coords
 
 
 def vertex_projective(a, v):

@@ -693,16 +693,10 @@ def karoubi(c, cap=IDEMPOTENT_CAP, supplied=None, name=None):
             for j, b in enumerate(basis):
                 elim.add_column(b, j)
             coords_cache[key] = elim
-        elim = coords_cache[key]
-        if not vec:
-            return {}
-        probe = 10 ** 9
-        if elim.add_column(vec, probe):
+        out = coords_cache[key].solve(vec)
+        if out is None:
             raise InvariantError("vector escapes the split hom subspace")
-        expr = elim.kernel_expression()
-        own = expr[probe]
-        return {j: Fraction(-v, own) for j, v in expr.items()
-                if j != probe and v}
+        return out
 
     names = []
     for k, (x, e) in enumerate(objs):

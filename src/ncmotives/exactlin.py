@@ -25,17 +25,6 @@ def _norm(v):
     return v
 
 
-def vec_add(x, y):
-    out = dict(x)
-    for i, v in y.items():
-        w = out.get(i, 0) + v
-        if w:
-            out[i] = _norm(w)
-        else:
-            out.pop(i, None)
-    return out
-
-
 def vec_sub(x, y):
     out = dict(x)
     for i, v in y.items():
@@ -198,15 +187,15 @@ class QMatrix:
 
 
 def _clear_denoms(col):
-    """Integer version of a sparse column (multiplied by lcm of denominators)."""
+    """(lcm, lcm * col): the lcm of the denominators and the integer column."""
     lcm = 1
     for v in col.values():
         if isinstance(v, Fraction):
             d = v.denominator
             lcm = lcm * d // gcd(lcm, d)
     if lcm == 1:
-        return {i: int(v) for i, v in col.items() if v}
-    return {i: int(v * lcm) for i, v in col.items() if v}
+        return 1, {i: int(v) for i, v in col.items() if v}
+    return lcm, {i: int(v * lcm) for i, v in col.items() if v}
 
 
 def _strip_content(col, extra=None):
@@ -230,13 +219,18 @@ def _strip_content(col, extra=None):
     return col
 
 
+_TARGET = object()   # expression key of the vector a solve() reduces
+
+
 class Elimination:
     """Incremental column echelon form over Q with integer arithmetic.
 
     Columns are fed one at a time.  Each new independent column becomes a
     pivot keyed by its leading (smallest) row index.  With track=True every
-    pivot also remembers its expression in the original columns, which makes
-    lazy kernel-vector extraction and solving possible.
+    pivot also remembers its expression in the columns as they were given
+    (Fraction entries included), which makes lazy kernel-vector extraction
+    and solve() possible.  solve() never changes the span: only add_column
+    adds pivots.
     """
 
     def __init__(self, nrows, track=False):
@@ -295,8 +289,8 @@ class Elimination:
         if index is None:
             index = self.ncols_seen
         self.ncols_seen = max(self.ncols_seen, index + 1)
-        icol = _clear_denoms(col)
-        expr = {index: 1} if self.track else None
+        lcm, icol = _clear_denoms(col)
+        expr = {index: lcm} if self.track else None
         lead = self._reduce(icol, expr)
         if lead is None:
             self._last_kernel_expr = expr
@@ -315,14 +309,18 @@ class Elimination:
 
     def contains(self, col):
         """Membership of a vector in the span of the columns seen so far."""
-        icol = _clear_denoms(col)
-        return self._reduce(icol, None) is None
+        return self._reduce(_clear_denoms(col)[1], None) is None
 
-    def residue(self, col):
-        """The reduced remainder of col against the pivots (integer column)."""
-        icol = _clear_denoms(col)
-        self._reduce(icol, None)
-        return icol
+    def solve(self, col):
+        """Coefficients {column index: Fraction} with col = sum c_j column_j,
+        or None when col is outside the span (track mode)."""
+        assert self.track
+        lcm, icol = _clear_denoms(col)
+        expr = {_TARGET: lcm}
+        if self._reduce(icol, expr) is not None:
+            return None
+        own = expr.pop(_TARGET)
+        return {j: Fraction(-c, own) for j, c in expr.items() if c}
 
     def kernel_expression(self):
         """After add_column returned False (track mode): the dependency just
@@ -355,11 +353,6 @@ def kernel_vectors(m, limit=None):
             if limit is not None and len(out) >= limit:
                 break
     return out
-
-
-def rank(m):
-    """Exact rank over Q (alias of matrix_rank)."""
-    return matrix_rank(m)
 
 
 def kernel(m):
@@ -404,12 +397,7 @@ class LinSubspace:
         return [dict(r) for r in self.rows]
 
     def contains(self, vec):
-        v = dict(vec)
-        for row in self.rows:
-            lead = min(row)
-            if lead in v:
-                vec_addmul(v, -v[lead], row)
-        return not v
+        return not self.reduce(vec)
 
     def reduce(self, vec):
         """Remainder of vec modulo the subspace (for quotient computations)."""
@@ -419,6 +407,19 @@ class LinSubspace:
             if lead in v:
                 vec_addmul(v, -v[lead], row)
         return v
+
+    def coordinates(self, vec):
+        """Coordinates {row position: value} of vec in the canonical basis."""
+        coords = {}
+        v = dict(vec)
+        for r, row in enumerate(self.rows):
+            lead = min(row)
+            if lead in v:
+                coords[r] = v[lead]
+                vec_addmul(v, -v[lead], row)
+        if v:
+            raise InvariantError("vector not in subspace")
+        return coords
 
     def __eq__(self, other):
         return (isinstance(other, LinSubspace) and self.ambient == other.ambient
@@ -433,17 +434,7 @@ def solve_columns(m, targets):
     elim = Elimination(m.rows, track=True)
     for j, col in enumerate(m.columns()):
         elim.add_column(col, j)
-    out = []
-    probe = 10 ** 9
-    for t in targets:
-        if elim.add_column(t, probe):
-            out.append(None)
-            continue
-        expr = elim.kernel_expression()
-        own = expr[probe]
-        out.append({j: Fraction(-c, own) for j, c in expr.items()
-                    if j != probe and c})
-    return out
+    return [elim.solve(t) for t in targets]
 
 
 def inverse(m):

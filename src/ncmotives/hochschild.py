@@ -169,14 +169,6 @@ def connes_columns(a, red, n):
     return cols
 
 
-class TruncatedChainComplex(ChainComplex):
-    """Degrees 0..n_max of a chain complex, column-major differentials."""
-
-    def __init__(self, dims, diffs, n_max, check=True):
-        self.n_max = n_max
-        super().__init__(dims, diffs, check=check)
-
-
 def hochschild_complex(a, m=None, n_max=4, cap=DEFAULT_CAP, check=True):
     """Normalized Hochschild complex of A with coefficients in the
     (A, A)-bimodule m (the regular bimodule when omitted)."""
@@ -188,7 +180,7 @@ def hochschild_complex(a, m=None, n_max=4, cap=DEFAULT_CAP, check=True):
     dims = [m.dim * red.dbar ** n for n in range(n_max + 1)]
     _guard(sum(dims), cap)
     diffs = [None] + [hochschild_columns(m, red, n) for n in range(1, n_max + 1)]
-    return TruncatedChainComplex(dims, diffs, n_max, check=check)
+    return ChainComplex(dims, diffs, check=check)
 
 
 class HomologyTable:
@@ -263,7 +255,7 @@ class TruncatedMixedComplex:
                     raise InvariantError("bB + Bb != 0 at degree %d" % n)
 
     def hochschild_chain_complex(self, check=False):
-        return TruncatedChainComplex(self.dims, self.b, self.n_max, check=check)
+        return ChainComplex(self.dims, self.b, check=check)
 
     def tot_offsets(self, n):
         """Component degrees and offsets of Tot_n = (+)_i C_{n-2i}."""
@@ -304,7 +296,7 @@ class TruncatedMixedComplex:
                             col[base + r] = v
                     cols.append(col)
             diffs.append(cols)
-        return TruncatedChainComplex(dims, diffs, self.n_max, check=check)
+        return ChainComplex(dims, diffs, check=check)
 
 
 def mixed_complex(a, n_max=4, cap=DEFAULT_CAP):
@@ -394,14 +386,12 @@ class CyclicData:
         return QMatrix(hdim, len(reps), cols)
 
 
-_data_cache = {}
-
-
 def cyclic_data(a, n_max, cap=DEFAULT_CAP):
-    key = (id(a), n_max, cap)
-    if key not in _data_cache:
-        _data_cache[key] = (a, CyclicData(a, n_max, cap))
-    return _data_cache[key][1]
+    """The CyclicData of a, memoized on the algebra per (n_max, cap)."""
+    key = (n_max, cap)
+    if key not in a._cyclic:
+        a._cyclic[key] = CyclicData(a, n_max, cap)
+    return a._cyclic[key]
 
 
 def cyclic_homology(a, n_max=4, cap=DEFAULT_CAP):
@@ -720,14 +710,6 @@ def hp_of_homomorphism(f, a, b, n_max=6, cap=DEFAULT_CAP):
                 entries[(r, j)] = v
         mats[n] = QMatrix(len(data_b.hc_space(n)[0]), len(reps), entries)
     return mats[n_even], mats[n_odd]
-
-
-def stable_degrees(hp_result, n_max):
-    """The even/odd representative degrees used for stable bases."""
-    r0 = hp_result.r0
-    window = [n for n in range(r0, n_max - 2)]
-    return (max(n for n in window if n % 2 == 0),
-            max(n for n in window if n % 2 == 1))
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,6 @@ representatives are extracted lazily so that large kernels never have to be
 materialized when only a few homology classes are needed.
 """
 
-from fractions import Fraction
-
 from .errors import InvariantError
 from .exactlin import Elimination, vec_addmul
 
@@ -102,15 +100,10 @@ class ChainComplex:
                 span.add_column(col, nb)
                 nb += 1
         reps = []
-        rep_tags = []
 
         def try_rep(z):
-            tag = 10 ** 9 + len(rep_tags)
-            if span.add_column(z, tag):
+            if span.add_column(z, nb + len(reps)):
                 reps.append(dict(z))
-                rep_tags.append(tag)
-                return True
-            return False
 
         for z in candidates:
             if len(reps) == h:
@@ -125,24 +118,13 @@ class ChainComplex:
         if len(reps) != h:
             raise InvariantError("could not extract a homology basis at "
                                  "degree %d" % n)
-        tag_pos = {t: i for i, t in enumerate(rep_tags)}
 
         def project(vec):
-            if not vec:
-                return {}
-            query = 2 * 10 ** 9
-            if span.add_column(vec, query):
+            coeffs = span.solve(vec)
+            if coeffs is None:
                 raise InvariantError("vector is not a cycle-mod-boundary "
                                      "combination at degree %d" % n)
-            expr = span.kernel_expression()
-            own = expr[query]
-            out = {}
-            for t, c in expr.items():
-                if t in tag_pos:
-                    val = Fraction(-c, own)
-                    if val:
-                        out[tag_pos[t]] = val
-            return out
+            return {t - nb: c for t, c in coeffs.items() if t >= nb}
 
         self._spaces[n] = (reps, project)
         return self._spaces[n]

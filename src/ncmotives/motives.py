@@ -22,7 +22,7 @@ from .exactlin import (QMatrix, LinSubspace, Elimination, kernel,
                        matrix_rank, vec_addmul)
 from .algebras import (Bimodule, regular_bimodule, corner_bimodule,
                        projective_pair_bimodule, derived_tensor,
-                       global_dimension, _coords_in_rref)
+                       global_dimension)
 from .hochschild import (hochschild_homology, periodic_cyclic,
                          chern_class_in_hc, DEFAULT_CAP)
 from . import zoo as _zoo
@@ -201,7 +201,7 @@ def _bimodule_submodule(m, vectors):
             entries = {}
             for c, v in enumerate(basis):
                 img = mat * v
-                for r, val in _coords_in_rref(sub, img).items():
+                for r, val in sub.coordinates(img).items():
                     entries[(r, c)] = val
             out.append(QMatrix(dim, dim, entries))
         return out
@@ -468,16 +468,7 @@ def express_in_span(x, span_vectors, span_elim=None):
     elim = Elimination(len(keys), track=True)
     for j, v in enumerate(span_vectors):
         elim.add_column({pos[k]: val for k, val in v.items()}, j)
-    probe = 10 ** 9
-    if elim.add_column({pos[k]: val for k, val in x.items()}, probe):
-        return None
-    expr = elim.kernel_expression()
-    own = expr[probe]
-    out = {}
-    for j, c in expr.items():
-        if j != probe and c:
-            out[j] = Fraction(-c, own)
-    return out
+    return elim.solve({pos[k]: val for k, val in x.items()})
 
 
 class SemisimplicityReport:
@@ -598,13 +589,7 @@ def semisimplicity_check(a, basis=None, cap=DEFAULT_CAP):
     elim = Elimination(rows, track=True)
     for j in range(qdim):
         elim.add_column(lhs.column(j), j)
-    probe = 10 ** 9
-    unit_coeffs = None
-    if not elim.add_column(target, probe):
-        expr = elim.kernel_expression()
-        own = expr[probe]
-        unit_coeffs = {j: Fraction(-c, own) for j, c in expr.items()
-                       if j != probe and c}
+    unit_coeffs = elim.solve(target)
     if unit_coeffs is None:
         raise UncertifiedError("numerical quotient has no unit inside the "
                                "span; enlarge the basis")
@@ -697,16 +682,12 @@ def even_projector_in_span(a, generators, cap=DEFAULT_CAP):
     elim = Elimination(nent, track=True)
     for j, g in enumerate(generators):
         elim.add_column(_flatten_realization(evens[j], odds[j]), j)
-    probe = 10 ** 9
     names = [c.name for c in corrs]
-    if elim.add_column(target, probe):
+    witness = elim.solve(target)
+    if witness is None:
         return EvenProjectorVerdict(
             "UNDECIDED-IN-SPAN", None, names,
             note="failure inside a declared span refutes nothing")
-    expr = elim.kernel_expression()
-    own = expr[probe]
-    witness = {j: Fraction(-c, own) for j, c in expr.items()
-               if j != probe and c}
     return EvenProjectorVerdict("WITNESS", witness, names)
 
 

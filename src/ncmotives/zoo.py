@@ -90,6 +90,3 @@ def get(name):
         _cache[name] = _BUILDERS[name]()
     return _cache[name]
 
-
-def all_members():
-    return [get(n) for n in ZOO_NAMES]

@@ -2,13 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncmotives.errors import InvariantError
 from ncmotives import zoo
 from ncmotives.exactlin import (
-    QMatrix, LinSubspace, rank, kernel, kernel_vectors,
-    is_nilpotent_by_traces, jacobson_radical, lift_idempotent,
-    nilpotency_degree, subspace_product, vec_sub,
+    QMatrix, LinSubspace, Elimination, matrix_rank, kernel, kernel_vectors,
+    solve_columns, inverse, is_nilpotent_by_traces, jacobson_radical,
+    lift_idempotent, nilpotency_degree, subspace_product, vec_sub,
 )
 
 
@@ -18,13 +19,13 @@ def dense(m):
 
 
 def test_rank_identity_and_zero():
-    assert rank(QMatrix.identity(2)) == 2
-    assert rank(QMatrix.zero(2, 2)) == 0
+    assert matrix_rank(QMatrix.identity(2)) == 2
+    assert matrix_rank(QMatrix.zero(2, 2)) == 0
 
 
 def test_rank_proportional_rows():
     m = QMatrix.from_rows([[1, 2], [2, 4]])
-    assert rank(m) == 1
+    assert matrix_rank(m) == 1
 
 
 def test_kernel_identity_zero_row():
@@ -48,18 +49,23 @@ def test_rank_nullity_random():
                 if rng.random() < 0.5:
                     entries[(r, c)] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
         m = QMatrix(rows, cols, entries)
-        assert rank(m) + kernel(m).dim == cols
+        assert matrix_rank(m) + kernel(m).dim == cols
 
 
 def test_kernel_vectors_are_kernel():
     rng = random.Random(3)
-    for _ in range(30):
-        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
-        entries = {(r, c): rng.randint(-4, 4)
-                   for r in range(rows) for c in range(cols) if rng.random() < 0.6}
-        m = QMatrix(rows, cols, entries)
-        for v in kernel_vectors(m):
-            assert not (m * v)
+    for entry in (lambda: rng.randint(-4, 4),
+                  lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 4))):
+        for _ in range(30):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            entries = {(r, c): entry()
+                       for r in range(rows) for c in range(cols)
+                       if rng.random() < 0.6}
+            m = QMatrix(rows, cols, entries)
+            for v in kernel_vectors(m):
+                assert not (m * v)
+    # columns with different denominators: c1 - 2 c0 spans the kernel
+    assert kernel_vectors(QMatrix.from_rows([[Fraction(1, 2), 1]])) == [{0: -2, 1: 1}]
 
 
 def test_subspace_canonical_equality():
@@ -183,3 +189,64 @@ def test_lift_idempotent_rejects_bad_input():
     j = jacobson_radical(dual)
     with pytest.raises(InvariantError):
         lift_idempotent({0: Fraction(1, 2)}, dual, j)
+
+
+# -- solving against a span: properties over small random rational matrices
+
+entries_q = st.one_of(st.just(Fraction(0)), st.integers(-3, 3).map(Fraction),
+                      st.fractions(-3, 3, max_denominator=4))
+
+
+@st.composite
+def matrices(draw, rows=None, cols=None):
+    rows = rows or draw(st.integers(1, 5))
+    cols = cols or draw(st.integers(1, 5))
+    vals = draw(st.lists(entries_q, min_size=rows * cols, max_size=rows * cols))
+    return QMatrix(rows, cols, {(r, c): vals[r * cols + c]
+                                for r in range(rows) for c in range(cols)})
+
+
+def vectors(n):
+    return st.lists(entries_q, min_size=n, max_size=n).map(
+        lambda vals: {i: v for i, v in enumerate(vals) if v})
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_solve_round_trip(data):
+    m = data.draw(matrices())
+    t = data.draw(vectors(m.rows))
+    sol = solve_columns(m, [t])[0]
+    augmented = QMatrix(m.rows, m.cols + 1,
+                        m.entries | {(r, m.cols): v for r, v in t.items()})
+    assert (sol is None) == (matrix_rank(augmented) > matrix_rank(m))
+    if sol is not None:
+        assert m * sol == t
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_solve_leaves_the_span_unchanged(data):
+    m = data.draw(matrices())
+    # a zero last row puts every target with a nonzero last entry outside
+    padded = QMatrix(m.rows + 1, m.cols, m.entries)
+    elim = Elimination(padded.rows, track=True)
+    for j, col in enumerate(padded.columns()):
+        elim.add_column(col, j)
+    rank, pivots = elim.rank, {k: dict(v) for k, v in elim.pivots.items()}
+    good = padded * data.draw(vectors(m.cols))
+    first = elim.solve(good)
+    assert padded * first == good
+    for bad in data.draw(st.lists(vectors(m.rows), min_size=1, max_size=3)):
+        assert elim.solve(bad | {m.rows: 1}) is None
+        assert elim.rank == rank and elim.pivots == pivots
+        assert elim.solve(good) == first
+
+
+@settings(deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: matrices(n, n)))
+def test_inverse_none_exactly_when_singular(m):
+    inv = inverse(m)
+    assert (inv is None) == (matrix_rank(m) < m.rows)
+    if inv is not None:
+        assert m * inv == QMatrix.identity(m.rows)

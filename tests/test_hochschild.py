@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ncmotives import zoo
+from ncmotives.algebras import structure_algebra
 from ncmotives.errors import InvariantError, CapExceededError, UncertifiedError
 from ncmotives.exactlin import QMatrix, matrix_rank
 from ncmotives.homcore import ChainComplex
@@ -142,6 +143,27 @@ def test_sbi_exact_on_small_zoo():
         rep = sbi_check(zoo.get(name), n_max=6)
         assert rep.all_exact, "%s: %s" % (name, [e for e in rep.entries
                                                  if not e["exact"]])
+
+
+def _rescaled(a, scales):
+    """a by structure constants in the basis scales[i] * b_i."""
+    labels = ["s" + b for b in a.basis]
+    products = [(labels[i], labels[j],
+                 {labels[k]: scales[i] * scales[j] * c / scales[k]
+                  for k, c in vec.items()})
+                for (i, j), vec in a.table.items()]
+    unit = {labels[k]: Fraction(c) / scales[k] for k, c in a.unit.items()}
+    return structure_algebra(a.name + "-rescaled", labels, unit, products)
+
+
+def test_rational_basis_keeps_sbi_and_hp():
+    scales = [Fraction(1, 2), Fraction(-2, 3), Fraction(3)]
+    for name in ("A2", "cubic"):
+        a = zoo.get(name)
+        r = _rescaled(a, scales)
+        assert sbi_check(r, n_max=6).all_exact == sbi_check(a, n_max=6).all_exact
+        assert (periodic_cyclic(r, n_max=6).super_dims
+                == periodic_cyclic(a, n_max=6).super_dims)
 
 
 def test_hp_zoo_values():

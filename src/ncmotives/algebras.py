@@ -714,24 +714,22 @@ def projective_pair_bimodule(a, b, i_vertex, j_vertex):
 
 
 def _reduced_basis(b):
-    """Complement of the unit inside the algebra b: indices kept, and the
-    expansion of each basis element of b in (unit, kept) coordinates."""
-    # drop the last basis index with nonzero unit coefficient
+    """Complement of the unit inside the algebra b.
+
+    Returns (kept, classes): kept lists the basis indices that span
+    Bbar = B / Q.1, and classes[i] is the class of b_i in Bbar as a sparse
+    dict over kept indices.  The dropped index is the last one with a
+    nonzero unit coefficient u, and its class is -(1/u) times the rest of
+    the unit.  Values pass through exactlin._norm, so they are ints whenever
+    they are integral (always, when u = 1).
+    """
     drop = max(b.unit)
     kept = [i for i in range(b.dim) if i != drop]
-    unit_coeff = b.unit[drop]
-    # b_i = (unit part) + (reduced part):  b_drop = (1/c)(1 - sum_{i!=drop} u_i b_i)
-    expansions = {}
-    for i in range(b.dim):
-        if i != drop:
-            expansions[i] = ({i: 1}, Fraction(0))
-    # reduced class of b_drop:  (1 - sum u_i b_i)/c  minus unit part
-    red = {}
-    for i, c in b.unit.items():
-        if i != drop:
-            red[i] = Fraction(-c, unit_coeff)
-    expansions[drop] = (red, Fraction(1, unit_coeff))
-    return kept, expansions
+    u = b.unit[drop]
+    classes = {i: {i: 1} for i in kept}
+    classes[drop] = {i: _norm(Fraction(-c, u))
+                     for i, c in b.unit.items() if i != drop}
+    return kept, classes
 
 
 def derived_tensor(x, y, bound=None, check_modules=True):
@@ -756,7 +754,7 @@ def derived_tensor(x, y, bound=None, check_modules=True):
                     "finite global-dimension certificate and the left factor "
                     "is not right-projective" % b.name)
             bound = g
-    kept, expansions = _reduced_basis(b)
+    kept, classes = _reduced_basis(b)
     dbar = len(kept)
     kpos = {k: t for t, k in enumerate(kept)}
 
@@ -792,8 +790,7 @@ def derived_tensor(x, y, bound=None, check_modules=True):
             vec = b.mult_basis(kept[s], kept[t])
             out = {}
             for k, c in vec.items():
-                red, _ = expansions[k]
-                for i, w in red.items():
+                for i, w in classes[k].items():
                     out[kpos[i]] = out.get(kpos[i], 0) + c * w
             redprod[(s, t)] = {k: v for k, v in out.items() if v}
 

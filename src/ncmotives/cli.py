@@ -5,8 +5,8 @@
 Commands: describe, hh, hc, hp, sbi, pair, numquot, semisimple, schur,
 cnc, dnc, karoubi, orbit.  Output is a deterministic aligned-text report
 (--format structured switches to JSON with the same content).  Exit
-statuses: 0 success, 1 parse error, 2 invariant violation, 3 cap exceeded,
-4 uncertified refusal.
+statuses: 0 success, 1 parse or usage error, 2 invariant violation, 3 cap
+exceeded, 4 uncertified refusal.
 """
 
 import argparse
@@ -365,8 +365,16 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are parse errors (exit status 1), not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ParseInputError(message)
+
+
 def build_parser():
-    p = argparse.ArgumentParser(prog="ncmotives", description=__doc__)
+    p = _Parser(prog="ncmotives", description=__doc__)
     p.add_argument("command", choices=sorted(COMMANDS))
     p.add_argument("--input", help="description file (JSON)")
     p.add_argument("--max-degree", type=int, default=6,
@@ -384,13 +392,12 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    needs_input = args.command not in ("schur",)
-    if needs_input and not args.input:
-        print("error: --input is required for %r" % args.command,
-              file=sys.stderr)
-        return 1
     try:
+        args = build_parser().parse_args(argv)
+        if args.command != "schur" and not args.input:
+            print("error: --input is required for %r" % args.command,
+                  file=sys.stderr)
+            return 1
         rep = COMMANDS[args.command](args)
     except ParseInputError as exc:
         print("parse error: %s" % exc, file=sys.stderr)

@@ -7,7 +7,10 @@ control on the large boundary matrices produced by bar-type complexes.
 
 Conventions:
   * vectors are dicts index -> value with no stored zeros,
-  * values are Python ints when integral, fractions.Fraction otherwise,
+  * values are Python ints when integral, fractions.Fraction otherwise;
+    the hot helpers test `type(v) is int` before `isinstance(v, Fraction)`,
+    because isinstance against Fraction goes through the numbers ABC
+    machinery and costs several times more on all-int data,
   * subspaces are kept in a canonical reduced row echelon form, so equality
     of subspaces is equality of representations.
 """
@@ -20,6 +23,8 @@ from .errors import InvariantError
 
 def _norm(v):
     """Collapse Fractions with denominator 1 to int; drop exact zeros upstream."""
+    if type(v) is int:
+        return v
     if isinstance(v, Fraction) and v.denominator == 1:
         return int(v)
     return v
@@ -190,11 +195,12 @@ def _clear_denoms(col):
     """(lcm, lcm * col): the lcm of the denominators and the integer column."""
     lcm = 1
     for v in col.values():
-        if isinstance(v, Fraction):
+        if type(v) is not int and isinstance(v, Fraction):
             d = v.denominator
             lcm = lcm * d // gcd(lcm, d)
     if lcm == 1:
-        return 1, {i: int(v) for i, v in col.items() if v}
+        return 1, {i: v if type(v) is int else int(v)
+                   for i, v in col.items() if v}
     return lcm, {i: int(v * lcm) for i, v in col.items() if v}
 
 

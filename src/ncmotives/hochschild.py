@@ -44,8 +44,7 @@ class _Reduced:
     """Reduced-basis data for Abar = A / Q.1."""
 
     def __init__(self, a):
-        self.a = a
-        self.kept, self.expansions = _reduced_basis(a)
+        self.kept, self.classes = _reduced_basis(a)
         self.dbar = len(self.kept)
         self.kpos = {k: t for t, k in enumerate(self.kept)}
         # product of two reduced basis classes, expanded in reduced coords
@@ -55,8 +54,7 @@ class _Reduced:
                 vec = a.mult_basis(self.kept[s], self.kept[t])
                 out = {}
                 for k, c in vec.items():
-                    red, _ = self.expansions[k]
-                    for i, w in red.items():
+                    for i, w in self.classes[k].items():
                         val = out.get(self.kpos[i], 0) + c * w
                         if val:
                             out[self.kpos[i]] = val
@@ -66,8 +64,7 @@ class _Reduced:
 
     def reduce_class(self, idx):
         """Abar coordinates (position -> coeff) of the basis element idx."""
-        red, _ = self.expansions[idx]
-        return {self.kpos[i]: w for i, w in red.items()}
+        return {self.kpos[i]: w for i, w in self.classes[idx].items()}
 
 
 def _guard(total, cap):
@@ -218,7 +215,6 @@ class TruncatedMixedComplex:
     def __init__(self, a, n_max, cap=DEFAULT_CAP):
         if n_max < 2:
             raise InvariantError("a mixed complex needs n_max >= 2")
-        self.a = a
         self.n_max = n_max
         self.red = _Reduced(a)
         m = regular_bimodule(a)
@@ -248,8 +244,7 @@ class TruncatedMixedComplex:
             for j, col in enumerate(self.B[n]):
                 acc = apply_cols(self.b[n + 1], col)
                 if n >= 1:
-                    down = apply_cols(self.b[n], {j: 1})
-                    for k, c in down.items():
+                    for k, c in self.b[n][j].items():
                         vec_addmul(acc, c, bB[k])
                 if acc:
                     raise InvariantError("bB + Bb != 0 at degree %d" % n)
@@ -311,7 +306,6 @@ class CyclicData:
     """Shared homological state for one algebra at one truncation."""
 
     def __init__(self, a, n_max, cap=DEFAULT_CAP):
-        self.a = a
         self.n_max = n_max
         self.mixed = TruncatedMixedComplex(a, n_max, cap)
         self.hh = self.mixed.hochschild_chain_complex()

@@ -59,6 +59,11 @@ def _algebra_from_quiver(doc):
                               for c, names in rel])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseInputError("malformed quiver description: %s" % exc)
+    unknown = ({n for rel in relations for _, names in rel for n in names}
+               - {n for n, _, _ in arrows})
+    if unknown:
+        raise ParseInputError("relations name unknown arrow(s): %s"
+                              % ", ".join(sorted(unknown)))
     quiver = Quiver(vertices, arrows)
     return path_algebra(quiver, relations, truncation,
                         name=doc.get("name", "quiver algebra"))

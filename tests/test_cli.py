@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from ncmotives.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -67,12 +69,31 @@ def test_schur_sweep():
     assert "(2, 2)" in out
 
 
-def test_exit_status_parse_error(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    status, _, err = run_cli(["hh", "--input", str(bad)])
+UNKNOWN_ARROW = {"kind": "quiver", "vertices": ["1", "2"],
+                 "arrows": [["a", "1", "2"]], "truncation": 2,
+                 "relations": [[["1", ["a", "z"]]]]}
+
+
+@pytest.mark.parametrize("text, extra, needle", [
+    ("{not json", [], "not valid JSON"),
+    (json.dumps(UNKNOWN_ARROW), [], "unknown arrow(s): z"),
+    (None, ["--max-degree", "x"], "invalid int value"),
+], ids=["bad-json", "unknown-arrow", "usage"])
+def test_exit_status_parse_error(tmp_path, text, extra, needle):
+    args = ["hh"] + extra
+    if text is not None:
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        args += ["--input", str(bad)]
+    status, _, err = run_cli(args)
     assert status == 1
-    assert "parse error" in err
+    assert "parse error" in err and needle in err
+
+
+def test_help_exits_zero():
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["--help"])
+    assert exc.value.code == 0
 
 
 def test_exit_status_invariant_violation(tmp_path):

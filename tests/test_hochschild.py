@@ -1,17 +1,22 @@
+import gc
 import itertools
+import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ncmotives import zoo
-from ncmotives.algebras import structure_algebra
+from ncmotives.algebras import (Quiver, path_algebra, structure_algebra,
+                                _reduced_basis)
+from ncmotives.cli import _nonnormalized_hh
 from ncmotives.errors import InvariantError, CapExceededError, UncertifiedError
 from ncmotives.exactlin import QMatrix, matrix_rank
 from ncmotives.homcore import ChainComplex
 from ncmotives.hochschild import (
     hochschild_complex, hochschild_homology, mixed_complex, cyclic_homology,
     sbi_check, periodic_cyclic, hp_of_homomorphism, chern_character,
-    chern_class_in_hc,
+    chern_class_in_hc, TruncatedMixedComplex, DEFAULT_CAP,
 )
 
 
@@ -164,6 +169,68 @@ def test_rational_basis_keeps_sbi_and_hp():
         assert sbi_check(r, n_max=6).all_exact == sbi_check(a, n_max=6).all_exact
         assert (periodic_cyclic(r, n_max=6).super_dims
                 == periodic_cyclic(a, n_max=6).super_dims)
+
+
+@pytest.mark.parametrize(
+    "name", ["A2", "A3", "square", "cubic", "dual", "M2(Q)", "QxQxQ"])
+def test_integral_algebra_keeps_chains_on_ints(name):
+    a = zoo.get(name)
+    _, classes = _reduced_basis(a)
+    values = [v for cls in classes.values() for v in cls.values()]
+    mx = TruncatedMixedComplex(a, 3)
+    for cols in mx.b[1:] + mx.B:
+        values.extend(v for col in cols for v in col.values())
+    assert values and all(type(v) is int for v in values)
+
+
+def test_cyclic_memo_frees_the_algebra_without_gc():
+    a = zoo.a2_algebra()
+    ref = weakref.ref(a)
+    gc.disable()
+    try:
+        cyclic_homology(a, 3)
+        del a
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+@st.composite
+def quiver_algebras(draw):
+    """Path algebras of <= 3 vertices and <= 3 arrows, truncated at 1 or 2,
+    with a random relation among the length-2 paths between two vertices."""
+    vertices = [str(v) for v in range(draw(st.integers(1, 3)))]
+    ends = st.tuples(st.sampled_from(vertices), st.sampled_from(vertices))
+    arrows = [("x%d" % i, s, t)
+              for i, (s, t) in enumerate(draw(st.lists(ends, max_size=3)))]
+    truncation = draw(st.integers(1, 2))
+    relations = []
+    paths = [(p, q) for p in arrows for q in arrows if p[2] == q[1]]
+    if truncation == 2 and paths:
+        s, t = draw(st.sampled_from([(p[1], q[2]) for p, q in paths]))
+        parallel = [[p[0], q[0]] for p, q in paths if (p[1], q[2]) == (s, t)]
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(parallel),
+                               max_size=len(parallel)))
+        rel = [(c, names) for c, names in zip(coeffs, parallel) if c]
+        if rel:
+            relations.append(rel)
+    return path_algebra(Quiver(vertices, arrows), relations, truncation)
+
+
+SCALES = [Fraction(1, 2), Fraction(-2, 3), Fraction(3), Fraction(-1),
+          Fraction(5, 7)]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_hh_matches_nonnormalized_oracle_on_random_quivers(data):
+    a = data.draw(quiver_algebras())
+    assume(a.dim <= 6)
+    scales = data.draw(st.lists(st.sampled_from(SCALES), min_size=a.dim,
+                                max_size=a.dim))
+    oracle = _nonnormalized_hh(a, 3, DEFAULT_CAP)
+    for alg in (a, _rescaled(a, scales)):
+        assert hochschild_homology(alg, n_max=3).dims == oracle
 
 
 def test_hp_zoo_values():

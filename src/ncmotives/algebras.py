@@ -4,15 +4,19 @@ Algebras come either from explicit structure constants or from a quiver
 with relations and a hard path-length truncation (so everything is
 finite-dimensional by construction).  On top of that: opposites, tensor
 products, one-sided modules with minimal projective resolutions, global
-dimension bounds, and derived tensor products of bimodules computed from
-the normalized two-sided bar complex.
+dimension bounds, and the normalized bar complex.  Its one builder
+(_Reduced, the basis of Bbar = B / Q.1, and hochschild_columns, the
+differential of M (x) Bbar^n) serves both Hochschild homology and derived
+tensor products: Tor^B(x, y) is HH(B; y (x) x).
 """
 
+import itertools
 from fractions import Fraction
 
 from .errors import InvariantError, UncertifiedError
 from . import exactlin
 from .exactlin import QMatrix, LinSubspace, vec_addmul, _norm
+from .homcore import ChainComplex
 
 
 def _as_frac(x):
@@ -218,6 +222,11 @@ def path_algebra(quiver, relations=(), truncation=1, name=None):
     # relation ideal inside the truncated path space: span of u * r * v
     rel_vectors = []
     arrows_of = {n: (s, t) for n, s, t in quiver.arrows}
+    unknown = {n for rel in relations for _, names in rel for n in names} \
+        - set(arrows_of)
+    if unknown:
+        raise InvariantError("relations name unknown arrow(s): %s"
+                             % ", ".join(sorted(unknown)))
     for rel in relations:
         terms = []
         ends = None
@@ -710,32 +719,153 @@ def projective_pair_bimodule(a, b, i_vertex, j_vertex):
 
 
 # ---------------------------------------------------------------------------
-# derived tensor product via the normalized two-sided bar complex
+# the normalized bar complex: Hochschild chains and derived tensor products
 
 
-def _reduced_basis(b):
-    """Complement of the unit inside the algebra b.
+class _Reduced:
+    """The basis of Bbar = B / Q.1 that the normalized bar chains use.
 
-    Returns (kept, classes): kept lists the basis indices that span
-    Bbar = B / Q.1, and classes[i] is the class of b_i in Bbar as a sparse
-    dict over kept indices.  The dropped index is the last one with a
-    nonzero unit coefficient u, and its class is -(1/u) times the rest of
-    the unit.  Values pass through exactlin._norm, so they are ints whenever
-    they are integral (always, when u = 1).
+    kept lists the basis indices that span Bbar.  The dropped index is the
+    last one with a nonzero unit coefficient u, and its class is -(1/u)
+    times the rest of the unit.  classes[i] is the class of b_i in Bbar and
+    redprod[(s, t)] the class of the product of the kept elements at
+    positions s and t, both as sparse dicts over positions in kept.  Values
+    pass through exactlin._norm, so they are ints whenever they are
+    integral (always, when u = 1).
     """
-    drop = max(b.unit)
-    kept = [i for i in range(b.dim) if i != drop]
-    u = b.unit[drop]
-    classes = {i: {i: 1} for i in kept}
-    classes[drop] = {i: _norm(Fraction(-c, u))
-                     for i, c in b.unit.items() if i != drop}
-    return kept, classes
+
+    def __init__(self, b):
+        drop = max(b.unit)
+        u = b.unit[drop]
+        self.kept = [i for i in range(b.dim) if i != drop]
+        self.dbar = len(self.kept)
+        kpos = {k: t for t, k in enumerate(self.kept)}
+        self.classes = {k: {t: 1} for k, t in kpos.items()}
+        self.classes[drop] = {kpos[i]: _norm(Fraction(-c, u))
+                              for i, c in b.unit.items() if i != drop}
+        self.redprod = {(s, t): self.reduce(b.mult_basis(k, l))
+                        for s, k in enumerate(self.kept)
+                        for t, l in enumerate(self.kept)}
+
+    def reduce(self, vec):
+        """Bbar coordinates of the B vector vec."""
+        out = {}
+        for k, c in vec.items():
+            vec_addmul(out, c, self.classes[k])
+        return out
+
+    def expand(self, slots):
+        """Chain coordinates of slots[0] (x) slots[1] (x) ... (x) slots[n].
+
+        Every slot is a B vector; the first stays in B coordinates and the
+        others are reduced to Bbar, so b_i (x) bbar_t1 (x) ... (x) bbar_tn
+        has the code i * dbar^n + (the base-dbar code of t1 ... tn).  A slot
+        that vanishes (in Bbar for the later ones) gives {}.
+        """
+        codes = dict(slots[0])
+        for vec in slots[1:]:
+            red = self.reduce(vec)
+            codes = {base * self.dbar + p: c * w
+                     for base, c in codes.items() for p, w in red.items()}
+        return codes
+
+
+def hochschild_columns(m, red, n, split=1):
+    """Columns of b_n : M (x) Bbar^n -> M (x) Bbar^(n-1), for a B-bimodule m.
+
+        b(m (x) b_1 (x) ... (x) b_n) = m.b_1 (x) b_2 (x) ... (x) b_n
+            + sum_i (-1)^i m (x) ... (x) b_i b_(i+1) (x) ...
+            + (-1)^n b_n.m (x) b_1 (x) ... (x) b_(n-1).
+
+    The chain m_c (x) bbar_t1 (x) ... (x) bbar_tn has the code
+    (l * dbar^n + t) * split + r, with (l, r) = divmod(c, split) and t the
+    base-dbar code of t1 ... tn.  split = 1 puts the coefficient first;
+    derived_tensor passes split = dim y, so that x (x) Bbar^n (x) y keeps
+    its natural order.
+    """
+    dbar = red.dbar
+    pows = [dbar ** j for j in range(n + 1)]
+    sgn_last = -1 if n % 2 else 1
+    # code in degree n - 1 of m_c (x) (the bar word whose digits are all 0)
+    base = [(c // split) * pows[n - 1] * split + c % split
+            for c in range(m.dim)]
+    right_cols = [[{base[o]: v for o, v in col.items()}
+                   for col in m.right[k].columns()] for k in red.kept]
+    left_cols = [[{base[o]: sgn_last * v for o, v in col.items()}
+                  for col in m.left[k].columns()] for k in red.kept]
+    # face i multiplies digits i and i + 1 with the sign (-1)^(i + 1)
+    negprod = {st: {k: -v for k, v in p.items()}
+               for st, p in red.redprod.items()}
+    signed = [negprod if i % 2 == 0 else red.redprod for i in range(n - 1)]
+    shifts = [pows[n - 2 - i] * split for i in range(n - 1)]
+    cols = []
+    for l in range(m.dim // split):
+        for t, mid in enumerate(itertools.product(range(dbar), repeat=n)):
+            tail = t % pows[n - 1] * split      # the word b_2 ... b_n
+            head = t // dbar * split            # the word b_1 ... b_(n-1)
+            # the middle faces: (signed product, offset, weight of its digit)
+            faces = []
+            for i in range(n - 1):
+                prod = signed[i][(mid[i], mid[i + 1])]
+                if prod:
+                    faces.append((prod, t // pows[n - i] * dbar * shifts[i]
+                                  + t % pows[n - 2 - i] * split, shifts[i]))
+            for c in range(l * split, (l + 1) * split):
+                col = {}
+                for code, v in right_cols[mid[0]][c].items():
+                    col[code + tail] = v
+                for prod, off, shift in faces:
+                    off += base[c]
+                    for k, v in prod.items():
+                        code = off + k * shift
+                        val = col.get(code, 0) + v
+                        if val:
+                            col[code] = val
+                        else:
+                            col.pop(code, None)
+                for code, v in left_cols[mid[-1]][c].items():
+                    code += head
+                    val = col.get(code, 0) + v
+                    if val:
+                        col[code] = val
+                    else:
+                        col.pop(code, None)
+                cols.append(col)
+    return cols
+
+
+def _kron(f, g):
+    """f (x) g on the basis i * g.rows + j (f's index first)."""
+    return QMatrix(f.rows * g.rows, f.cols * g.cols,
+                   {(r1 * g.rows + r2, c1 * g.cols + c2): v1 * v2
+                    for (r1, c1), v1 in f.entries.items()
+                    for (r2, c2), v2 in g.entries.items()})
+
+
+def _on_homology(g, reps, project, weight, size):
+    """Matrix on H_n of the chain map that applies g to one digit of the
+    chain codes: the digit (code // weight) % size."""
+    gcols = g.columns()
+    entries = {}
+    for j, rep in enumerate(reps):
+        img = {}
+        for code, val in rep.items():
+            d = code // weight % size
+            for o, w in gcols[d].items():
+                code2 = code + (o - d) * weight
+                img[code2] = img.get(code2, 0) + val * w
+        for i, v in project(img).items():
+            entries[(i, j)] = v
+    return QMatrix(len(reps), len(reps), entries)
 
 
 def derived_tensor(x, y, bound=None, check_modules=True):
     """Graded list [Tor_i^B(x, y)] for i = 0..bound as (A, C)-bimodules.
 
-    x: (A, B)-bimodule, y: (B, C)-bimodule.  Uses the normalized two-sided
+    x: (A, B)-bimodule, y: (B, C)-bimodule.  Tor^B_*(x, y) is the Hochschild
+    homology HH_*(B; y (x) x) of B with coefficients in the B-bimodule
+    y (x)_Q x, on which B acts on the left through y and on the right
+    through x (Cartan-Eilenberg).  Its normalized chains are the two-sided
     bar complex x (x) Bbar^n (x) y, whose homology carries the outer actions.
     The bound must either be certified by finite global dimension of B, or
     x must be projective as a right B-module (then Tor vanishes above 0).
@@ -754,130 +884,29 @@ def derived_tensor(x, y, bound=None, check_modules=True):
                     "finite global-dimension certificate and the left factor "
                     "is not right-projective" % b.name)
             bound = g
-    kept, classes = _reduced_basis(b)
-    dbar = len(kept)
-    kpos = {k: t for t, k in enumerate(kept)}
-
-    def chain_dim(n):
-        return x.dim * (dbar ** n) * y.dim
-
-    # encode basis of x (x) Bbar^n (x) y as  ((xi, (t1..tn), yi))
-    def enumerate_basis(n):
-        idxs = [0] * n
-        while True:
-            yield tuple(idxs)
-            for p in range(n - 1, -1, -1):
-                idxs[p] += 1
-                if idxs[p] < dbar:
-                    break
-                idxs[p] = 0
-            else:
-                break
-            if n == 0:
-                break
-
-    def encode(xi, mid, yi, n):
-        code = xi
-        for t in mid:
-            code = code * dbar + t
-        return code * y.dim + yi
-
-    # reduced product of two reduced-basis elements of B:
-    #   class( b_{kept[s]} * b_{kept[t]} )  as dict over kept positions
-    redprod = {}
-    for s in range(dbar):
-        for t in range(dbar):
-            vec = b.mult_basis(kept[s], kept[t])
-            out = {}
-            for k, c in vec.items():
-                for i, w in classes[k].items():
-                    out[kpos[i]] = out.get(kpos[i], 0) + c * w
-            redprod[(s, t)] = {k: v for k, v in out.items() if v}
-
-    def boundary(n):
-        """d_n : C_n -> C_{n-1} as column dicts."""
-        if n >= 1 and dbar == 0:
-            return []
-        cols = []
-        for xi in range(x.dim):
-            for mid in (enumerate_basis(n) if n else [()]):
-                for yi in range(y.dim):
-                    col = {}
-                    if n >= 1:
-                        # x*b1 term
-                        img = x.right[kept[mid[0]]].column(xi)
-                        for xo, c in img.items():
-                            code = encode(xo, mid[1:], yi, n - 1)
-                            col[code] = col.get(code, 0) + c
-                        # middle multiplications
-                        for i in range(n - 1):
-                            sgn = -1 if (i + 1) % 2 else 1
-                            for k, c in redprod[(mid[i], mid[i + 1])].items():
-                                nm = mid[:i] + (k,) + mid[i + 2:]
-                                code = encode(xi, nm, yi, n - 1)
-                                val = col.get(code, 0) + sgn * c
-                                if val:
-                                    col[code] = val
-                                else:
-                                    col.pop(code, None)
-                        # bn*y term
-                        sgn = -1 if n % 2 else 1
-                        img = y.left[kept[mid[-1]]].column(yi)
-                        for yo, c in img.items():
-                            code = encode(xi, mid[:-1], yo, n - 1)
-                            val = col.get(code, 0) + sgn * c
-                            if val:
-                                col[code] = val
-                            else:
-                                col.pop(code, None)
-                    cols.append({k: v for k, v in col.items() if v})
-        return cols
-
-    from .homcore import ChainComplex  # local import to avoid a cycle
-    dims = [chain_dim(n) for n in range(bound + 2)]
-    diffs = [None] + [boundary(n) for n in range(1, bound + 2)]
+    red = _Reduced(b)
+    ix, iy = QMatrix.identity(x.dim), QMatrix.identity(y.dim)
+    m = Bimodule(b, b, x.dim * y.dim,
+                 [_kron(ix, y.left[k]) for k in range(b.dim)],
+                 [_kron(x.right[k], iy) for k in range(b.dim)], check=False)
+    split = max(y.dim, 1)       # a zero-dimensional y has no chains at all
+    dims = [m.dim * red.dbar ** n for n in range(bound + 2)]
+    diffs = [None] + [hochschild_columns(m, red, n, split)
+                      for n in range(1, bound + 2)]
     cx = ChainComplex(dims, diffs, check=sum(dims) <= 2000)
 
     out = []
     for i in range(bound + 1):
         reps, project = cx.homology_space(i)
-        hdim = len(reps)
-        # induced (A, C)-actions on homology
-        left = []
-        for ai in range(x.A.dim):
-            entries = {}
-            for c, rep in enumerate(reps):
-                img = {}
-                for code, val in rep.items():
-                    yi = code % y.dim
-                    rest = code // y.dim
-                    xi = rest // (dbar ** i)
-                    midcode = rest % (dbar ** i)
-                    acted = x.left[ai].column(xi)
-                    for xo, w in acted.items():
-                        code2 = (xo * (dbar ** i) + midcode) * y.dim + yi
-                        img[code2] = img.get(code2, 0) + val * w
-                for r, v in project(img).items():
-                    entries[(r, c)] = v
-            left.append(QMatrix(hdim, hdim, entries))
-        right = []
-        for ci in range(y.B.dim):
-            entries = {}
-            for c, rep in enumerate(reps):
-                img = {}
-                for code, val in rep.items():
-                    yi = code % y.dim
-                    rest = code // y.dim
-                    acted = y.right[ci].column(yi)
-                    for yo, w in acted.items():
-                        code2 = rest * y.dim + yo
-                        img[code2] = img.get(code2, 0) + val * w
-                for r, v in project(img).items():
-                    entries[(r, c)] = v
-            right.append(QMatrix(hdim, hdim, entries))
-        tor = Bimodule(x.A, y.B, hdim, left, right,
+        # A acts on the x digit of the chain codes, C on the y digit
+        width = red.dbar ** i * split
+        tor = Bimodule(x.A, y.B, len(reps),
+                       [_on_homology(g, reps, project, width, x.dim)
+                        for g in x.left],
+                       [_on_homology(g, reps, project, 1, split)
+                        for g in y.right],
                        name="Tor_%d(%s,%s)" % (i, x.name, y.name),
-                       check=check_modules and hdim > 0)
+                       check=check_modules and len(reps) > 0)
         out.append(tor)
     return out
 

@@ -318,15 +318,16 @@ class Elimination:
         return self._reduce(_clear_denoms(col)[1], None) is None
 
     def solve(self, col):
-        """Coefficients {column index: Fraction} with col = sum c_j column_j,
-        or None when col is outside the span (track mode)."""
+        """Coefficients {column index: value} with col = sum c_j column_j,
+        or None when col is outside the span (track mode).  Integral
+        values come back as ints."""
         assert self.track
         lcm, icol = _clear_denoms(col)
         expr = {_TARGET: lcm}
         if self._reduce(icol, expr) is not None:
             return None
         own = expr.pop(_TARGET)
-        return {j: Fraction(-c, own) for j, c in expr.items() if c}
+        return {j: _norm(Fraction(-c, own)) for j, c in expr.items() if c}
 
     def kernel_expression(self):
         """After add_column returned False (track mode): the dependency just

@@ -9,7 +9,10 @@ lowers degree, the Connes operator B raises it, and
 holds exactly on every constructed mixed complex (verified at construction).
 Sources written cohomologically call b the degree +1 map; the translation is
 a straight reindexing.  Chains are normalized: C_n(A; M) = M (x) Abar^n with
-Abar = A / Q.1, so dimensions are dim(M) * (dim A - 1)^n.
+Abar = A / Q.1, so dimensions are dim(M) * (dim A - 1)^n.  The reduced
+basis and the differential b come from algebras (_Reduced and
+hochschild_columns), which derived tensor products share; the Connes
+operator B is built here.
 
 Cyclic homology comes from the first-quadrant (b, B)-bicomplex totalization
 Tot_n = (+)_i C_{n-2i} with differential b + B; the periodicity operator S
@@ -31,7 +34,8 @@ from math import factorial
 from .errors import InvariantError, CapExceededError, UncertifiedError
 from .exactlin import QMatrix, matrix_rank, kernel_vectors, vec_addmul
 from .homcore import ChainComplex, apply_cols
-from .algebras import (_reduced_basis, regular_bimodule, global_dimension)
+from .algebras import (_Reduced, hochschild_columns, regular_bimodule,
+                       global_dimension)
 
 DEFAULT_CAP = 200000
 
@@ -40,93 +44,11 @@ DEFAULT_CAP = 200000
 # chain-level construction
 
 
-class _Reduced:
-    """Reduced-basis data for Abar = A / Q.1."""
-
-    def __init__(self, a):
-        self.kept, self.classes = _reduced_basis(a)
-        self.dbar = len(self.kept)
-        self.kpos = {k: t for t, k in enumerate(self.kept)}
-        # product of two reduced basis classes, expanded in reduced coords
-        self.redprod = {}
-        for s in range(self.dbar):
-            for t in range(self.dbar):
-                vec = a.mult_basis(self.kept[s], self.kept[t])
-                out = {}
-                for k, c in vec.items():
-                    for i, w in self.classes[k].items():
-                        val = out.get(self.kpos[i], 0) + c * w
-                        if val:
-                            out[self.kpos[i]] = val
-                        else:
-                            out.pop(self.kpos[i], None)
-                self.redprod[(s, t)] = out
-
-    def reduce_class(self, idx):
-        """Abar coordinates (position -> coeff) of the basis element idx."""
-        return {self.kpos[i]: w for i, w in self.classes[idx].items()}
-
-
 def _guard(total, cap):
     if cap is not None and total > cap:
         raise CapExceededError(
             "total complex dimension %d exceeds the memory guard %d"
             % (total, cap), needed=total, cap=cap)
-
-
-def hochschild_columns(m, red, n):
-    """Columns of b_n : M (x) Abar^n -> M (x) Abar^(n-1)."""
-    dbar = red.dbar
-    kept = red.kept
-    right_cols = [[m.right[k].column(i) for i in range(m.dim)] for k in kept]
-    left_cols = [[m.left[k].column(i) for i in range(m.dim)] for k in kept]
-    pow_prev = dbar ** (n - 1)
-    cols = []
-    sgn_last = -1 if n % 2 else 1
-    for midx in range(m.dim):
-        base_out = midx * pow_prev
-        for mid in itertools.product(range(dbar), repeat=n):
-            col = {}
-            # m . a_1
-            tail = 0
-            for t in mid[1:]:
-                tail = tail * dbar + t
-            for mo, c in right_cols[mid[0]][midx].items():
-                code = mo * pow_prev + tail
-                col[code] = col.get(code, 0) + c
-            # middle multiplications
-            for i in range(n - 1):
-                sgn = -1 if (i + 1) % 2 else 1
-                prod = red.redprod[(mid[i], mid[i + 1])]
-                if not prod:
-                    continue
-                head = 0
-                for t in mid[:i]:
-                    head = head * dbar + t
-                tail2 = 0
-                for t in mid[i + 2:]:
-                    tail2 = tail2 * dbar + t
-                shift = dbar ** (n - 2 - i)
-                for k, c in prod.items():
-                    code = base_out + ((head * dbar + k) * shift + tail2)
-                    val = col.get(code, 0) + sgn * c
-                    if val:
-                        col[code] = val
-                    else:
-                        col.pop(code, None)
-            # (+/-) a_n . m
-            head = 0
-            for t in mid[:-1]:
-                head = head * dbar + t
-            for mo, c in left_cols[mid[-1]][midx].items():
-                code = mo * pow_prev + head
-                val = col.get(code, 0) + sgn_last * c
-                if val:
-                    col[code] = val
-                else:
-                    col.pop(code, None)
-            cols.append(col)
-    return cols
 
 
 def connes_columns(a, red, n):
@@ -140,7 +62,7 @@ def connes_columns(a, red, n):
     pow_next = dbar ** (n + 1)
     cols = []
     for i0 in range(a.dim):
-        red0 = red.reduce_class(i0)
+        red0 = red.classes[i0]
         for mid in itertools.product(range(dbar), repeat=n):
             col = {}
             seq = (None,) + mid      # position 0 carries a_0 via red0
@@ -620,7 +542,7 @@ def _chain_map_on_tot(f, a, b, data_a, data_b, n, vec):
     comps_a, _ = data_a.mixed.tot_offsets(n)
     comps_b, _ = data_b.mixed.tot_offsets(n)
     off_b = {m: off for m, off in comps_b}
-    dbar_a, dbar_b = red_a.dbar, red_b.dbar
+    dbar_a = red_a.dbar
     out = {}
     for m, off in comps_a:
         for code, val in vec.items():
@@ -632,42 +554,10 @@ def _chain_map_on_tot(f, a, b, data_a, data_b, n, vec):
                 ts.append(local % dbar_a)
                 local //= dbar_a
             ts.reverse()
-            i0 = local
-            # factor expansions: slot 0 over the B basis, the rest over Bbar
-            terms = [dict(fcols[i0])]
-            good = True
-            for t in ts:
-                redv = {}
-                for k, c in fcols[red_a.kept[t]].items():
-                    for p, w in red_b.reduce_class(k).items():
-                        s = redv.get(p, 0) + c * w
-                        if s:
-                            redv[p] = s
-                        else:
-                            redv.pop(p, None)
-                if not redv:
-                    good = False
-                    break
-                terms.append(redv)
-            if not good:
-                continue
-            codes = {k: c * val for k, c in terms[0].items()}
-            for term in terms[1:]:
-                nxt = {}
-                for base, c0 in codes.items():
-                    for k, c in term.items():
-                        key = base * dbar_b + k
-                        s = nxt.get(key, 0) + c0 * c
-                        if s:
-                            nxt[key] = s
-                        else:
-                            nxt.pop(key, None)
-                codes = nxt
-                if not codes:
-                    break
-            for cc, vv in codes.items():
+            slots = [fcols[local]] + [fcols[red_a.kept[t]] for t in ts]
+            for cc, vv in red_b.expand(slots).items():
                 tgt = off_b[m] + cc
-                s = out.get(tgt, 0) + vv
+                s = out.get(tgt, 0) + val * vv
                 if s:
                     out[tgt] = s
                 else:
@@ -744,7 +634,6 @@ def chern_character(e, a, n_max=6, cap=DEFAULT_CAP):
     if _matrix_product_over_algebra(a, e, e) != e:
         raise InvariantError("chern_character needs an exact idempotent")
     red = _Reduced(a)
-    dbar = red.dbar
     half = Fraction(1, 2)
     # e - 1/2 as a matrix over A
     eh = [[dict(e[i][j]) for j in range(r)] for i in range(r)]
@@ -777,24 +666,7 @@ def chern_character(e, a, n_max=6, cap=DEFAULT_CAP):
             factors = [eh[idx[0]][idx[1]]]
             for p in range(1, n + 1):
                 factors.append(e[idx[p]][idx[(p + 1) % (n + 1)]])
-            if not all(factors):
-                continue
-            codes = dict(factors[0])           # first slot: full A coords
-            for term in factors[1:]:
-                nxt = {}
-                for base, c0 in codes.items():
-                    for k, c in term.items():
-                        for p, w in red.reduce_class(k).items():
-                            key = base * dbar + p
-                            s = nxt.get(key, 0) + c0 * c * w
-                            if s:
-                                nxt[key] = s
-                            else:
-                                nxt.pop(key, None)
-                codes = nxt
-                if not codes:
-                    break
-            for code, v in codes.items():
+            for code, v in red.expand(factors).items():
                 s = comp.get(code, 0) + coeff * v
                 if s:
                     comp[code] = s

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ncmotives.errors import InvariantError, UncertifiedError
 from ncmotives import zoo
@@ -10,6 +11,7 @@ from ncmotives.algebras import (
     is_right_projective, Bimodule,
 )
 from ncmotives.exactlin import QMatrix
+from test_hochschild import quiver_algebras
 
 
 def test_path_algebra_a2_shape():
@@ -50,6 +52,13 @@ def test_path_algebra_rejects_inconsistent_relations():
     # guard on a direct fabrication:
     with pytest.raises(InvariantError):
         path_algebra(q, relations=[[(1, [])]], truncation=2)
+
+
+def test_path_algebra_rejects_unknown_arrows():
+    q = Quiver(["1", "2"], [("a", "1", "2")])
+    with pytest.raises(InvariantError, match="unknown arrow.*: y, z"):
+        path_algebra(q, relations=[[(1, ["a", "z"]), (1, ["y"])]],
+                     truncation=2)
 
 
 def test_commutative_square_relation_identified():
@@ -141,28 +150,41 @@ def cartan_matrix(a):
     return c
 
 
-def test_derived_tensor_matches_cartan_oracle():
+def assert_cartan_oracle(a, i, j, k, l, bound=None):
     # composition of projective bimodule classes over B follows the Cartan
     # matrix of B: (Ae_i o e_jB) x_B (Be_k o e_lC) = c^B_{jk} copies
+    c = cartan_matrix(a)
+    x = corner_bimodule(a, i, j)
+    y = corner_bimodule(a, k, l)
+    tors = derived_tensor(x, y, bound)
+    # dim Tor_0 = dim(Ae_i) * dim(e_j A e_k) * dim(e_l A)
+    d_aei = sum(1 for t in range(a.dim) if a.quiver.path_target[t] == i)
+    d_ela = sum(1 for t in range(a.dim) if a.quiver.path_source[t] == l)
+    assert tors[0].dim == d_aei * c[(j, k)] * d_ela
+    assert all(t.dim == 0 for t in tors[1:])
+
+
+def test_derived_tensor_matches_cartan_oracle():
     for name in ("A2", "A3", "square"):
         a = zoo.get(name)
-        c = cartan_matrix(a)
         vs = a.quiver.vertices
         for i in vs[:2]:
             for j in vs:
                 for k in vs:
                     for l in vs[-2:]:
-                        x = corner_bimodule(a, i, j)
-                        y = corner_bimodule(a, k, l)
-                        tors = derived_tensor(x, y)
-                        expect0 = c[(j, k)] * x.dim // max(1, 1) if False else None
-                        # dim Tor_0 = dim(Ae_i) * dim(e_j A e_k) * dim(e_l A)
-                        d_aei = sum(1 for t in range(a.dim)
-                                    if a.quiver.path_target[t] == i)
-                        d_ela = sum(1 for t in range(a.dim)
-                                    if a.quiver.path_source[t] == l)
-                        assert tors[0].dim == d_aei * c[(j, k)] * d_ela
-                        assert all(t.dim == 0 for t in tors[1:])
+                        assert_cartan_oracle(a, i, j, k, l)
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.data())
+def test_derived_tensor_matches_cartan_oracle_on_random_quivers(data):
+    # bound=2 builds d_1..d_3 of the two-sided layout; x is right-projective,
+    # so Tor_1 = Tor_2 = 0 whatever the global dimension
+    a = data.draw(quiver_algebras())
+    assume(a.dim <= 5)
+    i, j, k, l = data.draw(st.lists(st.sampled_from(a.quiver.vertices),
+                                    min_size=4, max_size=4))
+    assert_cartan_oracle(a, i, j, k, l, bound=2)
 
 
 def _right_simple(a, vertex):

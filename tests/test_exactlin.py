@@ -222,6 +222,14 @@ def test_solve_round_trip(data):
     assert (sol is None) == (matrix_rank(augmented) > matrix_rank(m))
     if sol is not None:
         assert m * sol == t
+        assert all(type(v) is int for v in sol.values()
+                   if Fraction(v).denominator == 1)
+
+
+@settings(deadline=None)
+@given(matrices())
+def test_rank_plus_nullity(m):
+    assert matrix_rank(m) + len(kernel_vectors(m)) == m.cols
 
 
 @settings(deadline=None)

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ncmotives import zoo
 from ncmotives.algebras import (Quiver, path_algebra, structure_algebra,
-                                _reduced_basis)
+                                _Reduced)
 from ncmotives.cli import _nonnormalized_hh
 from ncmotives.errors import InvariantError, CapExceededError, UncertifiedError
 from ncmotives.exactlin import QMatrix, matrix_rank
@@ -175,8 +175,7 @@ def test_rational_basis_keeps_sbi_and_hp():
     "name", ["A2", "A3", "square", "cubic", "dual", "M2(Q)", "QxQxQ"])
 def test_integral_algebra_keeps_chains_on_ints(name):
     a = zoo.get(name)
-    _, classes = _reduced_basis(a)
-    values = [v for cls in classes.values() for v in cls.values()]
+    values = [v for cls in _Reduced(a).classes.values() for v in cls.values()]
     mx = TruncatedMixedComplex(a, 3)
     for cols in mx.b[1:] + mx.B:
         values.extend(v for col in cols for v in col.values())
@@ -231,6 +230,13 @@ def test_hh_matches_nonnormalized_oracle_on_random_quivers(data):
     oracle = _nonnormalized_hh(a, 3, DEFAULT_CAP)
     for alg in (a, _rescaled(a, scales)):
         assert hochschild_homology(alg, n_max=3).dims == oracle
+
+
+@settings(deadline=None, max_examples=20)
+@given(quiver_algebras())
+def test_sbi_exact_on_random_quivers(a):
+    assume(a.dim <= 6)
+    assert sbi_check(a, n_max=4).all_exact
 
 
 def test_hp_zoo_values():

@@ -3,8 +3,10 @@
 Algebras come either from explicit structure constants or from a quiver
 with relations and a hard path-length truncation (so everything is
 finite-dimensional by construction).  On top of that: opposites, tensor
-products, one-sided modules with minimal projective resolutions, global
-dimension bounds, and the normalized bar complex.  Its one builder
+products, bimodules, and one minimal projective resolution over the
+enveloping algebra (minimal_resolution), which also resolves right modules,
+as (Q, A)-bimodules, for global dimension and right projectivity.  Last,
+the normalized bar complex.  Its one builder
 (_Reduced, the basis of Bbar = B / Q.1, and hochschild_columns, the
 differential of M (x) Bbar^n) serves both Hochschild homology and derived
 tensor products: Tor^B(x, y) is HH(B; y (x) x).
@@ -325,6 +327,12 @@ def structure_algebra(name, basis, unit_coeffs, products, check=True):
     products: iterable of (left label, right label, {label: coeff}).
     """
     idx = {lab: i for i, lab in enumerate(basis)}
+    products = list(products)
+    unknown = (set(unit_coeffs) | {lab for left, right, value in products
+                                   for lab in (left, right, *value)}) - set(idx)
+    if unknown:
+        raise InvariantError("unknown basis label(s): %s"
+                             % ", ".join(sorted(unknown)))
     table = {}
     for left, right, value in products:
         vec = {idx[lab]: _as_frac(c) for lab, c in value.items()}
@@ -363,207 +371,6 @@ def tensor_algebra(a, b, name=None):
                   check=False)
     out._factors = (a, b)
     return out
-
-
-# ---------------------------------------------------------------------------
-# one-sided modules and resolutions
-
-
-class Module:
-    """A finite-dimensional left module over an algebra.
-
-    action: list of dim(algebra) matrices, action[i] = matrix of b_i acting.
-    """
-
-    def __init__(self, algebra, dim, action, check=True):
-        self.algebra = algebra
-        self.dim = dim
-        self.action = action
-        if check:
-            self._check()
-
-    def _check(self):
-        a = self.algebra
-        unit = QMatrix.zero(self.dim, self.dim)
-        for i, c in a.unit.items():
-            unit = unit + self.action[i].scale(c)
-        if unit != QMatrix.identity(self.dim):
-            raise InvariantError("module action is not unital")
-        for i in range(a.dim):
-            for j in range(a.dim):
-                lhs = QMatrix.zero(self.dim, self.dim)
-                for k, c in a.mult_basis(i, j).items():
-                    lhs = lhs + self.action[k].scale(c)
-                if lhs != self.action[i] * self.action[j]:
-                    raise InvariantError("module action not associative at (%d,%d)" % (i, j))
-
-    def act(self, x, vec):
-        """x a sparse algebra vector, vec a sparse module vector."""
-        out = {}
-        for i, c in x.items():
-            vec_addmul(out, c, self.action[i] * vec)
-        return out
-
-
-def submodule(m, vectors):
-    """Submodule generated by the given vectors, with restricted action."""
-    a = m.algebra
-    span = list(vectors)
-    sub = LinSubspace(m.dim, span)
-    while True:
-        new = []
-        for v in sub.basis():
-            for i in range(a.dim):
-                w = m.action[i] * v
-                if w and not sub.contains(w):
-                    new.append(w)
-        if not new:
-            break
-        sub = LinSubspace(m.dim, sub.basis() + new)
-    basis = sub.basis()
-    # action in the sub-basis coordinates
-    action = []
-    for i in range(a.dim):
-        entries = {}
-        for c, v in enumerate(basis):
-            w = m.action[i] * v
-            coords = sub.coordinates(w)
-            for r, val in coords.items():
-                entries[(r, c)] = val
-        action.append(QMatrix(len(basis), len(basis), entries))
-    return Module(m.algebra, len(basis), action, check=False), basis
-
-
-def vertex_projective(a, v):
-    """P_v = e_v A as a right A-module, i.e. a left module over A^op."""
-    if a.quiver is None:
-        raise InvariantError("vertex projectives need a quiver presentation")
-    pres = a.quiver
-    rows = [i for i in range(a.dim) if pres.path_source[i] == v]
-    pos = {b: r for r, b in enumerate(rows)}
-    aop = opposite(a)
-    action = []
-    for i in range(a.dim):
-        entries = {}
-        for c, bidx in enumerate(rows):
-            # right multiplication by b_i in A
-            prod = a.mult_basis(bidx, i)
-            for k, val in prod.items():
-                entries[(pos[k], c)] = val
-        action.append(QMatrix(len(rows), len(rows), entries))
-    return Module(aop, len(rows), action, check=False), rows
-
-
-def simple_at_vertex(a, v):
-    """The simple right A-module at vertex v (as a left A^op-module)."""
-    aop = opposite(a)
-    pres = a.quiver
-    action = []
-    for i in range(a.dim):
-        val = 1 if (pres.path_length[i] == 0 and pres.path_source[i] == v) else 0
-        action.append(QMatrix(1, 1, {(0, 0): val} if val else None))
-    return Module(aop, 1, action, check=False)
-
-
-def _module_radical_subspace(m):
-    """M * rad(A) in the left-module encoding (rad of the acting algebra)."""
-    a = m.algebra
-    rad = exactlin.jacobson_radical(a)
-    vecs = []
-    for r in rad.basis():
-        mat = QMatrix.zero(m.dim, m.dim)
-        for i, c in r.items():
-            mat = mat + m.action[i].scale(c)
-        for col in mat.columns():
-            if col:
-                vecs.append(col)
-    return LinSubspace(m.dim, vecs)
-
-
-class Resolution:
-    """Minimal projective resolution bookkeeping for right modules over a
-    quiver algebra (encoded as left modules over A^op)."""
-
-    def __init__(self, a, module):
-        self.a = a
-        self.module = module
-
-    def steps(self, bound):
-        """Yield syzygy dimensions; stops when the syzygy is zero.
-
-        Returns the projective dimension if reached within bound, else None.
-        """
-        a = self.a
-        pres = a.quiver
-        m = self.module
-        for step in range(bound + 1):
-            if m.dim == 0:
-                return step - 1 if step else 0
-            radspan = _module_radical_subspace(m)
-            # top generators per vertex: columns of the e_v action that are
-            # independent modulo M rad and earlier picks
-            gens = []          # (vertex, lifted vector in m)
-            for v in pres.vertices:
-                evmat = m.action[pres.vertex_idx[v]]
-                seen = LinSubspace(m.dim, radspan.basis())
-                for col in evmat.columns():
-                    if col and not seen.contains(col):
-                        gens.append((v, col))
-                        seen = LinSubspace(m.dim, seen.basis() + [col])
-            # cover map (+) P_v -> M, e_v a |-> gen * a
-            blocks = []
-            offsets = []
-            total = 0
-            cover_entries = {}
-            for v, gen in gens:
-                proj, rows = vertex_projective(a, v)
-                offsets.append((total, proj, rows))
-                for c, bidx in enumerate(rows):
-                    img = m.act({bidx: 1}, gen)   # gen * b  (A^op action)
-                    for r, val in img.items():
-                        cover_entries[(r, total + c)] = val
-                total += proj.dim
-            cover = QMatrix(m.dim, total, cover_entries)
-            if exactlin.matrix_rank(cover) != m.dim:
-                raise InvariantError("projective cover is not surjective")
-            kv = exactlin.kernel_vectors(cover)
-            if not kv:
-                return step
-            # syzygy as a module over A^op: restrict the product action
-            big_action = []
-            for i in range(a.dim):
-                entries = {}
-                for (off, proj, rows) in offsets:
-                    mat = proj.action[i]
-                    for (r, c), val in mat.entries.items():
-                        entries[(off + r, off + c)] = val
-                big_action.append(QMatrix(total, total, entries))
-            big = Module(m.algebra, total, big_action, check=False)
-            msub, _ = submodule(big, kv)
-            m = msub
-        return None
-
-
-def global_dimension(a, bound=10):
-    """Global dimension of a, or None if it exceeds the bound.
-
-    For semisimple algebras (radical zero) the answer is 0 regardless of
-    presentation; otherwise a quiver presentation is required and the
-    simples are resolved stepwise.
-    """
-    if a.radical().dim == 0:
-        return 0
-    if a.quiver is None:
-        raise InvariantError("global dimension needs a quiver presentation "
-                             "(or a semisimple algebra)")
-    worst = 0
-    for v in a.quiver.vertices:
-        s = simple_at_vertex(a, v)
-        pd = Resolution(a, s).steps(bound)
-        if pd is None:
-            return None
-        worst = max(worst, pd)
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -654,41 +461,19 @@ def regular_bimodule(a):
 def corner_bimodule(a, i_vertex, j_vertex):
     """A e_i (x) e_j A as an (A, A)-bimodule, for a quiver algebra.
 
-    Basis: pairs (p, q) with p a path ending at i and q a path starting
-    at j.  These are the indecomposable projective bimodules.
+    These are the indecomposable projective bimodules.
     """
-    pres = a.quiver
-    lefts = [k for k in range(a.dim) if pres.path_target[k] == i_vertex]
-    rights = [k for k in range(a.dim) if pres.path_source[k] == j_vertex]
-    basis = [(p, q) for p in lefts for q in rights]
-    pos = {pq: n for n, pq in enumerate(basis)}
-    dim = len(basis)
-    left = []
-    for x in range(a.dim):
-        entries = {}
-        for c, (p, q) in enumerate(basis):
-            prod = a.mult_basis(x, p)
-            for k, val in prod.items():
-                if pres.path_target[k] == i_vertex:
-                    entries[(pos[(k, q)], c)] = val
-        left.append(QMatrix(dim, dim, entries))
-    right = []
-    for y in range(a.dim):
-        entries = {}
-        for c, (p, q) in enumerate(basis):
-            prod = a.mult_basis(q, y)
-            for k, val in prod.items():
-                if pres.path_source[k] == j_vertex:
-                    entries[(pos[(p, k)], c)] = val
-        right.append(QMatrix(dim, dim, entries))
-    out = Bimodule(a, a, dim, left, right,
-                   name="Ae_%s(x)e_%sA" % (i_vertex, j_vertex), check=False)
-    out.vertices = (i_vertex, j_vertex)
+    out = projective_pair_bimodule(a, a, i_vertex, j_vertex)
+    out.name = "Ae_%s(x)e_%sA" % (i_vertex, j_vertex)
     return out
 
 
 def projective_pair_bimodule(a, b, i_vertex, j_vertex):
-    """A e_i (x) e_j B as an (A, B)-bimodule for quiver algebras a, b."""
+    """A e_i (x) e_j B as an (A, B)-bimodule for quiver algebras a, b.
+
+    Basis: the pairs (p, q), in the order of out.pairs, with p a path of A
+    ending at i and q a path of B starting at j; e_i (x) e_j generates.
+    """
     pa, pb = a.quiver, b.quiver
     lefts = [k for k in range(a.dim) if pa.path_target[k] == i_vertex]
     rights = [k for k in range(b.dim) if pb.path_source[k] == j_vertex]
@@ -714,8 +499,150 @@ def projective_pair_bimodule(a, b, i_vertex, j_vertex):
     out = Bimodule(a, b, dim, left, right,
                    name="%se_%s(x)e_%s%s" % (a.name, i_vertex, j_vertex, b.name),
                    check=False)
-    out.vertices = (i_vertex, j_vertex)
+    out.pairs = basis
     return out
+
+
+# ---------------------------------------------------------------------------
+# minimal projective resolutions
+#
+# One engine serves bimodules and one-sided modules alike: a right B-module
+# is a (Q, B)-bimodule, whose projectives Q e_1 (x) e_j B are the e_j B and
+# on which rad(Q (x) B^op) acts as M.rad B.
+
+
+def _ground_field():
+    from . import zoo       # zoo builds its algebras with this module
+    return zoo.get("Q")
+
+
+def _top_generators(m):
+    """Lifts of a basis of the top m / (radA.m + m.radB), vertex pair by
+    vertex pair: (i, j, vector in e_i m e_j)."""
+    rad_vecs = []
+    for alg, mats in ((m.A, m.left), (m.B, m.right)):
+        for r in alg.radical().basis():
+            mat = QMatrix.zero(m.dim, m.dim)
+            for i, c in r.items():
+                mat = mat + mats[i].scale(c)
+            rad_vecs.extend(col for col in mat.columns() if col)
+    radspan = LinSubspace(m.dim, rad_vecs)
+    gens = []
+    for i in m.A.quiver.vertices:
+        ei = m.A.quiver.vertex_idx[i]
+        for j in m.B.quiver.vertices:
+            proj = m.left[ei] * m.right[m.B.quiver.vertex_idx[j]]
+            seen = LinSubspace(m.dim, radspan.basis())
+            for col in proj.columns():
+                if col and not seen.contains(col):
+                    gens.append((i, j, col))
+                    seen = LinSubspace(m.dim, seen.basis() + [col])
+    return gens
+
+
+def _direct_sum(blocks, size):
+    """The size x size block-diagonal matrix of the (offset, block) pairs."""
+    return QMatrix(size, size, {(off + r, off + c): v for off, mat in blocks
+                                for (r, c), v in mat.entries.items()})
+
+
+def _restrict(mats, sub):
+    """The matrices, which preserve the subspace sub, in its basis."""
+    basis = sub.basis()
+    out = []
+    for mat in mats:
+        entries = {}
+        for c, v in enumerate(basis):
+            for r, val in sub.coordinates(mat * v).items():
+                entries[(r, c)] = val
+        out.append(QMatrix(len(basis), len(basis), entries))
+    return out
+
+
+def minimal_resolution(m, bound):
+    """The vertex pairs (i, j) of the summands A e_i (x) e_j B of the terms
+    P_0, P_1, ... of a minimal projective resolution of the (A, B)-bimodule
+    m, one list per term; None if the resolution does not end at P_bound.
+
+    Both algebras need quiver presentations.  Each step maps one P_ij per
+    top generator onto the current syzygy, e_i (x) e_j to the generator,
+    and continues with the kernel of that cover.
+    """
+    a, b = m.A, m.B
+    projectives = {}
+    terms = []
+    for _ in range(bound + 1):
+        if m.dim == 0:
+            return terms
+        gens = _top_generators(m)
+        total = 0
+        offsets = []
+        entries = {}
+        for i, j, gen in gens:
+            if (i, j) not in projectives:
+                projectives[(i, j)] = projective_pair_bimodule(a, b, i, j)
+            p = projectives[(i, j)]
+            # the basis pair (p, q) maps to p . gen . q
+            for c, (lp, rq) in enumerate(p.pairs):
+                img = m.right_act(m.left_act({lp: 1}, gen), {rq: 1})
+                for r, v in img.items():
+                    entries[(r, total + c)] = v
+            offsets.append((total, p))
+            total += p.dim
+        terms.append([(i, j) for i, j, _ in gens])
+        kv = exactlin.kernel_vectors(QMatrix(m.dim, total, entries))
+        if total - len(kv) != m.dim:
+            raise InvariantError("projective cover is not surjective "
+                                 "(internal bug)")
+        if not kv:
+            return terms
+        # the kernel is a sub-bimodule of the direct sum of the P_ij
+        left = [_direct_sum([(off, p.left[t]) for off, p in offsets], total)
+                for t in range(a.dim)]
+        right = [_direct_sum([(off, p.right[t]) for off, p in offsets], total)
+                 for t in range(b.dim)]
+        sub = LinSubspace(total, kv)
+        m = Bimodule(a, b, sub.dim, _restrict(left, sub),
+                     _restrict(right, sub), check=False)
+    return None
+
+
+def global_dimension(a, bound=10):
+    """Global dimension of a, or None if it exceeds the bound.
+
+    For semisimple algebras (radical zero) the answer is 0 regardless of
+    presentation; otherwise a quiver presentation is required and the
+    simple right modules, as (Q, A)-bimodules, are resolved.
+    """
+    if a.radical().dim == 0:
+        return 0
+    if a.quiver is None:
+        raise InvariantError("global dimension needs a quiver presentation "
+                             "(or a semisimple algebra)")
+    pres = a.quiver
+    worst = 0
+    for v in pres.vertices:
+        right = [QMatrix(1, 1, {(0, 0): 1} if k == pres.vertex_idx[v]
+                         else None) for k in range(a.dim)]
+        simple = Bimodule(_ground_field(), a, 1, [QMatrix.identity(1)],
+                          right, check=False)
+        terms = minimal_resolution(simple, bound)
+        if terms is None:
+            return None
+        worst = max(worst, len(terms) - 1)
+    return worst
+
+
+def is_right_projective(x):
+    """Is the bimodule x projective as a right module over x.B?"""
+    b = x.B
+    if b.radical().dim == 0:
+        return True
+    if b.quiver is None:
+        return False
+    m = Bimodule(_ground_field(), b, x.dim, [QMatrix.identity(x.dim)],
+                 x.right, check=False)
+    return minimal_resolution(m, 0) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -910,18 +837,3 @@ def derived_tensor(x, y, bound=None, check_modules=True):
         out.append(tor)
     return out
 
-
-def is_right_projective(x):
-    """Is the bimodule x projective as a right module over x.B?"""
-    b = x.B
-    if b.radical().dim == 0:
-        return True
-    if b.quiver is None:
-        return False
-    # projective iff the cover of the underlying right module is injective;
-    # equivalently the first syzygy vanishes
-    aop = opposite(b)
-    action = [x.right[i] for i in range(b.dim)]
-    m = Module(aop, x.dim, action, check=False)
-    pd = Resolution(b, m).steps(0)
-    return pd == 0

@@ -119,6 +119,10 @@ class PresentedCategory:
     # -- axioms ------------------------------------------------------------
 
     def check(self):
+        missing = sorted(set(self.objects) - set(self.ident))
+        if missing:
+            raise InvariantError("no identity given for object(s): %s"
+                                 % ", ".join(missing))
         for x in self.objects:
             if self.hom[(x, x)] < 1:
                 raise InvariantError("End(%s) must contain an identity" % x)

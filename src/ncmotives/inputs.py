@@ -80,6 +80,11 @@ def _algebra_from_constants(doc):
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseInputError("malformed structure-constant description: %s"
                               % exc)
+    unknown = (set(unit) | {lab for left, right, value in products
+                            for lab in (left, right, *value)}) - set(basis)
+    if unknown:
+        raise ParseInputError("unknown basis label(s): %s"
+                              % ", ".join(sorted(unknown)))
     return structure_algebra(doc.get("name", "algebra"), basis, unit,
                              products)
 

@@ -6,7 +6,9 @@ A^op (x) B; composition is the derived tensor product with alternating
 signs, the trace of an endo-correspondence is the Euler characteristic of
 Hochschild homology with those coefficients, and the intersection pairing
 <x . y> is the trace of the composite.  Its radical cuts out the numerical
-quotient, whose endomorphism algebras are expected to be semisimple.
+quotient, whose endomorphism algebras are expected to be semisimple.  K_0
+class vectors and enveloping projectivity come from the minimal projective
+resolution of `algebras`.
 
 Two instance checkers close the layer: `even_projector_in_span` asks whether
 the even Kuenneth projector of the periodic realization is a combination of
@@ -18,11 +20,10 @@ explicitly; failure inside a span never refutes anything.
 from fractions import Fraction
 
 from .errors import InvariantError, UncertifiedError
-from .exactlin import (QMatrix, LinSubspace, Elimination, kernel,
-                       matrix_rank, vec_addmul)
-from .algebras import (Bimodule, regular_bimodule, corner_bimodule,
+from .exactlin import QMatrix, Elimination, kernel, matrix_rank, vec_addmul
+from .algebras import (regular_bimodule, corner_bimodule,
                        projective_pair_bimodule, derived_tensor,
-                       global_dimension)
+                       global_dimension, minimal_resolution)
 from .hochschild import (hochschild_homology, periodic_cyclic,
                          chern_class_in_hc, DEFAULT_CAP)
 from . import zoo as _zoo
@@ -104,26 +105,13 @@ def compose(x, y, bound=None):
 def is_env_projective(m):
     """Is the bimodule projective over the enveloping algebra?
 
-    Certified by a projective cover of the same dimension; needs quiver
-    presentations to enumerate the indecomposable projective bimodules.
+    Certified by a minimal resolution that ends at its first term; needs
+    quiver presentations to enumerate the indecomposable projective
+    bimodules.
     """
     if m.A.quiver is None or m.B.quiver is None:
         return False
-    if m.dim == 0:
-        return True
-    gens = _top_generators(m)
-    total = 0
-    entries = {}
-    for (i, j, gen) in gens:
-        p = projective_pair_bimodule(m.A, m.B, i, j)
-        for c, (lp, rq) in enumerate(_projective_pairs(m.A, m.B, p)):
-            img = m.right_act(m.left_act({lp: 1}, gen), {rq: 1})
-            for r, v in img.items():
-                entries[(r, total + c)] = v
-        total += p.dim
-    if total != m.dim:
-        return False
-    return matrix_rank(QMatrix(m.dim, total, entries)) == m.dim
+    return minimal_resolution(m, 0) is not None
 
 
 def hh_euler_characteristic(a, bim, cap=DEFAULT_CAP):
@@ -189,63 +177,13 @@ def intersection_number(x, y, cap=DEFAULT_CAP):
 # K0 class vectors of bimodules over quiver algebras
 
 
-def _bimodule_submodule(m, vectors):
-    """Sub-bimodule spanned by vectors (assumed action-stable), restricted."""
-    sub = LinSubspace(m.dim, vectors)
-    basis = sub.basis()
-    dim = len(basis)
-
-    def restrict(mats):
-        out = []
-        for mat in mats:
-            entries = {}
-            for c, v in enumerate(basis):
-                img = mat * v
-                for r, val in sub.coordinates(img).items():
-                    entries[(r, c)] = val
-            out.append(QMatrix(dim, dim, entries))
-        return out
-
-    return Bimodule(m.A, m.B, dim, restrict(m.left), restrict(m.right),
-                    name=m.name + "'", check=False)
-
-
-def _top_generators(m):
-    """Lifted top generators of m over the enveloping algebra, per vertex
-    pair: rad(env) M = radA.M + M.radB."""
-    a, b = m.A, m.B
-    rad_vecs = []
-    for r in a.radical().basis():
-        mat = QMatrix.zero(m.dim, m.dim)
-        for i, c in r.items():
-            mat = mat + m.left[i].scale(c)
-        rad_vecs.extend(col for col in mat.columns() if col)
-    for r in b.radical().basis():
-        mat = QMatrix.zero(m.dim, m.dim)
-        for i, c in r.items():
-            mat = mat + m.right[i].scale(c)
-        rad_vecs.extend(col for col in mat.columns() if col)
-    radspan = LinSubspace(m.dim, rad_vecs)
-    gens = []
-    for i in m.A.quiver.vertices:
-        ei = m.A.quiver.vertex_idx[i]
-        for j in m.B.quiver.vertices:
-            ej = m.B.quiver.vertex_idx[j]
-            proj = m.left[ei] * m.right[ej]
-            seen = LinSubspace(m.dim, radspan.basis())
-            for col in proj.columns():
-                if col and not seen.contains(col):
-                    gens.append((i, j, col))
-                    seen = LinSubspace(m.dim, seen.basis() + [col])
-    return gens
-
-
 def bimodule_class_vector(m, bound=None):
     """[M] in K_0 coordinates over the projective basis Ae_i (x) e_jB.
 
-    Computed from a minimal projective resolution over the enveloping
-    algebra; terminates within gldim(A) + gldim(B) steps when both are
-    finite, and at step zero for projective bimodules regardless.
+    The alternating sum over the terms of a minimal projective resolution
+    over the enveloping algebra; it ends within gldim(A) + gldim(B) steps
+    when both are finite, and at step zero for projective bimodules
+    regardless.
     """
     a, b = m.A, m.B
     if a.quiver is None or b.quiver is None:
@@ -255,70 +193,17 @@ def bimodule_class_vector(m, bound=None):
         ga = global_dimension(a)
         gb = global_dimension(b)
         bound = (ga + gb) if (ga is not None and gb is not None) else 0
+    terms = minimal_resolution(m, bound)
+    if terms is None:
+        raise UncertifiedError("no finite projective resolution over the "
+                               "enveloping algebra within bound %d" % bound)
     coords = {}
-    cur = m
-    projectives = {}
-    for step in range(bound + 1):
-        if cur.dim == 0:
-            return coords
-        gens = _top_generators(cur)
-        total = 0
-        offsets = []
-        for (i, j, gen) in gens:
-            if (i, j) not in projectives:
-                projectives[(i, j)] = projective_pair_bimodule(a, b, i, j)
-            p = projectives[(i, j)]
-            offsets.append((total, p, gen))
-            total += p.dim
-            key = (i, j)
+    for step, pairs in enumerate(terms):
+        for key in pairs:
             coords[key] = coords.get(key, 0) + (-1) ** step
             if not coords[key]:
                 del coords[key]
-        entries = {}
-        for off, p, gen in offsets:
-            # P_ij basis pairs (path into i, path from j): the generator
-            # e_i (x) e_j maps to gen, so the pair (p, q) maps to p . gen . q
-            for c, (lp, rq) in enumerate(_projective_pairs(a, b, p)):
-                img = cur.right_act(cur.left_act({lp: 1}, gen), {rq: 1})
-                for r, v in img.items():
-                    entries[(r, off + c)] = v
-        cover = QMatrix(cur.dim, total, entries)
-        if matrix_rank(cover) != cur.dim:
-            raise InvariantError("projective cover not surjective "
-                                 "(internal bug)")
-        from .exactlin import kernel_vectors
-        kv = kernel_vectors(cover)
-        if not kv:
-            return coords
-        # kernel as a sub-bimodule of the direct sum of projectives
-        big_left = []
-        big_right = []
-        for t in range(a.dim):
-            e = {}
-            for off, p, _ in offsets:
-                for (r, c), v in p.left[t].entries.items():
-                    e[(off + r, off + c)] = v
-            big_left.append(QMatrix(total, total, e))
-        for t in range(b.dim):
-            e = {}
-            for off, p, _ in offsets:
-                for (r, c), v in p.right[t].entries.items():
-                    e[(off + r, off + c)] = v
-            big_right.append(QMatrix(total, total, e))
-        big = Bimodule(a, b, total, big_left, big_right, check=False)
-        cur = _bimodule_submodule(big, kv)
-    raise UncertifiedError("no finite projective resolution over the "
-                           "enveloping algebra within bound %d" % bound)
-
-
-def _projective_pairs(a, b, p):
-    """Recover the (left path, right path) basis order of a projective pair
-    bimodule the same way its constructor enumerated it."""
-    i_vertex, j_vertex = p.vertices
-    pa, pb = a.quiver, b.quiver
-    lefts = [k for k in range(a.dim) if pa.path_target[k] == i_vertex]
-    rights = [k for k in range(b.dim) if pb.path_source[k] == j_vertex]
-    return [(lp, rq) for lp in lefts for rq in rights]
+    return coords
 
 
 def correspondence_class_vector(x, bound=None):
@@ -361,40 +246,16 @@ def canonical_span(a, b=None):
 
 def row_projective_correspondence(a, v):
     """e_v A as a correspondence from the ground field to A (a K_0 class)."""
-    q = _zoo.get("Q")
-    pres = a.quiver
-    rows = [k for k in range(a.dim) if pres.path_source[k] == v]
-    pos = {k: r for r, k in enumerate(rows)}
-    dim = len(rows)
-    right = []
-    for t in range(a.dim):
-        entries = {}
-        for c, k in enumerate(rows):
-            for k2, val in a.mult_basis(k, t).items():
-                entries[(pos[k2], c)] = val
-        right.append(QMatrix(dim, dim, entries))
-    bim = Bimodule(q, a, dim, [QMatrix.identity(dim)], right,
-                   name="e_%sA" % v, check=False)
-    return Correspondence(q, a, [(1, bim)], name="[P_%s]" % v)
+    bim = projective_pair_bimodule(_zoo.get("Q"), a, "1", v)
+    bim.name = "e_%sA" % v
+    return Correspondence(bim.A, a, [(1, bim)], name="[P_%s]" % v)
 
 
 def column_projective_correspondence(a, v):
     """A e_v as a correspondence from A to the ground field."""
-    q = _zoo.get("Q")
-    pres = a.quiver
-    rows = [k for k in range(a.dim) if pres.path_target[k] == v]
-    pos = {k: r for r, k in enumerate(rows)}
-    dim = len(rows)
-    left = []
-    for t in range(a.dim):
-        entries = {}
-        for c, k in enumerate(rows):
-            for k2, val in a.mult_basis(t, k).items():
-                entries[(pos[k2], c)] = val
-        left.append(QMatrix(dim, dim, entries))
-    bim = Bimodule(a, q, dim, left, [QMatrix.identity(dim)],
-                   name="Ae_%s" % v, check=False)
-    return Correspondence(a, q, [(1, bim)], name="[Ae_%s]" % v)
+    bim = projective_pair_bimodule(a, _zoo.get("Q"), v, "1")
+    bim.name = "Ae_%s" % v
+    return Correspondence(a, bim.B, [(1, bim)], name="[Ae_%s]" % v)
 
 
 # ---------------------------------------------------------------------------

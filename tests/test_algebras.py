@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 from ncmotives.errors import InvariantError, UncertifiedError
 from ncmotives import zoo
 from ncmotives.algebras import (
-    Quiver, path_algebra, opposite, tensor_algebra,
+    Quiver, path_algebra, structure_algebra, opposite, tensor_algebra,
     global_dimension, derived_tensor, regular_bimodule, corner_bimodule,
     is_right_projective, Bimodule,
 )
@@ -52,6 +52,12 @@ def test_path_algebra_rejects_inconsistent_relations():
     # guard on a direct fabrication:
     with pytest.raises(InvariantError):
         path_algebra(q, relations=[[(1, [])]], truncation=2)
+
+
+def test_structure_algebra_rejects_unknown_labels():
+    with pytest.raises(InvariantError, match="unknown basis label.*: w, y, z"):
+        structure_algebra("bad", ["x"], {"x": 1, "w": 1},
+                          [("x", "y", {"z": 1})])
 
 
 def test_path_algebra_rejects_unknown_arrows():
@@ -249,6 +255,12 @@ def test_right_projectivity_path():
     # the regular bimodule composes fine even over infinite gldim
     tors = derived_tensor(reg, reg)
     assert [t.dim for t in tors] == [2]
+    # the simple right module is not projective
+    right = [QMatrix.identity(1) if i == 0 else QMatrix.zero(1, 1)
+             for i in range(dual.dim)]
+    s = Bimodule(zoo.get("Q"), dual, 1, [QMatrix.identity(1)], right,
+                 name="S")
+    assert not is_right_projective(s)
 
 
 def test_derived_tensor_associative_on_k0_classes():

@@ -39,6 +39,13 @@ def test_primitive_idempotents_in_end_algebras():
     assert len(reps) == 3   # p, q, p + q
 
 
+def test_missing_identity_is_an_invariant_error():
+    hom = {("I", "I"): 1, ("X", "X"): 1}
+    comp = {(x, x, x): {(0, 0): {0: 1}} for x in ("I", "X")}
+    with pytest.raises(InvariantError, match=r"object\(s\): I$"):
+        PresentedCategory(["X", "I"], hom, comp, {"X": {0: 1}}, "I")
+
+
 def test_karoubi_splits_idempotent_pair():
     tb = two_block_object_category()
     k = karoubi(tb)

@@ -73,12 +73,16 @@ UNKNOWN_ARROW = {"kind": "quiver", "vertices": ["1", "2"],
                  "arrows": [["a", "1", "2"]], "truncation": 2,
                  "relations": [[["1", ["a", "z"]]]]}
 
+UNKNOWN_LABEL = {"kind": "structure_constants", "basis": ["x"],
+                 "unit": {"x": "1"}, "products": [["x", "y", {"x": "1"}]]}
+
 
 @pytest.mark.parametrize("text, extra, needle", [
     ("{not json", [], "not valid JSON"),
     (json.dumps(UNKNOWN_ARROW), [], "unknown arrow(s): z"),
+    (json.dumps(UNKNOWN_LABEL), [], "unknown basis label(s): y"),
     (None, ["--max-degree", "x"], "invalid int value"),
-], ids=["bad-json", "unknown-arrow", "usage"])
+], ids=["bad-json", "unknown-arrow", "unknown-label", "usage"])
 def test_exit_status_parse_error(tmp_path, text, extra, needle):
     args = ["hh"] + extra
     if text is not None:
@@ -105,6 +109,17 @@ def test_exit_status_invariant_violation(tmp_path):
     status, _, err = run_cli(["describe", "--input", str(f)])
     assert status == 2
     assert "invariant" in err
+
+
+@pytest.mark.parametrize("command", ["karoubi", "orbit"])
+def test_exit_status_missing_identity(tmp_path, command):
+    doc = json.loads((CAT / "two_block.json").read_text())
+    del doc["identities"]["U"]
+    f = tmp_path / "no_identity.json"
+    f.write_text(json.dumps(doc))
+    status, _, err = run_cli([command, "--input", str(f)])
+    assert status == 2
+    assert "no identity given for object(s): U" in err
 
 
 def test_exit_status_cap_exceeded():

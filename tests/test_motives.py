@@ -2,19 +2,22 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ncmotives import zoo
 from ncmotives.errors import InvariantError, UncertifiedError
 from ncmotives.exactlin import QMatrix, matrix_rank, inverse, is_nilpotent_by_traces
-from ncmotives.algebras import corner_bimodule, Bimodule
+from ncmotives.algebras import (corner_bimodule, Bimodule, regular_bimodule,
+                                derived_tensor, global_dimension)
 from ncmotives.hochschild import hp_of_homomorphism, periodic_cyclic
 from ncmotives.motives import (
     Correspondence, unit_correspondence, compose, categorical_trace,
     intersection_number, canonical_span, correspondence_class_vector,
     numerical_kernel, semisimplicity_check, even_projector_in_span, kernel_comparison,
     row_projective_correspondence,
-    column_projective_correspondence, is_env_projective,
+    column_projective_correspondence, is_env_projective, bimodule_class_vector,
 )
+from test_hochschild import quiver_algebras
 
 
 def cartan(a):
@@ -232,7 +235,6 @@ def test_semisimplicity_numerically_trivial_span():
 def test_env_projectivity_detection():
     dual = zoo.get("dual")
     assert is_env_projective(corner_bimodule(dual, "1", "1"))
-    from ncmotives.algebras import regular_bimodule
     assert not is_env_projective(regular_bimodule(dual))
 
 
@@ -360,3 +362,43 @@ def test_k0_pairing_is_cartan_matrix():
         for j, w in enumerate(vs):
             y = column_projective_correspondence(a, w)
             assert intersection_number(x, y) == c[(v, w)]
+
+
+def assert_cartan_identity(m):
+    """C . X . C = D(M): X the class vector of the (A, A)-bimodule m over
+    the P_ij = Ae_i (x) e_jA, C_kl = dim e_k A e_l and D(M)_kl the rank of
+    e_k . m . e_l (e_k P_ij e_l has dimension C_ki C_jl)."""
+    a = m.A
+    c = cartan(a)
+    x = bimodule_class_vector(m)
+    vs = a.quiver.vertices
+    idx = a.quiver.vertex_idx
+    for k in vs:
+        for l in vs:
+            cxc = sum(c[(k, i)] * x.get((i, j), 0) * c[(j, l)]
+                      for i in vs for j in vs)
+            assert cxc == matrix_rank(m.left[idx[k]] * m.right[idx[l]])
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.data())
+def test_class_vector_cartan_identity_on_random_quivers(data):
+    """Class vectors from resolutions of one term (the Tor of the regular
+    bimodule with a corner bimodule), up to gldim + 1 terms (the regular
+    bimodule) and up to 2 gldim + 1 terms (the simple bimodule at (i, j))."""
+    a = data.draw(quiver_algebras())
+    assume(a.dim <= 6)
+    g = global_dimension(a, bound=4)
+    assume(g is not None)
+    reg = regular_bimodule(a)
+    vs = a.quiver.vertices
+    i, j = data.draw(st.sampled_from(vs)), data.draw(st.sampled_from(vs))
+    tors = derived_tensor(reg, corner_bimodule(a, i, j), bound=g)
+
+    def at(v):
+        return [QMatrix.identity(1) if k == a.quiver.vertex_idx[v]
+                else QMatrix.zero(1, 1) for k in range(a.dim)]
+
+    simple = Bimodule(a, a, 1, at(i), at(j))
+    for m in [reg, simple] + [t for t in tors if t.dim]:
+        assert_cartan_identity(m)

@@ -52,6 +52,7 @@ class Algebra:
         self.quiver = quiver
         self._rad = None
         self._cyclic = {}       # (n_max, cap) -> hochschild.CyclicData
+        self._gldim = {}        # bound -> global_dimension(self, bound)
         if check:
             self._check_axioms()
 
@@ -393,6 +394,7 @@ class Bimodule:
         self.left = left
         self.right = right
         self.name = name or "bimodule"
+        self._right_projective = None   # memo of is_right_projective
         if check:
             self._check()
 
@@ -614,6 +616,12 @@ def global_dimension(a, bound=10):
     presentation; otherwise a quiver presentation is required and the
     simple right modules, as (Q, A)-bimodules, are resolved.
     """
+    if bound not in a._gldim:
+        a._gldim[bound] = _global_dimension(a, bound)
+    return a._gldim[bound]
+
+
+def _global_dimension(a, bound):
     if a.radical().dim == 0:
         return 0
     if a.quiver is None:
@@ -635,14 +643,17 @@ def global_dimension(a, bound=10):
 
 def is_right_projective(x):
     """Is the bimodule x projective as a right module over x.B?"""
-    b = x.B
-    if b.radical().dim == 0:
-        return True
-    if b.quiver is None:
-        return False
-    m = Bimodule(_ground_field(), b, x.dim, [QMatrix.identity(x.dim)],
-                 x.right, check=False)
-    return minimal_resolution(m, 0) is not None
+    if x._right_projective is None:
+        b = x.B
+        if b.radical().dim == 0:
+            x._right_projective = True
+        elif b.quiver is None:
+            x._right_projective = False
+        else:
+            m = Bimodule(_ground_field(), b, x.dim,
+                         [QMatrix.identity(x.dim)], x.right, check=False)
+            x._right_projective = minimal_resolution(m, 0) is not None
+    return x._right_projective
 
 
 # ---------------------------------------------------------------------------

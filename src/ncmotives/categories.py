@@ -564,7 +564,7 @@ def primitive_idempotents(alg, cap=IDEMPOTENT_CAP):
             cornered = alg.mult_vec(alg.mult_vec(comp, raw), comp)
             lifted = lift_idempotent(cornered, alg, rad)
             exact.append(lifted)
-            total = _vadd(total, lifted)
+            vec_addmul(total, 1, lifted)
         if total != one:
             raise InvariantError("orthogonal family does not sum to 1")
     for i, e in enumerate(exact):
@@ -573,17 +573,6 @@ def primitive_idempotents(alg, cap=IDEMPOTENT_CAP):
             if alg.mult_vec(e, exact[j]) or alg.mult_vec(exact[j], e):
                 raise InvariantError("idempotent family is not orthogonal")
     return exact
-
-
-def _vadd(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k, 0) + v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
 
 
 def _min_poly_in_algebra_mod(alg, x, e, rad):
@@ -622,7 +611,7 @@ def _crt_idempotents_mod(alg, x, factors, e, rad):
         power = dict(e)
         for c in e_poly:
             if c:
-                val = _vadd(val, vec_scale(c, power))
+                vec_addmul(val, c, power)
             power = rad.reduce(alg.mult_vec(power, x))
         out.append(rad.reduce(val))
     return out
@@ -642,7 +631,7 @@ def idempotent_representatives(alg, cap=IDEMPOTENT_CAP, supplied=None):
         for combo in itertools.combinations(range(len(prim)), r):
             s = {}
             for i in combo:
-                s = _vadd(s, prim[i])
+                vec_addmul(s, 1, prim[i])
             out.append(s)
     return out
 
@@ -1404,19 +1393,21 @@ def graded_space_category(objects, window, name="graded spaces"):
     labels = list(objs)
     hom = {}
     basis = {}          # (x, y) -> list of (slot_y, slot_x)
+    index = {}          # (x, y) -> {(slot_y, slot_x): basis position}
     for x in labels:
         for y in labels:
             pairs = [(t, s) for t in range(len(objs[y]))
                      for s in range(len(objs[x]))
                      if objs[y][t] == objs[x][s]]
             basis[(x, y)] = pairs
+            index[(x, y)] = {p: i for i, p in enumerate(pairs)}
             hom[(x, y)] = len(pairs)
     comp = {}
     for x in labels:
         for y in labels:
             for z in labels:
                 table = {}
-                pos = {p: i for i, p in enumerate(basis[(x, z)])}
+                pos = index[(x, z)]
                 for gi, (tz, sy) in enumerate(basis[(y, z)]):
                     for fi, (ty, sx) in enumerate(basis[(x, y)]):
                         if sy == ty:
@@ -1425,7 +1416,7 @@ def graded_space_category(objects, window, name="graded spaces"):
                     comp[(x, y, z)] = table
     ident = {}
     for x in labels:
-        pos = {p: i for i, p in enumerate(basis[(x, x)])}
+        pos = index[(x, x)]
         ident[x] = {pos[(s, s)]: 1 for s in range(len(objs[x]))}
     # tensor: concatenation of degree lists, sorted, when inside the window
     tensor_obj = {}
@@ -1436,63 +1427,46 @@ def graded_space_category(objects, window, name="graded spaces"):
             if degs and max(abs(d) for d in degs) <= window and \
                     degs in by_degrees:
                 tensor_obj[(x, y)] = by_degrees[degs]
-
-    def slot_pairs(x, y):
-        """Slot order of x (x) y matching the sorted concatenation."""
-        raw = [(a + b, i, j) for i, a in enumerate(objs[x])
-               for j, b in enumerate(objs[y])]
-        order = sorted(range(len(raw)), key=lambda k: (raw[k][0], raw[k][1],
-                                                       raw[k][2]))
-        return raw, order
-
+    # slots[(x, y)][(i, j)]: the slot of x (x) y holding slot i of x times
+    # slot j of y, in the order of the sorted concatenation
+    slots = {}
+    for x, y in tensor_obj:
+        raw = sorted((a + b, i, j) for i, a in enumerate(objs[x])
+                     for j, b in enumerate(objs[y]))
+        slots[(x, y)] = {(i, j): k for k, (_, i, j) in enumerate(raw)}
+    partners = {x: [y for y in labels if (x, y) in tensor_obj]
+                for x in labels}
     tensor_mor = {}
     for x1 in labels:
         for y1 in labels:
-            for x2 in labels:
-                for y2 in labels:
-                    if (x1, x2) not in tensor_obj or \
-                            (y1, y2) not in tensor_obj:
+            basis1 = basis[(x1, y1)]
+            if not basis1:
+                continue
+            for x2 in partners[x1]:
+                posxx = slots[(x1, x2)]
+                xx = tensor_obj[(x1, x2)]
+                for y2 in partners[y1]:
+                    basis2 = basis[(x2, y2)]
+                    if not basis2:
                         continue
-                    xx = tensor_obj[(x1, x2)]
-                    yy = tensor_obj[(y1, y2)]
-                    raw_x, ord_x = slot_pairs(x1, x2)
-                    raw_y, ord_y = slot_pairs(y1, y2)
-                    posxx = {}
-                    for new, old in enumerate(ord_x):
-                        posxx[(raw_x[old][1], raw_x[old][2])] = new
-                    posyy = {}
-                    for new, old in enumerate(ord_y):
-                        posyy[(raw_y[old][1], raw_y[old][2])] = new
-                    pos_out = {p: i for i, p in enumerate(basis[(xx, yy)])}
-                    table = {}
-                    for fi, (t1, s1) in enumerate(basis[(x1, y1)]):
-                        for gi, (t2, s2) in enumerate(basis[(x2, y2)]):
-                            src = posxx[(s1, s2)]
-                            tgt = posyy[(t1, t2)]
-                            table[(fi, gi)] = {pos_out[(tgt, src)]: 1}
-                    if table:
-                        tensor_mor[(x1, y1, x2, y2)] = table
+                    posyy = slots[(y1, y2)]
+                    pos_out = index[(xx, tensor_obj[(y1, y2)])]
+                    tensor_mor[(x1, y1, x2, y2)] = {
+                        (fi, gi): {pos_out[(posyy[(t1, t2)],
+                                            posxx[(s1, s2)])]: 1}
+                        for fi, (t1, s1) in enumerate(basis1)
+                        for gi, (t2, s2) in enumerate(basis2)}
     symmetry = {}
     for x in labels:
         for y in labels:
             if (x, y) not in tensor_obj or (y, x) not in tensor_obj:
                 continue
-            xy = tensor_obj[(x, y)]
-            yx = tensor_obj[(y, x)]
-            raw_f, ord_f = slot_pairs(x, y)
-            raw_b, ord_b = slot_pairs(y, x)
-            pos_f = {}
-            for new, old in enumerate(ord_f):
-                pos_f[(raw_f[old][1], raw_f[old][2])] = new
-            pos_b = {}
-            for new, old in enumerate(ord_b):
-                pos_b[(raw_b[old][1], raw_b[old][2])] = new
-            pos_hom = {p: i for i, p in enumerate(basis[(xy, yx)])}
-            vec = {}
-            for i in range(len(objs[x])):
-                for j in range(len(objs[y])):
-                    vec[pos_hom[(pos_b[(j, i)], pos_f[(i, j)])]] = 1
-            symmetry[(x, y)] = vec
+            pos_f = slots[(x, y)]
+            pos_b = slots[(y, x)]
+            pos_hom = index[(tensor_obj[(x, y)], tensor_obj[(y, x)])]
+            symmetry[(x, y)] = {pos_hom[(pos_b[(j, i)], pos_f[(i, j)])]: 1
+                                for i in range(len(objs[x]))
+                                for j in range(len(objs[y]))}
     # the unit object must be the degree-(0) line
     unit = by_degrees.get((0,))
     if unit is None:

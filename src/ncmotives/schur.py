@@ -11,7 +11,7 @@ supersymmetric hook Schur evaluation as an independent oracle.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import factorial
+from math import factorial, gcd, lcm
 
 from .errors import InvariantError, CapExceededError
 from .exactlin import QMatrix, matrix_rank
@@ -169,48 +169,74 @@ def invert_perm(p):
 
 
 class GroupAlgebraElement:
-    """Sparse element of Q[S_n]: permutation tuple -> coefficient."""
+    """Sparse element of Q[S_n]: permutation tuple -> coefficient.
+
+    Coefficients are stored as int numerators num[p] over one positive
+    common denominator den, with gcd(den, num...) = 1, so equal elements
+    have equal fields.  coeffs is the read-only Fraction view.
+    """
 
     def __init__(self, n, coeffs):
-        self.n = n
-        self.coeffs = {p: Fraction(c) for p, c in coeffs.items() if c}
-        for p in self.coeffs:
+        coeffs = {p: Fraction(c) for p, c in coeffs.items() if c}
+        for p in coeffs:
             if len(p) != n or sorted(p) != list(range(n)):
                 raise InvariantError("not a permutation of %d letters" % n)
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        self.n = n
+        self.num = {p: c.numerator * (den // c.denominator)
+                    for p, c in coeffs.items()}
+        self.den = den
+
+    @classmethod
+    def _make(cls, n, num, den):
+        """An element from int numerators over den > 0, with no permutation
+        check: callers pass composites of checked permutations."""
+        num = {p: v for p, v in num.items() if v}
+        g = gcd(den, *num.values())
+        if g > 1:
+            num = {p: v // g for p, v in num.items()}
+            den //= g
+        out = cls.__new__(cls)
+        out.n, out.num, out.den = n, num, den
+        return out
+
+    @property
+    def coeffs(self):
+        den = self.den
+        return {p: Fraction(v, den) for p, v in self.num.items()}
 
     def __mul__(self, other):
         out = {}
-        for p, c in self.coeffs.items():
-            for q, d in other.coeffs.items():
-                r = compose_perm(p, q)
-                s = out.get(r, 0) + c * d
-                if s:
-                    out[r] = s
-                else:
-                    out.pop(r, None)
-        return GroupAlgebraElement(self.n, out)
+        get = out.get
+        for p, c in self.num.items():
+            at = p.__getitem__
+            for q, d in other.num.items():
+                r = tuple(map(at, q))
+                out[r] = get(r, 0) + c * d
+        return GroupAlgebraElement._make(self.n, out, self.den * other.den)
 
     def __add__(self, other):
-        out = dict(self.coeffs)
-        for p, c in other.coeffs.items():
-            s = out.get(p, 0) + c
-            if s:
-                out[p] = s
-            else:
-                out.pop(p, None)
-        return GroupAlgebraElement(self.n, out)
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        out = {p: a * v for p, v in self.num.items()}
+        for p, v in other.num.items():
+            out[p] = out.get(p, 0) + b * v
+        return GroupAlgebraElement._make(self.n, out, den)
 
     def scale(self, c):
-        return GroupAlgebraElement(self.n, {p: c * v
-                                            for p, v in self.coeffs.items()})
+        c = Fraction(c)
+        k = c.numerator
+        return GroupAlgebraElement._make(
+            self.n, {p: k * v for p, v in self.num.items()},
+            self.den * c.denominator)
 
     def __eq__(self, other):
         return (isinstance(other, GroupAlgebraElement) and self.n == other.n
-                and self.coeffs == other.coeffs)
+                and self.den == other.den and self.num == other.num)
 
     def __repr__(self):
         return "GroupAlgebraElement(S_%d, %d terms)" % (self.n,
-                                                        len(self.coeffs))
+                                                        len(self.num))
 
 
 def central_idempotent(partition, cap=CHARACTER_CAP, verify=None):
@@ -229,12 +255,9 @@ def central_idempotent(partition, cap=CHARACTER_CAP, verify=None):
                                cap=cap)
     row = character_table_row(parts, cap)
     f = standard_tableau_count(parts)
-    coeffs = {}
-    for sigma in permutations(range(n)):
-        chi = row[cycle_type(invert_perm(sigma))]
-        if chi:
-            coeffs[sigma] = Fraction(f * chi, factorial(n))
-    c = GroupAlgebraElement(n, coeffs)
+    num = {sigma: f * row[cycle_type(invert_perm(sigma))]
+           for sigma in permutations(range(n))}
+    c = GroupAlgebraElement._make(n, num, factorial(n))
     if verify is None:
         verify = n <= 5
     if verify:
@@ -311,16 +334,13 @@ def young_symmetrizer(partition):
 TENSOR_CAP = 50000
 
 
-def tensor_power_action(v, n, perm, cap=TENSOR_CAP):
-    """The signed permutation matrix of perm acting on v^(x n).
-
-    perm moves the factor in position i to position perm(i); the Koszul
-    sign collects (-1) for every pair of odd factors whose order flips.
-    """
+def _signed_permutation_entries(v, n, perm, cap):
+    """{(target code, source code): sign} of perm acting on v^(x n)."""
     t = v.total
     if t ** n > cap:
         raise CapExceededError("tensor power dimension %d exceeds cap %d"
                                % (t ** n, cap), needed=t ** n, cap=cap)
+    odd = [v.parity(k) for k in range(t)]
     entries = {}
     for code in range(t ** n):
         idx = []
@@ -336,22 +356,42 @@ def tensor_power_action(v, n, perm, cap=TENSOR_CAP):
         sign = 1
         for i in range(n):
             for j in range(i + 1, n):
-                if perm[i] > perm[j] and v.parity(idx[i]) and v.parity(idx[j]):
+                if perm[i] > perm[j] and odd[idx[i]] and odd[idx[j]]:
                     sign = -sign
         tgt = 0
         for k in out:
             tgt = tgt * t + k
         entries[(tgt, code)] = sign
-    return QMatrix(t ** n, t ** n, entries)
+    return entries
+
+
+def tensor_power_action(v, n, perm, cap=TENSOR_CAP):
+    """The signed permutation matrix of perm acting on v^(x n).
+
+    perm moves the factor in position i to position perm(i); the Koszul
+    sign collects (-1) for every pair of odd factors whose order flips.
+    """
+    return QMatrix(v.total ** n, v.total ** n,
+                   _signed_permutation_entries(v, n, perm, cap))
+
+
+def _numerator_action(v, elem, cap):
+    """elem.den times the matrix of elem on v^(x n), as {key: int}: the
+    signed permutation entries of every term times its numerator."""
+    acc = {}
+    get = acc.get
+    for p, c in elem.num.items():
+        for key, sign in _signed_permutation_entries(v, elem.n, p,
+                                                     cap).items():
+            acc[key] = get(key, 0) + sign * c
+    return acc
 
 
 def group_element_action(v, elem, cap=TENSOR_CAP):
-    t = v.total
-    n = elem.n
-    acc = QMatrix.zero(t ** n, t ** n)
-    for p, c in elem.coeffs.items():
-        acc = acc + tensor_power_action(v, n, p, cap).scale(c)
-    return acc
+    size = v.total ** elem.n
+    den = elem.den
+    return QMatrix(size, size, {key: Fraction(s, den) for key, s
+                                in _numerator_action(v, elem, cap).items()})
 
 
 def _super_trace_of_permutation(v, perm):
@@ -380,12 +420,14 @@ def schur_dimension(partition, v, cap=TENSOR_CAP, force_matrix=False):
         if t ** n > cap:
             raise CapExceededError("tensor power exceeds cap", needed=t ** n,
                                    cap=cap)
-        return matrix_rank(group_element_action(v, c, cap))
-    val = sum(coeff * _super_trace_of_permutation(v, p)
-              for p, coeff in c.coeffs.items())
-    if val != int(val):
+        # the rank of the action is the rank of den times it
+        return matrix_rank(QMatrix(t ** n, t ** n,
+                                   _numerator_action(v, c, cap)))
+    val, rem = divmod(sum(coeff * _super_trace_of_permutation(v, p)
+                          for p, coeff in c.num.items()), c.den)
+    if rem:
         raise InvariantError("projector trace is not an integer")
-    return int(val)
+    return val
 
 
 def super_schur_value(partition, v):

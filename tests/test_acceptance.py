@@ -8,6 +8,7 @@ degree-8 criteria run them at the guard's largest feasible truncation and
 say so on the line; the guard value itself is part of the library contract.
 """
 
+import os
 import random
 import subprocess
 import sys
@@ -421,13 +422,18 @@ def test_criterion_12_determinism():
         ["karoubi", "--input", str(cat / "two_block.json")],
         ["orbit", "--input", str(cat / "graded_lines.json")],
     ]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                               else []))
+
     def run_all(fmt):
         chunks = []
         for args in battery:
             proc = subprocess.run(
                 [sys.executable, "-m", "ncmotives.cli"] + args +
                 ["--format", fmt],
-                capture_output=True, text=True)
+                capture_output=True, text=True, env=env)
             assert proc.returncode == 0, (args, proc.stderr)
             chunks.append(proc.stdout)
         return "".join(chunks)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ncmotives.errors import InvariantError, UncertifiedError
-from ncmotives import zoo
+from ncmotives import algebras, zoo
 from ncmotives.algebras import (
     Quiver, path_algebra, structure_algebra, opposite, tensor_algebra,
     global_dimension, derived_tensor, regular_bimodule, corner_bimodule,
@@ -261,6 +261,55 @@ def test_right_projectivity_path():
     s = Bimodule(zoo.get("Q"), dual, 1, [QMatrix.identity(1)], right,
                  name="S")
     assert not is_right_projective(s)
+
+
+def count_resolutions(monkeypatch):
+    """Counts the calls of algebras.minimal_resolution from now on."""
+    calls = []
+    real = algebras.minimal_resolution
+
+    def counted(m, bound):
+        calls.append(bound)
+        return real(m, bound)
+
+    monkeypatch.setattr(algebras, "minimal_resolution", counted)
+    return calls
+
+
+def test_global_dimension_is_memoized_per_bound(monkeypatch):
+    calls = count_resolutions(monkeypatch)
+    a = zoo.a3_algebra()
+    assert global_dimension(a, bound=6) == 1
+    done = len(calls)
+    assert done > 0
+    assert global_dimension(a, bound=6) == 1
+    assert len(calls) == done
+    # another bound is another question
+    assert global_dimension(a, bound=0) is None
+    assert len(calls) > done
+    # a refusal is not stored: the failing call runs again
+    c = structure_algebra("C", ["1", "x"], {"1": 1},
+                          [("1", "1", {"1": 1}), ("1", "x", {"x": 1}),
+                           ("x", "1", {"x": 1})])
+    for _ in range(2):
+        with pytest.raises(InvariantError):
+            global_dimension(c)
+    assert c._gldim == {}
+
+
+def test_right_projectivity_is_memoized(monkeypatch):
+    calls = count_resolutions(monkeypatch)
+    dual = zoo.dual_numbers()
+    right = [QMatrix.identity(1) if i == 0 else QMatrix.zero(1, 1)
+             for i in range(dual.dim)]
+    s = Bimodule(zoo.get("Q"), dual, 1, [QMatrix.identity(1)], right)
+    reg = regular_bimodule(dual)
+    assert not is_right_projective(s)
+    assert is_right_projective(reg)
+    assert len(calls) == 2
+    assert not is_right_projective(s)
+    assert is_right_projective(reg)
+    assert len(calls) == 2
 
 
 def test_derived_tensor_associative_on_k0_classes():

@@ -1,6 +1,8 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncmotives.errors import InvariantError, CapExceededError
 from ncmotives.exactlin import Elimination, LinSubspace
@@ -400,3 +402,31 @@ def test_orbit_quotient_comparison_full():
     assert d == 4
     vals = [H(v, v, {i: 1}) for i in range(d)]
     assert any(vals)
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.lists(st.lists(st.integers(-3, 3), min_size=1, max_size=3)
+                .map(lambda d: tuple(sorted(d))),
+                max_size=5, unique=True))
+def test_graded_tensor_mor_covers_every_defined_pair(degree_lists):
+    """tensor_mor has an entry exactly where both object tensors are
+    defined and both Hom spaces are nonzero (the entries themselves are
+    verified by PresentedCategory.check)."""
+    degs = {"U": (0,)}
+    degs.update(("O%d" % k, d) for k, d in enumerate(degree_lists)
+                if d != (0,))
+    window = 3
+    c = graded_space_category(degs, window)
+    known = set(degs.values())
+
+    def tensor_defined(x, y):
+        d = tuple(sorted(a + b for a in degs[x] for b in degs[y]))
+        return max(map(abs, d)) <= window and d in known
+
+    def hom_nonzero(x, y):
+        return bool(set(degs[x]) & set(degs[y]))
+
+    want = {(x1, y1, x2, y2) for x1, y1, x2, y2 in product(degs, repeat=4)
+            if tensor_defined(x1, x2) and tensor_defined(y1, y2)
+            and hom_nonzero(x1, y1) and hom_nonzero(x2, y2)}
+    assert set(c.tensor_mor) == want

@@ -1,7 +1,10 @@
 import random
+from fractions import Fraction
 from functools import reduce
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncmotives.errors import CapExceededError, InvariantError
 from ncmotives.exactlin import matrix_rank
@@ -179,3 +182,69 @@ def test_partition_validation():
         Partition((1, 2))
     with pytest.raises(InvariantError):
         Partition((2, 0))
+
+
+# ---------------------------------------------------------------------------
+# Q[S_n] arithmetic against a naive Fraction-dict convolution
+
+
+def naive_mul(x, y):
+    out = {}
+    for p, c in x.items():
+        for q, d in y.items():
+            r = tuple(p[q[i]] for i in range(len(q)))
+            out[r] = out.get(r, 0) + c * d
+    return {r: v for r, v in out.items() if v}
+
+
+def naive_add(x, y):
+    out = dict(x)
+    for p, c in y.items():
+        out[p] = out.get(p, 0) + c
+    return {p: v for p, v in out.items() if v}
+
+
+small_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
+@st.composite
+def sparse_elements(draw, n):
+    perms = list(permutations(range(n)))
+    return draw(st.dictionaries(st.sampled_from(perms), small_fractions,
+                                max_size=6))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_group_algebra_arithmetic_matches_naive_convolution(data):
+    n = data.draw(st.sampled_from([3, 4]))
+    x = data.draw(sparse_elements(n))
+    y = data.draw(sparse_elements(n))
+    c = data.draw(small_fractions)
+    ex, ey = GroupAlgebraElement(n, x), GroupAlgebraElement(n, y)
+    assert (ex * ey).coeffs == naive_mul(x, y)
+    assert (ex + ey).coeffs == naive_add(x, y)
+    assert ex.scale(c).coeffs == {p: c * v for p, v in x.items() if c * v}
+    assert (ex == ey) == (naive_add(x, {p: -v for p, v in y.items()}) == {})
+    # results are equal to the same element built from outside
+    assert ex * ey == GroupAlgebraElement(n, naive_mul(x, y))
+    assert ex + ey == GroupAlgebraElement(n, naive_add(x, y))
+
+
+def test_group_algebra_element_rejects_non_permutations():
+    with pytest.raises(InvariantError):
+        GroupAlgebraElement(3, {(0, 0, 1): 1})
+    with pytest.raises(InvariantError):
+        GroupAlgebraElement(3, {(0, 1): 1})
+
+
+def test_coeffs_view_is_numerators_over_the_denominator():
+    for parts in ((2, 1), (2, 2), (3, 1, 1)):
+        c = central_idempotent(parts)
+        assert c.den > 0
+        assert set(c.coeffs) == set(c.num)
+        for p, v in c.coeffs.items():
+            assert v == Fraction(c.num[p], c.den)
+            assert type(c.num[p]) is int
+    y = young_symmetrizer((2, 1))
+    assert y.coeffs == {p: Fraction(v, y.den) for p, v in y.num.items()}

@@ -7,9 +7,10 @@ products, bimodules, and one minimal projective resolution over the
 enveloping algebra (minimal_resolution), which also resolves right modules,
 as (Q, A)-bimodules, for global dimension and right projectivity.  Last,
 the normalized bar complex.  Its one builder
-(_Reduced, the basis of Bbar = B / Q.1, and hochschild_columns, the
-differential of M (x) Bbar^n) serves both Hochschild homology and derived
-tensor products: Tor^B(x, y) is HH(B; y (x) x).
+(_Reduced, the basis of Bbar = B / E for a ground subalgebra E = Q.1 or,
+on quiver algebras, E = Q^{Q_0}, and hochschild_columns, the differential
+of M (x)_{E^e} Bbar^{(x)_E n}) serves both Hochschild homology and derived
+tensor products: Tor^B(x, y) is HH(B; y (x) x), relative to Q.1.
 """
 
 import itertools
@@ -661,26 +662,45 @@ def is_right_projective(x):
 
 
 class _Reduced:
-    """The basis of Bbar = B / Q.1 that the normalized bar chains use.
+    """The basis of Bbar = B / E that the normalized bar chains use, for a
+    ground subalgebra E: E = Q.1, or, when vertices is set and B is a quiver
+    algebra, E = Q^{Q_0}, spanned by the vertex idempotents.
 
-    kept lists the basis indices that span Bbar.  The dropped index is the
-    last one with a nonzero unit coefficient u, and its class is -(1/u)
-    times the rest of the unit.  classes[i] is the class of b_i in Bbar and
-    redprod[(s, t)] the class of the product of the kept elements at
-    positions s and t, both as sparse dicts over positions in kept.  Values
-    pass through exactlin._norm, so they are ints whenever they are
-    integral (always, when u = 1).
+    kept lists the basis indices that span Bbar.  With E = Q.1 the dropped
+    index is the last one with a nonzero unit coefficient u, its class is
+    -(1/u) times the rest of the unit, and ends is None.  With E = Q^{Q_0}
+    every vertex idempotent is dropped (its class is 0), kept lists the
+    radical paths, and ends[t] = (u, v) puts kept[t] in e_u B e_v: a path
+    from u to v.  classes[i] is the class of b_i in Bbar and redprod[(s, t)]
+    the class of the product of the kept elements at positions s and t,
+    both as sparse dicts over positions in kept.  Values pass through
+    exactlin._norm, so they are ints whenever they are integral (always,
+    when u = 1).
     """
 
-    def __init__(self, b):
-        drop = max(b.unit)
-        u = b.unit[drop]
-        self.kept = [i for i in range(b.dim) if i != drop]
+    def __init__(self, b, vertices=False):
+        if vertices:
+            pres = b.quiver
+            drop = set(pres.vertex_idx.values())
+        else:
+            drop = {max(b.unit)}
+        self.kept = [i for i in range(b.dim) if i not in drop]
         self.dbar = len(self.kept)
         kpos = {k: t for t, k in enumerate(self.kept)}
         self.classes = {k: {t: 1} for k, t in kpos.items()}
-        self.classes[drop] = {kpos[i]: _norm(Fraction(-c, u))
-                              for i, c in b.unit.items() if i != drop}
+        if vertices:
+            self.classes.update((k, {}) for k in drop)
+            self.ends = [(pres.path_source[k], pres.path_target[k])
+                         for k in self.kept]
+            self.starts = {}
+            for t, (u, _) in enumerate(self.ends):
+                self.starts.setdefault(u, []).append(t)
+        else:
+            (k,) = drop
+            u = b.unit[k]
+            self.classes[k] = {kpos[i]: _norm(Fraction(-c, u))
+                               for i, c in b.unit.items() if i != k}
+            self.ends = None
         self.redprod = {(s, t): self.reduce(b.mult_basis(k, l))
                         for s, k in enumerate(self.kept)
                         for t, l in enumerate(self.kept)}
@@ -707,8 +727,60 @@ class _Reduced:
                      for base, c in codes.items() for p, w in red.items()}
         return codes
 
+    # E = Q^{Q_0}: the chains of M (x)_{E^e} Bbar^{(x)_E n} are the
+    # composable ones, m (x) r_1 (x) ... (x) r_n with m in e_u M e_w, r_1
+    # starting at w, each r_i ending where r_(i+1) starts and r_n ending
+    # at u.  ends[c] = (u, w) puts coordinate c of M in e_u M e_w.
 
-def hochschild_columns(m, red, n, split=1):
+    def chain_dims(self, ends, n_max):
+        """Numbers of composable chains in degrees 0..n_max."""
+        walks = {w: {w: 1} for _, w in ends}    # words from w, by their end
+        dims = []
+        for n in range(n_max + 1):
+            if n:
+                walks = {w: self._walk_step(counts)
+                         for w, counts in walks.items()}
+            dims.append(sum(walks[w].get(u, 0) for u, w in ends))
+        return dims
+
+    def _walk_step(self, counts):
+        out = {}
+        for u, k in counts.items():
+            for t in self.starts.get(u, ()):
+                v = self.ends[t][1]
+                out[v] = out.get(v, 0) + k
+        return out
+
+    def chains(self, ends, n):
+        """The composable chains of degree n as (c, (t_1, ..., t_n)), in
+        the order of their codes c * dbar^n + (base-dbar code of t)."""
+        words = {w: [((), w)] for _, w in ends}     # (word, its end)
+        for _ in range(n):
+            words = {w: [(word + (t,), self.ends[t][1]) for word, u in ws
+                         for t in self.starts.get(u, ())]
+                     for w, ws in words.items()}
+        return [(c, word) for c, (u, w) in enumerate(ends)
+                for word, v in words[w] if v == u]
+
+
+def _vertex_ends(m):
+    """ends[c] = (u, w) with coordinate c of the (A, A)-bimodule m, A a
+    quiver algebra, spanning a line in e_u M e_w, when m's basis is
+    vertex-adapted: every left and right action of a vertex idempotent is
+    a 0/1 coordinate projection.  None otherwise."""
+    ends = [[None, None] for _ in range(m.dim)]
+    for v, k in m.A.quiver.vertex_idx.items():
+        for side, mat in enumerate((m.left[k], m.right[k])):
+            for (r, c), x in mat.entries.items():
+                if r != c or x != 1 or ends[c][side] is not None:
+                    return None
+                ends[c][side] = v
+    if any(None in e for e in ends):
+        return None
+    return [tuple(e) for e in ends]
+
+
+def hochschild_columns(m, red, n, split=1, chains=None):
     """Columns of b_n : M (x) Bbar^n -> M (x) Bbar^(n-1), for a B-bimodule m.
 
         b(m (x) b_1 (x) ... (x) b_n) = m.b_1 (x) b_2 (x) ... (x) b_n
@@ -720,6 +792,13 @@ def hochschild_columns(m, red, n, split=1):
     base-dbar code of t1 ... tn.  split = 1 puts the coefficient first;
     derived_tensor passes split = dim y, so that x (x) Bbar^n (x) y keeps
     its natural order.
+
+    With E = Q^{Q_0} (red.ends set), chains[k] lists the composable chains
+    of degree k (red.chains), split is 1, and a chain's index is its
+    position in that list: the columns are those of chains[n], with rows
+    indexed by chains[n - 1].  The composable chains span a direct summand
+    subcomplex of M (x) Bbar^n over Q, since every face of a composable
+    chain is composable and the faces of the others stay outside it.
     """
     dbar = red.dbar
     pows = [dbar ** j for j in range(n + 1)]
@@ -736,40 +815,63 @@ def hochschild_columns(m, red, n, split=1):
                for st, p in red.redprod.items()}
     signed = [negprod if i % 2 == 0 else red.redprod for i in range(n - 1)]
     shifts = [pows[n - 2 - i] * split for i in range(n - 1)]
+    if chains is None:
+        blocks = ((t, mid, range(l * split, (l + 1) * split))
+                  for l in range(m.dim // split)
+                  for t, mid in enumerate(
+                      itertools.product(range(dbar), repeat=n)))
+    else:
+        blocks = ((_word_code(mid, dbar), mid, (c,)) for c, mid in chains[n])
     cols = []
-    for l in range(m.dim // split):
-        for t, mid in enumerate(itertools.product(range(dbar), repeat=n)):
-            tail = t % pows[n - 1] * split      # the word b_2 ... b_n
-            head = t // dbar * split            # the word b_1 ... b_(n-1)
-            # the middle faces: (signed product, offset, weight of its digit)
-            faces = []
-            for i in range(n - 1):
-                prod = signed[i][(mid[i], mid[i + 1])]
-                if prod:
-                    faces.append((prod, t // pows[n - i] * dbar * shifts[i]
-                                  + t % pows[n - 2 - i] * split, shifts[i]))
-            for c in range(l * split, (l + 1) * split):
-                col = {}
-                for code, v in right_cols[mid[0]][c].items():
-                    col[code + tail] = v
-                for prod, off, shift in faces:
-                    off += base[c]
-                    for k, v in prod.items():
-                        code = off + k * shift
-                        val = col.get(code, 0) + v
-                        if val:
-                            col[code] = val
-                        else:
-                            col.pop(code, None)
-                for code, v in left_cols[mid[-1]][c].items():
-                    code += head
+    for t, mid, block in blocks:
+        tail = t % pows[n - 1] * split      # the word b_2 ... b_n
+        head = t // dbar * split            # the word b_1 ... b_(n-1)
+        # the middle faces: (signed product, offset, weight of its digit)
+        faces = []
+        for i in range(n - 1):
+            prod = signed[i][(mid[i], mid[i + 1])]
+            if prod:
+                faces.append((prod, t // pows[n - i] * dbar * shifts[i]
+                              + t % pows[n - 2 - i] * split, shifts[i]))
+        for c in block:
+            col = {}
+            for code, v in right_cols[mid[0]][c].items():
+                col[code + tail] = v
+            for prod, off, shift in faces:
+                off += base[c]
+                for k, v in prod.items():
+                    code = off + k * shift
                     val = col.get(code, 0) + v
                     if val:
                         col[code] = val
                     else:
                         col.pop(code, None)
-                cols.append(col)
+            for code, v in left_cols[mid[-1]][c].items():
+                code += head
+                val = col.get(code, 0) + v
+                if val:
+                    col[code] = val
+                else:
+                    col.pop(code, None)
+            cols.append(col)
+    if chains is not None:
+        index = {c * pows[n - 1] + _word_code(word, dbar): pos
+                 for pos, (c, word) in enumerate(chains[n - 1])}
+        try:
+            cols = [{index[code]: v for code, v in col.items()}
+                    for col in cols]
+        except KeyError:
+            raise InvariantError("a face leaves the composable chains: the "
+                                 "bimodule actions do not respect its vertex "
+                                 "decomposition")
     return cols
+
+
+def _word_code(word, dbar):
+    t = 0
+    for d in word:
+        t = t * dbar + d
+    return t
 
 
 def _kron(f, g):

@@ -6,7 +6,8 @@ Commands: describe, hh, hc, hp, sbi, pair, numquot, semisimple, schur,
 cnc, dnc, karoubi, orbit.  Output is a deterministic aligned-text report
 (--format structured switches to JSON with the same content).  Exit
 statuses: 0 success, 1 parse or usage error, 2 invariant violation, 3 cap
-exceeded, 4 uncertified refusal.
+exceeded, 4 uncertified refusal, 5 internal error (any other exception,
+reported on one line without a traceback).
 """
 
 import argparse
@@ -411,6 +412,10 @@ def main(argv=None):
     except UncertifiedError as exc:
         print("uncertified refusal: %s" % exc, file=sys.stderr)
         return 4
+    except Exception as exc:
+        print("internal error: %s: %s" % (type(exc).__name__, exc),
+              file=sys.stderr)
+        return 5
     print(rep.render(args.format))
     return 0
 

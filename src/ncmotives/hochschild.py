@@ -8,11 +8,19 @@ lowers degree, the Connes operator B raises it, and
 
 holds exactly on every constructed mixed complex (verified at construction).
 Sources written cohomologically call b the degree +1 map; the translation is
-a straight reindexing.  Chains are normalized: C_n(A; M) = M (x) Abar^n with
-Abar = A / Q.1, so dimensions are dim(M) * (dim A - 1)^n.  The reduced
-basis and the differential b come from algebras (_Reduced and
-hochschild_columns), which derived tensor products share; the Connes
-operator B is built here.
+a straight reindexing.  Chains are normalized and relative to a separable
+ground subalgebra E of A: C_n(A; M) = M (x)_{E^e} Abar^{(x)_E n} with
+Abar = A / E.  For E = Q.1 this is M (x) Abar^n, of dimension
+dim(M) * (dim A - 1)^n.  hochschild_complex takes E = Q^{Q_0}, spanned by
+the vertex idempotents, for a quiver algebra with more than one vertex and
+coefficients in a vertex-adapted basis: then Abar is the radical, and a
+chain m (x) r_1 (x) ... (x) r_n must close up into a cycle, so for M = A
+on an acyclic quiver every chain of degree >= 1 vanishes.  Both choices
+compute HH(A; M) (Cibils; Loday, reduction to a separable subalgebra).
+The mixed complex, the Chern character and derived tensor products stay
+relative to Q.1.  The reduced basis and the differential b come from
+algebras (_Reduced and hochschild_columns), which derived tensor products
+share; the Connes operator B is built here.
 
 Cyclic homology comes from the first-quadrant (b, B)-bicomplex totalization
 Tot_n = (+)_i C_{n-2i} with differential b + B; the periodicity operator S
@@ -34,8 +42,8 @@ from math import factorial
 from .errors import InvariantError, CapExceededError, UncertifiedError
 from .exactlin import QMatrix, matrix_rank, kernel_vectors, vec_addmul
 from .homcore import ChainComplex, apply_cols
-from .algebras import (_Reduced, hochschild_columns, regular_bimodule,
-                       global_dimension)
+from .algebras import (_Reduced, _vertex_ends, hochschild_columns,
+                       regular_bimodule, global_dimension)
 
 DEFAULT_CAP = 200000
 
@@ -90,15 +98,32 @@ def connes_columns(a, red, n):
 
 def hochschild_complex(a, m=None, n_max=4, cap=DEFAULT_CAP, check=True):
     """Normalized Hochschild complex of A with coefficients in the
-    (A, A)-bimodule m (the regular bimodule when omitted)."""
+    (A, A)-bimodule m (the regular bimodule when omitted).
+
+    Relative to E = Q^{Q_0} when A is a quiver algebra with more than one
+    vertex and m's basis is vertex-adapted (algebras._vertex_ends); relative
+    to E = Q.1 otherwise.  Both compute HH(A; M).
+    """
     if n_max < 1:
         raise InvariantError("n_max must be >= 1")
     if m is None:
         m = regular_bimodule(a)
-    red = _Reduced(a)
-    dims = [m.dim * red.dbar ** n for n in range(n_max + 1)]
+    elif m.A is not a or m.B is not a:
+        raise InvariantError("the coefficients %s are not an (A, A)-bimodule "
+                             "over %s" % (m.name, a.name))
+    ends = chains = None
+    if a.quiver is not None and len(a.quiver.vertices) > 1:
+        ends = _vertex_ends(m)
+    red = _Reduced(a, vertices=ends is not None)
+    if ends is None:
+        dims = [m.dim * red.dbar ** n for n in range(n_max + 1)]
+    else:
+        dims = red.chain_dims(ends, n_max)
     _guard(sum(dims), cap)
-    diffs = [None] + [hochschild_columns(m, red, n) for n in range(1, n_max + 1)]
+    if ends is not None:
+        chains = [red.chains(ends, n) for n in range(n_max + 1)]
+    diffs = [None] + [hochschild_columns(m, red, n, chains=chains)
+                      for n in range(1, n_max + 1)]
     return ChainComplex(dims, diffs, check=check)
 
 

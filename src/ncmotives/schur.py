@@ -239,13 +239,18 @@ class GroupAlgebraElement:
                                                         len(self.num))
 
 
+_IDEMPOTENTS = {}    # (parts, verified) -> c_lambda, stored once checked
+
+
 def central_idempotent(partition, cap=CHARACTER_CAP, verify=None):
     """The central block idempotent
 
         c_lambda = (f^lambda / n!) sum_sigma chi_lambda(sigma^(-1)) sigma.
 
     Idempotency and centrality are verified at construction for n <= 5
-    (and on request above).
+    (and on request above).  Results are memoized by partition and by
+    whether they were verified; elements are never mutated, so callers
+    share them.
     """
     parts = partition.parts if isinstance(partition, Partition) \
         else check_partition(partition)
@@ -253,13 +258,16 @@ def central_idempotent(partition, cap=CHARACTER_CAP, verify=None):
     if n > cap:
         raise CapExceededError("idempotent cap is n <= %d" % cap, needed=n,
                                cap=cap)
+    if verify is None:
+        verify = n <= 5
+    key = (parts, bool(verify))
+    if key in _IDEMPOTENTS:
+        return _IDEMPOTENTS[key]
     row = character_table_row(parts, cap)
     f = standard_tableau_count(parts)
     num = {sigma: f * row[cycle_type(invert_perm(sigma))]
            for sigma in permutations(range(n))}
     c = GroupAlgebraElement._make(n, num, factorial(n))
-    if verify is None:
-        verify = n <= 5
     if verify:
         if c * c != c:
             raise InvariantError("central idempotent failed c^2 = c")
@@ -270,6 +278,7 @@ def central_idempotent(partition, cap=CHARACTER_CAP, verify=None):
             tau = GroupAlgebraElement(n, {t: 1})
             if tau * c != c * tau:
                 raise InvariantError("idempotent is not central")
+    _IDEMPOTENTS[key] = c
     return c
 
 

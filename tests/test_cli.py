@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from ncmotives import cli
 from ncmotives.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -123,10 +124,16 @@ def test_exit_status_missing_identity(tmp_path, command):
 
 
 def test_exit_status_cap_exceeded():
-    status, _, err = run_cli(["hh", "--input", str(ALG / "a3.json"),
+    # M2(Q) has no quiver: its complex at degree 8 has 39364 > 1000 chains
+    status, _, err = run_cli(["hh", "--input", str(ALG / "m2q.json"),
                               "--max-degree", "8", "--cap", "1000"])
     assert status == 3
     assert "cap" in err
+    # the vertex-relative complex of A3 vanishes above degree 0
+    status, out, _ = run_cli(["hh", "--input", str(ALG / "a3.json"),
+                              "--max-degree", "8", "--cap", "1000"])
+    assert status == 0
+    assert "HH dimensions" in out
 
 
 def test_exit_status_uncertified():
@@ -143,9 +150,23 @@ def test_missing_input_flag():
 
 def test_cap_env_override(monkeypatch):
     monkeypatch.setenv("NCMOTIVES_CAP", "1000")
-    status, _, err = run_cli(["hh", "--input", str(ALG / "a3.json"),
+    status, _, err = run_cli(["hh", "--input", str(ALG / "m2q.json"),
                               "--max-degree", "8"])
     assert status == 3
+    status, _, err = run_cli(["hh", "--input", str(ALG / "a3.json"),
+                              "--max-degree", "8"])
+    assert status == 0
+
+
+def test_exit_status_internal_error(monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli.COMMANDS, "hh", broken)
+    status, out, err = run_cli(["hh", "--input", str(ALG / "a2.json")])
+    assert status == 5
+    assert out == ""
+    assert err == "internal error: RuntimeError: boom\n"
 
 
 def test_karoubi_command():

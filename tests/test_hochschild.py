@@ -8,10 +8,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ncmotives import zoo
 from ncmotives.algebras import (Quiver, path_algebra, structure_algebra,
-                                _Reduced)
+                                Bimodule, corner_bimodule, derived_tensor,
+                                regular_bimodule, _Reduced, _vertex_ends)
 from ncmotives.cli import _nonnormalized_hh
 from ncmotives.errors import InvariantError, CapExceededError, UncertifiedError
-from ncmotives.exactlin import QMatrix, matrix_rank
+from ncmotives.exactlin import QMatrix, matrix_rank, inverse
 from ncmotives.homcore import ChainComplex
 from ncmotives.hochschild import (
     hochschild_complex, hochschild_homology, mixed_complex, cyclic_homology,
@@ -73,14 +74,27 @@ def test_hochschild_complex_dims_base_cases():
     cx = hochschild_complex(dual, n_max=4)
     assert cx.dims == [2, 2, 2, 2, 2]
     a2 = zoo.get("A2")
-    cx = hochschild_complex(a2, n_max=4)
+    # without its quiver, A2 gets the complex relative to Q.1 ...
+    cx = hochschild_complex(_rescaled(a2, [1, 1, 1]), n_max=4)
     assert cx.dims == [3, 6, 12, 24, 48]
+    # ... with it, the one relative to Q^{Q_0}: no composable chain of
+    # degree >= 1 closes up on an acyclic quiver
+    cx = hochschild_complex(a2, n_max=4)
+    assert cx.dims == [2, 0, 0, 0, 0]
 
 
 def test_memory_guard_refuses():
     a3 = zoo.get("A3")
-    with pytest.raises(CapExceededError):
-        hochschild_complex(a3, n_max=8, cap=200000)
+    with pytest.raises(CapExceededError):      # 585936 > 200000
+        hochschild_complex(_rescaled(a3, [1] * a3.dim), n_max=8, cap=200000)
+    assert hochschild_homology(a3, n_max=8, cap=200000).dims == [3] + [0] * 7
+
+
+def test_hochschild_complex_rejects_mismatched_bimodule():
+    a2, a3 = zoo.get("A2"), zoo.get("A3")
+    for other in (zoo.get("QxQ"), a3):
+        with pytest.raises(InvariantError, match="not an \\(A, A\\)"):
+            hochschild_complex(a2, regular_bimodule(other), n_max=3)
 
 
 def test_hh_of_ground_field():
@@ -230,6 +244,52 @@ def test_hh_matches_nonnormalized_oracle_on_random_quivers(data):
     oracle = _nonnormalized_hh(a, 3, DEFAULT_CAP)
     for alg in (a, _rescaled(a, scales)):
         assert hochschild_homology(alg, n_max=3).dims == oracle
+
+
+def _over(m, r, scales):
+    """The A-bimodule m over the rescaled copy r = _rescaled(A, scales)."""
+    return Bimodule(r, r, m.dim, [x.scale(s) for x, s in zip(m.left, scales)],
+                    [x.scale(s) for x, s in zip(m.right, scales)])
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.data())
+def test_vertex_relative_hh_matches_absolute_on_random_quivers(data):
+    """HH(A; M) relative to E = Q^{Q_0} equals HH of the quiver-free
+    rescaled copy, relative to Q.1, for the regular bimodule, every corner
+    bimodule and every nonzero Tor_0 of two corner bimodules."""
+    a = data.draw(quiver_algebras())
+    assume(a.dim <= 6)
+    scales = data.draw(st.lists(st.sampled_from(SCALES), min_size=a.dim,
+                                max_size=a.dim))
+    r = _rescaled(a, scales)
+    vs = a.quiver.vertices
+    corners = [corner_bimodule(a, i, j) for i in vs for j in vs]
+    mods = [regular_bimodule(a)] + corners
+    assert all(_vertex_ends(m) is not None for m in mods)
+    mods += [t for x in corners for y in corners
+             for t in derived_tensor(x, y, bound=0) if t.dim]
+    for m in mods:
+        assert (hochschild_homology(a, m, n_max=3).dims
+                == hochschild_homology(r, _over(m, r, scales), n_max=3).dims)
+
+
+def test_non_adapted_basis_falls_back_to_the_absolute_complex():
+    """A bimodule whose vertex idempotents do not act by coordinate
+    projections gets the complex relative to Q.1, with the same HH."""
+    for name in ("A2", "square"):
+        a = zoo.get(name)
+        reg = regular_bimodule(a)
+        p = QMatrix(a.dim, a.dim, {(i, j): 1 for i in range(a.dim)
+                                   for j in range(i, a.dim)})
+        q = inverse(p)
+        scrambled = Bimodule(a, a, a.dim, [q * x * p for x in reg.left],
+                             [q * x * p for x in reg.right])
+        assert _vertex_ends(scrambled) is None
+        cx = hochschild_complex(a, scrambled, n_max=3)
+        assert cx.dims == [a.dim * (a.dim - 1) ** n for n in range(4)]
+        assert (hochschild_homology(a, scrambled, n_max=3).dims
+                == hochschild_homology(a, reg, n_max=3).dims)
 
 
 @settings(deadline=None, max_examples=20)

@@ -4,16 +4,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ncmotives import zoo
+from ncmotives import hochschild, zoo
 from ncmotives.errors import InvariantError, UncertifiedError
 from ncmotives.exactlin import QMatrix, matrix_rank, inverse, is_nilpotent_by_traces
 from ncmotives.algebras import (corner_bimodule, Bimodule, regular_bimodule,
-                                derived_tensor, global_dimension)
+                                derived_tensor, global_dimension,
+                                _vertex_ends)
 from ncmotives.hochschild import hp_of_homomorphism, periodic_cyclic
 from ncmotives.motives import (
     Correspondence, unit_correspondence, compose, categorical_trace,
     intersection_number, canonical_span, correspondence_class_vector,
-    numerical_kernel, semisimplicity_check, even_projector_in_span, kernel_comparison,
+    numerical_kernel, pairing_matrix, semisimplicity_check, even_projector_in_span, kernel_comparison,
     row_projective_correspondence,
     column_projective_correspondence, is_env_projective, bimodule_class_vector,
 )
@@ -116,6 +117,44 @@ def test_pairing_agrees_with_trace_of_composite():
                 for (k, l), c2 in zip(pairs, coeffs2):
                     oracle += c1 * c2 * c[(j, k)] * c[(l, i)]
             assert lhs == oracle
+
+
+def test_pairing_matrices_unchanged_by_the_vertex_relative_complex(
+        monkeypatch):
+    """The pairing matrices of the canonical spans of A2, A3 and square
+    follow the Cartan model <[P_ij].[P_kl]> = C_jk C_li, and equal those
+    computed with every Hochschild complex taken relative to Q.1."""
+    names = ("A2", "A3", "square")
+    spans = {name: canonical_span(zoo.get(name)) for name in names}
+    relative = {name: pairing_matrix(span, span).matrix
+                for name, span in spans.items()}
+    for name in names:
+        a = zoo.get(name)
+        c = cartan(a)
+        vs = a.quiver.vertices
+        pairs = [(i, j) for i in vs for j in vs]
+        assert relative[name] == QMatrix(
+            len(pairs), len(pairs),
+            {(p, q): c[(j, k)] * c[(l, i)]
+             for p, (i, j) in enumerate(pairs)
+             for q, (k, l) in enumerate(pairs)})
+    monkeypatch.setattr(hochschild, "_vertex_ends", lambda m: None)
+    for name, span in spans.items():
+        assert pairing_matrix(span, span).matrix == relative[name]
+
+
+def test_tor_of_corner_bimodules_is_vertex_adapted():
+    """Every nonzero Tor of two corner bimodules of A3 and square has a
+    vertex-adapted basis, so its Euler characteristic in the pairing comes
+    from the complex relative to Q^{Q_0}."""
+    for name in ("A3", "square"):
+        a = zoo.get(name)
+        vs = a.quiver.vertices
+        corners = [corner_bimodule(a, i, j) for i in vs for j in vs]
+        for x in corners:
+            for y in corners:
+                for t in derived_tensor(x, y):
+                    assert not t.dim or _vertex_ends(t) is not None
 
 
 def test_pairing_bilinear():

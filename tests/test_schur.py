@@ -6,6 +6,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ncmotives import schur
 from ncmotives.errors import CapExceededError, InvariantError
 from ncmotives.exactlin import matrix_rank
 from ncmotives.supers import SuperSpace
@@ -88,6 +89,44 @@ def test_central_idempotents_orthogonal_and_complete():
                                 GroupAlgebraElement(n, {}))
         total = reduce(lambda x, y: x + y, cs)
         assert total.coeffs == {tuple(range(n)): 1}
+
+
+def test_central_idempotent_is_built_once_per_partition(monkeypatch):
+    monkeypatch.setattr(schur, "_IDEMPOTENTS", {})
+    builds = []
+    row = schur.character_table_row
+
+    def counted_row(parts, cap):
+        builds.append(parts)
+        return row(parts, cap)
+
+    monkeypatch.setattr(schur, "character_table_row", counted_row)
+    for _ in range(3):
+        for p in partitions_of(4):
+            assert central_idempotent(p) is central_idempotent(Partition(p))
+    assert builds == partitions_of(4)
+    with pytest.raises(CapExceededError):       # the cap holds on a hit
+        central_idempotent((2, 2), cap=3)
+
+
+def test_central_idempotent_verify_above_five_is_not_skipped(monkeypatch):
+    monkeypatch.setattr(schur, "_IDEMPOTENTS", {})
+    products = []
+    mul = GroupAlgebraElement.__mul__
+
+    def counted_mul(x, y):
+        products.append((len(x.num), len(y.num)))
+        return mul(x, y)
+
+    monkeypatch.setattr(GroupAlgebraElement, "__mul__", counted_mul)
+    plain = central_idempotent((4, 2))          # n = 6: unverified
+    assert products == []
+    checked = central_idempotent((4, 2), verify=True)
+    # c^2 = c and both sides of the 5 adjacent transpositions
+    assert len(products) == 11
+    assert checked == plain
+    central_idempotent((4, 2), verify=True)
+    assert len(products) == 11
 
 
 def test_young_symmetrizer_idempotent_and_matching_rank():

@@ -751,16 +751,43 @@ class _Reduced:
                 out[v] = out.get(v, 0) + k
         return out
 
-    def chains(self, ends, n):
-        """The composable chains of degree n as (c, (t_1, ..., t_n)), in
-        the order of their codes c * dbar^n + (base-dbar code of t)."""
+
+class _Chains:
+    """The composable chains of M (x)_{E^e} Bbar^{(x)_E n}, E = Q^{Q_0}, in
+    degrees 0..n_max, for the reduced basis red and the ends of M's
+    coordinates (_vertex_ends).  lists[n] holds them as (c, (t_1, ...,
+    t_n)) in the order of their codes c * dbar^n + (base-dbar code of
+    t_1 ... t_n), and index[n] maps each such code to its position in
+    lists[n]: the one position index of degree n that b, B and every map
+    into the chains share.
+    """
+
+    def __init__(self, red, ends, n_max):
+        self.lists = []
+        self.index = []
         words = {w: [((), w)] for _, w in ends}     # (word, its end)
-        for _ in range(n):
-            words = {w: [(word + (t,), self.ends[t][1]) for word, u in ws
-                         for t in self.starts.get(u, ())]
-                     for w, ws in words.items()}
-        return [(c, word) for c, (u, w) in enumerate(ends)
-                for word, v in words[w] if v == u]
+        for n in range(n_max + 1):
+            if n:
+                words = {w: [(word + (t,), red.ends[t][1]) for word, u in ws
+                             for t in red.starts.get(u, ())]
+                         for w, ws in words.items()}
+            chains = [(c, word) for c, (u, w) in enumerate(ends)
+                      for word, v in words[w] if v == u]
+            weight = red.dbar ** n
+            self.lists.append(chains)
+            self.index.append({c * weight + _word_code(word, red.dbar): pos
+                               for pos, (c, word) in enumerate(chains)})
+
+    def renumber(self, n, cols):
+        """The columns, sparse over codes of degree n, over positions; a
+        code that is not a composable chain means a map left the chains."""
+        index = self.index[n]
+        try:
+            return [{index[code]: v for code, v in col.items()}
+                    for col in cols]
+        except KeyError:
+            raise InvariantError("a map leaves the composable chains: the "
+                                 "vertex decomposition is not respected")
 
 
 def _vertex_ends(m):
@@ -793,10 +820,10 @@ def hochschild_columns(m, red, n, split=1, chains=None):
     derived_tensor passes split = dim y, so that x (x) Bbar^n (x) y keeps
     its natural order.
 
-    With E = Q^{Q_0} (red.ends set), chains[k] lists the composable chains
-    of degree k (red.chains), split is 1, and a chain's index is its
-    position in that list: the columns are those of chains[n], with rows
-    indexed by chains[n - 1].  The composable chains span a direct summand
+    With E = Q^{Q_0} (red.ends set), chains is the _Chains of the
+    composable chains, split is 1, and a chain's index is its position:
+    the columns are those of chains.lists[n], with rows indexed by
+    chains.lists[n - 1].  The composable chains span a direct summand
     subcomplex of M (x) Bbar^n over Q, since every face of a composable
     chain is composable and the faces of the others stay outside it.
     """
@@ -821,7 +848,8 @@ def hochschild_columns(m, red, n, split=1, chains=None):
                   for t, mid in enumerate(
                       itertools.product(range(dbar), repeat=n)))
     else:
-        blocks = ((_word_code(mid, dbar), mid, (c,)) for c, mid in chains[n])
+        blocks = ((_word_code(mid, dbar), mid, (c,))
+                  for c, mid in chains.lists[n])
     cols = []
     for t, mid, block in blocks:
         tail = t % pows[n - 1] * split      # the word b_2 ... b_n
@@ -855,15 +883,7 @@ def hochschild_columns(m, red, n, split=1, chains=None):
                     col.pop(code, None)
             cols.append(col)
     if chains is not None:
-        index = {c * pows[n - 1] + _word_code(word, dbar): pos
-                 for pos, (c, word) in enumerate(chains[n - 1])}
-        try:
-            cols = [{index[code]: v for code, v in col.items()}
-                    for col in cols]
-        except KeyError:
-            raise InvariantError("a face leaves the composable chains: the "
-                                 "bimodule actions do not respect its vertex "
-                                 "decomposition")
+        cols = chains.renumber(n - 1, cols)
     return cols
 
 

@@ -17,10 +17,16 @@ coefficients in a vertex-adapted basis: then Abar is the radical, and a
 chain m (x) r_1 (x) ... (x) r_n must close up into a cycle, so for M = A
 on an acyclic quiver every chain of degree >= 1 vanishes.  Both choices
 compute HH(A; M) (Cibils; Loday, reduction to a separable subalgebra).
-The mixed complex, the Chern character and derived tensor products stay
-relative to Q.1.  The reduced basis and the differential b come from
-algebras (_Reduced and hochschild_columns), which derived tensor products
-share; the Connes operator B is built here.
+The mixed complex takes the same ground as hochschild_complex does for
+the regular bimodule, and the relative normalized cyclic module computes
+the same HC and HP.  The Chern character is projected onto it (the
+projection pi from the chains over Q.1 is a map of mixed complexes), and
+a homomorphism that does not carry the vertex idempotents into the target's
+ground algebra is read on its source's complex over Q.1.  Derived tensor
+products stay relative to Q.1.  The reduced basis, the composable chains
+and the differential b come from algebras (_Reduced, _Chains and
+hochschild_columns), which derived tensor products share; the Connes
+operator B is built here.
 
 Cyclic homology comes from the first-quadrant (b, B)-bicomplex totalization
 Tot_n = (+)_i C_{n-2i} with differential b + B; the periodicity operator S
@@ -40,10 +46,12 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import InvariantError, CapExceededError, UncertifiedError
-from .exactlin import QMatrix, matrix_rank, kernel_vectors, vec_addmul
+from .exactlin import (QMatrix, LinSubspace, matrix_rank, kernel_vectors,
+                       vec_addmul)
 from .homcore import ChainComplex, apply_cols
-from .algebras import (_Reduced, _vertex_ends, hochschild_columns,
-                       regular_bimodule, global_dimension)
+from .algebras import (_Chains, _Reduced, _vertex_ends, _word_code,
+                       hochschild_columns, regular_bimodule,
+                       global_dimension)
 
 DEFAULT_CAP = 200000
 
@@ -59,15 +67,62 @@ def _guard(total, cap):
             % (total, cap), needed=total, cap=cap)
 
 
-def connes_columns(a, red, n):
+def _relative_ends(m):
+    """_vertex_ends(m) when chains with coefficients in the A-bimodule m
+    are taken relative to E = Q^{Q_0}: A is a quiver algebra with more than
+    one vertex (with one, Q^{Q_0} is Q.1) and m's basis is vertex-adapted.
+    None when they are taken relative to E = Q.1."""
+    quiver = m.A.quiver
+    if quiver is not None and len(quiver.vertices) > 1:
+        return _vertex_ends(m)
+    return None
+
+
+def _chain_basis(m, n_max, ends, cap):
+    """The reduced basis, the chain dimensions in degrees 0..n_max and,
+    relative to E = Q^{Q_0} (ends set), the composable chains; the guard
+    sees the total before any chain is listed."""
+    red = _Reduced(m.A, vertices=ends is not None)
+    if ends is None:
+        dims = [m.dim * red.dbar ** n for n in range(n_max + 1)]
+    else:
+        dims = red.chain_dims(ends, n_max)
+    _guard(sum(dims), cap)
+    return red, dims, None if ends is None else _Chains(red, ends, n_max)
+
+
+def connes_columns(a, red, n, chains=None):
     """Columns of B_n : C_n(A) -> C_(n+1)(A) on normalized chains,
 
         B(a_0 (x) ... (x) a_n) =
             sum_i (-1)^(i n)  1 (x) a_i (x) ... (x) a_n (x) a_0 (x) ... (x) a_(i-1).
+
+    With E = Q^{Q_0} (chains given, as for hochschild_columns) the column
+    of a chain whose coefficient a_0 is a vertex idempotent is 0, since
+    a_0 vanishes in Abar, and 1 (x)_{E^e} is e_v (x), v the source of the
+    first slot after the rotation.
     """
     dbar = red.dbar
-    unit = a.unit
     pow_next = dbar ** (n + 1)
+    if chains is not None:
+        vertex = a.quiver.vertex_idx
+        cols = []
+        for c, word in chains.lists[n]:
+            col = {}
+            for s, cs in red.classes[c].items():
+                seq = (s,) + word
+                for i in range(n + 1):
+                    rot = seq[i:] + seq[:i]
+                    code = (vertex[red.ends[rot[0]][0]] * pow_next
+                            + _word_code(rot, dbar))
+                    val = col.get(code, 0) + (-cs if (i * n) % 2 else cs)
+                    if val:
+                        col[code] = val
+                    else:
+                        col.pop(code, None)
+            cols.append(col)
+        return chains.renumber(n + 1, cols)
+    unit = a.unit
     cols = []
     for i0 in range(a.dim):
         red0 = red.classes[i0]
@@ -111,17 +166,7 @@ def hochschild_complex(a, m=None, n_max=4, cap=DEFAULT_CAP, check=True):
     elif m.A is not a or m.B is not a:
         raise InvariantError("the coefficients %s are not an (A, A)-bimodule "
                              "over %s" % (m.name, a.name))
-    ends = chains = None
-    if a.quiver is not None and len(a.quiver.vertices) > 1:
-        ends = _vertex_ends(m)
-    red = _Reduced(a, vertices=ends is not None)
-    if ends is None:
-        dims = [m.dim * red.dbar ** n for n in range(n_max + 1)]
-    else:
-        dims = red.chain_dims(ends, n_max)
-    _guard(sum(dims), cap)
-    if ends is not None:
-        chains = [red.chains(ends, n) for n in range(n_max + 1)]
+    red, dims, chains = _chain_basis(m, n_max, _relative_ends(m), cap)
     diffs = [None] + [hochschild_columns(m, red, n, chains=chains)
                       for n in range(1, n_max + 1)]
     return ChainComplex(dims, diffs, check=check)
@@ -157,20 +202,48 @@ def hochschild_homology(a, m=None, n_max=4, cap=DEFAULT_CAP):
 
 
 class TruncatedMixedComplex:
-    """(C_*(A), b, B) for degrees 0..n_max, relations verified exactly."""
+    """(C_*(A), b, B) for degrees 0..n_max, relations verified exactly.
 
-    def __init__(self, a, n_max, cap=DEFAULT_CAP):
+    The chains are relative to E = Q^{Q_0} whenever hochschild_complex
+    takes that ground for the regular bimodule, and to E = Q.1 otherwise
+    (or when _absolute is set); both compute HC(A).  red is the reduced
+    basis and chains the composable chains (None for E = Q.1).
+    """
+
+    def __init__(self, a, n_max, cap=DEFAULT_CAP, *, _absolute=False):
         if n_max < 2:
             raise InvariantError("a mixed complex needs n_max >= 2")
         self.n_max = n_max
-        self.red = _Reduced(a)
         m = regular_bimodule(a)
-        self.dims = [a.dim * self.red.dbar ** n for n in range(n_max + 1)]
-        _guard(sum(self.dims), cap)
-        self.b = [None] + [hochschild_columns(m, self.red, n)
+        ends = None if _absolute else _relative_ends(m)
+        self.red, self.dims, self.chains = _chain_basis(m, n_max, ends, cap)
+        self.b = [None] + [hochschild_columns(m, self.red, n,
+                                              chains=self.chains)
                            for n in range(1, n_max + 1)]
-        self.B = [connes_columns(a, self.red, n) for n in range(n_max)]
+        self.B = [connes_columns(a, self.red, n, chains=self.chains)
+                  for n in range(n_max)]
         self._verify_relations()
+
+    def chain(self, n, pos):
+        """(c, (t_1, ..., t_n)) of the degree-n chain at pos: c an index of
+        A's basis, t_i positions in red.kept."""
+        if self.chains is not None:
+            return self.chains.lists[n][pos]
+        word = []
+        for _ in range(n):
+            pos, t = divmod(pos, self.red.dbar)
+            word.append(t)
+        return pos, tuple(reversed(word))
+
+    def project(self, n, codes):
+        """The degree-n chain with the coordinates codes of red.expand.
+        Relative to E = Q^{Q_0} this is the projection pi from the chains
+        over Q, a map of mixed complexes: codes that are not composable
+        chains vanish."""
+        if self.chains is None:
+            return codes
+        index = self.chains.index[n]
+        return {index[c]: v for c, v in codes.items() if c in index}
 
     def _verify_relations(self):
         # b^2 = 0
@@ -252,9 +325,9 @@ def mixed_complex(a, n_max=4, cap=DEFAULT_CAP):
 class CyclicData:
     """Shared homological state for one algebra at one truncation."""
 
-    def __init__(self, a, n_max, cap=DEFAULT_CAP):
+    def __init__(self, a, n_max, cap=DEFAULT_CAP, *, _absolute=False):
         self.n_max = n_max
-        self.mixed = TruncatedMixedComplex(a, n_max, cap)
+        self.mixed = TruncatedMixedComplex(a, n_max, cap, _absolute=_absolute)
         self.hh = self.mixed.hochschild_chain_complex()
         self.tot = self.mixed.tot_complex()
 
@@ -332,6 +405,14 @@ def cyclic_data(a, n_max, cap=DEFAULT_CAP):
     key = (n_max, cap)
     if key not in a._cyclic:
         a._cyclic[key] = CyclicData(a, n_max, cap)
+    return a._cyclic[key]
+
+
+def _absolute_cyclic_data(a, n_max, cap):
+    """The CyclicData of a relative to E = Q.1, memoized under its own key."""
+    key = (n_max, cap, "Q.1")
+    if key not in a._cyclic:
+        a._cyclic[key] = CyclicData(a, n_max, cap, _absolute=True)
     return a._cyclic[key]
 
 
@@ -446,6 +527,34 @@ class HPResult:
             self.even, self.odd, self.certificate, self.r0, self.n_max)
 
 
+def hp_nil_invariant(a):
+    """(dim A / (rad A + [A, A]) | 0), the periodic cyclic homology of A.
+
+    In characteristic 0 HP does not change under nilpotent extensions
+    (Goodwillie), so HP(A) = HP(A / rad A), and a semisimple Q-algebra S is
+    separable, with HP(S) = (dim S / [S, S] | 0).  periodic_cyclic checks
+    every number it returns against this value.
+    """
+    gens = a.radical().basis()
+    for i in range(a.dim):
+        for j in range(i + 1, a.dim):
+            comm = dict(a.mult_basis(i, j))
+            vec_addmul(comm, -1, a.mult_basis(j, i))
+            if comm:
+                gens.append(comm)
+    return a.dim - LinSubspace(a.dim, gens).dim, 0
+
+
+def _checked(hp, a):
+    """hp, after its value is compared with hp_nil_invariant(a)."""
+    nil = hp_nil_invariant(a)
+    if hp.super_dims != nil:
+        raise InvariantError(
+            "%s HP (%d|%d) disagrees with the nil-invariant value (%d|%d)"
+            % ((hp.certificate,) + hp.super_dims + nil))
+    return hp
+
+
 def _gldim_certificate(a, n_max):
     if a.radical().dim == 0:
         return 0
@@ -462,6 +571,8 @@ def periodic_cyclic(a, n_max=6, cap=DEFAULT_CAP):
     be an isomorphism from degree max(g-1, 0) on, and the window values are
     the honest periodic cyclic dimensions.  Otherwise the images of iterated
     S maps are compared inside the window (WINDOW-STABLE / NOT-STABILIZED).
+    A CERTIFIED or WINDOW-STABLE value that differs from hp_nil_invariant
+    raises InvariantError; the check upgrades no verdict.
     """
     if n_max < 4:
         raise InvariantError("periodic cyclic needs n_max >= 4")
@@ -494,8 +605,10 @@ def periodic_cyclic(a, n_max=6, cap=DEFAULT_CAP):
         n_even = max(n for n in range(r0, N - 2) if n % 2 == 0) \
             if any(n % 2 == 0 for n in range(r0, N - 2)) else 0
         n_odd = max(n for n in range(r0, N - 2) if n % 2 == 1)
-        return HPResult(hc[n_even], hc[n_odd], r0, "CERTIFIED", n_max,
-                        details={"gldim": g, "s_iso_verified": verified_iso})
+        return _checked(HPResult(hc[n_even], hc[n_odd], r0, "CERTIFIED",
+                                 n_max, details={"gldim": g,
+                                                 "s_iso_verified":
+                                                 verified_iso}), a)
 
     # window detection: stabilization of iterated S images
     towers = {}
@@ -534,8 +647,8 @@ def periodic_cyclic(a, n_max=6, cap=DEFAULT_CAP):
                 return HPResult(None, None, None, "NOT-STABILIZED", n_max,
                                 details)
     r0 = max(stable[0][0], stable[1][0]) + 2
-    return HPResult(stable[0][1], stable[1][1], r0, "WINDOW-STABLE", n_max,
-                    details)
+    return _checked(HPResult(stable[0][1], stable[1][1], r0,
+                             "WINDOW-STABLE", n_max, details), a)
 
 
 # ---------------------------------------------------------------------------
@@ -561,40 +674,44 @@ def _chain_map_on_tot(f, a, b, data_a, data_b, n, vec):
     """Image in Tot_n(B) of a Tot_n(A) vector under the induced chain map
 
         a_0 (x) abar_1 (x) ... |-> f(a_0) (x) fbar(a_1) (x) ...
+
+    followed by B's projection (TruncatedMixedComplex.project).  This is
+    the map of mixed complexes induced by f when f carries A's ground
+    algebra into B's, as hp_of_homomorphism arranges.
     """
-    red_a, red_b = data_a.mixed.red, data_b.mixed.red
+    mixed_a, mixed_b = data_a.mixed, data_b.mixed
     fcols = f.columns()
-    comps_a, _ = data_a.mixed.tot_offsets(n)
-    comps_b, _ = data_b.mixed.tot_offsets(n)
-    off_b = {m: off for m, off in comps_b}
-    dbar_a = red_a.dbar
+    kept = mixed_a.red.kept
+    off_b = dict(mixed_b.tot_offsets(n)[0])
     out = {}
-    for m, off in comps_a:
+    for m, off in mixed_a.tot_offsets(n)[0]:
         for code, val in vec.items():
-            if not (off <= code < off + data_a.mixed.dims[m]):
+            if not (off <= code < off + mixed_a.dims[m]):
                 continue
-            local = code - off
-            ts = []
-            for _ in range(m):
-                ts.append(local % dbar_a)
-                local //= dbar_a
-            ts.reverse()
-            slots = [fcols[local]] + [fcols[red_a.kept[t]] for t in ts]
-            for cc, vv in red_b.expand(slots).items():
-                tgt = off_b[m] + cc
-                s = out.get(tgt, 0) + val * vv
-                if s:
-                    out[tgt] = s
-                else:
-                    out.pop(tgt, None)
+            c, word = mixed_a.chain(m, code - off)
+            slots = [fcols[c]] + [fcols[kept[t]] for t in word]
+            image = mixed_b.project(m, mixed_b.red.expand(slots))
+            vec_addmul(out, val, {off_b[m] + p: v for p, v in image.items()})
     return out
+
+
+def _grounds_compatible(f, mixed_a, mixed_b):
+    """Does f carry A's ground algebra E into B's?  E is spanned by the
+    unit, which f keeps, and the basis elements of A whose class in Abar
+    is 0 (relative to Q^{Q_0}, the vertex idempotents); f(x) lies in B's
+    ground algebra iff its class in Bbar is 0."""
+    fcols = f.columns()
+    return not any(mixed_b.red.reduce(fcols[k])
+                   for k, cls in mixed_a.red.classes.items() if not cls)
 
 
 def hp_of_homomorphism(f, a, b, n_max=6, cap=DEFAULT_CAP):
     """Induced maps on the stable even/odd parts, from the chain level.
 
     Returns (even, odd) QMatrices in the canonical stable homology bases.
-    Both sides must have CERTIFIED periodic cyclic homology.
+    Both sides must have CERTIFIED periodic cyclic homology.  When f does
+    not carry the vertex idempotents of A into B's ground algebra (say
+    Q x Q -> M_2(Q), e_i |-> e_ii), A's side is taken relative to Q.1.
     """
     check_homomorphism(f, a, b)
     hp_a = periodic_cyclic(a, n_max, cap)
@@ -604,6 +721,8 @@ def hp_of_homomorphism(f, a, b, n_max=6, cap=DEFAULT_CAP):
                                "cyclic homology on both sides")
     data_a = cyclic_data(a, n_max, cap)
     data_b = cyclic_data(b, n_max, cap)
+    if not _grounds_compatible(f, data_a.mixed, data_b.mixed):
+        data_a = _absolute_cyclic_data(a, n_max, cap)
     r0 = max(hp_a.r0, hp_b.r0)
     window = [n for n in range(r0, n_max - 2)]
     n_even = max(n for n in window if n % 2 == 0)
@@ -648,9 +767,13 @@ def chern_character(e, a, n_max=6, cap=DEFAULT_CAP):
 
     Components ch_0 = tr(e) and, for m >= 1,
         ch_(2m) = (-1)^m (2m)!/m! * tr((e - 1/2) (x) e^(x 2m))
-    where tr is the generalized trace into the normalized chains.  The
-    result is a cycle for b + B, verified exactly; its degree-0 component is
-    the trace of e in A (whose class generates the pairing with HH_0).
+    where tr is the generalized trace into the normalized chains, followed
+    by the projection onto the chains of the mixed complex of A
+    (TruncatedMixedComplex.project; relative to E = Q^{Q_0} it keeps the
+    composable chains), so each component is sparse over the positions of
+    that complex's chains.  The result is a cycle for b + B, verified
+    exactly; its degree-0 component is the trace of e in A (whose class
+    generates the pairing with HH_0).
     """
     r = len(e)
     for row in e:
@@ -658,7 +781,7 @@ def chern_character(e, a, n_max=6, cap=DEFAULT_CAP):
             raise InvariantError("idempotent matrix must be square")
     if _matrix_product_over_algebra(a, e, e) != e:
         raise InvariantError("chern_character needs an exact idempotent")
-    red = _Reduced(a)
+    mixed = cyclic_data(a, n_max, cap).mixed
     half = Fraction(1, 2)
     # e - 1/2 as a matrix over A
     eh = [[dict(e[i][j]) for j in range(r)] for i in range(r)]
@@ -680,7 +803,7 @@ def chern_character(e, a, n_max=6, cap=DEFAULT_CAP):
                 ch0[k] = s
             else:
                 ch0.pop(k, None)
-    components[0] = ch0
+    components[0] = mixed.project(0, ch0)
 
     for m in range(1, n_max // 2 + 1):
         n = 2 * m
@@ -691,16 +814,15 @@ def chern_character(e, a, n_max=6, cap=DEFAULT_CAP):
             factors = [eh[idx[0]][idx[1]]]
             for p in range(1, n + 1):
                 factors.append(e[idx[p]][idx[(p + 1) % (n + 1)]])
-            for code, v in red.expand(factors).items():
+            for code, v in mixed.red.expand(factors).items():
                 s = comp.get(code, 0) + coeff * v
                 if s:
                     comp[code] = s
                 else:
                     comp.pop(code, None)
-        components[n] = comp
+        components[n] = mixed.project(n, comp)
 
     # verify (b + B) ch = 0 exactly within the truncation
-    mixed = cyclic_data(a, n_max, cap).mixed
     for m in range(0, n_max // 2):
         n = 2 * m
         acc = {}

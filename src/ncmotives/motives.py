@@ -470,7 +470,8 @@ def semisimplicity_check(a, basis=None, cap=DEFAULT_CAP):
 class EvenProjectorVerdict:
     def __init__(self, status, witness, span_names, note=""):
         self.status = status           # "WITNESS" | "UNDECIDED-IN-SPAN"
-        self.witness = witness         # {generator index: coefficient}
+        self.witness = witness         # {generator index: coefficient},
+                                       # in increasing index order
         self.span_names = span_names
         self.note = note
 
@@ -549,7 +550,9 @@ def even_projector_in_span(a, generators, cap=DEFAULT_CAP):
         return EvenProjectorVerdict(
             "UNDECIDED-IN-SPAN", None, names,
             note="failure inside a declared span refutes nothing")
-    return EvenProjectorVerdict("WITNESS", witness, names)
+    # sorted, so that its printed form does not depend on the basis of HC
+    return EvenProjectorVerdict("WITNESS", dict(sorted(witness.items())),
+                                names)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -62,6 +63,34 @@ def test_hp_certified_path():
     assert status == 0
     assert "CERTIFIED" in out
     assert "even dimension: 2" in out
+
+
+def test_hp_square_answers_at_degree_five():
+    """The relative mixed complex of `square` has 4 chains at any degree;
+    over Q.1 it had 337041 at degree 5, over the default guard."""
+    status, out, err = run_cli(["hp", "--input", str(ALG / "square.json"),
+                                "--max-degree", "5"])
+    assert status == 0, err
+    assert "even dimension: 4" in out and "odd dimension: 0" in out
+    assert "certificate: CERTIFIED" in out
+
+
+def test_cli_sweep_smoke():
+    """tools/cli_sweep.py on one input: one `argv | exit | sha256 | sha256`
+    line per run, the same on a second run."""
+    runs = [subprocess.run([sys.executable, str(REPO / "tools" / "cli_sweep.py"),
+                            str(ALG / "q.json")], capture_output=True,
+                           text=True, cwd=str(REPO)) for _ in range(2)]
+    for run in runs:
+        assert run.returncode == 0 and run.stderr == ""
+    lines = runs[0].stdout.splitlines()
+    assert len(lines) == 10 * 3 * 2      # commands x degrees x formats
+    pattern = re.compile(r"^\S+ --input demos/algebras/q\.json( \S+)* "
+                         r"\| [0-5] \| [0-9a-f]{64} \| [0-9a-f]{64}$")
+    assert all(pattern.match(line) for line in lines), lines[0]
+    assert lines[0].startswith("describe --input demos/algebras/q.json "
+                               "--max-degree 4 --format table | 0 | ")
+    assert runs[1].stdout == runs[0].stdout
 
 
 def test_schur_sweep():

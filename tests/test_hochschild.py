@@ -17,7 +17,8 @@ from ncmotives.homcore import ChainComplex
 from ncmotives.hochschild import (
     hochschild_complex, hochschild_homology, mixed_complex, cyclic_homology,
     sbi_check, periodic_cyclic, hp_of_homomorphism, chern_character,
-    chern_class_in_hc, TruncatedMixedComplex, DEFAULT_CAP,
+    chern_class_in_hc, hp_nil_invariant, check_homomorphism, cyclic_data,
+    TruncatedMixedComplex, DEFAULT_CAP,
 )
 
 
@@ -464,13 +465,21 @@ def test_chern_character_unit_of_q():
 
 
 def test_chern_character_projection_in_qxq():
-    qq = zoo.get("QxQ")
     e = [[{0: 1}]]    # e_1 as a 1x1 idempotent matrix
-    comps = chern_character(e, qq, n_max=6)
+    # without its quiver, QxQ has chains relative to Q.1 ...
+    flat = _rescaled(zoo.get("QxQ"), [1, 1])
+    comps = chern_character(e, flat, n_max=6)
     assert comps[0] == {0: 1}           # degree-0 component = tr(e) = e_1
     assert comps[2]                      # correction terms present
-    cls, n_even = chern_class_in_hc(e, qq, n_max=6)
+    cls, n_even = chern_class_in_hc(e, flat, n_max=6)
     assert cls                           # nonzero class in stable even HC
+    # ... with it, relative to E = Q^{Q_0}, where e_1 vanishes in A/E
+    qq = zoo.get("QxQ")
+    comps = chern_character(e, qq, n_max=6)
+    assert comps[0] == {0: 1}
+    assert comps[2] == {}
+    cls, n_even = chern_class_in_hc(e, qq, n_max=6)
+    assert cls
 
 
 def test_chern_character_matrix_idempotent():
@@ -510,3 +519,131 @@ def test_chern_classes_of_vertex_idempotents_independent():
     m = QMatrix(2, 2, {(r, 0): v for r, v in cls1.items()}
                 | {(r, 1): v for r, v in cls2.items()})
     assert matrix_rank(m) == 2
+
+
+def _two_cycle():
+    """The quiver 1 <-> 2 (x: 1 -> 2, y: 2 -> 1) with xy = 0, truncated at
+    2: basis e_1, e_2, x, y, yx, global dimension 2, and composable chains
+    in every degree."""
+    quiver = Quiver(["1", "2"], [("x", "1", "2"), ("y", "2", "1")])
+    return path_algebra(quiver, [[(1, ["x", "y"])]], 2, name="2-cycle")
+
+
+def test_relative_chain_map_commutes_with_tot_differentials():
+    """The automorphism x -> 2x, y -> y/2 of the 2-cycle algebra induces a
+    chain map of the relative totalizations, and the identity on HP."""
+    a = _two_cycle()
+    scale = {"x": 2, "y": Fraction(1, 2)}
+    f = QMatrix(a.dim, a.dim, {(i, i): scale.get(lab, 1)
+                               for i, lab in enumerate(a.basis)})
+    check_homomorphism(f, a, a)
+    data = cyclic_data(a, 5)
+    assert data.mixed.chains is not None
+    assert data.mixed.dims == [3, 4, 7, 11, 18, 29]
+    from ncmotives.hochschild import _chain_map_on_tot
+    from ncmotives.homcore import apply_cols
+    for n in range(1, 6):
+        for j in range(data.tot.dims[n]):
+            vec = {j: 1}
+            lhs = _chain_map_on_tot(f, a, a, data, data, n - 1,
+                                    apply_cols(data.tot.diffs[n], vec))
+            fx = _chain_map_on_tot(f, a, a, data, data, n, vec)
+            assert lhs == apply_cols(data.tot.diffs[n], fx), (n, j)
+    even, odd = hp_of_homomorphism(f, a, a, n_max=6)
+    assert even == QMatrix.identity(2)
+    assert (odd.rows, odd.cols) == (0, 0)
+
+
+def test_hp_of_homomorphism_outside_the_target_ground_algebra():
+    """e_i -> e_ii does not carry the vertex idempotents of QxQ into
+    Q.1 in M2(Q): QxQ's side is read over Q.1, with the same matrix as
+    before the relative mixed complex."""
+    qq, m2 = zoo.get("QxQ"), zoo.get("M2(Q)")
+    f = QMatrix(4, 2, {(0, 0): 1, (3, 1): 1})
+    even, odd = hp_of_homomorphism(f, qq, m2, n_max=5)
+    assert even == QMatrix(1, 2, {(0, 0): 1, (0, 1): Fraction(1, 2)})
+    assert (odd.rows, odd.cols) == (0, 0)
+
+
+@pytest.mark.parametrize("build, n_max", [(_two_cycle, 6),
+                                          (zoo.a3_algebra, 5),
+                                          (zoo.commutative_square, 4)])
+def test_relative_mixed_complex_matches_absolute(build, n_max):
+    """HC and SBI exactness of a quiver algebra, relative to E = Q^{Q_0},
+    against its quiver-free copy relative to Q.1; HP at a certified
+    truncation against the nil-invariant value of that copy."""
+    a = build()
+    flat = _rescaled(a, [1] * a.dim)
+    assert cyclic_data(a, n_max).mixed.chains is not None
+    assert cyclic_data(flat, n_max).mixed.chains is None
+    assert (cyclic_homology(a, n_max).dims
+            == cyclic_homology(flat, n_max).dims)
+    assert sbi_check(a, n_max).all_exact and sbi_check(flat, n_max).all_exact
+    hp = periodic_cyclic(a, 6)
+    assert hp.certificate == "CERTIFIED"
+    assert hp.super_dims == hp_nil_invariant(flat)
+
+
+@settings(deadline=None, max_examples=15)
+@given(st.data())
+def test_relative_mixed_complex_matches_absolute_on_random_quivers(data):
+    """On quivers with at least two vertices (loops and 2-cycles included)
+    the relative mixed complex gives the HC dimensions, SBI exactness and
+    HP values of the quiver-free rescaled copy; where both take the window
+    path, the S towers agree rank for rank."""
+    a = data.draw(quiver_algebras())
+    assume(len(a.quiver.vertices) >= 2 and a.dim <= 4)
+    # signs keep the copy integral, and so its degree-6 complex quick
+    scales = data.draw(st.lists(st.sampled_from([1, -1]), min_size=a.dim,
+                                max_size=a.dim))
+    r = _rescaled(a, scales)
+    assert cyclic_data(a, 6).mixed.chains is not None
+    assert cyclic_homology(a, 6).dims == cyclic_homology(r, 6).dims
+    assert sbi_check(a, 6).all_exact and sbi_check(r, 6).all_exact
+    hp_a, hp_r = periodic_cyclic(a, 6), periodic_cyclic(r, 6)
+    if hp_a.even is not None and hp_r.even is not None:
+        assert hp_a.super_dims == hp_r.super_dims
+    if "towers" in hp_a.details:
+        assert hp_a.details["towers"] == hp_r.details["towers"]
+
+
+def test_hp_square_certified_at_six_under_the_default_cap():
+    hp = periodic_cyclic(zoo.get("square"), n_max=6)
+    assert hp.certificate == "CERTIFIED"
+    assert hp.super_dims == (4, 0)
+    assert hp.details == {"gldim": 2, "s_iso_verified": True}
+
+
+def test_hp_nil_invariant_on_the_zoo():
+    expected = {"Q": 1, "QxQ": 2, "QxQxQ": 3, "M2(Q)": 1, "dual": 1,
+                "cubic": 1, "A2": 2, "A3": 3, "square": 4}
+    for name, even in expected.items():
+        assert hp_nil_invariant(zoo.get(name)) == (even, 0), name
+
+
+def test_periodic_cyclic_refuses_a_value_against_the_nil_invariant(
+        monkeypatch):
+    import ncmotives.hochschild as hochschild
+    monkeypatch.setattr(hochschild, "hp_nil_invariant", lambda a: (7, 0))
+    for name, n_max in (("A2", 5), ("dual", 6)):    # CERTIFIED, WINDOW-STABLE
+        with pytest.raises(InvariantError, match="nil-invariant"):
+            periodic_cyclic(zoo.get(name), n_max=n_max)
+    # a refusal carries no value to check
+    assert periodic_cyclic(zoo.get("dual"), n_max=4).even is None
+
+
+@settings(deadline=None, max_examples=15)
+@given(st.data())
+def test_hp_agrees_with_the_nil_invariant_on_random_quivers(data):
+    """Every CERTIFIED or WINDOW-STABLE value equals
+    (dim A / (rad A + [A, A]) | 0), as given and in a rescaled basis."""
+    a = data.draw(quiver_algebras())
+    assume(a.dim <= 3)
+    scales = data.draw(st.lists(st.sampled_from(SCALES), min_size=a.dim,
+                                max_size=a.dim))
+    r = _rescaled(a, scales)
+    assert hp_nil_invariant(r) == hp_nil_invariant(a)
+    for alg in (a, r):
+        hp = periodic_cyclic(alg, 6)
+        assert hp.certificate == "NOT-STABILIZED" \
+            or hp.super_dims == hp_nil_invariant(alg)

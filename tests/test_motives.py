@@ -18,7 +18,7 @@ from ncmotives.motives import (
     row_projective_correspondence,
     column_projective_correspondence, is_env_projective, bimodule_class_vector,
 )
-from test_hochschild import quiver_algebras
+from test_hochschild import quiver_algebras, _two_cycle
 
 
 def cartan(a):
@@ -329,6 +329,16 @@ def test_cnc_qxq_projection_generators():
     assert v.witness == {0: 1, 1: 1}
 
 
+def test_cnc_witness_keys_are_sorted():
+    """The printed witness does not depend on the order in which the
+    elimination found its coefficients."""
+    qq, gens = projection_generators_qxq()
+    for order in (gens, gens[::-1]):
+        v = even_projector_in_span(qq, order)
+        assert list(v.witness) == sorted(v.witness)
+    assert repr(even_projector_in_span(qq, gens).witness) == "{0: 1, 1: 1}"
+
+
 def test_cnc_undecided_in_small_span():
     """A span whose realizations cannot produce (id, 0): supplied data with
     a forced odd part (no degree-zero algebra realizes it, so the checker is
@@ -355,6 +365,16 @@ def test_dnc_equal_on_acceptance_algebras():
         assert v.equal
         assert v.ker_hom.dim == 0 and v.ker_num.dim == 0
         assert v.caveat == ""
+
+
+def test_dnc_equal_on_the_two_cycle_algebra():
+    """The quiver 1 <-> 2 with xy = 0 (global dimension 2) has composable
+    chains in every degree of its relative mixed complex; its verdict is
+    the one the complex relative to Q.1 gives."""
+    v = kernel_comparison(_two_cycle(), n_max=6)
+    assert v.equal
+    assert v.ker_hom.dim == 0 and v.ker_num.dim == 0
+    assert v.caveat == ""
 
 
 def test_dnc_refuses_without_quiver():

@@ -10,13 +10,18 @@ the normalized bar complex.  Its one builder
 (_Reduced, the basis of Bbar = B / E for a ground subalgebra E = Q.1 or,
 on quiver algebras, E = Q^{Q_0}, and hochschild_columns, the differential
 of M (x)_{E^e} Bbar^{(x)_E n}) serves both Hochschild homology and derived
-tensor products: Tor^B(x, y) is HH(B; y (x) x), relative to Q.1.
+tensor products: Tor^B(x, y) is HH(B; y (x) x).  One rule
+(_relative_ends) picks E for every complex: E = Q^{Q_0} when B is a quiver
+algebra with more than one vertex and the coefficients' vertex actions are
+0/1 coordinate projections (for Tor: x's right and y's left actions, as on
+every corner and projective-pair bimodule), so that only composable chains
+enter (_Chains); E = Q.1 otherwise.  Both grounds give the same homology.
 """
 
 import itertools
 from fractions import Fraction
 
-from .errors import InvariantError, UncertifiedError
+from .errors import InvariantError, CapExceededError, UncertifiedError
 from . import exactlin
 from .exactlin import QMatrix, LinSubspace, vec_addmul, _norm
 from .homcore import ChainComplex
@@ -807,6 +812,40 @@ def _vertex_ends(m):
     return [tuple(e) for e in ends]
 
 
+def _relative_ends(m):
+    """_vertex_ends(m) when chains with coefficients in the B-bimodule m
+    are taken relative to E = Q^{Q_0}: B is a quiver algebra with more than
+    one vertex (with one, Q^{Q_0} is Q.1) and m's basis is vertex-adapted.
+    None when they are taken relative to E = Q.1.  Hochschild complexes,
+    mixed complexes and derived tensor products all choose E by this rule."""
+    quiver = m.A.quiver
+    if quiver is not None and len(quiver.vertices) > 1:
+        return _vertex_ends(m)
+    return None
+
+
+def _guard(total, cap):
+    if cap is not None and total > cap:
+        raise CapExceededError(
+            "total complex dimension %d exceeds the memory guard %d"
+            % (total, cap), needed=total, cap=cap)
+
+
+def _chain_basis(m, n_max, ends, cap=None):
+    """The reduced basis, the chain dimensions in degrees 0..n_max and,
+    relative to E = Q^{Q_0} (ends set), the composable chains.  Given a
+    cap, the memory guard sees the total before any chain is listed;
+    derived_tensor passes none."""
+    red = _Reduced(m.A, vertices=ends is not None)
+    if ends is None:
+        dims = [m.dim * red.dbar ** n for n in range(n_max + 1)]
+    else:
+        dims = red.chain_dims(ends, n_max)
+    if cap is not None:
+        _guard(sum(dims), cap)
+    return red, dims, None if ends is None else _Chains(red, ends, n_max)
+
+
 def hochschild_columns(m, red, n, split=1, chains=None):
     """Columns of b_n : M (x) Bbar^n -> M (x) Bbar^(n-1), for a B-bimodule m.
 
@@ -904,7 +943,8 @@ def _kron(f, g):
 
 def _on_homology(g, reps, project, weight, size):
     """Matrix on H_n of the chain map that applies g to one digit of the
-    chain codes: the digit (code // weight) % size."""
+    chain codes: the digit (code // weight) % size.  reps are over codes
+    and project takes a chain over codes."""
     gcols = g.columns()
     entries = {}
     for j, rep in enumerate(reps):
@@ -926,7 +966,14 @@ def derived_tensor(x, y, bound=None, check_modules=True):
     homology HH_*(B; y (x) x) of B with coefficients in the B-bimodule
     y (x)_Q x, on which B acts on the left through y and on the right
     through x (Cartan-Eilenberg).  Its normalized chains are the two-sided
-    bar complex x (x) Bbar^n (x) y, whose homology carries the outer actions.
+    bar complex x (x)_E Bbar^{(x)_E n} (x)_E y, whose homology carries the
+    outer actions.  The ground E is chosen by _relative_ends(y (x) x):
+    E = Q^{Q_0} when B is a quiver algebra with more than one vertex and
+    x's right and y's left vertex actions are 0/1 coordinate projections
+    (every corner and projective-pair bimodule), so that only the
+    composable chains x e_w (x) r_1 (x) ... (x) r_n (x) e_u y enter;
+    E = Q.1 otherwise.  The bar resolutions relative to a separable E
+    compute the same Tor (Hochschild 1956).
     The bound must either be certified by finite global dimension of B, or
     x must be projective as a right B-module (then Tor vanishes above 0).
     """
@@ -944,29 +991,47 @@ def derived_tensor(x, y, bound=None, check_modules=True):
                     "finite global-dimension certificate and the left factor "
                     "is not right-projective" % b.name)
             bound = g
-    red = _Reduced(b)
     ix, iy = QMatrix.identity(x.dim), QMatrix.identity(y.dim)
     m = Bimodule(b, b, x.dim * y.dim,
                  [_kron(ix, y.left[k]) for k in range(b.dim)],
                  [_kron(x.right[k], iy) for k in range(b.dim)], check=False)
-    split = max(y.dim, 1)       # a zero-dimensional y has no chains at all
-    dims = [m.dim * red.dbar ** n for n in range(bound + 2)]
-    diffs = [None] + [hochschild_columns(m, red, n, split)
+    red, dims, chains = _chain_basis(m, bound + 1, _relative_ends(m))
+    # over Q.1 the chains keep the order of x (x) Bbar^n (x) y; a
+    # zero-dimensional y has no chains at all
+    split = max(y.dim, 1) if chains is None else 1
+    diffs = [None] + [hochschild_columns(m, red, n, split, chains)
                       for n in range(1, bound + 2)]
     cx = ChainComplex(dims, diffs, check=sum(dims) <= 2000)
 
     out = []
     for i in range(bound + 1):
         reps, project = cx.homology_space(i)
+        weight = red.dbar ** i
+        if chains is None:
+            # x_a (x) word (x) y_c has the code (a * dbar^i + word) * split + c
+            wx, wy = weight * split, 1
+        else:
+            # the chain (a * dim y + c, word) at each position has the code
+            # (a * dim y + c) * dbar^i + word; the outer actions commute
+            # with E, so their images stay on the composable chains
+            codes = [c * weight + _word_code(word, red.dbar)
+                     for c, word in chains.lists[i]]
+            reps = [{codes[p]: v for p, v in rep.items()} for rep in reps]
+            project = _on_positions(project, chains, i)
+            wx, wy = weight * y.dim, weight
         # A acts on the x digit of the chain codes, C on the y digit
-        width = red.dbar ** i * split
         tor = Bimodule(x.A, y.B, len(reps),
-                       [_on_homology(g, reps, project, width, x.dim)
+                       [_on_homology(g, reps, project, wx, x.dim)
                         for g in x.left],
-                       [_on_homology(g, reps, project, 1, split)
+                       [_on_homology(g, reps, project, wy, y.dim)
                         for g in y.right],
                        name="Tor_%d(%s,%s)" % (i, x.name, y.name),
                        check=check_modules and len(reps) > 0)
         out.append(tor)
     return out
 
+
+def _on_positions(project, chains, n):
+    """project, which reads chains by position in degree n, on a chain
+    given by its codes."""
+    return lambda codes: project(chains.renumber(n, [codes])[0])

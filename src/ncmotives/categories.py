@@ -568,7 +568,8 @@ def primitive_idempotents(alg, cap=IDEMPOTENT_CAP):
         if total != one:
             raise InvariantError("orthogonal family does not sum to 1")
     for i, e in enumerate(exact):
-        assert alg.mult_vec(e, e) == e
+        if alg.mult_vec(e, e) != e:
+            raise InvariantError("lifted family member is not idempotent")
         for j in range(i):
             if alg.mult_vec(e, exact[j]) or alg.mult_vec(exact[j], e):
                 raise InvariantError("idempotent family is not orthogonal")

@@ -22,11 +22,10 @@ the regular bimodule, and the relative normalized cyclic module computes
 the same HC and HP.  The Chern character is projected onto it (the
 projection pi from the chains over Q.1 is a map of mixed complexes), and
 a homomorphism that does not carry the vertex idempotents into the target's
-ground algebra is read on its source's complex over Q.1.  Derived tensor
-products stay relative to Q.1.  The reduced basis, the composable chains
-and the differential b come from algebras (_Reduced, _Chains and
-hochschild_columns), which derived tensor products share; the Connes
-operator B is built here.
+ground algebra is read on its source's complex over Q.1.  The choice of
+ground (_relative_ends), the reduced basis, the composable chains and the
+differential b come from algebras (_chain_basis and hochschild_columns),
+which derived tensor products share; the Connes operator B is built here.
 
 Cyclic homology comes from the first-quadrant (b, B)-bicomplex totalization
 Tot_n = (+)_i C_{n-2i} with differential b + B; the periodicity operator S
@@ -45,11 +44,12 @@ import itertools
 from fractions import Fraction
 from math import factorial
 
-from .errors import InvariantError, CapExceededError, UncertifiedError
+from .errors import InvariantError, UncertifiedError
 from .exactlin import (QMatrix, LinSubspace, matrix_rank, kernel_vectors,
                        vec_addmul)
 from .homcore import ChainComplex, apply_cols
-from .algebras import (_Chains, _Reduced, _vertex_ends, _word_code,
+# _guard is re-exported: perfbench/tracer.py wraps hochschild._guard
+from .algebras import (_chain_basis, _guard, _relative_ends, _word_code,
                        hochschild_columns, regular_bimodule,
                        global_dimension)
 
@@ -58,37 +58,6 @@ DEFAULT_CAP = 200000
 
 # ---------------------------------------------------------------------------
 # chain-level construction
-
-
-def _guard(total, cap):
-    if cap is not None and total > cap:
-        raise CapExceededError(
-            "total complex dimension %d exceeds the memory guard %d"
-            % (total, cap), needed=total, cap=cap)
-
-
-def _relative_ends(m):
-    """_vertex_ends(m) when chains with coefficients in the A-bimodule m
-    are taken relative to E = Q^{Q_0}: A is a quiver algebra with more than
-    one vertex (with one, Q^{Q_0} is Q.1) and m's basis is vertex-adapted.
-    None when they are taken relative to E = Q.1."""
-    quiver = m.A.quiver
-    if quiver is not None and len(quiver.vertices) > 1:
-        return _vertex_ends(m)
-    return None
-
-
-def _chain_basis(m, n_max, ends, cap):
-    """The reduced basis, the chain dimensions in degrees 0..n_max and,
-    relative to E = Q^{Q_0} (ends set), the composable chains; the guard
-    sees the total before any chain is listed."""
-    red = _Reduced(m.A, vertices=ends is not None)
-    if ends is None:
-        dims = [m.dim * red.dbar ** n for n in range(n_max + 1)]
-    else:
-        dims = red.chain_dims(ends, n_max)
-    _guard(sum(dims), cap)
-    return red, dims, None if ends is None else _Chains(red, ends, n_max)
 
 
 def connes_columns(a, red, n, chains=None):

@@ -58,7 +58,12 @@ class Correspondence:
                               [(c * a, x) for a, x in self.terms])
 
     def __add__(self, other):
-        assert self.source is other.source and self.target is other.target
+        if self.source is not other.source or self.target is not other.target:
+            raise InvariantError("cannot add correspondences %s -> %s and "
+                                 "%s -> %s" % (self.source.name,
+                                               self.target.name,
+                                               other.source.name,
+                                               other.target.name))
         return Correspondence(self.source, self.target,
                               self.terms + other.terms)
 

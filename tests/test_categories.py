@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ncmotives import categories, zoo
 from ncmotives.errors import InvariantError, CapExceededError
 from ncmotives.exactlin import Elimination, LinSubspace
 from ncmotives.categories import (
@@ -28,6 +29,22 @@ def test_polynomial_irreducibility():
     assert not is_irreducible_over_q([1, 2, 1])        # (t+1)^2
     with pytest.raises(CapExceededError):
         is_irreducible_over_q([1] * 8)
+
+
+def test_primitive_idempotents_reject_a_non_idempotent_member(monkeypatch):
+    """A family member with e * e != e raises InvariantError, which, unlike
+    an assert, python -O keeps."""
+    calls = []
+
+    def bad_split(alg, x, factors, e, rad):
+        calls.append(x)
+        # sums to 1, but (2 e_1 - e_2)^2 = 4 e_1 + e_2
+        return [{0: 2, 1: -1}, {0: -1, 1: 2}] if len(calls) == 1 else []
+
+    monkeypatch.setattr(categories, "_crt_idempotents_mod", bad_split)
+    with pytest.raises(InvariantError, match="not idempotent"):
+        primitive_idempotents(zoo.get("QxQ"))
+    assert calls
 
 
 def test_primitive_idempotents_in_end_algebras():

@@ -1,15 +1,17 @@
 import gc
 import itertools
 import weakref
+from unittest import mock
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ncmotives import zoo
+from ncmotives import algebras, zoo
 from ncmotives.algebras import (Quiver, path_algebra, structure_algebra,
                                 Bimodule, corner_bimodule, derived_tensor,
-                                regular_bimodule, _Reduced, _vertex_ends)
+                                global_dimension, regular_bimodule, _Reduced,
+                                _vertex_ends)
 from ncmotives.cli import _nonnormalized_hh
 from ncmotives.errors import InvariantError, CapExceededError, UncertifiedError
 from ncmotives.exactlin import QMatrix, matrix_rank, inverse
@@ -275,22 +277,124 @@ def test_vertex_relative_hh_matches_absolute_on_random_quivers(data):
                 == hochschild_homology(r, _over(m, r, scales), n_max=3).dims)
 
 
+def _conjugated(m):
+    """m in the basis given by an upper unitriangular change of basis."""
+    p = QMatrix(m.dim, m.dim, {(i, j): 1 for i in range(m.dim)
+                               for j in range(i, m.dim)})
+    q = inverse(p)
+    return Bimodule(m.A, m.B, m.dim, [q * x * p for x in m.left],
+                    [q * x * p for x in m.right], name=m.name + "'")
+
+
 def test_non_adapted_basis_falls_back_to_the_absolute_complex():
     """A bimodule whose vertex idempotents do not act by coordinate
     projections gets the complex relative to Q.1, with the same HH."""
     for name in ("A2", "square"):
         a = zoo.get(name)
         reg = regular_bimodule(a)
-        p = QMatrix(a.dim, a.dim, {(i, j): 1 for i in range(a.dim)
-                                   for j in range(i, a.dim)})
-        q = inverse(p)
-        scrambled = Bimodule(a, a, a.dim, [q * x * p for x in reg.left],
-                             [q * x * p for x in reg.right])
+        scrambled = _conjugated(reg)
         assert _vertex_ends(scrambled) is None
         cx = hochschild_complex(a, scrambled, n_max=3)
         assert cx.dims == [a.dim * (a.dim - 1) ** n for n in range(4)]
         assert (hochschild_homology(a, scrambled, n_max=3).dims
                 == hochschild_homology(a, reg, n_max=3).dims)
+
+
+def _simples(a, vertices):
+    """The direct sum of the one-dimensional A-bimodules at the vertices:
+    e_v acts as 1 on both sides of its line, every arrow as 0."""
+    pos = {a.quiver.vertex_idx[v]: c for c, v in enumerate(vertices)}
+    d = len(vertices)
+    acts = [QMatrix(d, d, {(pos[k], pos[k]): 1} if k in pos else None)
+            for k in range(a.dim)]
+    return Bimodule(a, a, d, acts, acts,
+                    name="S_" + "+".join(str(v) for v in vertices))
+
+
+def _tor_grounds():
+    """A spy on the chain basis that derived_tensor builds; the ends
+    argument of each call is None exactly when Tor is taken over Q.1."""
+    return mock.patch.object(algebras, "_chain_basis",
+                             wraps=algebras._chain_basis)
+
+
+def _tor_table(alg, tors, vertex_idx, g):
+    """Per degree: dim Tor_l, dim e_u Tor_l e_v for the vertex idempotents
+    (basis indices vertex_idx, up to scale), and chi(HH(A; Tor_l)) when
+    A has finite global dimension g (HH_0 and HH_1 otherwise)."""
+    table = []
+    for t in tors:
+        graded = [matrix_rank(t.left[k] * t.right[l])
+                  for k in vertex_idx for l in vertex_idx]
+        hh = hochschild_homology(alg, t, n_max=2 if g is None else g + 1).dims
+        chi = hh if g is None else sum((-1) ** n * d for n, d in enumerate(hh))
+        table.append((t.dim, graded, chi))
+    return table
+
+
+def _assert_tor_matches_rescaled(a, scales):
+    """Tor^A(x, y) over E = Q^{Q_0} has the dimensions, vertex-graded
+    dimensions and chi(HH(A; Tor_l)) of Tor over the quiver-free rescaled
+    copy (E = Q.1), for every pair of corner bimodules (Tor_0) and of
+    one-dimensional simple bimodules (Tor_0..Tor_2)."""
+    vs = a.quiver.vertices
+    r = _rescaled(a, scales)
+    g = global_dimension(a, bound=4)
+    vertex_idx = [a.quiver.vertex_idx[v] for v in vs]
+    corners = [corner_bimodule(a, i, j) for i in vs for j in vs]
+    simples = [_simples(a, [v]) for v in vs]
+    cases = ([(x, y, 0) for x in corners for y in corners]
+             + [(x, y, 2) for x in simples for y in simples])
+    for x, y, bound in cases:
+        with _tor_grounds() as spy:
+            tors = derived_tensor(x, y, bound=bound)
+        assert spy.call_args.args[2] is not None
+        flat = derived_tensor(_over(x, r, scales), _over(y, r, scales),
+                              bound=bound)
+        assert (_tor_table(a, tors, vertex_idx, g)
+                == _tor_table(r, flat, vertex_idx, g)), (x.name, y.name)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.data())
+def test_vertex_relative_tor_matches_absolute_on_random_quivers(data):
+    a = data.draw(quiver_algebras())
+    assume(len(a.quiver.vertices) >= 2 and a.dim <= 6)
+    scales = data.draw(st.lists(st.sampled_from(SCALES), min_size=a.dim,
+                                max_size=a.dim))
+    _assert_tor_matches_rescaled(a, scales)
+
+
+def test_vertex_relative_tor_on_a_loop_and_a_two_cycle():
+    """The same comparison where Tor never vanishes (a loop) and where the
+    composable chains go round a 2-cycle."""
+    loop = path_algebra(Quiver(["1", "2"], [("x", "1", "1"), ("y", "1", "2")]),
+                        (), 2, name="loop")
+    for a in (loop, _two_cycle()):
+        _assert_tor_matches_rescaled(a, (SCALES * 2)[:a.dim])
+
+
+def test_non_adapted_factor_takes_the_dense_tor():
+    """A factor whose vertex actions are not coordinate projections sends
+    Tor to the complex over Q.1, with the dimensions of the adapted copy."""
+    for name in ("A2", "A3", "square"):
+        a = zoo.get(name)
+        vs = a.quiver.vertices
+        g = global_dimension(a)
+        tops = _simples(a, vs)
+        # A e_sink (x) e_source A: paths of both ends on either side
+        corner = corner_bimodule(a, vs[-1], vs[0])
+        cases = [(corner, corner, None), (tops, tops, g)]
+        for x, y, bound in cases:
+            with _tor_grounds() as spy:
+                adapted = derived_tensor(x, y, bound=bound)
+            assert spy.call_args.args[2] is not None
+            for u, v in ((_conjugated(x), y), (x, _conjugated(y))):
+                with _tor_grounds() as spy:
+                    dense = derived_tensor(u, v, bound=bound)
+                assert spy.call_args.args[2] is None
+                assert [t.dim for t in dense] == [t.dim for t in adapted]
+        assert any(t.dim for t in derived_tensor(tops, tops, bound=g)[1:])
 
 
 @settings(deadline=None, max_examples=20)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ncmotives import hochschild, zoo
+from ncmotives import algebras, zoo
 from ncmotives.errors import InvariantError, UncertifiedError
 from ncmotives.exactlin import QMatrix, matrix_rank, inverse, is_nilpotent_by_traces
 from ncmotives.algebras import (corner_bimodule, Bimodule, regular_bimodule,
@@ -78,6 +78,16 @@ def test_trace_of_unit_is_euler_characteristic():
         assert categorical_trace(unit_correspondence(a)) == chi
 
 
+def test_adding_correspondences_between_other_algebras_is_refused():
+    """Correspondences with another source or target do not add; the check
+    raises InvariantError, which, unlike an assert, python -O keeps."""
+    a2, q = zoo.get("A2"), zoo.get("Q")
+    u = unit_correspondence(a2)
+    assert len((u + u.scale(2)).terms) == 2
+    with pytest.raises(InvariantError, match="cannot add"):
+        u + unit_correspondence(q)
+
+
 def test_intersection_number_base_cases():
     q = zoo.get("Q")
     u = unit_correspondence(q)
@@ -123,7 +133,8 @@ def test_pairing_matrices_unchanged_by_the_vertex_relative_complex(
         monkeypatch):
     """The pairing matrices of the canonical spans of A2, A3 and square
     follow the Cartan model <[P_ij].[P_kl]> = C_jk C_li, and equal those
-    computed with every Hochschild complex taken relative to Q.1."""
+    computed with every Hochschild complex and every Tor taken relative
+    to Q.1."""
     names = ("A2", "A3", "square")
     spans = {name: canonical_span(zoo.get(name)) for name in names}
     relative = {name: pairing_matrix(span, span).matrix
@@ -138,9 +149,21 @@ def test_pairing_matrices_unchanged_by_the_vertex_relative_complex(
             {(p, q): c[(j, k)] * c[(l, i)]
              for p, (i, j) in enumerate(pairs)
              for q, (k, l) in enumerate(pairs)})
-    monkeypatch.setattr(hochschild, "_vertex_ends", lambda m: None)
+    asked = []
+
+    def absolute(m):
+        asked.append(m.dim)
+        return None
+
+    monkeypatch.setattr(algebras, "_vertex_ends", absolute)
     for name, span in spans.items():
         assert pairing_matrix(span, span).matrix == relative[name]
+    # derived_tensor reads the same rule, on y (x) x
+    a3 = zoo.get("A3")
+    x = corner_bimodule(a3, *a3.quiver.vertices[:2])
+    del asked[:]
+    derived_tensor(x, x)
+    assert asked == [x.dim * x.dim]
 
 
 def test_tor_of_corner_bimodules_is_vertex_adapted():

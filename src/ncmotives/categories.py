@@ -25,6 +25,16 @@ from .exactlin import (QMatrix, LinSubspace, Elimination, kernel,
 from .algebras import structure_algebra
 
 
+def _basis_product(table, key):
+    """One entry of a composition or tensor table (the product of two basis
+    morphisms) as compose and tensor_morphisms return it: {} when absent,
+    zero coefficients dropped."""
+    vec = table.get(key)
+    if not vec:
+        return {}
+    return {k: v for k, v in vec.items() if v}
+
+
 class PresentedCategory:
     """objects: labels; hom[(X, Y)]: dimension; comp[(X, Y, Z)]: table of
     g o f for f: X -> Y, g: Y -> Z as {(g_idx, f_idx): {k: coeff}};
@@ -126,11 +136,18 @@ class PresentedCategory:
         for x in self.objects:
             if self.hom[(x, x)] < 1:
                 raise InvariantError("End(%s) must contain an identity" % x)
+        # the indexes keep the order of self.objects, so the walks below
+        # meet the defined tuples, and the first failure, in the order of
+        # the full objects^k enumeration
+        successors = {x: [y for y in self.objects if self.hom[(x, y)]]
+                      for x in self.objects}
+        partners = {x: [y for y in self.objects
+                        if (x, y) in self.tensor_obj]
+                    for x in self.objects}
         # identity and associativity
         for x in self.objects:
-            for y in self.objects:
-                d = self.hom[(x, y)]
-                for i in range(d):
+            for y in successors[x]:
+                for i in range(self.hom[(x, y)]):
                     f = {i: 1}
                     if self.compose(x, y, y, self.ident[y], f) != f:
                         raise InvariantError("left unit law fails on "
@@ -139,111 +156,107 @@ class PresentedCategory:
                         raise InvariantError("right unit law fails on "
                                              "Hom(%s,%s)" % (x, y))
         for w in self.objects:
-            for x in self.objects:
-                if not self.hom[(w, x)]:
-                    continue
-                for y in self.objects:
-                    if not self.hom[(x, y)]:
-                        continue
-                    for z in self.objects:
-                        if not self.hom[(y, z)]:
-                            continue
+            for x in successors[w]:
+                for y in successors[x]:
+                    first = self.comp.get((w, x, y), {})
+                    for z in successors[y]:
+                        second = self.comp.get((x, y, z), {})
                         for fi in range(self.hom[(w, x)]):
                             for gi in range(self.hom[(x, y)]):
+                                gf = _basis_product(first, (gi, fi))
                                 for hi in range(self.hom[(y, z)]):
-                                    f, g, h = {fi: 1}, {gi: 1}, {hi: 1}
-                                    left = self.compose(
-                                        w, y, z, h,
-                                        self.compose(w, x, y, g, f))
+                                    left = self.compose(w, y, z, {hi: 1}, gf)
                                     right = self.compose(
                                         w, x, z,
-                                        self.compose(x, y, z, h, g), f)
+                                        _basis_product(second, (hi, gi)),
+                                        {fi: 1})
                                     if left != right:
                                         raise InvariantError(
                                             "composition not associative at "
                                             "(%s,%s,%s,%s)" % (w, x, y, z))
-        self._check_tensor()
-        self._check_symmetry()
+        self._check_tensor(partners)
+        self._check_symmetry(partners)
 
-    def _check_tensor(self):
+    def _check_tensor(self, partners):
+        """partners[x]: the y of self.objects, in order, with x (x) y
+        defined."""
         if not self.tensor_obj:
             return
+        tobj, tmor = self.tensor_obj, self.tensor_mor
         u = self.unit
         for x in self.objects:
-            if self.tensor_defined(u, x) and self.tensor_objects(u, x) != x:
+            if (u, x) in tobj and tobj[(u, x)] != x:
                 raise InvariantError("unit object is not strict on %s" % x)
-            if self.tensor_defined(x, u) and self.tensor_objects(x, u) != x:
+            if (x, u) in tobj and tobj[(x, u)] != x:
                 raise InvariantError("unit object is not strict on %s" % x)
         # associativity of the object table wherever both routes are defined
         for x in self.objects:
-            for y in self.objects:
-                if not self.tensor_defined(x, y):
+            for y in partners[x]:
+                xy = tobj[(x, y)]
+                for z in partners[y]:
+                    if (xy, z) in tobj:
+                        yz = tobj[(y, z)]
+                        if (x, yz) in tobj and tobj[(xy, z)] != tobj[(x, yz)]:
+                            raise InvariantError(
+                                "object tensor not associative at "
+                                "(%s,%s,%s)" % (x, y, z))
+        # interchange (bifunctoriality) on basis elements where defined:
+        # targets[(y1, y2)] lists the (z1, z2) over self.objects with
+        # (y1, z1, y2, z2) in tensor_mor, in the order of self.objects
+        position = {}
+        for i, z in enumerate(self.objects):
+            position.setdefault(z, i)
+        targets = {}
+        for y1, z1, y2, z2 in tmor:
+            if z1 in position and z2 in position:
+                targets.setdefault((y1, y2), []).append((z1, z2))
+        for pairs in targets.values():
+            pairs.sort(key=lambda p: (position[p[0]], position[p[1]]))
+        for (x1, y1, x2, y2), table in tmor.items():
+            if (x1, x2) not in tobj or (y1, y2) not in tobj:
+                continue
+            xx, yy = tobj[(x1, x2)], tobj[(y1, y2)]
+            for z1, z2 in targets.get((y1, y2), ()):
+                if (x1, z1, x2, z2) not in tmor or (z1, z2) not in tobj:
                     continue
-                xy = self.tensor_objects(x, y)
-                for z in self.objects:
-                    if self.tensor_defined(xy, z) and self.tensor_defined(y, z):
-                        yz = self.tensor_objects(y, z)
-                        if self.tensor_defined(x, yz):
-                            if self.tensor_objects(xy, z) != \
-                                    self.tensor_objects(x, yz):
-                                raise InvariantError(
-                                    "object tensor not associative at "
-                                    "(%s,%s,%s)" % (x, y, z))
-        # interchange (bifunctoriality) on basis elements where defined
-        for (x1, y1, x2, y2), table in self.tensor_mor.items():
-            for z1 in self.objects:
-                for z2 in self.objects:
-                    if (y1, z1, y2, z2) not in self.tensor_mor:
-                        continue
-                    if (x1, z1, x2, z2) not in self.tensor_mor:
-                        continue
-                    if not (self.tensor_defined(x1, x2)
-                            and self.tensor_defined(y1, y2)
-                            and self.tensor_defined(z1, z2)):
-                        continue
-                    xx = self.tensor_objects(x1, x2)
-                    yy = self.tensor_objects(y1, y2)
-                    zz = self.tensor_objects(z1, z2)
-                    for fi in range(self.hom[(x1, y1)]):
-                        for gi in range(self.hom[(x2, y2)]):
-                            for hi in range(self.hom[(y1, z1)]):
-                                for ki in range(self.hom[(y2, z2)]):
-                                    lhs = self.tensor_morphisms(
-                                        x1, z1, x2, z2,
-                                        self.compose(x1, y1, z1, {hi: 1},
-                                                     {fi: 1}),
-                                        self.compose(x2, y2, z2, {ki: 1},
-                                                     {gi: 1}))
-                                    rhs = self.compose(
-                                        xx, yy, zz,
-                                        self.tensor_morphisms(y1, z1, y2, z2,
-                                                              {hi: 1},
-                                                              {ki: 1}),
-                                        self.tensor_morphisms(x1, y1, x2, y2,
-                                                              {fi: 1},
-                                                              {gi: 1}))
-                                    if lhs != rhs:
-                                        raise InvariantError(
-                                            "tensor interchange fails at "
-                                            "(%s,%s,%s,%s)" % (x1, y1, x2, y2))
+                zz = tobj[(z1, z2)]
+                inner = tmor[(y1, z1, y2, z2)]
+                comp1 = self.comp.get((x1, y1, z1), {})
+                comp2 = self.comp.get((x2, y2, z2), {})
+                for fi in range(self.hom[(x1, y1)]):
+                    for gi in range(self.hom[(x2, y2)]):
+                        fg = _basis_product(table, (fi, gi))
+                        for hi in range(self.hom[(y1, z1)]):
+                            hf = _basis_product(comp1, (hi, fi))
+                            for ki in range(self.hom[(y2, z2)]):
+                                lhs = self.tensor_morphisms(
+                                    x1, z1, x2, z2, hf,
+                                    _basis_product(comp2, (ki, gi)))
+                                rhs = self.compose(
+                                    xx, yy, zz,
+                                    _basis_product(inner, (hi, ki)), fg)
+                                if lhs != rhs:
+                                    raise InvariantError(
+                                        "tensor interchange fails at "
+                                        "(%s,%s,%s,%s)" % (x1, y1, x2, y2))
         # identities tensor to identities where defined
         for x in self.objects:
-            for y in self.objects:
-                if (x, x, y, y) in self.tensor_mor and \
-                        self.tensor_defined(x, y):
-                    xy = self.tensor_objects(x, y)
+            for y in partners[x]:
+                if (x, x, y, y) in tmor:
+                    xy = tobj[(x, y)]
                     if self.tensor_morphisms(x, x, y, y, self.ident[x],
                                              self.ident[y]) != self.ident[xy]:
                         raise InvariantError("id (x) id != id at (%s,%s)"
                                              % (x, y))
 
-    def _check_symmetry(self):
+    def _check_symmetry(self, partners):
+        tobj = self.tensor_obj
         for (x, y), c in self.symmetry.items():
-            if not self.tensor_defined(x, y) or not self.tensor_defined(y, x):
+            if (x, y) not in tobj or (y, x) not in tobj:
                 raise InvariantError("symmetry declared outside the tensor "
                                      "fragment")
-            xy = self.tensor_objects(x, y)
-            yx = self.tensor_objects(y, x)
+            xy = tobj[(x, y)]
+            yx = tobj[(y, x)]
             cyx = self.symmetry.get((y, x))
             if cyx is None:
                 raise InvariantError("missing inverse symmetry (%s,%s)"
@@ -252,32 +265,24 @@ class PresentedCategory:
                 raise InvariantError("c_{%s,%s} is not inverted by its swap"
                                      % (x, y))
         # hexagon (strict): c_{x, y(x)z} = (id_y (x) c_{x,z}) o (c_{x,y} (x) id_z)
+        # over (x, y) in symmetry (so both tensors are defined, by the loop
+        # above) and z in partners[y]
         for x in self.objects:
             for y in self.objects:
-                for z in self.objects:
-                    needed = [(x, y), (y, z)]
-                    if any(not self.tensor_defined(*p) for p in needed):
-                        continue
-                    yz = self.tensor_objects(y, z)
-                    if not self.tensor_defined(x, yz):
-                        continue
+                if (x, y) not in self.symmetry:
+                    continue
+                xy, yx = tobj[(x, y)], tobj[(y, x)]
+                for z in partners[y]:
+                    yz = tobj[(y, z)]
                     if (x, yz) not in self.symmetry or \
-                            (x, y) not in self.symmetry or \
                             (x, z) not in self.symmetry:
                         continue
-                    xy = self.tensor_objects(x, y)
-                    if not (self.tensor_defined(xy, z)
-                            and self.tensor_defined(y, x)):
-                        continue
-                    yx = self.tensor_objects(y, x)
-                    if not self.tensor_defined(yx, z):
+                    if (xy, z) not in tobj or (yx, z) not in tobj:
                         continue
                     if (xy, yx, z, z) not in self.tensor_mor:
                         continue
-                    xz = self.tensor_objects(x, z)
-                    zx = self.tensor_objects(z, x)
-                    if not (self.tensor_defined(y, xz)
-                            and self.tensor_defined(y, zx)):
+                    xz, zx = tobj[(x, z)], tobj[(z, x)]
+                    if (y, xz) not in tobj or (y, zx) not in tobj:
                         continue
                     if (y, y, xz, zx) not in self.tensor_mor:
                         continue
@@ -289,10 +294,8 @@ class PresentedCategory:
                     step2 = self.tensor_morphisms(y, y, xz, zx,
                                                   self.ident[y],
                                                   self.symmetry[(x, z)])
-                    xyz = self.tensor_objects(x, yz)
-                    mid = self.tensor_objects(yx, z)
-                    tgt = self.tensor_objects(y, zx)
-                    rhs = self.compose(xyz, mid, tgt, step2, step1)
+                    rhs = self.compose(tobj[(x, yz)], tobj[(yx, z)],
+                                       tobj[(y, zx)], step2, step1)
                     if lhs != rhs:
                         raise InvariantError("hexagon fails at (%s,%s,%s)"
                                              % (x, y, z))
@@ -437,7 +440,9 @@ def _rational_factors(coeffs):
                 root = Fraction(x)
                 factor = [-root, Fraction(1)]
                 q, r = poly_divmod(p, factor)
-                assert not r
+                if r:
+                    raise InvariantError("t - %s does not divide a polynomial "
+                                         "with root %s" % (root, root))
                 return [factor] + _rational_factors(q)
             points.append((x, int(val)))
             x = -x + (0 if x > 0 else 1)
@@ -604,7 +609,9 @@ def _crt_idempotents_mod(alg, x, factors, e, rad):
     out = []
     for f in factors:
         rest, r = poly_divmod(full, f)
-        assert not r
+        if r:
+            raise InvariantError("a factor does not divide the minimal "
+                                 "polynomial it was split from")
         u = _poly_inverse_mod(rest, f)
         e_poly = _poly_mod(_poly_mul(u, rest), full)
         # evaluate with unit e: powers of x inside the corner

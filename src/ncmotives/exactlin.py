@@ -59,6 +59,11 @@ def vec_addmul(acc, c, x):
             acc.pop(i, None)
 
 
+def _require_square(m, what):
+    if m.rows != m.cols:
+        raise InvariantError("%s of a non-square %s" % (what, m))
+
+
 class QMatrix:
     """Sparse matrix over Q.  Immutable by convention once built."""
 
@@ -117,7 +122,8 @@ class QMatrix:
         return not self.entries
 
     def __add__(self, other):
-        assert self.rows == other.rows and self.cols == other.cols
+        if self.rows != other.rows or self.cols != other.cols:
+            raise InvariantError("shape mismatch %s + %s" % (self, other))
         e = dict(self.entries)
         for k, v in other.entries.items():
             w = e.get(k, 0) + v
@@ -144,7 +150,8 @@ class QMatrix:
             for j, v in other.items():
                 vec_addmul(out, v, cols[j])
             return out
-        assert self.cols == other.rows, "shape mismatch %s * %s" % (self, other)
+        if self.cols != other.rows:
+            raise InvariantError("shape mismatch %s * %s" % (self, other))
         left_rows = {}
         for (r, c), v in self.entries.items():
             left_rows.setdefault(c, {})[r] = v
@@ -166,7 +173,7 @@ class QMatrix:
                        {(c, r): v for (r, c), v in self.entries.items()})
 
     def trace(self):
-        assert self.rows == self.cols
+        _require_square(self, "trace")
         return _norm(sum((v for (r, c), v in self.entries.items() if r == c),
                          Fraction(0)))
 
@@ -180,7 +187,7 @@ class QMatrix:
         return out
 
     def power(self, n):
-        assert self.rows == self.cols
+        _require_square(self, "power")
         result = QMatrix.identity(self.rows)
         base = self
         while n:
@@ -246,6 +253,7 @@ class Elimination:
         self.exprs = {}         # lead row -> expression dict (original col -> int)
         self.pivot_cols = []    # original indices of columns that became pivots
         self.ncols_seen = 0
+        self._last_kernel_expr = None
 
     @property
     def rank(self):
@@ -321,7 +329,8 @@ class Elimination:
         """Coefficients {column index: value} with col = sum c_j column_j,
         or None when col is outside the span (track mode).  Integral
         values come back as ints."""
-        assert self.track
+        if not self.track:
+            raise InvariantError("solve needs an Elimination with track=True")
         lcm, icol = _clear_denoms(col)
         expr = {_TARGET: lcm}
         if self._reduce(icol, expr) is not None:
@@ -332,9 +341,13 @@ class Elimination:
     def kernel_expression(self):
         """After add_column returned False (track mode): the dependency just
         found, as a dict original-column-index -> int."""
-        assert self.track
+        if not self.track:
+            raise InvariantError("kernel_expression needs an Elimination "
+                                 "with track=True")
         expr = self._last_kernel_expr
-        assert expr is not None, "last column was independent"
+        if expr is None:
+            raise InvariantError("kernel_expression needs the last column "
+                                 "added to be dependent")
         return _strip_content(dict(expr))
 
 
@@ -446,7 +459,7 @@ def solve_columns(m, targets):
 
 def inverse(m):
     """Exact inverse of a square matrix, or None if singular."""
-    assert m.rows == m.cols
+    _require_square(m, "inverse")
     sols = solve_columns(m, [{i: 1} for i in range(m.rows)])
     if any(s is None for s in sols):
         return None

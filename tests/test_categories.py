@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 from itertools import product
 
@@ -447,3 +448,383 @@ def test_graded_tensor_mor_covers_every_defined_pair(degree_lists):
             if tensor_defined(x1, x2) and tensor_defined(y1, y2)
             and hom_nonzero(x1, y1) and hom_nonzero(x2, y2)}
     assert set(c.tensor_mor) == want
+
+
+
+# ---------------------------------------------------------------------------
+# PresentedCategory.check: one test per axiom message, and a property
+# against the full objects^k enumeration
+
+
+def _oracle_check(cat):
+    missing = sorted(set(cat.objects) - set(cat.ident))
+    if missing:
+        raise InvariantError("no identity given for object(s): %s"
+                             % ", ".join(missing))
+    for x in cat.objects:
+        if cat.hom[(x, x)] < 1:
+            raise InvariantError("End(%s) must contain an identity" % x)
+    # identity and associativity
+    for x in cat.objects:
+        for y in cat.objects:
+            d = cat.hom[(x, y)]
+            for i in range(d):
+                f = {i: 1}
+                if cat.compose(x, y, y, cat.ident[y], f) != f:
+                    raise InvariantError("left unit law fails on "
+                                         "Hom(%s,%s)" % (x, y))
+                if cat.compose(x, x, y, f, cat.ident[x]) != f:
+                    raise InvariantError("right unit law fails on "
+                                         "Hom(%s,%s)" % (x, y))
+    for w in cat.objects:
+        for x in cat.objects:
+            if not cat.hom[(w, x)]:
+                continue
+            for y in cat.objects:
+                if not cat.hom[(x, y)]:
+                    continue
+                for z in cat.objects:
+                    if not cat.hom[(y, z)]:
+                        continue
+                    for fi in range(cat.hom[(w, x)]):
+                        for gi in range(cat.hom[(x, y)]):
+                            for hi in range(cat.hom[(y, z)]):
+                                f, g, h = {fi: 1}, {gi: 1}, {hi: 1}
+                                left = cat.compose(
+                                    w, y, z, h,
+                                    cat.compose(w, x, y, g, f))
+                                right = cat.compose(
+                                    w, x, z,
+                                    cat.compose(x, y, z, h, g), f)
+                                if left != right:
+                                    raise InvariantError(
+                                        "composition not associative at "
+                                        "(%s,%s,%s,%s)" % (w, x, y, z))
+    _oracle_check_tensor(cat)
+    _oracle_check_symmetry(cat)
+
+
+def _oracle_check_tensor(cat):
+    if not cat.tensor_obj:
+        return
+    u = cat.unit
+    for x in cat.objects:
+        if cat.tensor_defined(u, x) and cat.tensor_objects(u, x) != x:
+            raise InvariantError("unit object is not strict on %s" % x)
+        if cat.tensor_defined(x, u) and cat.tensor_objects(x, u) != x:
+            raise InvariantError("unit object is not strict on %s" % x)
+    # associativity of the object table wherever both routes are defined
+    for x in cat.objects:
+        for y in cat.objects:
+            if not cat.tensor_defined(x, y):
+                continue
+            xy = cat.tensor_objects(x, y)
+            for z in cat.objects:
+                if cat.tensor_defined(xy, z) and cat.tensor_defined(y, z):
+                    yz = cat.tensor_objects(y, z)
+                    if cat.tensor_defined(x, yz):
+                        if cat.tensor_objects(xy, z) != \
+                                cat.tensor_objects(x, yz):
+                            raise InvariantError(
+                                "object tensor not associative at "
+                                "(%s,%s,%s)" % (x, y, z))
+    # interchange (bifunctoriality) on basis elements where defined
+    for (x1, y1, x2, y2), table in cat.tensor_mor.items():
+        for z1 in cat.objects:
+            for z2 in cat.objects:
+                if (y1, z1, y2, z2) not in cat.tensor_mor:
+                    continue
+                if (x1, z1, x2, z2) not in cat.tensor_mor:
+                    continue
+                if not (cat.tensor_defined(x1, x2)
+                        and cat.tensor_defined(y1, y2)
+                        and cat.tensor_defined(z1, z2)):
+                    continue
+                xx = cat.tensor_objects(x1, x2)
+                yy = cat.tensor_objects(y1, y2)
+                zz = cat.tensor_objects(z1, z2)
+                for fi in range(cat.hom[(x1, y1)]):
+                    for gi in range(cat.hom[(x2, y2)]):
+                        for hi in range(cat.hom[(y1, z1)]):
+                            for ki in range(cat.hom[(y2, z2)]):
+                                lhs = cat.tensor_morphisms(
+                                    x1, z1, x2, z2,
+                                    cat.compose(x1, y1, z1, {hi: 1},
+                                                 {fi: 1}),
+                                    cat.compose(x2, y2, z2, {ki: 1},
+                                                 {gi: 1}))
+                                rhs = cat.compose(
+                                    xx, yy, zz,
+                                    cat.tensor_morphisms(y1, z1, y2, z2,
+                                                          {hi: 1},
+                                                          {ki: 1}),
+                                    cat.tensor_morphisms(x1, y1, x2, y2,
+                                                          {fi: 1},
+                                                          {gi: 1}))
+                                if lhs != rhs:
+                                    raise InvariantError(
+                                        "tensor interchange fails at "
+                                        "(%s,%s,%s,%s)" % (x1, y1, x2, y2))
+    # identities tensor to identities where defined
+    for x in cat.objects:
+        for y in cat.objects:
+            if (x, x, y, y) in cat.tensor_mor and \
+                    cat.tensor_defined(x, y):
+                xy = cat.tensor_objects(x, y)
+                if cat.tensor_morphisms(x, x, y, y, cat.ident[x],
+                                         cat.ident[y]) != cat.ident[xy]:
+                    raise InvariantError("id (x) id != id at (%s,%s)"
+                                         % (x, y))
+
+
+def _oracle_check_symmetry(cat):
+    for (x, y), c in cat.symmetry.items():
+        if not cat.tensor_defined(x, y) or not cat.tensor_defined(y, x):
+            raise InvariantError("symmetry declared outside the tensor "
+                                 "fragment")
+        xy = cat.tensor_objects(x, y)
+        yx = cat.tensor_objects(y, x)
+        cyx = cat.symmetry.get((y, x))
+        if cyx is None:
+            raise InvariantError("missing inverse symmetry (%s,%s)"
+                                 % (y, x))
+        if cat.compose(xy, yx, xy, cyx, c) != cat.ident[xy]:
+            raise InvariantError("c_{%s,%s} is not inverted by its swap"
+                                 % (x, y))
+    # hexagon (strict): c_{x, y(x)z} = (id_y (x) c_{x,z}) o (c_{x,y} (x) id_z)
+    for x in cat.objects:
+        for y in cat.objects:
+            for z in cat.objects:
+                needed = [(x, y), (y, z)]
+                if any(not cat.tensor_defined(*p) for p in needed):
+                    continue
+                yz = cat.tensor_objects(y, z)
+                if not cat.tensor_defined(x, yz):
+                    continue
+                if (x, yz) not in cat.symmetry or \
+                        (x, y) not in cat.symmetry or \
+                        (x, z) not in cat.symmetry:
+                    continue
+                xy = cat.tensor_objects(x, y)
+                if not (cat.tensor_defined(xy, z)
+                        and cat.tensor_defined(y, x)):
+                    continue
+                yx = cat.tensor_objects(y, x)
+                if not cat.tensor_defined(yx, z):
+                    continue
+                if (xy, yx, z, z) not in cat.tensor_mor:
+                    continue
+                xz = cat.tensor_objects(x, z)
+                zx = cat.tensor_objects(z, x)
+                if not (cat.tensor_defined(y, xz)
+                        and cat.tensor_defined(y, zx)):
+                    continue
+                if (y, y, xz, zx) not in cat.tensor_mor:
+                    continue
+                lhs = cat.symmetry[(x, yz)]
+                step1 = cat.tensor_morphisms(xy, yx, z, z,
+                                              cat.symmetry[(x, y)],
+                                              cat.ident[z])
+                # rebracket strictly: (y (x) x) (x) z = y (x) (x (x) z)
+                step2 = cat.tensor_morphisms(y, y, xz, zx,
+                                              cat.ident[y],
+                                              cat.symmetry[(x, z)])
+                xyz = cat.tensor_objects(x, yz)
+                mid = cat.tensor_objects(yx, z)
+                tgt = cat.tensor_objects(y, zx)
+                rhs = cat.compose(xyz, mid, tgt, step2, step1)
+                if lhs != rhs:
+                    raise InvariantError("hexagon fails at (%s,%s,%s)"
+                                         % (x, y, z))
+
+
+def _tables(c):
+    """Deep copies of c's tables, as PresentedCategory keyword arguments."""
+    return copy.deepcopy(dict(
+        hom=c.hom, comp=c.comp, ident=c.ident, unit=c.unit,
+        tensor_obj=c.tensor_obj, tensor_mor=c.tensor_mor,
+        symmetry=c.symmetry, traces=c.traces, grading=c.grading))
+
+
+def _verdict(run):
+    try:
+        run()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def _line_window_with_sum():
+    # L-1, L0, L1 and S = L0 + L1: Hom(L0, S) and Hom(S, L0) are lines
+    return graded_line_window(1, [("S", (0, 1))])
+
+
+def _set(table, key, entry, vec):
+    def mutate(t):
+        t[table][key][entry] = vec
+    return mutate
+
+
+def _replace(table, key, value):
+    def mutate(t):
+        t[table][key] = value
+    return mutate
+
+
+def _drop(table, key):
+    def mutate(t):
+        del t[table][key]
+    return mutate
+
+
+AXIOM_MESSAGES = [
+    (_line_window_with_sum, _set("comp", ("L0", "S", "S"), (0, 0), {0: 2}),
+     "left unit law fails on Hom(L0,S)"),
+    (_line_window_with_sum, _set("comp", ("L0", "L0", "S"), (0, 0), {0: 2}),
+     "right unit law fails on Hom(L0,S)"),
+    (_line_window_with_sum, _set("comp", ("L0", "S", "L0"), (0, 0), {0: 2}),
+     "composition not associative at (L0,S,L0,S)"),
+    (two_block_object_category, _replace("tensor_obj", ("U", "X"), "U"),
+     "unit object is not strict on X"),
+    (_line_window_with_sum, _replace("tensor_obj", ("L1", "L-1"), "L1"),
+     "object tensor not associative at (L-1,L1,L-1)"),
+    (_line_window_with_sum,
+     _set("tensor_mor", ("L0", "S", "L0", "L0"), (0, 0), {0: 2}),
+     "tensor interchange fails at (L0,L0,L0,S)"),
+    (super_line_category, _replace("tensor_mor", ("P", "P", "P", "P"), {}),
+     "id (x) id != id at (P,P)"),
+    (_line_window_with_sum, _replace("symmetry", ("L1", "L1"), {0: 1}),
+     "symmetry declared outside the tensor fragment"),
+    (_line_window_with_sum, _drop("symmetry", ("L1", "L0")),
+     "missing inverse symmetry (L1,L0)"),
+    (super_line_category, _replace("symmetry", ("I", "P"), {0: 2}),
+     "c_{I,P} is not inverted by its swap"),
+    (super_line_category, _replace("symmetry", ("I", "I"), {0: -1}),
+     "hexagon fails at (I,I,I)"),
+]
+
+
+@pytest.mark.parametrize("build, mutate, message", AXIOM_MESSAGES,
+                         ids=[m for _, _, m in AXIOM_MESSAGES])
+def test_check_names_the_failing_axiom(build, mutate, message):
+    c = build()
+    tables = _tables(c)
+    mutate(tables)
+    with pytest.raises(InvariantError) as err:
+        PresentedCategory(c.objects, **tables)
+    assert str(err.value) == message
+    bad = PresentedCategory(c.objects, check=False, **tables)
+    assert _verdict(lambda: _oracle_check(bad)) == ("InvariantError", message)
+
+
+def test_check_drops_explicit_zero_coefficients_in_tables():
+    """A composition or tensor entry stored with an explicit zero
+    coefficient, or an all-zero entry where the product vanishes, reads as
+    compose and tensor_morphisms read it: the presentation still passes."""
+    for c in (_line_window_with_sum(), two_block_object_category()):
+        tables = _tables(c)
+        for name in ("comp", "tensor_mor"):
+            for table in tables[name].values():
+                for vec in table.values():
+                    vec[max(vec) + 1] = 0
+        if "X" in c.objects:
+            tables["comp"][("X", "X", "X")][(0, 1)] = {0: 0}     # p q = 0
+        PresentedCategory(c.objects, **tables)
+        bad = PresentedCategory(c.objects, check=False, **tables)
+        assert _verdict(lambda: _oracle_check(bad)) is None
+
+
+def test_check_walks_only_the_objects_of_the_presentation():
+    """Interchange, like every other walk, ranges z over c.objects and in
+    their order, also when the tables name an object Q outside them."""
+    c = super_line_category()
+    tables = _tables(c)
+    # a tensor_mor entry whose target Q is not an object is never visited
+    tables["tensor_obj"][("I", "Q")] = "Q"
+    tables["tensor_mor"][("I", "I", "P", "Q")] = {(0, 0): {0: 1}}
+    PresentedCategory(c.objects, **tables)
+    bad = PresentedCategory(c.objects, check=False, **tables)
+    assert _verdict(lambda: _oracle_check(bad)) is None
+    # f: I -> Q with Hom(Q, -) undeclared: the first z1 in object order, I,
+    # fails the Hom lookup, although the entry for z1 = P came first
+    tables = _tables(c)
+    tables["hom"][("I", "Q")] = 1
+    tables["tensor_obj"][("Q", "I")] = "Q"
+    tables["tensor_mor"] = {("I", "Q", "I", "I"): {},
+                            **tables["tensor_mor"],
+                            ("I", "P", "I", "I"): {},
+                            ("Q", "P", "I", "I"): {}, ("Q", "I", "I", "I"): {}}
+    bad = PresentedCategory(c.objects, check=False, **tables)
+    assert _verdict(bad.check) == _verdict(lambda: _oracle_check(bad)) == \
+        ("KeyError", "('Q', 'I')")
+
+
+def _draw_vector(data, dim):
+    return data.draw(st.dictionaries(st.integers(0, max(dim, 1) - 1),
+                                     st.integers(-1, 2), max_size=2))
+
+
+def _corrupt(data, t, target, objects):
+    """At most one change to one entry of t[target]; a tensor object may
+    become F, which is not an object."""
+    table = t[target]
+    if target == "tensor_obj":
+        key = data.draw(st.sampled_from([(x, y) for x in objects
+                                         for y in objects]))
+        value = data.draw(st.sampled_from([None, "F"] + objects))
+        if value is None:
+            table.pop(key, None)
+        else:
+            table[key] = value
+        return
+    if not table:
+        return
+    key = data.draw(st.sampled_from(sorted(table)))
+    if target == "symmetry":
+        x, y = key
+        xy, yx = t["tensor_obj"][(x, y)], t["tensor_obj"][(y, x)]
+        if data.draw(st.booleans()):
+            del table[key]
+        else:
+            table[key] = _draw_vector(data, t["hom"][(xy, yx)])
+        return
+    if target == "comp":
+        x, y, z = key
+        dims = t["hom"][(y, z)], t["hom"][(x, y)]
+        out = t["hom"][(x, z)]
+    else:
+        x1, y1, x2, y2 = key
+        dims = t["hom"][(x1, y1)], t["hom"][(x2, y2)]
+        out = t["hom"][(t["tensor_obj"][(x1, x2)], t["tensor_obj"][(y1, y2)])]
+    entry = (data.draw(st.integers(0, dims[0] - 1)),
+             data.draw(st.integers(0, dims[1] - 1)))
+    if data.draw(st.booleans()):
+        table[key].pop(entry, None)
+    else:
+        table[key][entry] = _draw_vector(data, out)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_check_matches_the_full_enumeration(data):
+    """On a random graded presentation with at most one corrupted entry,
+    check raises exactly when the objects^k enumeration raises, with the
+    same exception and message.  The tensor_mor entries come in a random
+    order."""
+    window = data.draw(st.integers(1, 3))
+    sums = data.draw(st.lists(
+        st.lists(st.integers(-window, window), min_size=2, max_size=3)
+        .map(lambda d: tuple(sorted(d))), max_size=3, unique=True))
+    objects = {"L%d" % d: (d,) for d in range(-window, window + 1)}
+    objects.update(("S%d" % k, d) for k, d in enumerate(sums))
+    order = data.draw(st.permutations(list(objects)))
+    c = graded_space_category({x: objects[x] for x in order}, window)
+    tables = _tables(c)
+    tables["tensor_mor"] = dict(data.draw(st.permutations(
+        list(tables["tensor_mor"].items()))))
+    target = data.draw(st.sampled_from(
+        [None, "comp", "tensor_mor", "tensor_obj", "symmetry"]))
+    if target is not None:
+        _corrupt(data, tables, target, list(order))
+    bad = PresentedCategory(order, check=False, **tables)
+    assert _verdict(bad.check) == _verdict(lambda: _oracle_check(bad))

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -258,3 +262,44 @@ def test_inverse_none_exactly_when_singular(m):
     assert (inv is None) == (matrix_rank(m) < m.rows)
     if inv is not None:
         assert m * inv == QMatrix.identity(m.rows)
+
+
+SHAPE_ERRORS = [
+    ("3x3 + 2x2", "QMatrix(3, 3, {(0, 0): 1}) + QMatrix(2, 2, {(1, 1): 1})"),
+    ("2x3 * 2x2", "QMatrix(2, 3, {(0, 0): 1}) * QMatrix(2, 2, {(0, 1): 1})"),
+    ("trace 2x3", "QMatrix(2, 3, {(0, 0): 1}).trace()"),
+    ("power 2x3", "QMatrix(2, 3, {(0, 0): 1}).power(2)"),
+    ("inverse 2x3", "inverse(QMatrix(2, 3, {(0, 0): 1}))"),
+    ("solve untracked", "Elimination(2).solve({0: 1})"),
+    ("kernel_expression untracked", "Elimination(2).kernel_expression()"),
+    ("kernel_expression before any column",
+     "Elimination(2, track=True).kernel_expression()"),
+    ("kernel_expression independent",
+     "(lambda e: (e.add_column({0: 1}, 0), e.kernel_expression()))"
+     "(Elimination(2, track=True))"),
+]
+
+
+@pytest.mark.parametrize("expr", [e for _, e in SHAPE_ERRORS],
+                         ids=[i for i, _ in SHAPE_ERRORS])
+def test_shape_and_mode_errors_are_invariant_errors(expr):
+    with pytest.raises(InvariantError):
+        eval(expr)
+
+
+def test_shape_and_mode_errors_survive_python_O():
+    """Under python -O (which drops asserts) each mismatch still raises
+    InvariantError instead of returning a matrix of the wrong shape."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = "\n".join(
+        ["from ncmotives.errors import InvariantError",
+         "from ncmotives.exactlin import QMatrix, Elimination, inverse"] +
+        ["try:\n    print(repr(%s))\nexcept InvariantError:\n"
+         "    print('InvariantError')" % e for _, e in SHAPE_ERRORS])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    run = subprocess.run([sys.executable, "-O", "-c", script],
+                         capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["InvariantError"] * len(SHAPE_ERRORS)

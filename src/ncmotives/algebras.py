@@ -59,6 +59,7 @@ class Algebra:
         self._rad = None
         self._cyclic = {}       # (n_max, cap) -> hochschild.CyclicData
         self._gldim = {}        # bound -> global_dimension(self, bound)
+        self._cartan = None     # memo of motives.cartan_counts
         if check:
             self._check_axioms()
 
@@ -401,6 +402,7 @@ class Bimodule:
         self.right = right
         self.name = name or "bimodule"
         self._right_projective = None   # memo of is_right_projective
+        self._class_vectors = {}        # bound -> bimodule_class_vector
         if check:
             self._check()
 

@@ -123,6 +123,17 @@ def load_category(path):
         grading = {str(x): v for x, v in doc.get("grading", {}).items()}
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseInputError("malformed category presentation: %s" % exc)
+    _check_object_names(objects, [
+        ("unit", [unit]),
+        ("hom", [o for key in hom for o in key]),
+        ("composition", [o for key in comp for o in key]),
+        ("identities", ident),
+        ("tensor_objects", [o for key, z in tensor_obj.items()
+                            for o in key + (z,)]),
+        ("tensor_morphisms", [o for key in tensor_mor for o in key]),
+        ("symmetry", [o for key in symmetry for o in key]),
+        ("traces", traces),
+        ("grading", grading)])
     cat = PresentedCategory(objects, hom, comp, ident, unit, tensor_obj,
                             tensor_mor, symmetry, traces, grading,
                             name=doc.get("name", "category"))
@@ -130,11 +141,28 @@ def load_category(path):
     if "invertible" in doc:
         decl = doc["invertible"]
         try:
-            inv = TensorInvertible(
-                cat, str(decl["object"]), str(decl["inverse"]),
-                int(decl["bound"]),
-                restrict_to=[str(o) for o in decl["restrict_to"]]
-                if "restrict_to" in decl else None)
+            obj, inverse = str(decl["object"]), str(decl["inverse"])
+            bound = int(decl["bound"])
+            restrict_to = [str(o) for o in decl["restrict_to"]] \
+                if "restrict_to" in decl else None
         except KeyError as exc:
             raise ParseInputError("invertible declaration missing %s" % exc)
+        except (TypeError, ValueError) as exc:
+            raise ParseInputError("malformed invertible declaration: %s"
+                                  % exc)
+        _check_object_names(objects, [
+            ("invertible", [obj, inverse] + (restrict_to or []))])
+        inv = TensorInvertible(cat, obj, inverse, bound,
+                               restrict_to=restrict_to)
     return cat, inv
+
+
+def _check_object_names(objects, sections):
+    """Refuse a presentation whose sections name objects outside the
+    declared list; sections are (field name, names) pairs."""
+    known = set(objects)
+    for field, names in sections:
+        unknown = sorted(set(names) - known)
+        if unknown:
+            raise ParseInputError("%s names unknown object(s): %s"
+                                  % (field, ", ".join(unknown)))

@@ -10,6 +10,14 @@ quotient, whose endomorphism algebras are expected to be semisimple.  K_0
 class vectors and enveloping projectivity come from the minimal projective
 resolution of `algebras`.
 
+When both algebras have quivers and every term has a class vector (a
+resolution that ends within the default bound), pairings and the products
+of a span are computed in K_0: both are integer bilinear maps on class
+vectors through the Cartan counts C(p, q) = dim e_p A e_q.  Otherwise the
+pairing takes the Tor route, Tor bimodules and the Euler characteristics
+of their Hochschild homology.  `compose` always returns Tor bimodules, so
+the trace of a composite and the pairing are two independent routes.
+
 Two instance checkers close the layer: `even_projector_in_span` asks whether
 the even Kuenneth projector of the periodic realization is a combination of
 declared correspondences, and `kernel_comparison` asks whether the homological
@@ -158,9 +166,32 @@ def categorical_trace(x, cap=DEFAULT_CAP):
 
 def intersection_number(x, y, cap=DEFAULT_CAP):
     """<x . y> = sum_ij a_i b_j chi(HH(A; X_i (x)^L_B Y_j)) as an exact
-    rational; equals the categorical trace of the composite."""
+    rational; equals the categorical trace of the composite.
+
+    When both algebras have quivers and every term has a class vector, the
+    pairing is the bilinear form sum X(i, j) Y(k, l) C_B(j, k) C_A(l, i)
+    on K_0: P_ij (x)_B P'_kl is C_B(j, k) copies of Ae_i (x) e_lA, whose
+    Hochschild homology is e_lAe_i in degree 0.  Otherwise each pair of
+    terms is resolved through Tor and HH.
+    """
     if x.target is not y.source or y.target is not x.source:
         raise InvariantError("pairing needs x: A -> B against y: B -> A")
+    xv, yv = _class_vector_or_none(x), _class_vector_or_none(y)
+    if xv is None or yv is None:
+        return _tor_intersection_number(x, y, cap)
+    ca, cb = cartan_counts(x.source), cartan_counts(x.target)
+    total = Fraction(0)
+    for (i, j), u in xv.items():
+        for (k, l), v in yv.items():
+            n = cb.get((j, k), 0) * ca.get((l, i), 0)
+            if n:
+                total += u * v * n
+    return total
+
+
+def _tor_intersection_number(x, y, cap=DEFAULT_CAP):
+    """<x . y> term by term: the Euler characteristic of HH(A; -) on every
+    Tor_l^B(X_i, Y_j), with the sign (-1)^l."""
     total = Fraction(0)
     for a_c, xb in x.terms:
         for b_c, yb in y.terms:
@@ -182,13 +213,25 @@ def intersection_number(x, y, cap=DEFAULT_CAP):
 # K0 class vectors of bimodules over quiver algebras
 
 
+def cartan_counts(a):
+    """C_A(p, q) = dim e_p A e_q, the number of basis paths of the quiver
+    algebra a from p to q, as a dict over the pairs with a path."""
+    if a._cartan is None:
+        pres = a.quiver
+        counts = {}
+        for st in zip(pres.path_source, pres.path_target):
+            counts[st] = counts.get(st, 0) + 1
+        a._cartan = counts
+    return a._cartan
+
+
 def bimodule_class_vector(m, bound=None):
     """[M] in K_0 coordinates over the projective basis Ae_i (x) e_jB.
 
     The alternating sum over the terms of a minimal projective resolution
     over the enveloping algebra; it ends within gldim(A) + gldim(B) steps
     when both are finite, and at step zero for projective bimodules
-    regardless.
+    regardless.  Memoized on the bimodule object, by bound.
     """
     a, b = m.A, m.B
     if a.quiver is None or b.quiver is None:
@@ -198,10 +241,19 @@ def bimodule_class_vector(m, bound=None):
         ga = global_dimension(a)
         gb = global_dimension(b)
         bound = (ga + gb) if (ga is not None and gb is not None) else 0
-    terms = minimal_resolution(m, bound)
-    if terms is None:
+    if bound not in m._class_vectors:
+        m._class_vectors[bound] = _resolution_class_vector(m, bound)
+    coords = m._class_vectors[bound]
+    if coords is None:
         raise UncertifiedError("no finite projective resolution over the "
                                "enveloping algebra within bound %d" % bound)
+    return dict(coords)
+
+
+def _resolution_class_vector(m, bound):
+    terms = minimal_resolution(m, bound)
+    if terms is None:
+        return None
     coords = {}
     for step, pairs in enumerate(terms):
         for key in pairs:
@@ -215,8 +267,6 @@ def correspondence_class_vector(x, bound=None):
     """K_0 coordinates of a correspondence: the a_i-weighted class vectors."""
     out = {}
     for c, bim in x.terms:
-        if _is_unit_bimodule(bim) and x.source.quiver is None:
-            raise UncertifiedError("class vector of the unit needs a quiver")
         for k, v in bimodule_class_vector(bim, bound).items():
             s = out.get(k, 0) + c * v
             if s:
@@ -224,6 +274,39 @@ def correspondence_class_vector(x, bound=None):
             else:
                 out.pop(k, None)
     return out
+
+
+def _class_vector_or_none(x):
+    """The class vector of x, or None when an algebra has no quiver or a
+    term has no finite resolution within the default bound."""
+    if x.source.quiver is None or x.target.quiver is None:
+        return None
+    try:
+        return correspondence_class_vector(x)
+    except UncertifiedError:
+        return None
+
+
+def _compose_classes(xv, yv, cb):
+    """[x o y] from the class vectors of x: A -> B and y: B -> C, with cb
+    the Cartan counts of B: P_ij (x)_B P'_kl is C_B(j, k) copies of
+    Ae_i (x) e_lC, and the P are right projective, so no higher Tor."""
+    out = {}
+    for (i, j), u in xv.items():
+        for (k, l), v in yv.items():
+            n = cb.get((j, k))
+            if n:
+                s = out.get((i, l), 0) + u * v * n
+                if s:
+                    out[(i, l)] = s
+                else:
+                    out.pop((i, l), None)
+    return out
+
+
+def _tor_composite_class_vector(x, y):
+    """[x o y] from the Tor bimodules of the composite, each resolved."""
+    return correspondence_class_vector(compose(x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -326,15 +409,20 @@ def numerical_kernel(a, b, basis, dual_basis=None, cap=DEFAULT_CAP):
 # span arithmetic and the semisimplicity certificate
 
 
-def express_in_span(x, span_vectors, span_elim=None):
-    """Coefficients writing the class vector x in the span, or None."""
-    keys = sorted({k for v in span_vectors for k in v} |
-                  set(x))
+def _span_solver(span_vectors):
+    """A function giving the coefficients that write a class vector in the
+    span, or None; the span is eliminated once."""
+    keys = sorted({k for v in span_vectors for k in v})
     pos = {k: i for i, k in enumerate(keys)}
     elim = Elimination(len(keys), track=True)
     for j, v in enumerate(span_vectors):
         elim.add_column({pos[k]: val for k, val in v.items()}, j)
-    return elim.solve({pos[k]: val for k, val in x.items()})
+
+    def solve(x):
+        if any(k not in pos for k in x):
+            return None
+        return elim.solve({pos[k]: val for k, val in x.items()})
+    return solve
 
 
 class SemisimplicityReport:
@@ -358,31 +446,39 @@ class SemisimplicityReport:
                    self.radical_dim))
 
 
-def _span_structure_constants(a, basis, cap=DEFAULT_CAP):
+def _span_products(a, basis):
+    """(i, j, coefficients of basis[i] o basis[j] in the span, or None
+    when the composite leaves it), in row-major order.
+
+    Over a quiver algebra the composites are the composition law on the
+    class vectors of the span, which must all exist; without a quiver the
+    Tor composites are matched term by term (spans of the unit etc.).
+    """
+    if a.quiver is None:
+        for i, x in enumerate(basis):
+            for j, y in enumerate(basis):
+                yield i, j, _syntactic_span_coeffs(compose(x, y), basis)
+        return
+    vectors = [correspondence_class_vector(x) for x in basis]
+    solve = _span_solver(vectors)
+    cb = cartan_counts(a)
+    for i, xv in enumerate(vectors):
+        for j, yv in enumerate(vectors):
+            yield i, j, solve(_compose_classes(xv, yv, cb))
+
+
+def _span_structure_constants(a, basis):
     """Multiplication table of the span in class-vector coordinates.
 
     Refuses when a composite leaves the span (the user must enlarge it).
     """
-    use_classes = a.quiver is not None
-    if use_classes:
-        vectors = [correspondence_class_vector(x) for x in basis]
-    else:
-        # syntactic fallback: spans of the unit correspondence only
-        vectors = None
     table = {}
-    for i, x in enumerate(basis):
-        for j, y in enumerate(basis):
-            z = compose(x, y)
-            if use_classes:
-                coeffs = express_in_span(correspondence_class_vector(z),
-                                         vectors)
-            else:
-                coeffs = _syntactic_span_coeffs(z, basis)
-            if coeffs is None:
-                raise UncertifiedError(
-                    "span is not closed under composition at (%d, %d); "
-                    "enlarge the declared basis" % (i, j))
-            table[(i, j)] = coeffs
+    for i, j, coeffs in _span_products(a, basis):
+        if coeffs is None:
+            raise UncertifiedError(
+                "span is not closed under composition at (%d, %d); "
+                "enlarge the declared basis" % (i, j))
+        table[(i, j)] = coeffs
     return table
 
 
@@ -408,7 +504,7 @@ def semisimplicity_check(a, basis=None, cap=DEFAULT_CAP):
     if basis is None:
         basis = canonical_span(a) if a.quiver is not None \
             else [unit_correspondence(a)]
-    table = _span_structure_constants(a, basis, cap)
+    table = _span_structure_constants(a, basis)
     pm = pairing_matrix(basis, basis, cap)
     gram = pm.matrix
     ker = kernel(gram.transpose())
@@ -519,30 +615,20 @@ def even_projector_in_span(a, generators, cap=DEFAULT_CAP):
     evens = [g[1][0] for g in generators]
     odds = [g[1][1] for g in generators]
     # multiplicativity of the realization data over the composition table
-    use_classes = a.quiver is not None
-    vectors = [correspondence_class_vector(x) for x in corrs] if use_classes \
-        else None
-    for i in range(len(corrs)):
-        for j in range(len(corrs)):
-            z = compose(corrs[i], corrs[j])
-            if use_classes:
-                coeffs = express_in_span(correspondence_class_vector(z),
-                                         vectors)
-            else:
-                coeffs = _syntactic_span_coeffs(z, corrs)
-            if coeffs is None:
+    for i, j, coeffs in _span_products(a, corrs):
+        if coeffs is None:
+            raise InvariantError(
+                "span not closed under composition at (%d, %d); cannot "
+                "verify the realization data" % (i, j))
+        for mats in (evens, odds):
+            lhs = mats[i] * mats[j]
+            rhs = QMatrix.zero(lhs.rows, lhs.cols)
+            for k, c in coeffs.items():
+                rhs = rhs + mats[k].scale(c)
+            if lhs != rhs:
                 raise InvariantError(
-                    "span not closed under composition at (%d, %d); cannot "
-                    "verify the realization data" % (i, j))
-            for mats in (evens, odds):
-                lhs = mats[i] * mats[j]
-                rhs = QMatrix.zero(lhs.rows, lhs.cols)
-                for k, c in coeffs.items():
-                    rhs = rhs + mats[k].scale(c)
-                if lhs != rhs:
-                    raise InvariantError(
-                        "realization data is not multiplicative at (%d, %d)"
-                        % (i, j))
+                    "realization data is not multiplicative at (%d, %d)"
+                    % (i, j))
     # solve sum c_i (E_i, O_i) = (id, 0)
     target = _flatten_realization(QMatrix.identity(de), QMatrix.zero(do, do))
     nent = de * de + do * do

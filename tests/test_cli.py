@@ -3,9 +3,11 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncmotives import cli
 from ncmotives.cli import main
@@ -165,6 +167,22 @@ def test_exit_status_cap_exceeded():
     assert "HH dimensions" in out
 
 
+@pytest.mark.parametrize("command", ["pair", "numquot", "semisimple"])
+def test_k0_pairings_answer_under_a_tight_cap(command):
+    """Pairings and span products of a quiver algebra come from class
+    vectors and build no Hochschild complex, so --cap 2 leaves the answer
+    as it is (before, the Euler characteristics of the Tor route exceeded
+    the cap: exit 3); dnc still needs HP and refuses."""
+    argv = [command, "--input", str(ALG / "square.json")]
+    want = run_cli(argv)
+    assert want[0] == 0
+    assert run_cli(argv + ["--cap", "2"]) == want
+    status, _, err = run_cli(["dnc", "--input", str(ALG / "square.json"),
+                              "--cap", "2"])
+    assert status == 3
+    assert "cap" in err
+
+
 def test_exit_status_uncertified():
     status, _, err = run_cli(["cnc", "--input",
                               str(ALG / "dual_numbers.json")])
@@ -196,6 +214,121 @@ def test_exit_status_internal_error(monkeypatch):
     assert status == 5
     assert out == ""
     assert err == "internal error: RuntimeError: boom\n"
+
+
+def test_unknown_object_names_are_parse_errors(tmp_path):
+    """Symmetry and tensor entries naming an object outside "objects" are
+    refused at load (before, karoubi leaked KeyError: 'Q' and exit 5)."""
+    doc = json.loads((CAT / "super_lines.json").read_text())
+    doc["symmetry"] += [["P", "Q", {"0": "1"}], ["Q", "P", {"0": "1"}]]
+    doc["tensor_objects"] += [["P", "Q", "Q"], ["Q", "P", "Q"]]
+    f = tmp_path / "unknown_object.json"
+    f.write_text(json.dumps(doc))
+    for command in ("karoubi", "orbit"):
+        status, out, err = run_cli([command, "--input", str(f)])
+        assert status == 1
+        assert out == ""
+        assert err == ("parse error: tensor_objects names unknown "
+                       "object(s): Q\n")
+
+
+def test_malformed_invertible_bound_is_a_parse_error(tmp_path):
+    doc = json.loads((CAT / "graded_lines.json").read_text())
+    doc["invertible"]["bound"] = "x"
+    f = tmp_path / "bad_bound.json"
+    f.write_text(json.dumps(doc))
+    status, _, err = run_cli(["orbit", "--input", str(f)])
+    assert status == 1
+    assert "parse error: malformed invertible declaration" in err
+
+
+def _name_sites(doc):
+    """Every place where the category document names an object, as
+    (section, key or entry index, slot) triples; slot None is a dict key
+    (for hom, the side of the "x|y" key)."""
+    sites = [("unit", None, None)]
+    sites += [("hom", key, side) for key in doc["hom"] for side in (0, 1)]
+    sites += [("identities", key, None) for key in doc["identities"]]
+    for section, width in (("composition", 3), ("tensor_objects", 3),
+                           ("tensor_morphisms", 4), ("symmetry", 2)):
+        sites += [(section, n, slot)
+                  for n in range(len(doc.get(section, [])))
+                  for slot in range(width)]
+    for section in ("traces", "grading"):
+        sites += [(section, key, None) for key in doc.get(section, {})]
+    if "invertible" in doc:
+        decl = doc["invertible"]
+        sites += [("invertible", "object", None),
+                  ("invertible", "inverse", None)]
+        sites += [("invertible", "restrict_to", n)
+                  for n in range(len(decl.get("restrict_to", [])))]
+    return sites
+
+
+def _rename(doc, site, fresh):
+    section, key, slot = site
+    if section == "unit":
+        doc["unit"] = fresh
+    elif section == "hom":
+        names = key.split("|")
+        names[slot] = fresh
+        doc["hom"]["|".join(names)] = doc["hom"].pop(key)
+    elif section == "invertible":
+        if slot is None:
+            doc["invertible"][key] = fresh
+        else:
+            doc["invertible"][key][slot] = fresh
+    elif slot is None:
+        doc[section][fresh] = doc[section].pop(key)
+    else:
+        doc[section][key][slot] = fresh
+
+
+def _double_one_coefficient(doc, section, data):
+    """Doubles one coefficient of one identity or symmetry vector: the
+    unit laws or c_{y,x} c_{x,y} = id then fail."""
+    if section == "identities":
+        vec = doc["identities"][data.draw(st.sampled_from(
+            sorted(doc["identities"])))]
+    else:
+        vec = data.draw(st.sampled_from(doc["symmetry"]))[2]
+    k = data.draw(st.sampled_from(sorted(vec)))
+    vec[k] = str(2 * Fraction(vec[k]))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_corrupted_category_files_exit_with_parse_or_invariant_error(
+        tmp_path_factory, data):
+    """A demo category file with one object name replaced by an unknown
+    one, an object dropped from "objects", a required field deleted, or one
+    identity or symmetry coefficient doubled exits with status 1 (parse
+    error) or 2 (invariant violation), never 3-5."""
+    path = data.draw(st.sampled_from(sorted(CAT.glob("*.json"))))
+    doc = json.loads(path.read_text())
+    kind = data.draw(st.sampled_from(
+        ["rename", "drop-object", "delete-field", "double"]))
+    if kind == "rename":
+        _rename(doc, data.draw(st.sampled_from(_name_sites(doc))), "Z?")
+        want = 1
+    elif kind == "drop-object":
+        doc["objects"].remove(data.draw(st.sampled_from(doc["objects"])))
+        want = 1
+    elif kind == "delete-field":
+        del doc[data.draw(st.sampled_from(
+            ["objects", "unit", "hom", "identities"]))]
+        want = 1
+    else:
+        _double_one_coefficient(
+            doc, data.draw(st.sampled_from(["identities", "symmetry"])), data)
+        want = 2
+    f = tmp_path_factory.mktemp("corrupt") / path.name
+    f.write_text(json.dumps(doc))
+    command = data.draw(st.sampled_from(["karoubi", "orbit"]))
+    status, out, err = run_cli([command, "--input", str(f)])
+    assert status in (1, 2)
+    assert status == want, err
+    assert out == ""
 
 
 def test_karoubi_command():

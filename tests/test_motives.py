@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ncmotives import algebras, zoo
+from ncmotives import algebras, motives, zoo
 from ncmotives.errors import InvariantError, UncertifiedError
 from ncmotives.exactlin import QMatrix, matrix_rank, inverse, is_nilpotent_by_traces
 from ncmotives.algebras import (corner_bimodule, Bimodule, regular_bimodule,
@@ -17,6 +17,8 @@ from ncmotives.motives import (
     numerical_kernel, pairing_matrix, semisimplicity_check, even_projector_in_span, kernel_comparison,
     row_projective_correspondence,
     column_projective_correspondence, is_env_projective, bimodule_class_vector,
+    cartan_counts, _tor_intersection_number, _tor_composite_class_vector,
+    _compose_classes,
 )
 from test_hochschild import quiver_algebras, _two_cycle
 
@@ -132,23 +134,27 @@ def test_pairing_agrees_with_trace_of_composite():
 def test_pairing_matrices_unchanged_by_the_vertex_relative_complex(
         monkeypatch):
     """The pairing matrices of the canonical spans of A2, A3 and square
-    follow the Cartan model <[P_ij].[P_kl]> = C_jk C_li, and equal those
-    computed with every Hochschild complex and every Tor taken relative
-    to Q.1."""
+    follow the Cartan model <[P_ij].[P_kl]> = C_jk C_li, both from class
+    vectors (pairing_matrix) and through Tor and HH, and the Tor route
+    gives the same matrices with every Hochschild complex and every Tor
+    taken relative to Q.1."""
     names = ("A2", "A3", "square")
     spans = {name: canonical_span(zoo.get(name)) for name in names}
-    relative = {name: pairing_matrix(span, span).matrix
-                for name, span in spans.items()}
+
+    def tor_matrix(span):
+        return [[_tor_intersection_number(x, y) for y in span] for x in span]
+
+    relative = {name: tor_matrix(span) for name, span in spans.items()}
     for name in names:
         a = zoo.get(name)
         c = cartan(a)
         vs = a.quiver.vertices
         pairs = [(i, j) for i in vs for j in vs]
-        assert relative[name] == QMatrix(
-            len(pairs), len(pairs),
-            {(p, q): c[(j, k)] * c[(l, i)]
-             for p, (i, j) in enumerate(pairs)
-             for q, (k, l) in enumerate(pairs)})
+        model = [[c[(j, k)] * c[(l, i)] for (k, l) in pairs]
+                 for (i, j) in pairs]
+        assert relative[name] == model
+        assert pairing_matrix(spans[name], spans[name]).matrix == \
+            QMatrix.from_rows(model)
     asked = []
 
     def absolute(m):
@@ -157,7 +163,9 @@ def test_pairing_matrices_unchanged_by_the_vertex_relative_complex(
 
     monkeypatch.setattr(algebras, "_vertex_ends", absolute)
     for name, span in spans.items():
-        assert pairing_matrix(span, span).matrix == relative[name]
+        del asked[:]
+        assert tor_matrix(span) == relative[name]
+        assert asked
     # derived_tensor reads the same rule, on y (x) x
     a3 = zoo.get("A3")
     x = corner_bimodule(a3, *a3.quiver.vertices[:2])
@@ -484,3 +492,112 @@ def test_class_vector_cartan_identity_on_random_quivers(data):
     simple = Bimodule(a, a, 1, at(i), at(j))
     for m in [reg, simple] + [t for t in tors if t.dim]:
         assert_cartan_identity(m)
+
+
+def test_pairings_and_span_products_build_no_tor(monkeypatch):
+    """With class vectors on both sides, pairing matrices, numerical
+    kernels and span tables come from K_0; only compose builds Tor."""
+    def refused(*args, **kwargs):
+        raise AssertionError("derived_tensor called")
+
+    monkeypatch.setattr(motives, "derived_tensor", refused)
+    a = zoo.get("square")
+    span = canonical_span(a)
+    assert pairing_matrix(span, span).rank == len(span)
+    assert numerical_kernel(a, a, span).kernel.dim == 0
+    assert semisimplicity_check(a).radical_dim == 0
+    assert kernel_comparison(zoo.get("A3"), n_max=6).equal
+    with pytest.raises(AssertionError, match="derived_tensor called"):
+        compose(span[0], span[1])
+
+
+def test_pairing_without_class_vectors_takes_the_tor_route():
+    """The dual numbers have infinite global dimension, so the unit has no
+    class vector; its pairing with itself is chi(HH(A; A)) through HH, as
+    before, and refuses without a certificate."""
+    dual = zoo.get("dual")
+    u = unit_correspondence(dual)
+    corner = canonical_span(dual)[0]
+    with pytest.raises(UncertifiedError):
+        correspondence_class_vector(u)
+    assert intersection_number(corner, corner) == \
+        _tor_intersection_number(corner, corner) == 4
+    with pytest.raises(UncertifiedError, match="Euler characteristic"):
+        intersection_number(u, u)
+
+
+def _simple(a, i, j):
+    """The 1-dimensional simple A-bimodule at the vertex pair (i, j)."""
+    def at(v):
+        return [QMatrix.identity(1) if k == a.quiver.vertex_idx[v]
+                else QMatrix.zero(1, 1) for k in range(a.dim)]
+    return Bimodule(a, a, 1, at(i), at(j), name="S_%s%s" % (i, j))
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.data())
+def test_k0_route_matches_the_tor_route_on_random_quivers(data):
+    """Pairing and composition law from class vectors and Cartan counts
+    against Tor plus HH (pairing) and Tor plus resolutions (composition),
+    on combinations of corner bimodules (the span), the unit, simple
+    bimodules and nonzero Tor outputs; and Q -> A against A -> Q, where the
+    Cartan matrix of A2 or A3 is not symmetric."""
+    a = data.draw(quiver_algebras())
+    assume(a.dim <= 6)
+    assume(global_dimension(a, bound=4) is not None)
+    vs = a.quiver.vertices
+    vertex = st.sampled_from(vs)
+    pool = [unit_correspondence(a).terms[0][1]]
+    pool += [corner_bimodule(a, data.draw(vertex), data.draw(vertex))
+             for _ in range(2)]
+    pool += [_simple(a, data.draw(vertex), data.draw(vertex))
+             for _ in range(2)]
+    pool += [t for t in derived_tensor(pool[3], pool[4]) if t.dim]
+    coeff = st.sampled_from([Fraction(1), Fraction(-2), Fraction(1, 3)])
+    term = st.tuples(coeff, st.sampled_from(pool))
+
+    def correspondence():
+        return Correspondence(a, a, data.draw(st.lists(term, min_size=1,
+                                                       max_size=2)))
+
+    x, y = correspondence(), correspondence()
+    xv, yv = correspondence_class_vector(x), correspondence_class_vector(y)
+    assert intersection_number(x, y) == _tor_intersection_number(x, y)
+    assert _compose_classes(xv, yv, cartan_counts(a)) == \
+        _tor_composite_class_vector(x, y)
+    # A != B: Q -> A against A -> Q, both orders of composition
+    v, w = data.draw(vertex), data.draw(vertex)
+    row = row_projective_correspondence(a, v)
+    col = column_projective_correspondence(a, w)
+    assert intersection_number(row, col) == \
+        _tor_intersection_number(row, col) == cartan(a)[(v, w)]
+    rv, cv = correspondence_class_vector(row), correspondence_class_vector(col)
+    assert _compose_classes(rv, cv, cartan_counts(a)) == \
+        _tor_composite_class_vector(row, col)
+    q = row.source
+    assert _compose_classes(cv, rv, cartan_counts(q)) == \
+        _tor_composite_class_vector(col, row)
+
+
+def test_class_vectors_are_resolved_once_per_bimodule_object(monkeypatch):
+    """The class-vector memo lives on the bimodule object: a pairing
+    matrix resolves each span bimodule once, and a second span built from
+    equal bimodules resolves its own objects again."""
+    resolved = []
+    real = motives.minimal_resolution
+
+    def counting(m, bound):
+        resolved.append(m)
+        return real(m, bound)
+
+    monkeypatch.setattr(motives, "minimal_resolution", counting)
+    a = zoo.get("A3")
+    span = canonical_span(a)
+    pairing_matrix(span, span)
+    assert len(resolved) == len(span)
+    assert {id(m) for m in resolved} == {id(x.terms[0][1]) for x in span}
+    pairing_matrix(span, span)
+    assert len(resolved) == len(span)
+    fresh = canonical_span(a)
+    pairing_matrix(fresh, fresh)
+    assert len(resolved) == 2 * len(span)

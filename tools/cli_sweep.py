@@ -14,7 +14,9 @@ script, so two checkouts compare with diff:
     diff old.txt new.txt
 
 Given FILE arguments (algebra or category description files), only those
-files are swept, and schur is left out.
+files are swept, and schur is left out.  With --cap N every algebra command
+also gets --cap N, so a diff between checkouts lists the runs whose memory
+guard refusals (exit status 3) changed.
 """
 
 import argparse
@@ -36,9 +38,10 @@ FORMATS = ("table", "structured")
 SCHUR_DIMS = ("1,1", "2,0", "0,2", "2,1")
 
 
-def sweep_argvs(files, schur):
+def sweep_argvs(files, schur, cap=None):
     """The argument lists of the sweep, in a fixed order; files are paths
     relative to the repository root."""
+    capped = [] if cap is None else ["--cap", str(cap)]
     for path in files:
         with open(REPO / path) as fh:
             kind = json.load(fh).get("kind")
@@ -50,7 +53,7 @@ def sweep_argvs(files, schur):
         for command in ALGEBRA_COMMANDS:
             for degree in DEGREES:
                 for fmt in FORMATS:
-                    yield ([command, "--input", path] + degree
+                    yield ([command, "--input", path] + degree + capped
                            + ["--format", fmt])
     if schur:
         for dims in SCHUR_DIMS:
@@ -78,6 +81,8 @@ def main(argv=None):
     parser.add_argument("files", nargs="*",
                         help="algebra or category files to sweep instead "
                              "of the shipped demos (schur is then skipped)")
+    parser.add_argument("--cap", type=int, metavar="N",
+                        help="pass --cap N to every algebra command")
     args = parser.parse_args(argv)
     if args.files:
         files = [os.path.relpath(Path(f).resolve(), REPO) for f in args.files]
@@ -89,7 +94,7 @@ def main(argv=None):
     os.chdir(REPO)
     sys.path.insert(0, str(REPO / "src"))
     from ncmotives.cli import main as cli_main
-    for cmd in sweep_argvs(files, schur=not args.files):
+    for cmd in sweep_argvs(files, schur=not args.files, cap=args.cap):
         status, out, err = run(cli_main, cmd)
         print("%s | %d | %s | %s" % (" ".join(cmd), status, digest(out),
                                      digest(err)), flush=True)

@@ -6,31 +6,26 @@ finite-dimensional by construction).  On top of that: opposites, tensor
 products, bimodules, and one minimal projective resolution over the
 enveloping algebra (minimal_resolution), which also resolves right modules,
 as (Q, A)-bimodules, for global dimension and right projectivity.  Last,
-the normalized bar complex.  Its one builder
-(_Reduced, the basis of Bbar = B / E for a ground subalgebra E = Q.1 or,
-on quiver algebras, E = Q^{Q_0}, and hochschild_columns, the differential
-of M (x)_{E^e} Bbar^{(x)_E n}) serves both Hochschild homology and derived
-tensor products: Tor^B(x, y) is HH(B; y (x) x).  One rule
-(_relative_ends) picks E for every complex: E = Q^{Q_0} when B is a quiver
-algebra with more than one vertex and the coefficients' vertex actions are
-0/1 coordinate projections (for Tor: x's right and y's left actions, as on
-every corner and projective-pair bimodule), so that only composable chains
-enter (_Chains); E = Q.1 otherwise.  Both grounds give the same homology.
+the normalized bar complex M (x)_{E^e} Bbar^{(x)_E n}, for a ground
+subalgebra E spanned by orthogonal idempotents: E = Q.1, one pseudo-vertex,
+or, on quiver algebras, E = Q^{Q_0}.  It has one chain model: _Reduced is
+the basis of Bbar = B / E with the ends of its elements, _Chains lists the
+composable chains (over Q.1, all of them) and hochschild_columns is the
+differential on them.  It serves both Hochschild homology and derived
+tensor products: Tor^B(x, y) is HH(B; y (x) x).  One rule (_relative_ends)
+picks E for every complex: E = Q^{Q_0} when B is a quiver algebra with more
+than one vertex and the coefficients' vertex actions are 0/1 coordinate
+projections (for Tor: x's right and y's left actions, as on every corner
+and projective-pair bimodule); E = Q.1 otherwise.  Both grounds give the
+same homology.
 """
 
-import itertools
 from fractions import Fraction
 
 from .errors import InvariantError, CapExceededError, UncertifiedError
 from . import exactlin
 from .exactlin import QMatrix, LinSubspace, vec_addmul, _norm
 from .homcore import ChainComplex
-
-
-def _as_frac(x):
-    if isinstance(x, str):
-        return Fraction(x)
-    return Fraction(x)
 
 
 class Algebra:
@@ -106,7 +101,7 @@ class Algebra:
     def element(self, label_coeffs):
         """Vector from {label: coefficient}."""
         idx = {lab: i for i, lab in enumerate(self.basis)}
-        return {idx[lab]: _as_frac(c) for lab, c in label_coeffs.items() if c}
+        return {idx[lab]: Fraction(c) for lab, c in label_coeffs.items() if c}
 
     def radical(self):
         if self._rad is None:
@@ -343,9 +338,9 @@ def structure_algebra(name, basis, unit_coeffs, products, check=True):
                              % ", ".join(sorted(unknown)))
     table = {}
     for left, right, value in products:
-        vec = {idx[lab]: _as_frac(c) for lab, c in value.items()}
+        vec = {idx[lab]: Fraction(c) for lab, c in value.items()}
         table[(idx[left], idx[right])] = vec
-    unit = {idx[lab]: _as_frac(c) for lab, c in unit_coeffs.items()}
+    unit = {idx[lab]: Fraction(c) for lab, c in unit_coeffs.items()}
     return Algebra(name, basis, unit, table, check=check)
 
 
@@ -375,10 +370,8 @@ def tensor_algebra(a, b, name=None):
     for i, c in a.unit.items():
         for j, d in b.unit.items():
             unit[pair(i, j)] = c * d
-    out = Algebra(name or "%s(x)%s" % (a.name, b.name), labels, unit, table,
-                  check=False)
-    out._factors = (a, b)
-    return out
+    return Algebra(name or "%s(x)%s" % (a.name, b.name), labels, unit, table,
+                   check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -670,26 +663,30 @@ def is_right_projective(x):
 
 class _Reduced:
     """The basis of Bbar = B / E that the normalized bar chains use, for a
-    ground subalgebra E: E = Q.1, or, when vertices is set and B is a quiver
-    algebra, E = Q^{Q_0}, spanned by the vertex idempotents.
+    ground subalgebra E spanned by orthogonal idempotents e_v with sum 1:
+    E = Q.1, one pseudo-vertex None with e_None = 1, or, when vertices is
+    set and B is a quiver algebra, E = Q^{Q_0}, spanned by the vertex
+    idempotents.  units[v] is e_v as a B vector.
 
-    kept lists the basis indices that span Bbar.  With E = Q.1 the dropped
-    index is the last one with a nonzero unit coefficient u, its class is
-    -(1/u) times the rest of the unit, and ends is None.  With E = Q^{Q_0}
-    every vertex idempotent is dropped (its class is 0), kept lists the
-    radical paths, and ends[t] = (u, v) puts kept[t] in e_u B e_v: a path
-    from u to v.  classes[i] is the class of b_i in Bbar and redprod[(s, t)]
-    the class of the product of the kept elements at positions s and t,
-    both as sparse dicts over positions in kept.  Values pass through
-    exactlin._norm, so they are ints whenever they are integral (always,
-    when u = 1).
+    kept lists the basis indices that span Bbar, and ends[t] = (u, v) puts
+    kept[t] in e_u B e_v.  With E = Q.1 the dropped index is the last one
+    with a nonzero unit coefficient u, its class is -(1/u) times the rest
+    of the unit, and every end is (None, None).  With E = Q^{Q_0} every
+    vertex idempotent is dropped (its class is 0), kept lists the radical
+    paths, and a path from u to v has the ends (u, v).  classes[i] is the
+    class of b_i in Bbar and redprod[(s, t)] the class of the product of
+    the kept elements at positions s and t, both as sparse dicts over
+    positions in kept.  Values pass through exactlin._norm, so they are
+    ints whenever they are integral (always, when u = 1).
     """
 
     def __init__(self, b, vertices=False):
         if vertices:
             pres = b.quiver
+            self.units = {v: {k: 1} for v, k in pres.vertex_idx.items()}
             drop = set(pres.vertex_idx.values())
         else:
+            self.units = {None: b.unit}
             drop = {max(b.unit)}
         self.kept = [i for i in range(b.dim) if i not in drop]
         self.dbar = len(self.kept)
@@ -699,15 +696,15 @@ class _Reduced:
             self.classes.update((k, {}) for k in drop)
             self.ends = [(pres.path_source[k], pres.path_target[k])
                          for k in self.kept]
-            self.starts = {}
-            for t, (u, _) in enumerate(self.ends):
-                self.starts.setdefault(u, []).append(t)
         else:
             (k,) = drop
             u = b.unit[k]
             self.classes[k] = {kpos[i]: _norm(Fraction(-c, u))
                                for i, c in b.unit.items() if i != k}
-            self.ends = None
+            self.ends = [(None, None)] * self.dbar
+        self.starts = {}
+        for t, (u, _) in enumerate(self.ends):
+            self.starts.setdefault(u, []).append(t)
         self.redprod = {(s, t): self.reduce(b.mult_basis(k, l))
                         for s, k in enumerate(self.kept)
                         for t, l in enumerate(self.kept)}
@@ -734,10 +731,10 @@ class _Reduced:
                      for base, c in codes.items() for p, w in red.items()}
         return codes
 
-    # E = Q^{Q_0}: the chains of M (x)_{E^e} Bbar^{(x)_E n} are the
-    # composable ones, m (x) r_1 (x) ... (x) r_n with m in e_u M e_w, r_1
-    # starting at w, each r_i ending where r_(i+1) starts and r_n ending
-    # at u.  ends[c] = (u, w) puts coordinate c of M in e_u M e_w.
+    # the chains of M (x)_{E^e} Bbar^{(x)_E n} are the composable ones,
+    # m (x) r_1 (x) ... (x) r_n with m in e_u M e_w, r_1 starting at w, each
+    # r_i ending where r_(i+1) starts and r_n ending at u.  ends[c] = (u, w)
+    # puts coordinate c of M in e_u M e_w; over E = Q.1 every chain is one.
 
     def chain_dims(self, ends, n_max):
         """Numbers of composable chains in degrees 0..n_max."""
@@ -760,41 +757,81 @@ class _Reduced:
 
 
 class _Chains:
-    """The composable chains of M (x)_{E^e} Bbar^{(x)_E n}, E = Q^{Q_0}, in
-    degrees 0..n_max, for the reduced basis red and the ends of M's
-    coordinates (_vertex_ends).  lists[n] holds them as (c, (t_1, ...,
-    t_n)) in the order of their codes c * dbar^n + (base-dbar code of
-    t_1 ... t_n), and index[n] maps each such code to its position in
-    lists[n]: the one position index of degree n that b, B and every map
-    into the chains share.
+    """The composable chains of M (x)_{E^e} Bbar^{(x)_E n} in degrees
+    0..n_max, for the reduced basis red and the ends of M's coordinates
+    (_vertex_ends, or the pseudo-vertex None for every coordinate over
+    E = Q.1).  The chain m_c (x) bbar_t1 (x) ... (x) bbar_tn has the code
+    c * dbar^n + (the base-dbar code of t1 ... tn).  lists[n] holds the
+    codes of degree n in increasing order, and a chain's position in
+    lists[n] is its index in b, B and every map into the chains.  When
+    every code of degree n is a chain (always over Q.1), lists[n] is a
+    range, positions are codes and index[n] is None; otherwise index[n]
+    maps each code to its position.
     """
 
     def __init__(self, red, ends, n_max):
+        self.dbar = red.dbar
         self.lists = []
         self.index = []
-        words = {w: [((), w)] for _, w in ends}     # (word, its end)
+        words = {w: {w: [0]} for _, w in ends}  # word codes from w, by end
         for n in range(n_max + 1):
             if n:
-                words = {w: [(word + (t,), red.ends[t][1]) for word, u in ws
-                             for t in red.starts.get(u, ())]
-                         for w, ws in words.items()}
-            chains = [(c, word) for c, (u, w) in enumerate(ends)
-                      for word, v in words[w] if v == u]
+                words = {w: self._step(red, by_end)
+                         for w, by_end in words.items()}
             weight = red.dbar ** n
-            self.lists.append(chains)
-            self.index.append({c * weight + _word_code(word, red.dbar): pos
-                               for pos, (c, word) in enumerate(chains)})
+            count = sum(len(words[w].get(u, ())) for u, w in ends)
+            if count == len(ends) * weight:
+                self.lists.append(range(count))
+                self.index.append(None)
+                continue
+            codes = [c * weight + t for c, (u, w) in enumerate(ends)
+                     for t in words[w].get(u, ())]
+            self.lists.append(codes)
+            self.index.append({code: pos for pos, code in enumerate(codes)})
+
+    @staticmethod
+    def _step(red, by_end):
+        """The words one letter longer, each list in increasing order."""
+        out = {}
+        for u, codes in by_end.items():
+            for t in red.starts.get(u, ()):
+                out.setdefault(red.ends[t][1], []).extend(
+                    code * red.dbar + t for code in codes)
+        for codes in out.values():
+            codes.sort()
+        return out
+
+    def chain(self, n, pos):
+        """(c, (t_1, ..., t_n)) of the degree-n chain at pos: c a coordinate
+        of M, t_i positions in red.kept."""
+        code = self.lists[n][pos]
+        word = []
+        for _ in range(n):
+            code, t = divmod(code, self.dbar)
+            word.append(t)
+        return code, tuple(reversed(word))
 
     def renumber(self, n, cols):
         """The columns, sparse over codes of degree n, over positions; a
         code that is not a composable chain means a map left the chains."""
         index = self.index[n]
+        if index is None:
+            return cols
         try:
             return [{index[code]: v for code, v in col.items()}
                     for col in cols]
         except KeyError:
             raise InvariantError("a map leaves the composable chains: the "
                                  "vertex decomposition is not respected")
+
+    def project(self, n, codes):
+        """The degree-n chain with the coordinates codes of red.expand: the
+        projection pi from the chains over Q, a map of mixed complexes, under
+        which codes that are not composable chains vanish."""
+        index = self.index[n]
+        if index is None:
+            return codes
+        return {index[c]: v for c, v in codes.items() if c in index}
 
 
 def _vertex_ends(m):
@@ -834,36 +871,29 @@ def _guard(total, cap):
 
 
 def _chain_basis(m, n_max, ends, cap=None):
-    """The reduced basis, the chain dimensions in degrees 0..n_max and,
-    relative to E = Q^{Q_0} (ends set), the composable chains.  Given a
-    cap, the memory guard sees the total before any chain is listed;
-    derived_tensor passes none."""
+    """The reduced basis, the chain dimensions in degrees 0..n_max and the
+    composable chains, relative to E = Q^{Q_0} when ends is set and to
+    E = Q.1 when it is None.  Given a cap, the memory guard sees the total
+    before any chain is listed; derived_tensor passes none."""
     red = _Reduced(m.A, vertices=ends is not None)
     if ends is None:
-        dims = [m.dim * red.dbar ** n for n in range(n_max + 1)]
-    else:
-        dims = red.chain_dims(ends, n_max)
+        ends = [(None, None)] * m.dim
+    dims = red.chain_dims(ends, n_max)
     if cap is not None:
         _guard(sum(dims), cap)
-    return red, dims, None if ends is None else _Chains(red, ends, n_max)
+    return red, dims, _Chains(red, ends, n_max)
 
 
-def hochschild_columns(m, red, n, split=1, chains=None):
-    """Columns of b_n : M (x) Bbar^n -> M (x) Bbar^(n-1), for a B-bimodule m.
+def hochschild_columns(m, red, n, chains):
+    """Columns of b_n : M (x)_{E^e} Bbar^{(x)_E n} -> degree n - 1, for a
+    B-bimodule m,
 
         b(m (x) b_1 (x) ... (x) b_n) = m.b_1 (x) b_2 (x) ... (x) b_n
             + sum_i (-1)^i m (x) ... (x) b_i b_(i+1) (x) ...
-            + (-1)^n b_n.m (x) b_1 (x) ... (x) b_(n-1).
+            + (-1)^n b_n.m (x) b_1 (x) ... (x) b_(n-1),
 
-    The chain m_c (x) bbar_t1 (x) ... (x) bbar_tn has the code
-    (l * dbar^n + t) * split + r, with (l, r) = divmod(c, split) and t the
-    base-dbar code of t1 ... tn.  split = 1 puts the coefficient first;
-    derived_tensor passes split = dim y, so that x (x) Bbar^n (x) y keeps
-    its natural order.
-
-    With E = Q^{Q_0} (red.ends set), chains is the _Chains of the
-    composable chains, split is 1, and a chain's index is its position:
-    the columns are those of chains.lists[n], with rows indexed by
+    on the composable chains of the _Chains chains: the columns are those
+    of chains.lists[n], with rows indexed by positions in
     chains.lists[n - 1].  The composable chains span a direct summand
     subcomplex of M (x) Bbar^n over Q, since every face of a composable
     chain is composable and the faces of the others stay outside it.
@@ -872,8 +902,7 @@ def hochschild_columns(m, red, n, split=1, chains=None):
     pows = [dbar ** j for j in range(n + 1)]
     sgn_last = -1 if n % 2 else 1
     # code in degree n - 1 of m_c (x) (the bar word whose digits are all 0)
-    base = [(c // split) * pows[n - 1] * split + c % split
-            for c in range(m.dim)]
+    base = [c * pows[n - 1] for c in range(m.dim)]
     right_cols = [[{base[o]: v for o, v in col.items()}
                    for col in m.right[k].columns()] for k in red.kept]
     left_cols = [[{base[o]: sgn_last * v for o, v in col.items()}
@@ -882,50 +911,41 @@ def hochschild_columns(m, red, n, split=1, chains=None):
     negprod = {st: {k: -v for k, v in p.items()}
                for st, p in red.redprod.items()}
     signed = [negprod if i % 2 == 0 else red.redprod for i in range(n - 1)]
-    shifts = [pows[n - 2 - i] * split for i in range(n - 1)]
-    if chains is None:
-        blocks = ((t, mid, range(l * split, (l + 1) * split))
-                  for l in range(m.dim // split)
-                  for t, mid in enumerate(
-                      itertools.product(range(dbar), repeat=n)))
-    else:
-        blocks = ((_word_code(mid, dbar), mid, (c,))
-                  for c, mid in chains.lists[n])
+    faces_of = {}       # the middle faces of each word, shared by its chains
     cols = []
-    for t, mid, block in blocks:
-        tail = t % pows[n - 1] * split      # the word b_2 ... b_n
-        head = t // dbar * split            # the word b_1 ... b_(n-1)
-        # the middle faces: (signed product, offset, weight of its digit)
-        faces = []
-        for i in range(n - 1):
-            prod = signed[i][(mid[i], mid[i + 1])]
-            if prod:
-                faces.append((prod, t // pows[n - i] * dbar * shifts[i]
-                              + t % pows[n - 2 - i] * split, shifts[i]))
-        for c in block:
-            col = {}
-            for code, v in right_cols[mid[0]][c].items():
-                col[code + tail] = v
-            for prod, off, shift in faces:
-                off += base[c]
-                for k, v in prod.items():
-                    code = off + k * shift
-                    val = col.get(code, 0) + v
-                    if val:
-                        col[code] = val
-                    else:
-                        col.pop(code, None)
-            for code, v in left_cols[mid[-1]][c].items():
-                code += head
+    for chain in chains.lists[n]:
+        c, t = divmod(chain, pows[n])
+        faces = faces_of.get(t)
+        if faces is None:
+            # (signed product, offset, weight of its digit)
+            faces = faces_of[t] = []
+            for i in range(n - 1):
+                prod = signed[i][(t // pows[n - 1 - i] % dbar,
+                                  t // pows[n - 2 - i] % dbar)]
+                if prod:
+                    faces.append((prod, t // pows[n - i] * pows[n - 1 - i]
+                                  + t % pows[n - 2 - i], pows[n - 2 - i]))
+        col = {}
+        for code, v in right_cols[t // pows[n - 1]][c].items():
+            col[code + t % pows[n - 1]] = v     # the word b_2 ... b_n
+        for prod, off, shift in faces:
+            off += base[c]
+            for k, v in prod.items():
+                code = off + k * shift
                 val = col.get(code, 0) + v
                 if val:
                     col[code] = val
                 else:
                     col.pop(code, None)
-            cols.append(col)
-    if chains is not None:
-        cols = chains.renumber(n - 1, cols)
-    return cols
+        for code, v in left_cols[t % dbar][c].items():
+            code += t // dbar                   # the word b_1 ... b_(n-1)
+            val = col.get(code, 0) + v
+            if val:
+                col[code] = val
+            else:
+                col.pop(code, None)
+        cols.append(col)
+    return chains.renumber(n - 1, cols)
 
 
 def _word_code(word, dbar):
@@ -998,34 +1018,25 @@ def derived_tensor(x, y, bound=None, check_modules=True):
                  [_kron(ix, y.left[k]) for k in range(b.dim)],
                  [_kron(x.right[k], iy) for k in range(b.dim)], check=False)
     red, dims, chains = _chain_basis(m, bound + 1, _relative_ends(m))
-    # over Q.1 the chains keep the order of x (x) Bbar^n (x) y; a
-    # zero-dimensional y has no chains at all
-    split = max(y.dim, 1) if chains is None else 1
-    diffs = [None] + [hochschild_columns(m, red, n, split, chains)
+    diffs = [None] + [hochschild_columns(m, red, n, chains)
                       for n in range(1, bound + 2)]
     cx = ChainComplex(dims, diffs, check=sum(dims) <= 2000)
 
     out = []
     for i in range(bound + 1):
         reps, project = cx.homology_space(i)
+        # x_a (x) word (x) y_c has the code (a * dim y + c) * dbar^i + word;
+        # the outer actions commute with E, so their images stay on the
+        # composable chains
+        codes = chains.lists[i]
+        reps = [{codes[p]: v for p, v in rep.items()} for rep in reps]
+        project = _on_positions(project, chains, i)
         weight = red.dbar ** i
-        if chains is None:
-            # x_a (x) word (x) y_c has the code (a * dbar^i + word) * split + c
-            wx, wy = weight * split, 1
-        else:
-            # the chain (a * dim y + c, word) at each position has the code
-            # (a * dim y + c) * dbar^i + word; the outer actions commute
-            # with E, so their images stay on the composable chains
-            codes = [c * weight + _word_code(word, red.dbar)
-                     for c, word in chains.lists[i]]
-            reps = [{codes[p]: v for p, v in rep.items()} for rep in reps]
-            project = _on_positions(project, chains, i)
-            wx, wy = weight * y.dim, weight
         # A acts on the x digit of the chain codes, C on the y digit
         tor = Bimodule(x.A, y.B, len(reps),
-                       [_on_homology(g, reps, project, wx, x.dim)
+                       [_on_homology(g, reps, project, weight * y.dim, x.dim)
                         for g in x.left],
-                       [_on_homology(g, reps, project, wy, y.dim)
+                       [_on_homology(g, reps, project, weight, y.dim)
                         for g in y.right],
                        name="Tor_%d(%s,%s)" % (i, x.name, y.name),
                        check=check_modules and len(reps) > 0)

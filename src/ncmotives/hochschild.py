@@ -25,7 +25,9 @@ a homomorphism that does not carry the vertex idempotents into the target's
 ground algebra is read on its source's complex over Q.1.  The choice of
 ground (_relative_ends), the reduced basis, the composable chains and the
 differential b come from algebras (_chain_basis and hochschild_columns),
-which derived tensor products share; the Connes operator B is built here.
+which derived tensor products share.  Both grounds use that one chain
+model: over E = Q.1 every chain is composable.  The Connes operator B is
+built here, on the same chains.
 
 Cyclic homology comes from the first-quadrant (b, B)-bicomplex totalization
 Tot_n = (+)_i C_{n-2i} with differential b + B; the periodicity operator S
@@ -60,64 +62,39 @@ DEFAULT_CAP = 200000
 # chain-level construction
 
 
-def connes_columns(a, red, n, chains=None):
+def connes_columns(red, n, chains):
     """Columns of B_n : C_n(A) -> C_(n+1)(A) on normalized chains,
 
         B(a_0 (x) ... (x) a_n) =
-            sum_i (-1)^(i n)  1 (x) a_i (x) ... (x) a_n (x) a_0 (x) ... (x) a_(i-1).
+            sum_i (-1)^(i n)  1 (x) a_i (x) ... (x) a_n (x) a_0 (x) ... (x) a_(i-1),
 
-    With E = Q^{Q_0} (chains given, as for hochschild_columns) the column
-    of a chain whose coefficient a_0 is a vertex idempotent is 0, since
-    a_0 vanishes in Abar, and 1 (x)_{E^e} is e_v (x), v the source of the
-    first slot after the rotation.
+    on the composable chains of the _Chains chains, as for
+    hochschild_columns.  Relative to E, 1 (x)_{E^e} is e_v (x), v the
+    source of the first slot after the rotation (red.units; over E = Q.1
+    that is the unit of A), and the column of a chain whose coefficient
+    a_0 lies in E (a vertex idempotent) is 0, since a_0 vanishes in Abar.
     """
     dbar = red.dbar
     pow_next = dbar ** (n + 1)
-    if chains is not None:
-        vertex = a.quiver.vertex_idx
-        cols = []
-        for c, word in chains.lists[n]:
-            col = {}
+    cols = []
+    for pos in range(len(chains.lists[n])):
+        c, word = chains.chain(n, pos)
+        col = {}
+        for i in range(n + 1):
+            sgn = -1 if (i * n) % 2 else 1
             for s, cs in red.classes[c].items():
                 seq = (s,) + word
-                for i in range(n + 1):
-                    rot = seq[i:] + seq[:i]
-                    code = (vertex[red.ends[rot[0]][0]] * pow_next
-                            + _word_code(rot, dbar))
-                    val = col.get(code, 0) + (-cs if (i * n) % 2 else cs)
+                rot = seq[i:] + seq[:i]
+                code_bar = _word_code(rot, dbar)
+                for k, cu in red.units[red.ends[rot[0]][0]].items():
+                    code = k * pow_next + code_bar
+                    val = col.get(code, 0) + sgn * cs * cu
                     if val:
                         col[code] = val
                     else:
                         col.pop(code, None)
-            cols.append(col)
-        return chains.renumber(n + 1, cols)
-    unit = a.unit
-    cols = []
-    for i0 in range(a.dim):
-        red0 = red.classes[i0]
-        for mid in itertools.product(range(dbar), repeat=n):
-            col = {}
-            seq = (None,) + mid      # position 0 carries a_0 via red0
-            for i in range(n + 1):
-                sgn = -1 if (i * n) % 2 else 1
-                rot = seq[i:] + seq[:i]
-                # code of the Abar part, with a placeholder at a_0's slot
-                a0_slot = rot.index(None)
-                base = 0
-                for pos, t in enumerate(rot):
-                    base = base * dbar + (0 if t is None else t)
-                a0_shift = dbar ** (n - a0_slot)
-                for r, cr in red0.items():
-                    code_bar = base + r * a0_shift
-                    for uk, cu in unit.items():
-                        code = uk * pow_next + code_bar
-                        val = col.get(code, 0) + sgn * cr * cu
-                        if val:
-                            col[code] = val
-                        else:
-                            col.pop(code, None)
-            cols.append(col)
-    return cols
+        cols.append(col)
+    return chains.renumber(n + 1, cols)
 
 
 def hochschild_complex(a, m=None, n_max=4, cap=DEFAULT_CAP, check=True):
@@ -136,7 +113,7 @@ def hochschild_complex(a, m=None, n_max=4, cap=DEFAULT_CAP, check=True):
         raise InvariantError("the coefficients %s are not an (A, A)-bimodule "
                              "over %s" % (m.name, a.name))
     red, dims, chains = _chain_basis(m, n_max, _relative_ends(m), cap)
-    diffs = [None] + [hochschild_columns(m, red, n, chains=chains)
+    diffs = [None] + [hochschild_columns(m, red, n, chains)
                       for n in range(1, n_max + 1)]
     return ChainComplex(dims, diffs, check=check)
 
@@ -176,7 +153,9 @@ class TruncatedMixedComplex:
     The chains are relative to E = Q^{Q_0} whenever hochschild_complex
     takes that ground for the regular bimodule, and to E = Q.1 otherwise
     (or when _absolute is set); both compute HC(A).  red is the reduced
-    basis and chains the composable chains (None for E = Q.1).
+    basis and chains the composable chains (algebras._Chains, whose chain
+    reads a position and whose project maps red.expand coordinates onto
+    the chains).
     """
 
     def __init__(self, a, n_max, cap=DEFAULT_CAP, *, _absolute=False):
@@ -186,33 +165,11 @@ class TruncatedMixedComplex:
         m = regular_bimodule(a)
         ends = None if _absolute else _relative_ends(m)
         self.red, self.dims, self.chains = _chain_basis(m, n_max, ends, cap)
-        self.b = [None] + [hochschild_columns(m, self.red, n,
-                                              chains=self.chains)
+        self.b = [None] + [hochschild_columns(m, self.red, n, self.chains)
                            for n in range(1, n_max + 1)]
-        self.B = [connes_columns(a, self.red, n, chains=self.chains)
+        self.B = [connes_columns(self.red, n, self.chains)
                   for n in range(n_max)]
         self._verify_relations()
-
-    def chain(self, n, pos):
-        """(c, (t_1, ..., t_n)) of the degree-n chain at pos: c an index of
-        A's basis, t_i positions in red.kept."""
-        if self.chains is not None:
-            return self.chains.lists[n][pos]
-        word = []
-        for _ in range(n):
-            pos, t = divmod(pos, self.red.dbar)
-            word.append(t)
-        return pos, tuple(reversed(word))
-
-    def project(self, n, codes):
-        """The degree-n chain with the coordinates codes of red.expand.
-        Relative to E = Q^{Q_0} this is the projection pi from the chains
-        over Q, a map of mixed complexes: codes that are not composable
-        chains vanish."""
-        if self.chains is None:
-            return codes
-        index = self.chains.index[n]
-        return {index[c]: v for c, v in codes.items() if c in index}
 
     def _verify_relations(self):
         # b^2 = 0
@@ -644,7 +601,7 @@ def _chain_map_on_tot(f, a, b, data_a, data_b, n, vec):
 
         a_0 (x) abar_1 (x) ... |-> f(a_0) (x) fbar(a_1) (x) ...
 
-    followed by B's projection (TruncatedMixedComplex.project).  This is
+    followed by B's projection (_Chains.project).  This is
     the map of mixed complexes induced by f when f carries A's ground
     algebra into B's, as hp_of_homomorphism arranges.
     """
@@ -657,9 +614,9 @@ def _chain_map_on_tot(f, a, b, data_a, data_b, n, vec):
         for code, val in vec.items():
             if not (off <= code < off + mixed_a.dims[m]):
                 continue
-            c, word = mixed_a.chain(m, code - off)
+            c, word = mixed_a.chains.chain(m, code - off)
             slots = [fcols[c]] + [fcols[kept[t]] for t in word]
-            image = mixed_b.project(m, mixed_b.red.expand(slots))
+            image = mixed_b.chains.project(m, mixed_b.red.expand(slots))
             vec_addmul(out, val, {off_b[m] + p: v for p, v in image.items()})
     return out
 
@@ -738,7 +695,7 @@ def chern_character(e, a, n_max=6, cap=DEFAULT_CAP):
         ch_(2m) = (-1)^m (2m)!/m! * tr((e - 1/2) (x) e^(x 2m))
     where tr is the generalized trace into the normalized chains, followed
     by the projection onto the chains of the mixed complex of A
-    (TruncatedMixedComplex.project; relative to E = Q^{Q_0} it keeps the
+    (_Chains.project; relative to E = Q^{Q_0} it keeps the
     composable chains), so each component is sparse over the positions of
     that complex's chains.  The result is a cycle for b + B, verified
     exactly; its degree-0 component is the trace of e in A (whose class
@@ -772,7 +729,7 @@ def chern_character(e, a, n_max=6, cap=DEFAULT_CAP):
                 ch0[k] = s
             else:
                 ch0.pop(k, None)
-    components[0] = mixed.project(0, ch0)
+    components[0] = mixed.chains.project(0, ch0)
 
     for m in range(1, n_max // 2 + 1):
         n = 2 * m
@@ -789,7 +746,7 @@ def chern_character(e, a, n_max=6, cap=DEFAULT_CAP):
                     comp[code] = s
                 else:
                     comp.pop(code, None)
-        components[n] = mixed.project(n, comp)
+        components[n] = mixed.chains.project(n, comp)
 
     # verify (b + B) ch = 0 exactly within the truncation
     for m in range(0, n_max // 2):

@@ -642,7 +642,7 @@ def test_relative_chain_map_commutes_with_tot_differentials():
                                for i, lab in enumerate(a.basis)})
     check_homomorphism(f, a, a)
     data = cyclic_data(a, 5)
-    assert data.mixed.chains is not None
+    assert set(data.mixed.red.units) == {"1", "2"}
     assert data.mixed.dims == [3, 4, 7, 11, 18, 29]
     from ncmotives.hochschild import _chain_map_on_tot
     from ncmotives.homcore import apply_cols
@@ -678,8 +678,9 @@ def test_relative_mixed_complex_matches_absolute(build, n_max):
     truncation against the nil-invariant value of that copy."""
     a = build()
     flat = _rescaled(a, [1] * a.dim)
-    assert cyclic_data(a, n_max).mixed.chains is not None
-    assert cyclic_data(flat, n_max).mixed.chains is None
+    assert (set(cyclic_data(a, n_max).mixed.red.units)
+            == set(a.quiver.vertices))
+    assert set(cyclic_data(flat, n_max).mixed.red.units) == {None}
     assert (cyclic_homology(a, n_max).dims
             == cyclic_homology(flat, n_max).dims)
     assert sbi_check(a, n_max).all_exact and sbi_check(flat, n_max).all_exact
@@ -701,7 +702,7 @@ def test_relative_mixed_complex_matches_absolute_on_random_quivers(data):
     scales = data.draw(st.lists(st.sampled_from([1, -1]), min_size=a.dim,
                                 max_size=a.dim))
     r = _rescaled(a, scales)
-    assert cyclic_data(a, 6).mixed.chains is not None
+    assert set(cyclic_data(a, 6).mixed.red.units) == set(a.quiver.vertices)
     assert cyclic_homology(a, 6).dims == cyclic_homology(r, 6).dims
     assert sbi_check(a, 6).all_exact and sbi_check(r, 6).all_exact
     hp_a, hp_r = periodic_cyclic(a, 6), periodic_cyclic(r, 6)
@@ -751,3 +752,45 @@ def test_hp_agrees_with_the_nil_invariant_on_random_quivers(data):
         hp = periodic_cyclic(alg, 6)
         assert hp.certificate == "NOT-STABILIZED" \
             or hp.super_dims == hp_nil_invariant(alg)
+
+
+@pytest.mark.parametrize("name, absolute", [
+    ("A3", False), ("square", False), ("QxQxQ", False), ("2-cycle", False),
+    ("A3", True), ("M2(Q)", False), ("dual", False)])
+def test_chain_decoding_inverts_expand_and_project(name, absolute):
+    """On both grounds, expanding the slots that chains.chain reads off a
+    position and projecting back onto the chains gives that position;
+    over Q.1 every degree lists all its codes, as a range."""
+    a = _two_cycle() if name == "2-cycle" else zoo.get(name)
+    mixed = TruncatedMixedComplex(a, 4, _absolute=absolute)
+    red, chains = mixed.red, mixed.chains
+    over_q = set(red.units) == {None}
+    assert over_q == (absolute or a.quiver is None
+                      or len(a.quiver.vertices) == 1)
+    for n in range(5):
+        assert len(chains.lists[n]) == mixed.dims[n]
+        assert (chains.index[n] is None) == isinstance(chains.lists[n], range)
+        if over_q:
+            assert chains.lists[n] == range(a.dim * red.dbar ** n)
+        for pos in range(mixed.dims[n]):
+            c, word = chains.chain(n, pos)
+            assert len(word) == n
+            slots = [{c: 1}] + [{red.kept[t]: 1} for t in word]
+            assert chains.project(n, red.expand(slots)) == {pos: 1}, (n, pos)
+
+
+def _zero_bimodule(a, b):
+    return Bimodule(a, b, 0, [QMatrix(0, 0) for _ in range(a.dim)],
+                    [QMatrix(0, 0) for _ in range(b.dim)], name="0")
+
+
+@pytest.mark.parametrize("name", ["M2(Q)", "dual", "A2"])
+def test_derived_tensor_with_a_zero_factor_vanishes(name):
+    """Tor^B(0, y) and Tor^B(x, 0) are 0 in every degree, over Q.1 (M2(Q),
+    dual) and over Q^{Q_0} (A2)."""
+    b, q = zoo.get(name), zoo.get("Q")
+    reg = regular_bimodule(b)
+    for x, y in ((_zero_bimodule(q, b), reg), (reg, _zero_bimodule(b, q))):
+        tors = derived_tensor(x, y, bound=2)
+        assert [t.dim for t in tors] == [0, 0, 0]
+        assert all(t.A is x.A and t.B is y.B for t in tors)

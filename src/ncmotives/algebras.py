@@ -981,7 +981,7 @@ def _on_homology(g, reps, project, weight, size):
     return QMatrix(len(reps), len(reps), entries)
 
 
-def derived_tensor(x, y, bound=None, check_modules=True):
+def derived_tensor(x, y, bound=None):
     """Graded list [Tor_i^B(x, y)] for i = 0..bound as (A, C)-bimodules.
 
     x: (A, B)-bimodule, y: (B, C)-bimodule.  Tor^B_*(x, y) is the Hochschild
@@ -1039,7 +1039,7 @@ def derived_tensor(x, y, bound=None, check_modules=True):
                        [_on_homology(g, reps, project, weight, y.dim)
                         for g in y.right],
                        name="Tor_%d(%s,%s)" % (i, x.name, y.name),
-                       check=check_modules and len(reps) > 0)
+                       check=len(reps) > 0)
         out.append(tor)
     return out
 

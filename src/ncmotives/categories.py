@@ -7,12 +7,15 @@ tensor tables is deliberate: a finite presentation cannot be closed under an
 infinite-order invertible object, so entries outside the presented fragment
 are simply absent and every axiom is verified over the defined region.
 
-On top of the presentations: the Karoubi (idempotent-splitting) envelope,
-the orbit category of a tensor-invertible object with a declared
-boundedness certificate, extension of coefficients along an irreducible
-rational minimal polynomial, the trace ideal N(X, Y) = {f | tr(g f) = 0 for
-all g}, quotients by compatible ideals, and the dagger twist replacing the
-symmetry by its odd-odd sign flip.
+On top of the presentations: one subquotient construction, Hom'(k1, k2) =
+e2 o Hom(x1, x2) o e1 / I(x1, x2), which gives both the Karoubi
+(idempotent-splitting) envelope (objects (X, e), I = 0) and the quotient by
+a compatible ideal (e = id); with the trace ideal N(X, Y) = {f | tr(g f) = 0
+for all g} these are the two steps from NChow to NNum.  Besides: the orbit
+category of a tensor-invertible object with a declared boundedness
+certificate, extension of coefficients along an irreducible rational
+minimal polynomial, and the dagger twist replacing the symmetry by its
+odd-odd sign flip.
 """
 
 import itertools
@@ -510,13 +513,10 @@ def primitive_idempotents(alg, cap=IDEMPOTENT_CAP):
     through the radical keeping exact orthogonality."""
     if alg.dim > cap:
         raise CapExceededError("idempotent enumeration cap is dimension %d; "
-                               "supply idempotents explicitly" % cap,
+                               "%s has dimension %d" % (cap, alg.name,
+                                                        alg.dim),
                                needed=alg.dim, cap=cap)
     rad = jacobson_radical(alg)
-
-    def reduce_mod_rad(v):
-        return rad.reduce(v)
-
     # work in the quotient: a family of orthogonal idempotents mod rad,
     # refined until every corner is a field
     family = [dict(alg.unit)]
@@ -528,7 +528,7 @@ def primitive_idempotents(alg, cap=IDEMPOTENT_CAP):
             corner_span = []
             for i in range(alg.dim):
                 v = alg.mult_vec(alg.mult_vec(e, {i: 1}), e)
-                v = reduce_mod_rad(v)
+                v = rad.reduce(v)
                 if v:
                     corner_span.append(v)
             corner = LinSubspace(alg.dim, corner_span)
@@ -545,13 +545,10 @@ def primitive_idempotents(alg, cap=IDEMPOTENT_CAP):
                 if mp is None:
                     continue
                 factors = _rational_factors(mp)
-                factors = [f for f in factors]
                 if len(factors) >= 2:
                     split = _crt_idempotents_mod(alg, x, factors, e, rad)
                     break
                 if len(mp) - 1 == corner.dim:
-                    split = None
-                    x = None
                     break
             if split:
                 family[idx:idx + 1] = split
@@ -625,14 +622,9 @@ def _crt_idempotents_mod(alg, x, factors, e, rad):
     return out
 
 
-def idempotent_representatives(alg, cap=IDEMPOTENT_CAP, supplied=None):
+def idempotent_representatives(alg, cap=IDEMPOTENT_CAP):
     """All nonzero sums of a maximal orthogonal primitive family (the
     conjugacy-representative idempotents used for splitting)."""
-    if supplied is not None:
-        for e in supplied:
-            if alg.mult_vec(e, e) != e:
-                raise InvariantError("supplied element is not idempotent")
-        return list(supplied)
     prim = primitive_idempotents(alg, cap)
     out = []
     for r in range(1, len(prim) + 1):
@@ -645,206 +637,162 @@ def idempotent_representatives(alg, cap=IDEMPOTENT_CAP, supplied=None):
 
 
 # ---------------------------------------------------------------------------
-# the Karoubi envelope
+# subquotients: the Karoubi envelope and the quotient by an ideal
 
 
-def karoubi(c, cap=IDEMPOTENT_CAP, supplied=None, name=None):
-    """Split idempotents: objects (X, e), homs e' o Hom(X, Y) o e.
+def _subquotient(c, objs, bases, ideal, tensor_obj, unit, grading, name):
+    """The category on objs = [(label, x, e)], e an idempotent of End(x),
+    with Hom(k1, k2) = e2 o Hom(x1, x2) o e1 / ideal[(x1, x2)].
 
-    supplied: optional {object: [idempotent vectors]} overriding the
-    enumeration (needed when some End has dimension above the cap).
+    bases[(k1, k2)] lifts a basis of that Hom to Hom(x1, x2); ideal maps
+    (x1, x2) to a LinSubspace, absent pairs being 0.  A vector's
+    coordinates come from one tracked elimination per hom pair over the
+    basis followed by the ideal's rows, whose coefficients are dropped.
+    Every table of c passes through these coordinates; tensor_obj, unit
+    and grading are the caller's, on the labels.
     """
-    supplied = supplied or {}
-    objs = []             # (X, e) pairs
+    labels = [k for k, _, _ in objs]
+    where = {k: (x, e) for k, x, e in objs}
+    over = {}
+    for k, x, _ in objs:
+        over.setdefault(x, []).append(k)
+    solvers = {}
+
+    def coords(k1, k2, vec):
+        if (k1, k2) not in solvers:
+            x1, x2 = where[k1][0], where[k2][0]
+            elim = Elimination(max(c.hom[(x1, x2)], 1), track=True)
+            basis = bases[(k1, k2)]
+            for j, b in enumerate(basis):
+                elim.add_column(b, j)
+            sub = ideal.get((x1, x2))
+            for j, row in enumerate(sub.rows if sub else (), len(basis)):
+                elim.add_column(row, j)
+            solvers[(k1, k2)] = elim, len(basis)
+        elim, kept = solvers[(k1, k2)]
+        out = elim.solve(vec)
+        if out is None:
+            raise InvariantError("vector escapes the split hom subspace")
+        return {j: v for j, v in out.items() if j < kept}
+
+    hom = {(k1, k2): len(bases[(k1, k2)]) for k1 in labels for k2 in labels}
+    ident = {k: coords(k, k, e) for k, _, e in objs}
+    comp = {}
+    for x1, x2, x3 in c.comp:
+        for k1, k2, k3 in itertools.product(over.get(x1, ()),
+                                            over.get(x2, ()),
+                                            over.get(x3, ())):
+            table = {}
+            for gi, g in enumerate(bases[(k2, k3)]):
+                for fi, f in enumerate(bases[(k1, k2)]):
+                    cc = coords(k1, k3, c.compose(x1, x2, x3, g, f))
+                    if cc:
+                        table[(gi, fi)] = cc
+            if table:
+                comp[(k1, k2, k3)] = table
+    tensor_mor = {}
+    for x1, x2, x3, x4 in c.tensor_mor:
+        for k1, k2, k3, k4 in itertools.product(
+                over.get(x1, ()), over.get(x2, ()), over.get(x3, ()),
+                over.get(x4, ())):
+            src, tgt = tensor_obj.get((k1, k3)), tensor_obj.get((k2, k4))
+            if src is None or tgt is None:
+                continue
+            table = {}
+            for fi, f in enumerate(bases[(k1, k2)]):
+                for gi, g in enumerate(bases[(k3, k4)]):
+                    cc = coords(src, tgt, c.tensor_morphisms(x1, x2, x3, x4,
+                                                             f, g))
+                    if cc:
+                        table[(fi, gi)] = cc
+            if table:
+                tensor_mor[(k1, k2, k3, k4)] = table
+    symmetry = {}
+    for (x1, x2), sym in c.symmetry.items():
+        for k1, k2 in itertools.product(over.get(x1, ()), over.get(x2, ())):
+            src, tgt = tensor_obj.get((k1, k2)), tensor_obj.get((k2, k1))
+            if src is None or tgt is None:
+                continue
+            (y, e_src), (z, e_tgt) = where[src], where[tgt]
+            vec = c.compose(y, z, z, e_tgt, c.compose(y, y, z, sym, e_src))
+            symmetry[(k1, k2)] = coords(src, tgt, vec)
+    traces = {}
+    for k, x, _ in objs:
+        # the trace descends iff it kills the ideal on End(x)
+        sub = ideal.get((x, x))
+        if x not in c.traces or sub and any(c.trace(x, f) for f in sub.rows):
+            continue
+        t = {j: c.trace(x, b) for j, b in enumerate(bases[(k, k)])}
+        traces[k] = {j: v for j, v in t.items() if v}
+    return PresentedCategory(labels, hom, comp, ident, unit, tensor_obj,
+                             tensor_mor, symmetry, traces, grading, name=name)
+
+
+def karoubi(c, cap=IDEMPOTENT_CAP, name=None):
+    """Split idempotents: objects (X, e), homs e' o Hom(X, Y) o e."""
+    objs = []
     for x in c.objects:
-        alg = c.end_algebra(x)
-        for e in idempotent_representatives(alg, cap, supplied.get(x)):
-            objs.append((x, e))
-    labels = {}
-    for k, (x, e) in enumerate(objs):
-        labels[k] = ("%s|e%d" % (x, k))
-    # hom subspaces: basis of e' o Hom(x, y) o e inside Hom(x, y)
-    sub_basis = {}        # (k1, k2) -> list of vectors in Hom(x1, x2)
-
-    def project(x1, e1, x2, e2, f):
-        return c.compose(x1, x2, x2, e2, c.compose(x1, x1, x2, f, e1))
-
-    for k1, (x1, e1) in enumerate(objs):
-        for k2, (x2, e2) in enumerate(objs):
+        for e in idempotent_representatives(c.end_algebra(x), cap):
+            objs.append(("%s|e%d" % (x, len(objs)), x, e))
+    # Hom((x1, e1), (x2, e2)): the independent projections e2 o b_i o e1
+    bases = {}
+    for k1, x1, e1 in objs:
+        for k2, x2, e2 in objs:
             vecs = []
             span = Elimination(max(c.hom[(x1, x2)], 1))
             for i in range(c.hom[(x1, x2)]):
-                img = project(x1, e1, x2, e2, {i: 1})
+                img = c.compose(x1, x2, x2, e2,
+                                c.compose(x1, x1, x2, {i: 1}, e1))
                 if img and span.add_column(img):
                     vecs.append(img)
-            sub_basis[(k1, k2)] = vecs
-
-    hom = {}
-    comp = {}
-    ident = {}
-    coords_cache = {}
-
-    def coords(k1, k2, vec):
-        """Coordinates of a hom vector in the chosen sub-basis."""
-        key = (k1, k2)
-        if key not in coords_cache:
-            basis = sub_basis[key]
-            elim = Elimination(max(c.hom[(objs[k1][0], objs[k2][0])], 1),
-                               track=True)
-            for j, b in enumerate(basis):
-                elim.add_column(b, j)
-            coords_cache[key] = elim
-        out = coords_cache[key].solve(vec)
-        if out is None:
-            raise InvariantError("vector escapes the split hom subspace")
-        return out
-
-    names = []
-    for k, (x, e) in enumerate(objs):
-        names.append(labels[k])
-    for k1, (x1, e1) in enumerate(objs):
-        for k2, (x2, e2) in enumerate(objs):
-            hom[(names[k1], names[k2])] = len(sub_basis[(k1, k2)])
-    for k1, (x1, e1) in enumerate(objs):
-        ident[names[k1]] = coords(k1, k1, e1)
-        for k2, (x2, e2) in enumerate(objs):
-            for k3, (x3, e3) in enumerate(objs):
-                table = {}
-                for gi, g in enumerate(sub_basis[(k2, k3)]):
-                    for fi, f in enumerate(sub_basis[(k1, k2)]):
-                        prod = c.compose(x1, x2, x3, g, f)
-                        cc = coords(k1, k3, prod)
-                        if cc:
-                            table[(gi, fi)] = cc
-                if table:
-                    comp[(names[k1], names[k2], names[k3])] = table
-
+            bases[(k1, k2)] = vecs
+    named = {}
+    for k, x, e in objs:
+        named.setdefault((x, tuple(sorted(e.items()))), k)
     tensor_obj = {}
-    tensor_mor = {}
-    symmetry = {}
-    obj_index = {}
-    for k, (x, e) in enumerate(objs):
-        obj_index.setdefault((x, tuple(sorted(e.items()))), k)
-
-    def find_object(x, e):
-        return obj_index.get((x, tuple(sorted(e.items()))))
-
-    if c.tensor_obj:
-        for k1, (x1, e1) in enumerate(objs):
-            for k2, (x2, e2) in enumerate(objs):
-                if not c.tensor_defined(x1, x2):
-                    continue
-                if (x1, x1, x2, x2) not in c.tensor_mor:
-                    continue
-                x12 = c.tensor_objects(x1, x2)
-                e12 = c.tensor_morphisms(x1, x1, x2, x2, e1, e2)
-                k12 = find_object(x12, e12)
-                if k12 is None:
-                    continue
-                tensor_obj[(names[k1], names[k2])] = names[k12]
-        for k1, (x1, e1) in enumerate(objs):
-            for k2, (x2, e2) in enumerate(objs):
-                for k3, (x3, e3) in enumerate(objs):
-                    for k4, (x4, e4) in enumerate(objs):
-                        if (names[k1], names[k3]) not in tensor_obj:
-                            continue
-                        if (names[k2], names[k4]) not in tensor_obj:
-                            continue
-                        if (x1, x2, x3, x4) not in c.tensor_mor:
-                            continue
-                        src = tensor_obj[(names[k1], names[k3])]
-                        tgt = tensor_obj[(names[k2], names[k4])]
-                        ksrc = names.index(src)
-                        ktgt = names.index(tgt)
-                        table = {}
-                        for fi, f in enumerate(sub_basis[(k1, k2)]):
-                            for gi, g in enumerate(sub_basis[(k3, k4)]):
-                                prod = c.tensor_morphisms(x1, x2, x3, x4,
-                                                          f, g)
-                                cc = coords(ksrc, ktgt, prod)
-                                if cc:
-                                    table[(fi, gi)] = cc
-                        if table:
-                            tensor_mor[(names[k1], names[k2], names[k3],
-                                        names[k4])] = table
-        for k1, (x1, e1) in enumerate(objs):
-            for k2, (x2, e2) in enumerate(objs):
-                if (x1, x2) not in c.symmetry:
-                    continue
-                if (names[k1], names[k2]) not in tensor_obj:
-                    continue
-                if (names[k2], names[k1]) not in tensor_obj:
-                    continue
-                src = tensor_obj[(names[k1], names[k2])]
-                tgt = tensor_obj[(names[k2], names[k1])]
-                x12 = c.tensor_objects(x1, x2)
-                x21 = c.tensor_objects(x2, x1)
-                ksrc, ktgt = names.index(src), names.index(tgt)
-                e_src = objs[ksrc][1]
-                e_tgt = objs[ktgt][1]
-                vec = c.compose(x12, x21, x21, e_tgt,
-                                c.compose(x12, x12, x21,
-                                          c.symmetry[(x1, x2)], e_src))
-                symmetry[(names[k1], names[k2])] = coords(ksrc, ktgt, vec)
-
-    unit = None
-    for k, (x, e) in enumerate(objs):
-        if x == c.unit and e == c.ident[c.unit]:
-            unit = names[k]
-            break
-    traces = {}
-    for k, (x, e) in enumerate(objs):
-        if x in c.traces:
-            t = {}
-            for j, b in enumerate(sub_basis[(k, k)]):
-                t[j] = c.trace(x, b)
-            traces[names[k]] = t
-    out = PresentedCategory(names, hom, comp, ident, unit or c.unit,
-                            tensor_obj, tensor_mor, symmetry, traces,
-                            name=name or "karoubi(%s)" % c.name)
-    out.karoubi_objects = objs
-    out.karoubi_parent = c
-    return out
+    for k1, x1, e1 in objs:
+        for k2, x2, e2 in objs:
+            if not c.tensor_defined(x1, x2) or \
+                    (x1, x1, x2, x2) not in c.tensor_mor:
+                continue
+            e12 = c.tensor_morphisms(x1, x1, x2, x2, e1, e2)
+            k12 = named.get((c.tensor_objects(x1, x2),
+                             tuple(sorted(e12.items()))))
+            if k12 is not None:
+                tensor_obj[(k1, k2)] = k12
+    unit = next((k for k, x, e in objs
+                 if x == c.unit and e == c.ident[c.unit]), c.unit)
+    return _subquotient(c, objs, bases, {}, tensor_obj, unit, None,
+                        name or "karoubi(%s)" % c.name)
 
 
 def is_idempotent_split(c, cap=IDEMPOTENT_CAP):
     """Does every idempotent endomorphism (up to the enumerated
-    representatives) have an image object with a retraction?"""
+    representatives) have an image object with a retraction?  An End
+    algebra above the cap raises CapExceededError."""
     for x in c.objects:
-        alg = c.end_algebra(x)
-        if alg.dim > cap:
-            continue
-        for e in idempotent_representatives(alg, cap):
-            found = False
-            for y in c.objects:
-                if found:
-                    break
-                dxy = c.hom[(x, y)]
-                dyx = c.hom[(y, x)]
-                if not dxy or not dyx:
-                    continue
-                # search r: x -> y, s: y -> x with s r = e and r s = id_y
-                for r_vec in _hom_grid(c, x, y):
-                    for s_vec in _hom_grid(c, y, x):
-                        if c.compose(y, x, y, r_vec,
-                                     s_vec) == c.ident[y] and \
-                                c.compose(x, y, x, s_vec, r_vec) == e:
-                            found = True
-                            break
-                    if found:
-                        break
-            if not found:
+        for e in idempotent_representatives(c.end_algebra(x), cap):
+            if not any(_splits_through(c, x, y, e) for y in c.objects):
                 return False
     return True
 
 
-def _hom_grid(c, x, y, coeffs=(0, 1, -1, Fraction(1, 2), 2)):
+def _splits_through(c, x, y, e):
+    """Is there r: x -> y, s: y -> x on the witness grid with r o s = id_y
+    and s o r = e?  With e = id_x: is x isomorphic to y?"""
+    return any(c.compose(y, x, y, r, s) == c.ident[y] and
+               c.compose(x, y, x, s, r) == e
+               for r in _hom_grid(c, x, y) for s in _hom_grid(c, y, x))
+
+
+def _hom_grid(c, x, y):
     """A small deterministic grid of hom vectors (for witness searches)."""
     d = c.hom[(x, y)]
     if d == 0:
         return
     if d <= 2:
-        for combo in itertools.product(coeffs, repeat=d):
+        for combo in itertools.product((0, 1, -1, Fraction(1, 2), 2),
+                                       repeat=d):
             v = {i: Fraction(cc) for i, cc in enumerate(combo) if cc}
             if v:
                 yield v
@@ -853,32 +801,20 @@ def _hom_grid(c, x, y, coeffs=(0, 1, -1, Fraction(1, 2), 2)):
             yield {i: 1}
 
 
-def categories_equivalent(c1, c2, coeffs=(0, 1, -1)):
+def categories_equivalent(c1, c2):
     """Search for an equivalence witness: a bijection-on-isoclasses check
     via mutually inverse morphisms (small categories only)."""
 
     def iso_classes(c):
         reps = []
         for x in c.objects:
-            placed = False
             for rep in reps:
-                if _isomorphic_in(c, x, rep[0]):
+                if x == rep[0] or _splits_through(c, x, rep[0], c.ident[x]):
                     rep.append(x)
-                    placed = True
                     break
-            if not placed:
+            else:
                 reps.append([x])
         return reps
-
-    def _isomorphic_in(c, x, y):
-        if x == y:
-            return True
-        for u in _hom_grid(c, x, y):
-            for v in _hom_grid(c, y, x):
-                if c.compose(x, y, x, v, u) == c.ident[x] and \
-                        c.compose(y, x, y, u, v) == c.ident[y]:
-                    return True
-        return False
 
     r1 = [xs[0] for xs in iso_classes(c1)]
     r2 = [xs[0] for xs in iso_classes(c2)]
@@ -998,15 +934,6 @@ def orbit(c, o, name=None):
             comps[(x, y)] = entries
             hom[(x, y)] = off
 
-    def decode(x, y, vec):
-        """Split an orbit hom vector into original components per twist."""
-        out = {}
-        for (j, d, off) in comps[(x, y)]:
-            part = {i - off: v for i, v in vec.items() if off <= i < off + d}
-            if part:
-                out[j] = part
-        return out
-
     def encode(x, y, j, part):
         for (jj, d, off) in comps[(x, y)]:
             if jj == j:
@@ -1075,11 +1002,9 @@ def orbit(c, o, name=None):
                             tensor_obj=None, tensor_mor=None, symmetry=None,
                             traces=None, grading=None,
                             name=name or "%s/orbit" % c.name)
-    out.orbit_components = comps
     out.orbit_parent = c
     out.orbit_invertible = o
     out.orbit_encode = encode
-    out.orbit_decode = decode
     return out
 
 
@@ -1167,12 +1092,11 @@ def extend_coefficients(c, minpoly, degree_cap=6, name=None):
         traces[x] = {ext_index(k, p): Fraction(v) * _companion_trace(mp, p)
                      for k, v in t.items() for p in range(deg)
                      if Fraction(v) * _companion_trace(mp, p)}
-    out = PresentedCategory(list(c.objects), hom, comp, ident, c.unit,
-                            dict(c.tensor_obj), tensor_mor, symmetry, traces,
-                            dict(c.grading),
-                            name=name or "%s (x) Q[t]/(deg %d)" % (c.name, deg))
-    out.extension_degree = deg
-    return out
+    return PresentedCategory(list(c.objects), hom, comp, ident, c.unit,
+                             dict(c.tensor_obj), tensor_mor, symmetry, traces,
+                             dict(c.grading),
+                             name=name or "%s (x) Q[t]/(deg %d)"
+                             % (c.name, deg))
 
 
 def _companion_trace(mp, p):
@@ -1200,8 +1124,9 @@ def _companion_trace(mp, p):
 def n_ideal(c):
     """N(X, Y) = {f | tr(g o f) = 0 for every g: Y -> X}, per hom pair.
 
-    Requires trace functionals on the End spaces; the ideal property
-    (closure under composition on both sides) is verified.
+    Requires trace functionals on the End spaces; the tensor-ideal property
+    (closure under composition on both sides and under tensoring with
+    identities) is verified.
     """
     out = {}
     for x in c.objects:
@@ -1223,35 +1148,18 @@ def n_ideal(c):
                         rows[(gi, fi)] = val
             m = QMatrix(max(dg, 1), d, rows)
             out[(x, y)] = kernel(m)
-    # ideal property on basis compositions
-    for x in c.objects:
-        for y in c.objects:
-            for f in out[(x, y)].basis():
-                for z in c.objects:
-                    for hi in range(c.hom[(y, z)]):
-                        prod = c.compose(x, y, z, {hi: 1}, f)
-                        if prod and not out[(x, z)].contains(prod):
-                            raise InvariantError("trace ideal is not a left "
-                                                 "ideal (missing trace data?)")
-                    for hi in range(c.hom[(z, x)]):
-                        prod = c.compose(z, x, y, f, {hi: 1})
-                        if prod and not out[(z, y)].contains(prod):
-                            raise InvariantError("trace ideal is not a right "
-                                                 "ideal (missing trace data?)")
+    _check_ideal(c, out)
     return out
 
 
-def quotient_by_ideal(c, ideal, name=None):
-    """The quotient category: homs modulo the ideal, tables induced.
-
-    The ideal must be closed under composition (verified) and under
-    tensoring with identities wherever the tensor is presented (verified);
-    otherwise the quotient tables would be ill-defined.
-    """
-    # closure checks
+def _check_ideal(c, ideal):
+    """Refuse an ideal that is not closed under composition on both sides,
+    or under tensoring with identities wherever the tensor is presented:
+    the quotient tables would be ill-defined."""
+    gens = {key: sub.basis() for key, sub in ideal.items()}
     for x in c.objects:
         for y in c.objects:
-            for f in ideal[(x, y)].basis():
+            for f in gens[(x, y)]:
                 for z in c.objects:
                     for hi in range(c.hom[(y, z)]):
                         prod = c.compose(x, y, z, {hi: 1}, f)
@@ -1263,95 +1171,40 @@ def quotient_by_ideal(c, ideal, name=None):
                         if prod and not ideal[(z, y)].contains(prod):
                             raise InvariantError("ideal not closed under "
                                                  "pre-composition")
-                for (x1, y1, x2, y2), table in c.tensor_mor.items():
-                    if not (c.tensor_defined(x1, x2)
-                            and c.tensor_defined(y1, y2)):
-                        continue
-                    xx = c.tensor_objects(x1, x2)
-                    yy = c.tensor_objects(y1, y2)
-                    t = None
-                    if (x1, y1) == (x, y) and x2 == y2:
-                        t = c.tensor_morphisms(x1, y1, x2, y2, f,
-                                               c.ident[x2])
-                    elif (x2, y2) == (x, y) and x1 == y1:
-                        t = c.tensor_morphisms(x1, y1, x2, y2,
-                                               c.ident[x1], f)
-                    if t and not ideal[(xx, yy)].contains(t):
-                        raise InvariantError("ideal not closed under "
-                                             "tensoring with identities")
-    kept = {}
-    reducers = {}
-    for x in c.objects:
-        for y in c.objects:
-            sub = ideal[(x, y)]
-            leading = {min(r) for r in sub.rows}
-            kept[(x, y)] = [i for i in range(c.hom[(x, y)])
-                            if i not in leading]
-            reducers[(x, y)] = sub
-
-    def project(x, y, vec):
-        red = reducers[(x, y)].reduce(vec)
-        pos = {k: t for t, k in enumerate(kept[(x, y)])}
-        return {pos[k]: v for k, v in red.items()}
-
-    hom = {k: len(v) for k, v in kept.items()}
-    comp = {}
-    for (x, y, z), table in c.comp.items():
-        newt = {}
-        posxy = {k: t for t, k in enumerate(kept[(x, y)])}
-        posyz = {k: t for t, k in enumerate(kept[(y, z)])}
-        for gi_old in kept[(y, z)]:
-            for fi_old in kept[(x, y)]:
-                vec = c.compose(x, y, z, {gi_old: 1}, {fi_old: 1})
-                cc = project(x, z, vec)
-                if cc:
-                    newt[(posyz[gi_old], posxy[fi_old])] = cc
-        if newt:
-            comp[(x, y, z)] = newt
-    ident = {x: project(x, x, c.ident[x]) for x in c.objects}
-    tensor_mor = {}
-    for (x1, y1, x2, y2), table in c.tensor_mor.items():
+    for x1, y1, x2, y2 in c.tensor_mor:
         if not (c.tensor_defined(x1, x2) and c.tensor_defined(y1, y2)):
             continue
-        xx = c.tensor_objects(x1, x2)
-        yy = c.tensor_objects(y1, y2)
-        newt = {}
-        pos1 = {k: t for t, k in enumerate(kept[(x1, y1)])}
-        pos2 = {k: t for t, k in enumerate(kept[(x2, y2)])}
-        for fi_old in kept[(x1, y1)]:
-            for gi_old in kept[(x2, y2)]:
-                vec = c.tensor_morphisms(x1, y1, x2, y2, {fi_old: 1},
-                                         {gi_old: 1})
-                cc = project(xx, yy, vec)
-                if cc:
-                    newt[(pos1[fi_old], pos2[gi_old])] = cc
-        if newt:
-            tensor_mor[(x1, y1, x2, y2)] = newt
-    symmetry = {}
-    for (x, y), vec in c.symmetry.items():
-        xy = c.tensor_objects(x, y)
-        yx = c.tensor_objects(y, x)
-        symmetry[(x, y)] = project(xy, yx, vec)
-    traces = {}
-    for x, t in c.traces.items():
-        # the trace descends iff it kills the ideal on End(x); verify
-        tr = {}
-        ok = True
-        for f in ideal[(x, x)].basis():
-            if c.trace(x, f):
-                ok = False
-                break
-        if ok:
-            pos = {k: i for i, k in enumerate(kept[(x, x)])}
-            for k in kept[(x, x)]:
-                val = t.get(k, 0)
-                if val:
-                    tr[pos[k]] = val
-            traces[x] = tr
-    return PresentedCategory(list(c.objects), hom, comp, ident, c.unit,
-                             dict(c.tensor_obj), tensor_mor, symmetry,
-                             traces, dict(c.grading),
-                             name=name or "%s/N" % c.name)
+        prods = [c.tensor_morphisms(x1, y1, x2, y2, f, c.ident[x2])
+                 for f in (gens.get((x1, y1), ()) if x2 == y2 else ())]
+        prods += [c.tensor_morphisms(x1, y1, x2, y2, c.ident[x1], g)
+                  for g in (gens.get((x2, y2), ()) if x1 == y1 else ())]
+        if any(prods):
+            target = ideal[(c.tensor_objects(x1, x2),
+                            c.tensor_objects(y1, y2))]
+            if not all(target.contains(t) for t in prods):
+                raise InvariantError("ideal not closed under tensoring with "
+                                     "identities")
+
+
+def quotient_by_ideal(c, ideal, name=None):
+    """The quotient category: homs modulo the ideal, tables induced.
+
+    The ideal must be closed under composition (verified) and under
+    tensoring with identities wherever the tensor is presented (verified);
+    otherwise the quotient tables would be ill-defined.  Hom(x, y) keeps
+    the basis vectors off the pivots of the ideal's reduced row echelon
+    form.
+    """
+    _check_ideal(c, ideal)
+    bases = {}
+    for x in c.objects:
+        for y in c.objects:
+            leading = {min(r) for r in ideal[(x, y)].rows}
+            bases[(x, y)] = [{i: 1} for i in range(c.hom[(x, y)])
+                             if i not in leading]
+    return _subquotient(c, [(x, x, c.ident[x]) for x in c.objects], bases,
+                        ideal, dict(c.tensor_obj), c.unit, dict(c.grading),
+                        name or "%s/N" % c.name)
 
 
 def dagger_twist(c, plus_idempotents, name=None):
@@ -1483,10 +1336,8 @@ def graded_space_category(objects, window, name="graded spaces"):
     traces = {x: {i: 1 for i, (t, s) in enumerate(basis[(x, x)]) if t == s}
               for x in labels}
     grading = {x: objs[x] for x in labels}
-    cat = PresentedCategory(labels, hom, comp, ident, unit, tensor_obj,
-                            tensor_mor, symmetry, traces, grading, name=name)
-    cat.degree_lists = objs
-    return cat
+    return PresentedCategory(labels, hom, comp, ident, unit, tensor_obj,
+                             tensor_mor, symmetry, traces, grading, name=name)
 
 
 def graded_line_window(window, extra_objects=(), name="graded lines"):

@@ -359,19 +359,17 @@ def matrix_rank(m):
     return elim.rank
 
 
-def kernel_vectors(m, limit=None):
-    """Lazy basis of the null space of m (list of sparse vector dicts).
+def kernel_vectors(m):
+    """Basis of the null space of m (list of sparse vector dicts).
 
     Vectors come out echelonized by construction (each has a unit support
-    position not shared with earlier ones); limit truncates the enumeration.
+    position not shared with earlier ones).
     """
     elim = Elimination(m.rows, track=True)
     out = []
     for j, col in enumerate(m.columns()):
         if not elim.add_column(col, j):
             out.append(elim.kernel_expression())
-            if limit is not None and len(out) >= limit:
-                break
     return out
 
 

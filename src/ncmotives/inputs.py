@@ -10,6 +10,7 @@ import json
 from fractions import Fraction
 
 from .errors import ParseInputError
+from .exactlin import _norm
 from .algebras import Quiver, path_algebra, structure_algebra
 from .categories import PresentedCategory, TensorInvertible
 
@@ -22,7 +23,8 @@ def _frac(s):
 
 
 def _frac_vec(d):
-    return {int(k): _frac(v) for k, v in d.items()}
+    """A sparse vector; integral coefficients come back as ints."""
+    return {int(k): _norm(_frac(v)) for k, v in d.items()}
 
 
 def load_document(path):

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from ncmotives import cli
 from ncmotives.cli import main
+from ncmotives.inputs import load_category
 
 REPO = Path(__file__).resolve().parent.parent
 ALG = REPO / "demos" / "algebras"
@@ -336,6 +337,41 @@ def test_karoubi_command():
                               str(CAT / "two_block.json")])
     assert status == 0
     assert "objects after: 4" in out
+
+
+def test_karoubi_refuses_an_end_above_the_cap(tmp_path):
+    """End(X) = Q^5, five orthogonal idempotents, is above the idempotent
+    enumeration cap of 4."""
+    doc = {"kind": "category_presentation", "name": "five lines",
+           "objects": ["X"], "unit": "X", "hom": {"X|X": 5},
+           "composition": [["X", "X", "X", i, i, {str(i): "1"}]
+                           for i in range(5)],
+           "identities": {"X": {str(i): "1" for i in range(5)}}}
+    f = tmp_path / "five_lines.json"
+    f.write_text(json.dumps(doc))
+    status, out, err = run_cli(["karoubi", "--input", str(f)])
+    assert status == 3
+    assert out == ""
+    assert err == ("cap exceeded: idempotent enumeration cap is dimension "
+                   "4; End(X) has dimension 5\n")
+
+
+def test_load_category_keeps_integral_coefficients_as_ints(tmp_path):
+    """Integral coefficients load as ints, the exactlin convention, and
+    the rest as Fractions."""
+    doc = json.loads((CAT / "two_block.json").read_text())
+    doc["traces"]["X"] = {"0": "1/2", "1": "4/2"}
+    f = tmp_path / "half_trace.json"
+    f.write_text(json.dumps(doc))
+    cat, _ = load_category(str(f))
+    assert cat.traces["X"] == {0: Fraction(1, 2), 1: 2}
+    assert type(cat.traces["X"][0]) is Fraction
+    vectors = [*cat.ident.values(), *cat.traces.values(),
+               *cat.symmetry.values()]
+    vectors += [v for t in (*cat.comp.values(), *cat.tensor_mor.values())
+                for v in t.values()]
+    assert all(type(c) is int for vec in vectors for c in vec.values()
+               if c != Fraction(1, 2))
 
 
 def test_orbit_command():

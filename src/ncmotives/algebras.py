@@ -20,12 +20,13 @@ and projective-pair bimodule); E = Q.1 otherwise.  Both grounds give the
 same homology.
 """
 
+import itertools
 from fractions import Fraction
 
 from .errors import InvariantError, CapExceededError, UncertifiedError
 from . import exactlin
-from .exactlin import QMatrix, LinSubspace, vec_addmul, _norm
-from .homcore import ChainComplex
+from .exactlin import QMatrix, LinSubspace, kron, vec_addmul, _norm
+from .homcore import ChainComplex, induced_map
 
 
 class Algebra:
@@ -108,9 +109,6 @@ class Algebra:
             self._rad = exactlin.jacobson_radical(self)
         return self._rad
 
-    def is_semisimple(self):
-        return self.radical().dim == 0
-
     # -- checks ------------------------------------------------------------
 
     def _check_axioms(self):
@@ -120,14 +118,7 @@ class Algebra:
             ej = {j: 1}
             if self.mult_vec(self.unit, ej) != ej or self.mult_vec(ej, self.unit) != ej:
                 raise InvariantError("unit law fails at basis element %r" % self.basis[j])
-        d = self.dim
-        # full associativity check is cubic; for large derived constructions
-        # (tensor products of checked algebras) a structured sample suffices
-        full = d <= 40
-        triples = ((i, j, k) for i in range(d) for j in range(d) for k in range(d)) if full \
-            else (((i * 7 + j) % d, j, (j * 5 + k) % d) for i in range(d) for j in range(d)
-                  for k in (0, d // 2, d - 1))
-        for i, j, k in triples:
+        for i, j, k in itertools.product(range(self.dim), repeat=3):
             left = self.mult_vec(self.mult_basis(i, j), {k: 1})
             right = self.mult_vec({i: 1}, self.mult_basis(j, k))
             if left != right:
@@ -955,30 +946,20 @@ def _word_code(word, dbar):
     return t
 
 
-def _kron(f, g):
-    """f (x) g on the basis i * g.rows + j (f's index first)."""
-    return QMatrix(f.rows * g.rows, f.cols * g.cols,
-                   {(r1 * g.rows + r2, c1 * g.cols + c2): v1 * v2
-                    for (r1, c1), v1 in f.entries.items()
-                    for (r2, c2), v2 in g.entries.items()})
-
-
-def _on_homology(g, reps, project, weight, size):
-    """Matrix on H_n of the chain map that applies g to one digit of the
-    chain codes: the digit (code // weight) % size.  reps are over codes
-    and project takes a chain over codes."""
+def _on_digit(g, weight, size):
+    """The chain map that applies g to one digit of the chain codes: the
+    digit (code // weight) % size."""
     gcols = g.columns()
-    entries = {}
-    for j, rep in enumerate(reps):
+
+    def act(rep):
         img = {}
         for code, val in rep.items():
             d = code // weight % size
             for o, w in gcols[d].items():
                 code2 = code + (o - d) * weight
                 img[code2] = img.get(code2, 0) + val * w
-        for i, v in project(img).items():
-            entries[(i, j)] = v
-    return QMatrix(len(reps), len(reps), entries)
+        return img
+    return act
 
 
 def derived_tensor(x, y, bound=None):
@@ -1015,8 +996,8 @@ def derived_tensor(x, y, bound=None):
             bound = g
     ix, iy = QMatrix.identity(x.dim), QMatrix.identity(y.dim)
     m = Bimodule(b, b, x.dim * y.dim,
-                 [_kron(ix, y.left[k]) for k in range(b.dim)],
-                 [_kron(x.right[k], iy) for k in range(b.dim)], check=False)
+                 [kron(ix, y.left[k]) for k in range(b.dim)],
+                 [kron(x.right[k], iy) for k in range(b.dim)], check=False)
     red, dims, chains = _chain_basis(m, bound + 1, _relative_ends(m))
     diffs = [None] + [hochschild_columns(m, red, n, chains)
                       for n in range(1, bound + 2)]
@@ -1030,13 +1011,14 @@ def derived_tensor(x, y, bound=None):
         # composable chains
         codes = chains.lists[i]
         reps = [{codes[p]: v for p, v in rep.items()} for rep in reps]
-        project = _on_positions(project, chains, i)
+        space = (reps, _on_positions(project, chains, i))
         weight = red.dbar ** i
         # A acts on the x digit of the chain codes, C on the y digit
         tor = Bimodule(x.A, y.B, len(reps),
-                       [_on_homology(g, reps, project, weight * y.dim, x.dim)
+                       [induced_map(space, space,
+                                    _on_digit(g, weight * y.dim, x.dim))
                         for g in x.left],
-                       [_on_homology(g, reps, project, weight, y.dim)
+                       [induced_map(space, space, _on_digit(g, weight, y.dim))
                         for g in y.right],
                        name="Tor_%d(%s,%s)" % (i, x.name, y.name),
                        check=len(reps) > 0)

@@ -19,6 +19,7 @@ odd-odd sign flip.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 from .errors import InvariantError, CapExceededError, UncertifiedError
@@ -68,9 +69,6 @@ class PresentedCategory:
             self.check()
 
     # -- basic operations -------------------------------------------------
-
-    def hom_dim(self, x, y):
-        return self.hom[(x, y)]
 
     def compose(self, x, y, z, g, f):
         """g o f with f: x -> y, g: y -> z (sparse vectors)."""
@@ -377,24 +375,20 @@ def _interpolate(points, values):
     return [sol.get(i, Fraction(0)) for i in range(k + 1)]
 
 
-def is_irreducible_over_q(coeffs, degree_cap=6):
-    """Exact irreducibility over Q by Kronecker's method (degree <= cap).
+FACTOR_CAP = 6
+
+
+def _kronecker_factor(p):
+    """The first proper monic factor of the monic p found by Kronecker's
+    search, or None when p is irreducible over Q.
 
     Any factorization has a factor of degree <= deg/2; its values at k+1
     integer points divide the polynomial's values there (Gauss), so trying
-    every divisor combination and interpolating is complete.
+    every divisor combination and interpolating is complete.  A rational
+    root among the points is a linear factor at once.
     """
-    p = poly_normalize(coeffs)
     deg = len(p) - 1
-    if deg > degree_cap:
-        raise CapExceededError("factorization cap is degree %d" % degree_cap,
-                               needed=deg, cap=degree_cap)
-    if deg <= 1:
-        return True
-    lcm = 1
-    from math import gcd
-    for v in p:
-        lcm = lcm * v.denominator // gcd(lcm, v.denominator)
+    lcm = math.lcm(*(v.denominator for v in p))
     ip = [int(v * lcm) for v in p]
     for k in range(1, deg // 2 + 1):
         points = []
@@ -402,17 +396,29 @@ def is_irreducible_over_q(coeffs, degree_cap=6):
         while len(points) < k + 1:
             val = poly_eval(ip, x)
             if val == 0:
-                return False    # rational root: a linear factor
+                return [Fraction(-x), Fraction(1)]
             points.append((x, int(val)))
             x = -x + (0 if x > 0 else 1)
         for combo in itertools.product(*[_divisors(v) for _, v in points]):
             cand = _interpolate([pt for pt, _ in points], list(combo))
             if not any(cand[1:]):
                 continue
-            q, r = poly_divmod([Fraction(v) for v in ip], cand)
+            cand = poly_normalize(cand)
+            q, r = poly_divmod(p, cand)
             if not r and len(q) >= 2:
-                return False
-    return True
+                return cand
+    return None
+
+
+def is_irreducible_over_q(coeffs):
+    """Exact irreducibility over Q by Kronecker's method (degree <=
+    FACTOR_CAP)."""
+    p = poly_normalize(coeffs)
+    deg = len(p) - 1
+    if deg > FACTOR_CAP:
+        raise CapExceededError("factorization cap is degree %d" % FACTOR_CAP,
+                               needed=deg, cap=FACTOR_CAP)
+    return _kronecker_factor(p) is None
 
 
 # ---------------------------------------------------------------------------
@@ -425,39 +431,14 @@ def _rational_factors(coeffs):
     """Irreducible monic factors (no multiplicity) of a squarefree monic
     rational polynomial of degree <= 6, by recursive Kronecker splitting."""
     p = poly_normalize(coeffs)
-    deg = len(p) - 1
-    if deg == 1:
+    factor = _kronecker_factor(p)
+    if factor is None:
         return [p]
-    # find a factor by the same search as irreducibility, returning it
-    lcm = 1
-    for v in p:
-        lcm = lcm * v.denominator // __import__("math").gcd(
-            lcm, v.denominator)
-    ip = [int(v * lcm) for v in p]
-    for k in range(1, deg // 2 + 1):
-        points = []
-        x = 0
-        while len(points) < k + 1:
-            val = poly_eval(ip, x)
-            if val == 0:
-                root = Fraction(x)
-                factor = [-root, Fraction(1)]
-                q, r = poly_divmod(p, factor)
-                if r:
-                    raise InvariantError("t - %s does not divide a polynomial "
-                                         "with root %s" % (root, root))
-                return [factor] + _rational_factors(q)
-            points.append((x, int(val)))
-            x = -x + (0 if x > 0 else 1)
-        for combo in itertools.product(*[_divisors(v) for _, v in points]):
-            cand = _interpolate([pt for pt, _ in points], list(combo))
-            if not any(cand[1:]):
-                continue
-            cand = poly_normalize(cand)
-            q, r = poly_divmod(p, cand)
-            if not r and len(q) >= 2:
-                return _rational_factors(cand) + _rational_factors(q)
-    return [p]
+    q, r = poly_divmod(p, factor)
+    if r:
+        raise InvariantError("t - %s does not divide a polynomial with root "
+                             "%s" % (-factor[0], -factor[0]))
+    return _rational_factors(factor) + _rational_factors(q)
 
 
 def _poly_mul(a, b):
@@ -838,14 +819,16 @@ class TensorInvertible:
     certificate: Hom(X, Y (x) O^j) = 0 for |j| > bound, for X and Y among
     the objects the orbit category is built on (restrict_to; the rest of
     the presentation may exist purely as twist targets).  The vanishing is
-    verified up to a safety margin of 2 wherever the twists are defined."""
+    verified up to a safety margin of MARGIN twists wherever the twists
+    are defined."""
 
-    def __init__(self, c, obj, inv, bound, margin=2, restrict_to=None):
+    MARGIN = 2
+
+    def __init__(self, c, obj, inv, bound, restrict_to=None):
         self.c = c
         self.obj = obj
         self.inv = inv
         self.bound = bound
-        self.margin = margin
         self.restrict_to = list(restrict_to) if restrict_to is not None \
             else list(c.objects)
         if not c.tensor_defined(obj, inv) or not c.tensor_defined(inv, obj):
@@ -890,8 +873,8 @@ class TensorInvertible:
         c = self.c
         for x in self.restrict_to:
             for y in self.restrict_to:
-                for j in list(range(self.bound + 1, self.bound + self.margin + 1)) + \
-                        list(range(-self.bound - self.margin,
+                for j in list(range(self.bound + 1, self.bound + self.MARGIN + 1)) + \
+                        list(range(-self.bound - self.MARGIN,
                                    -self.bound)):
                     try:
                         tw = self.twist(y, j)
@@ -1028,7 +1011,7 @@ def orbit_twist_identification(orb, y):
 # change of coefficients along an irreducible minimal polynomial
 
 
-def extend_coefficients(c, minpoly, degree_cap=6, name=None):
+def extend_coefficients(c, minpoly, name=None):
     """The category with the same objects and homs tensored up to
     K = Q[t]/(minpoly), modeled as Q-spaces of dimension dim * deg with the
     companion-matrix action; composition and tensor extend K-bilinearly."""
@@ -1036,7 +1019,7 @@ def extend_coefficients(c, minpoly, degree_cap=6, name=None):
     deg = len(mp) - 1
     if deg < 1:
         raise InvariantError("minimal polynomial must have degree >= 1")
-    if not is_irreducible_over_q(mp, degree_cap):
+    if not is_irreducible_over_q(mp):
         raise InvariantError("minimal polynomial is reducible over Q")
     if deg == 1:
         return PresentedCategory(
@@ -1044,15 +1027,7 @@ def extend_coefficients(c, minpoly, degree_cap=6, name=None):
             c.tensor_obj, c.tensor_mor, c.symmetry, c.traces, c.grading,
             name=name or c.name, check=False)
     # powers of t modulo the minimal polynomial
-    tpow = {0: [Fraction(1)]}
-    for m in range(1, 2 * deg - 1):
-        prev = [Fraction(0)] + tpow[m - 1]
-        while len(prev) > deg:
-            lead = prev.pop()
-            shift = len(prev) - deg
-            for i in range(deg):
-                prev[shift + i] -= lead * mp[i]
-        tpow[m] = prev
+    tpow = [_poly_mod([0] * m + [1], mp) for m in range(2 * deg - 1)]
 
     def ext_index(i, p):
         return i * deg + p
@@ -1085,36 +1060,20 @@ def extend_coefficients(c, minpoly, degree_cap=6, name=None):
 
     ident = {x: extend_vec(v) for x, v in c.ident.items()}
     symmetry = {k: extend_vec(v) for k, v in c.symmetry.items()}
-    traces = {}
-    for x, t in c.traces.items():
-        # the K/Q-transfer of the extended trace: tr(f t^p) picks up the
-        # trace of multiplication by t^p on Q[t]/(mp)
-        traces[x] = {ext_index(k, p): Fraction(v) * _companion_trace(mp, p)
-                     for k, v in t.items() for p in range(deg)
-                     if Fraction(v) * _companion_trace(mp, p)}
+    # the K/Q-transfer of the extended trace: tr(f t^p) picks up the trace
+    # of multiplication by t^p on Q[t]/(mp), the sum over i of the t^i
+    # coefficient of t^(i+p)
+    tr = [sum((tpow[i + p][i] for i in range(deg) if i < len(tpow[i + p])),
+              Fraction(0)) for p in range(deg)]
+    traces = {x: {ext_index(k, p): Fraction(v) * tr[p]
+                  for k, v in t.items() for p in range(deg)
+                  if Fraction(v) * tr[p]}
+              for x, t in c.traces.items()}
     return PresentedCategory(list(c.objects), hom, comp, ident, c.unit,
                              dict(c.tensor_obj), tensor_mor, symmetry, traces,
                              dict(c.grading),
                              name=name or "%s (x) Q[t]/(deg %d)"
                              % (c.name, deg))
-
-
-def _companion_trace(mp, p):
-    """Trace of multiplication by t^p on Q[t]/(mp)."""
-    deg = len(mp) - 1
-    # power basis action: t^p shifts basis elements, reduced by mp
-    total = Fraction(0)
-    for i in range(deg):
-        # t^(i+p) mod mp, coefficient of t^i
-        coeffs = [Fraction(0)] * (i + p) + [Fraction(1)]
-        while len(coeffs) > deg:
-            lead = coeffs.pop()
-            shift = len(coeffs) - deg
-            for k in range(deg):
-                coeffs[shift + k] -= lead * mp[k]
-        if i < len(coeffs):
-            total += coeffs[i]
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -198,6 +198,15 @@ class QMatrix:
         return result
 
 
+def kron(f, g):
+    """The Kronecker product f (x) g on the basis i * g.rows + j (f's
+    index first)."""
+    return QMatrix(f.rows * g.rows, f.cols * g.cols,
+                   {(r1 * g.rows + r2, c1 * g.cols + c2): v1 * v2
+                    for (r1, c1), v1 in f.entries.items()
+                    for (r2, c2), v2 in g.entries.items()})
+
+
 def _clear_denoms(col):
     """(lcm, lcm * col): the lcm of the denominators and the integer column."""
     lcm = 1
@@ -320,10 +329,6 @@ class Elimination:
         self.pivot_cols.append(index)
         self._last_kernel_expr = None
         return True
-
-    def contains(self, col):
-        """Membership of a vector in the span of the columns seen so far."""
-        return self._reduce(_clear_denoms(col)[1], None) is None
 
     def solve(self, col):
         """Coefficients {column index: value} with col = sum c_j column_j,

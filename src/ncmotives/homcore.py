@@ -3,11 +3,12 @@
 A complex is stored column-wise: diffs[n] is the list of columns of
 d_n : C_n -> C_{n-1} (each column a sparse dict).  Ranks are cached; cycle
 representatives are extracted lazily so that large kernels never have to be
-materialized when only a few homology classes are needed.
+materialized when only a few homology classes are needed.  induced_map
+is the matrix of a chain map on homology.
 """
 
 from .errors import InvariantError
-from .exactlin import Elimination, vec_addmul
+from .exactlin import Elimination, QMatrix, vec_addmul
 
 
 def apply_cols(cols, vec):
@@ -129,8 +130,17 @@ class ChainComplex:
         self._spaces[n] = (reps, project)
         return self._spaces[n]
 
-    def class_is_zero(self, n, vec):
-        """Is the cycle vec a boundary?  Cheap: one membership reduction."""
-        if not vec:
-            return True
-        return self.boundary_elim(n + 1).contains(vec)
+
+def induced_map(source, target, chain_map):
+    """The matrix of a chain map on homology.
+
+    source and target are (reps, project) pairs from homology_space;
+    column j is the projection of chain_map(reps[j]) onto target's basis.
+    """
+    reps, _ = source
+    target_reps, project = target
+    entries = {}
+    for j, z in enumerate(reps):
+        for r, v in project(chain_map(z)).items():
+            entries[(r, j)] = v
+    return QMatrix(len(target_reps), len(reps), entries)

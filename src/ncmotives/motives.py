@@ -28,7 +28,7 @@ explicitly; failure inside a span never refutes anything.
 from fractions import Fraction
 
 from .errors import InvariantError, UncertifiedError
-from .exactlin import QMatrix, Elimination, kernel, matrix_rank, vec_addmul
+from .exactlin import QMatrix, Elimination, kernel, matrix_rank
 from .algebras import (regular_bimodule, corner_bimodule,
                        projective_pair_bimodule, derived_tensor,
                        global_dimension, minimal_resolution)
@@ -512,25 +512,17 @@ def semisimplicity_check(a, basis=None, cap=DEFAULT_CAP):
     n = len(basis)
     kept = [i for i in range(n)
             if not any(min(row) == i for row in ker.rows)]
-    # structure constants on the quotient: reduce products mod the kernel
-    def reduce_mod_kernel(vec):
-        v = dict(vec)
-        for row in ker.rows:
-            lead = min(row)
-            if lead in v:
-                c = v[lead]
-                vec_addmul(v, -c, row)
-        return v
-
     if not kept:
         # the span is numerically trivial: the zero algebra is semisimple
         return SemisimplicityReport(a.name, n, pm.rank, ker.dim, 0, 0, None)
+    # structure constants on the quotient: reduce products mod the kernel
+    reduced = {(i, j): ker.reduce(table[(i, j)]) for i in kept for j in kept}
     pos = {k: t for t, k in enumerate(kept)}
     products = []
     labels = ["q%d" % k for k in kept]
     for i in kept:
         for j in kept:
-            prod = reduce_mod_kernel(table[(i, j)])
+            prod = reduced[(i, j)]
             products.append((labels[pos[i]], labels[pos[j]],
                              {labels[pos[k]]: v for k, v in prod.items()
                               if k in pos}))
@@ -540,8 +532,7 @@ def semisimplicity_check(a, basis=None, cap=DEFAULT_CAP):
     entries = {}
     for u_idx, i in enumerate(kept):
         for j_idx, j in enumerate(kept):
-            prod = reduce_mod_kernel(table[(i, j)])
-            for k, v in prod.items():
+            for k, v in reduced[(i, j)].items():
                 if k in pos:
                     entries[(j_idx * qdim + pos[k], u_idx)] = v
     lhs = QMatrix(rows, qdim, entries)

@@ -6,7 +6,7 @@ is (-1)^(|x||y|) on the swap of homogeneous factors.
 """
 
 from .errors import InvariantError
-from .exactlin import QMatrix
+from .exactlin import QMatrix, kron
 
 
 class SuperSpace:
@@ -99,14 +99,6 @@ def kunneth_projectors(v):
     return KunnethPair(v, plus, minus)
 
 
-def _tensor_matrix(m1, m2, t1, t2):
-    entries = {}
-    for (r1, c1), v1 in m1.entries.items():
-        for (r2, c2), v2 in m2.entries.items():
-            entries[(r1 * t2 + r2, c1 * t2 + c2)] = v1 * v2
-    return QMatrix(t1 * t2, t1 * t2, entries)
-
-
 def _block_sort_permutation(v, w):
     """Permutation sorting the product basis of v (x) w into even-first order.
 
@@ -129,11 +121,8 @@ def kunneth_tensor(a, b):
     """
     v, w = a.space, b.space
     vw = v.tensor(w)
-    t1, t2 = v.total, w.total
-    plus_raw = _tensor_matrix(a.plus, b.plus, t1, t2) + \
-        _tensor_matrix(a.minus, b.minus, t1, t2)
-    minus_raw = _tensor_matrix(a.plus, b.minus, t1, t2) + \
-        _tensor_matrix(a.minus, b.plus, t1, t2)
+    plus_raw = kron(a.plus, b.plus) + kron(a.minus, b.minus)
+    minus_raw = kron(a.plus, b.minus) + kron(a.minus, b.plus)
     # conjugate into the even-first ordering of the product
     order = _block_sort_permutation(v, w)
     perm = QMatrix(len(order), len(order),
@@ -178,7 +167,7 @@ def twist_symmetry(v, pair):
     t = v.total
     before = koszul_swap(v)
     twist_op = QMatrix.identity(t * t) - \
-        _tensor_matrix(pair.minus, pair.minus, t, t).scale(2)
+        kron(pair.minus, pair.minus).scale(2)
     after = before * twist_op
     if after * after != QMatrix.identity(t * t):
         raise InvariantError("twisted symmetry does not square to identity")

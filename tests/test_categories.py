@@ -1,10 +1,11 @@
 import copy
+import itertools
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ncmotives import categories, zoo
 from ncmotives.errors import InvariantError, CapExceededError
@@ -16,7 +17,8 @@ from ncmotives.categories import (
     n_ideal, quotient_by_ideal, dagger_twist, is_irreducible_over_q,
     primitive_idempotents, idempotent_representatives,
     graded_space_category, graded_line_window, super_line_category,
-    two_block_object_category,
+    two_block_object_category, poly_normalize, poly_eval, poly_divmod,
+    _divisors, _interpolate,
 )
 
 
@@ -1199,3 +1201,241 @@ def test_subquotients_match_on_graded_categories(data):
     _assert_subquotients_match(c)
     if data.draw(st.booleans()):
         _assert_subquotients_match(karoubi(c))
+
+
+# ---------------------------------------------------------------------------
+# the one Kronecker search and the one table of t^m mod mp, against the
+# copies they replaced
+
+
+def _oracle_is_irreducible_over_q(coeffs, degree_cap=6):
+    """is_irreducible_over_q before the one Kronecker search, verbatim."""
+    p = poly_normalize(coeffs)
+    deg = len(p) - 1
+    if deg > degree_cap:
+        raise CapExceededError("factorization cap is degree %d" % degree_cap,
+                               needed=deg, cap=degree_cap)
+    if deg <= 1:
+        return True
+    lcm = 1
+    from math import gcd
+    for v in p:
+        lcm = lcm * v.denominator // gcd(lcm, v.denominator)
+    ip = [int(v * lcm) for v in p]
+    for k in range(1, deg // 2 + 1):
+        points = []
+        x = 0
+        while len(points) < k + 1:
+            val = poly_eval(ip, x)
+            if val == 0:
+                return False    # rational root: a linear factor
+            points.append((x, int(val)))
+            x = -x + (0 if x > 0 else 1)
+        for combo in itertools.product(*[_divisors(v) for _, v in points]):
+            cand = _interpolate([pt for pt, _ in points], list(combo))
+            if not any(cand[1:]):
+                continue
+            q, r = poly_divmod([Fraction(v) for v in ip], cand)
+            if not r and len(q) >= 2:
+                return False
+    return True
+
+
+def _oracle_rational_factors(coeffs):
+    """_rational_factors before the one Kronecker search, verbatim."""
+    p = poly_normalize(coeffs)
+    deg = len(p) - 1
+    if deg == 1:
+        return [p]
+    # find a factor by the same search as irreducibility, returning it
+    lcm = 1
+    for v in p:
+        lcm = lcm * v.denominator // __import__("math").gcd(
+            lcm, v.denominator)
+    ip = [int(v * lcm) for v in p]
+    for k in range(1, deg // 2 + 1):
+        points = []
+        x = 0
+        while len(points) < k + 1:
+            val = poly_eval(ip, x)
+            if val == 0:
+                root = Fraction(x)
+                factor = [-root, Fraction(1)]
+                q, r = poly_divmod(p, factor)
+                if r:
+                    raise InvariantError("t - %s does not divide a polynomial "
+                                         "with root %s" % (root, root))
+                return [factor] + _oracle_rational_factors(q)
+            points.append((x, int(val)))
+            x = -x + (0 if x > 0 else 1)
+        for combo in itertools.product(*[_divisors(v) for _, v in points]):
+            cand = _interpolate([pt for pt, _ in points], list(combo))
+            if not any(cand[1:]):
+                continue
+            cand = poly_normalize(cand)
+            q, r = poly_divmod(p, cand)
+            if not r and len(q) >= 2:
+                return _oracle_rational_factors(cand) + _oracle_rational_factors(q)
+    return [p]
+
+
+def _oracle_companion_trace(mp, p):
+    """The deleted _companion_trace, verbatim."""
+    deg = len(mp) - 1
+    # power basis action: t^p shifts basis elements, reduced by mp
+    total = Fraction(0)
+    for i in range(deg):
+        # t^(i+p) mod mp, coefficient of t^i
+        coeffs = [Fraction(0)] * (i + p) + [Fraction(1)]
+        while len(coeffs) > deg:
+            lead = coeffs.pop()
+            shift = len(coeffs) - deg
+            for k in range(deg):
+                coeffs[shift + k] -= lead * mp[k]
+        if i < len(coeffs):
+            total += coeffs[i]
+    return total
+
+
+def _oracle_extend_coefficients(c, minpoly, degree_cap=6, name=None):
+    """extend_coefficients before it read t^p mod mp from one table,
+    verbatim."""
+    mp = poly_normalize(minpoly)
+    deg = len(mp) - 1
+    if deg < 1:
+        raise InvariantError("minimal polynomial must have degree >= 1")
+    if not _oracle_is_irreducible_over_q(mp, degree_cap):
+        raise InvariantError("minimal polynomial is reducible over Q")
+    if deg == 1:
+        return PresentedCategory(
+            list(c.objects), dict(c.hom), c.comp, c.ident, c.unit,
+            c.tensor_obj, c.tensor_mor, c.symmetry, c.traces, c.grading,
+            name=name or c.name, check=False)
+    # powers of t modulo the minimal polynomial
+    tpow = {0: [Fraction(1)]}
+    for m in range(1, 2 * deg - 1):
+        prev = [Fraction(0)] + tpow[m - 1]
+        while len(prev) > deg:
+            lead = prev.pop()
+            shift = len(prev) - deg
+            for i in range(deg):
+                prev[shift + i] -= lead * mp[i]
+        tpow[m] = prev
+
+    def ext_index(i, p):
+        return i * deg + p
+
+    def extend_table(table):
+        out = {}
+        for (gi, fi), vec in table.items():
+            for p in range(deg):
+                for q in range(deg):
+                    newvec = {}
+                    for k, v in vec.items():
+                        for r, tc in enumerate(tpow[p + q]):
+                            if tc:
+                                key = ext_index(k, r)
+                                s = newvec.get(key, 0) + v * tc
+                                if s:
+                                    newvec[key] = s
+                                else:
+                                    newvec.pop(key, None)
+                    if newvec:
+                        out[(ext_index(gi, p), ext_index(fi, q))] = newvec
+        return out
+
+    hom = {k: d * deg for k, d in c.hom.items()}
+    comp = {k: extend_table(t) for k, t in c.comp.items()}
+    tensor_mor = {k: extend_table(t) for k, t in c.tensor_mor.items()}
+
+    def extend_vec(vec):
+        return {ext_index(k, 0): v for k, v in vec.items()}
+
+    ident = {x: extend_vec(v) for x, v in c.ident.items()}
+    symmetry = {k: extend_vec(v) for k, v in c.symmetry.items()}
+    traces = {}
+    for x, t in c.traces.items():
+        # the K/Q-transfer of the extended trace: tr(f t^p) picks up the
+        # trace of multiplication by t^p on Q[t]/(mp)
+        traces[x] = {ext_index(k, p): Fraction(v) * _oracle_companion_trace(mp, p)
+                     for k, v in t.items() for p in range(deg)
+                     if Fraction(v) * _oracle_companion_trace(mp, p)}
+    return PresentedCategory(list(c.objects), hom, comp, ident, c.unit,
+                             dict(c.tensor_obj), tensor_mor, symmetry, traces,
+                             dict(c.grading),
+                             name=name or "%s (x) Q[t]/(deg %d)"
+                             % (c.name, deg))
+
+
+def _int_product(factors):
+    out = [1]
+    for f in factors:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+def _integer_polynomials(min_degree, max_degree, bound):
+    """Integer coefficients, low to high, of degree min..max_degree."""
+    return st.integers(min_degree, max_degree).flatmap(lambda d: st.tuples(
+        st.lists(st.integers(-bound, bound), min_size=d, max_size=d),
+        st.sampled_from([-2, -1, 1, 2])).map(lambda t: t[0] + [t[1]]))
+
+
+# degree <= 6, drawn whole or as a product of factors of degree <= 2, with
+# the first factor repeated on demand, so that reducible polynomials and
+# repeated roots occur; the coefficient bounds keep the divisor search of
+# each draw well under a second
+POLYNOMIALS = st.one_of(
+    _integer_polynomials(3, 6, 1),
+    st.tuples(st.lists(_integer_polynomials(0, 2, 2), min_size=1, max_size=3),
+              st.booleans())
+    .map(lambda t: _int_product(t[0] + t[0][:1] if t[1] else t[0]))
+    .filter(lambda p: len(p) <= 7))
+
+
+def _outcome(run):
+    try:
+        return run(), None
+    except Exception as exc:
+        return None, (type(exc).__name__, str(exc))
+
+
+@settings(deadline=None, max_examples=40)
+@given(POLYNOMIALS)
+@example([1, 1, 1, 1, 1, 1, 1])            # cyclotomic, irreducible
+@example([-1, 0, 0, 0, 0, 0, 1])           # t^6 - 1, four factors
+@example([4, 0, -4, 0, 1])                 # (t^2 - 2)^2
+def test_kronecker_search_matches_the_replaced_copies(p):
+    """Same irreducibility verdict, and the same factor list in the same
+    order, as the two searches that _kronecker_factor replaced."""
+    assert is_irreducible_over_q(p) == _oracle_is_irreducible_over_q(p)
+    assert categories._rational_factors(p) == _oracle_rational_factors(p)
+
+
+@settings(deadline=None, max_examples=20)
+@given(POLYNOMIALS)
+def test_extend_coefficients_matches_the_replaced_tables(p):
+    """Every table of the extended category, and the trace of each t^q on
+    Q[t]/(mp), equal what the replaced reduction loops built.  The category
+    with a tensor product is extended up to degree 3 only: its check at
+    degree 6 takes seconds."""
+    mp = poly_normalize(p)
+    deg = len(mp) - 1
+    cats = [_corner_category()] + ([_dual_number_category(1)]
+                                   if deg <= 3 else [])
+    for c in cats:
+        new, failure = _outcome(lambda: extend_coefficients(c, p))
+        old, old_failure = _outcome(lambda: _oracle_extend_coefficients(c, p))
+        assert failure == old_failure
+        if failure:
+            continue
+        for name in ("objects", "hom", "comp", "ident", "unit", "tensor_obj",
+                     "tensor_mor", "symmetry", "traces", "grading", "name"):
+            assert getattr(new, name) == getattr(old, name), name
+        # the trace functional of X is 1 on the basis element 0
+        assert ([new.traces["X"].get(q, 0) for q in range(deg)]
+                == [_oracle_companion_trace(mp, q) for q in range(deg)])

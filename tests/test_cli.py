@@ -144,6 +144,23 @@ def test_exit_status_invariant_violation(tmp_path):
     assert "invariant" in err
 
 
+def test_non_associative_algebra_above_dimension_40_exits_2(tmp_path):
+    """Associativity is checked on every triple at every dimension:
+    (x1 x2) x3 = x4 x3 = x5 but x1 (x2 x3) = 0 in dimension 41."""
+    basis = ["one"] + ["x%d" % i for i in range(1, 41)]
+    products = [["one", b, {b: "1"}] for b in basis]
+    products += [[b, "one", {b: "1"}] for b in basis[1:]]
+    products += [["x1", "x2", {"x4": "1"}], ["x4", "x3", {"x5": "1"}]]
+    doc = {"kind": "structure_constants", "name": "non-associative",
+           "basis": basis, "unit": {"one": "1"}, "products": products}
+    f = tmp_path / "non_associative.json"
+    f.write_text(json.dumps(doc))
+    status, out, err = run_cli(["describe", "--input", str(f)])
+    assert status == 2
+    assert "associativity fails on (x1,x2,x3)" in err
+    assert "radical dimension" not in out
+
+
 @pytest.mark.parametrize("command", ["karoubi", "orbit"])
 def test_exit_status_missing_identity(tmp_path, command):
     doc = json.loads((CAT / "two_block.json").read_text())

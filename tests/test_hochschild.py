@@ -15,7 +15,7 @@ from ncmotives.algebras import (Quiver, path_algebra, structure_algebra,
 from ncmotives.cli import _nonnormalized_hh
 from ncmotives.errors import InvariantError, CapExceededError, UncertifiedError
 from ncmotives.exactlin import QMatrix, matrix_rank, inverse
-from ncmotives.homcore import ChainComplex
+from ncmotives.homcore import ChainComplex, apply_cols
 from ncmotives.hochschild import (
     hochschild_complex, hochschild_homology, mixed_complex, cyclic_homology,
     sbi_check, periodic_cyclic, hp_of_homomorphism, chern_character,
@@ -794,3 +794,112 @@ def test_derived_tensor_with_a_zero_factor_vanishes(name):
         tors = derived_tensor(x, y, bound=2)
         assert [t.dim for t in tors] == [0, 0, 0]
         assert all(t.A is x.A and t.B is y.B for t in tors)
+
+
+# ---------------------------------------------------------------------------
+# the matrices on homology, all from homcore.induced_map, against the loops
+# they replaced
+
+
+def _oracle_map_I(self, n):
+    """CyclicData.map_I before induced_map, verbatim."""
+    reps, _ = self.hh_space(n)
+    _, project = self.hc_space(n)
+    cols = {}
+    for j, z in enumerate(reps):
+        for r, v in project(dict(z)).items():
+            cols[(r, j)] = v
+    hdim = len(self.hc_space(n)[0])
+    return QMatrix(hdim, len(reps), cols)
+
+
+def _oracle_map_S(self, n):
+    """CyclicData.map_S before induced_map, verbatim."""
+    reps, _ = self.hc_space(n)
+    _, project = self.hc_space(n - 2)
+    top_dim = self.mixed.dims[n]
+    cols = {}
+    for j, z in enumerate(reps):
+        dropped = {i - top_dim: v for i, v in z.items() if i >= top_dim}
+        for r, v in project(dropped).items():
+            cols[(r, j)] = v
+    hdim = len(self.hc_space(n - 2)[0])
+    return QMatrix(hdim, len(reps), cols)
+
+
+def _oracle_map_Bconn(self, n):
+    """CyclicData.map_Bconn before induced_map, verbatim."""
+    reps, _ = self.hc_space(n)
+    _, project = self.hh_space(n + 1)
+    top_dim = self.mixed.dims[n]
+    cols = {}
+    for j, z in enumerate(reps):
+        top = {i: v for i, v in z.items() if i < top_dim}
+        img = apply_cols(self.mixed.B[n], top)
+        for r, v in project(img).items():
+            cols[(r, j)] = v
+    hdim = len(self.hh_space(n + 1)[0])
+    return QMatrix(hdim, len(reps), cols)
+
+
+def _oracle_on_homology(g, reps, project, weight, size):
+    """algebras._on_homology before induced_map, verbatim."""
+    gcols = g.columns()
+    entries = {}
+    for j, rep in enumerate(reps):
+        img = {}
+        for code, val in rep.items():
+            d = code // weight % size
+            for o, w in gcols[d].items():
+                code2 = code + (o - d) * weight
+                img[code2] = img.get(code2, 0) + val * w
+        for i, v in project(img).items():
+            entries[(i, j)] = v
+    return QMatrix(len(reps), len(reps), entries)
+
+
+@pytest.mark.parametrize("name", zoo.ZOO_NAMES)
+def test_sbi_maps_match_the_replaced_loops(name):
+    """map_I, map_S and map_Bconn at every degree that sbi_check reads."""
+    n_max = 5
+    data = cyclic_data(zoo.get(name), n_max)
+    for n in range(n_max):
+        assert data.map_I(n) == _oracle_map_I(data, n)
+        if n >= 2:
+            assert data.map_S(n) == _oracle_map_S(data, n)
+        if n + 1 <= n_max - 1:
+            assert data.map_Bconn(n) == _oracle_map_Bconn(data, n)
+
+
+@pytest.mark.parametrize("name", zoo.ZOO_NAMES)
+def test_tor_actions_match_the_replaced_loop(name, monkeypatch):
+    """The outer actions on Tor^A(A, A), and on Tor_0..Tor_2 of every pair
+    of one-dimensional simple bimodules of a quiver algebra, equal what the
+    replaced loop computes from the same representatives and projection."""
+    a = zoo.get(name)
+    digits, maps = [], []
+    on_digit, induced = algebras._on_digit, algebras.induced_map
+
+    def spy_on_digit(g, weight, size):
+        digits.append((g, weight, size))
+        return on_digit(g, weight, size)
+
+    def spy_induced_map(source, target, chain_map):
+        out = induced(source, target, chain_map)
+        maps.append((source, target, out))
+        return out
+
+    monkeypatch.setattr(algebras, "_on_digit", spy_on_digit)
+    monkeypatch.setattr(algebras, "induced_map", spy_induced_map)
+    reg = regular_bimodule(a)
+    cases = [(reg, reg, 1)]
+    if a.quiver is not None:
+        simples = [_simples(a, [v]) for v in a.quiver.vertices]
+        cases += [(x, y, 2) for x in simples for y in simples]
+    for x, y, bound in cases:
+        derived_tensor(x, y, bound=bound)
+    assert len(digits) == len(maps) > 0
+    for (g, weight, size), (source, target, got) in zip(digits, maps):
+        assert source is target
+        reps, project = source
+        assert got == _oracle_on_homology(g, reps, project, weight, size)

@@ -49,3 +49,32 @@ def test_the_trace_names_resolve_in_the_package():
     # package module holds it, so the builders' module must hold that one
     from ncmotives import algebras, hochschild
     assert hochschild._guard is algebras._guard
+
+
+def test_every_public_definition_is_used():
+    """Every public function, class and method of the package is named
+    somewhere in src, tests, demos, perfbench or tools other than its own
+    def line, so no unreferenced public API accumulates."""
+    import re
+    from collections import Counter
+    root = PACKAGE.parent.parent
+    corpus = "\n".join(
+        path.read_text() for folder in ("src", "tests", "demos", "perfbench",
+                                        "tools")
+        for path in sorted((root / folder).rglob("*.py")))
+    defs = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for sub in [node] + members:
+                if isinstance(sub, (ast.FunctionDef, ast.ClassDef)) \
+                        and not sub.name.startswith("_"):
+                    defs.append((path.name, sub.lineno, sub.name))
+    assert len(defs) > 100
+    # a name defined k times must be named more than k times
+    times_defined = Counter(name for _, _, name in defs)
+    times_named = Counter(re.findall(r"\w+", corpus))
+    unused = ["%s:%d %s" % d for d in defs
+              if times_named[d[2]] <= times_defined[d[2]]]
+    assert unused == []

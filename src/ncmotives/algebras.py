@@ -7,16 +7,19 @@ products, bimodules, and one minimal projective resolution over the
 enveloping algebra (minimal_resolution), which also resolves right modules,
 as (Q, A)-bimodules, for global dimension and right projectivity.  Last,
 the normalized bar complex M (x)_{E^e} Bbar^{(x)_E n}, for a ground
-subalgebra E spanned by orthogonal idempotents: E = Q.1, one pseudo-vertex,
-or, on quiver algebras, E = Q^{Q_0}.  It has one chain model: _Reduced is
-the basis of Bbar = B / E with the ends of its elements, _Chains lists the
-composable chains (over Q.1, all of them) and hochschild_columns is the
-differential on them.  It serves both Hochschild homology and derived
-tensor products: Tor^B(x, y) is HH(B; y (x) x).  One rule (_relative_ends)
-picks E for every complex: E = Q^{Q_0} when B is a quiver algebra with more
-than one vertex and the coefficients' vertex actions are 0/1 coordinate
-projections (for Tor: x's right and y's left actions, as on every corner
-and projective-pair bimodule); E = Q.1 otherwise.  Both grounds give the
+subalgebra E spanned by orthogonal idempotents: E from the unit's idempotent
+terms when they split the basis into corners (_basis_ground), E = Q.1, one
+pseudo-vertex, otherwise.  It has one chain model: _Reduced is the basis of
+Bbar = B / E with the ends of its elements, _Chains lists the composable
+chains (over Q.1, all of them) and hochschild_columns is the differential
+on them.  It serves both Hochschild homology and derived tensor products:
+Tor^B(x, y) is HH(B; y (x) x).  One rule (_relative_ends) picks E for every
+complex: E from the unit's idempotent terms when B has such a ground and
+the coefficients' idempotent actions are 0/1 coordinate projections (for
+Tor: x's right and y's left actions, as on every corner and
+projective-pair bimodule); E = Q.1 otherwise.  On a quiver algebra the
+unit's terms are the vertex idempotents; M_2(Q), products of fields and
+tensor products of such algebras have them too.  Both grounds give the
 same homology.
 """
 
@@ -652,47 +655,78 @@ def is_right_projective(x):
 # the normalized bar complex: Hochschild chains and derived tensor products
 
 
+def _basis_ground(b):
+    """The corners of b's basis over the ground algebra E spanned by the
+    unit's terms e_v = unit[v] * b_v, or None when those terms do not split
+    the basis into corners.  corner[j] = (u, w) puts b_j in e_u B e_w; the
+    labels u, w are the basis indices of the terms.
+
+    If E = span(e_v) is spanned by orthogonal idempotents e_v = c_v * b_v
+    with sum 1 = sum_k unit[k] * b_k, the e_v are exactly the unit's terms
+    and c_v = unit[v], so there is nothing to search.  They are accepted
+    when the unit has at least two terms and left and right multiplication
+    by each e_v send every basis element b_j to b_j or to 0.  That test
+    also proves the terms orthogonal idempotents (each multiplication is
+    then a diagonal 0/1 matrix on the basis, and by the unit law those
+    matrices sum to the identity, so their supports are disjoint), and it
+    puts every b_j in exactly one e_u B e_w.  On a quiver algebra the terms
+    are the vertex idempotents and corner[j] is (source, target) of the
+    path b_j; with one term, E would be Q.1.
+    """
+    if len(b.unit) < 2:
+        return None
+    corner = [[None, None] for _ in range(b.dim)]
+    for v, c in b.unit.items():
+        fixed = Fraction(1, c)      # b_v * b_j = b_j / c_v in the corner
+        for j in range(b.dim):
+            for side, prod in enumerate((b.mult_basis(v, j),
+                                         b.mult_basis(j, v))):
+                if prod:
+                    if prod != {j: fixed}:
+                        return None
+                    corner[j][side] = v
+    return [tuple(e) for e in corner]
+
+
 class _Reduced:
     """The basis of Bbar = B / E that the normalized bar chains use, for a
     ground subalgebra E spanned by orthogonal idempotents e_v with sum 1:
-    E = Q.1, one pseudo-vertex None with e_None = 1, or, when vertices is
-    set and B is a quiver algebra, E = Q^{Q_0}, spanned by the vertex
-    idempotents.  units[v] is e_v as a B vector.
+    E = Q.1, one pseudo-vertex None with e_None = 1, or, given the corners
+    of _basis_ground(b), E from the unit's idempotent terms, each labelled
+    by its basis index.  units[v] is e_v as a B vector.
 
     kept lists the basis indices that span Bbar, and ends[t] = (u, v) puts
     kept[t] in e_u B e_v.  With E = Q.1 the dropped index is the last one
     with a nonzero unit coefficient u, its class is -(1/u) times the rest
-    of the unit, and every end is (None, None).  With E = Q^{Q_0} every
-    vertex idempotent is dropped (its class is 0), kept lists the radical
-    paths, and a path from u to v has the ends (u, v).  classes[i] is the
-    class of b_i in Bbar and redprod[(s, t)] the class of the product of
-    the kept elements at positions s and t, both as sparse dicts over
-    positions in kept.  Values pass through exactlin._norm, so they are
-    ints whenever they are integral (always, when u = 1).
+    of the unit, and every end is (None, None).  With the unit's terms
+    every term is dropped (its class is 0), and the ends of the others are
+    their corners.  classes[i] is the class of b_i in Bbar and
+    redprod[(s, t)] the class of the product of the kept elements at
+    positions s and t, both as sparse dicts over positions in kept.
+    Values pass through exactlin._norm, so they are ints whenever they are
+    integral (always, when u = 1).
     """
 
-    def __init__(self, b, vertices=False):
-        if vertices:
-            pres = b.quiver
-            self.units = {v: {k: 1} for v, k in pres.vertex_idx.items()}
-            drop = set(pres.vertex_idx.values())
-        else:
+    def __init__(self, b, corners=None):
+        if corners is None:
             self.units = {None: b.unit}
             drop = {max(b.unit)}
+        else:
+            self.units = {v: {v: c} for v, c in b.unit.items()}
+            drop = set(b.unit)
         self.kept = [i for i in range(b.dim) if i not in drop]
         self.dbar = len(self.kept)
         kpos = {k: t for t, k in enumerate(self.kept)}
         self.classes = {k: {t: 1} for k, t in kpos.items()}
-        if vertices:
-            self.classes.update((k, {}) for k in drop)
-            self.ends = [(pres.path_source[k], pres.path_target[k])
-                         for k in self.kept]
-        else:
+        if corners is None:
             (k,) = drop
             u = b.unit[k]
             self.classes[k] = {kpos[i]: _norm(Fraction(-c, u))
                                for i, c in b.unit.items() if i != k}
             self.ends = [(None, None)] * self.dbar
+        else:
+            self.classes.update((k, {}) for k in drop)
+            self.ends = [corners[k] for k in self.kept]
         self.starts = {}
         for t, (u, _) in enumerate(self.ends):
             self.starts.setdefault(u, []).append(t)
@@ -813,7 +847,7 @@ class _Chains:
                     for col in cols]
         except KeyError:
             raise InvariantError("a map leaves the composable chains: the "
-                                 "vertex decomposition is not respected")
+                                 "ground decomposition is not respected")
 
     def project(self, n, codes):
         """The degree-n chain with the coordinates codes of red.expand: the
@@ -826,15 +860,15 @@ class _Chains:
 
 
 def _vertex_ends(m):
-    """ends[c] = (u, w) with coordinate c of the (A, A)-bimodule m, A a
-    quiver algebra, spanning a line in e_u M e_w, when m's basis is
-    vertex-adapted: every left and right action of a vertex idempotent is
+    """ends[c] = (u, w) with coordinate c of the (A, A)-bimodule m spanning
+    a line in e_u M e_w, for the unit's terms e_v = A.unit[v] * b_v, when
+    m's basis is adapted to them: every left and right action of an e_v is
     a 0/1 coordinate projection.  None otherwise."""
     ends = [[None, None] for _ in range(m.dim)]
-    for v, k in m.A.quiver.vertex_idx.items():
-        for side, mat in enumerate((m.left[k], m.right[k])):
+    for v, cv in m.A.unit.items():
+        for side, mat in enumerate((m.left[v], m.right[v])):
             for (r, c), x in mat.entries.items():
-                if r != c or x != 1 or ends[c][side] is not None:
+                if r != c or cv * x != 1 or ends[c][side] is not None:
                     return None
                 ends[c][side] = v
     if any(None in e for e in ends):
@@ -844,12 +878,11 @@ def _vertex_ends(m):
 
 def _relative_ends(m):
     """_vertex_ends(m) when chains with coefficients in the B-bimodule m
-    are taken relative to E = Q^{Q_0}: B is a quiver algebra with more than
-    one vertex (with one, Q^{Q_0} is Q.1) and m's basis is vertex-adapted.
-    None when they are taken relative to E = Q.1.  Hochschild complexes,
-    mixed complexes and derived tensor products all choose E by this rule."""
-    quiver = m.A.quiver
-    if quiver is not None and len(quiver.vertices) > 1:
+    are taken relative to E from the unit's idempotent terms: B has that
+    ground (_basis_ground) and m's basis is adapted to it.  None when they
+    are taken relative to E = Q.1.  Hochschild complexes, mixed complexes
+    and derived tensor products all choose E by this rule."""
+    if _basis_ground(m.A) is not None:
         return _vertex_ends(m)
     return None
 
@@ -863,10 +896,11 @@ def _guard(total, cap):
 
 def _chain_basis(m, n_max, ends, cap=None):
     """The reduced basis, the chain dimensions in degrees 0..n_max and the
-    composable chains, relative to E = Q^{Q_0} when ends is set and to
-    E = Q.1 when it is None.  Given a cap, the memory guard sees the total
-    before any chain is listed; derived_tensor passes none."""
-    red = _Reduced(m.A, vertices=ends is not None)
+    composable chains, relative to E from the unit's idempotent terms when
+    ends is set and to E = Q.1 when it is None.  Given a cap, the memory
+    guard sees the total before any chain is listed; derived_tensor passes
+    none."""
+    red = _Reduced(m.A, None if ends is None else _basis_ground(m.A))
     if ends is None:
         ends = [(None, None)] * m.dim
     dims = red.chain_dims(ends, n_max)
@@ -971,10 +1005,10 @@ def derived_tensor(x, y, bound=None):
     through x (Cartan-Eilenberg).  Its normalized chains are the two-sided
     bar complex x (x)_E Bbar^{(x)_E n} (x)_E y, whose homology carries the
     outer actions.  The ground E is chosen by _relative_ends(y (x) x):
-    E = Q^{Q_0} when B is a quiver algebra with more than one vertex and
-    x's right and y's left vertex actions are 0/1 coordinate projections
-    (every corner and projective-pair bimodule), so that only the
-    composable chains x e_w (x) r_1 (x) ... (x) r_n (x) e_u y enter;
+    E from the unit's idempotent terms when B has that ground and x's
+    right and y's left actions of those terms are 0/1 coordinate
+    projections (every corner and projective-pair bimodule), so that only
+    the composable chains x e_w (x) r_1 (x) ... (x) r_n (x) e_u y enter;
     E = Q.1 otherwise.  The bar resolutions relative to a separable E
     compute the same Tor (Hochschild 1956).
     The bound must either be certified by finite global dimension of B, or

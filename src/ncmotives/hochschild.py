@@ -11,18 +11,23 @@ Sources written cohomologically call b the degree +1 map; the translation is
 a straight reindexing.  Chains are normalized and relative to a separable
 ground subalgebra E of A: C_n(A; M) = M (x)_{E^e} Abar^{(x)_E n} with
 Abar = A / E.  For E = Q.1 this is M (x) Abar^n, of dimension
-dim(M) * (dim A - 1)^n.  hochschild_complex takes E = Q^{Q_0}, spanned by
-the vertex idempotents, for a quiver algebra with more than one vertex and
-coefficients in a vertex-adapted basis: then Abar is the radical, and a
-chain m (x) r_1 (x) ... (x) r_n must close up into a cycle, so for M = A
-on an acyclic quiver every chain of degree >= 1 vanishes.  Both choices
-compute HH(A; M) (Cibils; Loday, reduction to a separable subalgebra).
+dim(M) * (dim A - 1)^n.  hochschild_complex takes E from the unit's
+idempotent terms, when they are orthogonal idempotents that split A's
+basis into corners e_u A e_w and the coefficients' basis is adapted to
+them (algebras._basis_ground): the vertex idempotents of a quiver algebra,
+the diagonal matrix units of M_2(Q), the e_i (x) e_j of a tensor product.
+Then Abar is spanned by the other basis elements, and a chain
+m (x) r_1 (x) ... (x) r_n must close up into a cycle, so for M = A on an
+acyclic quiver every chain of degree >= 1 vanishes, and M_2(Q) has two
+chains in each degree.  Both choices compute HH(A; M) (Cibils; Loday,
+reduction to a separable subalgebra).
 The mixed complex takes the same ground as hochschild_complex does for
 the regular bimodule, and the relative normalized cyclic module computes
 the same HC and HP.  The Chern character is projected onto it (the
 projection pi from the chains over Q.1 is a map of mixed complexes), and
-a homomorphism that does not carry the vertex idempotents into the target's
-ground algebra is read on its source's complex over Q.1.  The choice of
+a homomorphism that does not carry its source's ground algebra into the
+target's is read on its source's complex over Q.1 and brought back
+through pi, an isomorphism on HC.  The choice of
 ground (_relative_ends), the reduced basis, the composable chains and the
 differential b come from algebras (_chain_basis and hochschild_columns),
 which derived tensor products share.  Both grounds use that one chain
@@ -48,7 +53,7 @@ from math import factorial
 
 from .errors import InvariantError, UncertifiedError
 from .exactlin import (QMatrix, LinSubspace, matrix_rank, kernel_vectors,
-                       vec_addmul)
+                       vec_addmul, inverse)
 from .homcore import ChainComplex, apply_cols, induced_map
 # _guard is re-exported: perfbench/tracer.py wraps hochschild._guard
 from .algebras import (_chain_basis, _guard, _relative_ends, _word_code,
@@ -72,7 +77,8 @@ def connes_columns(red, n, chains):
     hochschild_columns.  Relative to E, 1 (x)_{E^e} is e_v (x), v the
     source of the first slot after the rotation (red.units; over E = Q.1
     that is the unit of A), and the column of a chain whose coefficient
-    a_0 lies in E (a vertex idempotent) is 0, since a_0 vanishes in Abar.
+    a_0 lies in E (one of the unit's terms) is 0, since a_0 vanishes in
+    Abar.
     """
     dbar = red.dbar
     pow_next = dbar ** (n + 1)
@@ -101,9 +107,10 @@ def hochschild_complex(a, m=None, n_max=4, cap=DEFAULT_CAP):
     """Normalized Hochschild complex of A with coefficients in the
     (A, A)-bimodule m (the regular bimodule when omitted).
 
-    Relative to E = Q^{Q_0} when A is a quiver algebra with more than one
-    vertex and m's basis is vertex-adapted (algebras._vertex_ends); relative
-    to E = Q.1 otherwise.  Both compute HH(A; M).
+    Relative to E from the unit's idempotent terms when A has that ground
+    (algebras._basis_ground) and m's basis is adapted to it
+    (algebras._vertex_ends); relative to E = Q.1 otherwise.  Both compute
+    HH(A; M).
     """
     if n_max < 1:
         raise InvariantError("n_max must be >= 1")
@@ -150,12 +157,12 @@ def hochschild_homology(a, m=None, n_max=4, cap=DEFAULT_CAP):
 class TruncatedMixedComplex:
     """(C_*(A), b, B) for degrees 0..n_max, relations verified exactly.
 
-    The chains are relative to E = Q^{Q_0} whenever hochschild_complex
-    takes that ground for the regular bimodule, and to E = Q.1 otherwise
-    (or when _absolute is set); both compute HC(A).  red is the reduced
-    basis and chains the composable chains (algebras._Chains, whose chain
-    reads a position and whose project maps red.expand coordinates onto
-    the chains).
+    The chains are relative to E from the unit's idempotent terms whenever
+    hochschild_complex takes that ground for the regular bimodule, and to
+    E = Q.1 otherwise (or when _absolute is set); both compute HC(A).  red
+    is the reduced basis and chains the composable chains
+    (algebras._Chains, whose chain reads a position and whose project maps
+    red.expand coordinates onto the chains).
     """
 
     def __init__(self, a, n_max, cap=DEFAULT_CAP, *, _absolute=False):
@@ -608,8 +615,8 @@ def _chain_map_on_tot(f, a, b, data_a, data_b, n, vec):
 def _grounds_compatible(f, mixed_a, mixed_b):
     """Does f carry A's ground algebra E into B's?  E is spanned by the
     unit, which f keeps, and the basis elements of A whose class in Abar
-    is 0 (relative to Q^{Q_0}, the vertex idempotents); f(x) lies in B's
-    ground algebra iff its class in Bbar is 0."""
+    is 0 (with E from the unit's idempotent terms, those terms); f(x) lies
+    in B's ground algebra iff its class in Bbar is 0."""
     fcols = f.columns()
     return not any(mixed_b.red.reduce(fcols[k])
                    for k, cls in mixed_a.red.classes.items() if not cls)
@@ -618,10 +625,13 @@ def _grounds_compatible(f, mixed_a, mixed_b):
 def hp_of_homomorphism(f, a, b, n_max=6, cap=DEFAULT_CAP):
     """Induced maps on the stable even/odd parts, from the chain level.
 
-    Returns (even, odd) QMatrices in the canonical stable homology bases.
+    Returns (even, odd) QMatrices in the stable homology bases of the
+    cyclic data of A and B, so the matrices of composable maps compose.
     Both sides must have CERTIFIED periodic cyclic homology.  When f does
-    not carry the vertex idempotents of A into B's ground algebra (say
-    Q x Q -> M_2(Q), e_i |-> e_ii), A's side is taken relative to Q.1.
+    not carry A's ground algebra into B's (say Q x Q -> M_2(Q),
+    e_1 |-> e11 + e12, e_2 |-> e22 - e12), f is read on A's complex over
+    Q.1 and brought back to A's basis through the projection of that
+    complex onto A's own chains, an isomorphism on HC.
     """
     check_homomorphism(f, a, b)
     hp_a = periodic_cyclic(a, n_max, cap)
@@ -631,8 +641,10 @@ def hp_of_homomorphism(f, a, b, n_max=6, cap=DEFAULT_CAP):
                                "cyclic homology on both sides")
     data_a = cyclic_data(a, n_max, cap)
     data_b = cyclic_data(b, n_max, cap)
+    flat = data_a
     if not _grounds_compatible(f, data_a.mixed, data_b.mixed):
-        data_a = _absolute_cyclic_data(a, n_max, cap)
+        flat = _absolute_cyclic_data(a, n_max, cap)
+        identity = QMatrix.identity(a.dim)
     r0 = max(hp_a.r0, hp_b.r0)
     window = [n for n in range(r0, n_max - 2)]
     n_even = max(n for n in window if n % 2 == 0)
@@ -640,8 +652,18 @@ def hp_of_homomorphism(f, a, b, n_max=6, cap=DEFAULT_CAP):
     mats = {}
     for n in (n_even, n_odd):
         mats[n] = induced_map(
-            data_a.hc_space(n), data_b.hc_space(n),
-            lambda z, n=n: _chain_map_on_tot(f, a, b, data_a, data_b, n, z))
+            flat.hc_space(n), data_b.hc_space(n),
+            lambda z, n=n: _chain_map_on_tot(f, a, b, flat, data_b, n, z))
+        if flat is not data_a:
+            back = inverse(induced_map(
+                flat.hc_space(n), data_a.hc_space(n),
+                lambda z, n=n: _chain_map_on_tot(identity, a, a, flat,
+                                                 data_a, n, z)))
+            if back is None:
+                raise InvariantError("the projection onto the relative "
+                                     "chains is not an isomorphism on HC_%d "
+                                     "(internal bug)" % n)
+            mats[n] = mats[n] * back
     return mats[n_even], mats[n_odd]
 
 
@@ -668,8 +690,8 @@ def chern_character(e, a, n_max=6, cap=DEFAULT_CAP):
         ch_(2m) = (-1)^m (2m)!/m! * tr((e - 1/2) (x) e^(x 2m))
     where tr is the generalized trace into the normalized chains, followed
     by the projection onto the chains of the mixed complex of A
-    (_Chains.project; relative to E = Q^{Q_0} it keeps the
-    composable chains), so each component is sparse over the positions of
+    (_Chains.project; relative to E from the unit's idempotent terms it
+    keeps the composable chains), so each component is sparse over the positions of
     that complex's chains.  The result is a cycle for b + B, verified
     exactly; its degree-0 component is the trace of e in A (whose class
     generates the pairing with HH_0).

@@ -173,16 +173,30 @@ def test_exit_status_missing_identity(tmp_path, command):
 
 
 def test_exit_status_cap_exceeded():
-    # M2(Q) has no quiver: its complex at degree 8 has 39364 > 1000 chains
-    status, _, err = run_cli(["hh", "--input", str(ALG / "m2q.json"),
+    # Q[x]/x^3 has the single idempotent 1, so its complex is taken over
+    # Q.1: at degree 8 it has 1533 > 1000 chains
+    status, _, err = run_cli(["hh", "--input", str(ALG / "cubic.json"),
                               "--max-degree", "8", "--cap", "1000"])
     assert status == 3
     assert "cap" in err
-    # the vertex-relative complex of A3 vanishes above degree 0
+    # the complex of A3 relative to its vertex idempotents vanishes above
+    # degree 0
     status, out, _ = run_cli(["hh", "--input", str(ALG / "a3.json"),
                               "--max-degree", "8", "--cap", "1000"])
     assert status == 0
     assert "HH dimensions" in out
+
+
+def test_matrix_algebra_answers_under_the_cap():
+    """M2(Q) is taken relative to its diagonal matrix units, found from the
+    unit's terms: two chains per degree, so --cap 1000 admits degree 8
+    (over Q.1 the complex has 39364 chains: exit 3)."""
+    status, out, _ = run_cli(["hh", "--input", str(ALG / "m2q.json"),
+                              "--max-degree", "8", "--cap", "1000",
+                              "--format", "structured"])
+    assert status == 0
+    rows = json.loads(out)["HH dimensions"]["rows"]
+    assert [int(d) for _, d in rows] == [1] + [0] * 7
 
 
 @pytest.mark.parametrize("command", ["pair", "numquot", "semisimple"])
@@ -215,9 +229,12 @@ def test_missing_input_flag():
 
 def test_cap_env_override(monkeypatch):
     monkeypatch.setenv("NCMOTIVES_CAP", "1000")
-    status, _, err = run_cli(["hh", "--input", str(ALG / "m2q.json"),
+    status, _, err = run_cli(["hh", "--input", str(ALG / "cubic.json"),
                               "--max-degree", "8"])
     assert status == 3
+    status, _, err = run_cli(["hh", "--input", str(ALG / "m2q.json"),
+                              "--max-degree", "8"])
+    assert status == 0
     status, _, err = run_cli(["hh", "--input", str(ALG / "a3.json"),
                               "--max-degree", "8"])
     assert status == 0

@@ -11,7 +11,7 @@ from ncmotives import algebras, zoo
 from ncmotives.algebras import (Quiver, path_algebra, structure_algebra,
                                 Bimodule, corner_bimodule, derived_tensor,
                                 global_dimension, regular_bimodule, _Reduced,
-                                _vertex_ends)
+                                _vertex_ends, _basis_ground, tensor_algebra)
 from ncmotives.cli import _nonnormalized_hh
 from ncmotives.errors import InvariantError, CapExceededError, UncertifiedError
 from ncmotives.exactlin import QMatrix, matrix_rank, inverse
@@ -69,6 +69,13 @@ def nonnormalized_hh_dims(a, n_max):
     return [cx.homology_dim(n) for n in range(n_max)]
 
 
+def _over_q1():
+    """Every complex built inside is taken relative to E = Q.1: no algebra
+    has a ground from its unit's terms.  The tests' oracle for the
+    relative complexes."""
+    return mock.patch.object(algebras, "_basis_ground", lambda b: None)
+
+
 def test_hochschild_complex_dims_base_cases():
     q = zoo.get("Q")
     cx = hochschild_complex(q, n_max=4)
@@ -77,20 +84,30 @@ def test_hochschild_complex_dims_base_cases():
     cx = hochschild_complex(dual, n_max=4)
     assert cx.dims == [2, 2, 2, 2, 2]
     a2 = zoo.get("A2")
-    # without its quiver, A2 gets the complex relative to Q.1 ...
-    cx = hochschild_complex(_rescaled(a2, [1, 1, 1]), n_max=4)
+    # over Q.1, A2 has every chain ...
+    with _over_q1():
+        cx = hochschild_complex(a2, n_max=4)
     assert cx.dims == [3, 6, 12, 24, 48]
-    # ... with it, the one relative to Q^{Q_0}: no composable chain of
-    # degree >= 1 closes up on an acyclic quiver
-    cx = hochschild_complex(a2, n_max=4)
-    assert cx.dims == [2, 0, 0, 0, 0]
+    # ... relative to its vertex idempotents, also in a rescaled basis
+    # without the quiver, no composable chain of degree >= 1 closes up on
+    # an acyclic quiver
+    for alg in (a2, _rescaled(a2, SCALES[:3])):
+        cx = hochschild_complex(alg, n_max=4)
+        assert cx.dims == [2, 0, 0, 0, 0]
+    # M2(Q): 4 * 3^n chains over Q.1, 2 relative to e11 and e22
+    m2 = zoo.get("M2(Q)")
+    with _over_q1():
+        assert hochschild_complex(m2, n_max=4).dims == [4, 12, 36, 108, 324]
+    assert hochschild_complex(m2, n_max=4).dims == [2] * 5
 
 
 def test_memory_guard_refuses():
     a3 = zoo.get("A3")
-    with pytest.raises(CapExceededError):      # 585936 > 200000
-        hochschild_complex(_rescaled(a3, [1] * a3.dim), n_max=8, cap=200000)
-    assert hochschild_homology(a3, n_max=8, cap=200000).dims == [3] + [0] * 7
+    with _over_q1(), pytest.raises(CapExceededError):   # 585936 > 200000
+        hochschild_complex(a3, n_max=8, cap=200000)
+    for alg in (a3, _rescaled(a3, [1] * a3.dim)):
+        assert (hochschild_homology(alg, n_max=8, cap=200000).dims
+                == [3] + [0] * 7)
 
 
 def test_hochschild_complex_rejects_mismatched_bimodule():
@@ -167,25 +184,45 @@ def test_sbi_exact_on_small_zoo():
                                                  if not e["exact"]])
 
 
-def _rescaled(a, scales):
-    """a by structure constants in the basis scales[i] * b_i."""
-    labels = ["s" + b for b in a.basis]
-    products = [(labels[i], labels[j],
-                 {labels[k]: scales[i] * scales[j] * c / scales[k]
-                  for k, c in vec.items()})
-                for (i, j), vec in a.table.items()]
-    unit = {labels[k]: Fraction(c) / scales[k] for k, c in a.unit.items()}
-    return structure_algebra(a.name + "-rescaled", labels, unit, products)
+def _in_basis(a, vectors, name):
+    """a by structure constants in the basis of the given vectors (sparse
+    over a's basis)."""
+    p = QMatrix(a.dim, a.dim, {(r, c): v for c, vec in enumerate(vectors)
+                               for r, v in vec.items()})
+    q = inverse(p)
+    labels = ["c%d" % i for i in range(a.dim)]
+
+    def coords(vec):
+        return {labels[r]: v for r, v in (q * vec).items()}
+    products = [(labels[i], labels[j], coords(a.mult_vec(x, y)))
+                for i, x in enumerate(vectors) for j, y in enumerate(vectors)]
+    return structure_algebra(name, labels, coords(a.unit), products)
+
+
+def _rescaled(a, scales, perm=None):
+    """a in the basis scales[i] * b_perm[i] (perm is the identity when
+    omitted)."""
+    return _in_basis(a, [{k: Fraction(c)} for k, c in
+                         zip(perm or range(a.dim), scales)],
+                     a.name + "-rescaled")
 
 
 def test_rational_basis_keeps_sbi_and_hp():
+    """A rescaled copy, relative to the idempotents among its unit's terms
+    (A2) or to Q.1 (cubic, and A2 with that ground withheld), keeps SBI
+    exactness and HP."""
     scales = [Fraction(1, 2), Fraction(-2, 3), Fraction(3)]
     for name in ("A2", "cubic"):
         a = zoo.get(name)
+        want = (sbi_check(a, n_max=6).all_exact,
+                periodic_cyclic(a, n_max=6).super_dims)
         r = _rescaled(a, scales)
-        assert sbi_check(r, n_max=6).all_exact == sbi_check(a, n_max=6).all_exact
-        assert (periodic_cyclic(r, n_max=6).super_dims
-                == periodic_cyclic(a, n_max=6).super_dims)
+        assert (sbi_check(r, n_max=6).all_exact,
+                periodic_cyclic(r, n_max=6).super_dims) == want
+        r = _rescaled(a, scales)
+        with _over_q1():
+            assert (sbi_check(r, n_max=6).all_exact,
+                    periodic_cyclic(r, n_max=6).super_dims) == want
 
 
 @pytest.mark.parametrize(
@@ -258,9 +295,11 @@ def _over(m, r, scales):
 @settings(deadline=None, max_examples=30)
 @given(st.data())
 def test_vertex_relative_hh_matches_absolute_on_random_quivers(data):
-    """HH(A; M) relative to E = Q^{Q_0} equals HH of the quiver-free
-    rescaled copy, relative to Q.1, for the regular bimodule, every corner
-    bimodule and every nonzero Tor_0 of two corner bimodules."""
+    """HH(A; M) relative to the vertex idempotents equals HH of the
+    quiver-free rescaled copy, both relative to the idempotents it finds
+    among its unit's terms and relative to Q.1, for the regular bimodule,
+    every corner bimodule and every nonzero Tor_0 of two corner
+    bimodules."""
     a = data.draw(quiver_algebras())
     assume(a.dim <= 6)
     scales = data.draw(st.lists(st.sampled_from(SCALES), min_size=a.dim,
@@ -273,8 +312,11 @@ def test_vertex_relative_hh_matches_absolute_on_random_quivers(data):
     mods += [t for x in corners for y in corners
              for t in derived_tensor(x, y, bound=0) if t.dim]
     for m in mods:
-        assert (hochschild_homology(a, m, n_max=3).dims
-                == hochschild_homology(r, _over(m, r, scales), n_max=3).dims)
+        flat = _over(m, r, scales)
+        want = hochschild_homology(a, m, n_max=3).dims
+        assert hochschild_homology(r, flat, n_max=3).dims == want
+        with _over_q1():
+            assert hochschild_homology(r, flat, n_max=3).dims == want
 
 
 def _conjugated(m):
@@ -333,9 +375,9 @@ def _tor_table(alg, tors, vertex_idx, g):
 
 
 def _assert_tor_matches_rescaled(a, scales):
-    """Tor^A(x, y) over E = Q^{Q_0} has the dimensions, vertex-graded
-    dimensions and chi(HH(A; Tor_l)) of Tor over the quiver-free rescaled
-    copy (E = Q.1), for every pair of corner bimodules (Tor_0) and of
+    """Tor^A(x, y) relative to the vertex idempotents has the dimensions,
+    vertex-graded dimensions and chi(HH(A; Tor_l)) of Tor over the
+    quiver-free rescaled copy with every complex over E = Q.1, for every pair of corner bimodules (Tor_0) and of
     one-dimensional simple bimodules (Tor_0..Tor_2)."""
     vs = a.quiver.vertices
     r = _rescaled(a, scales)
@@ -349,10 +391,12 @@ def _assert_tor_matches_rescaled(a, scales):
         with _tor_grounds() as spy:
             tors = derived_tensor(x, y, bound=bound)
         assert spy.call_args.args[2] is not None
-        flat = derived_tensor(_over(x, r, scales), _over(y, r, scales),
-                              bound=bound)
-        assert (_tor_table(a, tors, vertex_idx, g)
-                == _tor_table(r, flat, vertex_idx, g)), (x.name, y.name)
+        want = _tor_table(a, tors, vertex_idx, g)
+        with _over_q1():
+            flat = derived_tensor(_over(x, r, scales), _over(y, r, scales),
+                                  bound=bound)
+            assert _tor_table(r, flat, vertex_idx, g) == want, (x.name,
+                                                                 y.name)
 
 
 @settings(deadline=None, max_examples=30)
@@ -570,20 +614,22 @@ def test_chern_character_unit_of_q():
 
 def test_chern_character_projection_in_qxq():
     e = [[{0: 1}]]    # e_1 as a 1x1 idempotent matrix
-    # without its quiver, QxQ has chains relative to Q.1 ...
-    flat = _rescaled(zoo.get("QxQ"), [1, 1])
-    comps = chern_character(e, flat, n_max=6)
-    assert comps[0] == {0: 1}           # degree-0 component = tr(e) = e_1
-    assert comps[2]                      # correction terms present
-    cls, n_even = chern_class_in_hc(e, flat, n_max=6)
-    assert cls                           # nonzero class in stable even HC
-    # ... with it, relative to E = Q^{Q_0}, where e_1 vanishes in A/E
-    qq = zoo.get("QxQ")
-    comps = chern_character(e, qq, n_max=6)
-    assert comps[0] == {0: 1}
-    assert comps[2] == {}
-    cls, n_even = chern_class_in_hc(e, qq, n_max=6)
-    assert cls
+    # over Q.1 ...
+    flat = zoo.product_of_fields(2)
+    with _over_q1():
+        comps = chern_character(e, flat, n_max=6)
+        assert comps[0] == {0: 1}       # degree-0 component = tr(e) = e_1
+        assert comps[2]                  # correction terms present
+        cls, n_even = chern_class_in_hc(e, flat, n_max=6)
+        assert cls                       # nonzero class in stable even HC
+    # ... and relative to E = Q x Q, where e_1 vanishes in A/E, found from
+    # the quiver's vertices or the unit's terms alike
+    for qq in (zoo.get("QxQ"), _rescaled(zoo.get("QxQ"), [1, 1])):
+        comps = chern_character(e, qq, n_max=6)
+        assert comps[0] == {0: 1}
+        assert comps[2] == {}
+        cls, n_even = chern_class_in_hc(e, qq, n_max=6)
+        assert cls
 
 
 def test_chern_character_matrix_idempotent():
@@ -642,7 +688,8 @@ def test_relative_chain_map_commutes_with_tot_differentials():
                                for i, lab in enumerate(a.basis)})
     check_homomorphism(f, a, a)
     data = cyclic_data(a, 5)
-    assert set(data.mixed.red.units) == {"1", "2"}
+    assert set(data.mixed.red.units) == {a.quiver.vertex_idx[v]
+                                         for v in ("1", "2")}
     assert data.mixed.dims == [3, 4, 7, 11, 18, 29]
     from ncmotives.hochschild import _chain_map_on_tot
     from ncmotives.homcore import apply_cols
@@ -658,35 +705,58 @@ def test_relative_chain_map_commutes_with_tot_differentials():
     assert (odd.rows, odd.cols) == (0, 0)
 
 
-def test_hp_of_homomorphism_outside_the_target_ground_algebra():
-    """e_i -> e_ii does not carry the vertex idempotents of QxQ into
-    Q.1 in M2(Q): QxQ's side is read over Q.1, with the same matrix as
-    before the relative mixed complex."""
-    qq, m2 = zoo.get("QxQ"), zoo.get("M2(Q)")
+def test_hp_of_homomorphism_outside_the_target_ground_algebra(monkeypatch):
+    """f: e_i -> e_ii carries QxQ's ground into M2(Q)'s (e11, e22), so both
+    sides stay relative; [e11] = [e22] in HH_0 gives a rank-1 matrix with
+    equal columns.  f' = Ad(1 - e12) o f, e_1 -> e11 + e12 and
+    e_2 -> e22 - e12, does not, so it is read on QxQ's complex over Q.1.
+    Inner automorphisms act trivially on HP, so f' has the matrix of f;
+    so has f when it is made to take the same route.  Matrices compose
+    across the fallback: Q -> QxQ -> M2(Q) through f' is the unit map."""
+    import ncmotives.hochschild as hochschild
+    q, qq, m2 = zoo.get("Q"), zoo.product_of_fields(2), zoo.matrix_algebra_2()
     f = QMatrix(4, 2, {(0, 0): 1, (3, 1): 1})
+    f_inner = QMatrix(4, 2, {(0, 0): 1, (1, 0): 1, (3, 1): 1, (1, 1): -1})
+    check_homomorphism(f_inner, qq, m2)
     even, odd = hp_of_homomorphism(f, qq, m2, n_max=5)
-    assert even == QMatrix(1, 2, {(0, 0): 1, (0, 1): Fraction(1, 2)})
+    assert list(qq._cyclic) == [(5, DEFAULT_CAP)]       # relative only
+    assert matrix_rank(even) == 1
+    assert even.columns()[0] == even.columns()[1]
     assert (odd.rows, odd.cols) == (0, 0)
+    assert hp_of_homomorphism(f_inner, qq, m2, n_max=5) == (even, odd)
+    assert (5, DEFAULT_CAP, "Q.1") in qq._cyclic        # the Q.1 path
+    incl = QMatrix(2, 1, {(0, 0): 1, (1, 0): 1})
+    ev_incl, _ = hp_of_homomorphism(incl, q, qq, n_max=5)
+    ev_unit, _ = hp_of_homomorphism(f_inner * incl, q, m2, n_max=5)
+    assert even * ev_incl == ev_unit
+    monkeypatch.setattr(hochschild, "_grounds_compatible",
+                        lambda f, mixed_a, mixed_b: False)
+    assert hp_of_homomorphism(f, qq, m2, n_max=5) == (even, odd)
 
 
 @pytest.mark.parametrize("build, n_max", [(_two_cycle, 6),
                                           (zoo.a3_algebra, 5),
                                           (zoo.commutative_square, 4)])
 def test_relative_mixed_complex_matches_absolute(build, n_max):
-    """HC and SBI exactness of a quiver algebra, relative to E = Q^{Q_0},
-    against its quiver-free copy relative to Q.1; HP at a certified
-    truncation against the nil-invariant value of that copy."""
+    """HC and SBI exactness of a quiver algebra, relative to its vertex
+    idempotents, against a copy relative to Q.1 and the quiver-free copy,
+    relative to the idempotents among its unit's terms; HP at a certified
+    truncation against the nil-invariant value of the copy."""
     a = build()
-    flat = _rescaled(a, [1] * a.dim)
-    assert (set(cyclic_data(a, n_max).mixed.red.units)
-            == set(a.quiver.vertices))
-    assert set(cyclic_data(flat, n_max).mixed.red.units) == {None}
-    assert (cyclic_homology(a, n_max).dims
-            == cyclic_homology(flat, n_max).dims)
-    assert sbi_check(a, n_max).all_exact and sbi_check(flat, n_max).all_exact
+    flat, copy = build(), _rescaled(a, (SCALES * 2)[:a.dim])
+    vertices = {a.quiver.vertex_idx[v] for v in a.quiver.vertices}
+    assert set(cyclic_data(a, n_max).mixed.red.units) == vertices
+    assert set(cyclic_data(copy, n_max).mixed.red.units) == vertices
+    want = cyclic_homology(a, n_max).dims
+    assert cyclic_homology(copy, n_max).dims == want
+    with _over_q1():
+        assert set(cyclic_data(flat, n_max).mixed.red.units) == {None}
+        assert cyclic_homology(flat, n_max).dims == want
+        assert sbi_check(flat, n_max).all_exact
+    assert sbi_check(a, n_max).all_exact and sbi_check(copy, n_max).all_exact
     hp = periodic_cyclic(a, 6)
     assert hp.certificate == "CERTIFIED"
-    assert hp.super_dims == hp_nil_invariant(flat)
+    assert hp.super_dims == hp_nil_invariant(copy)
 
 
 @settings(deadline=None, max_examples=15)
@@ -694,18 +764,22 @@ def test_relative_mixed_complex_matches_absolute(build, n_max):
 def test_relative_mixed_complex_matches_absolute_on_random_quivers(data):
     """On quivers with at least two vertices (loops and 2-cycles included)
     the relative mixed complex gives the HC dimensions, SBI exactness and
-    HP values of the quiver-free rescaled copy; where both take the window
-    path, the S towers agree rank for rank."""
+    HP values of the quiver-free rescaled copy over Q.1; where both take
+    the window path, the S towers agree rank for rank."""
     a = data.draw(quiver_algebras())
     assume(len(a.quiver.vertices) >= 2 and a.dim <= 4)
     # signs keep the copy integral, and so its degree-6 complex quick
     scales = data.draw(st.lists(st.sampled_from([1, -1]), min_size=a.dim,
                                 max_size=a.dim))
     r = _rescaled(a, scales)
-    assert set(cyclic_data(a, 6).mixed.red.units) == set(a.quiver.vertices)
-    assert cyclic_homology(a, 6).dims == cyclic_homology(r, 6).dims
-    assert sbi_check(a, 6).all_exact and sbi_check(r, 6).all_exact
-    hp_a, hp_r = periodic_cyclic(a, 6), periodic_cyclic(r, 6)
+    assert set(cyclic_data(a, 6).mixed.red.units) == set(a.unit)
+    hc_a, sbi_a = cyclic_homology(a, 6).dims, sbi_check(a, 6).all_exact
+    hp_a = periodic_cyclic(a, 6)
+    with _over_q1():
+        assert set(cyclic_data(r, 6).mixed.red.units) == {None}
+        assert cyclic_homology(r, 6).dims == hc_a
+        assert sbi_a and sbi_check(r, 6).all_exact
+        hp_r = periodic_cyclic(r, 6)
     if hp_a.even is not None and hp_r.even is not None:
         assert hp_a.super_dims == hp_r.super_dims
     if "towers" in hp_a.details:
@@ -756,7 +830,7 @@ def test_hp_agrees_with_the_nil_invariant_on_random_quivers(data):
 
 @pytest.mark.parametrize("name, absolute", [
     ("A3", False), ("square", False), ("QxQxQ", False), ("2-cycle", False),
-    ("A3", True), ("M2(Q)", False), ("dual", False)])
+    ("A3", True), ("M2(Q)", False), ("M2(Q)", True), ("dual", False)])
 def test_chain_decoding_inverts_expand_and_project(name, absolute):
     """On both grounds, expanding the slots that chains.chain reads off a
     position and projecting back onto the chains gives that position;
@@ -765,8 +839,8 @@ def test_chain_decoding_inverts_expand_and_project(name, absolute):
     mixed = TruncatedMixedComplex(a, 4, _absolute=absolute)
     red, chains = mixed.red, mixed.chains
     over_q = set(red.units) == {None}
-    assert over_q == (absolute or a.quiver is None
-                      or len(a.quiver.vertices) == 1)
+    # the dual numbers have the single idempotent 1
+    assert over_q == (absolute or name == "dual")
     for n in range(5):
         assert len(chains.lists[n]) == mixed.dims[n]
         assert (chains.index[n] is None) == isinstance(chains.lists[n], range)
@@ -786,8 +860,8 @@ def _zero_bimodule(a, b):
 
 @pytest.mark.parametrize("name", ["M2(Q)", "dual", "A2"])
 def test_derived_tensor_with_a_zero_factor_vanishes(name):
-    """Tor^B(0, y) and Tor^B(x, 0) are 0 in every degree, over Q.1 (M2(Q),
-    dual) and over Q^{Q_0} (A2)."""
+    """Tor^B(0, y) and Tor^B(x, 0) are 0 in every degree, over Q.1 (dual)
+    and relative to the unit's idempotent terms (M2(Q), A2)."""
     b, q = zoo.get(name), zoo.get("Q")
     reg = regular_bimodule(b)
     for x, y in ((_zero_bimodule(q, b), reg), (reg, _zero_bimodule(b, q))):
@@ -903,3 +977,157 @@ def test_tor_actions_match_the_replaced_loop(name, monkeypatch):
         assert source is target
         reps, project = source
         assert got == _oracle_on_homology(g, reps, project, weight, size)
+
+
+# ---------------------------------------------------------------------------
+# the ground algebra E from the unit's idempotent terms, against Q.1
+
+
+def _matrix_algebra(n):
+    """M_n(Q) by structure constants: e_ij e_kl = [j = k] e_il."""
+    basis = ["e%d%d" % (i, j) for i in range(1, n + 1)
+             for j in range(1, n + 1)]
+    products = [(x, y, {"e%s%s" % (x[1], y[2]): 1} if x[2] == y[1] else {})
+                for x in basis for y in basis]
+    return structure_algebra("M%d(Q)" % n, basis,
+                             {"e%d%d" % (i, i): 1 for i in range(1, n + 1)},
+                             products)
+
+
+MONOMIAL_SCALES = [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3),
+                   Fraction(1, 3), Fraction(-3, 2)]
+
+
+@st.composite
+def monomial_copies(draw):
+    """(builder, scales, perm): builder() makes M2(Q), M3(Q), a product of
+    fields or a tensor product of two small quiver algebras, of dimension
+    <= 12, and _rescaled(builder(), scales, perm) is it in a permuted basis
+    scaled by signs and rationals of size <= 3."""
+    kind = draw(st.sampled_from(["M2", "M3", "fields", "tensor"]))
+    if kind == "tensor":
+        x, y = draw(quiver_algebras()), draw(quiver_algebras())
+        assume(x.dim * y.dim <= 12)
+        build = lambda: tensor_algebra(x, y)
+    elif kind == "fields":
+        k = draw(st.integers(2, 4))
+        build = lambda: zoo.product_of_fields(k)
+    else:
+        build = lambda n=int(kind[1]): _matrix_algebra(n)
+    dim = build().dim
+    perm = draw(st.permutations(range(dim)))
+    scales = draw(st.lists(st.sampled_from(MONOMIAL_SCALES), min_size=dim,
+                           max_size=dim))
+    return build, scales, perm
+
+
+def _unit_corner(a, u, w):
+    """A e_u (x) e_w A for the unit's terms e_u = unit[u] b_u and
+    e_w = unit[w] b_w, read off the products: the basis pairs (p, q) with
+    b_p e_u = b_p and e_w b_q = b_q."""
+    eu, ew = {u: a.unit[u]}, {w: a.unit[w]}
+    lefts = [k for k in range(a.dim) if a.mult_vec({k: 1}, eu) == {k: 1}]
+    rights = [k for k in range(a.dim) if a.mult_vec(ew, {k: 1}) == {k: 1}]
+    pairs = [(p, q) for p in lefts for q in rights]
+    pos = {pq: n for n, pq in enumerate(pairs)}
+    d = len(pairs)
+    left = [QMatrix(d, d, {(pos[(k, q)], c): v
+                           for c, (p, q) in enumerate(pairs)
+                           for k, v in a.mult_basis(x, p).items()})
+            for x in range(a.dim)]
+    right = [QMatrix(d, d, {(pos[(p, k)], c): v
+                            for c, (p, q) in enumerate(pairs)
+                            for k, v in a.mult_basis(q, y).items()})
+             for y in range(a.dim)]
+    return Bimodule(a, a, d, left, right, name="Ae%d(x)e%dA" % (u, w))
+
+
+def _oracle_degree(a):
+    """The largest n_max <= 4, and >= 2, whose complex over Q.1 has at most
+    4000 chains."""
+    n = 2
+    while n < 4 and sum(a.dim * (a.dim - 1) ** k
+                        for k in range(n + 2)) <= 4000:
+        n += 1
+    return n
+
+
+@settings(deadline=None, max_examples=25)
+@given(monomial_copies(), st.data())
+def test_ground_from_the_unit_matches_the_q1_oracle(drawn, data):
+    """In a permuted, rescaled basis the rule still finds the ground from
+    the unit's terms (whenever the unit has two or more), its terms are
+    orthogonal idempotents with every basis element in one corner, and HH,
+    HC and Tor of corner bimodules (dimensions, graded by the terms, and
+    HH_0, HH_1 with those coefficients) equal the complexes over Q.1."""
+    build, scales, perm = drawn
+    r = _rescaled(build(), scales, perm)
+    corners = _basis_ground(r)
+    assert (corners is None) == (len(r.unit) < 2)
+    terms = sorted(r.unit)
+    if corners is not None:
+        e = {v: {v: c} for v, c in r.unit.items()}
+        for u in terms:
+            for w in terms:
+                assert r.mult_vec(e[u], e[w]) == (e[u] if u == w else {})
+        for j, (u, w) in enumerate(corners):
+            for v in terms:
+                assert r.mult_vec(e[v], {j: 1}) == ({j: 1} if v == u else {})
+                assert r.mult_vec({j: 1}, e[v]) == ({j: 1} if v == w else {})
+    n_max = _oracle_degree(r)
+    pick = st.sampled_from(terms)
+    cases = [(_unit_corner(r, *data.draw(st.tuples(pick, pick))),
+              _unit_corner(r, *data.draw(st.tuples(pick, pick))))
+             for _ in range(2)]
+    hh = hochschild_homology(r, n_max=n_max).dims
+    hc = cyclic_homology(r, n_max).dims
+    tors = [_tor_table(r, derived_tensor(x, y, bound=1), terms, None)
+            for x, y in cases]
+    flat = _rescaled(build(), scales, perm)
+    with _over_q1():
+        assert hochschild_homology(r, n_max=n_max).dims == hh
+        assert cyclic_homology(flat, n_max).dims == hc
+        assert tors == [_tor_table(r, derived_tensor(x, y, bound=1), terms,
+                                   None) for x, y in cases]
+
+
+def test_bases_that_hide_the_ground_fall_back_to_q1():
+    """A unitriangular change of basis, a basis element e12 + e21 that
+    straddles two corners, one that straddles them on one side only
+    (e21 + e22) and unit terms that are idempotent basis elements but not
+    orthogonal ones ((1,1,0) + (0,1,1) - (0,1,0) in Q^3) leave no ground
+    from the unit's terms: every complex is taken over Q.1, with the same
+    homology."""
+    m2, q3 = zoo.get("M2(Q)"), zoo.get("QxQxQ")
+    e11, e12, e21, e22 = ({k: 1} for k in range(4))
+    cases = [(a, _in_basis(a, [{i: 1 for i in range(j + 1)}
+                               for j in range(a.dim)], a.name + "'"))
+             for a in (m2, zoo.get("A2"), q3, zoo.get("square"))]
+    cases += [(m2, _in_basis(m2, [e11, e22, {1: 1, 2: 1}, {1: 1, 2: -1}],
+                             "M2(Q) straddled")),
+              (m2, _in_basis(m2, [e11, e12, {2: 1, 3: 1}, e22],
+                             "M2(Q) straddled on one side")),
+              (q3, _in_basis(q3, [{0: 1, 1: 1}, {1: 1, 2: 1}, {1: 1}],
+                             "Q^3 overlapping"))]
+    assert len(cases[-1][1].unit) == 3
+    for a, hidden in cases:
+        assert _basis_ground(hidden) is None, hidden.name
+        mixed = TruncatedMixedComplex(hidden, 3)
+        assert set(mixed.red.units) == {None}
+        assert mixed.dims == [a.dim * (a.dim - 1) ** n for n in range(4)]
+        assert (hochschild_homology(hidden, n_max=3).dims
+                == hochschild_homology(a, n_max=3).dims)
+        assert cyclic_homology(hidden, 3).dims == cyclic_homology(a, 3).dims
+
+
+def test_tensor_products_of_grounded_algebras_reach_hp():
+    """A2 (x) A2 and M2(Q) (x) A2 take the complex relative to their
+    e_i (x) e_j, so HP at n_max 6 is WINDOW-STABLE with the nil-invariant
+    value; over Q.1 the memory guard refused both."""
+    a2, m2 = zoo.get("A2"), zoo.get("M2(Q)")
+    for left, want, needed in ((a2, (4, 0), 2696337), (m2, (2, 0), 23384604)):
+        hp = periodic_cyclic(tensor_algebra(left, a2), 6)
+        assert (hp.certificate, hp.super_dims) == ("WINDOW-STABLE", want)
+        with _over_q1(), pytest.raises(CapExceededError) as refused:
+            periodic_cyclic(tensor_algebra(left, a2), 6)
+        assert refused.value.needed == needed

@@ -159,15 +159,11 @@ class Quiver:
 class QuiverPresentation:
     """Bookkeeping a path_algebra attaches to its output."""
 
-    def __init__(self, quiver, relations, truncation, vertex_idx, path_source,
-                 path_target, path_length):
+    def __init__(self, quiver, vertex_idx, path_source, path_target):
         self.quiver = quiver
-        self.relations = relations
-        self.truncation = truncation
         self.vertex_idx = dict(vertex_idx)   # vertex name -> basis index
         self.path_source = list(path_source)
         self.path_target = list(path_target)
-        self.path_length = list(path_length)
 
     @property
     def vertices(self):
@@ -285,7 +281,7 @@ def path_algebra(quiver, relations=(), truncation=1, name=None):
 
     labels = []
     vertex_idx = {}
-    psrc, ptgt, plen = [], [], []
+    psrc, ptgt = [], []
     for new, old in enumerate(kept):
         names, s, t = paths[old]
         if names:
@@ -295,7 +291,6 @@ def path_algebra(quiver, relations=(), truncation=1, name=None):
             vertex_idx[s] = new
         psrc.append(s)
         ptgt.append(t)
-        plen.append(len(names))
 
     table = {}
     for inew, iold in enumerate(kept):
@@ -313,8 +308,7 @@ def path_algebra(quiver, relations=(), truncation=1, name=None):
                 table[(inew, jnew)] = vec
 
     unit = {vertex_idx[v]: 1 for v in quiver.vertices}
-    pres = QuiverPresentation(quiver, relations, truncation, vertex_idx,
-                              psrc, ptgt, plen)
+    pres = QuiverPresentation(quiver, vertex_idx, psrc, ptgt)
     return Algebra(name or "path algebra", labels, unit, table, quiver=pres)
 
 
@@ -515,25 +509,29 @@ def _ground_field():
 
 def _top_generators(m):
     """Lifts of a basis of the top m / (radA.m + m.radB), vertex pair by
-    vertex pair: (i, j, vector in e_i m e_j)."""
-    rad_vecs = []
+    vertex pair: (i, j, vector in e_i m e_j).
+
+    One span grows from the radical part: a column of e_i m e_j is a new
+    generator when it is outside rad + (the generators so far).  The corner
+    projections preserve the sub-bimodule radA.m + m.radB and the corners
+    are independent, so that is the same as being outside rad + (the
+    generators of its own corner).
+    """
+    span = exactlin.Elimination(m.dim)
     for alg, mats in ((m.A, m.left), (m.B, m.right)):
         for r in alg.radical().basis():
             mat = QMatrix.zero(m.dim, m.dim)
             for i, c in r.items():
                 mat = mat + mats[i].scale(c)
-            rad_vecs.extend(col for col in mat.columns() if col)
-    radspan = LinSubspace(m.dim, rad_vecs)
+            for col in mat.columns():
+                span.add_column(col)
     gens = []
     for i in m.A.quiver.vertices:
         ei = m.A.quiver.vertex_idx[i]
         for j in m.B.quiver.vertices:
             proj = m.left[ei] * m.right[m.B.quiver.vertex_idx[j]]
-            seen = LinSubspace(m.dim, radspan.basis())
-            for col in proj.columns():
-                if col and not seen.contains(col):
-                    gens.append((i, j, col))
-                    seen = LinSubspace(m.dim, seen.basis() + [col])
+            gens.extend((i, j, col) for col in proj.columns()
+                        if span.add_column(col))
     return gens
 
 
@@ -601,6 +599,17 @@ def minimal_resolution(m, bound):
         sub = LinSubspace(total, kv)
         m = Bimodule(a, b, sub.dim, _restrict(left, sub),
                      _restrict(right, sub), check=False)
+    return None
+
+
+def _gldim_certificate(a, bound=10):
+    """The global dimension that certifies a vanishing bound: 0 for a
+    semisimple algebra, global_dimension(a, bound) for one with a quiver,
+    None otherwise or above the bound."""
+    if a.radical().dim == 0:
+        return 0
+    if a.quiver is not None:
+        return global_dimension(a, bound)
     return None
 
 
@@ -1018,16 +1027,12 @@ def derived_tensor(x, y, bound=None):
         raise InvariantError("bimodules are not composable")
     b = x.B
     if bound is None:
-        if b.radical().dim == 0 or is_right_projective(x):
-            bound = 0
-        else:
-            g = global_dimension(b) if b.quiver is not None else None
-            if g is None:
-                raise UncertifiedError(
-                    "derived tensor refused: the middle algebra %s has no "
-                    "finite global-dimension certificate and the left factor "
-                    "is not right-projective" % b.name)
-            bound = g
+        bound = 0 if is_right_projective(x) else _gldim_certificate(b)
+        if bound is None:
+            raise UncertifiedError(
+                "derived tensor refused: the middle algebra %s has no "
+                "finite global-dimension certificate and the left factor "
+                "is not right-projective" % b.name)
     ix, iy = QMatrix.identity(x.dim), QMatrix.identity(y.dim)
     m = Bimodule(b, b, x.dim * y.dim,
                  [kron(ix, y.left[k]) for k in range(b.dim)],
@@ -1035,7 +1040,7 @@ def derived_tensor(x, y, bound=None):
     red, dims, chains = _chain_basis(m, bound + 1, _relative_ends(m))
     diffs = [None] + [hochschild_columns(m, red, n, chains)
                       for n in range(1, bound + 2)]
-    cx = ChainComplex(dims, diffs, check=sum(dims) <= 2000)
+    cx = ChainComplex(dims, diffs)
 
     out = []
     for i in range(bound + 1):

@@ -56,9 +56,9 @@ from .exactlin import (QMatrix, LinSubspace, matrix_rank, kernel_vectors,
                        vec_addmul, inverse)
 from .homcore import ChainComplex, apply_cols, induced_map
 # _guard is re-exported: perfbench/tracer.py wraps hochschild._guard
-from .algebras import (_chain_basis, _guard, _relative_ends, _word_code,
-                       hochschild_columns, regular_bimodule,
-                       global_dimension)
+from .algebras import (_chain_basis, _gldim_certificate, _guard,
+                       _relative_ends, _word_code, hochschild_columns,
+                       regular_bimodule)
 
 DEFAULT_CAP = 200000
 
@@ -179,12 +179,7 @@ class TruncatedMixedComplex:
         self._verify_relations()
 
     def _verify_relations(self):
-        # b^2 = 0
-        for n in range(2, self.n_max + 1):
-            lower = self.b[n - 1]
-            for col in self.b[n]:
-                if apply_cols(lower, col):
-                    raise InvariantError("b^2 != 0 at degree %d" % n)
+        self.hochschild_chain_complex().check_dd_zero()     # b^2 = 0
         # B^2 = 0
         for n in range(self.n_max - 1):
             upper = self.B[n + 1]
@@ -472,14 +467,6 @@ def _checked(hp, a):
     return hp
 
 
-def _gldim_certificate(a, n_max):
-    if a.radical().dim == 0:
-        return 0
-    if a.quiver is not None:
-        return global_dimension(a, bound=n_max)
-    return None
-
-
 def periodic_cyclic(a, n_max=6, cap=DEFAULT_CAP):
     """Stable even/odd dimensions of HC under the periodicity operator S.
 
@@ -510,7 +497,7 @@ def periodic_cyclic(a, n_max=6, cap=DEFAULT_CAP):
             if n + 2 <= N - 1 and hc[n + 2] != hc[n]:
                 raise InvariantError(
                     "HC dimensions not stable in certified window at %d" % n)
-        # smallish instances: verify the S isomorphisms literally
+        # literal S check to Tot 40000: at Tot 65535 it turns 34 s into 149 s
         verified_iso = False
         if data.tot.dims[min(N - 1, len(data.tot.dims) - 1)] <= 40000:
             for n in range(r0, N - 2):

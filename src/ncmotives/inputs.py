@@ -104,6 +104,9 @@ def load_category(path):
         for key, d in doc["hom"].items():
             x, y = key.split("|")
             hom[(x, y)] = int(d)
+            if hom[(x, y)] < 0:
+                raise ParseInputError("hom %s has negative dimension %d"
+                                      % (key, hom[(x, y)]))
         comp = {}
         for x, y, z, gi, fi, vec in doc.get("composition", []):
             comp.setdefault((str(x), str(y), str(z)), {})[

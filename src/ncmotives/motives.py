@@ -31,7 +31,7 @@ from .errors import InvariantError, UncertifiedError
 from .exactlin import QMatrix, Elimination, kernel, matrix_rank
 from .algebras import (regular_bimodule, corner_bimodule,
                        projective_pair_bimodule, derived_tensor,
-                       global_dimension, minimal_resolution)
+                       minimal_resolution, _gldim_certificate)
 from .hochschild import (hochschild_homology, periodic_cyclic,
                          chern_class_in_hc, DEFAULT_CAP)
 from . import zoo as _zoo
@@ -90,7 +90,7 @@ def _is_unit_bimodule(x):
     return getattr(x, "is_regular_unit", False)
 
 
-def compose(x, y, bound=None):
+def compose(x, y):
     """Composition A -> B -> C via the derived tensor with alternating signs."""
     if x.target is not y.source:
         raise InvariantError("correspondences are not composable")
@@ -104,7 +104,7 @@ def compose(x, y, bound=None):
             if _is_unit_bimodule(xb):
                 terms.append((c, yb))
                 continue
-            tors = derived_tensor(xb, yb, bound=bound)
+            tors = derived_tensor(xb, yb)
             for l, t in enumerate(tors):
                 if t.dim:
                     terms.append((c * (-1) ** l, t))
@@ -136,12 +136,7 @@ def hh_euler_characteristic(a, bim, cap=DEFAULT_CAP):
     """
     if bim.dim == 0:
         return Fraction(0)
-    if a.radical().dim == 0:
-        g = 0
-    elif a.quiver is not None:
-        g = global_dimension(a)
-    else:
-        g = None
+    g = _gldim_certificate(a)
     if g is None:
         if is_env_projective(bim):
             g = 0
@@ -190,23 +185,9 @@ def intersection_number(x, y, cap=DEFAULT_CAP):
 
 
 def _tor_intersection_number(x, y, cap=DEFAULT_CAP):
-    """<x . y> term by term: the Euler characteristic of HH(A; -) on every
-    Tor_l^B(X_i, Y_j), with the sign (-1)^l."""
-    total = Fraction(0)
-    for a_c, xb in x.terms:
-        for b_c, yb in y.terms:
-            c = a_c * b_c
-            if _is_unit_bimodule(yb):
-                total += c * hh_euler_characteristic(x.source, xb, cap)
-                continue
-            if _is_unit_bimodule(xb):
-                total += c * hh_euler_characteristic(x.source, yb, cap)
-                continue
-            for l, t in enumerate(derived_tensor(xb, yb)):
-                if t.dim:
-                    total += c * (-1) ** l * \
-                        hh_euler_characteristic(x.source, t, cap)
-    return total
+    """<x . y> by Tor: the trace of the composite, the Euler characteristic
+    of HH(A; -) on every Tor_l^B(X_i, Y_j), with the sign (-1)^l."""
+    return categorical_trace(compose(x, y), cap)
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +219,8 @@ def bimodule_class_vector(m, bound=None):
         raise UncertifiedError("class vectors need quiver presentations on "
                                "both sides")
     if bound is None:
-        ga = global_dimension(a)
-        gb = global_dimension(b)
+        ga = _gldim_certificate(a)
+        gb = _gldim_certificate(b)
         bound = (ga + gb) if (ga is not None and gb is not None) else 0
     if bound not in m._class_vectors:
         m._class_vectors[bound] = _resolution_class_vector(m, bound)

@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -10,8 +11,8 @@ from ncmotives.algebras import (
     global_dimension, derived_tensor, regular_bimodule, corner_bimodule,
     is_right_projective, Bimodule,
 )
-from ncmotives.exactlin import QMatrix
-from test_hochschild import quiver_algebras
+from ncmotives.exactlin import QMatrix, LinSubspace
+from test_hochschild import quiver_algebras, corrupting, _over_q1
 
 
 def test_path_algebra_a2_shape():
@@ -330,3 +331,71 @@ def test_derived_tensor_associative_on_k0_classes():
         left = chi_pair(t_xy, z)
         right = chi_pair(x, t_yz)
         assert left == right
+
+
+def test_large_tor_complexes_check_d_o_d():
+    """derived_tensor checks d o d at every size: a corrupted boundary in a
+    Tor complex of 2340 chains is refused."""
+    a = zoo.get("square")
+    x, y = corner_bimodule(a, "1", "1"), corner_bimodule(a, "1", "4")
+    built = {}
+    corrupted = corrupting(algebras.hochschild_columns, built)
+    with _over_q1(), mock.patch.object(algebras, "hochschild_columns",
+                                       corrupted):
+        with pytest.raises(InvariantError, match="d o d"):
+            derived_tensor(x, y, bound=2)
+    assert sum(len(built[n]) for n in built) + x.dim * y.dim > 2000
+
+
+def _old_top_generators(m):
+    """_top_generators as it was: a fresh LinSubspace per vertex pair and
+    per accepted generator (the oracle of the one-span version)."""
+    rad_vecs = []
+    for alg, mats in ((m.A, m.left), (m.B, m.right)):
+        for r in alg.radical().basis():
+            mat = QMatrix.zero(m.dim, m.dim)
+            for i, c in r.items():
+                mat = mat + mats[i].scale(c)
+            rad_vecs.extend(col for col in mat.columns() if col)
+    radspan = LinSubspace(m.dim, rad_vecs)
+    gens = []
+    for i in m.A.quiver.vertices:
+        ei = m.A.quiver.vertex_idx[i]
+        for j in m.B.quiver.vertices:
+            proj = m.left[ei] * m.right[m.B.quiver.vertex_idx[j]]
+            seen = LinSubspace(m.dim, radspan.basis())
+            for col in proj.columns():
+                if col and not seen.contains(col):
+                    gens.append((i, j, col))
+                    seen = LinSubspace(m.dim, seen.basis() + [col])
+    return gens
+
+
+def _two_sided_simple(a, i, j):
+    """The one-dimensional (a, a)-bimodule on which e_i acts on the left,
+    e_j on the right, and every other basis element by 0."""
+    def acting(vertex):
+        k = a.quiver.vertex_idx[vertex]
+        return [QMatrix(1, 1, {(0, 0): 1} if t == k else None)
+                for t in range(a.dim)]
+    return Bimodule(a, a, 1, acting(i), acting(j),
+                    name="S_%s,%s" % (i, j))
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.data())
+def test_top_generators_match_the_subspace_version(data):
+    a = data.draw(quiver_algebras())
+    assume(a.dim <= 6)
+    vs = a.quiver.vertices
+    i, j, k, l = data.draw(st.lists(st.sampled_from(vs), min_size=4,
+                                    max_size=4))
+    mods = [regular_bimodule(a), corner_bimodule(a, i, j),
+            _two_sided_simple(a, i, j), _right_simple(a, i),
+            _left_simple(a, j)]
+    first = data.draw(st.sampled_from(mods[1:3]))
+    second = data.draw(st.sampled_from([corner_bimodule(a, k, l),
+                                        _two_sided_simple(a, k, l)]))
+    mods += [t for t in derived_tensor(first, second, bound=2) if t.dim]
+    for m in mods:
+        assert algebras._top_generators(m) == _old_top_generators(m)

@@ -267,6 +267,20 @@ def test_unknown_object_names_are_parse_errors(tmp_path):
                        "object(s): Q\n")
 
 
+def test_negative_hom_dimension_is_a_parse_error(tmp_path):
+    """A negative hom dimension is refused at load (before, karoubi and
+    orbit both exited 0)."""
+    doc = json.loads((CAT / "graded_lines.json").read_text())
+    doc["hom"]["L-7|L-6"] = "-2"
+    f = tmp_path / "negative_hom.json"
+    f.write_text(json.dumps(doc))
+    for command in ("karoubi", "orbit"):
+        status, out, err = run_cli([command, "--input", str(f)])
+        assert status == 1
+        assert out == ""
+        assert err == "parse error: hom L-7|L-6 has negative dimension -2\n"
+
+
 def test_malformed_invertible_bound_is_a_parse_error(tmp_path):
     doc = json.loads((CAT / "graded_lines.json").read_text())
     doc["invertible"]["bound"] = "x"

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ncmotives import algebras, zoo
+from ncmotives import algebras, hochschild, zoo
 from ncmotives.algebras import (Quiver, path_algebra, structure_algebra,
                                 Bimodule, corner_bimodule, derived_tensor,
                                 global_dimension, regular_bimodule, _Reduced,
@@ -160,6 +160,31 @@ def test_mixed_complex_relations_verified_and_b0_rank():
     q = zoo.get("Q")
     mxq = mixed_complex(q, n_max=4)
     assert all(not col for cols in mxq.B for col in cols)   # B = 0 over Q
+
+
+def corrupting(real, built):
+    """real (a hochschild_columns) with one entry of d_2 changed: d_1 of
+    the changed coordinate is nonzero, so d_1 d_2 of the first chain is
+    too.  built collects the columns by degree."""
+    def corrupted(m, red, n, chains):
+        cols = real(m, red, n, chains)
+        built[n] = cols
+        if n == 2:
+            k = next(k for k, col in enumerate(built[1]) if col)
+            cols[0][k] = cols[0].get(k, 0) + 1
+            if not cols[0][k]:
+                del cols[0][k]
+        return cols
+    return corrupted
+
+
+def test_mixed_complex_refuses_a_nonzero_b_squared():
+    corrupted = corrupting(hochschild.hochschild_columns, {})
+    with _over_q1(), mock.patch.object(hochschild, "hochschild_columns",
+                                       corrupted):
+        with pytest.raises(InvariantError, match="d o d != 0 between "
+                                                 "degrees 2 and 0"):
+            TruncatedMixedComplex(zoo.get("A2"), 3)
 
 
 def test_cyclic_homology_ground_field_pattern():

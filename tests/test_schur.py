@@ -186,6 +186,27 @@ def test_schur_dimension_two_paths_agree():
                 assert trace_path == matrix_path == oracle, (parts, tuple(v))
 
 
+def test_trace_route_answers_at_every_size(monkeypatch):
+    """Above t^n = 512 the trace equals the matrix rank and the hook
+    oracle; below it, where a size switch once chose the matrix, only
+    force_matrix builds the action."""
+    cases = [(parts, SuperSpace(2, 2)) for parts in partitions_of(5)]
+    cases += [((2, 2, 2), SuperSpace(2, 1)), ((3, 3), SuperSpace(2, 1))]
+    for parts, v in cases:
+        assert v.total ** sum(parts) > 512
+        assert (schur_dimension(parts, v)
+                == schur_dimension(parts, v, force_matrix=True)
+                == super_schur_value(parts, v)), (parts, tuple(v))
+
+    def refused(*args):
+        raise AssertionError("the trace route built the action")
+
+    monkeypatch.setattr(schur, "_numerator_action", refused)
+    for parts in partitions_of(4):
+        v = SuperSpace(1, 1)
+        assert schur_dimension(parts, v) == super_schur_value(parts, v)
+
+
 def test_rectangle_criterion_matches_vanishing():
     spaces = [SuperSpace(a, b) for a in range(3) for b in range(3) if a + b]
     for n in range(1, 5):

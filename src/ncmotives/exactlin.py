@@ -12,7 +12,11 @@ Conventions:
     because isinstance against Fraction goes through the numbers ABC
     machinery and costs several times more on all-int data,
   * subspaces are kept in a canonical reduced row echelon form, so equality
-    of subspaces is equality of representations.
+    of subspaces is equality of representations,
+  * Elimination.modulo(base) starts a tracked elimination from another
+    one's pivots with empty expressions, so that solving modulo a span that
+    is already eliminated (the boundaries, for homology bases) feeds only
+    the new columns.
 """
 
 from fractions import Fraction
@@ -263,6 +267,18 @@ class Elimination:
         self.pivot_cols = []    # original indices of columns that became pivots
         self.ncols_seen = 0
         self._last_kernel_expr = None
+
+    @classmethod
+    def modulo(cls, base):
+        """A tracked Elimination that starts from base's pivots with empty
+        expressions: the columns fed to it are reduced modulo base's span,
+        and solve() gives their coefficients modulo that span.  base is not
+        changed; its pivot columns are shared read-only, and new pivots go
+        into this elimination's own dict."""
+        elim = cls(base.nrows, track=True)
+        elim.pivots = dict(base.pivots)
+        elim.exprs = {lead: {} for lead in base.pivots}
+        return elim
 
     @property
     def rank(self):

@@ -7,6 +7,11 @@ lowers degree, the Connes operator B raises it, and
     b^2 = B^2 = bB + Bb = 0
 
 holds exactly on every constructed mixed complex (verified at construction).
+The mixed complex stores D.b and D.B as integer columns, D the lcm of the
+denominators of their entries (1 on an integral algebra): the relations are
+homogeneous and D.b, D.B have the kernels and images of b, B, so cycles,
+homology bases and projections are those of (b, B), and map_Bconn, which
+carries a chain out of the complex, divides by D.
 Sources written cohomologically call b the degree +1 map; the translation is
 a straight reindexing.  Chains are normalized and relative to a separable
 ground subalgebra E of A: C_n(A; M) = M (x)_{E^e} Abar^{(x)_E n} with
@@ -49,11 +54,11 @@ drops the top component.  Periodic cyclic homology is reported as a stable
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .errors import InvariantError, UncertifiedError
 from .exactlin import (QMatrix, LinSubspace, matrix_rank, kernel_vectors,
-                       vec_addmul, inverse)
+                       vec_addmul, vec_scale, inverse)
 from .homcore import ChainComplex, apply_cols, induced_map
 # _guard is re-exported: perfbench/tracer.py wraps hochschild._guard
 from .algebras import (_chain_basis, _gldim_certificate, _guard,
@@ -162,7 +167,8 @@ class TruncatedMixedComplex:
     E = Q.1 otherwise (or when _absolute is set); both compute HC(A).  red
     is the reduced basis and chains the composable chains
     (algebras._Chains, whose chain reads a position and whose project maps
-    red.expand coordinates onto the chains).
+    red.expand coordinates onto the chains).  b and B hold D.b and D.B as
+    int columns, D = denominator (see the module docstring).
     """
 
     def __init__(self, a, n_max, cap=DEFAULT_CAP, *, _absolute=False):
@@ -172,10 +178,16 @@ class TruncatedMixedComplex:
         m = regular_bimodule(a)
         ends = None if _absolute else _relative_ends(m)
         self.red, self.dims, self.chains = _chain_basis(m, n_max, ends, cap)
-        self.b = [None] + [hochschild_columns(m, self.red, n, self.chains)
-                           for n in range(1, n_max + 1)]
-        self.B = [connes_columns(self.red, n, self.chains)
-                  for n in range(n_max)]
+        b = [hochschild_columns(m, self.red, n, self.chains)
+             for n in range(1, n_max + 1)]
+        B = [connes_columns(self.red, n, self.chains) for n in range(n_max)]
+        dens = {v.denominator for cols in b + B for col in cols
+                for v in col.values() if type(v) is not int}
+        self.denominator = lcm(*dens)
+        if dens:
+            b, B = _times(b, self.denominator), _times(B, self.denominator)
+        self.b = [None] + b
+        self.B = B
         self._verify_relations()
 
     def _verify_relations(self):
@@ -245,6 +257,13 @@ class TruncatedMixedComplex:
         return ChainComplex(dims, diffs, check=False)
 
 
+def _times(cols_by_degree, d):
+    """The columns times d, on ints (d clears every denominator)."""
+    return [[{i: v * d if type(v) is int else v.numerator * (d // v.denominator)
+              for i, v in col.items()} for col in cols]
+            for cols in cols_by_degree]
+
+
 def mixed_complex(a, n_max=4, cap=DEFAULT_CAP):
     return TruncatedMixedComplex(a, n_max, cap)
 
@@ -304,12 +323,14 @@ class CyclicData:
                                       if i >= top_dim})
 
     def map_Bconn(self, n):
-        """HC_n -> HH_(n+1): the connecting map [z] -> [B(z_top)]."""
+        """HC_n -> HH_(n+1): the connecting map [z] -> [B(z_top)], B being
+        the stored D.B divided back by D."""
         top_dim = self.mixed.dims[n]
+        inv = Fraction(1, self.mixed.denominator)
         return induced_map(self.hc_space(n), self.hh_space(n + 1),
-                           lambda z: apply_cols(self.mixed.B[n],
-                                                {i: v for i, v in z.items()
-                                                 if i < top_dim}))
+                           lambda z: vec_scale(inv, apply_cols(
+                               self.mixed.B[n],
+                               {i: v for i, v in z.items() if i < top_dim})))
 
 
 def cyclic_data(a, n_max, cap=DEFAULT_CAP):

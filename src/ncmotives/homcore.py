@@ -3,8 +3,10 @@
 A complex is stored column-wise: diffs[n] is the list of columns of
 d_n : C_n -> C_{n-1} (each column a sparse dict).  Ranks are cached; cycle
 representatives are extracted lazily so that large kernels never have to be
-materialized when only a few homology classes are needed.  induced_map
-is the matrix of a chain map on homology.
+materialized when only a few homology classes are needed.  homology_space
+starts from the cached echelon form of d_(n+1) (Elimination.modulo) and
+feeds only candidate cycles, since project drops boundary coordinates.
+induced_map is the matrix of a chain map on homology.
 """
 
 from .errors import InvariantError
@@ -94,16 +96,13 @@ class ChainComplex:
         if n in self._spaces:
             return self._spaces[n]
         h = self.homology_dim(n)
-        span = Elimination(self.dims[n], track=True)
-        nb = 0
-        if n + 1 <= self.top:
-            for col in self.diffs[n + 1]:
-                span.add_column(col, nb)
-                nb += 1
+        # boundary coordinates are dropped by project, so the cached span of
+        # d_(n+1) serves as it is: only the candidate cycles are fed
+        span = Elimination.modulo(self.boundary_elim(n + 1))
         reps = []
 
         def try_rep(z):
-            if span.add_column(z, nb + len(reps)):
+            if span.add_column(z, len(reps)):
                 reps.append(dict(z))
 
         for z in candidates:
@@ -125,7 +124,7 @@ class ChainComplex:
             if coeffs is None:
                 raise InvariantError("vector is not a cycle-mod-boundary "
                                      "combination at degree %d" % n)
-            return {t - nb: c for t, c in coeffs.items() if t >= nb}
+            return coeffs
 
         self._spaces[n] = (reps, project)
         return self._spaces[n]

@@ -78,6 +78,22 @@ def test_hp_square_answers_at_degree_five():
     assert "certificate: CERTIFIED" in out
 
 
+@pytest.mark.parametrize("command", ["hh", "hc", "sbi", "hp"])
+def test_cubic_in_a_rational_basis_has_the_cubic_tables(command):
+    """cubic_rational.json is Q[x]/x^3 in the basis 1, x + x^2/2, 2x^2 (one
+    structure constant is 1/2, so its mixed complex has denominator 2):
+    every table equals cubic.json's."""
+    tables = []
+    for name in ("cubic.json", "cubic_rational.json"):
+        status, out, err = run_cli([command, "--input", str(ALG / name),
+                                    "--format", "structured"])
+        assert status == 0, err
+        payload = json.loads(out)
+        del payload["algebra"]
+        tables.append(payload)
+    assert tables[0] == tables[1]
+
+
 def test_cli_sweep_smoke():
     """tools/cli_sweep.py on one input: one `argv | exit | sha256 | sha256`
     line per run, the same on a second run."""

@@ -896,6 +896,9 @@ def _relative_ends(m):
     return None
 
 
+DEFAULT_CAP = 200000     # the memory guard: chains of one complex
+
+
 def _guard(total, cap):
     if cap is not None and total > cap:
         raise CapExceededError(
@@ -903,18 +906,16 @@ def _guard(total, cap):
             % (total, cap), needed=total, cap=cap)
 
 
-def _chain_basis(m, n_max, ends, cap=None):
+def _chain_basis(m, n_max, ends, cap):
     """The reduced basis, the chain dimensions in degrees 0..n_max and the
     composable chains, relative to E from the unit's idempotent terms when
-    ends is set and to E = Q.1 when it is None.  Given a cap, the memory
-    guard sees the total before any chain is listed; derived_tensor passes
-    none."""
+    ends is set and to E = Q.1 when it is None.  The memory guard sees the
+    total before any chain is listed (no guard when cap is None)."""
     red = _Reduced(m.A, None if ends is None else _basis_ground(m.A))
     if ends is None:
         ends = [(None, None)] * m.dim
     dims = red.chain_dims(ends, n_max)
-    if cap is not None:
-        _guard(sum(dims), cap)
+    _guard(sum(dims), cap)
     return red, dims, _Chains(red, ends, n_max)
 
 
@@ -1005,7 +1006,7 @@ def _on_digit(g, weight, size):
     return act
 
 
-def derived_tensor(x, y, bound=None):
+def derived_tensor(x, y, bound=None, cap=DEFAULT_CAP):
     """Graded list [Tor_i^B(x, y)] for i = 0..bound as (A, C)-bimodules.
 
     x: (A, B)-bimodule, y: (B, C)-bimodule.  Tor^B_*(x, y) is the Hochschild
@@ -1022,6 +1023,7 @@ def derived_tensor(x, y, bound=None):
     compute the same Tor (Hochschild 1956).
     The bound must either be certified by finite global dimension of B, or
     x must be projective as a right B-module (then Tor vanishes above 0).
+    The memory guard cap bounds the chains in degrees 0..bound + 1.
     """
     if x.B is not y.A:
         raise InvariantError("bimodules are not composable")
@@ -1037,7 +1039,7 @@ def derived_tensor(x, y, bound=None):
     m = Bimodule(b, b, x.dim * y.dim,
                  [kron(ix, y.left[k]) for k in range(b.dim)],
                  [kron(x.right[k], iy) for k in range(b.dim)], check=False)
-    red, dims, chains = _chain_basis(m, bound + 1, _relative_ends(m))
+    red, dims, chains = _chain_basis(m, bound + 1, _relative_ends(m), cap)
     diffs = [None] + [hochschild_columns(m, red, n, chains)
                       for n in range(1, bound + 2)]
     cx = ChainComplex(dims, diffs)

@@ -61,11 +61,9 @@ from .exactlin import (QMatrix, LinSubspace, matrix_rank, kernel_vectors,
                        vec_addmul, vec_scale, inverse)
 from .homcore import ChainComplex, apply_cols, induced_map
 # _guard is re-exported: perfbench/tracer.py wraps hochschild._guard
-from .algebras import (_chain_basis, _gldim_certificate, _guard,
+from .algebras import (DEFAULT_CAP, _chain_basis, _gldim_certificate, _guard,
                        _relative_ends, _word_code, hochschild_columns,
                        regular_bimodule)
-
-DEFAULT_CAP = 200000
 
 
 # ---------------------------------------------------------------------------

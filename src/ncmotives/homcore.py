@@ -7,6 +7,17 @@ materialized when only a few homology classes are needed.  homology_space
 starts from the cached echelon form of d_(n+1) (Elimination.modulo) and
 feeds only candidate cycles, since project drops boundary coordinates.
 induced_map is the matrix of a chain map on homology.
+
+The rank of d_n is read from its rows, with cohomology clearing: a
+rank-only elimination of the rows of d_n skips row i whenever i is a lead
+of the row echelon form of d_(n-1).  That lead is a coboundary
+e_i + (entries after i), and d_(n-1) o d_n = 0 puts row i in the span of
+the later rows, so the skip is exact only once d o d = 0 is proved:
+check_dd_zero runs in the constructor, and a complex built with
+check=False must have it proved elsewhere (the mixed complex's
+_verify_relations).  The columns of d_n at the leads of its row echelon
+form are a basis of im d_n, and boundary_elim(n), the span homology_space
+reduces against, is fed only those: each must become a pivot.
 """
 
 from .errors import InvariantError
@@ -42,15 +53,36 @@ class ChainComplex:
                     raise InvariantError("d o d != 0 between degrees %d and %d"
                                          % (n, n - 2))
 
+    def _row_leads(self, n, cleared):
+        """The leads of a row echelon form of d_n (column indices in C_n),
+        from a rank-only elimination of its nonzero rows outside cleared."""
+        rows = {}
+        for j, col in enumerate(self.diffs[n]):
+            for i, v in col.items():
+                if i not in cleared:
+                    rows.setdefault(i, {})[j] = v
+        elim = Elimination(self.dims[n])
+        for i in sorted(rows):
+            elim.add_column(rows[i])
+        return sorted(elim.pivots)
+
     def boundary_elim(self, n):
-        """Elimination spanning im(d_n); rank-only, cached."""
+        """Elimination spanning im(d_n), fed only the columns of d_n at the
+        leads of its row echelon form (a basis of im d_n); rank-only,
+        cached.  The row pass skips the leads of d_(n-1)'s row echelon
+        form, which d_(n-1) o d_n = 0 puts in the span of the later rows."""
         if n not in self._elims:
             if n < 1 or n > self.top:
                 elim = Elimination(self.dims[max(n - 1, 0)] if n >= 1 else 0)
             else:
+                cleared = set(self.boundary_elim(n - 1).pivot_cols)
+                leads = self._row_leads(n, cleared)
                 elim = Elimination(self.dims[n - 1])
-                for col in self.diffs[n]:
-                    elim.add_column(col)
+                for j in leads:
+                    if not elim.add_column(self.diffs[n][j], j):
+                        raise InvariantError(
+                            "column %d of d_%d is a row echelon lead but "
+                            "depends on the earlier ones" % (j, n))
             self._elims[n] = elim
         return self._elims[n]
 

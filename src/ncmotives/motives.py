@@ -90,8 +90,9 @@ def _is_unit_bimodule(x):
     return getattr(x, "is_regular_unit", False)
 
 
-def compose(x, y):
-    """Composition A -> B -> C via the derived tensor with alternating signs."""
+def compose(x, y, cap=DEFAULT_CAP):
+    """Composition A -> B -> C via the derived tensor with alternating signs;
+    cap is the memory guard of each derived tensor."""
     if x.target is not y.source:
         raise InvariantError("correspondences are not composable")
     terms = []
@@ -104,7 +105,7 @@ def compose(x, y):
             if _is_unit_bimodule(xb):
                 terms.append((c, yb))
                 continue
-            tors = derived_tensor(xb, yb)
+            tors = derived_tensor(xb, yb, cap=cap)
             for l, t in enumerate(tors):
                 if t.dim:
                     terms.append((c * (-1) ** l, t))
@@ -187,7 +188,7 @@ def intersection_number(x, y, cap=DEFAULT_CAP):
 def _tor_intersection_number(x, y, cap=DEFAULT_CAP):
     """<x . y> by Tor: the trace of the composite, the Euler characteristic
     of HH(A; -) on every Tor_l^B(X_i, Y_j), with the sign (-1)^l."""
-    return categorical_trace(compose(x, y), cap)
+    return categorical_trace(compose(x, y, cap), cap)
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +286,9 @@ def _compose_classes(xv, yv, cb):
     return out
 
 
-def _tor_composite_class_vector(x, y):
+def _tor_composite_class_vector(x, y, cap=DEFAULT_CAP):
     """[x o y] from the Tor bimodules of the composite, each resolved."""
-    return correspondence_class_vector(compose(x, y))
+    return correspondence_class_vector(compose(x, y, cap))
 
 
 # ---------------------------------------------------------------------------
@@ -427,18 +428,19 @@ class SemisimplicityReport:
                    self.radical_dim))
 
 
-def _span_products(a, basis):
+def _span_products(a, basis, cap):
     """(i, j, coefficients of basis[i] o basis[j] in the span, or None
     when the composite leaves it), in row-major order.
 
     Over a quiver algebra the composites are the composition law on the
     class vectors of the span, which must all exist; without a quiver the
-    Tor composites are matched term by term (spans of the unit etc.).
+    Tor composites, each derived tensor under the memory guard cap, are
+    matched term by term (spans of the unit etc.).
     """
     if a.quiver is None:
         for i, x in enumerate(basis):
             for j, y in enumerate(basis):
-                yield i, j, _syntactic_span_coeffs(compose(x, y), basis)
+                yield i, j, _syntactic_span_coeffs(compose(x, y, cap), basis)
         return
     vectors = [correspondence_class_vector(x) for x in basis]
     solve = _span_solver(vectors)
@@ -448,13 +450,13 @@ def _span_products(a, basis):
             yield i, j, solve(_compose_classes(xv, yv, cb))
 
 
-def _span_structure_constants(a, basis):
+def _span_structure_constants(a, basis, cap):
     """Multiplication table of the span in class-vector coordinates.
 
     Refuses when a composite leaves the span (the user must enlarge it).
     """
     table = {}
-    for i, j, coeffs in _span_products(a, basis):
+    for i, j, coeffs in _span_products(a, basis, cap):
         if coeffs is None:
             raise UncertifiedError(
                 "span is not closed under composition at (%d, %d); "
@@ -485,7 +487,7 @@ def semisimplicity_check(a, basis=None, cap=DEFAULT_CAP):
     if basis is None:
         basis = canonical_span(a) if a.quiver is not None \
             else [unit_correspondence(a)]
-    table = _span_structure_constants(a, basis)
+    table = _span_structure_constants(a, basis, cap)
     pm = pairing_matrix(basis, basis, cap)
     gram = pm.matrix
     ker = kernel(gram.transpose())
@@ -587,7 +589,7 @@ def even_projector_in_span(a, generators, cap=DEFAULT_CAP):
     evens = [g[1][0] for g in generators]
     odds = [g[1][1] for g in generators]
     # multiplicativity of the realization data over the composition table
-    for i, j, coeffs in _span_products(a, corrs):
+    for i, j, coeffs in _span_products(a, corrs, cap):
         if coeffs is None:
             raise InvariantError(
                 "span not closed under composition at (%d, %d); cannot "

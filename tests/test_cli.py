@@ -103,7 +103,8 @@ def test_cli_sweep_smoke():
     for run in runs:
         assert run.returncode == 0 and run.stderr == ""
     lines = runs[0].stdout.splitlines()
-    assert len(lines) == 10 * 3 * 2      # commands x degrees x formats
+    # commands x degrees x formats, and hh --oracle in both formats
+    assert len(lines) == 10 * 3 * 2 + 2
     pattern = re.compile(r"^\S+ --input demos/algebras/q\.json( \S+)* "
                          r"\| [0-5] \| [0-9a-f]{64} \| [0-9a-f]{64}$")
     assert all(pattern.match(line) for line in lines), lines[0]

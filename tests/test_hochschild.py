@@ -4,6 +4,7 @@ import weakref
 from unittest import mock
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -17,9 +18,10 @@ from ncmotives.algebras import (Quiver, path_algebra, structure_algebra,
                                 hochschild_columns)
 from ncmotives.cli import _nonnormalized_hh
 from ncmotives.errors import InvariantError, CapExceededError, UncertifiedError
-from ncmotives.exactlin import (QMatrix, Elimination, matrix_rank, inverse,
-                                vec_addmul)
+from ncmotives.exactlin import (QMatrix, Elimination, LinSubspace,
+                                matrix_rank, inverse, vec_addmul)
 from ncmotives.homcore import ChainComplex, apply_cols
+from ncmotives.inputs import load_algebra
 from ncmotives.hochschild import (
     hochschild_complex, hochschild_homology, mixed_complex, cyclic_homology,
     sbi_check, periodic_cyclic, hp_of_homomorphism, chern_character,
@@ -416,17 +418,18 @@ def _tor_grounds():
                              wraps=algebras._chain_basis)
 
 
-def _tor_table(alg, tors, vertex_idx, g):
+def _tor_table(alg, tors, vertex_idx, g, cap=DEFAULT_CAP):
     """Per degree: dim Tor_l, dim e_u Tor_l e_v for the vertex idempotents
     (basis indices vertex_idx, up to scale), and chi(HH(A; Tor_l)) when
-    A has finite global dimension g (HH_0 and HH_1 otherwise)."""
+    A has finite global dimension g (HH_0 and HH_1 otherwise), or the
+    refusal of the memory guard cap."""
     table = []
     for t in tors:
         graded = [matrix_rank(t.left[k] * t.right[l])
                   for k in vertex_idx for l in vertex_idx]
         try:
-            hh = hochschild_homology(alg, t,
-                                     n_max=2 if g is None else g + 1).dims
+            hh = hochschild_homology(alg, t, n_max=2 if g is None else g + 1,
+                                     cap=cap).dims
         except CapExceededError as refused:
             # a Tor output whose basis hides the ground takes HH over Q.1,
             # whose chains may exceed the memory guard: the refusal is the
@@ -1116,14 +1119,30 @@ def _oracle_degree(a):
     return n
 
 
-def _assert_ground_matches_q1(build, scales, perm, pairs):
+def _tor_outcome(alg, x, y, terms, cap, hh_cap):
+    """The _tor_table of Tor_0, Tor_1 of x and y under the memory guard
+    hh_cap, or ("refused", needed) when the memory guard cap refuses the
+    derived tensor's complex."""
+    try:
+        tors = derived_tensor(x, y, bound=1, cap=cap)
+    except CapExceededError as refused:
+        return ("refused", refused.needed)
+    return _tor_table(alg, tors, terms, None, hh_cap)
+
+
+def _assert_ground_matches_q1(build, scales, perm, pairs, hh_cap=DEFAULT_CAP):
     """In a permuted, rescaled basis the rule still finds the ground from
     the unit's terms (whenever the unit has two or more), its terms are
     orthogonal idempotents with every basis element in one corner, and HH,
     HC and Tor of the corner bimodules A e_u (x) e_w A for the given pairs
     of pairs ((u, w), (u', w')) of unit terms (dimensions, graded by the
-    terms, and HH_0, HH_1 with those coefficients, or the memory guard's
-    refusal) equal the complexes over Q.1.  Returns the Tor tables."""
+    terms, and HH_0, HH_1 with those coefficients, or the refusal of the
+    memory guard hh_cap) equal the complexes over Q.1.  The relative
+    complex of a derived tensor has a subset of the chains over Q.1, so
+    the oracle builds its complex without a guard where the relative one
+    was admitted, and where the relative one was refused, the oracle's
+    must be refused too, needing at least as many chains.  Returns the Tor
+    outcomes."""
     r = _rescaled(build(), scales, perm)
     corners = _basis_ground(r)
     assert (corners is None) == (len(r.unit) < 2)
@@ -1141,14 +1160,21 @@ def _assert_ground_matches_q1(build, scales, perm, pairs):
     cases = [(_unit_corner(r, *x), _unit_corner(r, *y)) for x, y in pairs]
     hh = hochschild_homology(r, n_max=n_max).dims
     hc = cyclic_homology(r, n_max).dims
-    tors = [_tor_table(r, derived_tensor(x, y, bound=1), terms, None)
+    tors = [_tor_outcome(r, x, y, terms, DEFAULT_CAP, hh_cap)
             for x, y in cases]
     flat = _rescaled(build(), scales, perm)
     with _over_q1():
         assert hochschild_homology(r, n_max=n_max).dims == hh
         assert cyclic_homology(flat, n_max).dims == hc
-        assert tors == [_tor_table(r, derived_tensor(x, y, bound=1), terms,
-                                   None) for x, y in cases]
+        oracle = [_tor_outcome(r, x, y, terms,
+                               DEFAULT_CAP if got[0] == "refused" else None,
+                               hh_cap)
+                  for (x, y), got in zip(cases, tors)]
+    for got, want in zip(tors, oracle):
+        if got[0] == "refused":
+            assert want[0] == "refused" and want[1] >= got[1], (got, want)
+        else:
+            assert got == want, (got, want)
     return tors
 
 
@@ -1162,20 +1188,39 @@ def test_ground_from_the_unit_matches_the_q1_oracle(drawn, data):
     _assert_ground_matches_q1(build, scales, perm, pairs)
 
 
+def _one_vertex(k):
+    """Q<x_0, ..., x_(k-1)> truncated above path length 1, of dimension k + 1
+    with the single unit term b_0."""
+    return path_algebra(
+        Quiver(["0"], [("x%d" % i, "0", "0") for i in range(k)]), (), 1)
+
+
 def test_a_refused_tor_coefficient_is_an_outcome_on_both_sides():
+    """Q<x_0, x_1> truncated above length 1 has the single unit term b_0
+    (at position 1 of this permuted basis), so its corner bimodule is
+    A (x) A and Tor_0 of two of them is A (x) A (x) A, of dimension 27.
+    HH with that coefficient over Q.1 needs 27 * (1 + 2 + 4) = 189 chains,
+    so a memory guard of 188 on the HH of the Tor outputs (the derived
+    tensor keeps the default guard) refuses it on both sides, which the
+    comparison records instead of raising."""
+    tors = _assert_ground_matches_q1(lambda: _one_vertex(2), [-1, 2, 1],
+                                     [2, 0, 1], [((1, 1), (1, 1))],
+                                     hh_cap=188)
+    assert tors == [[(27, [27], ("refused", 189)), (0, [0], [0, 0])]]
+
+
+def test_a_refused_derived_tensor_is_an_outcome_on_both_sides():
     """A 12-dimensional tensor product of one-vertex algebras has the single
     unit term b_0 (at position 2 of this permuted basis), so its corner
-    bimodule is A (x) A and Tor_0 of two of them is A (x) A (x) A, of
-    dimension 1728.  HH with those coefficients over Q.1 needs
-    1728 * (1 + 11 + 121) = 229824 chains and is refused on both sides,
+    bimodule is A (x) A, and the complex of Tor_0, Tor_1 of two of them
+    needs 144 * 144 * (1 + 11 + 121) = 2757888 chains over Q.1.  The
+    derived tensor is refused on both sides before any chain is listed,
     which the comparison records instead of raising."""
-    one_vertex = lambda k: path_algebra(
-        Quiver(["0"], [("x%d" % i, "0", "0") for i in range(k)]), (), 1)
-    build = lambda: tensor_algebra(one_vertex(2), one_vertex(3))
+    build = lambda: tensor_algebra(_one_vertex(2), _one_vertex(3))
     perm = [3, 6, 0, 4, 8, 11, 2, 9, 5, 1, 7, 10]
     tors = _assert_ground_matches_q1(build, (MONOMIAL_SCALES * 2)[:12], perm,
                                      [((2, 2), (2, 2))])
-    assert tors == [[(1728, [1728], ("refused", 229824)), (0, [0], [0, 0])]]
+    assert tors == [("refused", 2757888)]
 
 
 def test_bases_that_hide_the_ground_fall_back_to_q1():
@@ -1259,7 +1304,8 @@ def _fraction_cyclic_data(a, n_max):
     mx = TruncatedMixedComplex.__new__(TruncatedMixedComplex)
     mx.n_max = n_max
     m = regular_bimodule(a)
-    mx.red, mx.dims, mx.chains = _chain_basis(m, n_max, _relative_ends(m))
+    mx.red, mx.dims, mx.chains = _chain_basis(m, n_max, _relative_ends(m),
+                                              DEFAULT_CAP)
     b, mx.B = _fraction_columns(mx, a)
     mx.b = [None] + b
     data = CyclicData.__new__(CyclicData)
@@ -1334,18 +1380,57 @@ def _oracle_homology_space(self, n, candidates=()):
     return reps, project
 
 
+def _oracle_boundary_elim(self, n):
+    """ChainComplex.boundary_elim before the row pass, verbatim
+    (uncached)."""
+    if n < 1 or n > self.top:
+        elim = Elimination(self.dims[max(n - 1, 0)] if n >= 1 else 0)
+    else:
+        elim = Elimination(self.dims[n - 1])
+        for col in self.diffs[n]:
+            elim.add_column(col)
+    return elim
+
+
+def _fed_columns(build):
+    """(result of build(), the Eliminations fed while it ran, each with the
+    number of columns it was fed, in the order they were first fed)."""
+    fed = {}
+    add_column = Elimination.add_column
+
+    def counted(elim, col, index=None):
+        entry = fed.setdefault(id(elim), [elim, 0])
+        entry[1] += 1
+        return add_column(elim, col, index)
+
+    with mock.patch.object(Elimination, "add_column", counted):
+        result = build()
+    return result, [tuple(entry) for entry in fed.values()]
+
+
 COEFFS = st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
 
 
 def _assert_seeded_spaces_match(cx, candidates, data):
-    """At every certified degree of a fresh copy of cx, homology_space has
-    the replaced route's representatives and projection (on cycle +
-    boundary combinations drawn from data), and leaves the cached boundary
-    elimination as it was."""
+    """At every degree of a fresh copy of cx, the rank of d_n is the rank
+    of all of its columns, and the boundary elimination, fed only its
+    rank's worth of columns, spans what the replaced route spans; at every
+    certified degree, homology_space has the replaced route's
+    representatives and projection (on cycle + boundary combinations drawn
+    from data), and leaves the cached boundary elimination as it was."""
     fresh = ChainComplex(cx.dims, cx.diffs, check=False)
     old = ChainComplex(cx.dims, cx.diffs, check=False)
     for n in range(cx.top):
-        bound = fresh.boundary_elim(n + 1)
+        bound, fed = _fed_columns(lambda: fresh.boundary_elim(n + 1))
+        rows, cols = cx.dims[n], cx.dims[n + 1]
+        d = QMatrix(rows, cols, {(i, j): v
+                                 for j, col in enumerate(cx.diffs[n + 1])
+                                 for i, v in col.items()})
+        assert fresh.rank(n + 1) == bound.rank == matrix_rank(d)
+        assert (LinSubspace(rows, bound.pivots.values())
+                == LinSubspace(rows, _oracle_boundary_elim(old, n + 1)
+                               .pivots.values()))
+        assert sum(k for elim, k in fed if elim is bound) == bound.rank
         before = ({k: dict(v) for k, v in bound.pivots.items()}, bound.rank,
                   list(bound.pivot_cols))
         reps, project = fresh.homology_space(n, candidates(n))
@@ -1384,8 +1469,9 @@ def _derived_complexes(x, y, bound):
 def test_seeded_homology_space_matches_the_replaced_route(drawn, q, data):
     """On HH and Tot of a rational copy (Tot with its C_0 candidates) and on
     the complex of Tor^Q(S, S), S the sum of a quiver algebra's simple
-    bimodules, the homology spaces built on the cached boundary echelon
-    form equal those of the replaced route."""
+    bimodules, the ranks from the row side, the boundary spans fed only
+    their lead columns, and the homology spaces built on the cached
+    boundary echelon form equal those of the replaced routes."""
     r, n_max = drawn
     cyc = CyclicData(r, min(n_max, 4))
     _assert_seeded_spaces_match(cyc.hh, lambda n: (), data)
@@ -1393,3 +1479,58 @@ def test_seeded_homology_space_matches_the_replaced_route(drawn, q, data):
     s = _simples(q, q.quiver.vertices)
     for cx in _derived_complexes(s, s, 2):
         _assert_seeded_spaces_match(cx, lambda n: (), data)
+
+
+# ---------------------------------------------------------------------------
+# boundary ranks from the row side, with the leads one degree down cleared
+
+CUBIC = Path(__file__).resolve().parent.parent / "demos" / "algebras" \
+    / "cubic.json"
+
+
+def test_row_pass_skips_the_leads_one_degree_down():
+    """On the Tot complex of Q[x]/x^3 at n_max 8 the row pass of d_n skips
+    its rows at the rank(n - 1) leads of the row echelon form one degree
+    down and is fed the other nonzero rows, and the boundary elimination
+    is fed exactly rank(n) columns (the replaced route fed all dims[n] of
+    them)."""
+    tot = CyclicData(load_algebra(str(CUBIC)), 8).tot
+    cx = ChainComplex(tot.dims, tot.diffs, check=False)
+    assert cx.dims == [3, 6, 15, 30, 63, 126, 255, 510, 1023]
+    skipped, rows_fed, cols_fed = [], [], []
+    for n in range(1, cx.top + 1):
+        cleared = set(cx.boundary_elim(n - 1).pivot_cols)
+        bound, fed = _fed_columns(lambda: cx.boundary_elim(n))
+        rows = sum(k for elim, k in fed if elim is not bound)
+        nonzero = {i for col in cx.diffs[n] for i in col}
+        assert rows == len(nonzero - cleared)
+        skipped.append(len(cleared))
+        rows_fed.append(rows)
+        cols_fed.append(sum(k for elim, k in fed if elim is bound))
+    ranks = [cx.rank(n) for n in range(1, cx.top + 1)]
+    assert ranks == [0, 6, 6, 24, 36, 90, 162, 348]
+    assert skipped == [0] + ranks[:-1]
+    assert rows_fed == [0, 6, 8, 24, 38, 90, 164, 348]
+    assert cols_fed == ranks
+
+
+def test_a_dependent_lead_column_is_refused_and_caches_nothing():
+    """A row pass whose lead set gains a column that depends on the leads
+    makes boundary_elim raise InvariantError and leaves the cached
+    eliminations as they were."""
+    tot = CyclicData(load_algebra(str(CUBIC)), 8).tot
+    cx = ChainComplex(tot.dims, tot.diffs, check=False)
+    cx.boundary_elim(7)
+    before = dict(cx._elims)
+    row_leads = ChainComplex._row_leads
+
+    def with_a_dependent_column(self, n, cleared):
+        leads = row_leads(self, n, cleared)
+        return leads + [max(set(range(self.dims[n])) - set(leads))]
+
+    with mock.patch.object(ChainComplex, "_row_leads",
+                           with_a_dependent_column):
+        with pytest.raises(InvariantError, match="row echelon lead"):
+            cx.boundary_elim(8)
+    assert cx._elims == before
+    assert cx.rank(8) == 348

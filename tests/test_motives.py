@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ncmotives import algebras, motives, zoo
-from ncmotives.errors import InvariantError, UncertifiedError
+from ncmotives.errors import InvariantError, UncertifiedError, CapExceededError
 from ncmotives.exactlin import QMatrix, matrix_rank, inverse, is_nilpotent_by_traces
 from ncmotives.algebras import (corner_bimodule, Bimodule, regular_bimodule,
                                 derived_tensor, global_dimension,
@@ -300,6 +300,23 @@ def test_semisimplicity_numerically_trivial_span():
     # the nilpotent corner class pairs to zero with itself: zero quotient
     rep = semisimplicity_check(a, [canonical_span(a)[1]])
     assert rep.quotient_dim == 0 and rep.radical_dim == 0
+
+
+def test_span_products_without_a_quiver_take_the_cap():
+    """M2(Q) has no quiver, so the products of a span holding its regular
+    bimodule (without the unit's shortcut) are Tor composites, and the cap
+    given to semisimplicity_check and even_projector_in_span guards their
+    derived tensors, of 16 chains: 15 refuses them, 16 admits them."""
+    a = zoo.get("M2(Q)")
+    span = [Correspondence(a, a, [(1, regular_bimodule(a))], name="reg")]
+    gens = [(span[0], (QMatrix.identity(1), QMatrix.zero(0, 0)))]
+    for check in (lambda cap: semisimplicity_check(a, span, cap=cap),
+                  lambda cap: even_projector_in_span(a, gens, cap=cap)):
+        with pytest.raises(CapExceededError) as refused:
+            check(15)
+        assert refused.value.needed == 16
+    assert semisimplicity_check(a, span, cap=16).radical_dim == 0
+    assert even_projector_in_span(a, gens, cap=16).witness == {0: 1}
 
 
 def test_env_projectivity_detection():

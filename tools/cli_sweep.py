@@ -3,9 +3,10 @@
     <argv> | <exit status> | <sha256 of stdout> | <sha256 of stderr>
 
 Every algebra command runs on every file in demos/algebras at
---max-degree 4, 5 and the default, in both formats; karoubi and orbit run
-on every file in demos/categories in both formats, and schur on a few
-super dimensions with and without --oracle.  The runs call
+--max-degree 4, 5 and the default, in both formats, and so does hh --oracle
+(the non-normalized complex beside the normalized one) at --max-degree 4;
+karoubi and orbit run on every file in demos/categories in both formats,
+and schur on a few super dimensions with and without --oracle.  The runs call
 ncmotives.cli.main in this process, from the src directory next to this
 script, so two checkouts compare with diff:
 
@@ -55,6 +56,9 @@ def sweep_argvs(files, schur, cap=None):
                 for fmt in FORMATS:
                     yield ([command, "--input", path] + degree + capped
                            + ["--format", fmt])
+        for fmt in FORMATS:
+            yield (["hh", "--input", path, "--oracle", "--max-degree", "4"]
+                   + capped + ["--format", fmt])
     if schur:
         for dims in SCHUR_DIMS:
             for oracle in ([], ["--oracle"]):

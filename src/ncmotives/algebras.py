@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .errors import InvariantError, CapExceededError, UncertifiedError
 from . import exactlin
-from .exactlin import QMatrix, LinSubspace, kron, vec_addmul, _norm
+from .exactlin import QMatrix, LinSubspace, bilinear, kron, vec_addmul, _norm
 from .homcore import ChainComplex, induced_map
 
 
@@ -68,39 +68,19 @@ class Algebra:
         return self.table.get((i, j), {})
 
     def mult_vec(self, x, y):
-        out = {}
-        for i, a in x.items():
-            for j, b in y.items():
-                prod = self.table.get((i, j))
-                if prod:
-                    vec_addmul(out, a * b, prod)
-        return out
+        return bilinear(self.table, x, y)
 
     def left_mult_matrix(self, x):
         """Matrix of y -> x*y (x a sparse vector)."""
-        entries = {}
-        for j in range(self.dim):
-            col = {}
-            for i, a in x.items():
-                prod = self.table.get((i, j))
-                if prod:
-                    vec_addmul(col, a, prod)
-            for r, v in col.items():
-                entries[(r, j)] = v
-        return QMatrix(self.dim, self.dim, entries)
+        return QMatrix(self.dim, self.dim,
+                       {(r, j): v for j in range(self.dim)
+                        for r, v in bilinear(self.table, x, {j: 1}).items()})
 
     def right_mult_matrix(self, x):
         """Matrix of y -> y*x."""
-        entries = {}
-        for j in range(self.dim):
-            col = {}
-            for i, a in x.items():
-                prod = self.table.get((j, i))
-                if prod:
-                    vec_addmul(col, a, prod)
-            for r, v in col.items():
-                entries[(r, j)] = v
-        return QMatrix(self.dim, self.dim, entries)
+        return QMatrix(self.dim, self.dim,
+                       {(r, j): v for j in range(self.dim)
+                        for r, v in bilinear(self.table, {j: 1}, x).items()})
 
     def element(self, label_coeffs):
         """Vector from {label: coefficient}."""
@@ -173,8 +153,8 @@ class QuiverPresentation:
 def _enumerate_paths(quiver, truncation):
     """All paths of length <= truncation, as tuples of arrow names.
 
-    Returns (paths, source, target); vertices are the empty paths, encoded
-    ('', v) pairs handled by the caller.
+    Returns a list of (names, source, target); the vertices come first, as
+    the empty paths.
     """
     by_source = {}
     for n, s, t in quiver.arrows:
@@ -207,12 +187,13 @@ def path_algebra(quiver, relations=(), truncation=1, name=None):
     if truncation < 1:
         raise InvariantError("truncation must be >= 1")
     paths = _enumerate_paths(quiver, truncation)
-    index = {p[0] if p[0] else ("", p[1]): i for i, p in enumerate(paths)}
-    source = {key: p[1] for key, p in zip(index, paths)}
-    target = {key: p[2] for key, p in zip(index, paths)}
-
-    def path_key(names, at_vertex=None):
-        return tuple(names) if names else ("", at_vertex)
+    # a path is keyed by its arrow names and its source, which pins down
+    # the empty path at a vertex
+    index = {(names, s): i for i, (names, s, t) in enumerate(paths)}
+    starting, ending = {}, {}      # vertex -> paths, in path order
+    for names, s, t in paths:
+        starting.setdefault(s, []).append(names)
+        ending.setdefault(t, []).append((names, s))
 
     # relation ideal inside the truncated path space: span of u * r * v
     rel_vectors = []
@@ -242,31 +223,22 @@ def path_algebra(quiver, relations=(), truncation=1, name=None):
         rel_vectors.append((ends, terms))
 
     ideal_gens = []
-    all_keys = list(index)
     for (s0, t0), terms in rel_vectors:
-        for left_key in all_keys:
-            if target[left_key] != s0:
-                continue
-            left_names = () if isinstance(left_key, tuple) and left_key and left_key[0] == "" else left_key
-            for right_key in all_keys:
-                if source[right_key] != t0:
-                    continue
-                right_names = () if isinstance(right_key, tuple) and right_key and right_key[0] == "" else right_key
+        for left, s in ending[s0]:
+            for right in starting[t0]:
                 vec = {}
                 for coeff, names in terms:
-                    full = tuple(left_names) + names + tuple(right_names)
-                    if len(full) > truncation:
-                        continue
-                    key = path_key(full, None)
-                    if key in index:
-                        vec[index[key]] = vec.get(index[key], 0) + coeff
+                    full = left + names + right
+                    if len(full) <= truncation:
+                        k = index[(full, s)]
+                        vec[k] = vec.get(k, 0) + coeff
                 vec = {k: v for k, v in vec.items() if v}
                 if vec:
                     ideal_gens.append(vec)
 
     ideal = LinSubspace(len(paths), ideal_gens)
     for v in quiver.vertices:
-        if ideal.contains({index[("", v)]: 1}):
+        if ideal.contains({index[((), v)]: 1}):
             raise InvariantError("inconsistent relations: a vertex idempotent "
                                  "lies in the ideal")
 
@@ -302,8 +274,7 @@ def path_algebra(quiver, relations=(), truncation=1, name=None):
             full = names_i + names_j
             if len(full) > truncation:
                 continue
-            key = path_key(full, s_i)
-            vec = reduce_vec({index[key]: 1})
+            vec = reduce_vec({index[(full, s_i)]: 1})
             if vec:
                 table[(inew, jnew)] = vec
 
@@ -383,7 +354,7 @@ class Bimodule:
         self.right = right
         self.name = name or "bimodule"
         self._right_projective = None   # memo of is_right_projective
-        self._class_vectors = {}        # bound -> bimodule_class_vector
+        self._class_vector = None       # (bound, memo of bimodule_class_vector)
         if check:
             self._check()
 

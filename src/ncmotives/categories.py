@@ -23,20 +23,10 @@ import math
 from fractions import Fraction
 
 from .errors import InvariantError, CapExceededError, UncertifiedError
-from .exactlin import (QMatrix, LinSubspace, Elimination, kernel,
+from .exactlin import (QMatrix, LinSubspace, Elimination, kernel, bilinear,
                        vec_addmul, vec_scale, vec_sub, jacobson_radical,
                        lift_idempotent)
 from .algebras import structure_algebra
-
-
-def _basis_product(table, key):
-    """One entry of a composition or tensor table (the product of two basis
-    morphisms) as compose and tensor_morphisms return it: {} when absent,
-    zero coefficients dropped."""
-    vec = table.get(key)
-    if not vec:
-        return {}
-    return {k: v for k, v in vec.items() if v}
 
 
 class PresentedCategory:
@@ -72,14 +62,7 @@ class PresentedCategory:
 
     def compose(self, x, y, z, g, f):
         """g o f with f: x -> y, g: y -> z (sparse vectors)."""
-        table = self.comp.get((x, y, z), {})
-        out = {}
-        for gi, gc in g.items():
-            for fi, fc in f.items():
-                vec = table.get((gi, fi))
-                if vec:
-                    vec_addmul(out, gc * fc, vec)
-        return out
+        return bilinear(self.comp.get((x, y, z), {}), g, f)
 
     def tensor_objects(self, x, y):
         if (x, y) not in self.tensor_obj:
@@ -96,13 +79,7 @@ class PresentedCategory:
             raise CapExceededError("tensor of Hom(%s,%s) and Hom(%s,%s) is "
                                    "outside the presented fragment"
                                    % (x1, y1, x2, y2))
-        out = {}
-        for fi, fc in f.items():
-            for gi, gc in g.items():
-                vec = table.get((fi, gi))
-                if vec:
-                    vec_addmul(out, fc * gc, vec)
-        return out
+        return bilinear(table, f, g)
 
     def end_algebra(self, x):
         """End(x) as an honest Algebra (for radical/idempotent work)."""
@@ -164,12 +141,12 @@ class PresentedCategory:
                         second = self.comp.get((x, y, z), {})
                         for fi in range(self.hom[(w, x)]):
                             for gi in range(self.hom[(x, y)]):
-                                gf = _basis_product(first, (gi, fi))
+                                gf = first.get((gi, fi), {})
                                 for hi in range(self.hom[(y, z)]):
                                     left = self.compose(w, y, z, {hi: 1}, gf)
                                     right = self.compose(
                                         w, x, z,
-                                        _basis_product(second, (hi, gi)),
+                                        second.get((hi, gi), {}),
                                         {fi: 1})
                                     if left != right:
                                         raise InvariantError(
@@ -226,16 +203,16 @@ class PresentedCategory:
                 comp2 = self.comp.get((x2, y2, z2), {})
                 for fi in range(self.hom[(x1, y1)]):
                     for gi in range(self.hom[(x2, y2)]):
-                        fg = _basis_product(table, (fi, gi))
+                        fg = table.get((fi, gi), {})
                         for hi in range(self.hom[(y1, z1)]):
-                            hf = _basis_product(comp1, (hi, fi))
+                            hf = comp1.get((hi, fi), {})
                             for ki in range(self.hom[(y2, z2)]):
                                 lhs = self.tensor_morphisms(
                                     x1, z1, x2, z2, hf,
-                                    _basis_product(comp2, (ki, gi)))
+                                    comp2.get((ki, gi), {}))
                                 rhs = self.compose(
                                     xx, yy, zz,
-                                    _basis_product(inner, (hi, ki)), fg)
+                                    inner.get((hi, ki), {}), fg)
                                 if lhs != rhs:
                                     raise InvariantError(
                                         "tensor interchange fails at "

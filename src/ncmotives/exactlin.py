@@ -63,6 +63,20 @@ def vec_addmul(acc, c, x):
             acc.pop(i, None)
 
 
+def bilinear(table, x, y):
+    """sum_ij x_i y_j table[(i, j)] for sparse vectors x, y and a table of
+    sparse vectors; absent pairs count as 0.  Algebra products and
+    multiplication matrices, composition and the tensor of morphisms all
+    read their tables through it."""
+    out = {}
+    for i, a in x.items():
+        for j, b in y.items():
+            prod = table.get((i, j))
+            if prod:
+                vec_addmul(out, a * b, prod)
+    return out
+
+
 def _require_square(m, what):
     if m.rows != m.cols:
         raise InvariantError("%s of a non-square %s" % (what, m))

@@ -79,7 +79,7 @@ def _algebra_from_constants(doc):
         for left, right, value in doc.get("products", []):
             products.append((str(left), str(right),
                              {str(k): _frac(v) for k, v in value.items()}))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseInputError("malformed structure-constant description: %s"
                               % exc)
     unknown = (set(unit) | {lab for left, right, value in products
@@ -126,7 +126,7 @@ def load_category(path):
         traces = {str(x): _frac_vec(v)
                   for x, v in doc.get("traces", {}).items()}
         grading = {str(x): v for x, v in doc.get("grading", {}).items()}
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseInputError("malformed category presentation: %s" % exc)
     _check_object_names(objects, [
         ("unit", [unit]),

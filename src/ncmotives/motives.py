@@ -28,8 +28,9 @@ explicitly; failure inside a span never refutes anything.
 from fractions import Fraction
 
 from .errors import InvariantError, UncertifiedError
-from .exactlin import QMatrix, Elimination, kernel, matrix_rank
-from .algebras import (regular_bimodule, corner_bimodule,
+from .exactlin import (QMatrix, Elimination, kernel, matrix_rank,
+                       solve_columns)
+from .algebras import (Algebra, regular_bimodule, corner_bimodule,
                        projective_pair_bimodule, derived_tensor,
                        minimal_resolution, _gldim_certificate)
 from .hochschild import (hochschild_homology, periodic_cyclic,
@@ -165,24 +166,19 @@ def intersection_number(x, y, cap=DEFAULT_CAP):
     rational; equals the categorical trace of the composite.
 
     When both algebras have quivers and every term has a class vector, the
-    pairing is the bilinear form sum X(i, j) Y(k, l) C_B(j, k) C_A(l, i)
-    on K_0: P_ij (x)_B P'_kl is C_B(j, k) copies of Ae_i (x) e_lA, whose
-    Hochschild homology is e_lAe_i in degree 0.  Otherwise each pair of
-    terms is resolved through Tor and HH.
+    pairing is the trace of the K_0 composite, sum [x o y](i, l) C_A(l, i):
+    the composite's P_il = Ae_i (x) e_lA has Hochschild homology e_lAe_i in
+    degree 0.  Otherwise each pair of terms is resolved through Tor and HH.
     """
     if x.target is not y.source or y.target is not x.source:
         raise InvariantError("pairing needs x: A -> B against y: B -> A")
     xv, yv = _class_vector_or_none(x), _class_vector_or_none(y)
     if xv is None or yv is None:
         return _tor_intersection_number(x, y, cap)
-    ca, cb = cartan_counts(x.source), cartan_counts(x.target)
-    total = Fraction(0)
-    for (i, j), u in xv.items():
-        for (k, l), v in yv.items():
-            n = cb.get((j, k), 0) * ca.get((l, i), 0)
-            if n:
-                total += u * v * n
-    return total
+    ca = cartan_counts(x.source)
+    composite = _compose_classes(xv, yv, cartan_counts(x.target))
+    return sum((c * ca.get((l, i), 0) for (i, l), c in composite.items()),
+               Fraction(0))
 
 
 def _tor_intersection_number(x, y, cap=DEFAULT_CAP):
@@ -207,25 +203,24 @@ def cartan_counts(a):
     return a._cartan
 
 
-def bimodule_class_vector(m, bound=None):
+def bimodule_class_vector(m):
     """[M] in K_0 coordinates over the projective basis Ae_i (x) e_jB.
 
     The alternating sum over the terms of a minimal projective resolution
     over the enveloping algebra; it ends within gldim(A) + gldim(B) steps
     when both are finite, and at step zero for projective bimodules
-    regardless.  Memoized on the bimodule object, by bound.
+    regardless.  Memoized on the bimodule object.
     """
     a, b = m.A, m.B
     if a.quiver is None or b.quiver is None:
         raise UncertifiedError("class vectors need quiver presentations on "
                                "both sides")
-    if bound is None:
+    if m._class_vector is None:
         ga = _gldim_certificate(a)
         gb = _gldim_certificate(b)
         bound = (ga + gb) if (ga is not None and gb is not None) else 0
-    if bound not in m._class_vectors:
-        m._class_vectors[bound] = _resolution_class_vector(m, bound)
-    coords = m._class_vectors[bound]
+        m._class_vector = (bound, _resolution_class_vector(m, bound))
+    bound, coords = m._class_vector
     if coords is None:
         raise UncertifiedError("no finite projective resolution over the "
                                "enveloping algebra within bound %d" % bound)
@@ -245,11 +240,11 @@ def _resolution_class_vector(m, bound):
     return coords
 
 
-def correspondence_class_vector(x, bound=None):
+def correspondence_class_vector(x):
     """K_0 coordinates of a correspondence: the a_i-weighted class vectors."""
     out = {}
     for c, bim in x.terms:
-        for k, v in bimodule_class_vector(bim, bound).items():
+        for k, v in bimodule_class_vector(bim).items():
             s = out.get(k, 0) + c * v
             if s:
                 out[k] = s
@@ -476,7 +471,10 @@ def _syntactic_span_coeffs(z, basis):
         key = bim_g.content_key()
         matched = [t for t in rest if t[1].content_key() == key]
         if matched:
-            out[j] = sum(c for c, _ in matched) / coeff_g
+            # terms of equal content with opposite signs cancel: no entry
+            total = sum(c for c, _ in matched)
+            if total:
+                out[j] = total / coeff_g
             rest = [t for t in rest if t[1].content_key() != key]
     return out if not rest else None
 
@@ -488,54 +486,40 @@ def semisimplicity_check(a, basis=None, cap=DEFAULT_CAP):
         basis = canonical_span(a) if a.quiver is not None \
             else [unit_correspondence(a)]
     table = _span_structure_constants(a, basis, cap)
-    pm = pairing_matrix(basis, basis, cap)
-    gram = pm.matrix
-    ker = kernel(gram.transpose())
+    nq = numerical_kernel(a, a, basis, basis, cap)
+    ker = nq.kernel
     # quotient coordinates: complement of the kernel
     n = len(basis)
     kept = [i for i in range(n)
             if not any(min(row) == i for row in ker.rows)]
     if not kept:
         # the span is numerically trivial: the zero algebra is semisimple
-        return SemisimplicityReport(a.name, n, pm.rank, ker.dim, 0, 0, None)
-    # structure constants on the quotient: reduce products mod the kernel
-    reduced = {(i, j): ker.reduce(table[(i, j)]) for i in kept for j in kept}
+        return SemisimplicityReport(a.name, n, nq.pairing.rank, ker.dim, 0,
+                                    0, None)
+    # structure constants on the quotient: the products carry no zero
+    # coefficients, so their remainders mod the kernel lie on the kept
+    # coordinates
     pos = {k: t for t, k in enumerate(kept)}
-    products = []
-    labels = ["q%d" % k for k in kept]
-    for i in kept:
-        for j in kept:
-            prod = reduced[(i, j)]
-            products.append((labels[pos[i]], labels[pos[j]],
-                             {labels[pos[k]]: v for k, v in prod.items()
-                              if k in pos}))
+    quotient_table = {
+        (pos[i], pos[j]): {pos[k]: v
+                           for k, v in ker.reduce(table[(i, j)]).items()}
+        for i in kept for j in kept}
     # unit of the quotient algebra: solve u . q_j = q_j for all j
     qdim = len(kept)
-    rows = qdim * qdim
-    entries = {}
-    for u_idx, i in enumerate(kept):
-        for j_idx, j in enumerate(kept):
-            for k, v in reduced[(i, j)].items():
-                if k in pos:
-                    entries[(j_idx * qdim + pos[k], u_idx)] = v
-    lhs = QMatrix(rows, qdim, entries)
-    target = {}
-    for j_idx in range(qdim):
-        target[j_idx * qdim + j_idx] = Fraction(1)
-    elim = Elimination(rows, track=True)
-    for j in range(qdim):
-        elim.add_column(lhs.column(j), j)
-    unit_coeffs = elim.solve(target)
-    if unit_coeffs is None:
+    lhs = QMatrix(qdim * qdim, qdim,
+                  {(j * qdim + k, u): v
+                   for (u, j), prod in quotient_table.items()
+                   for k, v in prod.items()})
+    target = {j * qdim + j: Fraction(1) for j in range(qdim)}
+    unit, = solve_columns(lhs, [target])
+    if unit is None:
         raise UncertifiedError("numerical quotient has no unit inside the "
                                "span; enlarge the basis")
-    from .algebras import structure_algebra
-    unit_labelled = {labels[j]: c for j, c in unit_coeffs.items()}
-    quotient = structure_algebra("End/N(%s)" % a.name, labels, unit_labelled,
-                                 products)
+    quotient = Algebra("End/N(%s)" % a.name, ["q%d" % k for k in kept], unit,
+                       quotient_table)
     rad = quotient.radical()
-    return SemisimplicityReport(a.name, n, pm.rank, ker.dim, qdim, rad.dim,
-                                quotient)
+    return SemisimplicityReport(a.name, n, nq.pairing.rank, ker.dim, qdim,
+                                rad.dim, quotient)
 
 
 # ---------------------------------------------------------------------------
@@ -669,17 +653,12 @@ def kernel_comparison(a, n_max=6, cap=DEFAULT_CAP):
                         {(r, j): v for j, col in enumerate(cols)
                          for r, v in col.items()})
     ker_hom = kernel(ch_matrix)
-    # numerical kernel: the K_0-level intersection pairing
-    pm_entries = {}
-    for i, v in enumerate(vertices):
-        x = row_projective_correspondence(a, v)
-        for j, w in enumerate(vertices):
-            y = column_projective_correspondence(a, w)
-            val = intersection_number(x, y, cap)
-            if val:
-                pm_entries[(i, j)] = val
-    pm = QMatrix(len(vertices), len(vertices), pm_entries)
-    ker_num = kernel(pm.transpose())
+    # numerical kernel: the K_0-level intersection pairing of the row
+    # projectives Q -> A against the column projectives A -> Q
+    row_proj = [row_projective_correspondence(a, v) for v in vertices]
+    col_proj = [column_projective_correspondence(a, w) for w in vertices]
+    ker_num = numerical_kernel(_zoo.get("Q"), a, row_proj, col_proj,
+                               cap).kernel
     status = "EQUAL" if ker_hom == ker_num else "DIFFER"
     return KernelComparisonVerdict(status, ker_hom, ker_num, caveat,
                                    ["[P_%s]" % v for v in vertices])

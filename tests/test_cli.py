@@ -308,6 +308,41 @@ def test_malformed_invertible_bound_is_a_parse_error(tmp_path):
     assert "parse error: malformed invertible declaration" in err
 
 
+def _set(path, value):
+    """A mutation that stores value at the key path of the document."""
+    def mutate(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return mutate
+
+
+# a JSON list or string where an object is expected; each exited 5 with
+# "internal error: AttributeError" before the loaders caught it
+@pytest.mark.parametrize("demo, command, mutate", [
+    ("m2q.json", "describe", _set(["unit"], ["e11", "e22"])),
+    ("m2q.json", "describe", _set(["products", 0, 2], ["e11", "1"])),
+    ("m2q.json", "describe", _set(["products", 0, 2], "e11")),
+    ("two_block.json", "karoubi", _set(["hom"], ["U|U", 1])),
+    ("two_block.json", "karoubi", _set(["identities"], ["U", "X"])),
+    ("two_block.json", "karoubi", _set(["traces"], ["U", "X"])),
+    ("two_block.json", "karoubi", _set(["grading"], [0, 0])),
+    ("two_block.json", "karoubi", _set(["identities", "U"], ["1"])),
+    ("two_block.json", "karoubi", _set(["composition", 0, 5], ["1"])),
+    ("two_block.json", "karoubi", _set(["symmetry", 0, 2], ["1"])),
+])
+def test_a_list_or_string_for_an_object_is_a_parse_error(tmp_path, demo,
+                                                         command, mutate):
+    src = (ALG if command == "describe" else CAT) / demo
+    doc = json.loads(src.read_text())
+    mutate(doc)
+    f = tmp_path / demo
+    f.write_text(json.dumps(doc))
+    status, out, err = run_cli([command, "--input", str(f)])
+    assert (status, out) == (1, "")
+    assert err.startswith("parse error: malformed ")
+
+
 def _name_sites(doc):
     """Every place where the category document names an object, as
     (section, key or entry index, slot) triples; slot None is a dict key

@@ -4,16 +4,20 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncmotives.errors import InvariantError
+from ncmotives.errors import InvariantError, CapExceededError
 from ncmotives import zoo
+from ncmotives.algebras import Algebra
+from ncmotives.categories import PresentedCategory
 from ncmotives.exactlin import (
     QMatrix, LinSubspace, Elimination, matrix_rank, kernel, kernel_vectors,
     solve_columns, inverse, is_nilpotent_by_traces, jacobson_radical,
     lift_idempotent, nilpotency_degree, subspace_product, vec_sub,
+    vec_addmul, bilinear,
 )
 
 
@@ -303,3 +307,118 @@ def test_shape_and_mode_errors_survive_python_O():
                          capture_output=True, text=True, env=env)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines() == ["InvariantError"] * len(SHAPE_ERRORS)
+
+
+# ---------------------------------------------------------------------------
+# bilinear against the multiplication loops it replaced, kept verbatim
+
+
+def _old_mult_vec(self, x, y):
+    out = {}
+    for i, a in x.items():
+        for j, b in y.items():
+            prod = self.table.get((i, j))
+            if prod:
+                vec_addmul(out, a * b, prod)
+    return out
+
+
+def _old_left_mult_matrix(self, x):
+    """Matrix of y -> x*y (x a sparse vector)."""
+    entries = {}
+    for j in range(self.dim):
+        col = {}
+        for i, a in x.items():
+            prod = self.table.get((i, j))
+            if prod:
+                vec_addmul(col, a, prod)
+        for r, v in col.items():
+            entries[(r, j)] = v
+    return QMatrix(self.dim, self.dim, entries)
+
+
+def _old_right_mult_matrix(self, x):
+    """Matrix of y -> y*x."""
+    entries = {}
+    for j in range(self.dim):
+        col = {}
+        for i, a in x.items():
+            prod = self.table.get((j, i))
+            if prod:
+                vec_addmul(col, a, prod)
+        for r, v in col.items():
+            entries[(r, j)] = v
+    return QMatrix(self.dim, self.dim, entries)
+
+
+def _old_compose(self, x, y, z, g, f):
+    """g o f with f: x -> y, g: y -> z (sparse vectors)."""
+    table = self.comp.get((x, y, z), {})
+    out = {}
+    for gi, gc in g.items():
+        for fi, fc in f.items():
+            vec = table.get((gi, fi))
+            if vec:
+                vec_addmul(out, gc * fc, vec)
+    return out
+
+
+def _old_tensor_morphisms(self, x1, y1, x2, y2, f, g):
+    table = self.tensor_mor.get((x1, y1, x2, y2))
+    if table is None:
+        raise CapExceededError("tensor of Hom(%s,%s) and Hom(%s,%s) is "
+                               "outside the presented fragment"
+                               % (x1, y1, x2, y2))
+    out = {}
+    for fi, fc in f.items():
+        for gi, gc in g.items():
+            vec = table.get((fi, gi))
+            if vec:
+                vec_addmul(out, fc * gc, vec)
+    return out
+
+
+@st.composite
+def sparse_tables(draw):
+    """(dim, table, x, y): a table of sparse vectors on dim basis elements
+    whose entries may be absent, empty or hold zero coefficients, and two
+    sparse vectors that may hold zero coefficients too."""
+    dim = draw(st.integers(1, 4))
+    index = st.integers(0, dim - 1)
+    coeff = st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
+    vec = st.dictionaries(index, coeff, max_size=3)
+    table = draw(st.dictionaries(st.tuples(index, index), vec,
+                                 max_size=dim * dim))
+    return dim, table, draw(vec), draw(vec)
+
+
+def _items(vec):
+    return list(vec.items())
+
+
+@settings(deadline=None, max_examples=200)
+@given(sparse_tables())
+def test_bilinear_is_every_old_multiplication_loop(drawn):
+    """Algebra products and multiplication matrices, composition and the
+    tensor of morphisms give the old loops' vectors, in the same order."""
+    dim, table, x, y = drawn
+    raw = SimpleNamespace(table=table, dim=dim)
+    want = _items(_old_mult_vec(raw, x, y))
+    assert _items(bilinear(table, x, y)) == want
+    a = Algebra("t", ["b%d" % i for i in range(dim)], {0: 1}, table,
+                check=False)
+    assert _items(a.mult_vec(x, y)) == want
+    assert _items(a.left_mult_matrix(x).entries) == \
+        _items(_old_left_mult_matrix(raw, x).entries)
+    assert _items(a.right_mult_matrix(x).entries) == \
+        _items(_old_right_mult_matrix(raw, x).entries)
+    c = PresentedCategory(["X"], {("X", "X"): dim}, {("X", "X", "X"): table},
+                          {"X": {0: 1}}, "X", tensor_obj={("X", "X"): "X"},
+                          tensor_mor={("X", "X", "X", "X"): table},
+                          check=False)
+    assert _items(c.compose("X", "X", "X", x, y)) == \
+        _items(_old_compose(c, "X", "X", "X", x, y))
+    assert _items(c.tensor_morphisms("X", "X", "X", "X", x, y)) == \
+        _items(_old_tensor_morphisms(c, "X", "X", "X", "X", x, y))
+    with pytest.raises(CapExceededError, match="outside the presented"):
+        c.tensor_morphisms("X", "Y", "X", "X", x, y)

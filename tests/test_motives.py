@@ -6,11 +6,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ncmotives import algebras, motives, zoo
 from ncmotives.errors import InvariantError, UncertifiedError, CapExceededError
-from ncmotives.exactlin import QMatrix, matrix_rank, inverse, is_nilpotent_by_traces
+from ncmotives.exactlin import (QMatrix, Elimination, kernel, matrix_rank,
+                               inverse, is_nilpotent_by_traces)
 from ncmotives.algebras import (corner_bimodule, Bimodule, regular_bimodule,
+                                structure_algebra,
                                 derived_tensor, global_dimension,
                                 _vertex_ends)
-from ncmotives.hochschild import hp_of_homomorphism, periodic_cyclic
+from ncmotives.hochschild import (hp_of_homomorphism, periodic_cyclic,
+                                  DEFAULT_CAP)
 from ncmotives.motives import (
     Correspondence, unit_correspondence, compose, categorical_trace,
     intersection_number, canonical_span, correspondence_class_vector,
@@ -18,7 +21,7 @@ from ncmotives.motives import (
     row_projective_correspondence,
     column_projective_correspondence, is_env_projective, bimodule_class_vector,
     cartan_counts, _tor_intersection_number, _tor_composite_class_vector,
-    _compose_classes,
+    _compose_classes, _span_structure_constants, SemisimplicityReport,
 )
 from test_hochschild import quiver_algebras, _two_cycle
 
@@ -286,6 +289,136 @@ def test_semisimplicity_zoo():
         assert rep.quotient_dim == rep.span_size - rep.kernel_dim
 
 
+def _oracle_semisimplicity_check(a, basis=None, cap=DEFAULT_CAP):
+    """semisimplicity_check as it was: its own pairing, kernel and unit
+    elimination, and the quotient through structure_algebra's labels."""
+    if basis is None:
+        basis = canonical_span(a) if a.quiver is not None \
+            else [unit_correspondence(a)]
+    table = _span_structure_constants(a, basis, cap)
+    pm = pairing_matrix(basis, basis, cap)
+    gram = pm.matrix
+    ker = kernel(gram.transpose())
+    # quotient coordinates: complement of the kernel
+    n = len(basis)
+    kept = [i for i in range(n)
+            if not any(min(row) == i for row in ker.rows)]
+    if not kept:
+        # the span is numerically trivial: the zero algebra is semisimple
+        return SemisimplicityReport(a.name, n, pm.rank, ker.dim, 0, 0, None)
+    # structure constants on the quotient: reduce products mod the kernel
+    reduced = {(i, j): ker.reduce(table[(i, j)]) for i in kept for j in kept}
+    pos = {k: t for t, k in enumerate(kept)}
+    products = []
+    labels = ["q%d" % k for k in kept]
+    for i in kept:
+        for j in kept:
+            prod = reduced[(i, j)]
+            products.append((labels[pos[i]], labels[pos[j]],
+                             {labels[pos[k]]: v for k, v in prod.items()
+                              if k in pos}))
+    # unit of the quotient algebra: solve u . q_j = q_j for all j
+    qdim = len(kept)
+    rows = qdim * qdim
+    entries = {}
+    for u_idx, i in enumerate(kept):
+        for j_idx, j in enumerate(kept):
+            for k, v in reduced[(i, j)].items():
+                if k in pos:
+                    entries[(j_idx * qdim + pos[k], u_idx)] = v
+    lhs = QMatrix(rows, qdim, entries)
+    target = {}
+    for j_idx in range(qdim):
+        target[j_idx * qdim + j_idx] = Fraction(1)
+    elim = Elimination(rows, track=True)
+    for j in range(qdim):
+        elim.add_column(lhs.column(j), j)
+    unit_coeffs = elim.solve(target)
+    if unit_coeffs is None:
+        raise UncertifiedError("numerical quotient has no unit inside the "
+                               "span; enlarge the basis")
+    unit_labelled = {labels[j]: c for j, c in unit_coeffs.items()}
+    quotient = structure_algebra("End/N(%s)" % a.name, labels, unit_labelled,
+                                 products)
+    rad = quotient.radical()
+    return SemisimplicityReport(a.name, n, pm.rank, ker.dim, qdim, rad.dim,
+                                quotient)
+
+
+def _semisimplicity_outcome(check, a, basis=None):
+    """Every field of the report and the quotient's basis, unit and table,
+    in order, or the exception the check raises."""
+    try:
+        rep = check(a, basis)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    fields = (rep.algebra_name, rep.span_size, rep.pairing_rank,
+              rep.kernel_dim, rep.quotient_dim, rep.radical_dim,
+              rep.semisimple)
+    q = rep.structure
+    if q is None:
+        return fields, None
+    return fields, (q.name, q.basis, list(q.unit.items()),
+                    [(k, list(v.items())) for k, v in q.table.items()])
+
+
+def test_semisimplicity_matches_the_oracle_on_the_zoo():
+    for name in zoo.ZOO_NAMES:
+        a = zoo.get(name)
+        assert _semisimplicity_outcome(semisimplicity_check, a) == \
+            _semisimplicity_outcome(_oracle_semisimplicity_check, a), name
+    a = zoo.get("A2")
+    for basis in ([canonical_span(a)[1]], [canonical_span(a)[0]],
+                  [canonical_span(a)[0], canonical_span(a)[3]]):
+        assert _semisimplicity_outcome(semisimplicity_check, a, basis) == \
+            _semisimplicity_outcome(_oracle_semisimplicity_check, a, basis)
+    # M2(Q) has no quiver: its span products are matched term by term, and
+    # a span holding the unit twice has a kernel
+    a = zoo.get("M2(Q)")
+    u = unit_correspondence(a)
+    for basis in ([u, u.scale(2)], [u.scale(-3), u], [u, u, u.scale(2)]):
+        assert _semisimplicity_outcome(semisimplicity_check, a, basis) == \
+            _semisimplicity_outcome(_oracle_semisimplicity_check, a, basis)
+
+
+def test_cancelling_terms_leave_no_span_coefficient():
+    """A composite lists its Tor terms unmerged, so two of equal content
+    and opposite signs cancel: no zero coefficient enters the span table
+    (where a zero at a kernel lead would survive the kernel reduction)."""
+    a = zoo.get("M2(Q)")
+    reg = regular_bimodule(a)
+    span = [Correspondence(a, a, [(2, reg)])]
+    z = Correspondence(a, a, [(1, reg), (-1, regular_bimodule(a))])
+    assert motives._syntactic_span_coeffs(z, span) == {}
+    z = Correspondence(a, a, [(1, reg), (3, reg), (-1, reg)])
+    assert motives._syntactic_span_coeffs(z, span) == {0: Fraction(3, 2)}
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.data())
+def test_semisimplicity_matches_the_oracle_on_random_quivers(data):
+    """On the canonical span, a part of it, or the span with a redundant
+    combination added (a kernel, so kept coordinates that are not a
+    prefix)."""
+    a = data.draw(quiver_algebras())
+    assume(a.dim <= 6)
+    assume(global_dimension(a, bound=4) is not None)
+    span = canonical_span(a)
+    kind = data.draw(st.sampled_from(["canonical", "part", "redundant"]))
+    if kind == "part":
+        span = data.draw(st.lists(st.sampled_from(span), min_size=1,
+                                  max_size=3))
+    elif kind == "redundant":
+        picks = data.draw(st.lists(st.sampled_from(span), min_size=1,
+                                   max_size=2))
+        extra = picks[0]
+        for x in picks[1:]:
+            extra = extra + x.scale(Fraction(-1, 2))
+        span.insert(data.draw(st.integers(0, len(span))), extra)
+    assert _semisimplicity_outcome(semisimplicity_check, a, span) == \
+        _semisimplicity_outcome(_oracle_semisimplicity_check, a, span)
+
+
 def test_semisimplicity_refuses_unclosed_span():
     a = zoo.get("A2")
     span = canonical_span(a)
@@ -551,6 +684,20 @@ def _simple(a, i, j):
     return Bimodule(a, a, 1, at(i), at(j), name="S_%s%s" % (i, j))
 
 
+def _old_k0_intersection_number(x, y):
+    """The K_0 branch of intersection_number as it was: its own double
+    loop over the class vectors."""
+    xv, yv = correspondence_class_vector(x), correspondence_class_vector(y)
+    ca, cb = cartan_counts(x.source), cartan_counts(x.target)
+    total = Fraction(0)
+    for (i, j), u in xv.items():
+        for (k, l), v in yv.items():
+            n = cb.get((j, k), 0) * ca.get((l, i), 0)
+            if n:
+                total += u * v * n
+    return total
+
+
 @settings(deadline=None, max_examples=25)
 @given(st.data())
 def test_k0_route_matches_the_tor_route_on_random_quivers(data):
@@ -579,7 +726,8 @@ def test_k0_route_matches_the_tor_route_on_random_quivers(data):
 
     x, y = correspondence(), correspondence()
     xv, yv = correspondence_class_vector(x), correspondence_class_vector(y)
-    assert intersection_number(x, y) == _tor_intersection_number(x, y)
+    assert intersection_number(x, y) == _tor_intersection_number(x, y) == \
+        _old_k0_intersection_number(x, y)
     assert _compose_classes(xv, yv, cartan_counts(a)) == \
         _tor_composite_class_vector(x, y)
     # A != B: Q -> A against A -> Q, both orders of composition
@@ -587,7 +735,8 @@ def test_k0_route_matches_the_tor_route_on_random_quivers(data):
     row = row_projective_correspondence(a, v)
     col = column_projective_correspondence(a, w)
     assert intersection_number(row, col) == \
-        _tor_intersection_number(row, col) == cartan(a)[(v, w)]
+        _tor_intersection_number(row, col) == \
+        _old_k0_intersection_number(row, col) == cartan(a)[(v, w)]
     rv, cv = correspondence_class_vector(row), correspondence_class_vector(col)
     assert _compose_classes(rv, cv, cartan_counts(a)) == \
         _tor_composite_class_vector(row, col)

@@ -2,10 +2,12 @@
 
 Algebras come either from explicit structure constants or from a quiver
 with relations and a hard path-length truncation (so everything is
-finite-dimensional by construction).  On top of that: opposites, tensor
+finite-dimensional by construction); either way, presentation reads the
+vertices, if any, from the basis.  On top of that: opposites, tensor
 products, bimodules, and one minimal projective resolution over the
-enveloping algebra (minimal_resolution), which also resolves right modules,
-as (Q, A)-bimodules, for global dimension and right projectivity.  Last,
+enveloping algebra (minimal_resolution), by the vertices of presentations,
+which also resolves right modules, as (Q, A)-bimodules, for global
+dimension and right projectivity.  Last,
 the normalized bar complex M (x)_{E^e} Bbar^{(x)_E n}, for a ground
 subalgebra E spanned by orthogonal idempotents: E from the unit's idempotent
 terms when they split the basis into corners (_basis_ground), E = Q.1, one
@@ -24,6 +26,7 @@ same homology.
 """
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 from .errors import InvariantError, CapExceededError, UncertifiedError
@@ -39,10 +42,13 @@ class Algebra:
     unit: sparse vector dict index -> coefficient.
     table: dict (i, j) -> sparse vector of the product b_i * b_j
            (missing pairs mean the product is zero).
-    quiver: optional QuiverPresentation when the algebra came from a quiver.
+    vertex_names: optional {basis index: name} for the unit's terms, which
+           name the vertices of presentation(); a term without a name is
+           named by its basis label.
     """
 
-    def __init__(self, name, basis, unit, table, quiver=None, check=True):
+    def __init__(self, name, basis, unit, table, vertex_names=None,
+                 check=True):
         self.name = name
         self.basis = list(basis)
         self.dim = len(self.basis)
@@ -54,11 +60,11 @@ class Algebra:
             v = {k: _norm(c) for k, c in vec.items() if c}
             if v:
                 self.table[(i, j)] = v
-        self.quiver = quiver
+        self.vertex_names = dict(vertex_names or {})
         self._rad = None
+        self._presentation = None   # (presentation(self),) once computed
         self._cyclic = {}       # (n_max, cap) -> hochschild.CyclicData
         self._gldim = {}        # bound -> global_dimension(self, bound)
-        self._cartan = None     # memo of motives.cartan_counts
         if check:
             self._check_axioms()
 
@@ -134,20 +140,6 @@ class Quiver:
             if n in names or n in vs:
                 raise InvariantError("duplicate name %r" % n)
             names.add(n)
-
-
-class QuiverPresentation:
-    """Bookkeeping a path_algebra attaches to its output."""
-
-    def __init__(self, quiver, vertex_idx, path_source, path_target):
-        self.quiver = quiver
-        self.vertex_idx = dict(vertex_idx)   # vertex name -> basis index
-        self.path_source = list(path_source)
-        self.path_target = list(path_target)
-
-    @property
-    def vertices(self):
-        return self.quiver.vertices
 
 
 def _enumerate_paths(quiver, truncation):
@@ -253,16 +245,13 @@ def path_algebra(quiver, relations=(), truncation=1, name=None):
 
     labels = []
     vertex_idx = {}
-    psrc, ptgt = [], []
     for new, old in enumerate(kept):
-        names, s, t = paths[old]
+        names, s, _ = paths[old]
         if names:
             labels.append("*".join(names))
         else:
             labels.append("e_%s" % s)
             vertex_idx[s] = new
-        psrc.append(s)
-        ptgt.append(t)
 
     table = {}
     for inew, iold in enumerate(kept):
@@ -279,8 +268,8 @@ def path_algebra(quiver, relations=(), truncation=1, name=None):
                 table[(inew, jnew)] = vec
 
     unit = {vertex_idx[v]: 1 for v in quiver.vertices}
-    pres = QuiverPresentation(quiver, vertex_idx, psrc, ptgt)
-    return Algebra(name or "path algebra", labels, unit, table, quiver=pres)
+    return Algebra(name or "path algebra", labels, unit, table,
+                   vertex_names={k: v for v, k in vertex_idx.items()})
 
 
 def structure_algebra(name, basis, unit_coeffs, products, check=True):
@@ -306,7 +295,8 @@ def structure_algebra(name, basis, unit_coeffs, products, check=True):
 def opposite(a):
     """The opposite algebra (reversed multiplication)."""
     table = {(j, i): dict(vec) for (i, j), vec in a.table.items()}
-    return Algebra(a.name + "^op", list(a.basis), dict(a.unit), table, check=False)
+    return Algebra(a.name + "^op", list(a.basis), dict(a.unit), table,
+                   vertex_names=a.vertex_names, check=False)
 
 
 def tensor_algebra(a, b, name=None):
@@ -331,6 +321,57 @@ def tensor_algebra(a, b, name=None):
             unit[pair(i, j)] = c * d
     return Algebra(name or "%s(x)%s" % (a.name, b.name), labels, unit, table,
                    check=False)
+
+
+# ---------------------------------------------------------------------------
+# vertices read from the basis
+
+
+class Presentation:
+    """The vertices of a split basic algebra, read from its basis by
+    presentation(): vertices lists their names in basis order, index[v] is
+    the basis index of b_v, whose multiple e_v = unit[v] * b_v is the
+    vertex idempotent, ends[k] = (u, w) puts b_k in e_u A e_w, and
+    cartan[(u, w)] = dim e_u A e_w over the pairs with a basis element."""
+
+    def __init__(self, vertices, index, ends):
+        self.vertices = vertices
+        self.index = index
+        self.ends = ends
+        self.cartan = dict(Counter(ends))
+
+
+def presentation(a):
+    """The vertices of a, or None; memoized on the algebra.
+
+    The unit's terms e_v = unit[v] * b_v are the vertices when they split
+    the basis into corners e_u A e_w (_basis_ground; a one-term unit is one
+    vertex whose corner holds the whole basis) and every other basis
+    element lies in rad A.  Then A / rad A is Q^k with the e_v as its
+    primitive idempotents, so A is split basic with those vertices, as a
+    path basis always is.  A vertex is named by a.vertex_names, else by
+    its basis label.
+    """
+    if a._presentation is None:
+        a._presentation = (_read_presentation(a),)
+    return a._presentation[0]
+
+
+def _read_presentation(a):
+    if len(a.unit) == 1:
+        (v,) = a.unit
+        corners = [(v, v)] * a.dim
+    else:
+        corners = _basis_ground(a)
+        if corners is None:
+            return None
+    rad = a.radical()
+    if any(not rad.contains({k: 1}) for k in range(a.dim) if k not in a.unit):
+        return None
+    name = {v: a.vertex_names.get(v, a.basis[v]) for v in a.unit}
+    return Presentation([name[v] for v in sorted(a.unit)],
+                        {name[v]: v for v in a.unit},
+                        [(name[u], name[w]) for u, w in corners])
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +462,7 @@ def regular_bimodule(a):
 
 
 def corner_bimodule(a, i_vertex, j_vertex):
-    """A e_i (x) e_j A as an (A, A)-bimodule, for a quiver algebra.
+    """A e_i (x) e_j A as an (A, A)-bimodule, for vertices i, j of a.
 
     These are the indecomposable projective bimodules.
     """
@@ -431,37 +472,39 @@ def corner_bimodule(a, i_vertex, j_vertex):
 
 
 def projective_pair_bimodule(a, b, i_vertex, j_vertex):
-    """A e_i (x) e_j B as an (A, B)-bimodule for quiver algebras a, b.
+    """A e_i (x) e_j B as an (A, B)-bimodule for vertices i of a and j of b.
 
-    Basis: the pairs (p, q), in the order of out.pairs, with p a path of A
-    ending at i and q a path of B starting at j; e_i (x) e_j generates.
+    Basis: the pairs (p, q), in the order of out.pairs, with p a basis
+    element of A e_i and q one of e_j B; e_i (x) e_j generates.  Its class
+    vector {(i, j): 1} is known without a resolution.
     """
-    pa, pb = a.quiver, b.quiver
-    lefts = [k for k in range(a.dim) if pa.path_target[k] == i_vertex]
-    rights = [k for k in range(b.dim) if pb.path_source[k] == j_vertex]
+    pa, pb = presentation(a), presentation(b)
+    lefts = [k for k in range(a.dim) if pa.ends[k][1] == i_vertex]
+    rights = [k for k in range(b.dim) if pb.ends[k][0] == j_vertex]
     basis = [(p, q) for p in lefts for q in rights]
     pos = {pq: n for n, pq in enumerate(basis)}
     dim = len(basis)
+    # a product with an element of A e_i stays in A e_i, and one with an
+    # element of e_j B in e_j B
     left = []
     for x in range(a.dim):
         entries = {}
         for c, (p, q) in enumerate(basis):
             for k, val in a.mult_basis(x, p).items():
-                if pa.path_target[k] == i_vertex:
-                    entries[(pos[(k, q)], c)] = val
+                entries[(pos[(k, q)], c)] = val
         left.append(QMatrix(dim, dim, entries))
     right = []
     for y in range(b.dim):
         entries = {}
         for c, (p, q) in enumerate(basis):
             for k, val in b.mult_basis(q, y).items():
-                if pb.path_source[k] == j_vertex:
-                    entries[(pos[(p, k)], c)] = val
+                entries[(pos[(p, k)], c)] = val
         right.append(QMatrix(dim, dim, entries))
     out = Bimodule(a, b, dim, left, right,
                    name="%se_%s(x)e_%s%s" % (a.name, i_vertex, j_vertex, b.name),
                    check=False)
     out.pairs = basis
+    out._class_vector = (0, {(i_vertex, j_vertex): 1})
     return out
 
 
@@ -496,11 +539,14 @@ def _top_generators(m):
                 mat = mat + mats[i].scale(c)
             for col in mat.columns():
                 span.add_column(col)
+    pa, pb = presentation(m.A), presentation(m.B)
     gens = []
-    for i in m.A.quiver.vertices:
-        ei = m.A.quiver.vertex_idx[i]
-        for j in m.B.quiver.vertices:
-            proj = m.left[ei] * m.right[m.B.quiver.vertex_idx[j]]
+    for i in pa.vertices:
+        ei = pa.index[i]
+        for j in pb.vertices:
+            ej = pb.index[j]
+            # e_i . m . e_j with e_v = unit[v] * b_v
+            proj = (m.left[ei] * m.right[ej]).scale(m.A.unit[ei] * m.B.unit[ej])
             gens.extend((i, j, col) for col in proj.columns()
                         if span.add_column(col))
     return gens
@@ -530,7 +576,7 @@ def minimal_resolution(m, bound):
     P_0, P_1, ... of a minimal projective resolution of the (A, B)-bimodule
     m, one list per term; None if the resolution does not end at P_bound.
 
-    Both algebras need quiver presentations.  Each step maps one P_ij per
+    Both algebras need presentations.  Each step maps one P_ij per
     top generator onto the current syzygy, e_i (x) e_j to the generator,
     and continues with the kernel of that cover.
     """
@@ -575,11 +621,11 @@ def minimal_resolution(m, bound):
 
 def _gldim_certificate(a, bound=10):
     """The global dimension that certifies a vanishing bound: 0 for a
-    semisimple algebra, global_dimension(a, bound) for one with a quiver,
-    None otherwise or above the bound."""
+    semisimple algebra, global_dimension(a, bound) for one with a
+    presentation, None otherwise or above the bound."""
     if a.radical().dim == 0:
         return 0
-    if a.quiver is not None:
+    if presentation(a) is not None:
         return global_dimension(a, bound)
     return None
 
@@ -588,8 +634,8 @@ def global_dimension(a, bound=10):
     """Global dimension of a, or None if it exceeds the bound.
 
     For semisimple algebras (radical zero) the answer is 0 regardless of
-    presentation; otherwise a quiver presentation is required and the
-    simple right modules, as (Q, A)-bimodules, are resolved.
+    presentation; otherwise a presentation is required and the simple
+    right modules, as (Q, A)-bimodules, are resolved.
     """
     if bound not in a._gldim:
         a._gldim[bound] = _global_dimension(a, bound)
@@ -599,13 +645,15 @@ def global_dimension(a, bound=10):
 def _global_dimension(a, bound):
     if a.radical().dim == 0:
         return 0
-    if a.quiver is None:
+    pres = presentation(a)
+    if pres is None:
         raise InvariantError("global dimension needs a quiver presentation "
                              "(or a semisimple algebra)")
-    pres = a.quiver
     worst = 0
     for v in pres.vertices:
-        right = [QMatrix(1, 1, {(0, 0): 1} if k == pres.vertex_idx[v]
+        # on the simple at v, b_v acts by 1 / unit[v] and the rest by 0
+        kv = pres.index[v]
+        right = [QMatrix(1, 1, {(0, 0): Fraction(1, a.unit[kv])} if k == kv
                          else None) for k in range(a.dim)]
         simple = Bimodule(_ground_field(), a, 1, [QMatrix.identity(1)],
                           right, check=False)
@@ -622,7 +670,7 @@ def is_right_projective(x):
         b = x.B
         if b.radical().dim == 0:
             x._right_projective = True
-        elif b.quiver is None:
+        elif presentation(b) is None:
             x._right_projective = False
         else:
             m = Bimodule(_ground_field(), b, x.dim,

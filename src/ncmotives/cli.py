@@ -20,7 +20,7 @@ from .errors import (ParseInputError, InvariantError,
                      CapExceededError, UncertifiedError)
 from .hochschild import (hochschild_homology, cyclic_homology, sbi_check,
                          periodic_cyclic, DEFAULT_CAP)
-from .algebras import global_dimension
+from .algebras import global_dimension, presentation
 from .motives import (unit_correspondence, canonical_span, numerical_kernel,
                       semisimplicity_check, even_projector_in_span, kernel_comparison,
                       pairing_matrix)
@@ -72,15 +72,26 @@ class Report:
         return "\n".join(out)
 
 
+def _count(text):
+    """An integer >= 0: a degree bound, a memory guard or a weight cap."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0, got %d" % value)
+    return value
+
+
 def _cap(args):
     if args.cap is not None:
         return args.cap
     env = os.environ.get("NCMOTIVES_CAP")
     if env:
         try:
-            return int(env)
-        except ValueError:
-            raise ParseInputError("NCMOTIVES_CAP must be an integer")
+            return _count(env)
+        except argparse.ArgumentTypeError as exc:
+            raise ParseInputError("NCMOTIVES_CAP: %s" % exc)
     return DEFAULT_CAP
 
 
@@ -91,7 +102,7 @@ def cmd_describe(args):
     rep.add("dimension", a.dim)
     rep.add("basis", " ".join(a.basis))
     rep.add("radical dimension", a.radical().dim)
-    if a.quiver is not None or a.radical().dim == 0:
+    if presentation(a) is not None or a.radical().dim == 0:
         g = global_dimension(a, bound=args.max_degree)
         rep.add("global dimension",
                 g if g is not None else "exceeds bound %d" % args.max_degree,
@@ -378,16 +389,16 @@ def build_parser():
     p = _Parser(prog="ncmotives", description=__doc__)
     p.add_argument("command", choices=sorted(COMMANDS))
     p.add_argument("--input", help="description file (JSON)")
-    p.add_argument("--max-degree", type=int, default=6,
+    p.add_argument("--max-degree", type=_count, default=6,
                    help="truncation degree (default 6)")
-    p.add_argument("--cap", type=int, default=None,
+    p.add_argument("--cap", type=_count, default=None,
                    help="memory guard override (basis elements)")
     p.add_argument("--format", choices=("table", "structured"),
                    default="table")
     p.add_argument("--oracle", action="store_true",
                    help="run slow independent cross-check paths")
     p.add_argument("--dims", help="super dimensions 'd+,d-' (schur)")
-    p.add_argument("--max-weight", type=int, default=10,
+    p.add_argument("--max-weight", type=_count, default=10,
                    help="partition weight cap (schur)")
     return p
 

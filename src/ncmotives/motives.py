@@ -8,9 +8,11 @@ Hochschild homology with those coefficients, and the intersection pairing
 <x . y> is the trace of the composite.  Its radical cuts out the numerical
 quotient, whose endomorphism algebras are expected to be semisimple.  K_0
 class vectors and enveloping projectivity come from the minimal projective
-resolution of `algebras`.
+resolution of `algebras`, over the vertices that `algebras.presentation`
+reads from the basis (the unit's terms, when they split the basis into
+corners and the rest of the basis is radical), whatever the input format.
 
-When both algebras have quivers and every term has a class vector (a
+When both algebras have presentations and every term has a class vector (a
 resolution that ends within the default bound), pairings and the products
 of a span are computed in K_0: both are integer bilinear maps on class
 vectors through the Cartan counts C(p, q) = dim e_p A e_q.  Otherwise the
@@ -32,7 +34,7 @@ from .exactlin import (QMatrix, Elimination, kernel, matrix_rank,
                        solve_columns)
 from .algebras import (Algebra, regular_bimodule, corner_bimodule,
                        projective_pair_bimodule, derived_tensor,
-                       minimal_resolution, _gldim_certificate)
+                       minimal_resolution, presentation, _gldim_certificate)
 from .hochschild import (hochschild_homology, periodic_cyclic,
                          chern_class_in_hc, DEFAULT_CAP)
 from . import zoo as _zoo
@@ -121,10 +123,9 @@ def is_env_projective(m):
     """Is the bimodule projective over the enveloping algebra?
 
     Certified by a minimal resolution that ends at its first term; needs
-    quiver presentations to enumerate the indecomposable projective
-    bimodules.
+    presentations to enumerate the indecomposable projective bimodules.
     """
-    if m.A.quiver is None or m.B.quiver is None:
+    if presentation(m.A) is None or presentation(m.B) is None:
         return False
     return minimal_resolution(m, 0) is not None
 
@@ -165,10 +166,11 @@ def intersection_number(x, y, cap=DEFAULT_CAP):
     """<x . y> = sum_ij a_i b_j chi(HH(A; X_i (x)^L_B Y_j)) as an exact
     rational; equals the categorical trace of the composite.
 
-    When both algebras have quivers and every term has a class vector, the
-    pairing is the trace of the K_0 composite, sum [x o y](i, l) C_A(l, i):
-    the composite's P_il = Ae_i (x) e_lA has Hochschild homology e_lAe_i in
-    degree 0.  Otherwise each pair of terms is resolved through Tor and HH.
+    When both algebras have presentations and every term has a class
+    vector, the pairing is the trace of the K_0 composite,
+    sum [x o y](i, l) C_A(l, i): the composite's P_il = Ae_i (x) e_lA has
+    Hochschild homology e_lAe_i in degree 0.  Otherwise each pair of terms
+    is resolved through Tor and HH.
     """
     if x.target is not y.source or y.target is not x.source:
         raise InvariantError("pairing needs x: A -> B against y: B -> A")
@@ -188,19 +190,13 @@ def _tor_intersection_number(x, y, cap=DEFAULT_CAP):
 
 
 # ---------------------------------------------------------------------------
-# K0 class vectors of bimodules over quiver algebras
+# K0 class vectors of bimodules over algebras with presentations
 
 
 def cartan_counts(a):
-    """C_A(p, q) = dim e_p A e_q, the number of basis paths of the quiver
-    algebra a from p to q, as a dict over the pairs with a path."""
-    if a._cartan is None:
-        pres = a.quiver
-        counts = {}
-        for st in zip(pres.path_source, pres.path_target):
-            counts[st] = counts.get(st, 0) + 1
-        a._cartan = counts
-    return a._cartan
+    """C_A(p, q) = dim e_p A e_q for vertices p, q of a's presentation, as
+    a dict over the pairs with a basis element."""
+    return presentation(a).cartan
 
 
 def bimodule_class_vector(m):
@@ -212,7 +208,7 @@ def bimodule_class_vector(m):
     regardless.  Memoized on the bimodule object.
     """
     a, b = m.A, m.B
-    if a.quiver is None or b.quiver is None:
+    if presentation(a) is None or presentation(b) is None:
         raise UncertifiedError("class vectors need quiver presentations on "
                                "both sides")
     if m._class_vector is None:
@@ -254,9 +250,9 @@ def correspondence_class_vector(x):
 
 
 def _class_vector_or_none(x):
-    """The class vector of x, or None when an algebra has no quiver or a
-    term has no finite resolution within the default bound."""
-    if x.source.quiver is None or x.target.quiver is None:
+    """The class vector of x, or None when an algebra has no presentation
+    or a term has no finite resolution within the default bound."""
+    if presentation(x.source) is None or presentation(x.target) is None:
         return None
     try:
         return correspondence_class_vector(x)
@@ -291,15 +287,16 @@ def _tor_composite_class_vector(x, y, cap=DEFAULT_CAP):
 
 
 def canonical_span(a, b=None):
-    """The automatic spanning set of correspondences A -> B for quiver
-    algebras: the projective classes Ae_i (x) e_jB."""
+    """The automatic spanning set of correspondences A -> B for algebras
+    with presentations: the projective classes Ae_i (x) e_jB."""
     b = b if b is not None else a
-    if a.quiver is None or b.quiver is None:
+    pa, pb = presentation(a), presentation(b)
+    if pa is None or pb is None:
         raise UncertifiedError("no canonical span without quiver "
                                "presentations; declare one explicitly")
     out = []
-    for i in a.quiver.vertices:
-        for j in b.quiver.vertices:
+    for i in pa.vertices:
+        for j in pb.vertices:
             if a is b:
                 bim = corner_bimodule(a, i, j)
             else:
@@ -427,12 +424,12 @@ def _span_products(a, basis, cap):
     """(i, j, coefficients of basis[i] o basis[j] in the span, or None
     when the composite leaves it), in row-major order.
 
-    Over a quiver algebra the composites are the composition law on the
-    class vectors of the span, which must all exist; without a quiver the
-    Tor composites, each derived tensor under the memory guard cap, are
+    Over an algebra with a presentation the composites are the composition
+    law on the class vectors of the span, which must all exist; without one
+    the Tor composites, each derived tensor under the memory guard cap, are
     matched term by term (spans of the unit etc.).
     """
-    if a.quiver is None:
+    if presentation(a) is None:
         for i, x in enumerate(basis):
             for j, y in enumerate(basis):
                 yield i, j, _syntactic_span_coeffs(compose(x, y, cap), basis)
@@ -483,7 +480,7 @@ def semisimplicity_check(a, basis=None, cap=DEFAULT_CAP):
     """Build End of the numerical motive on the span and certify that its
     Jacobson radical vanishes."""
     if basis is None:
-        basis = canonical_span(a) if a.quiver is not None \
+        basis = canonical_span(a) if presentation(a) is not None \
             else [unit_correspondence(a)]
     table = _span_structure_constants(a, basis, cap)
     nq = numerical_kernel(a, a, basis, basis, cap)
@@ -627,12 +624,14 @@ class KernelComparisonVerdict:
 
 def kernel_comparison(a, n_max=6, cap=DEFAULT_CAP):
     """Compare the kernel of the Chern-character realization on K_0 with
-    the kernel of the numerical intersection pairing, for a quiver algebra.
+    the kernel of the numerical intersection pairing, for an algebra with a
+    presentation.
 
     Refuses without a stabilization certificate; a WINDOW-STABLE certificate
     is allowed but recorded as a truncation caveat.
     """
-    if a.quiver is None:
+    pres = presentation(a)
+    if pres is None:
         raise UncertifiedError("kernel comparison needs the K_0 basis of "
                                "vertex idempotents (quiver presentation)")
     hp = periodic_cyclic(a, n_max, cap)
@@ -641,11 +640,12 @@ def kernel_comparison(a, n_max=6, cap=DEFAULT_CAP):
                                "refusing to compare kernels")
     caveat = "" if hp.certificate == "CERTIFIED" else \
         "WINDOW-STABLE only: kernels compared at the truncated window"
-    vertices = a.quiver.vertices
+    vertices = pres.vertices
     # homological kernel: classes of the vertex idempotent Chern cycles
     cols = []
     for v in vertices:
-        e = [[{a.quiver.vertex_idx[v]: 1}]]
+        k = pres.index[v]
+        e = [[{k: a.unit[k]}]]
         cls, _ = chern_class_in_hc(e, a, n_max, cap)
         cols.append(cls)
     rows = 1 + max((r for col in cols for r in col), default=0)

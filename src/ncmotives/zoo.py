@@ -1,9 +1,11 @@
 """The shipped example algebras used throughout the test and demo suites.
 
-Quiver presentations are used wherever the algebra is basic; M2(Q) comes
-from raw structure constants.  Every constructor returns a fresh object so
-callers can't share mutable state by accident; cached copies are available
-through `get` for read-only work.
+Basic algebras come from quivers and M2(Q) from raw structure constants.
+Either way algebras.presentation reads the vertices from the basis: the
+quiver algebras have their vertex idempotents, named as in the quiver, and
+M2(Q) has none, since e12 is not radical.  Every constructor returns a
+fresh object so callers can't share mutable state by accident; cached
+copies are available through `get` for read-only work.
 """
 
 from .algebras import Quiver, path_algebra, structure_algebra
@@ -51,7 +53,7 @@ def commutative_square():
 
 
 def matrix_algebra_2():
-    """M2(Q) by structure constants (not basic, no quiver)."""
+    """M2(Q) by structure constants (not basic, no presentation)."""
     basis = ["e11", "e12", "e21", "e22"]
 
     def mult(x, y):

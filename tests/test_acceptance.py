@@ -26,7 +26,7 @@ from ncmotives.exactlin import QMatrix, is_nilpotent_by_traces
 from ncmotives.hochschild import (cyclic_data, hochschild_homology,
                                   cyclic_homology, sbi_check, periodic_cyclic,
                                   hp_of_homomorphism, DEFAULT_CAP)
-from ncmotives.algebras import Bimodule
+from ncmotives.algebras import Bimodule, presentation
 from ncmotives.motives import (unit_correspondence, canonical_span,
                                Correspondence, compose, categorical_trace,
                                intersection_number, semisimplicity_check,
@@ -151,7 +151,7 @@ def test_criterion_05_pairing_trace_identity():
     while checked < 50:
         name = members[checked % len(members)]
         a = zoo.get(name)
-        if a.quiver is not None:
+        if presentation(a) is not None:
             span = [s.terms[0][1] for s in canonical_span(a)]
         else:
             u = unit_correspondence(a)

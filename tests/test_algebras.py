@@ -10,7 +10,7 @@ from ncmotives import algebras, zoo
 from ncmotives.algebras import (
     Quiver, path_algebra, structure_algebra, opposite, tensor_algebra,
     global_dimension, derived_tensor, regular_bimodule, corner_bimodule,
-    is_right_projective, Bimodule,
+    is_right_projective, Bimodule, presentation,
 )
 from ncmotives.exactlin import QMatrix, LinSubspace
 from test_hochschild import quiver_algebras, corrupting, _over_q1
@@ -72,7 +72,9 @@ def test_path_algebra_rejects_unknown_arrows():
 def _oracle_path_algebra(quiver, relations=(), truncation=1, name=None):
     """path_algebra as it was: paths keyed by their names, with ("", v)
     for the vertices, and the ideal generators filtered from all pairs of
-    paths (the oracle of the version indexed by paths)."""
+    paths (the oracle of the version indexed by paths).  Returns the
+    algebra, its (vertex, basis index) pairs and the (source, target) of
+    every basis path."""
     if truncation < 1:
         raise InvariantError("truncation must be >= 1")
     paths = algebras._enumerate_paths(quiver, truncation)
@@ -177,20 +179,27 @@ def _oracle_path_algebra(quiver, relations=(), truncation=1, name=None):
                 table[(inew, jnew)] = vec
 
     unit = {vertex_idx[v]: 1 for v in quiver.vertices}
-    pres = algebras.QuiverPresentation(quiver, vertex_idx, psrc, ptgt)
-    return algebras.Algebra(name or "path algebra", labels, unit, table, quiver=pres)
+    a = algebras.Algebra(name or "path algebra", labels, unit, table)
+    return a, list(vertex_idx.items()), list(zip(psrc, ptgt))
+
+
+def _presented_path_algebra(quiver, relations, truncation):
+    """path_algebra, its (vertex, basis index) pairs and the (source,
+    target) of every basis element, as its presentation reads them."""
+    a = path_algebra(quiver, relations, truncation)
+    pres = presentation(a)
+    return a, [(v, pres.index[v]) for v in pres.vertices], pres.ends
 
 
 def _path_algebra_outcome(build, quiver, relations, truncation):
     """Everything path_algebra fixes, in order, or the exception it raises."""
     try:
-        a = build(quiver, relations, truncation)
+        a, vertices, ends = build(quiver, relations, truncation)
     except Exception as exc:
         return type(exc).__name__, str(exc)
-    pres = a.quiver
     return (a.basis, list(a.unit.items()),
             [(k, list(v.items())) for k, v in a.table.items()],
-            list(pres.vertex_idx.items()), pres.path_source, pres.path_target)
+            vertices, ends)
 
 
 @st.composite
@@ -226,7 +235,7 @@ def quivers_with_relations(draw):
 @settings(deadline=None, max_examples=200)
 @given(quivers_with_relations())
 def test_path_algebra_matches_the_oracle_on_random_quivers(drawn):
-    assert _path_algebra_outcome(path_algebra, *drawn) == \
+    assert _path_algebra_outcome(_presented_path_algebra, *drawn) == \
         _path_algebra_outcome(_oracle_path_algebra, *drawn)
 
 
@@ -237,7 +246,7 @@ def test_an_arrow_named_by_the_empty_string_is_a_path():
     q = Quiver(["a", "b"], [("", "a", "b"), ("y", "b", "b")])
     a = path_algebra(q, [[(1, ["y"])]], 2)
     assert a.basis == ["e_a", "e_b", ""]
-    assert _oracle_path_algebra(q, [[(1, ["y"])]], 2).basis == \
+    assert _oracle_path_algebra(q, [[(1, ["y"])]], 2)[0].basis == \
         ["e_a", "e_b", "", "*y"]
 
 
@@ -290,7 +299,7 @@ def test_global_dimension_zoo():
 def test_gldim_zero_iff_semisimple():
     for name in zoo.ZOO_NAMES:
         a = zoo.get(name)
-        if a.quiver is None and a.radical().dim > 0:
+        if presentation(a) is None and a.radical().dim > 0:
             continue
         g = global_dimension(a, bound=6)
         assert (g == 0) == (a.radical().dim == 0)
@@ -320,13 +329,13 @@ def test_derived_tensor_projectives_over_semisimple():
 
 def cartan_matrix(a):
     """dim e_i A e_j for a quiver algebra (the K0 composition oracle)."""
-    pres = a.quiver
+    pres = presentation(a)
     vs = pres.vertices
     c = {}
     for i in vs:
         for j in vs:
             c[(i, j)] = sum(1 for k in range(a.dim)
-                            if pres.path_source[k] == i and pres.path_target[k] == j)
+                            if pres.ends[k][0] == i and pres.ends[k][1] == j)
     return c
 
 
@@ -338,8 +347,8 @@ def assert_cartan_oracle(a, i, j, k, l, bound=None):
     y = corner_bimodule(a, k, l)
     tors = derived_tensor(x, y, bound)
     # dim Tor_0 = dim(Ae_i) * dim(e_j A e_k) * dim(e_l A)
-    d_aei = sum(1 for t in range(a.dim) if a.quiver.path_target[t] == i)
-    d_ela = sum(1 for t in range(a.dim) if a.quiver.path_source[t] == l)
+    d_aei = sum(1 for t in range(a.dim) if presentation(a).ends[t][1] == i)
+    d_ela = sum(1 for t in range(a.dim) if presentation(a).ends[t][0] == l)
     assert tors[0].dim == d_aei * c[(j, k)] * d_ela
     assert all(t.dim == 0 for t in tors[1:])
 
@@ -347,7 +356,7 @@ def assert_cartan_oracle(a, i, j, k, l, bound=None):
 def test_derived_tensor_matches_cartan_oracle():
     for name in ("A2", "A3", "square"):
         a = zoo.get(name)
-        vs = a.quiver.vertices
+        vs = presentation(a).vertices
         for i in vs[:2]:
             for j in vs:
                 for k in vs:
@@ -362,7 +371,7 @@ def test_derived_tensor_matches_cartan_oracle_on_random_quivers(data):
     # so Tor_1 = Tor_2 = 0 whatever the global dimension
     a = data.draw(quiver_algebras())
     assume(a.dim <= 5)
-    i, j, k, l = data.draw(st.lists(st.sampled_from(a.quiver.vertices),
+    i, j, k, l = data.draw(st.lists(st.sampled_from(presentation(a).vertices),
                                     min_size=4, max_size=4))
     assert_cartan_oracle(a, i, j, k, l, bound=2)
 
@@ -461,10 +470,13 @@ def test_global_dimension_is_memoized_per_bound(monkeypatch):
     # another bound is another question
     assert global_dimension(a, bound=0) is None
     assert len(calls) > done
-    # a refusal is not stored: the failing call runs again
-    c = structure_algebra("C", ["1", "x"], {"1": 1},
-                          [("1", "1", {"1": 1}), ("1", "x", {"x": 1}),
-                           ("x", "1", {"x": 1})])
+    # a refusal is not stored: the failing call runs again.  Q[x]/x^2 in
+    # the basis 1, y = 1 + x has no presentation: y is not radical
+    c = structure_algebra("C", ["1", "y"], {"1": 1},
+                          [("1", "1", {"1": 1}), ("1", "y", {"y": 1}),
+                           ("y", "1", {"y": 1}),
+                           ("y", "y", {"1": -1, "y": 2})])
+    assert presentation(c) is None and c.radical().dim == 1
     for _ in range(2):
         with pytest.raises(InvariantError):
             global_dimension(c)
@@ -490,7 +502,7 @@ def test_derived_tensor_associative_on_k0_classes():
     """Euler characteristics of iterated Tor agree both ways (K0-level)."""
     for name in ("A2", "square"):
         a = zoo.get(name)
-        vs = a.quiver.vertices
+        vs = presentation(a).vertices
         x = corner_bimodule(a, vs[0], vs[-1])
         y = corner_bimodule(a, vs[-1], vs[0])
         z = corner_bimodule(a, vs[0], vs[0])
@@ -532,10 +544,10 @@ def _old_top_generators(m):
             rad_vecs.extend(col for col in mat.columns() if col)
     radspan = LinSubspace(m.dim, rad_vecs)
     gens = []
-    for i in m.A.quiver.vertices:
-        ei = m.A.quiver.vertex_idx[i]
-        for j in m.B.quiver.vertices:
-            proj = m.left[ei] * m.right[m.B.quiver.vertex_idx[j]]
+    for i in presentation(m.A).vertices:
+        ei = presentation(m.A).index[i]
+        for j in presentation(m.B).vertices:
+            proj = m.left[ei] * m.right[presentation(m.B).index[j]]
             seen = LinSubspace(m.dim, radspan.basis())
             for col in proj.columns():
                 if col and not seen.contains(col):
@@ -548,7 +560,7 @@ def _two_sided_simple(a, i, j):
     """The one-dimensional (a, a)-bimodule on which e_i acts on the left,
     e_j on the right, and every other basis element by 0."""
     def acting(vertex):
-        k = a.quiver.vertex_idx[vertex]
+        k = presentation(a).index[vertex]
         return [QMatrix(1, 1, {(0, 0): 1} if t == k else None)
                 for t in range(a.dim)]
     return Bimodule(a, a, 1, acting(i), acting(j),
@@ -560,7 +572,7 @@ def _two_sided_simple(a, i, j):
 def test_top_generators_match_the_subspace_version(data):
     a = data.draw(quiver_algebras())
     assume(a.dim <= 6)
-    vs = a.quiver.vertices
+    vs = presentation(a).vertices
     i, j, k, l = data.draw(st.lists(st.sampled_from(vs), min_size=4,
                                     max_size=4))
     mods = [regular_bimodule(a), corner_bimodule(a, i, j),

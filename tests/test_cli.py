@@ -78,20 +78,53 @@ def test_hp_square_answers_at_degree_five():
     assert "certificate: CERTIFIED" in out
 
 
-@pytest.mark.parametrize("command", ["hh", "hc", "sbi", "hp"])
+ALGEBRA_COMMANDS = ["describe", "hh", "hc", "sbi", "hp", "pair", "numquot",
+                    "semisimple", "cnc", "dnc"]
+
+
+def _assert_twins(command, quiver_file, rational_file, status=0):
+    """The command exits with status on both files, with the same error or
+    with structured payloads equal but for the algebra's name, where it is
+    printed, and its basis.  Returns the quiver file's outcome."""
+    outcomes = []
+    for name in (quiver_file, rational_file):
+        got, out, err = run_cli([command, "--input", str(ALG / name),
+                                 "--format", "structured"])
+        assert got == status, (name, err)
+        if status == 0:
+            payload = json.loads(out)
+            algebra = payload.pop("algebra")
+            payload.pop("basis", None)
+            out = json.loads(json.dumps(payload).replace(algebra, "<algebra>"))
+        outcomes.append(out if status == 0 else err)
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]
+
+
+@pytest.mark.parametrize("command", ALGEBRA_COMMANDS)
 def test_cubic_in_a_rational_basis_has_the_cubic_tables(command):
     """cubic_rational.json is Q[x]/x^3 in the basis 1, x + x^2/2, 2x^2 (one
-    structure constant is 1/2, so its mixed complex has denominator 2):
-    every table equals cubic.json's."""
-    tables = []
-    for name in ("cubic.json", "cubic_rational.json"):
-        status, out, err = run_cli([command, "--input", str(ALG / name),
-                                    "--format", "structured"])
-        assert status == 0, err
-        payload = json.loads(out)
-        del payload["algebra"]
-        tables.append(payload)
-    assert tables[0] == tables[1]
+    structure constant is 1/2, so its mixed complex has denominator 2).
+    Its one unit term is a vertex named 1 and the rest of the basis is
+    radical, so spans, pairings, the global dimension and the kernel
+    comparison equal cubic.json's too, as every table does.  Both refuse
+    cnc alike: HP is only WINDOW-STABLE at infinite global dimension."""
+    out = _assert_twins(command, "cubic.json", "cubic_rational.json",
+                        status=4 if command == "cnc" else 0)
+    if command == "cnc":
+        assert "needs CERTIFIED periodic realizations" in out
+
+
+@pytest.mark.parametrize("command", ALGEBRA_COMMANDS)
+def test_a2_in_a_rational_basis_has_the_a2_tables(command):
+    """a2_rational.json is A2 in the basis 2e_1, 3a/2, -e_2/3, its unit's
+    terms labelled 1 and 2 like a2.json's vertices: every command answers
+    as on a2.json, HP CERTIFIED by global dimension 1 included."""
+    payload = _assert_twins(command, "a2.json", "a2_rational.json")
+    if command == "describe":
+        assert payload["global dimension"] == 1
+    if command == "hp":
+        assert payload["certificate"] == "CERTIFIED"
 
 
 def test_cli_sweep_smoke():
@@ -127,13 +160,30 @@ UNKNOWN_LABEL = {"kind": "structure_constants", "basis": ["x"],
                  "unit": {"x": "1"}, "products": [["x", "y", {"x": "1"}]]}
 
 
-@pytest.mark.parametrize("text, extra, needle", [
-    ("{not json", [], "not valid JSON"),
-    (json.dumps(UNKNOWN_ARROW), [], "unknown arrow(s): z"),
-    (json.dumps(UNKNOWN_LABEL), [], "unknown basis label(s): y"),
-    (None, ["--max-degree", "x"], "invalid int value"),
-], ids=["bad-json", "unknown-arrow", "unknown-label", "usage"])
-def test_exit_status_parse_error(tmp_path, text, extra, needle):
+A2 = (ALG / "a2.json").read_text()
+
+
+@pytest.mark.parametrize("text, extra, env, needle", [
+    ("{not json", [], None, "not valid JSON"),
+    (json.dumps(UNKNOWN_ARROW), [], None, "unknown arrow(s): z"),
+    (json.dumps(UNKNOWN_LABEL), [], None, "unknown basis label(s): y"),
+    (None, ["--max-degree", "x"], None, "invalid int value"),
+    (A2, ["--max-degree", "-3"], None, "--max-degree: must be >= 0, got -3"),
+    (A2, ["--cap", "-1"], None, "--cap: must be >= 0, got -1"),
+    (None, ["--max-weight", "-2"], None, "--max-weight: must be >= 0"),
+    (A2, [], "-1", "NCMOTIVES_CAP: must be >= 0, got -1"),
+    (A2, [], "x", "NCMOTIVES_CAP: invalid int value: 'x'"),
+], ids=["bad-json", "unknown-arrow", "unknown-label", "usage",
+        "negative-degree", "negative-cap", "negative-weight",
+        "negative-env-cap", "env-cap-not-int"])
+def test_exit_status_parse_error(tmp_path, monkeypatch, text, extra, env,
+                                 needle):
+    """Malformed input files and arguments exit 1.  A negative degree
+    bound, memory guard or weight cap is one of them (before, hh
+    --max-degree -3 exited 2, --cap -1 and NCMOTIVES_CAP=-1 exited 3, and
+    describe --max-degree -3 exited 0)."""
+    if env is not None:
+        monkeypatch.setenv("NCMOTIVES_CAP", env)
     args = ["hh"] + extra
     if text is not None:
         bad = tmp_path / "bad.json"

@@ -15,7 +15,7 @@ from ncmotives.algebras import (Quiver, path_algebra, structure_algebra,
                                 global_dimension, regular_bimodule, _Reduced,
                                 _vertex_ends, _basis_ground, tensor_algebra,
                                 _chain_basis, _relative_ends,
-                                hochschild_columns)
+                                hochschild_columns, presentation)
 from ncmotives.cli import _nonnormalized_hh
 from ncmotives.errors import InvariantError, CapExceededError, UncertifiedError
 from ncmotives.exactlin import (QMatrix, Elimination, LinSubspace,
@@ -363,7 +363,7 @@ def test_vertex_relative_hh_matches_absolute_on_random_quivers(data):
     scales = data.draw(st.lists(st.sampled_from(SCALES), min_size=a.dim,
                                 max_size=a.dim))
     r = _rescaled(a, scales)
-    vs = a.quiver.vertices
+    vs = presentation(a).vertices
     corners = [corner_bimodule(a, i, j) for i in vs for j in vs]
     mods = [regular_bimodule(a)] + corners
     assert all(_vertex_ends(m) is not None for m in mods)
@@ -403,7 +403,7 @@ def test_non_adapted_basis_falls_back_to_the_absolute_complex():
 def _simples(a, vertices):
     """The direct sum of the one-dimensional A-bimodules at the vertices:
     e_v acts as 1 on both sides of its line, every arrow as 0."""
-    pos = {a.quiver.vertex_idx[v]: c for c, v in enumerate(vertices)}
+    pos = {presentation(a).index[v]: c for c, v in enumerate(vertices)}
     d = len(vertices)
     acts = [QMatrix(d, d, {(pos[k], pos[k]): 1} if k in pos else None)
             for k in range(a.dim)]
@@ -446,10 +446,10 @@ def _assert_tor_matches_rescaled(a, scales):
     vertex-graded dimensions and chi(HH(A; Tor_l)) of Tor over the
     quiver-free rescaled copy with every complex over E = Q.1, for every pair of corner bimodules (Tor_0) and of
     one-dimensional simple bimodules (Tor_0..Tor_2)."""
-    vs = a.quiver.vertices
+    vs = presentation(a).vertices
     r = _rescaled(a, scales)
     g = global_dimension(a, bound=4)
-    vertex_idx = [a.quiver.vertex_idx[v] for v in vs]
+    vertex_idx = [presentation(a).index[v] for v in vs]
     corners = [corner_bimodule(a, i, j) for i in vs for j in vs]
     simples = [_simples(a, [v]) for v in vs]
     cases = ([(x, y, 0) for x in corners for y in corners]
@@ -470,7 +470,7 @@ def _assert_tor_matches_rescaled(a, scales):
 @given(st.data())
 def test_vertex_relative_tor_matches_absolute_on_random_quivers(data):
     a = data.draw(quiver_algebras())
-    assume(len(a.quiver.vertices) >= 2 and a.dim <= 6)
+    assume(len(presentation(a).vertices) >= 2 and a.dim <= 6)
     scales = data.draw(st.lists(st.sampled_from(SCALES), min_size=a.dim,
                                 max_size=a.dim))
     _assert_tor_matches_rescaled(a, scales)
@@ -490,7 +490,7 @@ def test_non_adapted_factor_takes_the_dense_tor():
     Tor to the complex over Q.1, with the dimensions of the adapted copy."""
     for name in ("A2", "A3", "square"):
         a = zoo.get(name)
-        vs = a.quiver.vertices
+        vs = presentation(a).vertices
         g = global_dimension(a)
         tops = _simples(a, vs)
         # A e_sink (x) e_source A: paths of both ends on either side
@@ -755,7 +755,7 @@ def test_relative_chain_map_commutes_with_tot_differentials():
                                for i, lab in enumerate(a.basis)})
     check_homomorphism(f, a, a)
     data = cyclic_data(a, 5)
-    assert set(data.mixed.red.units) == {a.quiver.vertex_idx[v]
+    assert set(data.mixed.red.units) == {presentation(a).index[v]
                                          for v in ("1", "2")}
     assert data.mixed.dims == [3, 4, 7, 11, 18, 29]
     from ncmotives.hochschild import _chain_map_on_tot
@@ -811,7 +811,7 @@ def test_relative_mixed_complex_matches_absolute(build, n_max):
     truncation against the nil-invariant value of the copy."""
     a = build()
     flat, copy = build(), _rescaled(a, (SCALES * 2)[:a.dim])
-    vertices = {a.quiver.vertex_idx[v] for v in a.quiver.vertices}
+    vertices = {presentation(a).index[v] for v in presentation(a).vertices}
     assert set(cyclic_data(a, n_max).mixed.red.units) == vertices
     assert set(cyclic_data(copy, n_max).mixed.red.units) == vertices
     want = cyclic_homology(a, n_max).dims
@@ -834,7 +834,7 @@ def test_relative_mixed_complex_matches_absolute_on_random_quivers(data):
     HP values of the quiver-free rescaled copy over Q.1; where both take
     the window path, the S towers agree rank for rank."""
     a = data.draw(quiver_algebras())
-    assume(len(a.quiver.vertices) >= 2 and a.dim <= 4)
+    assume(len(presentation(a).vertices) >= 2 and a.dim <= 4)
     # signs keep the copy integral, and so its degree-6 complex quick
     scales = data.draw(st.lists(st.sampled_from([1, -1]), min_size=a.dim,
                                 max_size=a.dim))
@@ -1034,8 +1034,8 @@ def test_tor_actions_match_the_replaced_loop(name, monkeypatch):
     monkeypatch.setattr(algebras, "induced_map", spy_induced_map)
     reg = regular_bimodule(a)
     cases = [(reg, reg, 1)]
-    if a.quiver is not None:
-        simples = [_simples(a, [v]) for v in a.quiver.vertices]
+    if presentation(a) is not None:
+        simples = [_simples(a, [v]) for v in presentation(a).vertices]
         cases += [(x, y, 2) for x in simples for y in simples]
     for x, y, bound in cases:
         derived_tensor(x, y, bound=bound)
@@ -1254,12 +1254,16 @@ def test_bases_that_hide_the_ground_fall_back_to_q1():
 
 def test_tensor_products_of_grounded_algebras_reach_hp():
     """A2 (x) A2 and M2(Q) (x) A2 take the complex relative to their
-    e_i (x) e_j, so HP at n_max 6 is WINDOW-STABLE with the nil-invariant
-    value; over Q.1 the memory guard refused both."""
+    e_i (x) e_j, so HP at n_max 6 has the nil-invariant value; over Q.1 the
+    memory guard refused both.  A2 (x) A2 has a presentation (its e_i (x) e_j
+    and a radical rest), so its global dimension 2 certifies the value;
+    M2(Q) (x) A2 has none (e12 (x) e_1 is not radical) and stays
+    WINDOW-STABLE."""
     a2, m2 = zoo.get("A2"), zoo.get("M2(Q)")
-    for left, want, needed in ((a2, (4, 0), 2696337), (m2, (2, 0), 23384604)):
+    for left, want, needed in ((a2, ("CERTIFIED", (4, 0)), 2696337),
+                               (m2, ("WINDOW-STABLE", (2, 0)), 23384604)):
         hp = periodic_cyclic(tensor_algebra(left, a2), 6)
-        assert (hp.certificate, hp.super_dims) == ("WINDOW-STABLE", want)
+        assert (hp.certificate, hp.super_dims) == want
         with _over_q1(), pytest.raises(CapExceededError) as refused:
             periodic_cyclic(tensor_algebra(left, a2), 6)
         assert refused.value.needed == needed
@@ -1476,7 +1480,7 @@ def test_seeded_homology_space_matches_the_replaced_route(drawn, q, data):
     cyc = CyclicData(r, min(n_max, 4))
     _assert_seeded_spaces_match(cyc.hh, lambda n: (), data)
     _assert_seeded_spaces_match(cyc.tot, cyc._unit_candidates, data)
-    s = _simples(q, q.quiver.vertices)
+    s = _simples(q, presentation(q).vertices)
     for cx in _derived_complexes(s, s, 2):
         _assert_seeded_spaces_match(cx, lambda n: (), data)
 

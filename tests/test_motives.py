@@ -11,7 +11,7 @@ from ncmotives.exactlin import (QMatrix, Elimination, kernel, matrix_rank,
 from ncmotives.algebras import (corner_bimodule, Bimodule, regular_bimodule,
                                 structure_algebra,
                                 derived_tensor, global_dimension,
-                                _vertex_ends)
+                                presentation, _vertex_ends)
 from ncmotives.hochschild import (hp_of_homomorphism, periodic_cyclic,
                                   DEFAULT_CAP)
 from ncmotives.motives import (
@@ -23,14 +23,15 @@ from ncmotives.motives import (
     cartan_counts, _tor_intersection_number, _tor_composite_class_vector,
     _compose_classes, _span_structure_constants, SemisimplicityReport,
 )
-from test_hochschild import quiver_algebras, _two_cycle
+from test_hochschild import (quiver_algebras, _two_cycle, _in_basis, _rescaled,
+                             MONOMIAL_SCALES)
 
 
 def cartan(a):
-    pres = a.quiver
+    pres = presentation(a)
     vs = pres.vertices
     return {(i, j): sum(1 for k in range(a.dim)
-                        if pres.path_source[k] == i and pres.path_target[k] == j)
+                        if pres.ends[k][0] == i and pres.ends[k][1] == j)
             for i in vs for j in vs}
 
 
@@ -61,7 +62,7 @@ def test_compose_matches_cartan_matrix_model():
     for name in ("A2", "A3", "square"):
         a = zoo.get(name)
         c = cartan(a)
-        vs = a.quiver.vertices
+        vs = presentation(a).vertices
         for i in vs[:2]:
             for j in vs:
                 for k in vs:
@@ -112,7 +113,7 @@ def test_pairing_agrees_with_trace_of_composite():
         a = zoo.get(name)
         span = canonical_span(a)
         c = cartan(a)
-        vs = a.quiver.vertices
+        vs = presentation(a).vertices
         for _ in range(12):
             coeffs1 = [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                        for _ in span]
@@ -151,7 +152,7 @@ def test_pairing_matrices_unchanged_by_the_vertex_relative_complex(
     for name in names:
         a = zoo.get(name)
         c = cartan(a)
-        vs = a.quiver.vertices
+        vs = presentation(a).vertices
         pairs = [(i, j) for i in vs for j in vs]
         model = [[c[(j, k)] * c[(l, i)] for (k, l) in pairs]
                  for (i, j) in pairs]
@@ -171,7 +172,7 @@ def test_pairing_matrices_unchanged_by_the_vertex_relative_complex(
         assert asked
     # derived_tensor reads the same rule, on y (x) x
     a3 = zoo.get("A3")
-    x = corner_bimodule(a3, *a3.quiver.vertices[:2])
+    x = corner_bimodule(a3, *presentation(a3).vertices[:2])
     del asked[:]
     derived_tensor(x, x)
     assert asked == [x.dim * x.dim]
@@ -183,7 +184,7 @@ def test_tor_of_corner_bimodules_is_vertex_adapted():
     from the complex relative to Q^{Q_0}."""
     for name in ("A3", "square"):
         a = zoo.get(name)
-        vs = a.quiver.vertices
+        vs = presentation(a).vertices
         corners = [corner_bimodule(a, i, j) for i in vs for j in vs]
         for x in corners:
             for y in corners:
@@ -250,7 +251,7 @@ def test_numerical_kernel_euler_form_determinant_oracle():
     for name in ("A2", "square"):
         a = zoo.get(name)
         c = cartan(a)
-        vs = a.quiver.vertices
+        vs = presentation(a).vertices
         pairs = [(i, j) for i in vs for j in vs]
         gram = [[c[(j, k)] * c[(l, i)] for (k, l) in pairs]
                 for (i, j) in pairs]
@@ -293,7 +294,7 @@ def _oracle_semisimplicity_check(a, basis=None, cap=DEFAULT_CAP):
     """semisimplicity_check as it was: its own pairing, kernel and unit
     elimination, and the quotient through structure_algebra's labels."""
     if basis is None:
-        basis = canonical_span(a) if a.quiver is not None \
+        basis = canonical_span(a) if presentation(a) is not None \
             else [unit_correspondence(a)]
     table = _span_structure_constants(a, basis, cap)
     pm = pairing_matrix(basis, basis, cap)
@@ -596,7 +597,7 @@ def test_compose_associative_on_k0_classes():
 def test_k0_pairing_is_cartan_matrix():
     a = zoo.get("A3")
     c = cartan(a)
-    vs = a.quiver.vertices
+    vs = presentation(a).vertices
     for i, v in enumerate(vs):
         x = row_projective_correspondence(a, v)
         for j, w in enumerate(vs):
@@ -611,8 +612,8 @@ def assert_cartan_identity(m):
     a = m.A
     c = cartan(a)
     x = bimodule_class_vector(m)
-    vs = a.quiver.vertices
-    idx = a.quiver.vertex_idx
+    vs = presentation(a).vertices
+    idx = presentation(a).index
     for k in vs:
         for l in vs:
             cxc = sum(c[(k, i)] * x.get((i, j), 0) * c[(j, l)]
@@ -631,12 +632,12 @@ def test_class_vector_cartan_identity_on_random_quivers(data):
     g = global_dimension(a, bound=4)
     assume(g is not None)
     reg = regular_bimodule(a)
-    vs = a.quiver.vertices
+    vs = presentation(a).vertices
     i, j = data.draw(st.sampled_from(vs)), data.draw(st.sampled_from(vs))
     tors = derived_tensor(reg, corner_bimodule(a, i, j), bound=g)
 
     def at(v):
-        return [QMatrix.identity(1) if k == a.quiver.vertex_idx[v]
+        return [QMatrix.identity(1) if k == presentation(a).index[v]
                 else QMatrix.zero(1, 1) for k in range(a.dim)]
 
     simple = Bimodule(a, a, 1, at(i), at(j))
@@ -679,7 +680,7 @@ def test_pairing_without_class_vectors_takes_the_tor_route():
 def _simple(a, i, j):
     """The 1-dimensional simple A-bimodule at the vertex pair (i, j)."""
     def at(v):
-        return [QMatrix.identity(1) if k == a.quiver.vertex_idx[v]
+        return [QMatrix.identity(1) if k == presentation(a).index[v]
                 else QMatrix.zero(1, 1) for k in range(a.dim)]
     return Bimodule(a, a, 1, at(i), at(j), name="S_%s%s" % (i, j))
 
@@ -709,7 +710,7 @@ def test_k0_route_matches_the_tor_route_on_random_quivers(data):
     a = data.draw(quiver_algebras())
     assume(a.dim <= 6)
     assume(global_dimension(a, bound=4) is not None)
-    vs = a.quiver.vertices
+    vs = presentation(a).vertices
     vertex = st.sampled_from(vs)
     pool = [unit_correspondence(a).terms[0][1]]
     pool += [corner_bimodule(a, data.draw(vertex), data.draw(vertex))
@@ -746,9 +747,10 @@ def test_k0_route_matches_the_tor_route_on_random_quivers(data):
 
 
 def test_class_vectors_are_resolved_once_per_bimodule_object(monkeypatch):
-    """The class-vector memo lives on the bimodule object: a pairing
-    matrix resolves each span bimodule once, and a second span built from
-    equal bimodules resolves its own objects again."""
+    """Projective pairs carry their class vector, so pairings on the
+    canonical span resolve nothing.  Any other class vector is memoized on
+    the bimodule object: a simple bimodule is resolved once however often
+    it is paired, and an equal fresh one is resolved again."""
     resolved = []
     real = motives.minimal_resolution
 
@@ -760,10 +762,122 @@ def test_class_vectors_are_resolved_once_per_bimodule_object(monkeypatch):
     a = zoo.get("A3")
     span = canonical_span(a)
     pairing_matrix(span, span)
-    assert len(resolved) == len(span)
-    assert {id(m) for m in resolved} == {id(x.terms[0][1]) for x in span}
-    pairing_matrix(span, span)
-    assert len(resolved) == len(span)
-    fresh = canonical_span(a)
-    pairing_matrix(fresh, fresh)
-    assert len(resolved) == 2 * len(span)
+    assert resolved == []
+    simple = Correspondence(a, a, [(1, _simple(a, "1", "2"))])
+    for _ in range(2):
+        pairing_matrix([simple], span)
+    assert [id(m) for m in resolved] == [id(simple.terms[0][1])]
+    fresh = Correspondence(a, a, [(1, _simple(a, "1", "2"))])
+    pairing_matrix([fresh], span)
+    assert [id(m) for m in resolved[1:]] == [id(fresh.terms[0][1])]
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.data())
+def test_projective_pairs_carry_the_class_vector_of_their_resolution(data):
+    """The class vector a projective pair is built with is what its
+    minimal resolution gives: {(i, j): 1}."""
+    a = data.draw(quiver_algebras())
+    assume(a.dim <= 6)
+    vertex = st.sampled_from(presentation(a).vertices)
+    i, j = data.draw(vertex), data.draw(vertex)
+    for p, key in ((corner_bimodule(a, i, j), (i, j)),
+                   (row_projective_correspondence(a, j).terms[0][1],
+                    ("1", j))):
+        assert bimodule_class_vector(p) == {key: 1}
+        assert motives._resolution_class_vector(p, 0) == {key: 1}
+
+
+# ---------------------------------------------------------------------------
+# the same algebra in another input format
+
+
+@settings(deadline=None, max_examples=30)
+@given(quiver_algebras(), st.data())
+def test_presentations_do_not_depend_on_the_input_format(a, data):
+    """A quiver algebra and a copy by structure constants in a permuted
+    basis, scaled by signs and rationals, with no vertex names: the
+    presentation's corners up to the permutation, the Cartan counts, the
+    global dimension, the pairing matrix of the canonical span, the
+    semisimplicity report and the HP verdict all agree once the copy's
+    vertices (named by their basis labels) are renamed."""
+    assume(a.dim <= 5)
+    perm = data.draw(st.permutations(range(a.dim)))
+    scales = data.draw(st.lists(st.sampled_from(MONOMIAL_SCALES),
+                                min_size=a.dim, max_size=a.dim))
+    r = _rescaled(a, scales, perm)
+    pa, pr = presentation(a), presentation(r)
+    assert pr is not None
+    # r's basis element i is a multiple of a's basis element perm[i]
+    name = {r.basis[i]: pa.ends[k][0] for i, k in enumerate(perm)
+            if k in a.unit}
+    assert [(name[u], name[w]) for u, w in pr.ends] == \
+        [pa.ends[k] for k in perm]
+    assert {(name[u], name[w]): n for (u, w), n in
+            cartan_counts(r).items()} == cartan_counts(a)
+    assert global_dimension(r, bound=4) == global_dimension(a, bound=4)
+    pairings = []
+    for alg, rename in ((a, lambda v: v), (r, name.get)):
+        span = canonical_span(alg)
+        keys = [(rename(i), rename(j)) for i in presentation(alg).vertices
+                for j in presentation(alg).vertices]
+        matrix = pairing_matrix(span, span).matrix
+        pairings.append({(keys[s], keys[t]): matrix.entries.get((s, t), 0)
+                         for s in range(len(span))
+                         for t in range(len(span))})
+    assert pairings[0] == pairings[1]
+
+    def report(alg):
+        try:
+            rep = semisimplicity_check(alg)
+        except UncertifiedError as refused:
+            return str(refused)
+        return (rep.span_size, rep.pairing_rank, rep.kernel_dim,
+                rep.quotient_dim, rep.radical_dim)
+
+    def hp(alg):
+        out = periodic_cyclic(alg, 4)
+        return out.certificate, out.super_dims, out.r0
+
+    assert report(r) == report(a)
+    assert hp(r) == hp(a)
+
+
+def test_algebras_without_a_presentation_keep_the_tor_route():
+    """M2(Q), bases that hide the ground, Q x Q in the basis 1, e_1 (a
+    one-term unit beside a basis element outside the radical) and Q[x]/x^3
+    in the basis 1, 1 + x, x^2 have no presentation: no canonical span and
+    no class vector, so a pairing takes the Tor route and
+    semisimplicity_check the unit span, and the global dimension is
+    unknown unless the algebra is semisimple.  A zero correspondence
+    still pairs to 0, by the Tor route."""
+    m2, q3 = zoo.get("M2(Q)"), zoo.get("QxQxQ")
+    cases = [m2] + [_in_basis(b, [{i: 1 for i in range(j + 1)}
+                                  for j in range(b.dim)], b.name + "'")
+                    for b in (m2, zoo.get("A2"), q3, zoo.get("square"))]
+    cases += [_in_basis(m2, [{0: 1}, {3: 1}, {1: 1, 2: 1}, {1: 1, 2: -1}],
+                        "M2(Q) straddled"),
+              _in_basis(q3, [{0: 1, 1: 1}, {1: 1, 2: 1}, {1: 1}],
+                        "Q^3 overlapping"),
+              _in_basis(zoo.get("QxQ"), [{0: 1, 1: 1}, {0: 1}], "QxQ 1, e1"),
+              _in_basis(zoo.get("cubic"), [{0: 1}, {0: 1, 1: 1}, {2: 1}],
+                        "cubic 1, 1+x, x^2")]
+    for a in cases:
+        assert presentation(a) is None, a.name
+        u = unit_correspondence(a)
+        zero = Correspondence(a, a, [])
+        assert intersection_number(zero, zero) == 0
+        with pytest.raises(UncertifiedError, match="quiver presentations"):
+            canonical_span(a)
+        with pytest.raises(UncertifiedError, match="quiver presentations"):
+            correspondence_class_vector(u)
+        if a.radical().dim:
+            assert algebras._gldim_certificate(a) is None
+            with pytest.raises(InvariantError, match="quiver presentation"):
+                global_dimension(a)
+            with pytest.raises(UncertifiedError, match="Euler characteristic"):
+                intersection_number(u, u)
+            continue
+        assert global_dimension(a) == 0
+        assert intersection_number(u, u) == _tor_intersection_number(u, u)
+        assert semisimplicity_check(a).span_size == 1

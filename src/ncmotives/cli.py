@@ -19,7 +19,8 @@ from fractions import Fraction
 from .errors import (ParseInputError, InvariantError,
                      CapExceededError, UncertifiedError)
 from .hochschild import (hochschild_homology, cyclic_homology, sbi_check,
-                         periodic_cyclic, DEFAULT_CAP)
+                         periodic_cyclic, DEFAULT_CAP, HH_MIN_DEGREE,
+                         MIXED_MIN_DEGREE)
 from .algebras import global_dimension, presentation
 from .motives import (unit_correspondence, canonical_span, numerical_kernel,
                       semisimplicity_check, even_projector_in_span, kernel_comparison,
@@ -377,6 +378,12 @@ COMMANDS = {
 }
 
 
+# the least --max-degree each command's complex takes; hp, cnc and dnc raise
+# the degree to 4 themselves
+DEGREE_FLOORS = {"hh": HH_MIN_DEGREE, "hc": MIXED_MIN_DEGREE,
+                 "sbi": MIXED_MIN_DEGREE}
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors are parse errors (exit status 1), not argparse's 2."""
 
@@ -405,7 +412,12 @@ def build_parser():
 
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        floor = DEGREE_FLOORS.get(args.command, 0)
+        if args.max_degree < floor:
+            parser.error("argument --max-degree: %s needs >= %d, got %d"
+                         % (args.command, floor, args.max_degree))
         if args.command != "schur" and not args.input:
             print("error: --input is required for %r" % args.command,
                   file=sys.stderr)

@@ -66,6 +66,12 @@ from .algebras import (DEFAULT_CAP, _chain_basis, _gldim_certificate, _guard,
                        regular_bimodule)
 
 
+# the least n_max each complex takes: the Hochschild complex, and the mixed
+# complex under cyclic homology and the SBI sequence
+HH_MIN_DEGREE = 1
+MIXED_MIN_DEGREE = 2
+
+
 # ---------------------------------------------------------------------------
 # chain-level construction
 
@@ -115,8 +121,8 @@ def hochschild_complex(a, m=None, n_max=4, cap=DEFAULT_CAP):
     (algebras._vertex_ends); relative to E = Q.1 otherwise.  Both compute
     HH(A; M).
     """
-    if n_max < 1:
-        raise InvariantError("n_max must be >= 1")
+    if n_max < HH_MIN_DEGREE:
+        raise InvariantError("n_max must be >= %d" % HH_MIN_DEGREE)
     if m is None:
         m = regular_bimodule(a)
     elif m.A is not a or m.B is not a:
@@ -170,8 +176,9 @@ class TruncatedMixedComplex:
     """
 
     def __init__(self, a, n_max, cap=DEFAULT_CAP, *, _absolute=False):
-        if n_max < 2:
-            raise InvariantError("a mixed complex needs n_max >= 2")
+        if n_max < MIXED_MIN_DEGREE:
+            raise InvariantError("a mixed complex needs n_max >= %d"
+                                 % MIXED_MIN_DEGREE)
         self.n_max = n_max
         m = regular_bimodule(a)
         ends = None if _absolute else _relative_ends(m)
@@ -349,8 +356,9 @@ def _absolute_cyclic_data(a, n_max, cap):
 
 def cyclic_homology(a, n_max=4, cap=DEFAULT_CAP):
     """dims of HC_n for n <= n_max - 1 from the (b, B)-totalization."""
-    if n_max < 2:
-        raise InvariantError("cyclic homology needs n_max >= 2")
+    if n_max < MIXED_MIN_DEGREE:
+        raise InvariantError("cyclic homology needs n_max >= %d"
+                             % MIXED_MIN_DEGREE)
     data = cyclic_data(a, n_max, cap)
     return HomologyTable("HC", data.hc_dims(), n_max, n_max - 1)
 

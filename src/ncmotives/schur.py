@@ -168,12 +168,54 @@ def invert_perm(p):
     return tuple(out)
 
 
+TABLE_CAP = 5       # a full Cayley table of S_5 is 0.13 MB; of S_6, 4.4 MB
+
+
+class _CayleyTable:
+    """S_n as a list, each permutation's index, and the rows of the Cayley
+    table built on demand: row(p)[j] is the index of p o perms[j].
+
+    Rows are lists rather than arrays: the `array` extension module adds
+    80 kB to the memory of every process that imports it, and most
+    processes never multiply in Q[S_n]."""
+
+    def __init__(self, n):
+        self.perms = list(permutations(range(n)))
+        self.index = {p: i for i, p in enumerate(self.perms)}
+        self.rows = {}
+
+    def row(self, p):
+        row = self.rows.get(p)
+        if row is None:
+            at, index = p.__getitem__, self.index
+            row = self.rows[p] = [index[tuple(map(at, q))]
+                                  for q in self.perms]
+        return row
+
+
+_TABLES = {}        # n -> _CayleyTable, made by the first product that reads it
+
+
+def _cayley_table(n):
+    table = _TABLES.get(n)
+    if table is None:
+        table = _TABLES[n] = _CayleyTable(n)
+    return table
+
+
 class GroupAlgebraElement:
     """Sparse element of Q[S_n]: permutation tuple -> coefficient.
 
     Coefficients are stored as int numerators num[p] over one positive
     common denominator den, with gcd(den, num...) = 1, so equal elements
     have equal fields.  coeffs is the read-only Fraction view.
+
+    A product x * y sums c * d at p o q over the terms c p of x and d q of
+    y.  For n <= TABLE_CAP, p o q is read from the Cayley table row of p,
+    indexed by the position of q, and the sums go into a list over S_n;
+    all 120 rows of S_5 cost 14400 compositions, once per process.  Above
+    the cap a table would cost (n!)^2 compositions and memory, so the
+    product composes the tuples p and q.
     """
 
     def __init__(self, n, coeffs):
@@ -206,14 +248,26 @@ class GroupAlgebraElement:
         return {p: Fraction(v, den) for p, v in self.num.items()}
 
     def __mul__(self, other):
-        out = {}
-        get = out.get
-        for p, c in self.num.items():
-            at = p.__getitem__
-            for q, d in other.num.items():
-                r = tuple(map(at, q))
-                out[r] = get(r, 0) + c * d
-        return GroupAlgebraElement._make(self.n, out, self.den * other.den)
+        n = self.n
+        if n <= TABLE_CAP:
+            table = _cayley_table(n)
+            index = table.index
+            right = [(index[q], d) for q, d in other.num.items()]
+            acc = [0] * len(table.perms)
+            for p, c in self.num.items():
+                row = table.row(p)
+                for j, d in right:
+                    acc[row[j]] += c * d
+            out = dict(zip(table.perms, acc))
+        else:
+            out = {}
+            get = out.get
+            for p, c in self.num.items():
+                at = p.__getitem__
+                for q, d in other.num.items():
+                    r = tuple(map(at, q))
+                    out[r] = get(r, 0) + c * d
+        return GroupAlgebraElement._make(n, out, self.den * other.den)
 
     def __add__(self, other):
         den = lcm(self.den, other.den)
@@ -259,7 +313,9 @@ def central_idempotent(partition, cap=CHARACTER_CAP, verify=None):
         raise CapExceededError("idempotent cap is n <= %d" % cap, needed=n,
                                cap=cap)
     if verify is None:
-        # c^2 = c costs (n!)^2 products: 14400 at n = 5, 518400 at n = 6
+        # c^2 = c costs (n!)^2 products: 14400 at n = 5, read from the
+        # Cayley table (whose rows cost as many compositions, once per
+        # process); 518400 tuple compositions at n = 6
         verify = n <= 5
     key = (parts, bool(verify))
     if key in _IDEMPOTENTS:

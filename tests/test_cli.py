@@ -194,6 +194,30 @@ def test_exit_status_parse_error(tmp_path, monkeypatch, text, extra, env,
     assert "parse error" in err and needle in err
 
 
+@pytest.mark.parametrize("command, degree, floor", [
+    ("hh", 0, 1), ("hc", 0, 2), ("hc", 1, 2), ("sbi", 0, 2), ("sbi", 1, 2),
+])
+def test_degree_below_a_commands_floor_is_a_parse_error(command, degree,
+                                                        floor):
+    """A degree bound the command's complex cannot take exits 1 (before,
+    these exited 2 with an invariant violation from the complex)."""
+    status, out, err = run_cli([command, "--input", str(ALG / "a2.json"),
+                                "--max-degree", str(degree)])
+    assert (status, out) == (1, "")
+    assert ("parse error: argument --max-degree: %s needs >= %d, got %d"
+            % (command, floor, degree)) in err
+    status, _, _ = run_cli([command, "--input", str(ALG / "a2.json"),
+                            "--max-degree", str(floor)])
+    assert status == 0
+
+
+@pytest.mark.parametrize("command", ["describe", "hp", "cnc", "dnc"])
+def test_degree_zero_is_accepted_where_the_command_has_no_floor(command):
+    status, _, _ = run_cli([command, "--input", str(ALG / "a2.json"),
+                            "--max-degree", "0"])
+    assert status == 0
+
+
 def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         run_cli(["--help"])

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import reduce
 from itertools import permutations
@@ -265,30 +268,79 @@ def naive_add(x, y):
 
 
 small_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+nonzero_fractions = st.builds(Fraction, st.integers(-6, 6).filter(bool),
+                              st.integers(1, 6))
 
 
 @st.composite
-def sparse_elements(draw, n):
+def group_elements(draw, n):
+    """At most 6 terms, or (for n <= 5) at least half of S_n."""
     perms = list(permutations(range(n)))
-    return draw(st.dictionaries(st.sampled_from(perms), small_fractions,
-                                max_size=6))
+    if n > 5 or draw(st.booleans()):
+        return draw(st.dictionaries(st.sampled_from(perms), small_fractions,
+                                    max_size=6))
+    size = draw(st.integers((len(perms) + 1) // 2, len(perms)))
+    support = draw(st.permutations(perms))[:size]
+    coeffs = draw(st.lists(nonzero_fractions, min_size=size, max_size=size))
+    return dict(zip(support, coeffs))
 
 
 @settings(deadline=None, max_examples=60)
 @given(st.data())
 def test_group_algebra_arithmetic_matches_naive_convolution(data):
-    n = data.draw(st.sampled_from([3, 4]))
-    x = data.draw(sparse_elements(n))
-    y = data.draw(sparse_elements(n))
-    c = data.draw(small_fractions)
-    ex, ey = GroupAlgebraElement(n, x), GroupAlgebraElement(n, y)
-    assert (ex * ey).coeffs == naive_mul(x, y)
-    assert (ex + ey).coeffs == naive_add(x, y)
-    assert ex.scale(c).coeffs == {p: c * v for p, v in x.items() if c * v}
-    assert (ex == ey) == (naive_add(x, {p: -v for p, v in y.items()}) == {})
-    # results are equal to the same element built from outside
-    assert ex * ey == GroupAlgebraElement(n, naive_mul(x, y))
-    assert ex + ey == GroupAlgebraElement(n, naive_add(x, y))
+    # two sizes per draw, so the per-n tables serve both in one process;
+    # n = 6 is above schur.TABLE_CAP and composes tuples
+    for n in data.draw(st.lists(st.integers(1, 6), min_size=2, max_size=2,
+                                unique=True)):
+        x = data.draw(group_elements(n))
+        y = data.draw(group_elements(n))
+        c = data.draw(small_fractions)
+        ex, ey = GroupAlgebraElement(n, x), GroupAlgebraElement(n, y)
+        for (a, b), (ea, eb) in (((x, y), (ex, ey)), ((y, x), (ey, ex))):
+            product = naive_mul(a, b)
+            assert (ea * eb).coeffs == product
+            # results are equal to the same element built from outside
+            assert ea * eb == GroupAlgebraElement(n, product)
+        assert (ex + ey).coeffs == naive_add(x, y)
+        assert ex.scale(c).coeffs == {p: c * v for p, v in x.items() if c * v}
+        assert (ex == ey) == (naive_add(x, {p: -v for p, v in y.items()})
+                              == {})
+        assert ex + ey == GroupAlgebraElement(n, naive_add(x, y))
+
+
+def _rows_built():
+    return {n: set(table.rows) for n, table in schur._TABLES.items()}
+
+
+def test_cayley_rows_are_built_up_to_the_cap_only(monkeypatch):
+    monkeypatch.setattr(schur, "_TABLES", {})
+    monkeypatch.setattr(schur, "_IDEMPOTENTS", {})
+    assert schur.TABLE_CAP == 5
+    # 144 terms times 8 at n = 7 and 36 times 8 at n = 6: tuples only
+    young_symmetrizer((4, 3))
+    young_symmetrizer((3, 3))
+    assert _rows_built() == {}
+    # c^2 = c and c tau read the rows of c's terms, tau c the row of tau
+    c = central_idempotent((2, 1, 1, 1), verify=True)
+    taus = set()
+    for k in range(4):
+        t = list(range(5))
+        t[k], t[k + 1] = t[k + 1], t[k]
+        taus.add(tuple(t))
+    assert _rows_built() == {5: set(c.num) | taus}
+
+
+def test_importing_the_package_builds_no_cayley_table():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(schur.__file__))]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import ncmotives, ncmotives.cli\n"
+            "from ncmotives import schur\n"
+            "print(len(schur._TABLES))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True)
+    assert out.stdout == "0\n"
 
 
 def test_group_algebra_element_rejects_non_permutations():

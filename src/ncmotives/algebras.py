@@ -7,7 +7,8 @@ vertices, if any, from the basis.  On top of that: opposites, tensor
 products, bimodules, and one minimal projective resolution over the
 enveloping algebra (minimal_resolution), by the vertices of presentations,
 which also resolves right modules, as (Q, A)-bimodules, for global
-dimension and right projectivity.  Last,
+dimension and right projectivity.  Each step is one kernel elimination:
+the syzygy stays in the basis kernel_vectors returned.  Last,
 the normalized bar complex M (x)_{E^e} Bbar^{(x)_E n}, for a ground
 subalgebra E spanned by orthogonal idempotents: E from the unit's idempotent
 terms when they split the basis into corners (_basis_ground), E = Q.1, one
@@ -32,7 +33,7 @@ from fractions import Fraction
 from .errors import InvariantError, CapExceededError, UncertifiedError
 from . import exactlin
 from .exactlin import QMatrix, LinSubspace, bilinear, kron, vec_addmul, _norm
-from .homcore import ChainComplex, induced_map
+from .homcore import ChainComplex, apply_cols, induced_map
 
 
 class Algebra:
@@ -430,18 +431,6 @@ class Bimodule:
                 if self.left[i] * self.right[j] != self.right[j] * self.left[i]:
                     raise InvariantError("left and right actions do not commute")
 
-    def left_act(self, x, vec):
-        out = {}
-        for i, c in x.items():
-            vec_addmul(out, c, self.left[i] * vec)
-        return out
-
-    def right_act(self, vec, y):
-        out = {}
-        for j, c in y.items():
-            vec_addmul(out, c, self.right[j] * vec)
-        return out
-
     def content_key(self):
         """Deterministic hash key: dimensions plus sorted action tables."""
         parts = [self.dim]
@@ -552,22 +541,18 @@ def _top_generators(m):
     return gens
 
 
-def _direct_sum(blocks, size):
-    """The size x size block-diagonal matrix of the (offset, block) pairs."""
-    return QMatrix(size, size, {(off + r, off + c): v for off, mat in blocks
-                                for (r, c), v in mat.entries.items()})
-
-
-def _restrict(mats, sub):
-    """The matrices, which preserve the subspace sub, in its basis."""
-    basis = sub.basis()
+def _restrict(cols, kv):
+    """The actions given by the column lists cols, which preserve the span
+    of the kernel basis kv, as matrices in that basis."""
+    n = len(kv)
     out = []
-    for mat in mats:
+    for mat in cols:
+        images = [apply_cols(mat, v) for v in kv]
         entries = {}
-        for c, v in enumerate(basis):
-            for r, val in sub.coordinates(mat * v).items():
+        for c, coords in enumerate(exactlin.kernel_coordinates(kv, images)):
+            for r, val in coords.items():
                 entries[(r, c)] = val
-        out.append(QMatrix(len(basis), len(basis), entries))
+        out.append(QMatrix(n, n, entries))
     return out
 
 
@@ -578,7 +563,8 @@ def minimal_resolution(m, bound):
 
     Both algebras need presentations.  Each step maps one P_ij per
     top generator onto the current syzygy, e_i (x) e_j to the generator,
-    and continues with the kernel of that cover.
+    and continues with the kernel of that cover, held in the basis that
+    the cover's one elimination (kernel_vectors) returned.
     """
     a, b = m.A, m.B
     projectives = {}
@@ -587,19 +573,26 @@ def minimal_resolution(m, bound):
         if m.dim == 0:
             return terms
         gens = _top_generators(m)
+        mleft = [mat.columns() for mat in m.left]
+        mright = [mat.columns() for mat in m.right]
         total = 0
-        offsets = []
         entries = {}
+        # the actions on the direct sum of the P_ij, as shifted columns
+        left = [[] for _ in range(a.dim)]
+        right = [[] for _ in range(b.dim)]
         for i, j, gen in gens:
             if (i, j) not in projectives:
                 projectives[(i, j)] = projective_pair_bimodule(a, b, i, j)
             p = projectives[(i, j)]
             # the basis pair (p, q) maps to p . gen . q
             for c, (lp, rq) in enumerate(p.pairs):
-                img = m.right_act(m.left_act({lp: 1}, gen), {rq: 1})
+                img = apply_cols(mright[rq], apply_cols(mleft[lp], gen))
                 for r, v in img.items():
                     entries[(r, total + c)] = v
-            offsets.append((total, p))
+            for acts, mats in ((left, p.left), (right, p.right)):
+                for t, mat in enumerate(mats):
+                    acts[t].extend({total + r: v for r, v in col.items()}
+                                   for col in mat.columns())
             total += p.dim
         terms.append([(i, j) for i, j, _ in gens])
         kv = exactlin.kernel_vectors(QMatrix(m.dim, total, entries))
@@ -609,13 +602,8 @@ def minimal_resolution(m, bound):
         if not kv:
             return terms
         # the kernel is a sub-bimodule of the direct sum of the P_ij
-        left = [_direct_sum([(off, p.left[t]) for off, p in offsets], total)
-                for t in range(a.dim)]
-        right = [_direct_sum([(off, p.right[t]) for off, p in offsets], total)
-                 for t in range(b.dim)]
-        sub = LinSubspace(total, kv)
-        m = Bimodule(a, b, sub.dim, _restrict(left, sub),
-                     _restrict(right, sub), check=False)
+        m = Bimodule(a, b, len(kv), _restrict(left, kv),
+                     _restrict(right, kv), check=False)
     return None
 
 

@@ -12,13 +12,15 @@ Conventions:
     because isinstance against Fraction goes through the numbers ABC
     machinery and costs several times more on all-int data,
   * subspaces are kept in a canonical reduced row echelon form, so equality
-    of subspaces is equality of representations,
+    of subspaces is equality of representations; a kernel basis from
+    kernel_vectors needs no such copy to be read in (kernel_coordinates),
   * Elimination.modulo(base) starts a tracked elimination from another
     one's pivots with empty expressions, so that solving modulo a span that
     is already eliminated (the boundaries, for homology bases) feeds only
     the new columns.
 """
 
+from bisect import insort
 from fractions import Fraction
 from math import gcd
 
@@ -397,14 +399,35 @@ def matrix_rank(m):
 def kernel_vectors(m):
     """Basis of the null space of m (list of sparse vector dicts).
 
-    Vectors come out echelonized by construction (each has a unit support
-    position not shared with earlier ones).
+    Vector k comes from the k-th column of m that is dependent on the ones
+    before it, f_k: its largest index is f_k, with a positive integer
+    coefficient, and its other entries sit on pivot columns, so no other
+    vector touches f_k (kernel_coordinates reads coordinates from that).
     """
     elim = Elimination(m.rows, track=True)
     out = []
     for j, col in enumerate(m.columns()):
         if not elim.add_column(col, j):
             out.append(elim.kernel_expression())
+    return out
+
+
+def kernel_coordinates(kv, vecs):
+    """Coordinates {k: value} of each vector of vecs in the basis kv that
+    kernel_vectors returned.  Only vector k touches its largest index f_k,
+    so x has coordinate x[f_k] / kv[k][f_k] on it; raises InvariantError
+    when x minus that combination is not 0 (x outside the span)."""
+    free = {max(v): k for k, v in enumerate(kv)}
+    out = []
+    for x in vecs:
+        coords, rest = {}, dict(x)
+        for f in x.keys() & free.keys():
+            k = free[f]
+            coords[k] = _norm(Fraction(x[f], kv[k][f]))
+            vec_addmul(rest, -coords[k], kv[k])
+        if rest:
+            raise InvariantError("vector not in the kernel's span")
+        out.append(coords)
     return out
 
 
@@ -422,25 +445,32 @@ class LinSubspace:
 
     def __init__(self, ambient, vectors=()):
         self.ambient = ambient
-        rows = []
+        # rows in the order found, each 0 at the leads of the rows before
+        # it, so reducing by a row brings in only leads of later rows
+        found, position = [], {}
         for vec in vectors:
             v = {i: Fraction(x) for i, x in vec.items() if x}
-            for row in rows:
-                lead = min(row)
+            todo = sorted(position[i] for i in v if i in position)
+            while todo:
+                lead, row = found[todo.pop(0)]
                 if lead in v:
+                    for i in row:
+                        if i not in v and i in position:
+                            insort(todo, position[i])
                     vec_addmul(v, -v[lead], row)
             if v:
                 lead = min(v)
-                v = vec_scale(Fraction(1, 1) / Fraction(v[lead]), v)
-                rows.append(v)
-        # back-substitute to full reduction, then sort by pivot
-        rows.sort(key=min)
-        for k in range(len(rows) - 1, -1, -1):
-            for j in range(k):
-                lead = min(rows[k])
-                if lead in rows[j]:
-                    vec_addmul(rows[j], -rows[j][lead], rows[k])
-        self.rows = rows
+                position[lead] = len(found)
+                found.append((lead, vec_scale(Fraction(1) / v[lead], v)))
+        # back-substitute, last pivot first: a reduced row holds no other
+        # lead, so each row is reduced once at each lead among its entries
+        by_lead = dict(sorted(found, key=lambda lr: lr[0]))
+        for lead, row in reversed(by_lead.items()):
+            for i in sorted((i for i in row if i in by_lead and i != lead),
+                            reverse=True):
+                vec_addmul(row, -row[i], by_lead[i])
+        self.leads = list(by_lead)
+        self.rows = list(by_lead.values())
 
     @property
     def dim(self):
@@ -455,24 +485,10 @@ class LinSubspace:
     def reduce(self, vec):
         """Remainder of vec modulo the subspace (for quotient computations)."""
         v = dict(vec)
-        for row in self.rows:
-            lead = min(row)
+        for lead, row in zip(self.leads, self.rows):
             if lead in v:
                 vec_addmul(v, -v[lead], row)
         return v
-
-    def coordinates(self, vec):
-        """Coordinates {row position: value} of vec in the canonical basis."""
-        coords = {}
-        v = dict(vec)
-        for r, row in enumerate(self.rows):
-            lead = min(row)
-            if lead in v:
-                coords[r] = v[lead]
-                vec_addmul(v, -v[lead], row)
-        if v:
-            raise InvariantError("vector not in subspace")
-        return coords
 
     def __eq__(self, other):
         return (isinstance(other, LinSubspace) and self.ambient == other.ambient

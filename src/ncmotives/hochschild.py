@@ -57,7 +57,7 @@ from fractions import Fraction
 from math import factorial, lcm
 
 from .errors import InvariantError, UncertifiedError
-from .exactlin import (QMatrix, LinSubspace, matrix_rank, kernel_vectors,
+from .exactlin import (QMatrix, Elimination, matrix_rank, kernel_vectors,
                        vec_addmul, vec_scale, inverse)
 from .homcore import ChainComplex, apply_cols, induced_map
 # _guard is re-exported: perfbench/tracer.py wraps hochschild._guard
@@ -474,14 +474,16 @@ def hp_nil_invariant(a):
     separable, with HP(S) = (dim S / [S, S] | 0).  periodic_cyclic checks
     every number it returns against this value.
     """
-    gens = a.radical().basis()
+    span = Elimination(a.dim)
+    for vec in a.radical().rows:
+        span.add_column(vec)
     for i in range(a.dim):
         for j in range(i + 1, a.dim):
             comm = dict(a.mult_basis(i, j))
             vec_addmul(comm, -1, a.mult_basis(j, i))
             if comm:
-                gens.append(comm)
-    return a.dim - LinSubspace(a.dim, gens).dim, 0
+                span.add_column(comm)
+    return a.dim - span.rank, 0
 
 
 def _checked(hp, a):
@@ -500,8 +502,10 @@ def periodic_cyclic(a, n_max=6, cap=DEFAULT_CAP):
     CERTIFIED when the algebra has finite global dimension g and
     n_max >= g + 3: then HH vanishes above g, the SBI sequence forces S to
     be an isomorphism from degree max(g-1, 0) on, and the window values are
-    the honest periodic cyclic dimensions.  Otherwise the images of iterated
-    S maps are compared inside the window (WINDOW-STABLE / NOT-STABILIZED).
+    the honest periodic cyclic dimensions.  So the resolutions go only to
+    n_max - 3, and details["gldim"] is None whenever g > n_max - 3.
+    Otherwise the images of iterated S maps are compared inside the window
+    (WINDOW-STABLE / NOT-STABILIZED).
     A CERTIFIED or WINDOW-STABLE value that differs from hp_nil_invariant
     raises InvariantError; the check upgrades no verdict.
     """
@@ -510,9 +514,9 @@ def periodic_cyclic(a, n_max=6, cap=DEFAULT_CAP):
     data = cyclic_data(a, n_max, cap)
     N = n_max
     hc = data.hc_dims()
-    g = _gldim_certificate(a, n_max)
+    g = _gldim_certificate(a, n_max - 3)
 
-    if g is not None and n_max >= g + 3:
+    if g is not None:
         r0 = max(g - 1, 0)
         hh = data.hh_dims()
         for n in range(g + 1, N):

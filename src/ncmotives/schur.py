@@ -156,6 +156,11 @@ def cycle_type(perm):
     return tuple(lens)
 
 
+def perm_sign(perm):
+    """(-1)^(n - number of cycles): an l-cycle is l - 1 transpositions."""
+    return (-1) ** (len(perm) - len(cycle_type(perm)))
+
+
 def compose_perm(p, q):
     """(p o q)(i) = p(q(i))."""
     return tuple(p[q[i]] for i in range(len(p)))
@@ -367,22 +372,6 @@ def young_symmetrizer(partition):
                 new.append(tuple(mapping))
             perms = [compose_perm(p, q) for p in perms for q in new]
         return perms
-
-    def perm_sign(p):
-        sign = 1
-        seen = [False] * len(p)
-        for i in range(len(p)):
-            if seen[i]:
-                continue
-            l = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = p[j]
-                l += 1
-            if l % 2 == 0:
-                sign = -sign
-        return sign
 
     row_sum = GroupAlgebraElement(
         n, {p: 1 for p in group_of(rows)})

@@ -10,10 +10,11 @@ from ncmotives import algebras, zoo
 from ncmotives.algebras import (
     Quiver, path_algebra, structure_algebra, opposite, tensor_algebra,
     global_dimension, derived_tensor, regular_bimodule, corner_bimodule,
-    is_right_projective, Bimodule, presentation,
+    is_right_projective, Bimodule, presentation, minimal_resolution,
 )
-from ncmotives.exactlin import QMatrix, LinSubspace
-from test_hochschild import quiver_algebras, corrupting, _over_q1
+from ncmotives.exactlin import QMatrix, LinSubspace, vec_addmul
+from ncmotives.homcore import apply_cols
+from test_hochschild import quiver_algebras, corrupting, _over_q1, loop_algebra
 
 
 def test_path_algebra_a2_shape():
@@ -296,6 +297,10 @@ def test_global_dimension_zoo():
     assert global_dimension(zoo.get("cubic"), bound=8) is None
 
 
+def test_three_loops_resolve_to_six_steps():
+    assert global_dimension(loop_algebra("xyz"), bound=6) is None
+
+
 def test_gldim_zero_iff_semisimple():
     for name in zoo.ZOO_NAMES:
         a = zoo.get(name)
@@ -556,6 +561,28 @@ def _old_top_generators(m):
     return gens
 
 
+def _old_restrict(cols, kv):
+    """_restrict as it was: the syzygy in the canonical RREF of its kernel
+    vectors, with LinSubspace.coordinates' reading of an image -- the value
+    at each row's lead, then a zero remainder -- as the oracle of the
+    kernel-basis version.  The RREF is fully reduced, so no other row
+    touches a lead and the leads can be read in any order."""
+    sub = LinSubspace(len(cols[0]), kv)
+    row_of = {min(row): r for r, row in enumerate(sub.rows)}
+    out = []
+    for mat in cols:
+        entries = {}
+        for c, v in enumerate(sub.rows):
+            img = apply_cols(mat, v)
+            coords = {row_of[i]: x for i, x in img.items() if i in row_of}
+            for r, x in coords.items():
+                entries[(r, c)] = x
+                vec_addmul(img, -x, sub.rows[r])
+            assert not img
+        out.append(QMatrix(sub.dim, sub.dim, entries))
+    return out
+
+
 def _two_sided_simple(a, i, j):
     """The one-dimensional (a, a)-bimodule on which e_i acts on the left,
     e_j on the right, and every other basis element by 0."""
@@ -587,3 +614,7 @@ def test_top_generators_match_the_subspace_version(data):
     mods += [t for t in tors if t.dim]
     for m in mods:
         assert algebras._top_generators(m) == _old_top_generators(m)
+        # syzygies in the kernel basis resolve like those in the RREF basis
+        with mock.patch.object(algebras, "_restrict", _old_restrict):
+            oracle = minimal_resolution(m, 3)
+        assert minimal_resolution(m, 3) == oracle

@@ -15,9 +15,9 @@ from ncmotives.algebras import Algebra
 from ncmotives.categories import PresentedCategory
 from ncmotives.exactlin import (
     QMatrix, LinSubspace, Elimination, matrix_rank, kernel, kernel_vectors,
-    solve_columns, inverse, is_nilpotent_by_traces, jacobson_radical,
-    lift_idempotent, nilpotency_degree, subspace_product, vec_sub,
-    vec_addmul, bilinear,
+    kernel_coordinates, solve_columns, inverse, is_nilpotent_by_traces,
+    jacobson_radical, lift_idempotent, nilpotency_degree, subspace_product,
+    vec_sub, vec_addmul, bilinear,
 )
 
 
@@ -238,6 +238,45 @@ def test_solve_round_trip(data):
 @given(matrices())
 def test_rank_plus_nullity(m):
     assert matrix_rank(m) + len(kernel_vectors(m)) == m.cols
+
+
+@st.composite
+def integer_matrices(draw):
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 7))
+    vals = draw(st.lists(st.integers(-3, 3), min_size=rows * cols,
+                         max_size=rows * cols))
+    return QMatrix(rows, cols, {(r, c): vals[r * cols + c]
+                                for r in range(rows) for c in range(cols)})
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_kernel_coordinates_read_the_free_indices(data):
+    """Each kernel vector's largest index carries a positive coefficient
+    and is touched by no other vector; kernel_coordinates returns the
+    coefficients of a combination and refuses a vector outside the kernel."""
+    m = data.draw(integer_matrices())
+    kv = kernel_vectors(m)
+    for k, v in enumerate(kv):
+        assert v[max(v)] > 0
+        assert all(max(v) not in w for w in kv[:k] + kv[k + 1:])
+    coeffs = data.draw(st.lists(entries_q, min_size=len(kv),
+                                max_size=len(kv)))
+    combo = {}
+    for c, v in zip(coeffs, kv):
+        vec_addmul(combo, c, v)
+    assert kernel_coordinates(kv, [combo]) == [
+        {k: c for k, c in enumerate(coeffs) if c}]
+    w = data.draw(vectors(m.cols))
+    x = vec_sub(combo, w)
+    if m * w:
+        with pytest.raises(InvariantError, match="not in the kernel"):
+            kernel_coordinates(kv, [x])
+    else:
+        back = {}
+        for k, c in kernel_coordinates(kv, [x])[0].items():
+            vec_addmul(back, c, kv[k])
+        assert back == x
 
 
 @settings(deadline=None)

@@ -860,6 +860,44 @@ def test_hp_square_certified_at_six_under_the_default_cap():
     assert hp.details == {"gldim": 2, "s_iso_verified": True}
 
 
+def test_hp_square_certified_at_five():
+    """gldim 2 = n_max - 3: the deepest resolution periodic_cyclic asks
+    for still certifies."""
+    hp = periodic_cyclic(zoo.get("square"), n_max=5)
+    assert hp.certificate == "CERTIFIED"
+    assert hp.super_dims == (4, 0)
+    assert hp.details["gldim"] == 2
+
+
+@pytest.mark.parametrize("name, n_max", [("square", 6), ("dual", 6),
+                                         ("A3", 7)])
+def test_hp_resolves_to_n_max_minus_three(name, n_max, monkeypatch):
+    """CERTIFIED needs n_max >= g + 3, so no deeper resolution is asked."""
+    bounds = []
+    real = algebras.global_dimension
+
+    def recording(a, bound=10):
+        bounds.append(bound)
+        return real(a, bound)
+    monkeypatch.setattr(algebras, "global_dimension", recording)
+    periodic_cyclic(zoo.get(name), n_max)
+    assert max(bounds) == n_max - 3
+
+
+def loop_algebra(loops):
+    """One vertex with the given loops, radical square zero: infinite
+    global dimension, and the syzygies of its simple grow geometrically."""
+    return path_algebra(Quiver(["1"], [(x, "1", "1") for x in loops]), (),
+                        1, name="%d loops" % len(loops))
+
+
+@pytest.mark.parametrize("loops, n_max", [("xyz", 6), ("xy", 10)])
+def test_hp_of_the_loop_algebras_is_window_stable(loops, n_max):
+    hp = periodic_cyclic(loop_algebra(loops), n_max)
+    assert (hp.super_dims, hp.certificate) == ((1, 0), "WINDOW-STABLE")
+    assert hp.details["gldim"] is None
+
+
 def test_hp_nil_invariant_on_the_zoo():
     expected = {"Q": 1, "QxQ": 2, "QxQxQ": 3, "M2(Q)": 1, "dual": 1,
                 "cubic": 1, "A2": 2, "A3": 3, "square": 4}

@@ -18,7 +18,7 @@ from ncmotives.schur import (
     central_idempotent, young_symmetrizer, GroupAlgebraElement,
     tensor_power_action, group_element_action, schur_dimension,
     super_schur_value, rectangle_criterion, is_schur_finite,
-    compose_perm,
+    compose_perm, perm_sign,
 )
 
 
@@ -360,3 +360,9 @@ def test_coeffs_view_is_numerators_over_the_denominator():
             assert type(c.num[p]) is int
     y = young_symmetrizer((2, 1))
     assert y.coeffs == {p: Fraction(v, y.den) for p, v in y.num.items()}
+
+
+def test_perm_sign_is_inversion_parity():
+    for p in permutations(range(4)):
+        inversions = sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4))
+        assert perm_sign(p) == (-1) ** inversions

@@ -39,11 +39,9 @@ reals = [minv * QMatrix(2, 2, {(0, 0): 1}) * m,
 
 
 def proj_bimodule(idx):
-    mats = [QMatrix(1, 1, {(0, 0): 1} if i == idx else None)
-            for i in range(2)]
-    return Bimodule(qq, qq, 1, mats,
-                    [QMatrix(1, 1, {(0, 0): 1} if i == idx else None)
-                     for i in range(2)], name="proj%d" % idx)
+    # each action is a list of columns: b_idx acts as 1, the other as 0
+    acts = [[{0: 1} if i == idx else {}] for i in range(2)]
+    return Bimodule(qq, qq, 1, acts, acts, name="proj%d" % idx)
 
 
 gens = [(Correspondence(qq, qq, [(1, proj_bimodule(i))],

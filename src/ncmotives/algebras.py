@@ -1,39 +1,40 @@
 """Finite-dimensional associative unital Q-algebras and their bimodules.
 
-Algebras come either from explicit structure constants or from a quiver
-with relations and a hard path-length truncation (so everything is
+Algebras come either from explicit structure constants or from a quiver with
+relations and a hard path-length truncation (so everything is
 finite-dimensional by construction); either way, presentation reads the
 vertices, if any, from the basis.  On top of that: opposites, tensor
-products, bimodules, and one minimal projective resolution over the
-enveloping algebra (minimal_resolution), by the vertices of presentations,
-which also resolves right modules, as (Q, A)-bimodules, for global
-dimension and right projectivity.  Each step is one kernel elimination:
-the syzygy stays in the basis kernel_vectors returned.  Last,
+products, bimodules, whose actions are lists of sparse columns from
+construction through resolution and Tor, and one minimal projective
+resolution over the enveloping algebra (minimal_resolution), by the vertices
+of presentations, which also resolves right modules, as (Q, A)-bimodules,
+for global dimension and right projectivity.  Each step is one kernel
+elimination: the syzygy stays in the basis kernel_vectors returned.  Last,
 the normalized bar complex M (x)_{E^e} Bbar^{(x)_E n}, for a ground
 subalgebra E spanned by orthogonal idempotents: E from the unit's idempotent
 terms when they split the basis into corners (_basis_ground), E = Q.1, one
 pseudo-vertex, otherwise.  It has one chain model: _Reduced is the basis of
 Bbar = B / E with the ends of its elements, _Chains lists the composable
-chains (over Q.1, all of them) and hochschild_columns is the differential
-on them.  It serves both Hochschild homology and derived tensor products:
+chains (over Q.1, all of them) and hochschild_columns is the differential on
+them.  It serves both Hochschild homology and derived tensor products:
 Tor^B(x, y) is HH(B; y (x) x).  One rule (_relative_ends) picks E for every
-complex: E from the unit's idempotent terms when B has such a ground and
-the coefficients' idempotent actions are 0/1 coordinate projections (for
-Tor: x's right and y's left actions, as on every corner and
-projective-pair bimodule); E = Q.1 otherwise.  On a quiver algebra the
-unit's terms are the vertex idempotents; M_2(Q), products of fields and
-tensor products of such algebras have them too.  Both grounds give the
-same homology.
+complex: E from the unit's idempotent terms when B has such a ground and the
+coefficients' idempotent actions are 0/1 coordinate projections (for Tor:
+x's right and y's left actions, as on every corner and projective-pair
+bimodule); E = Q.1 otherwise.  On a quiver algebra the unit's terms are the
+vertex idempotents; M_2(Q), products of fields and tensor products of such
+algebras have them too.  Both grounds give the same homology.
 """
 
 import itertools
 from collections import Counter
 from fractions import Fraction
+from types import MappingProxyType
 
 from .errors import InvariantError, CapExceededError, UncertifiedError
 from . import exactlin
-from .exactlin import QMatrix, LinSubspace, bilinear, kron, vec_addmul, _norm
-from .homcore import ChainComplex, apply_cols, induced_map
+from .exactlin import LinSubspace, bilinear, vec_addmul, vec_scale, _norm
+from .homcore import ChainComplex, apply_cols
 
 
 class Algebra:
@@ -76,18 +77,6 @@ class Algebra:
 
     def mult_vec(self, x, y):
         return bilinear(self.table, x, y)
-
-    def left_mult_matrix(self, x):
-        """Matrix of y -> x*y (x a sparse vector)."""
-        return QMatrix(self.dim, self.dim,
-                       {(r, j): v for j in range(self.dim)
-                        for r, v in bilinear(self.table, x, {j: 1}).items()})
-
-    def right_mult_matrix(self, x):
-        """Matrix of y -> y*x."""
-        return QMatrix(self.dim, self.dim,
-                       {(r, j): v for j in range(self.dim)
-                        for r, v in bilinear(self.table, {j: 1}, x).items()})
 
     def element(self, label_coeffs):
         """Vector from {label: coefficient}."""
@@ -379,12 +368,32 @@ def _read_presentation(a):
 # bimodules
 
 
+_ZERO = MappingProxyType({})    # the zero column every action shares
+
+
+def _compose(f, g):
+    """The columns of f o g, for maps f and g given by their columns."""
+    return [apply_cols(f, col) for col in g]
+
+
+def _act(acts, x, dim):
+    """The columns of the action of the element sum_k x_k b_k, for the
+    actions acts of the basis elements on a space of dimension dim."""
+    out = [{} for _ in range(dim)]
+    for k, c in x.items():
+        for col, add in zip(out, acts[k]):
+            vec_addmul(col, c, add)
+    return out
+
+
 class Bimodule:
     """An (A, B)-bimodule with exact action tables.
 
-    left: list over A-basis of dim x dim matrices (left action),
-    right: list over B-basis (right action).  Both actions are unital and
-    commute; this is verified on basis elements at construction.
+    left: list over the A-basis of the left actions, right: list over the
+    B-basis of the right actions, each a list of dim read-only sparse
+    columns (column c the image of basis vector c; zero columns may share
+    one empty mapping).  Both actions are unital and commute; this is
+    verified on basis elements at construction.
     """
 
     def __init__(self, left_algebra, right_algebra, dim, left, right,
@@ -401,41 +410,30 @@ class Bimodule:
             self._check()
 
     def _check(self):
-        ida = QMatrix.zero(self.dim, self.dim)
-        for i, c in self.A.unit.items():
-            ida = ida + self.left[i].scale(c)
-        if ida != QMatrix.identity(self.dim):
-            raise InvariantError("left action is not unital")
-        idb = QMatrix.zero(self.dim, self.dim)
-        for i, c in self.B.unit.items():
-            idb = idb + self.right[i].scale(c)
-        if idb != QMatrix.identity(self.dim):
-            raise InvariantError("right action is not unital")
-        for i in range(self.A.dim):
-            for j in range(self.A.dim):
-                lhs = QMatrix.zero(self.dim, self.dim)
-                for k, c in self.A.mult_basis(i, j).items():
-                    lhs = lhs + self.left[k].scale(c)
-                if lhs != self.left[i] * self.left[j]:
-                    raise InvariantError("left action is not an algebra action")
-        for i in range(self.B.dim):
-            for j in range(self.B.dim):
-                lhs = QMatrix.zero(self.dim, self.dim)
-                for k, c in self.B.mult_basis(i, j).items():
-                    lhs = lhs + self.right[k].scale(c)
-                # right action reverses composition: m*(xy) = (m*x)*y
-                if lhs != self.right[j] * self.right[i]:
-                    raise InvariantError("right action is not an algebra action")
-        for i in range(self.A.dim):
-            for j in range(self.B.dim):
-                if self.left[i] * self.right[j] != self.right[j] * self.left[i]:
-                    raise InvariantError("left and right actions do not commute")
+        ident = [{c: 1} for c in range(self.dim)]
+        sides = (("left", self.A, self.left), ("right", self.B, self.right))
+        for side, alg, acts in sides:
+            if _act(acts, alg.unit, self.dim) != ident:
+                raise InvariantError("%s action is not unital" % side)
+        for side, alg, acts in sides:
+            for i, j in itertools.product(range(alg.dim), repeat=2):
+                # the right action reverses composition: m*(xy) = (m*x)*y
+                f, g = (i, j) if side == "left" else (j, i)
+                if (_act(acts, alg.mult_basis(i, j), self.dim)
+                        != _compose(acts[f], acts[g])):
+                    raise InvariantError("%s action is not an algebra action"
+                                         % side)
+        for f, g in itertools.product(self.left, self.right):
+            if _compose(f, g) != _compose(g, f):
+                raise InvariantError("left and right actions do not commute")
 
     def content_key(self):
-        """Deterministic hash key: dimensions plus sorted action tables."""
+        """Deterministic hash key: dimensions plus sorted action entries."""
         parts = [self.dim]
-        for mat in self.left + self.right:
-            parts.append(tuple(sorted(mat.entries.items())))
+        for cols in self.left + self.right:
+            parts.append(tuple(sorted(((r, c), v)
+                                      for c, col in enumerate(cols)
+                                      for r, v in col.items())))
         return tuple(map(str, parts))
 
     def __repr__(self):
@@ -444,9 +442,11 @@ class Bimodule:
 
 
 def regular_bimodule(a):
-    """A as an (A, A)-bimodule."""
-    left = [a.left_mult_matrix({i: 1}) for i in range(a.dim)]
-    right = [a.right_mult_matrix({i: 1}) for i in range(a.dim)]
+    """A as an (A, A)-bimodule: column j of the left action of b_i is
+    b_i b_j, and of its right action b_j b_i, read from the table."""
+    n = range(a.dim)
+    left = [[a.table.get((i, j), _ZERO) for j in n] for i in n]
+    right = [[a.table.get((j, i), _ZERO) for j in n] for i in n]
     return Bimodule(a, a, a.dim, left, right, name="[%s]" % a.name, check=False)
 
 
@@ -472,24 +472,13 @@ def projective_pair_bimodule(a, b, i_vertex, j_vertex):
     rights = [k for k in range(b.dim) if pb.ends[k][0] == j_vertex]
     basis = [(p, q) for p in lefts for q in rights]
     pos = {pq: n for n, pq in enumerate(basis)}
-    dim = len(basis)
     # a product with an element of A e_i stays in A e_i, and one with an
     # element of e_j B in e_j B
-    left = []
-    for x in range(a.dim):
-        entries = {}
-        for c, (p, q) in enumerate(basis):
-            for k, val in a.mult_basis(x, p).items():
-                entries[(pos[(k, q)], c)] = val
-        left.append(QMatrix(dim, dim, entries))
-    right = []
-    for y in range(b.dim):
-        entries = {}
-        for c, (p, q) in enumerate(basis):
-            for k, val in b.mult_basis(q, y).items():
-                entries[(pos[(p, k)], c)] = val
-        right.append(QMatrix(dim, dim, entries))
-    out = Bimodule(a, b, dim, left, right,
+    left = [[{pos[(k, q)]: v for k, v in a.mult_basis(x, p).items()} or _ZERO
+             for p, q in basis] for x in range(a.dim)]
+    right = [[{pos[(p, k)]: v for k, v in b.mult_basis(q, y).items()} or _ZERO
+              for p, q in basis] for y in range(b.dim)]
+    out = Bimodule(a, b, len(basis), left, right,
                    name="%se_%s(x)e_%s%s" % (a.name, i_vertex, j_vertex, b.name),
                    check=False)
     out.pairs = basis
@@ -520,13 +509,10 @@ def _top_generators(m):
     are independent, so that is the same as being outside rad + (the
     generators of its own corner).
     """
-    span = exactlin.Elimination(m.dim)
-    for alg, mats in ((m.A, m.left), (m.B, m.right)):
+    span = exactlin.Elimination()
+    for alg, acts in ((m.A, m.left), (m.B, m.right)):
         for r in alg.radical().basis():
-            mat = QMatrix.zero(m.dim, m.dim)
-            for i, c in r.items():
-                mat = mat + mats[i].scale(c)
-            for col in mat.columns():
+            for col in _act(acts, r, m.dim):
                 span.add_column(col)
     pa, pb = presentation(m.A), presentation(m.B)
     gens = []
@@ -535,25 +521,18 @@ def _top_generators(m):
         for j in pb.vertices:
             ej = pb.index[j]
             # e_i . m . e_j with e_v = unit[v] * b_v
-            proj = (m.left[ei] * m.right[ej]).scale(m.A.unit[ei] * m.B.unit[ej])
-            gens.extend((i, j, col) for col in proj.columns()
+            scale = m.A.unit[ei] * m.B.unit[ej]
+            gens.extend((i, j, vec_scale(scale, col))
+                        for col in _compose(m.left[ei], m.right[ej])
                         if span.add_column(col))
     return gens
 
 
-def _restrict(cols, kv):
-    """The actions given by the column lists cols, which preserve the span
-    of the kernel basis kv, as matrices in that basis."""
-    n = len(kv)
-    out = []
-    for mat in cols:
-        images = [apply_cols(mat, v) for v in kv]
-        entries = {}
-        for c, coords in enumerate(exactlin.kernel_coordinates(kv, images)):
-            for r, val in coords.items():
-                entries[(r, c)] = val
-        out.append(QMatrix(n, n, entries))
-    return out
+def _restrict(acts, kv):
+    """The actions acts, which preserve the span of the kernel basis kv,
+    on that basis."""
+    return [[coords or _ZERO for coords in exactlin.kernel_coordinates(
+        kv, [apply_cols(act, v) for v in kv])] for act in acts]
 
 
 def minimal_resolution(m, bound):
@@ -564,7 +543,9 @@ def minimal_resolution(m, bound):
     Both algebras need presentations.  Each step maps one P_ij per
     top generator onto the current syzygy, e_i (x) e_j to the generator,
     and continues with the kernel of that cover, held in the basis that
-    the cover's one elimination (kernel_vectors) returned.
+    the cover's one elimination (kernel_vectors) returned.  A term whose
+    dimension, the sum of its dim P_ij, exceeds the memory guard
+    DEFAULT_CAP raises CapExceededError before its cover is built.
     """
     a, b = m.A, m.B
     projectives = {}
@@ -573,29 +554,29 @@ def minimal_resolution(m, bound):
         if m.dim == 0:
             return terms
         gens = _top_generators(m)
-        mleft = [mat.columns() for mat in m.left]
-        mright = [mat.columns() for mat in m.right]
-        total = 0
-        entries = {}
+        for i, j in {(i, j) for i, j, _ in gens}.difference(projectives):
+            projectives[(i, j)] = projective_pair_bimodule(a, b, i, j)
+        total = sum(projectives[(i, j)].dim for i, j, _ in gens)
+        if total > DEFAULT_CAP:
+            raise CapExceededError(
+                "resolution term dimension %d exceeds the memory guard %d"
+                % (total, DEFAULT_CAP), needed=total, cap=DEFAULT_CAP)
+        cover = []
         # the actions on the direct sum of the P_ij, as shifted columns
         left = [[] for _ in range(a.dim)]
         right = [[] for _ in range(b.dim)]
         for i, j, gen in gens:
-            if (i, j) not in projectives:
-                projectives[(i, j)] = projective_pair_bimodule(a, b, i, j)
             p = projectives[(i, j)]
+            shift = len(cover)
             # the basis pair (p, q) maps to p . gen . q
-            for c, (lp, rq) in enumerate(p.pairs):
-                img = apply_cols(mright[rq], apply_cols(mleft[lp], gen))
-                for r, v in img.items():
-                    entries[(r, total + c)] = v
-            for acts, mats in ((left, p.left), (right, p.right)):
-                for t, mat in enumerate(mats):
-                    acts[t].extend({total + r: v for r, v in col.items()}
-                                   for col in mat.columns())
-            total += p.dim
+            cover.extend(apply_cols(m.right[rq], apply_cols(m.left[lp], gen))
+                         for lp, rq in p.pairs)
+            for acts, pacts in ((left, p.left), (right, p.right)):
+                for act, pact in zip(acts, pacts):
+                    act.extend({r + shift: v for r, v in col.items()} or _ZERO
+                               for col in pact)
         terms.append([(i, j) for i, j, _ in gens])
-        kv = exactlin.kernel_vectors(QMatrix(m.dim, total, entries))
+        kv = exactlin.kernel_vectors(cover)
         if total - len(kv) != m.dim:
             raise InvariantError("projective cover is not surjective "
                                  "(internal bug)")
@@ -610,12 +591,14 @@ def minimal_resolution(m, bound):
 def _gldim_certificate(a, bound=10):
     """The global dimension that certifies a vanishing bound: 0 for a
     semisimple algebra, global_dimension(a, bound) for one with a
-    presentation, None otherwise or above the bound."""
+    presentation, None otherwise, above the bound or when a resolution
+    term exceeds the memory guard."""
     if a.radical().dim == 0:
         return 0
-    if presentation(a) is not None:
-        return global_dimension(a, bound)
-    return None
+    try:
+        return global_dimension(a, bound) if presentation(a) else None
+    except CapExceededError:
+        return None
 
 
 def global_dimension(a, bound=10):
@@ -641,10 +624,10 @@ def _global_dimension(a, bound):
     for v in pres.vertices:
         # on the simple at v, b_v acts by 1 / unit[v] and the rest by 0
         kv = pres.index[v]
-        right = [QMatrix(1, 1, {(0, 0): Fraction(1, a.unit[kv])} if k == kv
-                         else None) for k in range(a.dim)]
-        simple = Bimodule(_ground_field(), a, 1, [QMatrix.identity(1)],
-                          right, check=False)
+        right = [[{0: _norm(Fraction(1, a.unit[kv]))} if k == kv else _ZERO]
+                 for k in range(a.dim)]
+        simple = Bimodule(_ground_field(), a, 1, [[{0: 1}]], right,
+                          check=False)
         terms = minimal_resolution(simple, bound)
         if terms is None:
             return None
@@ -662,7 +645,8 @@ def is_right_projective(x):
             x._right_projective = False
         else:
             m = Bimodule(_ground_field(), b, x.dim,
-                         [QMatrix.identity(x.dim)], x.right, check=False)
+                         [[{c: 1} for c in range(x.dim)]], x.right,
+                         check=False)
             x._right_projective = minimal_resolution(m, 0) is not None
     return x._right_projective
 
@@ -882,11 +866,12 @@ def _vertex_ends(m):
     a 0/1 coordinate projection.  None otherwise."""
     ends = [[None, None] for _ in range(m.dim)]
     for v, cv in m.A.unit.items():
-        for side, mat in enumerate((m.left[v], m.right[v])):
-            for (r, c), x in mat.entries.items():
-                if r != c or cv * x != 1 or ends[c][side] is not None:
-                    return None
-                ends[c][side] = v
+        for side, act in enumerate((m.left[v], m.right[v])):
+            for c, col in enumerate(act):
+                for r, x in col.items():
+                    if r != c or cv * x != 1 or ends[c][side] is not None:
+                        return None
+                    ends[c][side] = v
     if any(None in e for e in ends):
         return None
     return [tuple(e) for e in ends]
@@ -946,9 +931,9 @@ def hochschild_columns(m, red, n, chains):
     # code in degree n - 1 of m_c (x) (the bar word whose digits are all 0)
     base = [c * pows[n - 1] for c in range(m.dim)]
     right_cols = [[{base[o]: v for o, v in col.items()}
-                   for col in m.right[k].columns()] for k in red.kept]
+                   for col in m.right[k]] for k in red.kept]
     left_cols = [[{base[o]: sgn_last * v for o, v in col.items()}
-                  for col in m.left[k].columns()] for k in red.kept]
+                  for col in m.left[k]] for k in red.kept]
     # face i multiplies digits i and i + 1 with the sign (-1)^(i + 1)
     negprod = {st: {k: -v for k, v in p.items()}
                for st, p in red.redprod.items()}
@@ -997,20 +982,19 @@ def _word_code(word, dbar):
     return t
 
 
-def _on_digit(g, weight, size):
-    """The chain map that applies g to one digit of the chain codes: the
-    digit (code // weight) % size."""
-    gcols = g.columns()
-
-    def act(rep):
+def _on_digit(g, weight, size, reps, project):
+    """The columns, on the classes (by project) of the cycles reps, of the
+    action g applied to the digit (code // weight) % size of chain codes."""
+    out = []
+    for rep in reps:
         img = {}
         for code, val in rep.items():
             d = code // weight % size
-            for o, w in gcols[d].items():
+            for o, w in g[d].items():
                 code2 = code + (o - d) * weight
                 img[code2] = img.get(code2, 0) + val * w
-        return img
-    return act
+        out.append(project(img) or _ZERO)
+    return out
 
 
 def derived_tensor(x, y, bound=None, cap=DEFAULT_CAP):
@@ -1042,10 +1026,15 @@ def derived_tensor(x, y, bound=None, cap=DEFAULT_CAP):
                 "derived tensor refused: the middle algebra %s has no "
                 "finite global-dimension certificate and the left factor "
                 "is not right-projective" % b.name)
-    ix, iy = QMatrix.identity(x.dim), QMatrix.identity(y.dim)
-    m = Bimodule(b, b, x.dim * y.dim,
-                 [kron(ix, y.left[k]) for k in range(b.dim)],
-                 [kron(x.right[k], iy) for k in range(b.dim)], check=False)
+    # y (x) x on the basis a * dim y + c, x's index first: B acts on y's
+    # digit from the left and on x's digit from the right
+    ny = y.dim
+    m = Bimodule(b, b, x.dim * ny,
+                 [[{r + a * ny: v for r, v in col.items()} or _ZERO
+                   for a in range(x.dim) for col in act] for act in y.left],
+                 [[{r * ny + c: v for r, v in col.items()} or _ZERO
+                   for col in act for c in range(ny)] for act in x.right],
+                 check=False)
     red, dims, chains = _chain_basis(m, bound + 1, _relative_ends(m), cap)
     diffs = [None] + [hochschild_columns(m, red, n, chains)
                       for n in range(1, bound + 2)]
@@ -1059,14 +1048,13 @@ def derived_tensor(x, y, bound=None, cap=DEFAULT_CAP):
         # composable chains
         codes = chains.lists[i]
         reps = [{codes[p]: v for p, v in rep.items()} for rep in reps]
-        space = (reps, _on_positions(project, chains, i))
+        on_codes = _on_positions(project, chains, i)
         weight = red.dbar ** i
         # A acts on the x digit of the chain codes, C on the y digit
         tor = Bimodule(x.A, y.B, len(reps),
-                       [induced_map(space, space,
-                                    _on_digit(g, weight * y.dim, x.dim))
+                       [_on_digit(g, weight * ny, x.dim, reps, on_codes)
                         for g in x.left],
-                       [induced_map(space, space, _on_digit(g, weight, y.dim))
+                       [_on_digit(g, weight, ny, reps, on_codes)
                         for g in y.right],
                        name="Tor_%d(%s,%s)" % (i, x.name, y.name),
                        check=len(reps) > 0)

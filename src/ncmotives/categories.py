@@ -540,7 +540,7 @@ def _min_poly_in_algebra_mod(alg, x, e, rad):
     """Minimal polynomial of x inside the corner eAe mod rad, with unit e."""
     if not x:
         return None
-    elim = Elimination(alg.dim, track=True)
+    elim = Elimination(track=True)
     elim.add_column(rad.reduce(e), 0)
     cur = dict(e)
     k = 1
@@ -619,7 +619,7 @@ def _subquotient(c, objs, bases, ideal, tensor_obj, unit, grading, name):
     def coords(k1, k2, vec):
         if (k1, k2) not in solvers:
             x1, x2 = where[k1][0], where[k2][0]
-            elim = Elimination(max(c.hom[(x1, x2)], 1), track=True)
+            elim = Elimination(track=True)
             basis = bases[(k1, k2)]
             for j, b in enumerate(basis):
                 elim.add_column(b, j)
@@ -697,7 +697,7 @@ def karoubi(c, cap=IDEMPOTENT_CAP, name=None):
     for k1, x1, e1 in objs:
         for k2, x2, e2 in objs:
             vecs = []
-            span = Elimination(max(c.hom[(x1, x2)], 1))
+            span = Elimination()
             for i in range(c.hom[(x1, x2)]):
                 img = c.compose(x1, x2, x2, e2,
                                 c.compose(x1, x1, x2, {i: 1}, e1))

@@ -11,6 +11,9 @@ Conventions:
     the hot helpers test `type(v) is int` before `isinstance(v, Fraction)`,
     because isinstance against Fraction goes through the numbers ABC
     machinery and costs several times more on all-int data,
+  * Elimination, kernel_vectors, chain complexes and bimodule actions take
+    a map as its list of sparse columns (column j the image of basis vector
+    j); QMatrix, keyed by (row, col), serves the other matrix helpers,
   * subspaces are kept in a canonical reduced row echelon form, so equality
     of subspaces is equality of representations; a kernel basis from
     kernel_vectors needs no such copy to be read in (kernel_coordinates),
@@ -67,9 +70,9 @@ def vec_addmul(acc, c, x):
 
 def bilinear(table, x, y):
     """sum_ij x_i y_j table[(i, j)] for sparse vectors x, y and a table of
-    sparse vectors; absent pairs count as 0.  Algebra products and
-    multiplication matrices, composition and the tensor of morphisms all
-    read their tables through it."""
+    sparse vectors; absent pairs count as 0.  Algebra products,
+    composition and the tensor of morphisms all read their tables through
+    it."""
     out = {}
     for i, a in x.items():
         for j, b in y.items():
@@ -275,8 +278,7 @@ class Elimination:
     adds pivots.
     """
 
-    def __init__(self, nrows, track=False):
-        self.nrows = nrows
+    def __init__(self, track=False):
         self.track = track
         self.pivots = {}        # lead row -> integer column dict
         self.exprs = {}         # lead row -> expression dict (original col -> int)
@@ -291,7 +293,7 @@ class Elimination:
         and solve() gives their coefficients modulo that span.  base is not
         changed; its pivot columns are shared read-only, and new pivots go
         into this elimination's own dict."""
-        elim = cls(base.nrows, track=True)
+        elim = cls(track=True)
         elim.pivots = dict(base.pivots)
         elim.exprs = {lead: {} for lead in base.pivots}
         return elim
@@ -390,23 +392,24 @@ class Elimination:
 
 def matrix_rank(m):
     """Exact rank over Q."""
-    elim = Elimination(m.rows)
+    elim = Elimination()
     for col in m.columns():
         elim.add_column(col)
     return elim.rank
 
 
-def kernel_vectors(m):
-    """Basis of the null space of m (list of sparse vector dicts).
+def kernel_vectors(cols):
+    """Basis of the null space of the matrix with the columns cols (list of
+    sparse vector dicts).
 
-    Vector k comes from the k-th column of m that is dependent on the ones
+    Vector k comes from the k-th column that is dependent on the ones
     before it, f_k: its largest index is f_k, with a positive integer
     coefficient, and its other entries sit on pivot columns, so no other
     vector touches f_k (kernel_coordinates reads coordinates from that).
     """
-    elim = Elimination(m.rows, track=True)
+    elim = Elimination(track=True)
     out = []
-    for j, col in enumerate(m.columns()):
+    for j, col in enumerate(cols):
         if not elim.add_column(col, j):
             out.append(elim.kernel_expression())
     return out
@@ -433,7 +436,7 @@ def kernel_coordinates(kv, vecs):
 
 def kernel(m):
     """Null space of m as a canonical LinSubspace of Q^cols."""
-    return LinSubspace(m.cols, kernel_vectors(m))
+    return LinSubspace(m.cols, kernel_vectors(m.columns()))
 
 
 class LinSubspace:
@@ -500,7 +503,7 @@ class LinSubspace:
 
 def solve_columns(m, targets):
     """Solve m x = t for each target column; None where unsolvable."""
-    elim = Elimination(m.rows, track=True)
+    elim = Elimination(track=True)
     for j, col in enumerate(m.columns()):
         elim.add_column(col, j)
     return [elim.solve(t) for t in targets]
@@ -550,15 +553,16 @@ def jacobson_radical(a):
         for i in range(d):
             t += a.mult_basis(k, i).get(i, 0)
         ltr.append(t)
-    gram = {}
+    # column i (unknown x), row j (the condition of the basis element y)
+    gram = [{} for _ in range(d)]
     for i in range(d):
         for j in range(d):
             s = 0
             for k, c in a.mult_basis(i, j).items():
                 s += c * ltr[k]
             if s:
-                gram[(j, i)] = s   # row j (condition per basis y), column i (unknown x)
-    return kernel(QMatrix(d, d, gram))
+                gram[i][j] = s
+    return LinSubspace(d, kernel_vectors(gram))
 
 
 def subspace_product(a, u, v):

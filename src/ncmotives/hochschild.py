@@ -302,11 +302,8 @@ class CyclicData:
             return []
         comps, _ = self.mixed.tot_offsets(n)
         base = dict(comps)[0]
-        m = QMatrix(self.mixed.dims[1], self.mixed.dims[0],
-                    {(r, j): v for j, col in enumerate(self.mixed.B[0])
-                     for r, v in col.items()})
         return [{base + i: c for i, c in v.items()}
-                for v in kernel_vectors(m)]
+                for v in kernel_vectors(self.mixed.B[0])]
 
     def hh_space(self, n):
         return self.hh.homology_space(n)
@@ -474,7 +471,7 @@ def hp_nil_invariant(a):
     separable, with HP(S) = (dim S / [S, S] | 0).  periodic_cyclic checks
     every number it returns against this value.
     """
-    span = Elimination(a.dim)
+    span = Elimination()
     for vec in a.radical().rows:
         span.add_column(vec)
     for i in range(a.dim):

@@ -61,7 +61,7 @@ class ChainComplex:
             for i, v in col.items():
                 if i not in cleared:
                     rows.setdefault(i, {})[j] = v
-        elim = Elimination(self.dims[n])
+        elim = Elimination()
         for i in sorted(rows):
             elim.add_column(rows[i])
         return sorted(elim.pivots)
@@ -72,13 +72,10 @@ class ChainComplex:
         cached.  The row pass skips the leads of d_(n-1)'s row echelon
         form, which d_(n-1) o d_n = 0 puts in the span of the later rows."""
         if n not in self._elims:
-            if n < 1 or n > self.top:
-                elim = Elimination(self.dims[max(n - 1, 0)] if n >= 1 else 0)
-            else:
+            elim = Elimination()
+            if 1 <= n <= self.top:
                 cleared = set(self.boundary_elim(n - 1).pivot_cols)
-                leads = self._row_leads(n, cleared)
-                elim = Elimination(self.dims[n - 1])
-                for j in leads:
+                for j in self._row_leads(n, cleared):
                     if not elim.add_column(self.diffs[n][j], j):
                         raise InvariantError(
                             "column %d of d_%d is a row echelon lead but "
@@ -112,7 +109,7 @@ class ChainComplex:
             for i in range(self.dims[n]):
                 yield {i: 1}
             return
-        elim = Elimination(self.dims[n - 1], track=True)
+        elim = Elimination(track=True)
         for j, col in enumerate(self.diffs[n]):
             if not elim.add_column(col, j):
                 yield elim.kernel_expression()

@@ -9,7 +9,7 @@ is ever parsed through floating point.
 import json
 from fractions import Fraction
 
-from .errors import ParseInputError
+from .errors import InvariantError, ParseInputError
 from .exactlin import _norm
 from .algebras import Quiver, path_algebra, structure_algebra
 from .categories import PresentedCategory, TensorInvertible
@@ -25,6 +25,14 @@ def _frac(s):
 def _frac_vec(d):
     """A sparse vector; integral coefficients come back as ints."""
     return {int(k): _norm(_frac(v)) for k, v in d.items()}
+
+
+def _require_arrays(doc, keys):
+    """Refuse a document whose fields keys, where present, are not lists."""
+    for key in keys:
+        if not isinstance(doc.get(key, []), list):
+            raise ParseInputError("%r must be a JSON array, got %s"
+                                  % (key, type(doc[key]).__name__))
 
 
 def load_document(path):
@@ -51,6 +59,7 @@ def load_algebra(path):
 
 
 def _algebra_from_quiver(doc):
+    _require_arrays(doc, ("vertices", "arrows", "relations"))
     try:
         vertices = [str(v) for v in doc["vertices"]]
         arrows = [(str(n), str(s), str(t)) for n, s, t in doc.get("arrows", [])]
@@ -61,17 +70,23 @@ def _algebra_from_quiver(doc):
                               for c, names in rel])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseInputError("malformed quiver description: %s" % exc)
+    if truncation < 1:
+        raise ParseInputError("truncation must be >= 1, got %d" % truncation)
     unknown = ({n for rel in relations for _, names in rel for n in names}
                - {n for n, _, _ in arrows})
     if unknown:
         raise ParseInputError("relations name unknown arrow(s): %s"
                               % ", ".join(sorted(unknown)))
-    quiver = Quiver(vertices, arrows)
+    try:
+        quiver = Quiver(vertices, arrows)
+    except InvariantError as exc:
+        raise ParseInputError("malformed quiver: %s" % exc)
     return path_algebra(quiver, relations, truncation,
                         name=doc.get("name", "quiver algebra"))
 
 
 def _algebra_from_constants(doc):
+    _require_arrays(doc, ("basis", "products"))
     try:
         basis = [str(b) for b in doc["basis"]]
         unit = {str(k): _frac(v) for k, v in doc["unit"].items()}
@@ -82,6 +97,8 @@ def _algebra_from_constants(doc):
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseInputError("malformed structure-constant description: %s"
                               % exc)
+    if not basis or len(set(basis)) != len(basis):
+        raise ParseInputError("basis must list distinct labels, at least one")
     unknown = (set(unit) | {lab for left, right, value in products
                             for lab in (left, right, *value)}) - set(basis)
     if unknown:

@@ -30,8 +30,8 @@ explicitly; failure inside a span never refutes anything.
 from fractions import Fraction
 
 from .errors import InvariantError, UncertifiedError
-from .exactlin import (QMatrix, Elimination, kernel, matrix_rank,
-                       solve_columns)
+from .exactlin import (QMatrix, Elimination, LinSubspace, kernel,
+                       kernel_vectors, matrix_rank, solve_columns)
 from .algebras import (Algebra, regular_bimodule, corner_bimodule,
                        projective_pair_bimodule, derived_tensor,
                        minimal_resolution, presentation, _gldim_certificate)
@@ -388,7 +388,7 @@ def _span_solver(span_vectors):
     span, or None; the span is eliminated once."""
     keys = sorted({k for v in span_vectors for k in v})
     pos = {k: i for i, k in enumerate(keys)}
-    elim = Elimination(len(keys), track=True)
+    elim = Elimination(track=True)
     for j, v in enumerate(span_vectors):
         elim.add_column({pos[k]: val for k, val in v.items()}, j)
 
@@ -586,8 +586,7 @@ def even_projector_in_span(a, generators, cap=DEFAULT_CAP):
                     % (i, j))
     # solve sum c_i (E_i, O_i) = (id, 0)
     target = _flatten_realization(QMatrix.identity(de), QMatrix.zero(do, do))
-    nent = de * de + do * do
-    elim = Elimination(nent, track=True)
+    elim = Elimination(track=True)
     for j, g in enumerate(generators):
         elim.add_column(_flatten_realization(evens[j], odds[j]), j)
     names = [c.name for c in corrs]
@@ -648,11 +647,7 @@ def kernel_comparison(a, n_max=6, cap=DEFAULT_CAP):
         e = [[{k: a.unit[k]}]]
         cls, _ = chern_class_in_hc(e, a, n_max, cap)
         cols.append(cls)
-    rows = 1 + max((r for col in cols for r in col), default=0)
-    ch_matrix = QMatrix(rows, len(vertices),
-                        {(r, j): v for j, col in enumerate(cols)
-                         for r, v in col.items()})
-    ker_hom = kernel(ch_matrix)
+    ker_hom = LinSubspace(len(vertices), kernel_vectors(cols))
     # numerical kernel: the K_0-level intersection pairing of the row
     # projectives Q -> A against the column projectives A -> Q
     row_proj = [row_projective_correspondence(a, v) for v in vertices]

@@ -263,7 +263,7 @@ def test_criterion_09_comparison_lemma_instances():
             else:
                 oj = o.power(j)
                 ey_tw = c.tensor_morphisms(y, y, oj, oj, ey, c.ident[oj])
-            span = Elimination(max(d, 1))
+            span = Elimination()
             for i in range(d):
                 img = c.compose(x, x, tw, {i: 1}, ex)
                 img = c.compose(x, tw, tw, ey_tw, img)
@@ -276,7 +276,7 @@ def test_criterion_09_comparison_lemma_instances():
         ex_orb = orb.orbit_encode(x, x, 0, ex)
         ey_orb = orb.orbit_encode(y, y, 0, ey)
         d = orb.hom[(x, y)]
-        span = Elimination(max(d, 1))
+        span = Elimination()
         for i in range(d):
             img = orb.compose(x, x, y, {i: 1}, ex_orb)
             img = orb.compose(x, y, y, ey_orb, img)
@@ -390,11 +390,8 @@ def test_criterion_11_instance_checkers():
              minv * QMatrix(2, 2, {(1, 1): 1}) * m]
 
     def proj_bimodule(idx):
-        mats = [QMatrix(1, 1, {(0, 0): 1} if i == idx else None)
-                for i in range(2)]
-        return Bimodule(qq, qq, 1, mats,
-                        [QMatrix(1, 1, {(0, 0): 1} if i == idx else None)
-                         for i in range(2)], name="proj%d" % idx)
+        acts = [[{0: 1} if i == idx else {}] for i in range(2)]
+        return Bimodule(qq, qq, 1, acts, acts, name="proj%d" % idx)
 
     gens = [(Correspondence(qq, qq, [(1, proj_bimodule(i))],
                             name="pi_%d" % (i + 1)),

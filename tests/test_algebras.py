@@ -12,9 +12,11 @@ from ncmotives.algebras import (
     global_dimension, derived_tensor, regular_bimodule, corner_bimodule,
     is_right_projective, Bimodule, presentation, minimal_resolution,
 )
-from ncmotives.exactlin import QMatrix, LinSubspace, vec_addmul
+from ncmotives.exactlin import QMatrix, LinSubspace, kron, vec_addmul, vec_sub
+from ncmotives.hochschild import periodic_cyclic
 from ncmotives.homcore import apply_cols
-from test_hochschild import quiver_algebras, corrupting, _over_q1, loop_algebra
+from test_hochschild import (quiver_algebras, corrupting, _over_q1,
+                             loop_algebra, as_matrix, _conjugated)
 
 
 def test_path_algebra_a2_shape():
@@ -381,23 +383,23 @@ def test_derived_tensor_matches_cartan_oracle_on_random_quivers(data):
     assert_cartan_oracle(a, i, j, k, l, bound=2)
 
 
+def _at(a, k):
+    """The actions on a line on which b_k acts as 1 and the rest of a's
+    basis as 0, as column lists."""
+    return [[{0: 1}] if i == k else [{}] for i in range(a.dim)]
+
+
 def _right_simple(a, vertex):
     """The right simple at a vertex, packaged as a (Q, a)-bimodule."""
-    q = zoo.get("Q")
-    right = []
-    for i in range(a.dim):
-        val = 1 if a.basis[i] == "e_%s" % vertex else 0
-        right.append(QMatrix(1, 1, {(0, 0): val} if val else None))
-    return Bimodule(q, a, 1, [QMatrix.identity(1)], right, name="S%sr" % vertex)
+    right = _at(a, a.basis.index("e_%s" % vertex))
+    return Bimodule(zoo.get("Q"), a, 1, [[{0: 1}]], right,
+                    name="S%sr" % vertex)
 
 
 def _left_simple(a, vertex):
-    q = zoo.get("Q")
-    left = []
-    for i in range(a.dim):
-        val = 1 if a.basis[i] == "e_%s" % vertex else 0
-        left.append(QMatrix(1, 1, {(0, 0): val} if val else None))
-    return Bimodule(a, q, 1, left, [QMatrix.identity(1)], name="S%sl" % vertex)
+    left = _at(a, a.basis.index("e_%s" % vertex))
+    return Bimodule(a, zoo.get("Q"), 1, left, [[{0: 1}]],
+                    name="S%sl" % vertex)
 
 
 def test_derived_tensor_simples_a2_bar_oracle():
@@ -424,14 +426,8 @@ def test_derived_tensor_refuses_without_certificate():
     # the simple over the dual numbers is not right-projective and gldim is
     # infinite: composing it must refuse
     q = zoo.get("Q")
-    right = []
-    for i in range(dual.dim):
-        val = 1 if i == 0 else 0
-        right.append(QMatrix(1, 1, {(0, 0): val} if val else None))
-    s = Bimodule(q, dual, 1, [QMatrix.identity(1)], right, name="S")
-    left = [QMatrix.identity(1) if i == 0 else QMatrix.zero(1, 1)
-            for i in range(dual.dim)]
-    t = Bimodule(dual, q, 1, left, [QMatrix.identity(1)], name="T")
+    s = Bimodule(q, dual, 1, [[{0: 1}]], _at(dual, 0), name="S")
+    t = Bimodule(dual, q, 1, _at(dual, 0), [[{0: 1}]], name="T")
     with pytest.raises(UncertifiedError):
         derived_tensor(s, t)
 
@@ -444,10 +440,7 @@ def test_right_projectivity_path():
     tors = derived_tensor(reg, reg)
     assert [t.dim for t in tors] == [2]
     # the simple right module is not projective
-    right = [QMatrix.identity(1) if i == 0 else QMatrix.zero(1, 1)
-             for i in range(dual.dim)]
-    s = Bimodule(zoo.get("Q"), dual, 1, [QMatrix.identity(1)], right,
-                 name="S")
+    s = Bimodule(zoo.get("Q"), dual, 1, [[{0: 1}]], _at(dual, 0), name="S")
     assert not is_right_projective(s)
 
 
@@ -491,9 +484,7 @@ def test_global_dimension_is_memoized_per_bound(monkeypatch):
 def test_right_projectivity_is_memoized(monkeypatch):
     calls = count_resolutions(monkeypatch)
     dual = zoo.dual_numbers()
-    right = [QMatrix.identity(1) if i == 0 else QMatrix.zero(1, 1)
-             for i in range(dual.dim)]
-    s = Bimodule(zoo.get("Q"), dual, 1, [QMatrix.identity(1)], right)
+    s = Bimodule(zoo.get("Q"), dual, 1, [[{0: 1}]], _at(dual, 0))
     reg = regular_bimodule(dual)
     assert not is_right_projective(s)
     assert is_right_projective(reg)
@@ -539,9 +530,12 @@ def test_large_tor_complexes_check_d_o_d():
 
 def _old_top_generators(m):
     """_top_generators as it was: a fresh LinSubspace per vertex pair and
-    per accepted generator (the oracle of the one-span version)."""
+    per accepted generator (the oracle of the one-span version), on the
+    actions as QMatrices."""
+    left = [as_matrix(cols) for cols in m.left]
+    right = [as_matrix(cols) for cols in m.right]
     rad_vecs = []
-    for alg, mats in ((m.A, m.left), (m.B, m.right)):
+    for alg, mats in ((m.A, left), (m.B, right)):
         for r in alg.radical().basis():
             mat = QMatrix.zero(m.dim, m.dim)
             for i, c in r.items():
@@ -552,7 +546,7 @@ def _old_top_generators(m):
     for i in presentation(m.A).vertices:
         ei = presentation(m.A).index[i]
         for j in presentation(m.B).vertices:
-            proj = m.left[ei] * m.right[presentation(m.B).index[j]]
+            proj = left[ei] * right[presentation(m.B).index[j]]
             seen = LinSubspace(m.dim, radspan.basis())
             for col in proj.columns():
                 if col and not seen.contains(col):
@@ -566,7 +560,8 @@ def _old_restrict(cols, kv):
     vectors, with LinSubspace.coordinates' reading of an image -- the value
     at each row's lead, then a zero remainder -- as the oracle of the
     kernel-basis version.  The RREF is fully reduced, so no other row
-    touches a lead and the leads can be read in any order."""
+    touches a lead and the leads can be read in any order.  Returns the
+    actions as column lists."""
     sub = LinSubspace(len(cols[0]), kv)
     row_of = {min(row): r for r, row in enumerate(sub.rows)}
     out = []
@@ -579,18 +574,15 @@ def _old_restrict(cols, kv):
                 entries[(r, c)] = x
                 vec_addmul(img, -x, sub.rows[r])
             assert not img
-        out.append(QMatrix(sub.dim, sub.dim, entries))
+        out.append(QMatrix(sub.dim, sub.dim, entries).columns())
     return out
 
 
 def _two_sided_simple(a, i, j):
     """The one-dimensional (a, a)-bimodule on which e_i acts on the left,
     e_j on the right, and every other basis element by 0."""
-    def acting(vertex):
-        k = presentation(a).index[vertex]
-        return [QMatrix(1, 1, {(0, 0): 1} if t == k else None)
-                for t in range(a.dim)]
-    return Bimodule(a, a, 1, acting(i), acting(j),
+    pres = presentation(a)
+    return Bimodule(a, a, 1, _at(a, pres.index[i]), _at(a, pres.index[j]),
                     name="S_%s,%s" % (i, j))
 
 
@@ -618,3 +610,140 @@ def test_top_generators_match_the_subspace_version(data):
         with mock.patch.object(algebras, "_restrict", _old_restrict):
             oracle = minimal_resolution(m, 3)
         assert minimal_resolution(m, 3) == oracle
+
+
+# ---------------------------------------------------------------------------
+# bimodule actions as column lists, against the QMatrix code they replaced
+
+
+def _check_cases():
+    """A regular, a corner and a Tor bimodule over A2, each with a
+    radical basis element acting and of dimension > 1."""
+    a = zoo.get("A2")
+    corner = corner_bimodule(a, "2", "1")
+    tor = derived_tensor(corner, corner, bound=0)[0]
+    return [regular_bimodule(a), corner, tor]
+
+
+CHECK_MESSAGES = ["left action is not unital", "right action is not unital",
+                  "left action is not an algebra action",
+                  "right action is not an algebra action",
+                  "left and right actions do not commute"]
+
+
+def _with_column(acts, k, c, col):
+    """acts with column c of the action of b_k replaced by col."""
+    out = [list(act) for act in acts]
+    out[k][c] = col
+    return out
+
+
+def _breaking(m, law):
+    """The (left, right) actions of m with the law-th law that
+    Bimodule._check verifies broken, and none before it."""
+    left, right = m.left, m.right
+    if law < 2:
+        # one unit term acts on column 0 with e_0 added
+        acts = (left, right)[law]
+        v = min((m.A, m.B)[law].unit)
+        broken = _with_column(acts, v, 0, vec_sub(acts[v][0], {0: -1}))
+        return (broken, right) if law == 0 else (left, broken)
+    if law < 4:
+        # a radical basis element fixing a vector is not nilpotent
+        alg, acts = ((m.A, left), (m.B, right))[law - 2]
+        k = min(set(range(alg.dim)) - set(alg.unit))
+        broken = _with_column(acts, k, 0, {0: 1})
+        return (broken, right) if law == 2 else (left, broken)
+    # the right action in a basis with one corrupted column, P = 1 + E_rc:
+    # still an algebra action, but no longer commuting with the left one
+    lmats = [as_matrix(act) for act in left]
+    for r in range(m.dim):
+        for c in range(m.dim):
+            if r == c:
+                continue
+            p = QMatrix.identity(m.dim) + QMatrix(m.dim, m.dim, {(r, c): 1})
+            q = QMatrix.identity(m.dim) - QMatrix(m.dim, m.dim, {(r, c): 1})
+            rmats = [q * as_matrix(act) * p for act in right]
+            if any(x * y != y * x for x in lmats for y in rmats):
+                return left, [mat.columns() for mat in rmats]
+    raise AssertionError("no corruption breaks commutation")
+
+
+def test_bimodule_check_refuses_each_broken_law():
+    """Each of the five laws, broken on a regular, a corner and a Tor
+    bimodule, is refused with its own message; the intact actions pass."""
+    for m in _check_cases():
+        Bimodule(m.A, m.B, m.dim, m.left, m.right)
+        for law, message in enumerate(CHECK_MESSAGES):
+            left, right = _breaking(m, law)
+            with pytest.raises(InvariantError) as refused:
+                Bimodule(m.A, m.B, m.dim, left, right)
+            assert str(refused.value) == message, (m, law)
+
+
+def _old_content_key(m):
+    """Bimodule.content_key on QMatrix actions, as it was."""
+    parts = [m.dim]
+    for mat in [as_matrix(cols) for cols in m.left + m.right]:
+        parts.append(tuple(sorted(mat.entries.items())))
+    return tuple(map(str, parts))
+
+
+def _zoo_bimodules(a):
+    """The regular bimodule of a and, when a has a presentation, its corner
+    bimodules at the first and last vertex and their nonzero Tor_0."""
+    out = [regular_bimodule(a)]
+    if presentation(a) is not None:
+        vs = presentation(a).vertices
+        corners = [corner_bimodule(a, i, j) for i in (vs[0], vs[-1])
+                   for j in (vs[0], vs[-1])]
+        out += corners
+        out += [t for x in corners for y in corners
+                for t in derived_tensor(x, y, bound=0) if t.dim]
+    return out
+
+
+@pytest.mark.parametrize("name", zoo.ZOO_NAMES)
+def test_content_key_matches_the_matrix_key(name):
+    """Also in a unitriangular basis, where the actions are dense."""
+    for m in _zoo_bimodules(zoo.get(name)):
+        assert m.content_key() == _old_content_key(m)
+        scrambled = _conjugated(m)
+        assert scrambled.content_key() == _old_content_key(scrambled)
+
+
+@pytest.mark.parametrize("name", zoo.ZOO_NAMES)
+def test_coefficient_bimodule_matches_kron(name):
+    """The coefficients y (x) x of the Tor complex equal the Kronecker
+    products I (x) y.left[k] and x.right[k] (x) I they replaced."""
+    mods = _zoo_bimodules(zoo.get(name))
+    for x, y in zip(mods, mods[1:] + mods[:1]):
+        with mock.patch.object(algebras, "_chain_basis",
+                               wraps=algebras._chain_basis) as spy:
+            derived_tensor(x, y, bound=0)
+        m = spy.call_args.args[0]
+        ix, iy = QMatrix.identity(x.dim), QMatrix.identity(y.dim)
+        assert m.left == [kron(ix, as_matrix(g)).columns() for g in y.left]
+        assert m.right == [kron(as_matrix(g), iy).columns() for g in x.right]
+
+
+def test_resolution_stops_at_the_memory_guard(monkeypatch):
+    """A resolution term above the memory guard is refused before its cover
+    is built: global_dimension raises and stores nothing, the certificate
+    reader reads the refusal as no certificate, so HP on three loops keeps
+    its window verdict and an uncertified derived tensor refuses."""
+    a = loop_algebra("xyz")
+    monkeypatch.setattr(algebras, "DEFAULT_CAP", 100)
+    # the terms over the simple have dimensions 4 * 3^k: P_3 has 108
+    assert global_dimension(a, bound=2) is None
+    with pytest.raises(CapExceededError,
+                       match="resolution term dimension 108 exceeds the "
+                             "memory guard 100"):
+        global_dimension(a, bound=6)
+    assert list(a._gldim) == [2]
+    assert algebras._gldim_certificate(a, 6) is None
+    hp = periodic_cyclic(a, 6)
+    assert (hp.super_dims, hp.certificate) == ((1, 0), "WINDOW-STABLE")
+    s, t = _right_simple(a, 1), _left_simple(a, 1)
+    with pytest.raises(UncertifiedError):
+        derived_tensor(s, t)

@@ -371,7 +371,7 @@ def test_karoubi_orbit_fully_faithful_comparison():
             else:
                 oj = o.power(j)
                 ey_tw = c.tensor_morphisms(y, y, oj, oj, ey, c.ident[oj])
-            span = Elimination(max(d, 1))
+            span = Elimination()
             cnt = 0
             for i in range(d):
                 img = c.compose(x, x, tw, {i: 1}, ex)
@@ -386,7 +386,7 @@ def test_karoubi_orbit_fully_faithful_comparison():
         ex_orb = orb.orbit_encode(x, x, 0, ex)
         ey_orb = orb.orbit_encode(y, y, 0, ey)
         d = orb.hom[(x, y)]
-        span = Elimination(max(d, 1))
+        span = Elimination()
         cnt = 0
         for i in range(d):
             img = orb.compose(x, x, y, {i: 1}, ex_orb)
@@ -891,7 +891,7 @@ def _oracle_karoubi(c, cap=categories.IDEMPOTENT_CAP, name=None):
     for k1, (x1, e1) in enumerate(objs):
         for k2, (x2, e2) in enumerate(objs):
             vecs = []
-            span = Elimination(max(c.hom[(x1, x2)], 1))
+            span = Elimination()
             for i in range(c.hom[(x1, x2)]):
                 img = project(x1, e1, x2, e2, {i: 1})
                 if img and span.add_column(img):
@@ -908,8 +908,7 @@ def _oracle_karoubi(c, cap=categories.IDEMPOTENT_CAP, name=None):
         key = (k1, k2)
         if key not in coords_cache:
             basis = sub_basis[key]
-            elim = Elimination(max(c.hom[(objs[k1][0], objs[k2][0])], 1),
-                               track=True)
+            elim = Elimination(track=True)
             for j, b in enumerate(basis):
                 elim.add_column(b, j)
             coords_cache[key] = elim

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncmotives import cli
+from ncmotives import algebras, cli
 from ncmotives.cli import main
 from ncmotives.inputs import load_category
 
@@ -163,6 +163,22 @@ UNKNOWN_LABEL = {"kind": "structure_constants", "basis": ["x"],
 A2 = (ALG / "a2.json").read_text()
 
 
+def _quiver(**fields):
+    """A quiver description: one arrow a from 1 to 2, truncation 1, with
+    the given fields replaced."""
+    doc = {"kind": "quiver", "vertices": ["1", "2"],
+           "arrows": [["a", "1", "2"]], "truncation": 1}
+    return json.dumps(doc | fields)
+
+
+def _constants(**fields):
+    """A structure-constant description of Q, with the given fields
+    replaced."""
+    doc = {"kind": "structure_constants", "basis": ["1"], "unit": {"1": "1"},
+           "products": [["1", "1", {"1": "1"}]]}
+    return json.dumps(doc | fields)
+
+
 @pytest.mark.parametrize("text, extra, env, needle", [
     ("{not json", [], None, "not valid JSON"),
     (json.dumps(UNKNOWN_ARROW), [], None, "unknown arrow(s): z"),
@@ -173,9 +189,25 @@ A2 = (ALG / "a2.json").read_text()
     (None, ["--max-weight", "-2"], None, "--max-weight: must be >= 0"),
     (A2, [], "-1", "NCMOTIVES_CAP: must be >= 0, got -1"),
     (A2, [], "x", "NCMOTIVES_CAP: invalid int value: 'x'"),
+    (_quiver(vertices="12"), [], None, "'vertices' must be a JSON array"),
+    (_constants(basis={"1": "x"}), [], None, "'basis' must be a JSON array"),
+    (_quiver(truncation=0), [], None, "truncation must be >= 1, got 0"),
+    (_quiver(vertices=["1", "1"], arrows=[]), [], None,
+     "duplicate vertex names"),
+    (_quiver(arrows=[["a", "1", "2"], ["a", "2", "1"]]), [], None,
+     "duplicate name 'a'"),
+    (_quiver(arrows=[["a", "1", "3"]]), [], None,
+     "arrow a has endpoints outside the quiver"),
+    (_quiver(vertices=[], arrows=[]), [], None, "empty quiver"),
+    (_constants(basis=["1", "1"]), [], None, "basis must list distinct"),
+    (_constants(basis=[], unit={}, products=[]), [], None,
+     "basis must list distinct labels, at least one"),
 ], ids=["bad-json", "unknown-arrow", "unknown-label", "usage",
         "negative-degree", "negative-cap", "negative-weight",
-        "negative-env-cap", "env-cap-not-int"])
+        "negative-env-cap", "env-cap-not-int", "vertices-not-array",
+        "basis-not-array", "zero-truncation", "duplicate-vertex",
+        "duplicate-arrow", "arrow-outside", "empty-quiver",
+        "duplicate-label", "empty-basis"])
 def test_exit_status_parse_error(tmp_path, monkeypatch, text, extra, env,
                                  needle):
     """Malformed input files and arguments exit 1.  A negative degree
@@ -233,6 +265,25 @@ def test_exit_status_invariant_violation(tmp_path):
     status, _, err = run_cli(["describe", "--input", str(f)])
     assert status == 2
     assert "invariant" in err
+
+
+def test_describe_exits_3_when_a_resolution_term_exceeds_the_guard(
+        tmp_path, monkeypatch):
+    """Over three loops the simple's resolution terms have dimensions
+    4 * 3^k; with the memory guard at 100, P_3 is refused, so describe
+    exits 3 instead of reporting a bound that was never reached."""
+    doc = {"kind": "quiver", "vertices": ["1"], "truncation": 1,
+           "arrows": [[x, "1", "1"] for x in "xyz"]}
+    f = tmp_path / "loops.json"
+    f.write_text(json.dumps(doc))
+    monkeypatch.setattr(algebras, "DEFAULT_CAP", 100)
+    status, out, err = run_cli(["describe", "--input", str(f),
+                                "--max-degree", "6"])
+    assert (status, out) == (3, "")
+    assert "resolution term dimension 108 exceeds the memory guard 100" in err
+    status, out, _ = run_cli(["describe", "--input", str(f),
+                              "--max-degree", "2"])
+    assert status == 0 and "global dimension: exceeds bound 2" in out
 
 
 def test_non_associative_algebra_above_dimension_40_exits_2(tmp_path):

@@ -19,7 +19,7 @@ from ncmotives.algebras import (Quiver, path_algebra, structure_algebra,
 from ncmotives.cli import _nonnormalized_hh
 from ncmotives.errors import InvariantError, CapExceededError, UncertifiedError
 from ncmotives.exactlin import (QMatrix, Elimination, LinSubspace,
-                                matrix_rank, inverse, vec_addmul)
+                                matrix_rank, inverse, vec_addmul, vec_scale)
 from ncmotives.homcore import ChainComplex, apply_cols
 from ncmotives.inputs import load_algebra
 from ncmotives.hochschild import (
@@ -28,6 +28,18 @@ from ncmotives.hochschild import (
     chern_class_in_hc, hp_nil_invariant, check_homomorphism, cyclic_data,
     TruncatedMixedComplex, CyclicData, connes_columns, DEFAULT_CAP,
 )
+
+
+def as_matrix(cols):
+    """One bimodule action, a list of columns, as a square QMatrix."""
+    n = len(cols)
+    return QMatrix(n, n, {(r, c): v for c, col in enumerate(cols)
+                          for r, v in col.items()})
+
+
+def as_columns(mats):
+    """QMatrix actions as the column lists a Bimodule holds."""
+    return [mat.columns() for mat in mats]
 
 
 def nonnormalized_hh_dims(a, n_max):
@@ -346,8 +358,11 @@ def test_hh_matches_nonnormalized_oracle_on_random_quivers(data):
 
 def _over(m, r, scales):
     """The A-bimodule m over the rescaled copy r = _rescaled(A, scales)."""
-    return Bimodule(r, r, m.dim, [x.scale(s) for x, s in zip(m.left, scales)],
-                    [x.scale(s) for x, s in zip(m.right, scales)])
+    return Bimodule(r, r, m.dim,
+                    [[vec_scale(s, col) for col in x]
+                     for x, s in zip(m.left, scales)],
+                    [[vec_scale(s, col) for col in x]
+                     for x, s in zip(m.right, scales)])
 
 
 @settings(deadline=None, max_examples=30)
@@ -382,8 +397,10 @@ def _conjugated(m):
     p = QMatrix(m.dim, m.dim, {(i, j): 1 for i in range(m.dim)
                                for j in range(i, m.dim)})
     q = inverse(p)
-    return Bimodule(m.A, m.B, m.dim, [q * x * p for x in m.left],
-                    [q * x * p for x in m.right], name=m.name + "'")
+    return Bimodule(m.A, m.B, m.dim,
+                    as_columns(q * as_matrix(x) * p for x in m.left),
+                    as_columns(q * as_matrix(x) * p for x in m.right),
+                    name=m.name + "'")
 
 
 def test_non_adapted_basis_falls_back_to_the_absolute_complex():
@@ -405,8 +422,8 @@ def _simples(a, vertices):
     e_v acts as 1 on both sides of its line, every arrow as 0."""
     pos = {presentation(a).index[v]: c for c, v in enumerate(vertices)}
     d = len(vertices)
-    acts = [QMatrix(d, d, {(pos[k], pos[k]): 1} if k in pos else None)
-            for k in range(a.dim)]
+    acts = as_columns(QMatrix(d, d, {(pos[k], pos[k]): 1} if k in pos
+                              else None) for k in range(a.dim))
     return Bimodule(a, a, d, acts, acts,
                     name="S_" + "+".join(str(v) for v in vertices))
 
@@ -425,7 +442,7 @@ def _tor_table(alg, tors, vertex_idx, g, cap=DEFAULT_CAP):
     refusal of the memory guard cap."""
     table = []
     for t in tors:
-        graded = [matrix_rank(t.left[k] * t.right[l])
+        graded = [matrix_rank(as_matrix(t.left[k]) * as_matrix(t.right[l]))
                   for k in vertex_idx for l in vertex_idx]
         try:
             hh = hochschild_homology(alg, t, n_max=2 if g is None else g + 1,
@@ -959,8 +976,8 @@ def test_chain_decoding_inverts_expand_and_project(name, absolute):
 
 
 def _zero_bimodule(a, b):
-    return Bimodule(a, b, 0, [QMatrix(0, 0) for _ in range(a.dim)],
-                    [QMatrix(0, 0) for _ in range(b.dim)], name="0")
+    return Bimodule(a, b, 0, [[] for _ in range(a.dim)],
+                    [[] for _ in range(b.dim)], name="0")
 
 
 @pytest.mark.parametrize("name", ["M2(Q)", "dual", "A2"])
@@ -976,8 +993,8 @@ def test_derived_tensor_with_a_zero_factor_vanishes(name):
 
 
 # ---------------------------------------------------------------------------
-# the matrices on homology, all from homcore.induced_map, against the loops
-# they replaced
+# the maps on homology, from homcore.induced_map and the Tor actions of
+# derived_tensor, against the loops they replaced
 
 
 def _oracle_map_I(self, n):
@@ -1056,32 +1073,29 @@ def test_tor_actions_match_the_replaced_loop(name, monkeypatch):
     of one-dimensional simple bimodules of a quiver algebra, equal what the
     replaced loop computes from the same representatives and projection."""
     a = zoo.get(name)
-    digits, maps = [], []
-    on_digit, induced = algebras._on_digit, algebras.induced_map
+    digits = []
+    on_digit = algebras._on_digit
 
-    def spy_on_digit(g, weight, size):
-        digits.append((g, weight, size))
-        return on_digit(g, weight, size)
-
-    def spy_induced_map(source, target, chain_map):
-        out = induced(source, target, chain_map)
-        maps.append((source, target, out))
+    def spy_on_digit(g, weight, size, reps, project):
+        out = on_digit(g, weight, size, reps, project)
+        digits.append((g, weight, size, reps, project, out))
         return out
 
     monkeypatch.setattr(algebras, "_on_digit", spy_on_digit)
-    monkeypatch.setattr(algebras, "induced_map", spy_induced_map)
     reg = regular_bimodule(a)
     cases = [(reg, reg, 1)]
     if presentation(a) is not None:
         simples = [_simples(a, [v]) for v in presentation(a).vertices]
         cases += [(x, y, 2) for x in simples for y in simples]
+    actions = []
     for x, y, bound in cases:
-        derived_tensor(x, y, bound=bound)
-    assert len(digits) == len(maps) > 0
-    for (g, weight, size), (source, target, got) in zip(digits, maps):
-        assert source is target
-        reps, project = source
-        assert got == _oracle_on_homology(g, reps, project, weight, size)
+        for tor in derived_tensor(x, y, bound=bound):
+            actions += tor.left + tor.right
+    assert len(digits) == len(actions) > 0
+    for (g, weight, size, reps, project, out), got in zip(digits, actions):
+        assert out is got
+        want = _oracle_on_homology(as_matrix(g), reps, project, weight, size)
+        assert got == want.columns()
 
 
 # ---------------------------------------------------------------------------
@@ -1136,14 +1150,14 @@ def _unit_corner(a, u, w):
     pairs = [(p, q) for p in lefts for q in rights]
     pos = {pq: n for n, pq in enumerate(pairs)}
     d = len(pairs)
-    left = [QMatrix(d, d, {(pos[(k, q)], c): v
-                           for c, (p, q) in enumerate(pairs)
-                           for k, v in a.mult_basis(x, p).items()})
-            for x in range(a.dim)]
-    right = [QMatrix(d, d, {(pos[(p, k)], c): v
-                            for c, (p, q) in enumerate(pairs)
-                            for k, v in a.mult_basis(q, y).items()})
-             for y in range(a.dim)]
+    left = as_columns(QMatrix(d, d, {(pos[(k, q)], c): v
+                                     for c, (p, q) in enumerate(pairs)
+                                     for k, v in a.mult_basis(x, p).items()})
+                      for x in range(a.dim))
+    right = as_columns(QMatrix(d, d, {(pos[(p, k)], c): v
+                                      for c, (p, q) in enumerate(pairs)
+                                      for k, v in a.mult_basis(q, y).items()})
+                       for y in range(a.dim))
     return Bimodule(a, a, d, left, right, name="Ae%d(x)e%dA" % (u, w))
 
 
@@ -1386,7 +1400,7 @@ def _oracle_homology_space(self, n, candidates=()):
     """ChainComplex.homology_space before it started from the boundary
     echelon form, verbatim (uncached)."""
     h = self.homology_dim(n)
-    span = Elimination(self.dims[n], track=True)
+    span = Elimination(track=True)
     nb = 0
     if n + 1 <= self.top:
         for col in self.diffs[n + 1]:
@@ -1426,9 +1440,9 @@ def _oracle_boundary_elim(self, n):
     """ChainComplex.boundary_elim before the row pass, verbatim
     (uncached)."""
     if n < 1 or n > self.top:
-        elim = Elimination(self.dims[max(n - 1, 0)] if n >= 1 else 0)
+        elim = Elimination()
     else:
-        elim = Elimination(self.dims[n - 1])
+        elim = Elimination()
         for col in self.diffs[n]:
             elim.add_column(col)
     return elim

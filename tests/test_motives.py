@@ -24,7 +24,7 @@ from ncmotives.motives import (
     _compose_classes, _span_structure_constants, SemisimplicityReport,
 )
 from test_hochschild import (quiver_algebras, _two_cycle, _in_basis, _rescaled,
-                             MONOMIAL_SCALES)
+                             MONOMIAL_SCALES, as_matrix)
 
 
 def cartan(a):
@@ -331,7 +331,7 @@ def _oracle_semisimplicity_check(a, basis=None, cap=DEFAULT_CAP):
     target = {}
     for j_idx in range(qdim):
         target[j_idx * qdim + j_idx] = Fraction(1)
-    elim = Elimination(rows, track=True)
+    elim = Elimination(track=True)
     for j in range(qdim):
         elim.add_column(lhs.column(j), j)
     unit_coeffs = elim.solve(target)
@@ -489,10 +489,8 @@ def projection_generators_qxq(n_max=5):
     realizations = [minv * pick * m for pick in picks]
 
     def projection_bimodule(vertex_idx):
-        left = [QMatrix(1, 1, {(0, 0): 1} if i == vertex_idx else None)
-                for i in range(2)]
-        right = [QMatrix(1, 1, {(0, 0): 1} if i == vertex_idx else None)
-                 for i in range(2)]
+        left = [[{0: 1} if i == vertex_idx else {}] for i in range(2)]
+        right = [[{0: 1} if i == vertex_idx else {}] for i in range(2)]
         return Bimodule(qq, qq, 1, left, right, name="proj_%d" % vertex_idx)
 
     gens = []
@@ -618,7 +616,8 @@ def assert_cartan_identity(m):
         for l in vs:
             cxc = sum(c[(k, i)] * x.get((i, j), 0) * c[(j, l)]
                       for i in vs for j in vs)
-            assert cxc == matrix_rank(m.left[idx[k]] * m.right[idx[l]])
+            assert cxc == matrix_rank(as_matrix(m.left[idx[k]])
+                                      * as_matrix(m.right[idx[l]]))
 
 
 @settings(deadline=None, max_examples=30)
@@ -637,8 +636,8 @@ def test_class_vector_cartan_identity_on_random_quivers(data):
     tors = derived_tensor(reg, corner_bimodule(a, i, j), bound=g)
 
     def at(v):
-        return [QMatrix.identity(1) if k == presentation(a).index[v]
-                else QMatrix.zero(1, 1) for k in range(a.dim)]
+        return [[{0: 1} if k == presentation(a).index[v] else {}]
+                for k in range(a.dim)]
 
     simple = Bimodule(a, a, 1, at(i), at(j))
     for m in [reg, simple] + [t for t in tors if t.dim]:
@@ -680,8 +679,8 @@ def test_pairing_without_class_vectors_takes_the_tor_route():
 def _simple(a, i, j):
     """The 1-dimensional simple A-bimodule at the vertex pair (i, j)."""
     def at(v):
-        return [QMatrix.identity(1) if k == presentation(a).index[v]
-                else QMatrix.zero(1, 1) for k in range(a.dim)]
+        return [[{0: 1} if k == presentation(a).index[v] else {}]
+                for k in range(a.dim)]
     return Bimodule(a, a, 1, at(i), at(j), name="S_%s%s" % (i, j))
 
 

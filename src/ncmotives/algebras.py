@@ -262,7 +262,7 @@ def path_algebra(quiver, relations=(), truncation=1, name=None):
                    vertex_names={k: v for v, k in vertex_idx.items()})
 
 
-def structure_algebra(name, basis, unit_coeffs, products, check=True):
+def structure_algebra(name, basis, unit_coeffs, products):
     """Algebra from explicit structure constants.
 
     products: iterable of (left label, right label, {label: coeff}).
@@ -279,7 +279,7 @@ def structure_algebra(name, basis, unit_coeffs, products, check=True):
         vec = {idx[lab]: Fraction(c) for lab, c in value.items()}
         table[(idx[left], idx[right])] = vec
     unit = {idx[lab]: Fraction(c) for lab, c in unit_coeffs.items()}
-    return Algebra(name, basis, unit, table, check=check)
+    return Algebra(name, basis, unit, table)
 
 
 def opposite(a):
@@ -289,7 +289,7 @@ def opposite(a):
                    vertex_names=a.vertex_names, check=False)
 
 
-def tensor_algebra(a, b, name=None):
+def tensor_algebra(a, b):
     """A (x) B with basis pairs; no sign rules (everything in degree zero)."""
     labels = ["%s(x)%s" % (x, y) for x in a.basis for y in b.basis]
     db = b.dim
@@ -309,7 +309,7 @@ def tensor_algebra(a, b, name=None):
     for i, c in a.unit.items():
         for j, d in b.unit.items():
             unit[pair(i, j)] = c * d
-    return Algebra(name or "%s(x)%s" % (a.name, b.name), labels, unit, table,
+    return Algebra("%s(x)%s" % (a.name, b.name), labels, unit, table,
                    check=False)
 
 

@@ -465,15 +465,16 @@ def _poly_sub(a, b):
     return out or [Fraction(0)]
 
 
-def primitive_idempotents(alg, cap=IDEMPOTENT_CAP):
+def primitive_idempotents(alg):
     """A maximal orthogonal family of primitive idempotents of a small
     algebra: split the semisimple quotient by minimal polynomials, then lift
-    through the radical keeping exact orthogonality."""
-    if alg.dim > cap:
+    through the radical keeping exact orthogonality.  An algebra above
+    IDEMPOTENT_CAP dimensions raises CapExceededError."""
+    if alg.dim > IDEMPOTENT_CAP:
         raise CapExceededError("idempotent enumeration cap is dimension %d; "
-                               "%s has dimension %d" % (cap, alg.name,
-                                                        alg.dim),
-                               needed=alg.dim, cap=cap)
+                               "%s has dimension %d"
+                               % (IDEMPOTENT_CAP, alg.name, alg.dim),
+                               needed=alg.dim, cap=IDEMPOTENT_CAP)
     rad = jacobson_radical(alg)
     # work in the quotient: a family of orthogonal idempotents mod rad,
     # refined until every corner is a field
@@ -580,10 +581,10 @@ def _crt_idempotents_mod(alg, x, factors, e, rad):
     return out
 
 
-def idempotent_representatives(alg, cap=IDEMPOTENT_CAP):
+def idempotent_representatives(alg):
     """All nonzero sums of a maximal orthogonal primitive family (the
     conjugacy-representative idempotents used for splitting)."""
-    prim = primitive_idempotents(alg, cap)
+    prim = primitive_idempotents(alg)
     out = []
     for r in range(1, len(prim) + 1):
         for combo in itertools.combinations(range(len(prim)), r):
@@ -686,11 +687,12 @@ def _subquotient(c, objs, bases, ideal, tensor_obj, unit, grading, name):
                              tensor_mor, symmetry, traces, grading, name=name)
 
 
-def karoubi(c, cap=IDEMPOTENT_CAP, name=None):
-    """Split idempotents: objects (X, e), homs e' o Hom(X, Y) o e."""
+def karoubi(c):
+    """Split idempotents: objects (X, e), homs e' o Hom(X, Y) o e.  An End
+    algebra above IDEMPOTENT_CAP dimensions raises CapExceededError."""
     objs = []
     for x in c.objects:
-        for e in idempotent_representatives(c.end_algebra(x), cap):
+        for e in idempotent_representatives(c.end_algebra(x)):
             objs.append(("%s|e%d" % (x, len(objs)), x, e))
     # Hom((x1, e1), (x2, e2)): the independent projections e2 o b_i o e1
     bases = {}
@@ -721,15 +723,15 @@ def karoubi(c, cap=IDEMPOTENT_CAP, name=None):
     unit = next((k for k, x, e in objs
                  if x == c.unit and e == c.ident[c.unit]), c.unit)
     return _subquotient(c, objs, bases, {}, tensor_obj, unit, None,
-                        name or "karoubi(%s)" % c.name)
+                        "karoubi(%s)" % c.name)
 
 
-def is_idempotent_split(c, cap=IDEMPOTENT_CAP):
+def is_idempotent_split(c):
     """Does every idempotent endomorphism (up to the enumerated
     representatives) have an image object with a retraction?  An End
-    algebra above the cap raises CapExceededError."""
+    algebra above IDEMPOTENT_CAP dimensions raises CapExceededError."""
     for x in c.objects:
-        for e in idempotent_representatives(c.end_algebra(x), cap):
+        for e in idempotent_representatives(c.end_algebra(x)):
             if not any(_splits_through(c, x, y, e) for y in c.objects):
                 return False
     return True
@@ -737,7 +739,7 @@ def is_idempotent_split(c, cap=IDEMPOTENT_CAP):
 
 def _splits_through(c, x, y, e):
     """Is there r: x -> y, s: y -> x on the witness grid with r o s = id_y
-    and s o r = e?  With e = id_x: is x isomorphic to y?"""
+    and s o r = e?"""
     return any(c.compose(y, x, y, r, s) == c.ident[y] and
                c.compose(x, y, x, s, r) == e
                for r in _hom_grid(c, x, y) for s in _hom_grid(c, y, x))
@@ -757,34 +759,6 @@ def _hom_grid(c, x, y):
     else:
         for i in range(d):
             yield {i: 1}
-
-
-def categories_equivalent(c1, c2):
-    """Search for an equivalence witness: a bijection-on-isoclasses check
-    via mutually inverse morphisms (small categories only)."""
-
-    def iso_classes(c):
-        reps = []
-        for x in c.objects:
-            for rep in reps:
-                if x == rep[0] or _splits_through(c, x, rep[0], c.ident[x]):
-                    rep.append(x)
-                    break
-            else:
-                reps.append([x])
-        return reps
-
-    r1 = [xs[0] for xs in iso_classes(c1)]
-    r2 = [xs[0] for xs in iso_classes(c2)]
-    if len(r1) != len(r2):
-        return False
-    # search a bijection of class representatives preserving hom dimensions
-    for perm in itertools.permutations(r2):
-        if all(c1.hom[(x, y)] == c2.hom[(px, py)]
-               for x, px in zip(r1, perm)
-               for y, py in zip(r1, perm)):
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -863,7 +837,7 @@ class TensorInvertible:
                             "Hom(%s, %s (x) O^%d)" % (self.bound, x, y, j))
 
 
-def orbit(c, o, name=None):
+def orbit(c, o):
     """The orbit category: same objects, Hom = (+)_j Hom(X, Y (x) O^j).
 
     Composition twists the second factor: for f in the j = i component and
@@ -961,7 +935,7 @@ def orbit(c, o, name=None):
                             c.unit if c.unit in objects else objects[0],
                             tensor_obj=None, tensor_mor=None, symmetry=None,
                             traces=None, grading=None,
-                            name=name or "%s/orbit" % c.name)
+                            name="%s/orbit" % c.name)
     out.orbit_parent = c
     out.orbit_invertible = o
     out.orbit_encode = encode
@@ -988,7 +962,7 @@ def orbit_twist_identification(orb, y):
 # change of coefficients along an irreducible minimal polynomial
 
 
-def extend_coefficients(c, minpoly, name=None):
+def extend_coefficients(c, minpoly):
     """The category with the same objects and homs tensored up to
     K = Q[t]/(minpoly), modeled as Q-spaces of dimension dim * deg with the
     companion-matrix action; composition and tensor extend K-bilinearly."""
@@ -1002,7 +976,7 @@ def extend_coefficients(c, minpoly, name=None):
         return PresentedCategory(
             list(c.objects), dict(c.hom), c.comp, c.ident, c.unit,
             c.tensor_obj, c.tensor_mor, c.symmetry, c.traces, c.grading,
-            name=name or c.name, check=False)
+            name=c.name, check=False)
     # powers of t modulo the minimal polynomial
     tpow = [_poly_mod([0] * m + [1], mp) for m in range(2 * deg - 1)]
 
@@ -1049,8 +1023,7 @@ def extend_coefficients(c, minpoly, name=None):
     return PresentedCategory(list(c.objects), hom, comp, ident, c.unit,
                              dict(c.tensor_obj), tensor_mor, symmetry, traces,
                              dict(c.grading),
-                             name=name or "%s (x) Q[t]/(deg %d)"
-                             % (c.name, deg))
+                             name="%s (x) Q[t]/(deg %d)" % (c.name, deg))
 
 
 # ---------------------------------------------------------------------------
@@ -1122,7 +1095,7 @@ def _check_ideal(c, ideal):
                                      "identities")
 
 
-def quotient_by_ideal(c, ideal, name=None):
+def quotient_by_ideal(c, ideal):
     """The quotient category: homs modulo the ideal, tables induced.
 
     The ideal must be closed under composition (verified) and under
@@ -1140,10 +1113,10 @@ def quotient_by_ideal(c, ideal, name=None):
                              if i not in leading]
     return _subquotient(c, [(x, x, c.ident[x]) for x in c.objects], bases,
                         ideal, dict(c.tensor_obj), c.unit, dict(c.grading),
-                        name or "%s/N" % c.name)
+                        "%s/N" % c.name)
 
 
-def dagger_twist(c, plus_idempotents, name=None):
+def dagger_twist(c, plus_idempotents):
     """Replace each symmetry constraint by its odd-odd sign flip:
 
         c_dagger = c o (id - 2 pi-_X (x) pi-_Y),   pi- = id - pi+.
@@ -1170,7 +1143,7 @@ def dagger_twist(c, plus_idempotents, name=None):
     return PresentedCategory(list(c.objects), dict(c.hom), c.comp, c.ident,
                              c.unit, dict(c.tensor_obj), c.tensor_mor,
                              symmetry, dict(c.traces), dict(c.grading),
-                             name=name or "%s-dagger" % c.name)
+                             name="%s-dagger" % c.name)
 
 
 # ---------------------------------------------------------------------------
@@ -1276,12 +1249,10 @@ def graded_space_category(objects, window, name="graded spaces"):
                              tensor_mor, symmetry, traces, grading, name=name)
 
 
-def graded_line_window(window, extra_objects=(), name="graded lines"):
-    """Lines L_d for |d| <= window (plus optional sum objects)."""
+def graded_line_window(window):
+    """Lines L_d for |d| <= window."""
     objects = {"L%d" % d: (d,) for d in range(-window, window + 1)}
-    for label, degs in extra_objects:
-        objects[label] = tuple(sorted(degs))
-    return graded_space_category(objects, window, name=name)
+    return graded_space_category(objects, window, name="graded lines")
 
 
 def super_line_category():

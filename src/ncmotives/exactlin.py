@@ -113,11 +113,11 @@ class QMatrix:
         return cls(rows, cols)
 
     @classmethod
-    def from_rows(cls, rowlist, cols=None):
+    def from_rows(cls, rowlist):
         """Build from a list of dense or sparse rows."""
         rows = len(rowlist)
         entries = {}
-        width = cols or 0
+        width = 0
         for r, row in enumerate(rowlist):
             if isinstance(row, dict):
                 for c, v in row.items():
@@ -576,11 +576,14 @@ def subspace_product(a, u, v):
     return LinSubspace(a.dim, vecs)
 
 
-def nilpotency_degree(a, ideal, cap=None):
-    """Smallest k with ideal^k = 0, or None if not nilpotent within cap."""
-    cap = cap if cap is not None else a.dim + 1
+def nilpotency_degree(a, ideal):
+    """Smallest k with ideal^k = 0, or None if the ideal is not nilpotent.
+
+    The powers of a nilpotent ideal strictly decrease until they vanish,
+    so in a d-dimensional algebra its index is at most d + 1; the search
+    stops there."""
     power = ideal
-    for k in range(1, cap + 1):
+    for k in range(1, a.dim + 2):
         if power.dim == 0:
             return k
         power = subspace_product(a, power, ideal)

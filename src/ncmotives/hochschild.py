@@ -269,10 +269,6 @@ def _times(cols_by_degree, d):
             for cols in cols_by_degree]
 
 
-def mixed_complex(a, n_max=4, cap=DEFAULT_CAP):
-    return TruncatedMixedComplex(a, n_max, cap)
-
-
 # ---------------------------------------------------------------------------
 # cached per-algebra homological data
 

@@ -35,6 +35,14 @@ def _require_arrays(doc, keys):
                                   % (key, type(doc[key]).__name__))
 
 
+def _array(item):
+    """item, refused unless it is a JSON array: a string in its place would
+    be read character by character."""
+    if not isinstance(item, list):
+        raise TypeError("%r is not a JSON array" % (item,))
+    return item
+
+
 def load_document(path):
     try:
         with open(path) as fh:
@@ -62,12 +70,13 @@ def _algebra_from_quiver(doc):
     _require_arrays(doc, ("vertices", "arrows", "relations"))
     try:
         vertices = [str(v) for v in doc["vertices"]]
-        arrows = [(str(n), str(s), str(t)) for n, s, t in doc.get("arrows", [])]
+        arrows = [(str(n), str(s), str(t))
+                  for n, s, t in map(_array, doc.get("arrows", []))]
         truncation = int(doc["truncation"])
         relations = []
         for rel in doc.get("relations", []):
-            relations.append([(_frac(c), [str(a) for a in names])
-                              for c, names in rel])
+            relations.append([(_frac(c), [str(a) for a in _array(names)])
+                              for c, names in map(_array, _array(rel))])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseInputError("malformed quiver description: %s" % exc)
     if truncation < 1:

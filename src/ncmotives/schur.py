@@ -117,7 +117,7 @@ def _mn_character(parts, cycle_type):
     return total
 
 
-def character_table_row(partition, cap=CHARACTER_CAP):
+def character_table_row(partition):
     """chi_lambda on all cycle types of S_n, as {cycle_type: integer}.
 
     The identity value is cross-checked against the hook length formula.
@@ -125,9 +125,9 @@ def character_table_row(partition, cap=CHARACTER_CAP):
     parts = partition.parts if isinstance(partition, Partition) \
         else check_partition(partition)
     n = sum(parts)
-    if n > cap:
-        raise CapExceededError("character cap is n <= %d" % cap, needed=n,
-                               cap=cap)
+    if n > CHARACTER_CAP:
+        raise CapExceededError("character cap is n <= %d" % CHARACTER_CAP,
+                               needed=n, cap=CHARACTER_CAP)
     row = {}
     for ct in partitions_of(n):
         row[ct] = _mn_character(parts, ct)
@@ -301,7 +301,7 @@ class GroupAlgebraElement:
 _IDEMPOTENTS = {}    # (parts, verified) -> c_lambda, stored once checked
 
 
-def central_idempotent(partition, cap=CHARACTER_CAP, verify=None):
+def central_idempotent(partition, verify=None):
     """The central block idempotent
 
         c_lambda = (f^lambda / n!) sum_sigma chi_lambda(sigma^(-1)) sigma.
@@ -309,14 +309,15 @@ def central_idempotent(partition, cap=CHARACTER_CAP, verify=None):
     Idempotency and centrality are verified at construction for n <= 5
     (and on request above).  Results are memoized by partition and by
     whether they were verified; elements are never mutated, so callers
-    share them.
+    share them.  n above CHARACTER_CAP raises CapExceededError, also on a
+    memo hit.
     """
     parts = partition.parts if isinstance(partition, Partition) \
         else check_partition(partition)
     n = sum(parts)
-    if n > cap:
-        raise CapExceededError("idempotent cap is n <= %d" % cap, needed=n,
-                               cap=cap)
+    if n > CHARACTER_CAP:
+        raise CapExceededError("idempotent cap is n <= %d" % CHARACTER_CAP,
+                               needed=n, cap=CHARACTER_CAP)
     if verify is None:
         # c^2 = c costs (n!)^2 products: 14400 at n = 5, read from the
         # Cayley table (whose rows cost as many compositions, once per
@@ -325,7 +326,7 @@ def central_idempotent(partition, cap=CHARACTER_CAP, verify=None):
     key = (parts, bool(verify))
     if key in _IDEMPOTENTS:
         return _IDEMPOTENTS[key]
-    row = character_table_row(parts, cap)
+    row = character_table_row(parts)
     f = standard_tableau_count(parts)
     num = {sigma: f * row[cycle_type(invert_perm(sigma))]
            for sigma in permutations(range(n))}
@@ -389,12 +390,13 @@ def young_symmetrizer(partition):
 TENSOR_CAP = 50000
 
 
-def _signed_permutation_entries(v, n, perm, cap):
+def _signed_permutation_entries(v, n, perm):
     """{(target code, source code): sign} of perm acting on v^(x n)."""
     t = v.total
-    if t ** n > cap:
+    if t ** n > TENSOR_CAP:
         raise CapExceededError("tensor power dimension %d exceeds cap %d"
-                               % (t ** n, cap), needed=t ** n, cap=cap)
+                               % (t ** n, TENSOR_CAP), needed=t ** n,
+                               cap=TENSOR_CAP)
     odd = [v.parity(k) for k in range(t)]
     entries = {}
     for code in range(t ** n):
@@ -420,33 +422,32 @@ def _signed_permutation_entries(v, n, perm, cap):
     return entries
 
 
-def tensor_power_action(v, n, perm, cap=TENSOR_CAP):
+def tensor_power_action(v, n, perm):
     """The signed permutation matrix of perm acting on v^(x n).
 
     perm moves the factor in position i to position perm(i); the Koszul
     sign collects (-1) for every pair of odd factors whose order flips.
     """
     return QMatrix(v.total ** n, v.total ** n,
-                   _signed_permutation_entries(v, n, perm, cap))
+                   _signed_permutation_entries(v, n, perm))
 
 
-def _numerator_action(v, elem, cap):
+def _numerator_action(v, elem):
     """elem.den times the matrix of elem on v^(x n), as {key: int}: the
     signed permutation entries of every term times its numerator."""
     acc = {}
     get = acc.get
     for p, c in elem.num.items():
-        for key, sign in _signed_permutation_entries(v, elem.n, p,
-                                                     cap).items():
+        for key, sign in _signed_permutation_entries(v, elem.n, p).items():
             acc[key] = get(key, 0) + sign * c
     return acc
 
 
-def group_element_action(v, elem, cap=TENSOR_CAP):
+def group_element_action(v, elem):
     size = v.total ** elem.n
     den = elem.den
     return QMatrix(size, size, {key: Fraction(s, den) for key, s
-                                in _numerator_action(v, elem, cap).items()})
+                                in _numerator_action(v, elem).items()})
 
 
 def _super_trace_of_permutation(v, perm):
@@ -458,14 +459,15 @@ def _super_trace_of_permutation(v, perm):
     return total
 
 
-def schur_dimension(partition, v, cap=TENSOR_CAP, force_matrix=False):
+def schur_dimension(partition, v, force_matrix=False):
     """dim S_lambda(v) computed from the idempotent action on v^(x n).
 
     The action of a central idempotent is an idempotent matrix, so in
     characteristic zero its rank equals its trace; the trace expands over
     cycle types without building the matrix, and answers at every size.
     force_matrix computes the rank of the action instead (the --oracle
-    cross-check and the tests' reference), within the cap on t^n.
+    cross-check and the tests' reference) and raises CapExceededError when
+    t^n exceeds TENSOR_CAP.
     """
     parts = partition.parts if isinstance(partition, Partition) \
         else check_partition(partition)
@@ -473,12 +475,12 @@ def schur_dimension(partition, v, cap=TENSOR_CAP, force_matrix=False):
     c = central_idempotent(parts)
     t = v.total
     if force_matrix:
-        if t ** n > cap:
+        if t ** n > TENSOR_CAP:
             raise CapExceededError("tensor power exceeds cap", needed=t ** n,
-                                   cap=cap)
+                                   cap=TENSOR_CAP)
         # the rank of the action is the rank of den times it
         return matrix_rank(QMatrix(t ** n, t ** n,
-                                   _numerator_action(v, c, cap)))
+                                   _numerator_action(v, c)))
     val, rem = divmod(sum(coeff * _super_trace_of_permutation(v, p)
                           for p, coeff in c.num.items()), c.den)
     if rem:

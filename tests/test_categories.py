@@ -12,7 +12,7 @@ from ncmotives.errors import InvariantError, CapExceededError
 from ncmotives.exactlin import Elimination, LinSubspace
 from ncmotives.inputs import load_category
 from ncmotives.categories import (
-    PresentedCategory, karoubi, is_idempotent_split, categories_equivalent,
+    PresentedCategory, karoubi, is_idempotent_split,
     TensorInvertible, orbit, orbit_twist_identification, extend_coefficients,
     n_ideal, quotient_by_ideal, dagger_twist, is_irreducible_over_q,
     primitive_idempotents, idempotent_representatives,
@@ -78,19 +78,50 @@ def test_karoubi_splits_idempotent_pair():
     assert is_idempotent_split(k)
 
 
+def _tables_on(c, names):
+    """The hom, comp, ident, tensor, symmetry and trace tables of c on the
+    objects that names maps, relabelled by it."""
+    def keep(key):
+        return all(x in names for x in key)
+
+    def rename(key):
+        return tuple(names[x] for x in key)
+
+    return ({rename(k): d for k, d in c.hom.items() if keep(k)},
+            {rename(k): t for k, t in c.comp.items() if keep(k)},
+            {names[x]: v for x, v in c.ident.items() if x in names},
+            {rename(k): names.get(y) for k, y in c.tensor_obj.items()
+             if keep(k)},
+            {rename(k): t for k, t in c.tensor_mor.items() if keep(k)},
+            {rename(k): v for k, v in c.symmetry.items() if keep(k)},
+            {names[x]: t for x, t in c.traces.items() if x in names})
+
+
 def test_karoubi_field_ends_unchanged():
+    """End(I) = End(P) = Q has only the idempotents 0 and 1: one object per
+    original, carrying the original tables."""
     sl = super_line_category()
     k = karoubi(sl)
-    # only idempotents 0, 1 exist: one object per original, up to labels
-    assert len(k.objects) == 2
-    assert categories_equivalent(k, sl)
+    assert k.objects == ["I|e0", "P|e1"]
+    assert _tables_on(k, {"I|e0": "I", "P|e1": "P"}) == \
+        _tables_on(sl, {"I": "I", "P": "P"})
 
 
 def test_karoubi_idempotent():
-    tb = two_block_object_category()
-    k1 = karoubi(tb)
+    """karoubi of a Karoubi envelope: the objects whose idempotent is the
+    identity carry the tables of the envelope, and each other object is
+    isomorphic to one of them by an exactly checked witness."""
+    k1 = karoubi(two_block_object_category())
     k2 = karoubi(k1)
-    assert categories_equivalent(k1, k2)
+    assert k1.objects == ["U|e0", "X|e1", "X|e2", "X|e3"]
+    whole = {"U|e0|e0": "U|e0", "X|e1|e1": "X|e1", "X|e2|e2": "X|e2",
+             "X|e3|e5": "X|e3"}
+    parts = ["X|e3|e3", "X|e3|e4"]
+    assert sorted(k2.objects) == sorted(list(whole) + parts)
+    assert _tables_on(k2, whole) == _tables_on(k1, {x: x for x in k1.objects})
+    for x in parts:
+        assert any(categories._splits_through(k2, x, y, k2.ident[x])
+                   for y in whole)
 
 
 def test_orbit_unit_hom_is_q():
@@ -285,15 +316,20 @@ def test_quotient_refuses_an_ideal_that_is_not_closed(gens, message):
     assert str(err.value) == message
 
 
-def test_is_idempotent_split_refuses_an_end_above_the_cap():
+def test_is_idempotent_split_refuses_an_end_above_the_cap(monkeypatch):
     """End(X) = Q^5 is above the idempotent enumeration cap: refused, where
     the category was once reported split unexamined.  The two-line
-    analogue is examined: its degree-1 projector has no image object."""
+    analogue is examined: its degree-1 projector has no image object.
+    The cap is read at call time: raised to 5, End(X) is examined too."""
     big = graded_space_category({"u": (0,), "X": (-2, -1, 0, 1, 2)}, 10)
-    with pytest.raises(CapExceededError):
+    with pytest.raises(CapExceededError,
+                       match=r"^idempotent enumeration cap is dimension 4; "
+                             r"End\(X\) has dimension 5$"):
         is_idempotent_split(big)
     assert not is_idempotent_split(
         graded_space_category({"u": (0,), "X": (0, 1)}, 10))
+    monkeypatch.setattr(categories, "IDEMPOTENT_CAP", 5)
+    assert not is_idempotent_split(big)
 
 
 def test_dagger_identity_when_all_even():
@@ -692,7 +728,8 @@ def _verdict(run):
 
 def _line_window_with_sum():
     # L-1, L0, L1 and S = L0 + L1: Hom(L0, S) and Hom(S, L0) are lines
-    return graded_line_window(1, [("S", (0, 1))])
+    return graded_space_category({"L-1": (-1,), "L0": (0,), "L1": (1,),
+                                  "S": (0, 1)}, 1, name="graded lines")
 
 
 def _set(table, key, entry, vec):
@@ -871,13 +908,13 @@ def test_check_matches_the_full_enumeration(data):
 # against the two table copiers they replaced
 
 
-def _oracle_karoubi(c, cap=categories.IDEMPOTENT_CAP, name=None):
+def _oracle_karoubi(c, name=None):
     """karoubi before the subquotient builder, verbatim but for the unused
     supplied idempotents and the unread attributes it set."""
     objs = []             # (X, e) pairs
     for x in c.objects:
         alg = c.end_algebra(x)
-        for e in idempotent_representatives(alg, cap):
+        for e in idempotent_representatives(alg):
             objs.append((x, e))
     labels = {}
     for k, (x, e) in enumerate(objs):

@@ -202,12 +202,18 @@ def _constants(**fields):
     (_constants(basis=["1", "1"]), [], None, "basis must list distinct"),
     (_constants(basis=[], unit={}, products=[]), [], None,
      "basis must list distinct labels, at least one"),
+    (_quiver(arrows=["a12"], truncation=2), [], None,
+     "malformed quiver description: 'a12' is not a JSON array"),
+    (_quiver(vertices=["1"], arrows=[["x", "1", "1"], ["y", "1", "1"]],
+             relations=[[["1", "xy"]]], truncation=2), [], None,
+     "malformed quiver description: 'xy' is not a JSON array"),
 ], ids=["bad-json", "unknown-arrow", "unknown-label", "usage",
         "negative-degree", "negative-cap", "negative-weight",
         "negative-env-cap", "env-cap-not-int", "vertices-not-array",
         "basis-not-array", "zero-truncation", "duplicate-vertex",
         "duplicate-arrow", "arrow-outside", "empty-quiver",
-        "duplicate-label", "empty-basis"])
+        "duplicate-label", "empty-basis", "arrow-as-string",
+        "relation-path-as-string"])
 def test_exit_status_parse_error(tmp_path, monkeypatch, text, extra, env,
                                  needle):
     """Malformed input files and arguments exit 1.  A negative degree

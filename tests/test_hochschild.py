@@ -1,5 +1,4 @@
 import gc
-import itertools
 import weakref
 from unittest import mock
 from fractions import Fraction
@@ -23,7 +22,7 @@ from ncmotives.exactlin import (QMatrix, Elimination, LinSubspace,
 from ncmotives.homcore import ChainComplex, apply_cols
 from ncmotives.inputs import load_algebra
 from ncmotives.hochschild import (
-    hochschild_complex, hochschild_homology, mixed_complex, cyclic_homology,
+    hochschild_complex, hochschild_homology, cyclic_homology,
     sbi_check, periodic_cyclic, hp_of_homomorphism, chern_character,
     chern_class_in_hc, hp_nil_invariant, check_homomorphism, cyclic_data,
     TruncatedMixedComplex, CyclicData, connes_columns, DEFAULT_CAP,
@@ -40,51 +39,6 @@ def as_matrix(cols):
 def as_columns(mats):
     """QMatrix actions as the column lists a Bimodule holds."""
     return [mat.columns() for mat in mats]
-
-
-def nonnormalized_hh_dims(a, n_max):
-    """Oracle: homology of the *non*-normalized complex M (x) A^n, M = A.
-
-    Independent of the production path, which quotients by degenerates.
-    """
-    d = a.dim
-    dims = [d ** (n + 1) for n in range(n_max + 1)]
-
-    def code(idx):
-        c = 0
-        for t in idx:
-            c = c * d + t
-        return c
-
-    diffs = [None]
-    for n in range(1, n_max + 1):
-        cols = []
-        for idx in itertools.product(range(d), repeat=n + 1):
-            col = {}
-            for i in range(n):
-                sgn = -1 if i % 2 else 1
-                prod = a.mult_basis(idx[i], idx[i + 1])
-                rest = idx[:i] + idx[i + 2:]
-                for k, c in prod.items():
-                    tgt = code(idx[:i] + (k,) + idx[i + 2:])
-                    val = col.get(tgt, 0) + sgn * c
-                    if val:
-                        col[tgt] = val
-                    else:
-                        col.pop(tgt, None)
-            sgn = -1 if n % 2 else 1
-            prod = a.mult_basis(idx[-1], idx[0])
-            for k, c in prod.items():
-                tgt = code((k,) + idx[1:-1])
-                val = col.get(tgt, 0) + sgn * c
-                if val:
-                    col[tgt] = val
-                else:
-                    col.pop(tgt, None)
-            cols.append(col)
-        diffs.append(cols)
-    cx = ChainComplex(dims, diffs)
-    return [cx.homology_dim(n) for n in range(n_max)]
 
 
 def _over_q1():
@@ -144,14 +98,14 @@ def test_hh_dual_numbers_against_nonnormalized_oracle():
     dual = zoo.get("dual")
     hh = hochschild_homology(dual, n_max=7)
     assert hh.dims == [2, 1, 1, 1, 1, 1, 1]
-    assert nonnormalized_hh_dims(dual, 4) == hh.dims[:4]
+    assert _nonnormalized_hh(dual, 4, DEFAULT_CAP) == hh.dims[:4]
 
 
 def test_hh_a2_against_nonnormalized_oracle():
     a2 = zoo.get("A2")
     hh = hochschild_homology(a2, n_max=5)
     assert hh.dims == [2, 0, 0, 0, 0]
-    assert nonnormalized_hh_dims(a2, 3) == hh.dims[:3]
+    assert _nonnormalized_hh(a2, 3, DEFAULT_CAP) == hh.dims[:3]
 
 
 def test_hh_morita_invariance():
@@ -169,14 +123,14 @@ def test_hh_morita_invariance():
 
 def test_mixed_complex_relations_verified_and_b0_rank():
     dual = zoo.get("dual")
-    mx = mixed_complex(dual, n_max=5)
+    mx = TruncatedMixedComplex(dual, 5)
     # B: C_0 -> C_1 has rank 1 (sends the nilpotent to 1 (x) x)
     b0 = QMatrix(mx.dims[1], mx.dims[0],
                  {(r, j): v for j, col in enumerate(mx.B[0])
                   for r, v in col.items()})
     assert matrix_rank(b0) == 1
     q = zoo.get("Q")
-    mxq = mixed_complex(q, n_max=4)
+    mxq = TruncatedMixedComplex(q, 4)
     assert all(not col for cols in mxq.B for col in cols)   # B = 0 over Q
 
 

@@ -78,3 +78,179 @@ def test_every_public_definition_is_used():
     unused = ["%s:%d %s" % d for d in defs
               if times_named[d[2]] <= times_defined[d[2]]]
     assert unused == []
+
+
+# optional parameters that only the tests set, each kept for its reason
+TEST_ONLY_OPTIONS = {
+    "derived_tensor.bound":
+        "the tests' handle on Tor below the certified bound",
+    "central_idempotent.verify": "the tests check c^2 = c above n = 5",
+    "semisimplicity_check.basis": "the declared span of the library question",
+    "hp_of_homomorphism.cap":
+        "the chain memory guard every hochschild entry point takes, part of "
+        "the cyclic_data memo key",
+}
+
+
+def _package_defs(trees):
+    """{def node: (module, qualified name, name a call uses, leading
+    parameters a call does not pass, is a method, is public)} for every
+    module-level function and every method of a module-level class in
+    trees, {package path: its parsed module}.  A constructor is called,
+    and qualified, by its class name."""
+    defs = {}
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defs[node] = (path.stem, node.name, node.name, 0, False,
+                              not node.name.startswith("_"))
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for sub in node.body:
+                if not isinstance(sub, ast.FunctionDef):
+                    continue
+                init = sub.name == "__init__"
+                static = any(getattr(d, "id", None) == "staticmethod"
+                             for d in sub.decorator_list)
+                qual = node.name if init else node.name + "." + sub.name
+                defs[sub] = (path.stem, qual, node.name if init else sub.name,
+                             0 if static else 1, not init,
+                             not node.name.startswith("_")
+                             and (init or not sub.name.startswith("_")))
+    return defs
+
+
+def _optional_parameters(fn, skip):
+    """[(name, position a call passes it at, or None, default)] for the
+    parameters of fn that have a default; skip leading ones are bound, not
+    passed."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    return [(arg.arg, i - skip, args.defaults[i - first])
+            for i, arg in enumerate(positional) if i >= first] + \
+        [(arg.arg, None, default)
+         for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+         if default is not None]
+
+
+def _import_names(tree, modules, in_package):
+    """({name bound to a module: the package module, or None outside the
+    package}, {name bound to a package function: its own name})."""
+    mods, funcs = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                mods[alias.asname or parts[0]] = parts[-1] if (
+                    alias.asname and parts[0] == "ncmotives"
+                    and parts[-1] in modules) else None
+        elif isinstance(node, ast.ImportFrom):
+            source = node.module or ""
+            if not (source.split(".")[0] == "ncmotives"
+                    or node.level and in_package):
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name
+                if alias.name in modules and source in ("ncmotives", ""):
+                    mods[bound] = alias.name
+                else:
+                    funcs[bound] = alias.name
+    return mods, funcs
+
+
+def _callees(call, mods, funcs, defs, by_call):
+    """The package defs a call may reach: a function or constructor by its
+    name, a method by attribute name on anything but a module name."""
+    f = call.func
+    if isinstance(f, ast.Name):
+        return by_call.get((funcs.get(f.id, f.id), False), [])
+    if not isinstance(f, ast.Attribute):
+        return []
+    if isinstance(f.value, ast.Name) and f.value.id in mods:
+        return [fn for fn in by_call.get((f.attr, False), [])
+                if defs[fn][0] == mods[f.value.id]]
+    return by_call.get((f.attr, True), [])
+
+
+def _forwarded(value, default, node, parent, defs):
+    """(def, parameter) when value names an optional parameter of the
+    package def enclosing node with the same default as the parameter it
+    is passed to, else None: the call sets a value of its own."""
+    if not isinstance(value, ast.Name):
+        return None
+    while node in parent:
+        node = parent[node]
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            a = node.args
+            names = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs]
+            if value.id not in names:
+                continue
+            if node in defs and any(
+                    name == value.id and ast.dump(own) == ast.dump(default)
+                    for name, _, own in _optional_parameters(node,
+                                                             defs[node][3])):
+                return node, value.id
+            return None
+    return None
+
+
+def test_every_option_is_set_outside_the_tests():
+    """Every optional parameter of a public function, or of a public or
+    __init__ method of a public class, is passed by keyword or by position
+    in some call in src, demos, perfbench or tools, so no option survives
+    that only its default ever sets.  A call that passes on an optional
+    parameter of its enclosing function with the same default sets the
+    value only if that parameter is set itself.  TEST_ONLY_OPTIONS lists
+    the exceptions."""
+    root = PACKAGE.parent.parent
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for folder in ("src", "demos", "perfbench", "tools")
+             for path in sorted((root / folder).rglob("*.py"))}
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    defs = _package_defs({path: tree for path, tree in trees.items()
+                          if path.parent == PACKAGE})
+    by_call = {}
+    for fn, (_, _, call, _, method, _) in defs.items():
+        by_call.setdefault((call, method), []).append(fn)
+    # (def, parameter) -> for each call passing it, the (def, parameter)
+    # it passes on, or None for a value of the call's own
+    sources = {}
+    for path, tree in trees.items():
+        mods, funcs = _import_names(tree, modules,
+                                    PACKAGE in path.parents)
+        parent = {child: node for node in ast.walk(tree)
+                  for child in ast.iter_child_nodes(node)}
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            keywords = {k.arg: k.value for k in call.keywords}
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            for fn in _callees(call, mods, funcs, defs, by_call):
+                for name, pos, default in _optional_parameters(fn,
+                                                               defs[fn][3]):
+                    if name in keywords:
+                        value = keywords[name]
+                    elif None in keywords or starred:
+                        value = None
+                    elif pos is not None and pos < len(call.args):
+                        value = call.args[pos]
+                    else:
+                        continue
+                    sources.setdefault((fn, name), set()).add(
+                        _forwarded(value, default, call, parent, defs))
+    set_ = {key for key, found in sources.items() if None in found}
+    grown = True
+    while grown:
+        grown = False
+        for key, found in sources.items():
+            if key not in set_ and found & set_:
+                set_.add(key)
+                grown = True
+    unset = sorted("%s.%s" % (defs[fn][1], name)
+                   for fn in defs if defs[fn][5]
+                   for name, _, _ in _optional_parameters(fn, defs[fn][3])
+                   if not name.startswith("_") and (fn, name) not in set_)
+    extra = [name for name in unset if name not in TEST_ONLY_OPTIONS]
+    assert not extra, "options no caller sets: " + ", ".join(extra)
+    assert unset == sorted(TEST_ONLY_OPTIONS)

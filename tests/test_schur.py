@@ -99,17 +99,19 @@ def test_central_idempotent_is_built_once_per_partition(monkeypatch):
     builds = []
     row = schur.character_table_row
 
-    def counted_row(parts, cap):
+    def counted_row(parts):
         builds.append(parts)
-        return row(parts, cap)
+        return row(parts)
 
     monkeypatch.setattr(schur, "character_table_row", counted_row)
     for _ in range(3):
         for p in partitions_of(4):
             assert central_idempotent(p) is central_idempotent(Partition(p))
     assert builds == partitions_of(4)
-    with pytest.raises(CapExceededError):       # the cap holds on a hit
-        central_idempotent((2, 2), cap=3)
+    monkeypatch.setattr(schur, "CHARACTER_CAP", 3)
+    with pytest.raises(CapExceededError,        # the cap holds on a hit
+                       match=r"^idempotent cap is n <= 3$"):
+        central_idempotent((2, 2))
 
 
 def test_central_idempotent_verify_above_five_is_not_skipped(monkeypatch):
@@ -153,6 +155,22 @@ def test_tensor_power_action_identity_and_signs():
     m = tensor_power_action(v, 2, (1, 0))
     negs = [k for k, val in m.entries.items() if val < 0]
     assert negs == [(3, 3)]
+
+
+def test_tensor_cap_refuses_every_built_action(monkeypatch):
+    """TENSOR_CAP is read at call time by each function that builds an
+    action on v^(x n); the trace route builds none and still answers."""
+    monkeypatch.setattr(schur, "TENSOR_CAP", 8)
+    v = SuperSpace(1, 1)                    # v^(x 4) has dimension 16
+    message = r"^tensor power dimension 16 exceeds cap 8$"
+    with pytest.raises(CapExceededError, match=message):
+        tensor_power_action(v, 4, (1, 0, 2, 3))
+    with pytest.raises(CapExceededError, match=message):
+        group_element_action(v, central_idempotent((2, 2)))
+    with pytest.raises(CapExceededError, match=r"^tensor power exceeds cap$"):
+        schur_dimension((2, 2), v, force_matrix=True)
+    assert schur_dimension((2, 2), v) == super_schur_value((2, 2), v)
+    assert tensor_power_action(v, 3, (1, 0, 2)).rows == 8
 
 
 def test_tensor_power_action_is_homomorphism():

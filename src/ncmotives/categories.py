@@ -16,6 +16,11 @@ category of a tensor-invertible object with a declared boundedness
 certificate, extension of coefficients along an irreducible rational
 minimal polynomial, and the dagger twist replacing the symmetry by its
 odd-odd sign flip.
+
+Every constructor re-proves the axioms through `PresentedCategory.check`.
+It verifies each distinct instance of a law once: an instance is keyed by
+the contents of the tables it reads and the hom dimensions it ranges over,
+and the graded presentations repeat a few tables many times over.
 """
 
 import itertools
@@ -27,6 +32,51 @@ from .exactlin import (QMatrix, LinSubspace, Elimination, kernel, bilinear,
                        vec_addmul, vec_scale, vec_sub, jacobson_radical,
                        lift_idempotent)
 from .algebras import structure_algebra
+
+
+class _TableIds:
+    """Content ids of the tables PresentedCategory.check reads.
+
+    A vector's id stands for its coefficients; a table's id for its
+    entries together with the declared dimensions of the two Homs its
+    indexes range over.  Equal ids mean equal contents (and, for tables,
+    equal index ranges), whatever object or key holds them; the maps comp,
+    tensor_mor, symmetry and ident give each table's id under its key.
+    Asking for an id also refuses a table key or a nonzero coordinate
+    outside a declared hom dimension; a Hom between labels that are not
+    objects, with no declared dimension, bounds nothing."""
+
+    def __init__(self, hom):
+        self.hom = hom
+        self.vectors, self.tables = {}, {}
+        self.comp, self.tensor_mor, self.symmetry, self.ident = {}, {}, {}, {}
+
+    def vector(self, vec, out, kind, key):
+        """The id of vec, a vector in Hom(out)."""
+        dim = self.hom.get(out)
+        if dim is not None and any(c and not 0 <= k < dim
+                                   for k, c in vec.items()):
+            raise _outside(kind, key)
+        return self.vectors.setdefault(frozenset(vec.items()),
+                                       len(self.vectors))
+
+    def table(self, table, left, right, out, kind, key):
+        """The id of a table {(i, j): vector in Hom(out)}, i indexing
+        Hom(left) and j Hom(right)."""
+        dl, dr = self.hom.get(left), self.hom.get(right)
+        content = []
+        for (i, j), vec in table.items():
+            if dl is not None and not 0 <= i < dl or \
+                    dr is not None and not 0 <= j < dr:
+                raise _outside(kind, key)
+            content.append(((i, j), self.vector(vec, out, kind, key)))
+        return self.tables.setdefault((frozenset(content), dl, dr),
+                                      len(self.tables))
+
+
+def _outside(kind, key):
+    return InvariantError("%s at (%s) lies outside the declared hom "
+                          "dimensions" % (kind, ",".join(map(str, key))))
 
 
 class PresentedCategory:
@@ -107,6 +157,27 @@ class PresentedCategory:
     # -- axioms ------------------------------------------------------------
 
     def check(self):
+        """Verify the axioms over the presented fragment; the first failure
+        raises InvariantError.
+
+        The associativity, interchange and hexagon walks key each instance
+        by the content ids (`_TableIds`) of the tables it reads and the hom
+        dimensions its loops range over, and skip a key already verified.
+        Each law is multilinear in those tables, and an instance's objects
+        enter its equations only through them, so an equal key means
+        identical equations.  The first failing instance raises at once, so
+        every skipped instance repeats one that held: the walks meet the
+        first failure, and raise its message, as they would verifying every
+        instance.  The unit and id (x) id walks verify every instance: one
+        or two products each, about what building a key costs.
+
+        Taking an id refuses a table key or a nonzero coordinate outside a
+        declared hom dimension.  Each kind of table gets its ids where it is
+        first needed: composition tables, identities and traces at the
+        start; tensor tables once the object tensor is verified, refusing
+        one on a pair whose object tensor is not presented; each symmetry
+        after its fragment check.
+        """
         missing = sorted(set(self.objects) - set(self.ident))
         if missing:
             raise InvariantError("no identity given for object(s): %s"
@@ -114,6 +185,16 @@ class PresentedCategory:
         for x in self.objects:
             if self.hom[(x, x)] < 1:
                 raise InvariantError("End(%s) must contain an identity" % x)
+        ids = _TableIds(self.hom)
+        for key, table in self.comp.items():
+            x, y, z = key
+            ids.comp[key] = ids.table(table, (y, z), (x, y), (x, z),
+                                      "composition", key)
+        for x, vec in self.ident.items():
+            ids.ident[x] = ids.vector(vec, (x, x), "identity", (x,))
+        for x, vec in self.traces.items():
+            ids.vector(vec, (x, x), "trace", (x,))
+        comp_id = ids.comp.get
         # the indexes keep the order of self.objects, so the walks below
         # meet the defined tuples, and the first failure, in the order of
         # the full objects^k enumeration
@@ -133,11 +214,19 @@ class PresentedCategory:
                     if self.compose(x, x, y, f, self.ident[x]) != f:
                         raise InvariantError("right unit law fails on "
                                              "Hom(%s,%s)" % (x, y))
+        seen = set()
         for w in self.objects:
             for x in successors[w]:
                 for y in successors[x]:
                     first = self.comp.get((w, x, y), {})
                     for z in successors[y]:
+                        key = (comp_id((w, x, y)), comp_id((x, y, z)),
+                               comp_id((w, y, z)), comp_id((w, x, z)),
+                               self.hom[(w, x)], self.hom[(x, y)],
+                               self.hom[(y, z)])
+                        if key in seen:
+                            continue
+                        seen.add(key)
                         second = self.comp.get((x, y, z), {})
                         for fi in range(self.hom[(w, x)]):
                             for gi in range(self.hom[(x, y)]):
@@ -152,14 +241,12 @@ class PresentedCategory:
                                         raise InvariantError(
                                             "composition not associative at "
                                             "(%s,%s,%s,%s)" % (w, x, y, z))
-        self._check_tensor(partners)
-        self._check_symmetry(partners)
+        self._check_tensor(partners, ids)
+        self._check_symmetry(partners, ids)
 
-    def _check_tensor(self, partners):
+    def _check_tensor(self, partners, ids):
         """partners[x]: the y of self.objects, in order, with x (x) y
-        defined."""
-        if not self.tensor_obj:
-            return
+        defined; ids: check's _TableIds, which gains tensor_mor."""
         tobj, tmor = self.tensor_obj, self.tensor_mor
         u = self.unit
         for x in self.objects:
@@ -178,27 +265,48 @@ class PresentedCategory:
                             raise InvariantError(
                                 "object tensor not associative at "
                                 "(%s,%s,%s)" % (x, y, z))
+        # the tensor tables, on the object table just verified
+        for key, table in tmor.items():
+            x1, y1, x2, y2 = key
+            if (x1, x2) not in tobj or (y1, y2) not in tobj:
+                raise InvariantError("tensor of morphisms declared outside "
+                                     "the tensor fragment at (%s,%s,%s,%s)"
+                                     % key)
+            ids.tensor_mor[key] = ids.table(
+                table, (x1, y1), (x2, y2), (tobj[(x1, x2)], tobj[(y1, y2)]),
+                "tensor of morphisms", key)
         # interchange (bifunctoriality) on basis elements where defined:
-        # targets[(y1, y2)] lists the (z1, z2) over self.objects with
-        # (y1, z1, y2, z2) in tensor_mor, in the order of self.objects
+        # targets[(y1, y2)] lists (z1, z2, z1 (x) z2, id of the table on
+        # (y1, z1, y2, z2)) over the (z1, z2) of self.objects with
+        # (y1, z1, y2, z2) in tensor_mor, in the order of self.objects.
+        # The table ids carry hom(x1, y1), hom(x2, y2), hom(y1, z1) and
+        # hom(y2, z2), the ranges of the four loops.
         position = {}
         for i, z in enumerate(self.objects):
             position.setdefault(z, i)
+        tmor_id, comp_id = ids.tensor_mor, ids.comp.get
         targets = {}
-        for y1, z1, y2, z2 in tmor:
+        for key in tmor:
+            y1, z1, y2, z2 = key
             if z1 in position and z2 in position:
-                targets.setdefault((y1, y2), []).append((z1, z2))
-        for pairs in targets.values():
-            pairs.sort(key=lambda p: (position[p[0]], position[p[1]]))
+                targets.setdefault((y1, y2), []).append(
+                    (z1, z2, tobj[(z1, z2)], tmor_id[key]))
+        for quads in targets.values():
+            quads.sort(key=lambda q: (position[q[0]], position[q[1]]))
+        seen = set()
         for (x1, y1, x2, y2), table in tmor.items():
-            if (x1, x2) not in tobj or (y1, y2) not in tobj:
-                continue
             xx, yy = tobj[(x1, x2)], tobj[(y1, y2)]
-            for z1, z2 in targets.get((y1, y2), ()):
-                if (x1, z1, x2, z2) not in tmor or (z1, z2) not in tobj:
+            outer = tmor_id[(x1, y1, x2, y2)]
+            for z1, z2, zz, inner in targets.get((y1, y2), ()):
+                across = tmor_id.get((x1, z1, x2, z2))
+                if across is None:
                     continue
-                zz = tobj[(z1, z2)]
-                inner = tmor[(y1, z1, y2, z2)]
+                key = (outer, inner, across, comp_id((x1, y1, z1)),
+                       comp_id((x2, y2, z2)), comp_id((xx, yy, zz)))
+                if key in seen:
+                    continue
+                seen.add(key)
+                inner_table = tmor[(y1, z1, y2, z2)]
                 comp1 = self.comp.get((x1, y1, z1), {})
                 comp2 = self.comp.get((x2, y2, z2), {})
                 for fi in range(self.hom[(x1, y1)]):
@@ -212,7 +320,7 @@ class PresentedCategory:
                                     comp2.get((ki, gi), {}))
                                 rhs = self.compose(
                                     xx, yy, zz,
-                                    inner.get((hi, ki), {}), fg)
+                                    inner_table.get((hi, ki), {}), fg)
                                 if lhs != rhs:
                                     raise InvariantError(
                                         "tensor interchange fails at "
@@ -227,7 +335,8 @@ class PresentedCategory:
                         raise InvariantError("id (x) id != id at (%s,%s)"
                                              % (x, y))
 
-    def _check_symmetry(self, partners):
+    def _check_symmetry(self, partners, ids):
+        """ids: check's _TableIds, which gains symmetry."""
         tobj = self.tensor_obj
         for (x, y), c in self.symmetry.items():
             if (x, y) not in tobj or (y, x) not in tobj:
@@ -235,6 +344,7 @@ class PresentedCategory:
                                      "fragment")
             xy = tobj[(x, y)]
             yx = tobj[(y, x)]
+            ids.symmetry[(x, y)] = ids.vector(c, (xy, yx), "symmetry", (x, y))
             cyx = self.symmetry.get((y, x))
             if cyx is None:
                 raise InvariantError("missing inverse symmetry (%s,%s)"
@@ -244,7 +354,12 @@ class PresentedCategory:
                                      % (x, y))
         # hexagon (strict): c_{x, y(x)z} = (id_y (x) c_{x,z}) o (c_{x,y} (x) id_z)
         # over (x, y) in symmetry (so both tensors are defined, by the loop
-        # above) and z in partners[y]
+        # above) and z in partners[y]; a tensor table on (xy, yx, z, z) or
+        # (y, y, xz, zx) puts xy (x) z, yx (x) z, y (x) xz and y (x) zx in
+        # the fragment, since _check_tensor refuses one outside it
+        sym_id, tmor_id = ids.symmetry, ids.tensor_mor.get
+        ident_id, comp_id = ids.ident, ids.comp.get
+        seen = set()
         for x in self.objects:
             for y in self.objects:
                 if (x, y) not in self.symmetry:
@@ -255,15 +370,18 @@ class PresentedCategory:
                     if (x, yz) not in self.symmetry or \
                             (x, z) not in self.symmetry:
                         continue
-                    if (xy, z) not in tobj or (yx, z) not in tobj:
-                        continue
-                    if (xy, yx, z, z) not in self.tensor_mor:
-                        continue
                     xz, zx = tobj[(x, z)], tobj[(z, x)]
-                    if (y, xz) not in tobj or (y, zx) not in tobj:
+                    step1_id = tmor_id((xy, yx, z, z))
+                    step2_id = tmor_id((y, y, xz, zx))
+                    if step1_id is None or step2_id is None:
                         continue
-                    if (y, y, xz, zx) not in self.tensor_mor:
+                    xyz, mid, tgt = tobj[(x, yz)], tobj[(yx, z)], tobj[(y, zx)]
+                    key = (sym_id[(x, yz)], sym_id[(x, y)], sym_id[(x, z)],
+                           ident_id[y], ident_id[z], step1_id, step2_id,
+                           comp_id((xyz, mid, tgt)))
+                    if key in seen:
                         continue
+                    seen.add(key)
                     lhs = self.symmetry[(x, yz)]
                     step1 = self.tensor_morphisms(xy, yx, z, z,
                                                   self.symmetry[(x, y)],
@@ -272,8 +390,7 @@ class PresentedCategory:
                     step2 = self.tensor_morphisms(y, y, xz, zx,
                                                   self.ident[y],
                                                   self.symmetry[(x, z)])
-                    rhs = self.compose(tobj[(x, yz)], tobj[(yx, z)],
-                                       tobj[(y, zx)], step2, step1)
+                    rhs = self.compose(xyz, mid, tgt, step2, step1)
                     if lhs != rhs:
                         raise InvariantError("hexagon fails at (%s,%s,%s)"
                                              % (x, y, z))

@@ -524,11 +524,54 @@ def test_graded_tensor_mor_covers_every_defined_pair(degree_lists):
 
 
 # ---------------------------------------------------------------------------
-# PresentedCategory.check: one test per axiom message, and a property
-# against the full objects^k enumeration
+# PresentedCategory.check: one test per message, and properties against
+# two references: the full objects^k enumeration, and the indexed walks
+# that verified every instance before check keyed them by content
 
 
-def _oracle_check(cat):
+def _oracle_outside(cat, vec, out, kind, key):
+    """check's coordinate refusal: a nonzero coordinate at or beyond the
+    declared dimension of Hom(out), where one is declared."""
+    dim = cat.hom.get(out)
+    if dim is not None and any(c and k not in range(dim)
+                               for k, c in vec.items()):
+        raise InvariantError("%s at (%s) lies outside the declared hom "
+                             "dimensions" % (kind, ",".join(key)))
+
+
+def _oracle_table_outside(cat, table, left, right, out, kind, key):
+    for (i, j), vec in table.items():
+        _oracle_outside(cat, {i: 1}, left, kind, key)
+        _oracle_outside(cat, {j: 1}, right, kind, key)
+        _oracle_outside(cat, vec, out, kind, key)
+
+
+def _oracle_declared_tables(cat):
+    """The refusals check makes before its walks, in its order."""
+    for key, table in cat.comp.items():
+        x, y, z = key
+        _oracle_table_outside(cat, table, (y, z), (x, y), (x, z),
+                              "composition", key)
+    for x, vec in cat.ident.items():
+        _oracle_outside(cat, vec, (x, x), "identity", (x,))
+    for x, vec in cat.traces.items():
+        _oracle_outside(cat, vec, (x, x), "trace", (x,))
+
+
+def _oracle_tensor_tables(cat):
+    """The refusals check makes once the object tensor is verified."""
+    for key, table in cat.tensor_mor.items():
+        x1, y1, x2, y2 = key
+        if not (cat.tensor_defined(x1, x2) and cat.tensor_defined(y1, y2)):
+            raise InvariantError("tensor of morphisms declared outside the "
+                                 "tensor fragment at (%s,%s,%s,%s)" % key)
+        _oracle_table_outside(cat, table, (x1, y1), (x2, y2),
+                              (cat.tensor_objects(x1, x2),
+                               cat.tensor_objects(y1, y2)),
+                              "tensor of morphisms", key)
+
+
+def _enumeration_check(cat):
     missing = sorted(set(cat.objects) - set(cat.ident))
     if missing:
         raise InvariantError("no identity given for object(s): %s"
@@ -536,6 +579,7 @@ def _oracle_check(cat):
     for x in cat.objects:
         if cat.hom[(x, x)] < 1:
             raise InvariantError("End(%s) must contain an identity" % x)
+    _oracle_declared_tables(cat)
     # identity and associativity
     for x in cat.objects:
         for y in cat.objects:
@@ -572,13 +616,11 @@ def _oracle_check(cat):
                                     raise InvariantError(
                                         "composition not associative at "
                                         "(%s,%s,%s,%s)" % (w, x, y, z))
-    _oracle_check_tensor(cat)
-    _oracle_check_symmetry(cat)
+    _enumeration_check_tensor(cat)
+    _enumeration_check_symmetry(cat)
 
 
-def _oracle_check_tensor(cat):
-    if not cat.tensor_obj:
-        return
+def _enumeration_check_tensor(cat):
     u = cat.unit
     for x in cat.objects:
         if cat.tensor_defined(u, x) and cat.tensor_objects(u, x) != x:
@@ -600,6 +642,7 @@ def _oracle_check_tensor(cat):
                             raise InvariantError(
                                 "object tensor not associative at "
                                 "(%s,%s,%s)" % (x, y, z))
+    _oracle_tensor_tables(cat)
     # interchange (bifunctoriality) on basis elements where defined
     for (x1, y1, x2, y2), table in cat.tensor_mor.items():
         for z1 in cat.objects:
@@ -649,13 +692,14 @@ def _oracle_check_tensor(cat):
                                          % (x, y))
 
 
-def _oracle_check_symmetry(cat):
+def _enumeration_check_symmetry(cat):
     for (x, y), c in cat.symmetry.items():
         if not cat.tensor_defined(x, y) or not cat.tensor_defined(y, x):
             raise InvariantError("symmetry declared outside the tensor "
                                  "fragment")
         xy = cat.tensor_objects(x, y)
         yx = cat.tensor_objects(y, x)
+        _oracle_outside(cat, c, (xy, yx), "symmetry", (x, y))
         cyx = cat.symmetry.get((y, x))
         if cyx is None:
             raise InvariantError("missing inverse symmetry (%s,%s)"
@@ -710,6 +754,183 @@ def _oracle_check_symmetry(cat):
                                          % (x, y, z))
 
 
+def _oracle_check(cat):
+    """check without content keys: the same indexed walks verify every
+    instance, and the refusals come at the same points."""
+    missing = sorted(set(cat.objects) - set(cat.ident))
+    if missing:
+        raise InvariantError("no identity given for object(s): %s"
+                             % ", ".join(missing))
+    for x in cat.objects:
+        if cat.hom[(x, x)] < 1:
+            raise InvariantError("End(%s) must contain an identity" % x)
+    _oracle_declared_tables(cat)
+    # the indexes keep the order of cat.objects, so the walks below
+    # meet the defined tuples, and the first failure, in the order of
+    # the full objects^k enumeration
+    successors = {x: [y for y in cat.objects if cat.hom[(x, y)]]
+                  for x in cat.objects}
+    partners = {x: [y for y in cat.objects
+                    if (x, y) in cat.tensor_obj]
+                for x in cat.objects}
+    # identity and associativity
+    for x in cat.objects:
+        for y in successors[x]:
+            for i in range(cat.hom[(x, y)]):
+                f = {i: 1}
+                if cat.compose(x, y, y, cat.ident[y], f) != f:
+                    raise InvariantError("left unit law fails on "
+                                         "Hom(%s,%s)" % (x, y))
+                if cat.compose(x, x, y, f, cat.ident[x]) != f:
+                    raise InvariantError("right unit law fails on "
+                                         "Hom(%s,%s)" % (x, y))
+    for w in cat.objects:
+        for x in successors[w]:
+            for y in successors[x]:
+                first = cat.comp.get((w, x, y), {})
+                for z in successors[y]:
+                    second = cat.comp.get((x, y, z), {})
+                    for fi in range(cat.hom[(w, x)]):
+                        for gi in range(cat.hom[(x, y)]):
+                            gf = first.get((gi, fi), {})
+                            for hi in range(cat.hom[(y, z)]):
+                                left = cat.compose(w, y, z, {hi: 1}, gf)
+                                right = cat.compose(
+                                    w, x, z,
+                                    second.get((hi, gi), {}),
+                                    {fi: 1})
+                                if left != right:
+                                    raise InvariantError(
+                                        "composition not associative at "
+                                        "(%s,%s,%s,%s)" % (w, x, y, z))
+    _oracle_check_tensor(cat, partners)
+    _oracle_check_symmetry(cat, partners)
+
+
+def _oracle_check_tensor(cat, partners):
+    """partners[x]: the y of cat.objects, in order, with x (x) y
+    defined."""
+    tobj, tmor = cat.tensor_obj, cat.tensor_mor
+    u = cat.unit
+    for x in cat.objects:
+        if (u, x) in tobj and tobj[(u, x)] != x:
+            raise InvariantError("unit object is not strict on %s" % x)
+        if (x, u) in tobj and tobj[(x, u)] != x:
+            raise InvariantError("unit object is not strict on %s" % x)
+    # associativity of the object table wherever both routes are defined
+    for x in cat.objects:
+        for y in partners[x]:
+            xy = tobj[(x, y)]
+            for z in partners[y]:
+                if (xy, z) in tobj:
+                    yz = tobj[(y, z)]
+                    if (x, yz) in tobj and tobj[(xy, z)] != tobj[(x, yz)]:
+                        raise InvariantError(
+                            "object tensor not associative at "
+                            "(%s,%s,%s)" % (x, y, z))
+    _oracle_tensor_tables(cat)
+    # interchange (bifunctoriality) on basis elements where defined:
+    # targets[(y1, y2)] lists the (z1, z2) over cat.objects with
+    # (y1, z1, y2, z2) in tensor_mor, in the order of cat.objects
+    position = {}
+    for i, z in enumerate(cat.objects):
+        position.setdefault(z, i)
+    targets = {}
+    for y1, z1, y2, z2 in tmor:
+        if z1 in position and z2 in position:
+            targets.setdefault((y1, y2), []).append((z1, z2))
+    for pairs in targets.values():
+        pairs.sort(key=lambda p: (position[p[0]], position[p[1]]))
+    for (x1, y1, x2, y2), table in tmor.items():
+        if (x1, x2) not in tobj or (y1, y2) not in tobj:
+            continue
+        xx, yy = tobj[(x1, x2)], tobj[(y1, y2)]
+        for z1, z2 in targets.get((y1, y2), ()):
+            if (x1, z1, x2, z2) not in tmor or (z1, z2) not in tobj:
+                continue
+            zz = tobj[(z1, z2)]
+            inner = tmor[(y1, z1, y2, z2)]
+            comp1 = cat.comp.get((x1, y1, z1), {})
+            comp2 = cat.comp.get((x2, y2, z2), {})
+            for fi in range(cat.hom[(x1, y1)]):
+                for gi in range(cat.hom[(x2, y2)]):
+                    fg = table.get((fi, gi), {})
+                    for hi in range(cat.hom[(y1, z1)]):
+                        hf = comp1.get((hi, fi), {})
+                        for ki in range(cat.hom[(y2, z2)]):
+                            lhs = cat.tensor_morphisms(
+                                x1, z1, x2, z2, hf,
+                                comp2.get((ki, gi), {}))
+                            rhs = cat.compose(
+                                xx, yy, zz,
+                                inner.get((hi, ki), {}), fg)
+                            if lhs != rhs:
+                                raise InvariantError(
+                                    "tensor interchange fails at "
+                                    "(%s,%s,%s,%s)" % (x1, y1, x2, y2))
+    # identities tensor to identities where defined
+    for x in cat.objects:
+        for y in partners[x]:
+            if (x, x, y, y) in tmor:
+                xy = tobj[(x, y)]
+                if cat.tensor_morphisms(x, x, y, y, cat.ident[x],
+                                         cat.ident[y]) != cat.ident[xy]:
+                    raise InvariantError("id (x) id != id at (%s,%s)"
+                                         % (x, y))
+
+def _oracle_check_symmetry(cat, partners):
+    tobj = cat.tensor_obj
+    for (x, y), c in cat.symmetry.items():
+        if (x, y) not in tobj or (y, x) not in tobj:
+            raise InvariantError("symmetry declared outside the tensor "
+                                 "fragment")
+        xy = tobj[(x, y)]
+        yx = tobj[(y, x)]
+        _oracle_outside(cat, c, (xy, yx), "symmetry", (x, y))
+        cyx = cat.symmetry.get((y, x))
+        if cyx is None:
+            raise InvariantError("missing inverse symmetry (%s,%s)"
+                                 % (y, x))
+        if cat.compose(xy, yx, xy, cyx, c) != cat.ident[xy]:
+            raise InvariantError("c_{%s,%s} is not inverted by its swap"
+                                 % (x, y))
+    # hexagon (strict): c_{x, y(x)z} = (id_y (x) c_{x,z}) o (c_{x,y} (x) id_z)
+    # over (x, y) in symmetry (so both tensors are defined, by the loop
+    # above) and z in partners[y]
+    for x in cat.objects:
+        for y in cat.objects:
+            if (x, y) not in cat.symmetry:
+                continue
+            xy, yx = tobj[(x, y)], tobj[(y, x)]
+            for z in partners[y]:
+                yz = tobj[(y, z)]
+                if (x, yz) not in cat.symmetry or \
+                        (x, z) not in cat.symmetry:
+                    continue
+                if (xy, z) not in tobj or (yx, z) not in tobj:
+                    continue
+                if (xy, yx, z, z) not in cat.tensor_mor:
+                    continue
+                xz, zx = tobj[(x, z)], tobj[(z, x)]
+                if (y, xz) not in tobj or (y, zx) not in tobj:
+                    continue
+                if (y, y, xz, zx) not in cat.tensor_mor:
+                    continue
+                lhs = cat.symmetry[(x, yz)]
+                step1 = cat.tensor_morphisms(xy, yx, z, z,
+                                              cat.symmetry[(x, y)],
+                                              cat.ident[z])
+                # rebracket strictly: (y (x) x) (x) z = y (x) (x (x) z)
+                step2 = cat.tensor_morphisms(y, y, xz, zx,
+                                              cat.ident[y],
+                                              cat.symmetry[(x, z)])
+                rhs = cat.compose(tobj[(x, yz)], tobj[(yx, z)],
+                                   tobj[(y, zx)], step2, step1)
+                if lhs != rhs:
+                    raise InvariantError("hexagon fails at (%s,%s,%s)"
+                                         % (x, y, z))
+
+
 def _tables(c):
     """Deep copies of c's tables, as PresentedCategory keyword arguments."""
     return copy.deepcopy(dict(
@@ -750,6 +971,12 @@ def _drop(table, key):
     return mutate
 
 
+def _clear(table):
+    def mutate(t):
+        t[table].clear()
+    return mutate
+
+
 AXIOM_MESSAGES = [
     (_line_window_with_sum, _set("comp", ("L0", "S", "S"), (0, 0), {0: 2}),
      "left unit law fails on Hom(L0,S)"),
@@ -774,6 +1001,31 @@ AXIOM_MESSAGES = [
      "c_{I,P} is not inverted by its swap"),
     (super_line_category, _replace("symmetry", ("I", "I"), {0: -1}),
      "hexagon fails at (I,I,I)"),
+    (_line_window_with_sum, _set("comp", ("L0", "L0", "L0"), (0, 0), {1: 1}),
+     "composition at (L0,L0,L0) lies outside the declared hom dimensions"),
+    (_line_window_with_sum,
+     _replace("comp", ("L0", "L1", "L1"), {(0, 0): {0: 1}}),
+     "composition at (L0,L1,L1) lies outside the declared hom dimensions"),
+    (super_line_category, _replace("ident", "P", {0: 1, 1: 1}),
+     "identity at (P) lies outside the declared hom dimensions"),
+    (super_line_category, _replace("traces", "P", {0: -1, 1: 1}),
+     "trace at (P) lies outside the declared hom dimensions"),
+    (super_line_category,
+     _replace("tensor_mor", ("I", "I", "P", "I"), {(0, 0): {0: 1}}),
+     "tensor of morphisms at (I,I,P,I) lies outside the declared hom "
+     "dimensions"),
+    (_line_window_with_sum,
+     _replace("tensor_mor", ("L1", "L1", "L1", "L1"), {(0, 0): {0: 1}}),
+     "tensor of morphisms declared outside the tensor fragment at "
+     "(L1,L1,L1,L1)"),
+    (super_line_category, _drop("tensor_obj", ("P", "P")),
+     "tensor of morphisms declared outside the tensor fragment at "
+     "(P,P,P,P)"),
+    (super_line_category, _clear("tensor_obj"),
+     "tensor of morphisms declared outside the tensor fragment at "
+     "(I,I,I,I)"),
+    (super_line_category, _replace("symmetry", ("P", "P"), {0: -1, 2: 1}),
+     "symmetry at (P,P) lies outside the declared hom dimensions"),
 ]
 
 
@@ -787,7 +1039,9 @@ def test_check_names_the_failing_axiom(build, mutate, message):
         PresentedCategory(c.objects, **tables)
     assert str(err.value) == message
     bad = PresentedCategory(c.objects, check=False, **tables)
-    assert _verdict(lambda: _oracle_check(bad)) == ("InvariantError", message)
+    for reference in (_enumeration_check, _oracle_check):
+        assert _verdict(lambda: reference(bad)) == ("InvariantError",
+                                                    message)
 
 
 def test_check_drops_explicit_zero_coefficients_in_tables():
@@ -804,6 +1058,7 @@ def test_check_drops_explicit_zero_coefficients_in_tables():
             tables["comp"][("X", "X", "X")][(0, 1)] = {0: 0}     # p q = 0
         PresentedCategory(c.objects, **tables)
         bad = PresentedCategory(c.objects, check=False, **tables)
+        assert _verdict(lambda: _enumeration_check(bad)) is None
         assert _verdict(lambda: _oracle_check(bad)) is None
 
 
@@ -817,6 +1072,7 @@ def test_check_walks_only_the_objects_of_the_presentation():
     tables["tensor_mor"][("I", "I", "P", "Q")] = {(0, 0): {0: 1}}
     PresentedCategory(c.objects, **tables)
     bad = PresentedCategory(c.objects, check=False, **tables)
+    assert _verdict(lambda: _enumeration_check(bad)) is None
     assert _verdict(lambda: _oracle_check(bad)) is None
     # f: I -> Q with Hom(Q, -) undeclared: the first z1 in object order, I,
     # fails the Hom lookup, although the entry for z1 = P came first
@@ -829,7 +1085,7 @@ def test_check_walks_only_the_objects_of_the_presentation():
                             ("Q", "P", "I", "I"): {}, ("Q", "I", "I", "I"): {}}
     bad = PresentedCategory(c.objects, check=False, **tables)
     assert _verdict(bad.check) == _verdict(lambda: _oracle_check(bad)) == \
-        ("KeyError", "('Q', 'I')")
+        _verdict(lambda: _enumeration_check(bad)) == ("KeyError", "('Q', 'I')")
 
 
 def _draw_vector(data, dim):
@@ -900,7 +1156,111 @@ def test_check_matches_the_full_enumeration(data):
     if target is not None:
         _corrupt(data, tables, target, list(order))
     bad = PresentedCategory(order, check=False, **tables)
-    assert _verdict(bad.check) == _verdict(lambda: _oracle_check(bad))
+    assert _verdict(bad.check) == _verdict(lambda: _enumeration_check(bad))
+
+
+def _double_entry(data, table):
+    entry = data.draw(st.sampled_from(sorted(table)))
+    table[entry] = {k: 2 * v for k, v in table[entry].items()}
+
+
+def _push_outside(data, t):
+    """One nonzero entry or coordinate just past a declared dimension, in
+    a composition or tensor table, an identity, a symmetry or a trace."""
+    hom, tobj = t["hom"], t["tensor_obj"]
+    name = data.draw(st.sampled_from(
+        ["comp", "tensor_mor", "ident", "symmetry", "traces"]))
+    key = data.draw(st.sampled_from(sorted(t[name])))
+    if name in ("ident", "traces"):
+        t[name][key][hom[(key, key)]] = 1
+    elif name == "symmetry":
+        x, y = key
+        t[name][key][hom[(tobj[(x, y)], tobj[(y, x)])]] = 1
+    else:
+        if name == "comp":
+            x, y, z = key
+            left, right, out = hom[(y, z)], hom[(x, y)], hom[(x, z)]
+        else:
+            x1, y1, x2, y2 = key
+            left, right = hom[(x1, y1)], hom[(x2, y2)]
+            out = hom[(tobj[(x1, x2)], tobj[(y1, y2)])]
+        entry, vec = data.draw(st.sampled_from(
+            [((left, 0), {0: 1}), ((0, right), {0: 1}), ((0, 0), {out: 1})]))
+        t[name][key][entry] = vec
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_keyed_check_matches_the_unkeyed_walks(data):
+    """check, which verifies each distinct key once, accepts what
+    _oracle_check accepts, verifying every instance, and raises the same
+    first message.  Graded lines and sums repeat their tables many times;
+    the mutation doubles an entry of the last line (x) line tensor table
+    or of another table whose contents a second table shares, scales a
+    symmetry by 2 and its inverse by 1/2 (they stay inverse, so only the
+    hexagon can refuse them), or puts an entry outside the declared hom
+    dimensions or the tensor fragment."""
+    window = data.draw(st.integers(2, 3))
+    objects = {"L%d" % d: (d,) for d in range(-window, window + 1)}
+    for j in data.draw(st.lists(st.integers(-window, window - 1),
+                                max_size=3, unique=True)):
+        objects["S%d" % j] = (j, j + 1)
+    order = data.draw(st.permutations(list(objects)))
+    c = graded_space_category({x: objects[x] for x in order}, window)
+    tables = _tables(c)
+    tables["tensor_mor"] = dict(data.draw(st.permutations(
+        list(tables["tensor_mor"].items()))))
+    mutation = data.draw(st.sampled_from(
+        [None, "last line tensor", "shared", "scaled symmetry", "outside",
+         "fragment"]))
+    if mutation == "last line tensor":
+        lines = [k for k in tables["tensor_mor"]
+                 if all(x.startswith("L") for x in k)]
+        _double_entry(data, tables["tensor_mor"][lines[-1]])
+    elif mutation == "shared":
+        name = data.draw(st.sampled_from(["comp", "tensor_mor"]))
+        seen = {}
+        for key, table in tables[name].items():
+            seen.setdefault(repr(sorted(table.items())), []).append(key)
+        shared = [key for keys in seen.values() if len(keys) > 1
+                  for key in keys]
+        _double_entry(data, tables[name][data.draw(st.sampled_from(shared))])
+    elif mutation == "scaled symmetry":
+        x, y = data.draw(st.sampled_from(
+            sorted(k for k in tables["symmetry"] if k[0] != k[1])))
+        for key, scale in (((x, y), 2), ((y, x), Fraction(1, 2))):
+            tables["symmetry"][key] = {
+                k: scale * v for k, v in tables["symmetry"][key].items()}
+    elif mutation == "outside":
+        _push_outside(data, tables)
+    elif mutation == "fragment":
+        pairs = sorted(tables["tensor_obj"])
+        if data.draw(st.booleans()):
+            del tables["tensor_obj"][data.draw(st.sampled_from(pairs))]
+        else:
+            x = "L%d" % window      # x (x) x leaves the window
+            tables["tensor_mor"][(x, x, x, x)] = {(0, 0): {0: 1}}
+    bad = PresentedCategory(order, check=False, **tables)
+    verdict = _verdict(bad.check)
+    assert verdict == _verdict(lambda: _oracle_check(bad))
+    if mutation in ("last line tensor", "shared", "outside"):
+        assert verdict is not None
+    if mutation == "outside":
+        assert verdict[1].endswith("lies outside the declared hom dimensions")
+
+
+def test_table_ids_carry_the_hom_dimensions():
+    """Equal tables get equal ids whatever objects hold them, and different
+    ids when the Homs their indexes range over differ in dimension."""
+    ids = categories._TableIds({("a", "a"): 1, ("b", "b"): 1, ("c", "c"): 2})
+
+    def on(x):
+        return ids.table({(0, 0): {0: 1}}, (x, x), (x, x), (x, x),
+                         "composition", (x, x, x))
+
+    assert on("a") == on("b") != on("c")
+    assert ids.vector({0: 1}, ("a", "a"), "identity", ("a",)) == \
+        ids.vector({0: 1}, ("c", "c"), "identity", ("c",))
 
 
 # ---------------------------------------------------------------------------

@@ -563,6 +563,54 @@ def test_corrupted_category_files_exit_with_parse_or_invariant_error(
     assert out == ""
 
 
+def _without_tensor_objects(doc):
+    # id_I (x) id_I = 7 id_I, with no object tensor (nor symmetry) at all
+    del doc["tensor_objects"], doc["symmetry"]
+    doc["tensor_morphisms"][0][6] = {"0": "7"}
+
+
+def _without_p_tensor_p(doc):
+    doc["tensor_objects"].remove(["P", "P", "I"])
+    doc["symmetry"] = [s for s in doc["symmetry"] if s[:2] != ["P", "P"]]
+
+
+OUTSIDE_SUPER_LINES = [
+    (lambda doc: doc["composition"].append(["I", "I", "I", 3, 0, {"0": "5"}]),
+     "composition at (I,I,I) lies outside the declared hom dimensions"),
+    (lambda doc: doc["composition"].append(["I", "I", "P", 0, 0, {"0": "1"}]),
+     "composition at (I,I,P) lies outside the declared hom dimensions"),
+    (lambda doc: doc["tensor_morphisms"].append(
+        ["I", "I", "P", "I", 0, 0, {"0": "1"}]),
+     "tensor of morphisms at (I,I,P,I) lies outside the declared hom "
+     "dimensions"),
+    (_without_tensor_objects,
+     "tensor of morphisms declared outside the tensor fragment at "
+     "(I,I,I,I)"),
+    (_without_p_tensor_p,
+     "tensor of morphisms declared outside the tensor fragment at "
+     "(P,P,P,P)"),
+]
+
+
+@pytest.mark.parametrize("edit, message", OUTSIDE_SUPER_LINES,
+                         ids=["comp beyond End(I)", "comp on Hom(I,P) = 0",
+                              "tensor on Hom(P,I) = 0", "no tensor objects",
+                              "no P (x) P"])
+def test_tables_outside_the_presentation_are_invariant_errors(
+        tmp_path, edit, message):
+    """super_lines.json with a composition entry beyond the 1-dimensional
+    End(I), a composition on the zero Hom(I, P), a tensor of morphisms on
+    the zero Hom(P, I), or tensor_morphisms on pairs whose object tensor
+    is not presented, exits 2 and names the table."""
+    doc = json.loads((CAT / "super_lines.json").read_text())
+    edit(doc)
+    f = tmp_path / "super_lines.json"
+    f.write_text(json.dumps(doc))
+    status, out, err = run_cli(["karoubi", "--input", str(f)])
+    assert (status, out, err) == (2, "", "invariant violation: %s\n"
+                                  % message)
+
+
 def test_karoubi_command():
     status, out, _ = run_cli(["karoubi", "--input",
                               str(CAT / "two_block.json")])

@@ -5,7 +5,7 @@ Run:  python demos/demo_checkers.py
 """
 
 from ncmotives import zoo
-from ncmotives.exactlin import QMatrix, inverse
+from ncmotives.exactlin import compose_cols, identity_cols, inverse
 from ncmotives.algebras import Bimodule
 from ncmotives.hochschild import periodic_cyclic, hp_of_homomorphism
 from ncmotives.motives import (unit_correspondence, Correspondence,
@@ -20,7 +20,7 @@ for name in ("Q", "QxQ", "M2(Q)"):
     hp = periodic_cyclic(a, n_max=5)
     de, do = hp.super_dims
     v = even_projector_in_span(a, [(unit_correspondence(a),
-                       (QMatrix.identity(de), QMatrix.identity(do)))])
+                       (identity_cols(de), identity_cols(do)))])
     print("  %-6s HP (%d|%d): %s, witness %s" %
           (name, de, do, v.status, v.witness))
 print()
@@ -29,13 +29,15 @@ print("With the two projection correspondences of QxQ the witness is")
 print("their sum.  Realizations come from the chain-level functoriality")
 print("of the algebra projections:")
 qq, q = zoo.get("QxQ"), zoo.get("Q")
-p1, _ = hp_of_homomorphism(QMatrix(1, 2, {(0, 0): 1}), qq, q, n_max=5)
-p2, _ = hp_of_homomorphism(QMatrix(1, 2, {(0, 1): 1}), qq, q, n_max=5)
-m = QMatrix(2, 2, {(0, c): val for (r, c), val in p1.entries.items()}
-            | {(1, c): val for (r, c), val in p2.entries.items()})
+# every map is the list of its columns: e_1 |-> 1, e_2 |-> 0 and back
+p1, _ = hp_of_homomorphism([{0: 1}, {}], qq, q, n_max=5)
+p2, _ = hp_of_homomorphism([{}, {0: 1}], qq, q, n_max=5)
+# m = (p1; p2): HP_even(QxQ) -> Q^2, and the realization of the i-th
+# projection is m^-1 E_ii m
+m = [{r: p[c][0] for r, p in enumerate((p1, p2)) if p[c]} for c in (0, 1)]
 minv = inverse(m)
-reals = [minv * QMatrix(2, 2, {(0, 0): 1}) * m,
-         minv * QMatrix(2, 2, {(1, 1): 1}) * m]
+reals = [compose_cols(minv, compose_cols(e, m))
+         for e in ([{0: 1}, {}], [{}, {1: 1}])]
 
 
 def proj_bimodule(idx):
@@ -46,7 +48,7 @@ def proj_bimodule(idx):
 
 gens = [(Correspondence(qq, qq, [(1, proj_bimodule(i))],
                         name="pi_%d" % (i + 1)),
-         (reals[i], QMatrix.zero(0, 0))) for i in (0, 1)]
+         (reals[i], [])) for i in (0, 1)]
 v = even_projector_in_span(qq, gens)
 print("  verdict: %s, witness %s" % (v.status, v.witness))
 print()
@@ -54,7 +56,7 @@ print()
 print("A span that cannot reach the even projector reports")
 print("UNDECIDED-IN-SPAN rather than pretending to refute anything:")
 bad = even_projector_in_span(q, [(unit_correspondence(q),
-                     (QMatrix.identity(1), QMatrix.identity(1)))])
+                     (identity_cols(1), identity_cols(1)))])
 print("  verdict: %s (%s)" % (bad.status, bad.note))
 print()
 

@@ -33,8 +33,10 @@ from types import MappingProxyType
 
 from .errors import InvariantError, CapExceededError, UncertifiedError
 from . import exactlin
-from .exactlin import LinSubspace, bilinear, vec_addmul, vec_scale, _norm
-from .homcore import ChainComplex, apply_cols
+from .exactlin import (LinSubspace, apply_cols, bilinear, combine_cols,
+                       compose_cols, identity_cols, vec_addmul, vec_scale,
+                       _norm)
+from .homcore import ChainComplex
 
 
 class Algebra:
@@ -371,21 +373,6 @@ def _read_presentation(a):
 _ZERO = MappingProxyType({})    # the zero column every action shares
 
 
-def _compose(f, g):
-    """The columns of f o g, for maps f and g given by their columns."""
-    return [apply_cols(f, col) for col in g]
-
-
-def _act(acts, x, dim):
-    """The columns of the action of the element sum_k x_k b_k, for the
-    actions acts of the basis elements on a space of dimension dim."""
-    out = [{} for _ in range(dim)]
-    for k, c in x.items():
-        for col, add in zip(out, acts[k]):
-            vec_addmul(col, c, add)
-    return out
-
-
 class Bimodule:
     """An (A, B)-bimodule with exact action tables.
 
@@ -410,21 +397,21 @@ class Bimodule:
             self._check()
 
     def _check(self):
-        ident = [{c: 1} for c in range(self.dim)]
+        ident = identity_cols(self.dim)
         sides = (("left", self.A, self.left), ("right", self.B, self.right))
         for side, alg, acts in sides:
-            if _act(acts, alg.unit, self.dim) != ident:
+            if combine_cols(acts, alg.unit, self.dim) != ident:
                 raise InvariantError("%s action is not unital" % side)
         for side, alg, acts in sides:
             for i, j in itertools.product(range(alg.dim), repeat=2):
                 # the right action reverses composition: m*(xy) = (m*x)*y
                 f, g = (i, j) if side == "left" else (j, i)
-                if (_act(acts, alg.mult_basis(i, j), self.dim)
-                        != _compose(acts[f], acts[g])):
+                if (combine_cols(acts, alg.mult_basis(i, j), self.dim)
+                        != compose_cols(acts[f], acts[g])):
                     raise InvariantError("%s action is not an algebra action"
                                          % side)
         for f, g in itertools.product(self.left, self.right):
-            if _compose(f, g) != _compose(g, f):
+            if compose_cols(f, g) != compose_cols(g, f):
                 raise InvariantError("left and right actions do not commute")
 
     def content_key(self):
@@ -512,7 +499,7 @@ def _top_generators(m):
     span = exactlin.Elimination()
     for alg, acts in ((m.A, m.left), (m.B, m.right)):
         for r in alg.radical().basis():
-            for col in _act(acts, r, m.dim):
+            for col in combine_cols(acts, r, m.dim):
                 span.add_column(col)
     pa, pb = presentation(m.A), presentation(m.B)
     gens = []
@@ -523,7 +510,7 @@ def _top_generators(m):
             # e_i . m . e_j with e_v = unit[v] * b_v
             scale = m.A.unit[ei] * m.B.unit[ej]
             gens.extend((i, j, vec_scale(scale, col))
-                        for col in _compose(m.left[ei], m.right[ej])
+                        for col in compose_cols(m.left[ei], m.right[ej])
                         if span.add_column(col))
     return gens
 

@@ -28,9 +28,9 @@ import math
 from fractions import Fraction
 
 from .errors import InvariantError, CapExceededError, UncertifiedError
-from .exactlin import (QMatrix, LinSubspace, Elimination, kernel, bilinear,
+from .exactlin import (LinSubspace, Elimination, kernel, bilinear,
                        vec_addmul, vec_scale, vec_sub, jacobson_radical,
-                       lift_idempotent)
+                       lift_idempotent, solve_columns)
 from .algebras import structure_algebra
 
 
@@ -458,21 +458,20 @@ def _divisors(n):
 
 
 def _interpolate(points, values):
-    """The polynomial of degree <= k through (points[i], values[i])."""
-    from .exactlin import solve_columns
-    k = len(points) - 1
-    m = QMatrix(k + 1, k + 1,
-                {(r, c): Fraction(points[r]) ** c
-                 for r in range(k + 1) for c in range(k + 1)})
-    target = {r: Fraction(values[r]) for r in range(k + 1) if values[r]}
-    sol = solve_columns(m, [target])[0]
-    return [sol.get(i, Fraction(0)) for i in range(k + 1)]
+    """The polynomial of degree <= k through (points[i], values[i]), the
+    k + 1 points distinct integers: the solve of the Vandermonde system,
+    whose column c holds the points to the power c."""
+    vandermonde = [{r: x ** c for r, x in enumerate(points) if x or not c}
+                   for c in range(len(points))]
+    target = {r: Fraction(y) for r, y in enumerate(values) if y}
+    sol = solve_columns(vandermonde, [target])[0]
+    return [sol.get(i, Fraction(0)) for i in range(len(points))]
 
 
 FACTOR_CAP = 6
 
 
-def _kronecker_factor(p):
+def _proper_factor(p):
     """The first proper monic factor of the monic p found by Kronecker's
     search, or None when p is irreducible over Q.
 
@@ -512,7 +511,7 @@ def is_irreducible_over_q(coeffs):
     if deg > FACTOR_CAP:
         raise CapExceededError("factorization cap is degree %d" % FACTOR_CAP,
                                needed=deg, cap=FACTOR_CAP)
-    return _kronecker_factor(p) is None
+    return _proper_factor(p) is None
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +524,7 @@ def _rational_factors(coeffs):
     """Irreducible monic factors (no multiplicity) of a squarefree monic
     rational polynomial of degree <= 6, by recursive Kronecker splitting."""
     p = poly_normalize(coeffs)
-    factor = _kronecker_factor(p)
+    factor = _proper_factor(p)
     if factor is None:
         return [p]
     q, r = poly_divmod(p, factor)
@@ -1165,15 +1164,14 @@ def n_ideal(c):
             if d == 0:
                 out[(x, y)] = LinSubspace(0, [])
                 continue
-            dg = c.hom[(y, x)]
-            rows = {}
-            for gi in range(dg):
+            # column fi holds tr(g_gi o f_fi) for every g_gi: Y -> X
+            cols = [{} for _ in range(d)]
+            for gi in range(c.hom[(y, x)]):
                 for fi in range(d):
                     val = c.trace(x, c.compose(x, y, x, {gi: 1}, {fi: 1}))
                     if val:
-                        rows[(gi, fi)] = val
-            m = QMatrix(max(dg, 1), d, rows)
-            out[(x, y)] = kernel(m)
+                        cols[fi][gi] = val
+            out[(x, y)] = kernel(cols)
     _check_ideal(c, out)
     return out
 

@@ -28,7 +28,7 @@ from .motives import (unit_correspondence, canonical_span, numerical_kernel,
 from .supers import SuperSpace
 from .schur import is_schur_finite, schur_dimension, super_schur_value
 from .inputs import load_algebra, load_category
-from .exactlin import QMatrix
+from .exactlin import identity_cols
 
 
 def fmt_q(x):
@@ -232,11 +232,9 @@ def cmd_pair(args):
     rep = Report("pair")
     rep.add("algebra", a.name)
     rep.add("span", " ".join(x.name for x in span))
-    rows = []
-    for i in range(pm.matrix.rows):
-        rows.append([fmt_q(pm.matrix.entries.get((i, j), 0))
-                     for j in range(pm.matrix.cols)])
-    rep.table("pairing matrix", list(range(pm.matrix.cols)), rows)
+    rows = [[fmt_q(col.get(i, 0)) for col in pm.columns]
+            for i in range(len(span))]
+    rep.table("pairing matrix", list(range(len(span))), rows)
     rep.add("rank", pm.rank)
     rep.add("certificate", "exact rational arithmetic; Euler "
                            "characteristics certified by global dimension")
@@ -301,7 +299,7 @@ def cmd_cnc(args):
                                "periodic realizations")
     de, do = hp.super_dims
     gens = [(unit_correspondence(a),
-             (QMatrix.identity(de), QMatrix.identity(do)))]
+             (identity_cols(de), identity_cols(do)))]
     v = even_projector_in_span(a, gens, cap=_cap(args))
     rep = Report("cnc")
     rep.add("algebra", a.name)

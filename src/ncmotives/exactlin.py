@@ -11,9 +11,11 @@ Conventions:
     the hot helpers test `type(v) is int` before `isinstance(v, Fraction)`,
     because isinstance against Fraction goes through the numbers ABC
     machinery and costs several times more on all-int data,
-  * Elimination, kernel_vectors, chain complexes and bimodule actions take
-    a map as its list of sparse columns (column j the image of basis vector
-    j); QMatrix, keyed by (row, col), serves the other matrix helpers,
+  * a map, and so every matrix, is its list of sparse columns, column j
+    the image of basis vector j; the number of rows is the caller's to
+    know.  apply_cols, compose_cols and combine_cols act on, compose and
+    combine maps in that form, and Elimination, the rank, kernel, solve
+    and inverse helpers read it,
   * subspaces are kept in a canonical reduced row echelon form, so equality
     of subspaces is equality of representations; a kernel basis from
     kernel_vectors needs no such copy to be read in (kernel_coordinates),
@@ -82,152 +84,38 @@ def bilinear(table, x, y):
     return out
 
 
-def _require_square(m, what):
-    if m.rows != m.cols:
-        raise InvariantError("%s of a non-square %s" % (what, m))
+def apply_cols(cols, vec):
+    """The image of the sparse vector vec under the map with the columns
+    cols."""
+    out = {}
+    for j, c in vec.items():
+        if c:
+            vec_addmul(out, c, cols[j])
+    return out
 
 
-class QMatrix:
-    """Sparse matrix over Q.  Immutable by convention once built."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows, cols, entries=None):
-        self.rows = rows
-        self.cols = cols
-        self.entries = {}
-        if entries:
-            for (r, c), v in entries.items():
-                if v:
-                    if not (0 <= r < rows and 0 <= c < cols):
-                        raise InvariantError(
-                            "matrix entry (%d,%d) out of bounds %dx%d" % (r, c, rows, cols))
-                    self.entries[(r, c)] = _norm(v)
-
-    @classmethod
-    def identity(cls, n):
-        return cls(n, n, {(i, i): 1 for i in range(n)})
-
-    @classmethod
-    def zero(cls, rows, cols):
-        return cls(rows, cols)
-
-    @classmethod
-    def from_rows(cls, rowlist):
-        """Build from a list of dense or sparse rows."""
-        rows = len(rowlist)
-        entries = {}
-        width = 0
-        for r, row in enumerate(rowlist):
-            if isinstance(row, dict):
-                for c, v in row.items():
-                    if v:
-                        entries[(r, c)] = v
-                        width = max(width, c + 1)
-            else:
-                width = max(width, len(row))
-                for c, v in enumerate(row):
-                    if v:
-                        entries[(r, c)] = Fraction(v)
-        return cls(rows, width, entries)
-
-    def __eq__(self, other):
-        return (isinstance(other, QMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(sorted(self.entries.items()))))
-
-    def __repr__(self):
-        return "QMatrix(%dx%d, %d nonzero)" % (self.rows, self.cols, len(self.entries))
-
-    def is_zero(self):
-        return not self.entries
-
-    def __add__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise InvariantError("shape mismatch %s + %s" % (self, other))
-        e = dict(self.entries)
-        for k, v in other.entries.items():
-            w = e.get(k, 0) + v
-            if w:
-                e[k] = w
-            else:
-                del e[k]
-        return QMatrix(self.rows, self.cols, e)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        if not c:
-            return QMatrix.zero(self.rows, self.cols)
-        return QMatrix(self.rows, self.cols,
-                       {k: c * v for k, v in self.entries.items()})
-
-    def __mul__(self, other):
-        """Matrix product, or action on a sparse vector dict."""
-        if isinstance(other, dict):
-            out = {}
-            cols = self.columns()
-            for j, v in other.items():
-                vec_addmul(out, v, cols[j])
-            return out
-        if self.cols != other.rows:
-            raise InvariantError("shape mismatch %s * %s" % (self, other))
-        left_rows = {}
-        for (r, c), v in self.entries.items():
-            left_rows.setdefault(c, {})[r] = v
-        entries = {}
-        for (r, c), v in other.entries.items():
-            row = left_rows.get(r)
-            if row:
-                for rr, w in row.items():
-                    k = (rr, c)
-                    s = entries.get(k, 0) + w * v
-                    if s:
-                        entries[k] = s
-                    else:
-                        del entries[k]
-        return QMatrix(self.rows, other.cols, entries)
-
-    def transpose(self):
-        return QMatrix(self.cols, self.rows,
-                       {(c, r): v for (r, c), v in self.entries.items()})
-
-    def trace(self):
-        _require_square(self, "trace")
-        return _norm(sum((v for (r, c), v in self.entries.items() if r == c),
-                         Fraction(0)))
-
-    def column(self, j):
-        return {r: v for (r, c), v in self.entries.items() if c == j}
-
-    def columns(self):
-        out = [dict() for _ in range(self.cols)]
-        for (r, c), v in self.entries.items():
-            out[c][r] = v
-        return out
-
-    def power(self, n):
-        _require_square(self, "power")
-        result = QMatrix.identity(self.rows)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+def identity_cols(n):
+    """The columns of the n x n identity."""
+    return [{i: 1} for i in range(n)]
 
 
-def kron(f, g):
-    """The Kronecker product f (x) g on the basis i * g.rows + j (f's
-    index first)."""
-    return QMatrix(f.rows * g.rows, f.cols * g.cols,
-                   {(r1 * g.rows + r2, c1 * g.cols + c2): v1 * v2
-                    for (r1, c1), v1 in f.entries.items()
-                    for (r2, c2), v2 in g.entries.items()})
+def compose_cols(f, g):
+    """The columns of f o g, for maps f and g given by their columns."""
+    return [apply_cols(f, col) for col in g]
+
+
+def combine_cols(maps, x, dim):
+    """The columns of sum_k x_k maps[k], for the maps maps (column lists)
+    of a space of dimension dim."""
+    out = [{} for _ in range(dim)]
+    for k, c in x.items():
+        if len(maps[k]) != dim:
+            raise InvariantError("shape mismatch: a map with %d columns in "
+                                 "a combination on dimension %d"
+                                 % (len(maps[k]), dim))
+        for col, add in zip(out, maps[k]):
+            vec_addmul(col, c, add)
+    return out
 
 
 def _clear_denoms(col):
@@ -390,10 +278,10 @@ class Elimination:
         return _strip_content(dict(expr))
 
 
-def matrix_rank(m):
-    """Exact rank over Q."""
+def matrix_rank(cols):
+    """Exact rank over Q of the matrix with the columns cols."""
     elim = Elimination()
-    for col in m.columns():
+    for col in cols:
         elim.add_column(col)
     return elim.rank
 
@@ -434,9 +322,10 @@ def kernel_coordinates(kv, vecs):
     return out
 
 
-def kernel(m):
-    """Null space of m as a canonical LinSubspace of Q^cols."""
-    return LinSubspace(m.cols, kernel_vectors(m.columns()))
+def kernel(cols):
+    """Null space of the matrix with the columns cols, as a canonical
+    LinSubspace of Q^len(cols)."""
+    return LinSubspace(len(cols), kernel_vectors(cols))
 
 
 class LinSubspace:
@@ -501,40 +390,45 @@ class LinSubspace:
         return "LinSubspace(dim %d of Q^%d)" % (self.dim, self.ambient)
 
 
-def solve_columns(m, targets):
-    """Solve m x = t for each target column; None where unsolvable."""
+def solve_columns(cols, targets):
+    """Solve m x = t for each target column t, m the matrix with the
+    columns cols; None where unsolvable."""
     elim = Elimination(track=True)
-    for j, col in enumerate(m.columns()):
+    for j, col in enumerate(cols):
         elim.add_column(col, j)
     return [elim.solve(t) for t in targets]
 
 
-def inverse(m):
-    """Exact inverse of a square matrix, or None if singular."""
-    _require_square(m, "inverse")
-    sols = solve_columns(m, [{i: 1} for i in range(m.rows)])
+def _require_square(cols, what):
+    """Refuse the n columns cols when an entry lies outside rows 0..n-1."""
+    n = len(cols)
+    if any(not 0 <= r < n for col in cols for r in col):
+        raise InvariantError("%s of a non-square matrix" % what)
+
+
+def inverse(cols):
+    """The columns of the exact inverse of the square matrix with the
+    columns cols, or None if it is singular."""
+    _require_square(cols, "inverse")
+    sols = solve_columns(cols, identity_cols(len(cols)))
     if any(s is None for s in sols):
         return None
-    entries = {}
-    for c, sol in enumerate(sols):
-        for r, v in sol.items():
-            entries[(r, c)] = v
-    return QMatrix(m.rows, m.cols, entries)
+    return sols
 
 
 def is_nilpotent_by_traces(f):
-    """True iff tr(f^n) = 0 for n = 1..d, d the size of the square matrix f.
+    """True iff tr(f^n) = 0 for n = 1..d, f the d columns of a square
+    matrix.
 
     Over a field of characteristic zero this is equivalent to nilpotency
     (Newton's identities force all eigenvalues to vanish).
     """
-    if f.rows != f.cols:
-        raise InvariantError("trace-nilpotency test needs a square matrix")
+    _require_square(f, "trace-nilpotency test")
     p = f
-    for _ in range(f.rows):
-        if p.trace() != 0:
+    for _ in range(len(f)):
+        if sum(col.get(i, 0) for i, col in enumerate(p)) != 0:
             return False
-        p = p * f
+        p = compose_cols(p, f)
     return True
 
 

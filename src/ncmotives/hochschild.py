@@ -57,9 +57,10 @@ from fractions import Fraction
 from math import factorial, lcm
 
 from .errors import InvariantError, UncertifiedError
-from .exactlin import (QMatrix, Elimination, matrix_rank, kernel_vectors,
-                       vec_addmul, vec_scale, inverse)
-from .homcore import ChainComplex, apply_cols, induced_map
+from .exactlin import (Elimination, apply_cols, compose_cols, identity_cols,
+                       matrix_rank, kernel_vectors, vec_addmul, vec_scale,
+                       inverse)
+from .homcore import ChainComplex, induced_map
 # _guard is re-exported: perfbench/tracer.py wraps hochschild._guard
 from .algebras import (DEFAULT_CAP, _chain_basis, _gldim_certificate, _guard,
                        _relative_ends, _word_code, hochschild_columns,
@@ -424,7 +425,7 @@ def sbi_check(a, n_max=6, cap=DEFAULT_CAP):
     # composite-zero spot checks on the homology-level matrices
     for n in range(2, N):
         if hh[n] and hc[n] and hc[n - 2]:
-            if not (data.map_S(n) * data.map_I(n)).is_zero():
+            if any(compose_cols(data.map_S(n), data.map_I(n))):
                 ok = False
                 entries.append({"node": "S.I", "degree": n, "exact": False,
                                 "detail": "S o I != 0"})
@@ -546,7 +547,8 @@ def periodic_cyclic(a, n_max=6, cap=DEFAULT_CAP):
         composite = None
         while n + 2 * k <= N - 1:
             step = data.map_S(n + 2 * k)
-            composite = step if composite is None else composite * step
+            composite = step if composite is None else \
+                compose_cols(composite, step)
             ranks.append(matrix_rank(composite))
             k += 1
         towers[n] = ranks
@@ -584,16 +586,16 @@ def periodic_cyclic(a, n_max=6, cap=DEFAULT_CAP):
 
 
 def check_homomorphism(f, a, b):
-    """f: a QMatrix (dim b x dim a) giving a unital algebra map A -> B."""
-    if f.rows != b.dim or f.cols != a.dim:
+    """Refuse f unless it is a unital algebra map A -> B: f is its list of
+    dim A columns, each a vector of B."""
+    if len(f) != a.dim or any(not 0 <= r < b.dim for col in f for r in col):
         raise InvariantError("homomorphism matrix has wrong shape")
-    if f * a.unit != b.unit:
+    if apply_cols(f, a.unit) != b.unit:
         raise InvariantError("homomorphism is not unital")
-    fcols = f.columns()
     for i in range(a.dim):
         for j in range(a.dim):
-            lhs = f * a.mult_basis(i, j)
-            rhs = b.mult_vec(fcols[i], fcols[j])
+            lhs = apply_cols(f, a.mult_basis(i, j))
+            rhs = b.mult_vec(f[i], f[j])
             if lhs != rhs:
                 raise InvariantError("not multiplicative at (%d, %d)" % (i, j))
 
@@ -608,7 +610,6 @@ def _chain_map_on_tot(f, a, b, data_a, data_b, n, vec):
     algebra into B's, as hp_of_homomorphism arranges.
     """
     mixed_a, mixed_b = data_a.mixed, data_b.mixed
-    fcols = f.columns()
     kept = mixed_a.red.kept
     off_b = dict(mixed_b.tot_offsets(n)[0])
     out = {}
@@ -617,7 +618,7 @@ def _chain_map_on_tot(f, a, b, data_a, data_b, n, vec):
             if not (off <= code < off + mixed_a.dims[m]):
                 continue
             c, word = mixed_a.chains.chain(m, code - off)
-            slots = [fcols[c]] + [fcols[kept[t]] for t in word]
+            slots = [f[c]] + [f[kept[t]] for t in word]
             image = mixed_b.chains.project(m, mixed_b.red.expand(slots))
             vec_addmul(out, val, {off_b[m] + p: v for p, v in image.items()})
     return out
@@ -628,16 +629,17 @@ def _grounds_compatible(f, mixed_a, mixed_b):
     unit, which f keeps, and the basis elements of A whose class in Abar
     is 0 (with E from the unit's idempotent terms, those terms); f(x) lies
     in B's ground algebra iff its class in Bbar is 0."""
-    fcols = f.columns()
-    return not any(mixed_b.red.reduce(fcols[k])
+    return not any(mixed_b.red.reduce(f[k])
                    for k, cls in mixed_a.red.classes.items() if not cls)
 
 
 def hp_of_homomorphism(f, a, b, n_max=6, cap=DEFAULT_CAP):
     """Induced maps on the stable even/odd parts, from the chain level.
 
-    Returns (even, odd) QMatrices in the stable homology bases of the
-    cyclic data of A and B, so the matrices of composable maps compose.
+    f is the list of dim A columns of the map, each a vector of B.
+    Returns the columns of the (even, odd) maps in the stable homology
+    bases of the cyclic data of A and B, so the maps of composable
+    homomorphisms compose.
     Both sides must have CERTIFIED periodic cyclic homology.  When f does
     not carry A's ground algebra into B's (say Q x Q -> M_2(Q),
     e_1 |-> e11 + e12, e_2 |-> e22 - e12), f is read on A's complex over
@@ -655,7 +657,7 @@ def hp_of_homomorphism(f, a, b, n_max=6, cap=DEFAULT_CAP):
     flat = data_a
     if not _grounds_compatible(f, data_a.mixed, data_b.mixed):
         flat = _absolute_cyclic_data(a, n_max, cap)
-        identity = QMatrix.identity(a.dim)
+        identity = identity_cols(a.dim)
     r0 = max(hp_a.r0, hp_b.r0)
     window = [n for n in range(r0, n_max - 2)]
     n_even = max(n for n in window if n % 2 == 0)
@@ -674,7 +676,7 @@ def hp_of_homomorphism(f, a, b, n_max=6, cap=DEFAULT_CAP):
                 raise InvariantError("the projection onto the relative "
                                      "chains is not an isomorphism on HC_%d "
                                      "(internal bug)" % n)
-            mats[n] = mats[n] * back
+            mats[n] = compose_cols(mats[n], back)
     return mats[n_even], mats[n_odd]
 
 

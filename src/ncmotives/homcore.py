@@ -6,7 +6,7 @@ representatives are extracted lazily so that large kernels never have to be
 materialized when only a few homology classes are needed.  homology_space
 starts from the cached echelon form of d_(n+1) (Elimination.modulo) and
 feeds only candidate cycles, since project drops boundary coordinates.
-induced_map is the matrix of a chain map on homology.
+induced_map gives the columns of a chain map on homology.
 
 The rank of d_n is read from its rows, with cohomology clearing: a
 rank-only elimination of the rows of d_n skips row i whenever i is a lead
@@ -21,16 +21,7 @@ reduces against, is fed only those: each must become a pivot.
 """
 
 from .errors import InvariantError
-from .exactlin import Elimination, QMatrix, vec_addmul
-
-
-def apply_cols(cols, vec):
-    """Matrix-vector product where the matrix is a list of columns."""
-    out = {}
-    for j, c in vec.items():
-        if c:
-            vec_addmul(out, c, cols[j])
-    return out
+from .exactlin import Elimination, apply_cols
 
 
 class ChainComplex:
@@ -160,15 +151,11 @@ class ChainComplex:
 
 
 def induced_map(source, target, chain_map):
-    """The matrix of a chain map on homology.
+    """The columns of a chain map on homology.
 
     source and target are (reps, project) pairs from homology_space;
     column j is the projection of chain_map(reps[j]) onto target's basis.
     """
     reps, _ = source
-    target_reps, project = target
-    entries = {}
-    for j, z in enumerate(reps):
-        for r, v in project(chain_map(z)).items():
-            entries[(r, j)] = v
-    return QMatrix(len(target_reps), len(reps), entries)
+    _, project = target
+    return [project(chain_map(z)) for z in reps]

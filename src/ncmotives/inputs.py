@@ -22,9 +22,20 @@ def _frac(s):
         raise ParseInputError("bad rational %r: %s" % (s, exc))
 
 
+def _int(value):
+    """value as an int: a JSON integer, or a string of decimal digits with
+    an optional leading minus.  A bool, a JSON float (int() would cut 2.7
+    to 2) or any other string (int() would read "0_2" as 2) is refused."""
+    if type(value) is int:
+        return value
+    if isinstance(value, str) and value.removeprefix("-").isdigit():
+        return int(value)
+    raise ValueError("%r is not an integer" % (value,))
+
+
 def _frac_vec(d):
     """A sparse vector; integral coefficients come back as ints."""
-    return {int(k): _norm(_frac(v)) for k, v in d.items()}
+    return {_int(k): _norm(_frac(v)) for k, v in d.items()}
 
 
 def _require_arrays(doc, keys):
@@ -72,7 +83,7 @@ def _algebra_from_quiver(doc):
         vertices = [str(v) for v in doc["vertices"]]
         arrows = [(str(n), str(s), str(t))
                   for n, s, t in map(_array, doc.get("arrows", []))]
-        truncation = int(doc["truncation"])
+        truncation = _int(doc["truncation"])
         relations = []
         for rel in doc.get("relations", []):
             relations.append([(_frac(c), [str(a) for a in _array(names)])
@@ -124,30 +135,32 @@ def load_category(path):
         raise ParseInputError("kind %r is not a category presentation"
                               % doc["kind"])
     try:
-        objects = [str(o) for o in doc["objects"]]
+        objects = [str(o) for o in _array(doc["objects"])]
         unit = str(doc["unit"])
         hom = {}
         for key, d in doc["hom"].items():
             x, y = key.split("|")
-            hom[(x, y)] = int(d)
+            hom[(x, y)] = _int(d)
             if hom[(x, y)] < 0:
                 raise ParseInputError("hom %s has negative dimension %d"
                                       % (key, hom[(x, y)]))
         comp = {}
-        for x, y, z, gi, fi, vec in doc.get("composition", []):
+        for x, y, z, gi, fi, vec in map(_array,
+                                        _array(doc.get("composition", []))):
             comp.setdefault((str(x), str(y), str(z)), {})[
-                (int(gi), int(fi))] = _frac_vec(vec)
+                (_int(gi), _int(fi))] = _frac_vec(vec)
         ident = {str(x): _frac_vec(v) for x, v in doc["identities"].items()}
         tensor_obj = {}
-        for x, y, z in doc.get("tensor_objects", []):
+        for x, y, z in map(_array, _array(doc.get("tensor_objects", []))):
             tensor_obj[(str(x), str(y))] = str(z)
         tensor_mor = {}
-        for x1, y1, x2, y2, fi, gi, vec in doc.get("tensor_morphisms", []):
+        for x1, y1, x2, y2, fi, gi, vec in map(
+                _array, _array(doc.get("tensor_morphisms", []))):
             tensor_mor.setdefault(
                 (str(x1), str(y1), str(x2), str(y2)), {})[
-                    (int(fi), int(gi))] = _frac_vec(vec)
+                    (_int(fi), _int(gi))] = _frac_vec(vec)
         symmetry = {}
-        for x, y, vec in doc.get("symmetry", []):
+        for x, y, vec in map(_array, _array(doc.get("symmetry", []))):
             symmetry[(str(x), str(y))] = _frac_vec(vec)
         traces = {str(x): _frac_vec(v)
                   for x, v in doc.get("traces", {}).items()}
@@ -173,8 +186,8 @@ def load_category(path):
         decl = doc["invertible"]
         try:
             obj, inverse = str(decl["object"]), str(decl["inverse"])
-            bound = int(decl["bound"])
-            restrict_to = [str(o) for o in decl["restrict_to"]] \
+            bound = _int(decl["bound"])
+            restrict_to = [str(o) for o in _array(decl["restrict_to"])] \
                 if "restrict_to" in decl else None
         except KeyError as exc:
             raise ParseInputError("invertible declaration missing %s" % exc)

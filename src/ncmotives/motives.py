@@ -28,10 +28,12 @@ explicitly; failure inside a span never refutes anything.
 """
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .errors import InvariantError, UncertifiedError
-from .exactlin import (QMatrix, Elimination, LinSubspace, kernel,
-                       kernel_vectors, matrix_rank, solve_columns)
+from .exactlin import (Elimination, LinSubspace, combine_cols, compose_cols,
+                       identity_cols, kernel, kernel_vectors, matrix_rank,
+                       solve_columns)
 from .algebras import (Algebra, regular_bimodule, corner_bimodule,
                        projective_pair_bimodule, derived_tensor,
                        minimal_resolution, presentation, _gldim_certificate)
@@ -60,9 +62,6 @@ class Correspondence:
         clean.sort(key=lambda t: t[1].content_key())
         self.terms = clean
         self.name = name or "corr"
-
-    def is_zero(self):
-        return not self.terms
 
     def scale(self, c):
         return Correspondence(self.source, self.target,
@@ -325,31 +324,40 @@ def column_projective_correspondence(a, v):
 
 
 class PairingMatrix:
-    """Intersection numbers of one spanning set against another."""
+    """Intersection numbers of one spanning set against another: columns[j]
+    is the sparse column {i: <x_i . y_j>} of x in left_basis against y_j
+    in right_basis."""
 
-    def __init__(self, left_basis, right_basis, matrix):
+    def __init__(self, left_basis, right_basis, columns):
         self.left_basis = left_basis
         self.right_basis = right_basis
-        self.matrix = matrix
+        self.columns = columns
+
+    @property
+    def matrix(self):
+        """The same numbers as matrix.entries, keyed by (i, j): the form
+        perfbench's session workload reads."""
+        return SimpleNamespace(entries={(i, j): v for j, col
+                                        in enumerate(self.columns)
+                                        for i, v in col.items()})
 
     @property
     def rank(self):
-        return matrix_rank(self.matrix)
+        return matrix_rank(self.columns)
 
     def __repr__(self):
         return "PairingMatrix(%dx%d, rank %d)" % (
-            self.matrix.rows, self.matrix.cols, self.rank)
+            len(self.left_basis), len(self.right_basis), self.rank)
 
 
 def pairing_matrix(basis, dual_basis, cap=DEFAULT_CAP):
-    entries = {}
+    columns = [{} for _ in dual_basis]
     for i, x in enumerate(basis):
         for j, y in enumerate(dual_basis):
             v = intersection_number(x, y, cap)
             if v:
-                entries[(i, j)] = v
-    m = QMatrix(len(basis), len(dual_basis), entries)
-    return PairingMatrix(basis, dual_basis, m)
+                columns[j][i] = v
+    return PairingMatrix(basis, dual_basis, columns)
 
 
 class NumericalQuotient:
@@ -374,9 +382,12 @@ def numerical_kernel(a, b, basis, dual_basis=None, cap=DEFAULT_CAP):
     if dual_basis is None:
         dual_basis = canonical_span(b, a)
     pm = pairing_matrix(basis, dual_basis, cap)
-    # c with c^T P = 0: kernel of the transpose
-    ker = kernel(pm.matrix.transpose())
-    return NumericalQuotient(len(basis), ker, pm)
+    # c with c^T P = 0: the kernel of the matrix whose columns are P's rows
+    rows = [{} for _ in basis]
+    for j, col in enumerate(pm.columns):
+        for i, v in col.items():
+            rows[i][j] = v
+    return NumericalQuotient(len(basis), kernel(rows), pm)
 
 
 # ---------------------------------------------------------------------------
@@ -503,10 +514,10 @@ def semisimplicity_check(a, basis=None, cap=DEFAULT_CAP):
         for i in kept for j in kept}
     # unit of the quotient algebra: solve u . q_j = q_j for all j
     qdim = len(kept)
-    lhs = QMatrix(qdim * qdim, qdim,
-                  {(j * qdim + k, u): v
-                   for (u, j), prod in quotient_table.items()
-                   for k, v in prod.items()})
+    lhs = [{} for _ in range(qdim)]
+    for (u, j), prod in quotient_table.items():
+        for k, v in prod.items():
+            lhs[u][j * qdim + k] = v
     target = {j * qdim + j: Fraction(1) for j in range(qdim)}
     unit, = solve_columns(lhs, [target])
     if unit is None:
@@ -541,12 +552,16 @@ class EvenProjectorVerdict:
 
 
 def _flatten_realization(even, odd):
+    """The entries of the square maps even and odd (column lists) as one
+    vector: entry (r, c) of an n x n map at r * n + c, odd after even."""
     vec = {}
     base = 0
     for mat in (even, odd):
-        for (r, c), v in mat.entries.items():
-            vec[base + r * mat.cols + c] = v
-        base += mat.rows * mat.cols
+        n = len(mat)
+        for c, col in enumerate(mat):
+            for r, v in col.items():
+                vec[base + r * n + c] = v
+        base += n * n
     return vec
 
 
@@ -554,18 +569,22 @@ def even_projector_in_span(a, generators, cap=DEFAULT_CAP):
     """Search the declared span for the even projector of the periodic
     realization.
 
-    generators: list of (Correspondence, (even, odd) QMatrix pair); the
-    realization data is verified multiplicative against the composition
-    table of the span, then an exact linear system decides whether
-    (identity, 0) lies in the span of the realizations.  A miss never
-    refutes anything: the verdict says UNDECIDED-IN-SPAN.
+    generators: list of (Correspondence, (even, odd)), even and odd the
+    columns of square maps on the even and odd parts of the realization,
+    all of one shape; the realization data is verified multiplicative
+    against the composition table of the span, then an exact linear system
+    decides whether (identity, 0) lies in the span of the realizations.  A
+    miss never refutes anything: the verdict says UNDECIDED-IN-SPAN.
     """
     if not generators:
         raise InvariantError("empty generator list")
-    shapes = {(g[1][0].rows, g[1][1].rows) for g in generators}
+    shapes = {(len(g[1][0]), len(g[1][1])) for g in generators}
     if len(shapes) != 1:
         raise InvariantError("realization matrices have mixed shapes")
     (de, do), = shapes
+    if any(not 0 <= r < len(mat) for g in generators for mat in g[1]
+           for col in mat for r in col):
+        raise InvariantError("realization matrices are not square")
     corrs = [g[0] for g in generators]
     evens = [g[1][0] for g in generators]
     odds = [g[1][1] for g in generators]
@@ -575,17 +594,14 @@ def even_projector_in_span(a, generators, cap=DEFAULT_CAP):
             raise InvariantError(
                 "span not closed under composition at (%d, %d); cannot "
                 "verify the realization data" % (i, j))
-        for mats in (evens, odds):
-            lhs = mats[i] * mats[j]
-            rhs = QMatrix.zero(lhs.rows, lhs.cols)
-            for k, c in coeffs.items():
-                rhs = rhs + mats[k].scale(c)
-            if lhs != rhs:
+        for mats, dim in ((evens, de), (odds, do)):
+            if (compose_cols(mats[i], mats[j])
+                    != combine_cols(mats, coeffs, dim)):
                 raise InvariantError(
                     "realization data is not multiplicative at (%d, %d)"
                     % (i, j))
     # solve sum c_i (E_i, O_i) = (id, 0)
-    target = _flatten_realization(QMatrix.identity(de), QMatrix.zero(do, do))
+    target = _flatten_realization(identity_cols(de), [{} for _ in range(do)])
     elim = Elimination(track=True)
     for j, g in enumerate(generators):
         elim.add_column(_flatten_realization(evens[j], odds[j]), j)

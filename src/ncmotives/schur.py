@@ -14,7 +14,7 @@ from itertools import permutations
 from math import factorial, gcd, lcm
 
 from .errors import InvariantError, CapExceededError
-from .exactlin import QMatrix, matrix_rank
+from .exactlin import matrix_rank
 
 CHARACTER_CAP = 8
 
@@ -390,16 +390,23 @@ def young_symmetrizer(partition):
 TENSOR_CAP = 50000
 
 
-def _signed_permutation_entries(v, n, perm):
-    """{(target code, source code): sign} of perm acting on v^(x n)."""
+def _power_dim(v, n):
+    """dim v^(x n), refused above TENSOR_CAP."""
     t = v.total
     if t ** n > TENSOR_CAP:
         raise CapExceededError("tensor power dimension %d exceeds cap %d"
                                % (t ** n, TENSOR_CAP), needed=t ** n,
                                cap=TENSOR_CAP)
+    return t ** n
+
+
+def _signed_permutation_entries(v, n, perm):
+    """[(target code, sign)] of perm acting on v^(x n), one pair per source
+    code."""
+    t = v.total
     odd = [v.parity(k) for k in range(t)]
-    entries = {}
-    for code in range(t ** n):
+    entries = []
+    for code in range(_power_dim(v, n)):
         idx = []
         c = code
         for _ in range(n):
@@ -418,36 +425,38 @@ def _signed_permutation_entries(v, n, perm):
         tgt = 0
         for k in out:
             tgt = tgt * t + k
-        entries[(tgt, code)] = sign
+        entries.append((tgt, sign))
     return entries
 
 
 def tensor_power_action(v, n, perm):
-    """The signed permutation matrix of perm acting on v^(x n).
+    """The columns of the signed permutation matrix of perm acting on
+    v^(x n).
 
     perm moves the factor in position i to position perm(i); the Koszul
     sign collects (-1) for every pair of odd factors whose order flips.
     """
-    return QMatrix(v.total ** n, v.total ** n,
-                   _signed_permutation_entries(v, n, perm))
+    return [{tgt: sign}
+            for tgt, sign in _signed_permutation_entries(v, n, perm)]
 
 
 def _numerator_action(v, elem):
-    """elem.den times the matrix of elem on v^(x n), as {key: int}: the
-    signed permutation entries of every term times its numerator."""
-    acc = {}
-    get = acc.get
+    """The columns of elem.den times the action of elem on v^(x n), on
+    ints: the signed permutation entries of every term times its
+    numerator."""
+    cols = [{} for _ in range(_power_dim(v, elem.n))]
     for p, c in elem.num.items():
-        for key, sign in _signed_permutation_entries(v, elem.n, p).items():
-            acc[key] = get(key, 0) + sign * c
-    return acc
+        for col, (tgt, sign) in zip(
+                cols, _signed_permutation_entries(v, elem.n, p)):
+            col[tgt] = col.get(tgt, 0) + sign * c
+    return [{i: s for i, s in col.items() if s} for col in cols]
 
 
 def group_element_action(v, elem):
-    size = v.total ** elem.n
+    """The columns of the action of elem on v^(x n)."""
     den = elem.den
-    return QMatrix(size, size, {key: Fraction(s, den) for key, s
-                                in _numerator_action(v, elem).items()})
+    return [{i: Fraction(s, den) for i, s in col.items()}
+            for col in _numerator_action(v, elem)]
 
 
 def _super_trace_of_permutation(v, perm):
@@ -479,8 +488,7 @@ def schur_dimension(partition, v, force_matrix=False):
             raise CapExceededError("tensor power exceeds cap", needed=t ** n,
                                    cap=TENSOR_CAP)
         # the rank of the action is the rank of den times it
-        return matrix_rank(QMatrix(t ** n, t ** n,
-                                   _numerator_action(v, c)))
+        return matrix_rank(_numerator_action(v, c))
     val, rem = divmod(sum(coeff * _super_trace_of_permutation(v, p)
                           for p, coeff in c.num.items()), c.den)
     if rem:
@@ -515,8 +523,7 @@ def super_schur_value(partition, v):
         return sum(comb(a - 1 + i, i) * comb(b, k - i) for i in range(k + 1))
 
     l = len(parts)
-    m = QMatrix(l, l, {(i, j): h_super(parts[i] - i + j)
-                       for i in range(l) for j in range(l)})
+    m = [[h_super(parts[i] - i + j) for j in range(l)] for i in range(l)]
     # exact integer determinant by expansion on the small matrices used here
     def det(mat, rows, cols):
         if not rows:
@@ -524,7 +531,7 @@ def super_schur_value(partition, v):
         total = 0
         r = rows[0]
         for k, c in enumerate(cols):
-            v0 = mat.entries.get((r, c), 0)
+            v0 = mat[r][c]
             if v0:
                 sub = det(mat, rows[1:], cols[:k] + cols[k + 1:])
                 total += (-1) ** k * v0 * sub

@@ -1,12 +1,15 @@
 """Super vector spaces, Kuenneth projectors, and the symmetry twist.
 
-All matrices use the even-first basis ordering: a super space (d+|d-) is
-Q^(d+ + d-) with the first d+ coordinates even.  The Koszul sign convention
-is (-1)^(|x||y|) on the swap of homogeneous factors.
+Every map is the list of its columns (exactlin's one format), in the
+even-first basis ordering: a super space (d+|d-) is Q^(d+ + d-) with the
+first d+ coordinates even, and V (x) V has the basis i * (d+ + d-) + j.
+The Koszul sign convention is (-1)^(|x||y|) on the swap of homogeneous
+factors.
 """
 
 from .errors import InvariantError
-from .exactlin import QMatrix, kron
+from .exactlin import (combine_cols, compose_cols, identity_cols,
+                       matrix_rank)
 
 
 class SuperSpace:
@@ -69,20 +72,21 @@ class GradedSpace:
 
 
 class KunnethPair:
-    """The pair of projections of a super space onto its even/odd parts."""
+    """The pair of projections of a super space onto its even/odd parts,
+    each the list of its columns."""
 
     def __init__(self, space, plus, minus):
         self.space = space
         self.plus = plus
         self.minus = minus
         t = space.total
-        if plus + minus != QMatrix.identity(t):
+        if combine_cols((plus, minus), {0: 1, 1: 1}, t) != identity_cols(t):
             raise InvariantError("projectors do not sum to the identity")
-        if plus * plus != plus or minus * minus != minus:
+        if compose_cols(plus, plus) != plus or \
+                compose_cols(minus, minus) != minus:
             raise InvariantError("projectors are not idempotent")
-        if not (plus * minus).is_zero():
+        if any(compose_cols(plus, minus)):
             raise InvariantError("projectors are not orthogonal")
-        from .exactlin import matrix_rank
         if matrix_rank(plus) != space.even or matrix_rank(minus) != space.odd:
             raise InvariantError("projector ranks disagree with the declared "
                                  "dimensions")
@@ -94,43 +98,9 @@ class KunnethPair:
 def kunneth_projectors(v):
     """Canonical block projectors in the even-first ordering."""
     t = v.total
-    plus = QMatrix(t, t, {(i, i): 1 for i in range(v.even)})
-    minus = QMatrix(t, t, {(i, i): 1 for i in range(v.even, t)})
+    plus = [{i: 1} if i < v.even else {} for i in range(t)]
+    minus = [{} if i < v.even else {i: 1} for i in range(t)]
     return KunnethPair(v, plus, minus)
-
-
-def _block_sort_permutation(v, w):
-    """Permutation sorting the product basis of v (x) w into even-first order.
-
-    Index (i, j) -> i*|w| + j; parity = parity(i) + parity(j) mod 2.
-    Returns the list `order` with order[new] = old.
-    """
-    pairs = [(i, j) for i in range(v.total) for j in range(w.total)]
-    evens = [i * w.total + j for (i, j) in pairs
-             if (v.parity(i) + w.parity(j)) % 2 == 0]
-    odds = [i * w.total + j for (i, j) in pairs
-            if (v.parity(i) + w.parity(j)) % 2 == 1]
-    return evens + odds
-
-
-def kunneth_tensor(a, b):
-    """Projectors of the tensor product:
-
-        pi+ = pi+ (x) pi+  +  pi- (x) pi-,
-        pi- = pi+ (x) pi-  +  pi- (x) pi+.
-    """
-    v, w = a.space, b.space
-    vw = v.tensor(w)
-    plus_raw = kron(a.plus, b.plus) + kron(a.minus, b.minus)
-    minus_raw = kron(a.plus, b.minus) + kron(a.minus, b.plus)
-    # conjugate into the even-first ordering of the product
-    order = _block_sort_permutation(v, w)
-    perm = QMatrix(len(order), len(order),
-                   {(new, old): 1 for new, old in enumerate(order)})
-    pinv = perm.transpose()
-    plus = perm * plus_raw * pinv
-    minus = perm * minus_raw * pinv
-    return KunnethPair(vw, plus, minus)
 
 
 def rank_super(v):
@@ -144,18 +114,16 @@ def rank_dagger(v):
 
 
 def koszul_swap(v):
-    """The signed swap on v (x) v: x (x) y -> (-1)^(|x||y|) y (x) x."""
+    """The columns of the signed swap on v (x) v, basis i * t + j:
+    x (x) y -> (-1)^(|x||y|) y (x) x."""
     t = v.total
-    entries = {}
-    for i in range(t):
-        for j in range(t):
-            sgn = -1 if (v.parity(i) and v.parity(j)) else 1
-            entries[(j * t + i, i * t + j)] = sgn
-    return QMatrix(t * t, t * t, entries)
+    return [{j * t + i: -1 if v.parity(i) and v.parity(j) else 1}
+            for i in range(t) for j in range(t)]
 
 
 def twist_symmetry(v, pair):
-    """The symmetry constraint on v (x) v before and after the twist.
+    """The columns of the symmetry constraint on v (x) v before and after
+    the twist.
 
     The twist composes the Koszul swap with the operator 1 - 2 pi- (x) pi-,
     which has eigenvalue (-1)^(pq) on the parity-(p, q) block: exactly the
@@ -166,9 +134,13 @@ def twist_symmetry(v, pair):
         raise InvariantError("projector pair does not match the space")
     t = v.total
     before = koszul_swap(v)
-    twist_op = QMatrix.identity(t * t) - \
-        kron(pair.minus, pair.minus).scale(2)
-    after = before * twist_op
-    if after * after != QMatrix.identity(t * t):
+    # pi- (x) pi- on the basis i * t + j
+    minus2 = [{r1 * t + r2: a * b for r1, a in pair.minus[c1].items()
+               for r2, b in pair.minus[c2].items()}
+              for c1 in range(t) for c2 in range(t)]
+    ident = identity_cols(t * t)
+    after = compose_cols(before,
+                         combine_cols((ident, minus2), {0: 1, 1: -2}, t * t))
+    if compose_cols(after, after) != ident:
         raise InvariantError("twisted symmetry does not square to identity")
     return before, after

@@ -12,11 +12,12 @@ from ncmotives.algebras import (
     global_dimension, derived_tensor, regular_bimodule, corner_bimodule,
     is_right_projective, Bimodule, presentation, minimal_resolution,
 )
-from ncmotives.exactlin import QMatrix, LinSubspace, kron, vec_addmul, vec_sub
+from ncmotives.exactlin import LinSubspace, apply_cols, vec_addmul, vec_sub
 from ncmotives.hochschild import periodic_cyclic
-from ncmotives.homcore import apply_cols
+from test_exactlin import (_columns, _dense, _oracle_identity, _oracle_kron,
+                           _oracle_product)
 from test_hochschild import (quiver_algebras, corrupting, _over_q1,
-                             loop_algebra, as_matrix, _conjugated)
+                             loop_algebra, _conjugated)
 
 
 def test_path_algebra_a2_shape():
@@ -531,24 +532,25 @@ def test_large_tor_complexes_check_d_o_d():
 def _old_top_generators(m):
     """_top_generators as it was: a fresh LinSubspace per vertex pair and
     per accepted generator (the oracle of the one-span version), on the
-    actions as QMatrices."""
-    left = [as_matrix(cols) for cols in m.left]
-    right = [as_matrix(cols) for cols in m.right]
+    actions as dense matrices."""
+    left = [_dense(cols, m.dim) for cols in m.left]
+    right = [_dense(cols, m.dim) for cols in m.right]
     rad_vecs = []
     for alg, mats in ((m.A, left), (m.B, right)):
         for r in alg.radical().basis():
-            mat = QMatrix.zero(m.dim, m.dim)
-            for i, c in r.items():
-                mat = mat + mats[i].scale(c)
-            rad_vecs.extend(col for col in mat.columns() if col)
+            mat = [[sum((c * mats[i][row][col] for i, c in r.items()),
+                        Fraction(0)) for col in range(m.dim)]
+                   for row in range(m.dim)]
+            rad_vecs.extend(col for col in _columns(mat, m.dim) if col)
     radspan = LinSubspace(m.dim, rad_vecs)
     gens = []
     for i in presentation(m.A).vertices:
         ei = presentation(m.A).index[i]
         for j in presentation(m.B).vertices:
-            proj = left[ei] * right[presentation(m.B).index[j]]
+            proj = _oracle_product(left[ei],
+                                   right[presentation(m.B).index[j]])
             seen = LinSubspace(m.dim, radspan.basis())
-            for col in proj.columns():
+            for col in _columns(proj, m.dim):
                 if col and not seen.contains(col):
                     gens.append((i, j, col))
                     seen = LinSubspace(m.dim, seen.basis() + [col])
@@ -566,15 +568,15 @@ def _old_restrict(cols, kv):
     row_of = {min(row): r for r, row in enumerate(sub.rows)}
     out = []
     for mat in cols:
-        entries = {}
-        for c, v in enumerate(sub.rows):
+        columns = []
+        for v in sub.rows:
             img = apply_cols(mat, v)
             coords = {row_of[i]: x for i, x in img.items() if i in row_of}
             for r, x in coords.items():
-                entries[(r, c)] = x
                 vec_addmul(img, -x, sub.rows[r])
             assert not img
-        out.append(QMatrix(sub.dim, sub.dim, entries).columns())
+            columns.append({r: x for r, x in coords.items() if x})
+        out.append(columns)
     return out
 
 
@@ -613,7 +615,8 @@ def test_top_generators_match_the_subspace_version(data):
 
 
 # ---------------------------------------------------------------------------
-# bimodule actions as column lists, against the QMatrix code they replaced
+# bimodule actions as column lists, against the matrix code they replaced,
+# on dense matrices
 
 
 def _check_cases():
@@ -656,16 +659,19 @@ def _breaking(m, law):
         return (broken, right) if law == 2 else (left, broken)
     # the right action in a basis with one corrupted column, P = 1 + E_rc:
     # still an algebra action, but no longer commuting with the left one
-    lmats = [as_matrix(act) for act in left]
+    lmats = [_dense(act, m.dim) for act in left]
     for r in range(m.dim):
         for c in range(m.dim):
             if r == c:
                 continue
-            p = QMatrix.identity(m.dim) + QMatrix(m.dim, m.dim, {(r, c): 1})
-            q = QMatrix.identity(m.dim) - QMatrix(m.dim, m.dim, {(r, c): 1})
-            rmats = [q * as_matrix(act) * p for act in right]
-            if any(x * y != y * x for x in lmats for y in rmats):
-                return left, [mat.columns() for mat in rmats]
+            p, q = _oracle_identity(m.dim), _oracle_identity(m.dim)
+            p[r][c], q[r][c] = 1, -1
+            rmats = [_oracle_product(q, _oracle_product(_dense(act, m.dim),
+                                                        p))
+                     for act in right]
+            if any(_oracle_product(x, y) != _oracle_product(y, x)
+                   for x in lmats for y in rmats):
+                return left, [_columns(mat, m.dim) for mat in rmats]
     raise AssertionError("no corruption breaks commutation")
 
 
@@ -682,10 +688,11 @@ def test_bimodule_check_refuses_each_broken_law():
 
 
 def _old_content_key(m):
-    """Bimodule.content_key on QMatrix actions, as it was."""
+    """Bimodule.content_key on (row, col)-keyed actions, as it was."""
     parts = [m.dim]
-    for mat in [as_matrix(cols) for cols in m.left + m.right]:
-        parts.append(tuple(sorted(mat.entries.items())))
+    for mat in [_dense(cols, m.dim) for cols in m.left + m.right]:
+        parts.append(tuple(sorted(((r, c), v) for r, row in enumerate(mat)
+                                  for c, v in enumerate(row) if v)))
     return tuple(map(str, parts))
 
 
@@ -722,9 +729,11 @@ def test_coefficient_bimodule_matches_kron(name):
                                wraps=algebras._chain_basis) as spy:
             derived_tensor(x, y, bound=0)
         m = spy.call_args.args[0]
-        ix, iy = QMatrix.identity(x.dim), QMatrix.identity(y.dim)
-        assert m.left == [kron(ix, as_matrix(g)).columns() for g in y.left]
-        assert m.right == [kron(as_matrix(g), iy).columns() for g in x.right]
+        ix, iy = _oracle_identity(x.dim), _oracle_identity(y.dim)
+        assert m.left == [_columns(_oracle_kron(ix, _dense(g, y.dim)),
+                                   m.dim) for g in y.left]
+        assert m.right == [_columns(_oracle_kron(_dense(g, x.dim), iy),
+                                    m.dim) for g in x.right]
 
 
 def test_resolution_stops_at_the_memory_guard(monkeypatch):

@@ -18,8 +18,9 @@ from ncmotives.categories import (
     primitive_idempotents, idempotent_representatives,
     graded_space_category, graded_line_window, super_line_category,
     two_block_object_category, poly_normalize, poly_eval, poly_divmod,
-    _divisors, _interpolate,
+    _divisors,
 )
+from test_exactlin import _oracle_row_reduce
 
 
 def test_polynomial_irreducibility():
@@ -1604,6 +1605,17 @@ def test_subquotients_match_on_graded_categories(data):
 # copies they replaced
 
 
+def _oracle_interpolate(points, values):
+    """categories._interpolate as it was, the solve of the Vandermonde
+    system, here by dense Gauss-Jordan elimination; the points are
+    distinct, so every column of the system is a pivot."""
+    k = len(points)
+    rows, _ = _oracle_row_reduce([[Fraction(x) ** c for c in range(k)]
+                                  + [Fraction(y)]
+                                  for x, y in zip(points, values)])
+    return [rows[c][k] for c in range(k)]
+
+
 def _oracle_is_irreducible_over_q(coeffs, degree_cap=6):
     """is_irreducible_over_q before the one Kronecker search, verbatim."""
     p = poly_normalize(coeffs)
@@ -1628,7 +1640,7 @@ def _oracle_is_irreducible_over_q(coeffs, degree_cap=6):
             points.append((x, int(val)))
             x = -x + (0 if x > 0 else 1)
         for combo in itertools.product(*[_divisors(v) for _, v in points]):
-            cand = _interpolate([pt for pt, _ in points], list(combo))
+            cand = _oracle_interpolate([pt for pt, _ in points], list(combo))
             if not any(cand[1:]):
                 continue
             q, r = poly_divmod([Fraction(v) for v in ip], cand)
@@ -1665,7 +1677,7 @@ def _oracle_rational_factors(coeffs):
             points.append((x, int(val)))
             x = -x + (0 if x > 0 else 1)
         for combo in itertools.product(*[_divisors(v) for _, v in points]):
-            cand = _interpolate([pt for pt, _ in points], list(combo))
+            cand = _oracle_interpolate([pt for pt, _ in points], list(combo))
             if not any(cand[1:]):
                 continue
             cand = poly_normalize(cand)
@@ -1807,7 +1819,7 @@ def _outcome(run):
 @example([4, 0, -4, 0, 1])                 # (t^2 - 2)^2
 def test_kronecker_search_matches_the_replaced_copies(p):
     """Same irreducibility verdict, and the same factor list in the same
-    order, as the two searches that _kronecker_factor replaced."""
+    order, as the two searches that _proper_factor replaced."""
     assert is_irreducible_over_q(p) == _oracle_is_irreducible_over_q(p)
     assert categories._rational_factors(p) == _oracle_rational_factors(p)
 

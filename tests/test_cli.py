@@ -207,13 +207,17 @@ def _constants(**fields):
     (_quiver(vertices=["1"], arrows=[["x", "1", "1"], ["y", "1", "1"]],
              relations=[[["1", "xy"]]], truncation=2), [], None,
      "malformed quiver description: 'xy' is not a JSON array"),
+    (_quiver(truncation=2.7), [], None,
+     "malformed quiver description: 2.7 is not an integer"),
+    (_quiver(truncation=True), [], None,
+     "malformed quiver description: True is not an integer"),
 ], ids=["bad-json", "unknown-arrow", "unknown-label", "usage",
         "negative-degree", "negative-cap", "negative-weight",
         "negative-env-cap", "env-cap-not-int", "vertices-not-array",
         "basis-not-array", "zero-truncation", "duplicate-vertex",
         "duplicate-arrow", "arrow-outside", "empty-quiver",
         "duplicate-label", "empty-basis", "arrow-as-string",
-        "relation-path-as-string"])
+        "relation-path-as-string", "float-truncation", "bool-truncation"])
 def test_exit_status_parse_error(tmp_path, monkeypatch, text, extra, env,
                                  needle):
     """Malformed input files and arguments exit 1.  A negative degree
@@ -449,7 +453,11 @@ def _set(path, value):
 
 
 # a JSON list or string where an object is expected; each exited 5 with
-# "internal error: AttributeError" before the loaders caught it
+# "internal error: AttributeError" before the loaders caught it.  Then a
+# string where a list is expected, which was read character by character,
+# and a float, a bool or a string other than decimal digits where an
+# integer is, which int() read as an integer; each exited 0 or 2 before
+# the loader refused it
 @pytest.mark.parametrize("demo, command, mutate", [
     ("m2q.json", "describe", _set(["unit"], ["e11", "e22"])),
     ("m2q.json", "describe", _set(["products", 0, 2], ["e11", "1"])),
@@ -461,6 +469,18 @@ def _set(path, value):
     ("two_block.json", "karoubi", _set(["identities", "U"], ["1"])),
     ("two_block.json", "karoubi", _set(["composition", 0, 5], ["1"])),
     ("two_block.json", "karoubi", _set(["symmetry", 0, 2], ["1"])),
+    ("two_block.json", "karoubi", _set(["objects"], "UX")),
+    ("two_block.json", "karoubi", _set(["tensor_objects"], ["UUU", "UXX"])),
+    ("two_block.json", "orbit", _set(["tensor_objects"], ["UUU", "UXX"])),
+    ("two_block.json", "orbit", _set(["invertible"], {
+        "object": "U", "inverse": "U", "bound": 2, "restrict_to": "UX"})),
+    ("two_block.json", "karoubi", _set(["hom", "X|X"], 2.7)),
+    ("two_block.json", "karoubi", _set(["hom", "U|U"], True)),
+    ("two_block.json", "karoubi", _set(["composition", 2, 3], 1.0)),
+    ("two_block.json", "karoubi", _set(["tensor_morphisms", 6, 5], 1.0)),
+    ("graded_lines.json", "orbit", _set(["invertible", "bound"], 2.9)),
+    ("two_block.json", "karoubi", _set(["hom", "X|X"], "0_2")),
+    ("two_block.json", "karoubi", _set(["identities", "U"], {" 0": "1"})),
 ])
 def test_a_list_or_string_for_an_object_is_a_parse_error(tmp_path, demo,
                                                          command, mutate):

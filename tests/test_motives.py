@@ -6,8 +6,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ncmotives import algebras, motives, zoo
 from ncmotives.errors import InvariantError, UncertifiedError, CapExceededError
-from ncmotives.exactlin import (QMatrix, Elimination, kernel, matrix_rank,
-                               inverse, is_nilpotent_by_traces)
+from ncmotives.exactlin import (Elimination, compose_cols, identity_cols,
+                               kernel, matrix_rank, inverse,
+                               is_nilpotent_by_traces)
 from ncmotives.algebras import (corner_bimodule, Bimodule, regular_bimodule,
                                 structure_algebra,
                                 derived_tensor, global_dimension,
@@ -23,8 +24,9 @@ from ncmotives.motives import (
     cartan_counts, _tor_intersection_number, _tor_composite_class_vector,
     _compose_classes, _span_structure_constants, SemisimplicityReport,
 )
+from test_exactlin import _columns, _dense
 from test_hochschild import (quiver_algebras, _two_cycle, _in_basis, _rescaled,
-                             MONOMIAL_SCALES, as_matrix)
+                             MONOMIAL_SCALES)
 
 
 def cartan(a):
@@ -157,8 +159,8 @@ def test_pairing_matrices_unchanged_by_the_vertex_relative_complex(
         model = [[c[(j, k)] * c[(l, i)] for (k, l) in pairs]
                  for (i, j) in pairs]
         assert relative[name] == model
-        assert pairing_matrix(spans[name], spans[name]).matrix == \
-            QMatrix.from_rows(model)
+        assert pairing_matrix(spans[name], spans[name]).columns == \
+            _columns(model, len(model))
     asked = []
 
     def absolute(m):
@@ -216,11 +218,11 @@ def test_trace_nilpotency_bridge():
     a2 = zoo.get("A2")
     n = Correspondence(a2, a2, [(1, corner_bimodule(a2, "1", "2"))])
     n2 = compose(n, n)
-    assert n2.is_zero()
+    assert not n2.terms
     assert categorical_trace(n) == 0
     # realization of a trace-nilpotent correspondence: strictly upper
     # triangular on the 2-dim even part in the P-class basis
-    realization = QMatrix(2, 2, {(0, 1): 1})
+    realization = [{}, {0: 1}]
     assert is_nilpotent_by_traces(realization)
 
 
@@ -255,12 +257,10 @@ def test_numerical_kernel_euler_form_determinant_oracle():
         pairs = [(i, j) for i in vs for j in vs]
         gram = [[c[(j, k)] * c[(l, i)] for (k, l) in pairs]
                 for (i, j) in pairs]
-        m = QMatrix.from_rows(gram)
+        m = _columns(gram, len(pairs))
         nq = numerical_kernel(a, a, canonical_span(a))
         assert (nq.kernel.dim == 0) == (matrix_rank(m) == len(pairs))
-        assert {(r, c2): Fraction(v) for (r, c2), v in
-                nq.pairing.matrix.entries.items()} == \
-            {k: Fraction(v) for k, v in m.entries.items()}
+        assert nq.pairing.columns == m
 
 
 def test_numerical_kernel_is_two_sided_ideal():
@@ -298,10 +298,10 @@ def _oracle_semisimplicity_check(a, basis=None, cap=DEFAULT_CAP):
             else [unit_correspondence(a)]
     table = _span_structure_constants(a, basis, cap)
     pm = pairing_matrix(basis, basis, cap)
-    gram = pm.matrix
-    ker = kernel(gram.transpose())
-    # quotient coordinates: complement of the kernel
     n = len(basis)
+    gram = _dense(pm.columns, n)
+    ker = kernel(_columns([list(col) for col in zip(*gram)], n))
+    # quotient coordinates: complement of the kernel
     kept = [i for i in range(n)
             if not any(min(row) == i for row in ker.rows)]
     if not kept:
@@ -320,20 +320,18 @@ def _oracle_semisimplicity_check(a, basis=None, cap=DEFAULT_CAP):
                               if k in pos}))
     # unit of the quotient algebra: solve u . q_j = q_j for all j
     qdim = len(kept)
-    rows = qdim * qdim
-    entries = {}
+    lhs = [{} for _ in range(qdim)]
     for u_idx, i in enumerate(kept):
         for j_idx, j in enumerate(kept):
             for k, v in reduced[(i, j)].items():
                 if k in pos:
-                    entries[(j_idx * qdim + pos[k], u_idx)] = v
-    lhs = QMatrix(rows, qdim, entries)
+                    lhs[u_idx][j_idx * qdim + pos[k]] = v
     target = {}
     for j_idx in range(qdim):
         target[j_idx * qdim + j_idx] = Fraction(1)
     elim = Elimination(track=True)
     for j in range(qdim):
-        elim.add_column(lhs.column(j), j)
+        elim.add_column(lhs[j], j)
     unit_coeffs = elim.solve(target)
     if unit_coeffs is None:
         raise UncertifiedError("numerical quotient has no unit inside the "
@@ -443,7 +441,7 @@ def test_span_products_without_a_quiver_take_the_cap():
     derived tensors, of 16 chains: 15 refuses them, 16 admits them."""
     a = zoo.get("M2(Q)")
     span = [Correspondence(a, a, [(1, regular_bimodule(a))], name="reg")]
-    gens = [(span[0], (QMatrix.identity(1), QMatrix.zero(0, 0)))]
+    gens = [(span[0], (identity_cols(1), []))]
     for check in (lambda cap: semisimplicity_check(a, span, cap=cap),
                   lambda cap: even_projector_in_span(a, gens, cap=cap)):
         with pytest.raises(CapExceededError) as refused:
@@ -466,7 +464,7 @@ def test_cnc_separable_unit_witness():
         de, do = hp.super_dims
         assert do == 0
         gens = [(unit_correspondence(a),
-                 (QMatrix.identity(de), QMatrix.identity(do)))]
+                 (identity_cols(de), identity_cols(do)))]
         v = even_projector_in_span(a, gens)
         assert v.found
         assert v.witness == {0: 1}
@@ -477,16 +475,18 @@ def projection_generators_qxq(n_max=5):
     from hp_of_homomorphism data."""
     qq = zoo.get("QxQ")
     q = zoo.get("Q")
-    proj1 = QMatrix(1, 2, {(0, 0): 1})
-    proj2 = QMatrix(1, 2, {(0, 1): 1})
+    proj1 = [{0: 1}, {}]
+    proj2 = [{}, {0: 1}]
     p1, _ = hp_of_homomorphism(proj1, qq, q, n_max=n_max)
     p2, _ = hp_of_homomorphism(proj2, qq, q, n_max=n_max)
-    m = QMatrix(2, 2, {(0, c): v for (r, c), v in p1.entries.items()}
-                | {(1, c): v for (r, c), v in p2.entries.items()})
+    # m = (p1; p2): HP_even(QxQ) -> Q^2
+    m = [{r: p[c][0] for r, p in enumerate((p1, p2)) if p[c]}
+         for c in (0, 1)]
     minv = inverse(m)
     assert minv is not None
-    picks = [QMatrix(2, 2, {(0, 0): 1}), QMatrix(2, 2, {(1, 1): 1})]
-    realizations = [minv * pick * m for pick in picks]
+    picks = [[{0: 1}, {}], [{}, {1: 1}]]
+    realizations = [compose_cols(minv, compose_cols(pick, m))
+                    for pick in picks]
 
     def projection_bimodule(vertex_idx):
         left = [[{0: 1} if i == vertex_idx else {}] for i in range(2)]
@@ -497,7 +497,7 @@ def projection_generators_qxq(n_max=5):
     for idx in (0, 1):
         corr = Correspondence(qq, qq, [(1, projection_bimodule(idx))],
                               name="pi_%d" % (idx + 1))
-        gens.append((corr, (realizations[idx], QMatrix.zero(0, 0))))
+        gens.append((corr, (realizations[idx], [])))
     return qq, gens
 
 
@@ -525,7 +525,7 @@ def test_cnc_undecided_in_small_span():
     exercised on declared matrices)."""
     q = zoo.get("Q")
     gens = [(unit_correspondence(q),
-             (QMatrix.identity(1), QMatrix.identity(1)))]
+             (identity_cols(1), identity_cols(1)))]
     v = even_projector_in_span(q, gens)
     assert not v.found
     assert v.status == "UNDECIDED-IN-SPAN"
@@ -533,10 +533,27 @@ def test_cnc_undecided_in_small_span():
 
 def test_cnc_rejects_inconsistent_realizations():
     qq = zoo.get("QxQ")
-    bad = [(unit_correspondence(qq),
-            (QMatrix(2, 2, {(0, 0): 1, (1, 1): 2}), QMatrix.zero(0, 0)))]
+    bad = [(unit_correspondence(qq), ([{0: 1}, {1: 2}], []))]
     with pytest.raises(InvariantError):
         even_projector_in_span(qq, bad)
+
+
+@pytest.mark.parametrize("realizations, message", [
+    ([(identity_cols(2), []), (identity_cols(1), [])], "mixed shapes"),
+    ([(identity_cols(2), []), (identity_cols(2), identity_cols(1))],
+     "mixed shapes"),
+    ([([{0: 1}, {2: 1}], [])], "not square"),
+    ([(identity_cols(2), [{1: 1}])], "not square"),
+    ([([{0: 1}, {-1: 1}], [])], "not square"),
+], ids=["even sizes", "odd sizes", "even 3x2", "odd 2x1", "negative row"])
+def test_cnc_rejects_malformed_realization_shapes(realizations, message):
+    """Realizations of one size, each a square map; the column lists carry
+    no row count, so an entry below row 0 or past the last column is a
+    non-square map."""
+    qq = zoo.get("QxQ")
+    gens = [(unit_correspondence(qq), pair) for pair in realizations]
+    with pytest.raises(InvariantError, match=message):
+        even_projector_in_span(qq, gens)
 
 
 def test_dnc_equal_on_acceptance_algebras():
@@ -616,8 +633,8 @@ def assert_cartan_identity(m):
         for l in vs:
             cxc = sum(c[(k, i)] * x.get((i, j), 0) * c[(j, l)]
                       for i in vs for j in vs)
-            assert cxc == matrix_rank(as_matrix(m.left[idx[k]])
-                                      * as_matrix(m.right[idx[l]]))
+            assert cxc == matrix_rank(compose_cols(m.left[idx[k]],
+                                                   m.right[idx[l]]))
 
 
 @settings(deadline=None, max_examples=30)
@@ -820,8 +837,8 @@ def test_presentations_do_not_depend_on_the_input_format(a, data):
         span = canonical_span(alg)
         keys = [(rename(i), rename(j)) for i in presentation(alg).vertices
                 for j in presentation(alg).vertices]
-        matrix = pairing_matrix(span, span).matrix
-        pairings.append({(keys[s], keys[t]): matrix.entries.get((s, t), 0)
+        columns = pairing_matrix(span, span).columns
+        pairings.append({(keys[s], keys[t]): columns[t].get(s, 0)
                          for s in range(len(span))
                          for t in range(len(span))})
     assert pairings[0] == pairings[1]

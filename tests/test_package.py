@@ -51,16 +51,15 @@ def test_the_trace_names_resolve_in_the_package():
     assert hochschild._guard is algebras._guard
 
 
-def test_every_public_definition_is_used():
-    """Every public function, class and method of the package is named
-    somewhere in src, tests, demos, perfbench or tools other than its own
-    def line, so no unreferenced public API accumulates."""
+def _unnamed_public_definitions(folders):
+    """Every public function, class and method of the package named
+    nowhere in the .py files under folders other than its own def line, as
+    "module.py:line name"."""
     import re
     from collections import Counter
     root = PACKAGE.parent.parent
     corpus = "\n".join(
-        path.read_text() for folder in ("src", "tests", "demos", "perfbench",
-                                        "tools")
+        path.read_text() for folder in folders
         for path in sorted((root / folder).rglob("*.py")))
     defs = []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -75,9 +74,49 @@ def test_every_public_definition_is_used():
     # a name defined k times must be named more than k times
     times_defined = Counter(name for _, _, name in defs)
     times_named = Counter(re.findall(r"\w+", corpus))
-    unused = ["%s:%d %s" % d for d in defs
-              if times_named[d[2]] <= times_defined[d[2]]]
-    assert unused == []
+    return ["%s:%d %s" % d for d in defs
+            if times_named[d[2]] <= times_defined[d[2]]]
+
+
+def test_every_public_definition_is_used():
+    """Every public function, class and method of the package is named
+    somewhere in src, tests, demos, perfbench or tools other than its own
+    def line, so no unreferenced public API accumulates."""
+    assert _unnamed_public_definitions(
+        ("src", "tests", "demos", "perfbench", "tools")) == []
+
+
+# public definitions that only the tests call, each kept for its reason
+TEST_ONLY_DEFINITIONS = {
+    "tensor_algebra": "the tensor product of algebras that ROADMAP items 3 "
+                      "and 4 (Kuenneth and change of ground) will call",
+    "is_idempotent_split": "the tests' proof that karoubi returns an "
+                           "idempotent-complete category",
+    "is_nilpotent_by_traces": "acceptance criterion 7 compares it with "
+                              "power vanishing",
+    "young_symmetrizer": "the tests' oracle for the central idempotents' "
+                         "ranks",
+    "tensor_power_action": "the tests' oracle for the signed permutation "
+                           "action behind schur --oracle",
+    "group_element_action": "the tests' oracle for the rank of a group "
+                            "algebra element's action",
+    "kunneth_projectors": "acceptance criterion 10 builds the twist from "
+                          "them",
+    "twist_symmetry": "acceptance criterion 10 checks its odd-odd signs",
+    "rank_super": "acceptance criterion 10 compares it with chi(HH)",
+    "rank_dagger": "acceptance criterion 10 compares it with dim HP",
+}
+
+
+def test_every_public_definition_has_a_caller_outside_the_tests():
+    """The scan of test_every_public_definition_is_used with tests/ left
+    out of the corpus: a public definition that only the tests name is
+    either in TEST_ONLY_DEFINITIONS, with its reason, or leaves the
+    package (into the tests, if a test needs it as an oracle)."""
+    unnamed = _unnamed_public_definitions(
+        ("src", "demos", "perfbench", "tools"))
+    assert sorted(entry.split()[1] for entry in unnamed) == \
+        sorted(TEST_ONLY_DEFINITIONS), unnamed
 
 
 # optional parameters that only the tests set, each kept for its reason

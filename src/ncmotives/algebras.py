@@ -962,13 +962,6 @@ def hochschild_columns(m, red, n, chains):
     return chains.renumber(n - 1, cols)
 
 
-def _word_code(word, dbar):
-    t = 0
-    for d in word:
-        t = t * dbar + d
-    return t
-
-
 def _on_digit(g, weight, size, reps, project):
     """The columns, on the classes (by project) of the cycles reps, of the
     action g applied to the digit (code // weight) % size of chain codes."""

@@ -22,6 +22,7 @@ from .hochschild import (hochschild_homology, cyclic_homology, sbi_check,
                          periodic_cyclic, DEFAULT_CAP, HH_MIN_DEGREE,
                          MIXED_MIN_DEGREE)
 from .algebras import global_dimension, presentation
+from .homcore import ChainComplex
 from .motives import (unit_correspondence, canonical_span, numerical_kernel,
                       semisimplicity_check, even_projector_in_span, kernel_comparison,
                       pairing_matrix)
@@ -137,47 +138,68 @@ def cmd_hh(args):
 
 
 def _nonnormalized_hh(a, n_max, cap):
-    """Slow oracle: homology of the non-normalized complex A (x) A^n."""
-    import itertools as _it
-    from .homcore import ChainComplex
-    d = a.dim
-    dims = [d ** (n + 1) for n in range(n_max + 1)]
+    """Slow oracle: homology of the non-normalized complex A (x) A^n.  The
+    memory guard sees the total before any column is built."""
+    dims = [a.dim ** (n + 1) for n in range(n_max + 1)]
     if sum(dims) > cap:
         raise CapExceededError("oracle complex exceeds the cap",
                                needed=sum(dims), cap=cap)
+    diffs = [None] + [_nonnormalized_columns(a, n)
+                      for n in range(1, n_max + 1)]
+    cx = ChainComplex(dims, diffs)
+    return [cx.homology_dim(n) for n in range(n_max)]
 
-    def code(idx):
-        c = 0
-        for t in idx:
-            c = c * d + t
-        return c
 
-    diffs = [None]
-    for n in range(1, n_max + 1):
-        cols = []
-        for idx in _it.product(range(d), repeat=n + 1):
-            col = {}
-            for i in range(n):
-                sgn = -1 if i % 2 else 1
-                for k, c in a.mult_basis(idx[i], idx[i + 1]).items():
-                    tgt = code(idx[:i] + (k,) + idx[i + 2:])
-                    val = col.get(tgt, 0) + sgn * c
+def _nonnormalized_columns(a, n):
+    """Columns of b_n : A (x) A^n -> A (x) A^(n-1),
+
+        b(a_0 (x) ... (x) a_n) = sum_i (-1)^i a_0 (x) ... (x) a_i a_(i+1)
+            (x) ... (x) a_n + (-1)^n a_n a_0 (x) a_1 (x) ... (x) a_(n-1),
+
+    on basis tensors.  Column c is the base-d code of a_0 ... a_n (d = dim A,
+    a_0 the most significant digit), so the columns come in the order of
+    itertools.product(range(d), repeat=n + 1).  Face i reads the product of
+    digits i and i + 1 from a d^2-entry table at c div d^(n-1-i) mod d^2 and
+    puts each term k at c mod d^(n-1-i) + (c div d^(n+1-i)) * d^(n-i)
+    + k * d^(n-1-i); the last face reads the product of a_n and a_0 at
+    (c mod d) * d + c div d^n and puts k at k * d^(n-1) + (c div d)
+    mod d^(n-1).
+    """
+    d = a.dim
+    dd = d * d
+    table = [a.mult_basis(x, y) for x in range(d) for y in range(d)]
+    negated = [{k: -v for k, v in p.items()} for p in table]
+    # (weight of digit i + 1 in c and of the product in the target, d^(n+1-i)
+    # that splits off the digits before i, their weight in the target,
+    # signed products) for faces i = 0..n-1
+    faces = [(d ** (n - 1 - i), d ** (n + 1 - i), d ** (n - i),
+              negated if i % 2 else table) for i in range(n)]
+    top, low = d ** n, d ** (n - 1)
+    last = negated if n % 2 else table
+    cols = []
+    for c in range(top * d):
+        col = {}
+        for weight, head, shift, prods in faces:
+            prod = prods[c // weight % dd]
+            if prod:
+                off = c % weight + c // head * shift
+                for k, v in prod.items():
+                    tgt = off + k * weight
+                    val = col.get(tgt, 0) + v
                     if val:
                         col[tgt] = val
                     else:
                         col.pop(tgt, None)
-            sgn = -1 if n % 2 else 1
-            for k, c in a.mult_basis(idx[-1], idx[0]).items():
-                tgt = code((k,) + idx[1:-1])
-                val = col.get(tgt, 0) + sgn * c
-                if val:
-                    col[tgt] = val
-                else:
-                    col.pop(tgt, None)
-            cols.append(col)
-        diffs.append(cols)
-    cx = ChainComplex(dims, diffs)
-    return [cx.homology_dim(n) for n in range(n_max)]
+        off = c // d % low
+        for k, v in last[c % d * d + c // top].items():
+            tgt = k * low + off
+            val = col.get(tgt, 0) + v
+            if val:
+                col[tgt] = val
+            else:
+                col.pop(tgt, None)
+        cols.append(col)
+    return cols
 
 
 def cmd_hc(args):

@@ -63,8 +63,7 @@ from .exactlin import (Elimination, apply_cols, compose_cols, identity_cols,
 from .homcore import ChainComplex, induced_map
 # _guard is re-exported: perfbench/tracer.py wraps hochschild._guard
 from .algebras import (DEFAULT_CAP, _chain_basis, _gldim_certificate, _guard,
-                       _relative_ends, _word_code, hochschild_columns,
-                       regular_bimodule)
+                       _relative_ends, hochschild_columns, regular_bimodule)
 
 
 # the least n_max each complex takes: the Hochschild complex, and the mixed
@@ -89,21 +88,36 @@ def connes_columns(red, n, chains):
     that is the unit of A), and the column of a chain whose coefficient
     a_0 lies in E (one of the unit's terms) is 0, since a_0 vanishes in
     Abar.
+
+    The work is on integer codes.  The chain c * dbar^n + t contributes,
+    for each term s of the class of a_0, the n + 1 digits
+    F = s * dbar^n + t; rotation i of them has the code
+    (F mod dbar^(n+1-i)) * dbar^i + F div dbar^(n+1-i) and the leading
+    digit F div dbar^(n-i) mod dbar, and e_v (x) in front adds
+    k * dbar^(n+1) for each term k of e_v.  The columns, and the order of
+    their entries, are those of decoding each chain into its digits and
+    rotating them.
     """
     dbar = red.dbar
-    pow_next = dbar ** (n + 1)
+    pow_n = dbar ** n
+    pow_next = pow_n * dbar
+    # (modulus of the rotation's head, weight of its tail, weight of its
+    # leading digit, sign) for rotations i = 0..n
+    rotations = [(dbar ** (n + 1 - i), dbar ** i, dbar ** (n - i),
+                  -1 if (i * n) % 2 else 1) for i in range(n + 1)]
+    # the terms of e_v (x) in front of a rotation whose leading digit is t
+    fronts = [[(k * pow_next, cu) for k, cu in red.units[u].items()]
+              for u, _ in red.ends]
     cols = []
-    for pos in range(len(chains.lists[n])):
-        c, word = chains.chain(n, pos)
+    for chain in chains.lists[n]:
+        c, t = divmod(chain, pow_n)
+        digits = [(s * pow_n + t, cs) for s, cs in red.classes[c].items()]
         col = {}
-        for i in range(n + 1):
-            sgn = -1 if (i * n) % 2 else 1
-            for s, cs in red.classes[c].items():
-                seq = (s,) + word
-                rot = seq[i:] + seq[:i]
-                code_bar = _word_code(rot, dbar)
-                for k, cu in red.units[red.ends[rot[0]][0]].items():
-                    code = k * pow_next + code_bar
+        for head, tail, lead, sgn in rotations:
+            for f, cs in digits:
+                code_bar = f % head * tail + f // head
+                for front, cu in fronts[f // lead % dbar]:
+                    code = front + code_bar
                     val = col.get(code, 0) + sgn * cs * cu
                     if val:
                         col[code] = val

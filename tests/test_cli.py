@@ -339,6 +339,18 @@ def test_exit_status_cap_exceeded():
     assert "HH dimensions" in out
 
 
+def test_oracle_exits_3_when_its_complex_exceeds_the_cap():
+    """The normalized complex of A3 fits under --cap 1000, but the
+    non-normalized one behind --oracle has 6 + 36 + ... + 6^5 = 9330
+    chains through degree 4."""
+    argv = ["hh", "--input", str(ALG / "a3.json"), "--max-degree", "4"]
+    assert run_cli(argv + ["--cap", "1000"])[0] == 0
+    status, out, err = run_cli(argv + ["--oracle", "--cap", "1000"])
+    assert status == 3
+    assert out == ""
+    assert "oracle complex exceeds the cap" in err
+
+
 def test_matrix_algebra_answers_under_the_cap():
     """M2(Q) is taken relative to its diagonal matrix units, found from the
     unit's terms: two chains per degree, so --cap 1000 admits degree 8

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import weakref
 from unittest import mock
 from fractions import Fraction
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from ncmotives import algebras, hochschild, zoo
+from ncmotives import algebras, cli, hochschild, zoo
 from ncmotives.algebras import (Quiver, path_algebra, structure_algebra,
                                 Bimodule, corner_bimodule, derived_tensor,
                                 global_dimension, regular_bimodule, _Reduced,
@@ -28,6 +29,8 @@ from ncmotives.hochschild import (
     chern_class_in_hc, hp_nil_invariant, check_homomorphism, cyclic_data,
     TruncatedMixedComplex, CyclicData, connes_columns, DEFAULT_CAP,
 )
+
+DEMO_ALGEBRAS = Path(__file__).resolve().parent.parent / "demos" / "algebras"
 
 
 def _over_q1():
@@ -292,6 +295,169 @@ def test_hh_matches_nonnormalized_oracle_on_random_quivers(data):
     oracle = _nonnormalized_hh(a, 3, DEFAULT_CAP)
     for alg in (a, _rescaled(a, scales)):
         assert hochschild_homology(alg, n_max=3).dims == oracle
+
+
+def _entries(cols):
+    """The columns with the order of their entries."""
+    return [list(col.items()) for col in cols]
+
+
+def _oracle_nonnormalized_columns(a, n_max):
+    """(dims, diffs) of the non-normalized complex A (x) A^n in degrees
+    0..n_max, built as before integer codes: one itertools.product tuple per
+    column, tuple slices and a code() call per face."""
+    d = a.dim
+    dims = [d ** (n + 1) for n in range(n_max + 1)]
+
+    def code(idx):
+        c = 0
+        for t in idx:
+            c = c * d + t
+        return c
+
+    diffs = [None]
+    for n in range(1, n_max + 1):
+        cols = []
+        for idx in itertools.product(range(d), repeat=n + 1):
+            col = {}
+            for i in range(n):
+                sgn = -1 if i % 2 else 1
+                for k, c in a.mult_basis(idx[i], idx[i + 1]).items():
+                    tgt = code(idx[:i] + (k,) + idx[i + 2:])
+                    val = col.get(tgt, 0) + sgn * c
+                    if val:
+                        col[tgt] = val
+                    else:
+                        col.pop(tgt, None)
+            sgn = -1 if n % 2 else 1
+            for k, c in a.mult_basis(idx[-1], idx[0]).items():
+                tgt = code((k,) + idx[1:-1])
+                val = col.get(tgt, 0) + sgn * c
+                if val:
+                    col[tgt] = val
+                else:
+                    col.pop(tgt, None)
+            cols.append(col)
+        diffs.append(cols)
+    return dims, diffs
+
+
+def _assert_oracle_complex_is_the_tuple_builders(a):
+    """_nonnormalized_hh(a, 3, ...) hands ChainComplex the dims and the
+    columns of _oracle_nonnormalized_columns, entry for entry and in
+    order."""
+    seen = []
+
+    def spy(dims, diffs):
+        seen.append((dims, diffs))
+        return ChainComplex(dims, diffs)
+
+    with mock.patch.object(cli, "ChainComplex", spy):
+        _nonnormalized_hh(a, 3, DEFAULT_CAP)
+    (got,) = seen
+    dims, diffs = _oracle_nonnormalized_columns(a, 3)
+    assert got[0] == dims
+    assert got[1][0] is None
+    for n in range(1, 4):
+        assert _entries(got[1][n]) == _entries(diffs[n]), (a.name, n)
+
+
+@pytest.mark.parametrize("path", sorted(DEMO_ALGEBRAS.glob("*.json")),
+                         ids=lambda p: p.stem)
+def test_oracle_complex_matches_the_tuple_builder_on_the_demos(path):
+    _assert_oracle_complex_is_the_tuple_builders(load_algebra(str(path)))
+
+
+@settings(deadline=None, max_examples=25)
+@given(quiver_algebras())
+def test_oracle_complex_matches_the_tuple_builder_on_random_quivers(a):
+    assume(a.dim <= 7)
+    _assert_oracle_complex_is_the_tuple_builders(a)
+
+
+def test_oracle_refuses_before_it_builds_a_column():
+    """Over the cap, _nonnormalized_hh refuses before it reads a single
+    product of basis elements."""
+    a3 = zoo.get("A3")
+    with mock.patch.object(type(a3), "mult_basis",
+                           side_effect=AssertionError("a column was built")):
+        with pytest.raises(CapExceededError, match="oracle complex exceeds"):
+            _nonnormalized_hh(a3, 4, 1000)
+
+
+def _word_code(word, dbar):
+    t = 0
+    for d in word:
+        t = t * dbar + d
+    return t
+
+
+def _oracle_connes_columns(red, n, chains):
+    """connes_columns as it was built on tuples: each chain decoded into
+    its word, and each rotation of (s,) + word encoded digit by digit."""
+    dbar = red.dbar
+    pow_next = dbar ** (n + 1)
+    cols = []
+    for pos in range(len(chains.lists[n])):
+        c, word = chains.chain(n, pos)
+        col = {}
+        for i in range(n + 1):
+            sgn = -1 if (i * n) % 2 else 1
+            for s, cs in red.classes[c].items():
+                seq = (s,) + word
+                rot = seq[i:] + seq[:i]
+                code_bar = _word_code(rot, dbar)
+                for k, cu in red.units[red.ends[rot[0]][0]].items():
+                    code = k * pow_next + code_bar
+                    val = col.get(code, 0) + sgn * cs * cu
+                    if val:
+                        col[code] = val
+                    else:
+                        col.pop(code, None)
+        cols.append(col)
+    return chains.renumber(n + 1, cols)
+
+
+def _assert_connes_is_the_tuple_builders(a, absolute, budget):
+    """B_0 .. B_5 on the chains of TruncatedMixedComplex(a, n_max,
+    _absolute=absolute) equal _oracle_connes_columns entry for entry and in
+    order, for the largest n_max <= 6 whose complex has at most budget
+    chains; returns the reduced basis."""
+    m = regular_bimodule(a)
+    ends = None if absolute else _relative_ends(m)
+    for n_max in range(6, 0, -1):
+        try:
+            red, dims, chains = _chain_basis(m, n_max, ends, budget)
+            break
+        except CapExceededError:
+            continue
+    for n in range(n_max):
+        assert (_entries(connes_columns(red, n, chains))
+                == _entries(_oracle_connes_columns(red, n, chains))), (
+            a.name, absolute, n)
+    return red
+
+
+@pytest.mark.parametrize("absolute", [False, True])
+@pytest.mark.parametrize("name", zoo.ZOO_NAMES)
+def test_connes_columns_match_the_tuple_builder(name, absolute):
+    red = _assert_connes_is_the_tuple_builders(zoo.get(name), absolute,
+                                               DEFAULT_CAP)
+    if name == "Q" or (name == "QxQxQ" and not absolute):
+        # no chain of degree >= 1: every class is empty
+        assert red.dbar == 0
+        assert not any(red.classes.values())
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.data())
+def test_connes_columns_match_the_tuple_builder_on_random_quivers(data):
+    a = data.draw(quiver_algebras())
+    scales = data.draw(st.lists(st.sampled_from(SCALES), min_size=a.dim,
+                                max_size=a.dim))
+    for alg in (a, _rescaled(a, scales)):
+        for absolute in (False, True):
+            _assert_connes_is_the_tuple_builders(alg, absolute, 5000)
 
 
 def _over(m, r, scales):
@@ -1480,8 +1646,7 @@ def test_seeded_homology_space_matches_the_replaced_route(drawn, q, data):
 # ---------------------------------------------------------------------------
 # boundary ranks from the row side, with the leads one degree down cleared
 
-CUBIC = Path(__file__).resolve().parent.parent / "demos" / "algebras" \
-    / "cubic.json"
+CUBIC = DEMO_ALGEBRAS / "cubic.json"
 
 
 def test_row_pass_skips_the_leads_one_degree_down():

@@ -28,7 +28,7 @@ from .motives import (unit_correspondence, canonical_span, numerical_kernel,
                       pairing_matrix)
 from .supers import SuperSpace
 from .schur import is_schur_finite, schur_dimension, super_schur_value
-from .inputs import load_algebra, load_category
+from .inputs import _int, load_algebra, load_category
 from .exactlin import identity_cols
 
 
@@ -75,9 +75,11 @@ class Report:
 
 
 def _count(text):
-    """An integer >= 0: a degree bound, a memory guard or a weight cap."""
+    """An integer >= 0: a degree bound, a memory guard or a weight cap,
+    read by the description files' rule (ASCII digits, with an optional
+    leading minus that the bound then refuses)."""
     try:
-        value = int(text)
+        value = _int(text)
     except ValueError:
         raise argparse.ArgumentTypeError("invalid int value: %r" % text)
     if value < 0:
@@ -293,8 +295,8 @@ def cmd_semisimple(args):
 
 def cmd_schur(args):
     try:
-        dplus, dminus = (int(x) for x in args.dims.split(","))
-    except (AttributeError, ValueError):
+        dplus, dminus = (_count(x) for x in args.dims.split(","))
+    except (AttributeError, ValueError, argparse.ArgumentTypeError):
         raise ParseInputError("--dims expects 'd+,d-'")
     v = SuperSpace(dplus, dminus)
     lam = is_schur_finite(v, search_cap=args.max_weight)

@@ -23,12 +23,14 @@ def _frac(s):
 
 
 def _int(value):
-    """value as an int: a JSON integer, or a string of decimal digits with
-    an optional leading minus.  A bool, a JSON float (int() would cut 2.7
-    to 2) or any other string (int() would read "0_2" as 2) is refused."""
+    """value as an int: a JSON integer, or a string of ASCII decimal digits
+    with an optional leading minus.  A bool, a JSON float (int() would cut
+    2.7 to 2) or any other string (int() would read "0_2" as 2, "+3" as 3
+    and the Arabic-Indic digit "\u0664" as 4) is refused."""
     if type(value) is int:
         return value
-    if isinstance(value, str) and value.removeprefix("-").isdigit():
+    digits = value.removeprefix("-") if isinstance(value, str) else ""
+    if digits.isascii() and digits.isdigit():
         return int(value)
     raise ValueError("%r is not an integer" % (value,))
 

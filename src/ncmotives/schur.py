@@ -6,10 +6,18 @@ signs in the super case), and Schur-finiteness asks for a partition whose
 functor kills the space.  Characters come from the Murnaghan-Nakayama rule
 with the hook length formula as a cross-check; Schur dimensions have the
 supersymmetric hook Schur evaluation as an independent oracle.
+
+The block idempotents are central, so they live in the centre of Q[S_n], a
+subalgebra of dimension p(n) spanned by the class sums.  A product of two
+central elements, the check c^2 = c and the trace of an idempotent run over
+the p(n) conjugacy classes, not the n! permutations: a central element is
+fixed by its value at one representative of each class.  The class counts
+that multiply in the centre are counted from permutations, never derived
+from characters, so c^2 = c stays an independent check of the characters.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations
 from math import factorial, gcd, lcm
 
@@ -156,56 +164,69 @@ def cycle_type(perm):
     return tuple(lens)
 
 
-def perm_sign(perm):
-    """(-1)^(n - number of cycles): an l-cycle is l - 1 transpositions."""
-    return (-1) ** (len(perm) - len(cycle_type(perm)))
-
-
 def compose_perm(p, q):
     """(p o q)(i) = p(q(i))."""
-    return tuple(p[q[i]] for i in range(len(p)))
+    return tuple(map(p.__getitem__, q))
 
 
-def invert_perm(p):
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v] = i
-    return tuple(out)
+class _ClassData:
+    """The conjugacy classes of S_n, a class being a cycle type: the class
+    of each permutation (in the order of itertools.permutations), one
+    representative g_E and the size of each class E, and the class counts
 
+        N_E(C, D) = #{h in C : h^(-1) o g_E in D},
 
-TABLE_CAP = 5       # a full Cayley table of S_5 is 0.13 MB; of S_6, 4.4 MB
-
-
-class _CayleyTable:
-    """S_n as a list, each permutation's index, and the rows of the Cayley
-    table built on demand: row(p)[j] is the index of p o perms[j].
-
-    Rows are lists rather than arrays: the `array` extension module adds
-    80 kB to the memory of every process that imports it, and most
-    processes never multiply in Q[S_n]."""
+    counted from permutations by the first product of two central elements
+    of S_n: p(n) n! compositions, 840 at n = 5 and 7920 at n = 6."""
 
     def __init__(self, n):
-        self.perms = list(permutations(range(n)))
-        self.index = {p: i for i, p in enumerate(self.perms)}
-        self.rows = {}
+        self.class_of = {p: cycle_type(p) for p in permutations(range(n))}
+        self.rep, self.size = {}, {}
+        for p, e in self.class_of.items():
+            self.rep.setdefault(e, p)
+            self.size[e] = self.size.get(e, 0) + 1
+        self.counts = None
 
-    def row(self, p):
-        row = self.rows.get(p)
-        if row is None:
-            at, index = p.__getitem__, self.index
-            row = self.rows[p] = [index[tuple(map(at, q))]
-                                  for q in self.perms]
-        return row
+    def class_counts(self):
+        """{E: [(C, D, N_E(C, D)) for each nonzero count]}.  h and its
+        inverse k share a class, so the count runs over k = h^(-1)."""
+        if self.counts is None:
+            cls = self.class_of
+            counts = {}
+            for e, g in self.rep.items():
+                tally = {}
+                for k, c in cls.items():
+                    key = (c, cls[compose_perm(k, g)])
+                    tally[key] = tally.get(key, 0) + 1
+                counts[e] = [(c, d, m) for (c, d), m in tally.items()]
+            self.counts = counts
+        return self.counts
 
 
-_TABLES = {}        # n -> _CayleyTable, made by the first product that reads it
+_CLASSES = {}       # n -> _ClassData, made by the first use at n
 
 
-def _cayley_table(n):
-    table = _TABLES.get(n)
-    if table is None:
-        table = _TABLES[n] = _CayleyTable(n)
-    return table
+def _class_data(n):
+    data = _CLASSES.get(n)
+    if data is None:
+        data = _CLASSES[n] = _ClassData(n)
+    return data
+
+
+def _class_values(n, num):
+    """{class: numerator} when num is constant on every conjugacy class of
+    S_n (a class num misses has value 0, and is left out), else None."""
+    data = _class_data(n)
+    cls = data.class_of
+    vals = {}
+    for p, v in num.items():
+        if vals.setdefault(cls[p], v) != v:
+            return None
+    # num meets each class in at most its size, so equal totals mean num
+    # covers every class it meets
+    if sum(data.size[e] for e in vals) != len(num):
+        return None
+    return vals
 
 
 class GroupAlgebraElement:
@@ -215,12 +236,18 @@ class GroupAlgebraElement:
     common denominator den, with gcd(den, num...) = 1, so equal elements
     have equal fields.  coeffs is the read-only Fraction view.
 
-    A product x * y sums c * d at p o q over the terms c p of x and d q of
-    y.  For n <= TABLE_CAP, p o q is read from the Cayley table row of p,
-    indexed by the position of q, and the sums go into a list over S_n;
-    all 120 rows of S_5 cost 14400 compositions, once per process.  Above
-    the cap a table would cost (n!)^2 compositions and memory, so the
-    product composes the tuples p and q.
+    An element is central iff its numerators are constant on every
+    conjugacy class, which is the same as commuting with all of S_n; it
+    records that once, as its class values (None if not central), since
+    elements are never mutated.  A product x * y of two central elements is
+    computed in the class algebra: the centre is a subalgebra, so xy is
+    central and its value at one representative g_E fixes its whole class,
+
+        (xy)(g_E) = sum over C, D of N_E(C, D) x_C y_D,
+
+    at most p(n)^3 multiply-adds (124 nonzero counts at n = 5) in place of
+    (n!)^2 (14400), with the counts N_E(C, D) of _ClassData.  Every other product sums c * d at
+    p o q over the terms c p of x and d q of y, composing the tuples.
     """
 
     def __init__(self, n, coeffs):
@@ -247,6 +274,18 @@ class GroupAlgebraElement:
         out.n, out.num, out.den = n, num, den
         return out
 
+    @classmethod
+    def _from_classes(cls, n, vals, den):
+        """The central element with numerator vals.get(E, 0) at every
+        permutation of class E, over den > 0."""
+        return cls._make(n, {p: vals.get(e, 0) for p, e in
+                             _class_data(n).class_of.items()}, den)
+
+    @cached_property
+    def _classes(self):
+        """{class: numerator} if the element is central, else None."""
+        return _class_values(self.n, self.num)
+
     @property
     def coeffs(self):
         den = self.den
@@ -254,25 +293,26 @@ class GroupAlgebraElement:
 
     def __mul__(self, other):
         n = self.n
-        if n <= TABLE_CAP:
-            table = _cayley_table(n)
-            index = table.index
-            right = [(index[q], d) for q, d in other.num.items()]
-            acc = [0] * len(table.perms)
-            for p, c in self.num.items():
-                row = table.row(p)
-                for j, d in right:
-                    acc[row[j]] += c * d
-            out = dict(zip(table.perms, acc))
-        else:
-            out = {}
-            get = out.get
-            for p, c in self.num.items():
-                at = p.__getitem__
-                for q, d in other.num.items():
-                    r = tuple(map(at, q))
-                    out[r] = get(r, 0) + c * d
-        return GroupAlgebraElement._make(n, out, self.den * other.den)
+        den = self.den * other.den
+        x = self._classes
+        y = other._classes if x is not None else None
+        if y is not None:
+            vals = {}
+            for e, terms in _class_data(n).class_counts().items():
+                total = 0
+                for c, d, m in terms:
+                    if c in x and d in y:
+                        total += m * x[c] * y[d]
+                vals[e] = total
+            return GroupAlgebraElement._from_classes(n, vals, den)
+        out = {}
+        get = out.get
+        for p, c in self.num.items():
+            at = p.__getitem__
+            for q, d in other.num.items():
+                r = tuple(map(at, q))
+                out[r] = get(r, 0) + c * d
+        return GroupAlgebraElement._make(n, out, den)
 
     def __add__(self, other):
         den = lcm(self.den, other.den)
@@ -304,13 +344,16 @@ _IDEMPOTENTS = {}    # (parts, verified) -> c_lambda, stored once checked
 def central_idempotent(partition, verify=None):
     """The central block idempotent
 
-        c_lambda = (f^lambda / n!) sum_sigma chi_lambda(sigma^(-1)) sigma.
+        c_lambda = (f^lambda / n!) sum_sigma chi_lambda(sigma^(-1)) sigma,
 
-    Idempotency and centrality are verified at construction for n <= 5
-    (and on request above).  Results are memoized by partition and by
-    whether they were verified; elements are never mutated, so callers
-    share them.  n above CHARACTER_CAP raises CapExceededError, also on a
-    memo hit.
+    built from its class values f^lambda chi_lambda(C) / n! (sigma^(-1)
+    has the cycle type of sigma).  At construction for n <= 6 (and on
+    request above) it is verified central, its numerators being constant
+    on every conjugacy class, and idempotent, c^2 = c through the class
+    product, whose counts come from permutations and not from characters.
+    Results are memoized by partition and by whether they were verified;
+    elements are never mutated, so callers share them.  n above
+    CHARACTER_CAP raises CapExceededError, also on a memo hit.
     """
     parts = partition.parts if isinstance(partition, Partition) \
         else check_partition(partition)
@@ -319,69 +362,24 @@ def central_idempotent(partition, verify=None):
         raise CapExceededError("idempotent cap is n <= %d" % CHARACTER_CAP,
                                needed=n, cap=CHARACTER_CAP)
     if verify is None:
-        # c^2 = c costs (n!)^2 products: 14400 at n = 5, read from the
-        # Cayley table (whose rows cost as many compositions, once per
-        # process); 518400 tuple compositions at n = 6
-        verify = n <= 5
+        # c^2 = c costs p(n)^3 multiply-adds and, once per process and n,
+        # p(n) n! compositions for the class counts: 7920 at n = 6, and
+        # 887040 at n = 8
+        verify = n <= 6
     key = (parts, bool(verify))
     if key in _IDEMPOTENTS:
         return _IDEMPOTENTS[key]
     row = character_table_row(parts)
     f = standard_tableau_count(parts)
-    num = {sigma: f * row[cycle_type(invert_perm(sigma))]
-           for sigma in permutations(range(n))}
-    c = GroupAlgebraElement._make(n, num, factorial(n))
+    c = GroupAlgebraElement._from_classes(
+        n, {e: f * chi for e, chi in row.items()}, factorial(n))
     if verify:
+        if c._classes is None:
+            raise InvariantError("idempotent is not central")
         if c * c != c:
             raise InvariantError("central idempotent failed c^2 = c")
-        for k in range(n - 1):
-            t = list(range(n))
-            t[k], t[k + 1] = t[k + 1], t[k]
-            t = tuple(t)
-            tau = GroupAlgebraElement(n, {t: 1})
-            if tau * c != c * tau:
-                raise InvariantError("idempotent is not central")
     _IDEMPOTENTS[key] = c
     return c
-
-
-def young_symmetrizer(partition):
-    """The classical (non-central) Young symmetrizer of the canonical
-    tableau, normalized to an idempotent: a secondary route to the same
-    Schur functors."""
-    parts = partition.parts if isinstance(partition, Partition) \
-        else check_partition(partition)
-    n = sum(parts)
-    rows = []
-    k = 0
-    for p in parts:
-        rows.append(list(range(k, k + p)))
-        k += p
-    cols = []
-    for j in range(parts[0]):
-        col = [row[j] for row in rows if j < len(row)]
-        cols.append(col)
-
-    def group_of(blocks):
-        perms = [tuple(range(n))]
-        for block in blocks:
-            new = []
-            for block_perm in permutations(block):
-                mapping = list(range(n))
-                for a, b in zip(block, block_perm):
-                    mapping[a] = b
-                new.append(tuple(mapping))
-            perms = [compose_perm(p, q) for p in perms for q in new]
-        return perms
-
-    row_sum = GroupAlgebraElement(
-        n, {p: 1 for p in group_of(rows)})
-    col_sum = GroupAlgebraElement(
-        n, {p: perm_sign(p) for p in group_of(cols)})
-    y = row_sum * col_sum
-    # y^2 = (n!/f) y, so scale to an idempotent
-    f = standard_tableau_count(parts)
-    return y.scale(Fraction(f, factorial(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -429,17 +427,6 @@ def _signed_permutation_entries(v, n, perm):
     return entries
 
 
-def tensor_power_action(v, n, perm):
-    """The columns of the signed permutation matrix of perm acting on
-    v^(x n).
-
-    perm moves the factor in position i to position perm(i); the Koszul
-    sign collects (-1) for every pair of odd factors whose order flips.
-    """
-    return [{tgt: sign}
-            for tgt, sign in _signed_permutation_entries(v, n, perm)]
-
-
 def _numerator_action(v, elem):
     """The columns of elem.den times the action of elem on v^(x n), on
     ints: the signed permutation entries of every term times its
@@ -452,18 +439,11 @@ def _numerator_action(v, elem):
     return [{i: s for i, s in col.items() if s} for col in cols]
 
 
-def group_element_action(v, elem):
-    """The columns of the action of elem on v^(x n)."""
-    den = elem.den
-    return [{i: Fraction(s, den) for i, s in col.items()}
-            for col in _numerator_action(v, elem)]
-
-
-def _super_trace_of_permutation(v, perm):
-    """Trace of the signed permutation action: product over cycles of
-    (d+ + (-1)^(l+1) d-)."""
+def _super_trace(v, lengths):
+    """Trace of the signed action of a permutation with cycle lengths
+    lengths: product over cycles of (d+ + (-1)^(l+1) d-)."""
     total = 1
-    for l in cycle_type(perm):
+    for l in lengths:
         total *= v.even + ((-1) ** (l + 1)) * v.odd
     return total
 
@@ -472,8 +452,10 @@ def schur_dimension(partition, v, force_matrix=False):
     """dim S_lambda(v) computed from the idempotent action on v^(x n).
 
     The action of a central idempotent is an idempotent matrix, so in
-    characteristic zero its rank equals its trace; the trace expands over
-    cycle types without building the matrix, and answers at every size.
+    characteristic zero its rank equals its trace.  The super trace of a
+    permutation depends on its cycle type alone and c_lambda is constant on
+    each class, so the trace is the sum of |C| c_C str(C) over the p(n)
+    conjugacy classes C; it builds no matrix and answers at every size.
     force_matrix computes the rank of the action instead (the --oracle
     cross-check and the tests' reference) and raises CapExceededError when
     t^n exceeds TENSOR_CAP.
@@ -489,8 +471,9 @@ def schur_dimension(partition, v, force_matrix=False):
                                    cap=TENSOR_CAP)
         # the rank of the action is the rank of den times it
         return matrix_rank(_numerator_action(v, c))
-    val, rem = divmod(sum(coeff * _super_trace_of_permutation(v, p)
-                          for p, coeff in c.num.items()), c.den)
+    size = _class_data(n).size
+    val, rem = divmod(sum(size[e] * coeff * _super_trace(v, e)
+                          for e, coeff in c._classes.items()), c.den)
     if rem:
         raise InvariantError("projector trace is not an integer")
     return val

@@ -189,6 +189,10 @@ def _constants(**fields):
     (None, ["--max-weight", "-2"], None, "--max-weight: must be >= 0"),
     (A2, [], "-1", "NCMOTIVES_CAP: must be >= 0, got -1"),
     (A2, [], "x", "NCMOTIVES_CAP: invalid int value: 'x'"),
+    (A2, ["--max-degree", "1_0"], None, "invalid int value: '1_0'"),
+    (A2, ["--max-degree", "+3"], None, "invalid int value: '+3'"),
+    (A2, ["--max-degree", "\u0664"], None, "invalid int value: '\u0664'"),
+    (A2, [], "2_0", "NCMOTIVES_CAP: invalid int value: '2_0'"),
     (_quiver(vertices="12"), [], None, "'vertices' must be a JSON array"),
     (_constants(basis={"1": "x"}), [], None, "'basis' must be a JSON array"),
     (_quiver(truncation=0), [], None, "truncation must be >= 1, got 0"),
@@ -211,19 +215,25 @@ def _constants(**fields):
      "malformed quiver description: 2.7 is not an integer"),
     (_quiver(truncation=True), [], None,
      "malformed quiver description: True is not an integer"),
+    (_quiver(truncation="\u0662"), [], None,
+     "malformed quiver description: '\u0662' is not an integer"),
 ], ids=["bad-json", "unknown-arrow", "unknown-label", "usage",
         "negative-degree", "negative-cap", "negative-weight",
-        "negative-env-cap", "env-cap-not-int", "vertices-not-array",
-        "basis-not-array", "zero-truncation", "duplicate-vertex",
-        "duplicate-arrow", "arrow-outside", "empty-quiver",
-        "duplicate-label", "empty-basis", "arrow-as-string",
-        "relation-path-as-string", "float-truncation", "bool-truncation"])
+        "negative-env-cap", "env-cap-not-int", "underscore-degree",
+        "plus-degree", "arabic-indic-degree", "underscore-env-cap",
+        "vertices-not-array", "basis-not-array", "zero-truncation",
+        "duplicate-vertex", "duplicate-arrow", "arrow-outside",
+        "empty-quiver", "duplicate-label", "empty-basis", "arrow-as-string",
+        "relation-path-as-string", "float-truncation", "bool-truncation",
+        "arabic-indic-truncation"])
 def test_exit_status_parse_error(tmp_path, monkeypatch, text, extra, env,
                                  needle):
     """Malformed input files and arguments exit 1.  A negative degree
     bound, memory guard or weight cap is one of them (before, hh
     --max-degree -3 exited 2, --cap -1 and NCMOTIVES_CAP=-1 exited 3, and
-    describe --max-degree -3 exited 0)."""
+    describe --max-degree -3 exited 0), and so is an integer that is not
+    ASCII digits (before, int() read 1_0, +3 and the Arabic-Indic 4 as
+    10, 3 and 4, and NCMOTIVES_CAP=2_0 as 20)."""
     if env is not None:
         monkeypatch.setenv("NCMOTIVES_CAP", env)
     args = ["hh"] + extra
@@ -234,6 +244,19 @@ def test_exit_status_parse_error(tmp_path, monkeypatch, text, extra, env,
     status, _, err = run_cli(args)
     assert status == 1
     assert "parse error" in err and needle in err
+
+
+@pytest.mark.parametrize("dims", [
+    "\u0661,\u0661", "1,-1", "1_0,1", "+1,1", "1, 1", "1", "1,1,1",
+])
+def test_malformed_super_dimensions_are_a_parse_error(dims):
+    """--dims reads two integers >= 0 of ASCII digits (before, int() read
+    the Arabic-Indic 1,1 as (1|1), and 1,-1 exited 2 with an invariant
+    violation)."""
+    status, out, err = run_cli(["schur", "--dims", dims,
+                                "--max-weight", "4"])
+    assert (status, out) == (1, "")
+    assert err == "parse error: --dims expects 'd+,d-'\n"
 
 
 @pytest.mark.parametrize("command, degree, floor", [

@@ -94,12 +94,6 @@ TEST_ONLY_DEFINITIONS = {
                            "idempotent-complete category",
     "is_nilpotent_by_traces": "acceptance criterion 7 compares it with "
                               "power vanishing",
-    "young_symmetrizer": "the tests' oracle for the central idempotents' "
-                         "ranks",
-    "tensor_power_action": "the tests' oracle for the signed permutation "
-                           "action behind schur --oracle",
-    "group_element_action": "the tests' oracle for the rank of a group "
-                            "algebra element's action",
     "kunneth_projectors": "acceptance criterion 10 builds the twist from "
                           "them",
     "twist_symmetry": "acceptance criterion 10 checks its odd-odd signs",
@@ -123,7 +117,7 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
 TEST_ONLY_OPTIONS = {
     "derived_tensor.bound":
         "the tests' handle on Tor below the certified bound",
-    "central_idempotent.verify": "the tests check c^2 = c above n = 5",
+    "central_idempotent.verify": "the tests check c^2 = c above n = 6",
     "semisimplicity_check.basis": "the declared span of the library question",
     "hp_of_homomorphism.cap":
         "the chain memory guard every hochschild entry point takes, part of "

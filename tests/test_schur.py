@@ -2,9 +2,12 @@ import os
 import random
 import subprocess
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
-from functools import reduce
+from math import factorial
+from functools import lru_cache, reduce
 from itertools import permutations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,11 +18,76 @@ from ncmotives.exactlin import compose_cols, matrix_rank
 from ncmotives.supers import SuperSpace
 from ncmotives.schur import (
     Partition, partitions_of, standard_tableau_count, character_table_row,
-    central_idempotent, young_symmetrizer, GroupAlgebraElement,
-    tensor_power_action, group_element_action, schur_dimension,
-    super_schur_value, rectangle_criterion, is_schur_finite,
-    compose_perm, perm_sign,
+    central_idempotent, GroupAlgebraElement, schur_dimension,
+    super_schur_value, rectangle_criterion, is_schur_finite, compose_perm,
+    cycle_type,
 )
+
+
+# ---------------------------------------------------------------------------
+# oracles only the tests need: the Young symmetrizer, the signed action of
+# one permutation and of a group algebra element, the sign of a permutation
+
+
+def perm_sign(perm):
+    """(-1)^(n - number of cycles): an l-cycle is l - 1 transpositions."""
+    return (-1) ** (len(perm) - len(cycle_type(perm)))
+
+
+def young_symmetrizer(partition):
+    """The classical (non-central) Young symmetrizer of the canonical
+    tableau, normalized to an idempotent: a secondary route to the same
+    Schur functors."""
+    parts = tuple(partition)
+    n = sum(parts)
+    rows = []
+    k = 0
+    for p in parts:
+        rows.append(list(range(k, k + p)))
+        k += p
+    cols = []
+    for j in range(parts[0]):
+        col = [row[j] for row in rows if j < len(row)]
+        cols.append(col)
+
+    def group_of(blocks):
+        perms = [tuple(range(n))]
+        for block in blocks:
+            new = []
+            for block_perm in permutations(block):
+                mapping = list(range(n))
+                for a, b in zip(block, block_perm):
+                    mapping[a] = b
+                new.append(tuple(mapping))
+            perms = [compose_perm(p, q) for p in perms for q in new]
+        return perms
+
+    row_sum = GroupAlgebraElement(
+        n, {p: 1 for p in group_of(rows)})
+    col_sum = GroupAlgebraElement(
+        n, {p: perm_sign(p) for p in group_of(cols)})
+    y = row_sum * col_sum
+    # y^2 = (n!/f) y, so scale to an idempotent
+    f = standard_tableau_count(parts)
+    return y.scale(Fraction(f, factorial(n)))
+
+
+def tensor_power_action(v, n, perm):
+    """The columns of the signed permutation matrix of perm acting on
+    v^(x n).
+
+    perm moves the factor in position i to position perm(i); the Koszul
+    sign collects (-1) for every pair of odd factors whose order flips.
+    """
+    return [{tgt: sign}
+            for tgt, sign in schur._signed_permutation_entries(v, n, perm)]
+
+
+def group_element_action(v, elem):
+    """The columns of the action of elem on v^(x n)."""
+    den = elem.den
+    return [{i: Fraction(s, den) for i, s in col.items()}
+            for col in schur._numerator_action(v, elem)]
 
 
 def test_character_trivial_and_sign():
@@ -45,7 +113,6 @@ def test_character_identity_is_hook_count():
 
 def test_character_orthogonality_n5():
     """First orthogonality of S_5 characters: an independent global check."""
-    from math import factorial
     n = 5
     # sizes of conjugacy classes by cycle type
     def class_size(ct):
@@ -83,7 +150,9 @@ def test_central_idempotent_n1_and_n2():
 
 
 def test_central_idempotents_orthogonal_and_complete():
-    for n in range(2, 6):
+    """c_lambda c_mu = delta c_lambda and sum c_lambda = 1 for every n <= 6,
+    on default construction (which verifies each c^2 = c)."""
+    for n in range(1, 7):
         cs = [central_idempotent(p) for p in partitions_of(n)]
         for i, a in enumerate(cs):
             for j, b in enumerate(cs):
@@ -114,24 +183,51 @@ def test_central_idempotent_is_built_once_per_partition(monkeypatch):
         central_idempotent((2, 2))
 
 
-def test_central_idempotent_verify_above_five_is_not_skipped(monkeypatch):
+def test_central_idempotent_verify_is_one_class_product(monkeypatch):
+    """Verification checks centrality on the numerators and c^2 = c by one
+    class product, with no products by transpositions; it runs by default
+    up to n = 6 and on request above."""
     monkeypatch.setattr(schur, "_IDEMPOTENTS", {})
     products = []
     mul = GroupAlgebraElement.__mul__
 
     def counted_mul(x, y):
-        products.append((len(x.num), len(y.num)))
+        products.append((x, y))
         return mul(x, y)
 
     monkeypatch.setattr(GroupAlgebraElement, "__mul__", counted_mul)
-    plain = central_idempotent((4, 2))          # n = 6: unverified
-    assert products == []
-    checked = central_idempotent((4, 2), verify=True)
-    # c^2 = c and both sides of the 5 adjacent transpositions
-    assert len(products) == 11
+    checked = central_idempotent((4, 2))        # n = 6: verified
+    assert products == [(checked, checked)]
+    assert central_idempotent((4, 2), verify=True) is checked
+    assert len(products) == 1
+    plain = central_idempotent((4, 2, 1))       # n = 7: unverified
+    assert len(products) == 1
+    checked = central_idempotent((4, 2, 1), verify=True)
+    assert products[1:] == [(checked, checked)]
     assert checked == plain
-    central_idempotent((4, 2), verify=True)
-    assert len(products) == 11
+    central_idempotent((4, 2, 1), verify=True)
+    assert len(products) == 2
+
+
+def test_a_corrupted_character_fails_default_construction(monkeypatch):
+    """One character value off by one, at the class of a transposition:
+    default construction verifies c^2 = c at n = 6 and raises; at n = 7 it
+    builds the element unchecked, and verify=True raises."""
+    monkeypatch.setattr(schur, "_IDEMPOTENTS", {})
+    row = schur.character_table_row
+
+    def corrupted_row(parts):
+        out = dict(row(parts))
+        out[(2,) + (1,) * (sum(parts) - 2)] += 1
+        return out
+
+    monkeypatch.setattr(schur, "character_table_row", corrupted_row)
+    failed = r"^central idempotent failed c\^2 = c$"
+    with pytest.raises(InvariantError, match=failed):
+        central_idempotent((4, 2))
+    central_idempotent((4, 2, 1))
+    with pytest.raises(InvariantError, match=failed):
+        central_idempotent((4, 2, 1), verify=True)
 
 
 def test_young_symmetrizer_idempotent_and_matching_rank():
@@ -307,8 +403,8 @@ def group_elements(draw, n):
 @settings(deadline=None, max_examples=60)
 @given(st.data())
 def test_group_algebra_arithmetic_matches_naive_convolution(data):
-    # two sizes per draw, so the per-n tables serve both in one process;
-    # n = 6 is above schur.TABLE_CAP and composes tuples
+    # two sizes per draw; a product with a non-central factor composes
+    # tuples, and one of two central factors multiplies in the class algebra
     for n in data.draw(st.lists(st.integers(1, 6), min_size=2, max_size=2,
                                 unique=True)):
         x = data.draw(group_elements(n))
@@ -327,36 +423,117 @@ def test_group_algebra_arithmetic_matches_naive_convolution(data):
         assert ex + ey == GroupAlgebraElement(n, naive_add(x, y))
 
 
-def _rows_built():
-    return {n: set(table.rows) for n, table in schur._TABLES.items()}
+@lru_cache(maxsize=None)
+def conjugacy_classes(n):
+    """The conjugacy classes of S_n, as the orbits of conjugation by the
+    adjacent transpositions, which generate S_n."""
+    taus = []
+    for k in range(n - 1):
+        t = list(range(n))
+        t[k], t[k + 1] = t[k + 1], t[k]
+        taus.append(t)
+    left = set(permutations(range(n)))
+    classes = []
+    while left:
+        orbit = [left.pop()]
+        for p in orbit:
+            for t in taus:
+                q = tuple(t[p[t[i]]] for i in range(n))
+                if q in left:
+                    left.remove(q)
+                    orbit.append(q)
+        classes.append(orbit)
+    return classes
 
 
-def test_cayley_rows_are_built_up_to_the_cap_only(monkeypatch):
-    monkeypatch.setattr(schur, "_TABLES", {})
+def is_class_function(x, n):
+    return all(len({x.get(p, 0) for p in cl}) == 1
+               for cl in conjugacy_classes(n))
+
+
+@st.composite
+def class_functions(draw, n):
+    """A central element: one value per conjugacy class, zero, negative or
+    rational.  At n = 6 at most two classes are nonzero, so that the
+    naive product stays small."""
+    classes = conjugacy_classes(n)
+    if n <= 5:
+        values = draw(st.lists(small_fractions, min_size=len(classes),
+                               max_size=len(classes)))
+    else:
+        chosen = draw(st.dictionaries(st.integers(0, len(classes) - 1),
+                                      nonzero_fractions, max_size=2))
+        values = [chosen.get(i, 0) for i in range(len(classes))]
+    return {p: v for cl, v in zip(classes, values) for p in cl if v}
+
+
+def _refused(*args):
+    raise AssertionError("a product with a non-central factor read the "
+                         "class counts")
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_class_product_matches_naive_convolution(data):
+    """Two central factors multiply in the class algebra, in both orders;
+    with a non-central factor the product composes tuples and never reads
+    the class counts.  Each must equal the naive convolution."""
+    n = data.draw(st.integers(1, 6))
+    x = data.draw(class_functions(n))
+    y = data.draw(class_functions(n))
+    z = data.draw(group_elements(n))
+    ex, ey, ez = (GroupAlgebraElement(n, d) for d in (x, y, z))
+    assert ex._classes is not None and ey._classes is not None
+    assert (ez._classes is not None) == is_class_function(z, n)
+    for a, b, ea, eb in ((x, y, ex, ey), (y, x, ey, ex)):
+        product = naive_mul(a, b)
+        assert (ea * eb).coeffs == product
+        assert ea * eb == GroupAlgebraElement(n, product)
+    guard = (mock.patch.object(schur._ClassData, "class_counts", _refused)
+             if ez._classes is None else nullcontext())
+    with guard:
+        for a, b, ea, eb in ((x, z, ex, ez), (z, x, ez, ex)):
+            product = naive_mul(a, b)
+            assert (ea * eb).coeffs == product
+            assert ea * eb == GroupAlgebraElement(n, product)
+
+
+def test_class_counts_are_built_once_by_central_products(monkeypatch):
+    """Products of non-central elements build class maps but no counts;
+    the first central product at n counts p(n) n! compositions, 840 at
+    n = 5, and every later one none."""
+    monkeypatch.setattr(schur, "_CLASSES", {})
     monkeypatch.setattr(schur, "_IDEMPOTENTS", {})
-    assert schur.TABLE_CAP == 5
-    # 144 terms times 8 at n = 7 and 36 times 8 at n = 6: tuples only
     young_symmetrizer((4, 3))
     young_symmetrizer((3, 3))
-    assert _rows_built() == {}
-    # c^2 = c and c tau read the rows of c's terms, tau c the row of tau
-    c = central_idempotent((2, 1, 1, 1), verify=True)
-    taus = set()
-    for k in range(4):
-        t = list(range(5))
-        t[k], t[k + 1] = t[k + 1], t[k]
-        taus.add(tuple(t))
-    assert _rows_built() == {5: set(c.num) | taus}
+    assert sorted(schur._CLASSES) == [6, 7]
+    assert all(data.counts is None for data in schur._CLASSES.values())
+    compositions = []
+    compose = schur.compose_perm
+
+    def counted_compose(p, q):
+        compositions.append(len(p))
+        return compose(p, q)
+
+    monkeypatch.setattr(schur, "compose_perm", counted_compose)
+    for _ in range(2):
+        for parts in partitions_of(5):
+            c = central_idempotent(parts)       # verified: c^2 = c
+            assert c * c == c
+    assert compositions == [5] * 840
+    counts = schur._CLASSES[5].counts
+    assert sum(m for terms in counts.values() for _, _, m in terms) == 840
+    assert schur._CLASSES[6].counts is None
 
 
-def test_importing_the_package_builds_no_cayley_table():
+def test_importing_the_package_builds_no_class_data():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.dirname(os.path.dirname(schur.__file__))]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     code = ("import ncmotives, ncmotives.cli\n"
             "from ncmotives import schur\n"
-            "print(len(schur._TABLES))")
+            "print(len(schur._CLASSES))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, check=True)
     assert out.stdout == "0\n"

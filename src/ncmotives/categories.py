@@ -30,7 +30,7 @@ from fractions import Fraction
 from .errors import InvariantError, CapExceededError, UncertifiedError
 from .exactlin import (LinSubspace, Elimination, kernel, bilinear,
                        vec_addmul, vec_scale, vec_sub, jacobson_radical,
-                       lift_idempotent, solve_columns)
+                       lift_idempotent)
 from .algebras import structure_algebra
 
 
@@ -458,14 +458,28 @@ def _divisors(n):
 
 
 def _interpolate(points, values):
-    """The polynomial of degree <= k through (points[i], values[i]), the
-    k + 1 points distinct integers: the solve of the Vandermonde system,
-    whose column c holds the points to the power c."""
-    vandermonde = [{r: x ** c for r, x in enumerate(points) if x or not c}
-                   for c in range(len(points))]
-    target = {r: Fraction(y) for r, y in enumerate(values) if y}
-    sol = solve_columns(vandermonde, [target])[0]
-    return [sol.get(i, Fraction(0)) for i in range(len(points))]
+    """The coefficients, lowest first, of the polynomial of degree <= k
+    through (points[i], values[i]), the k + 1 points and the values
+    integers, the points distinct: Newton's divided differences, expanded
+    from the highest down.  They run on ints, the values scaled by D, the
+    product of the differences of the points: a divided difference has
+    for denominators products of distinct such differences, which divide
+    D, so every division is exact and only the result is made Fractions."""
+    k = len(points)
+    scale = 1
+    for b in range(k):
+        for a in range(b):
+            scale *= points[b] - points[a]
+    diff = [y * scale for y in values]
+    for j in range(1, k):
+        for i in range(k - 1, j - 1, -1):
+            diff[i] = (diff[i] - diff[i - 1]) // (points[i] - points[i - j])
+    poly = [diff[-1]]
+    for i in range(k - 2, -1, -1):
+        # poly * (t - points[i]) + diff[i]
+        poly = [s - points[i] * p for s, p in zip([0] + poly, poly + [0])]
+        poly[0] += diff[i]
+    return [Fraction(c, scale) for c in poly]
 
 
 FACTOR_CAP = 6
@@ -958,11 +972,14 @@ def orbit(c, o):
 
     Composition twists the second factor: for f in the j = i component and
     g in the j = k component, g o f lands in the component i + k via
-    (g (x) id_{O^i}) o f.  Returns (category, tau_data) where tau_data maps
-    component indices; the canonical projection embeds each original hom as
-    the j = 0 block, and id_{Y (x) O} viewed in the j = +1 component of
-    Hom(Y (x) O, Y) realizes the natural identification of an object with
-    its twist (invertible, inverse in the j = -1 component).
+    (g (x) id_{O^i}) o f.  Returns the orbit category, a PresentedCategory
+    with three attributes attached: orbit_parent, the category c;
+    orbit_invertible, the TensorInvertible o; and orbit_encode(x, y, j,
+    part), which places a morphism of Hom(X, Y (x) O^j) in its component of
+    the orbit hom Hom(X, Y).  The canonical projection embeds each original
+    hom as the j = 0 block, and id_{Y (x) O} viewed in the j = +1 component
+    of Hom(Y (x) O, Y) realizes the natural identification of an object
+    with its twist (invertible, inverse in the j = -1 component).
     """
     J = o.bound
     objects = o.restrict_to

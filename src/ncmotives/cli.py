@@ -311,7 +311,8 @@ def cmd_schur(args):
         rep.add("oracle agreement",
                 "matrix rank %d, hook value %d" % (forced, oracle),
                 payload_value={"matrix": forced, "hook": oracle})
-    rep.add("certificate", "vanishing verified by exact idempotent action")
+    rep.add("certificate", "vanishing verified by the exact trace of the "
+            "idempotent, summed over conjugacy classes")
     return rep
 
 

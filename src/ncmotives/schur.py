@@ -7,17 +7,16 @@ functor kills the space.  Characters come from the Murnaghan-Nakayama rule
 with the hook length formula as a cross-check; Schur dimensions have the
 supersymmetric hook Schur evaluation as an independent oracle.
 
-The block idempotents are central, so they live in the centre of Q[S_n], a
-subalgebra of dimension p(n) spanned by the class sums.  A product of two
-central elements, the check c^2 = c and the trace of an idempotent run over
-the p(n) conjugacy classes, not the n! permutations: a central element is
-fixed by its value at one representative of each class.  The class counts
-that multiply in the centre are counted from permutations, never derived
-from characters, so c^2 = c stays an independent check of the characters.
+A block idempotent is a class function, so it is kept as its values on the
+p(n) conjugacy classes, never on the n! permutations: products, the check
+c^2 = c and the trace of an idempotent all run over the classes.  The class
+counts that multiply in the centre are counted from permutations, never
+derived from characters, so c^2 = c stays an independent check of the
+characters.
 """
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import permutations
 from math import factorial, gcd, lcm
 
@@ -34,6 +33,13 @@ def check_partition(parts):
     if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
         raise InvariantError("partition parts must be weakly decreasing")
     return parts
+
+
+def _parts(partition):
+    """The checked parts of a Partition or of a sequence of parts."""
+    if isinstance(partition, Partition):
+        return partition.parts
+    return check_partition(partition)
 
 
 class Partition:
@@ -130,8 +136,7 @@ def character_table_row(partition):
 
     The identity value is cross-checked against the hook length formula.
     """
-    parts = partition.parts if isinstance(partition, Partition) \
-        else check_partition(partition)
+    parts = _parts(partition)
     n = sum(parts)
     if n > CHARACTER_CAP:
         raise CapExceededError("character cap is n <= %d" % CHARACTER_CAP,
@@ -170,9 +175,10 @@ def compose_perm(p, q):
 
 
 class _ClassData:
-    """The conjugacy classes of S_n, a class being a cycle type: the class
-    of each permutation (in the order of itertools.permutations), one
-    representative g_E and the size of each class E, and the class counts
+    """The conjugacy classes of S_n, a class being a cycle type E: its size
+    n!/z_E, with z_E = prod over i of i^(m_i) m_i! for m_i parts equal to
+    i, one representative g_E (the cycles (0 1 .. l-1)(l ..) ... of E's
+    lengths in order), and the class counts
 
         N_E(C, D) = #{h in C : h^(-1) o g_E in D},
 
@@ -180,18 +186,27 @@ class _ClassData:
     of S_n: p(n) n! compositions, 840 at n = 5 and 7920 at n = 6."""
 
     def __init__(self, n):
-        self.class_of = {p: cycle_type(p) for p in permutations(range(n))}
+        self.n = n
         self.rep, self.size = {}, {}
-        for p, e in self.class_of.items():
-            self.rep.setdefault(e, p)
-            self.size[e] = self.size.get(e, 0) + 1
+        for e in partitions_of(n):
+            z = 1
+            for i in set(e):
+                m = e.count(i)
+                z *= i ** m * factorial(m)
+            self.size[e] = factorial(n) // z
+            rep, start = [], 0
+            for l in e:
+                rep += range(start + 1, start + l)
+                rep.append(start)
+                start += l
+            self.rep[e] = tuple(rep)
         self.counts = None
 
     def class_counts(self):
         """{E: [(C, D, N_E(C, D)) for each nonzero count]}.  h and its
         inverse k share a class, so the count runs over k = h^(-1)."""
         if self.counts is None:
-            cls = self.class_of
+            cls = {p: cycle_type(p) for p in permutations(range(self.n))}
             counts = {}
             for e, g in self.rep.items():
                 tally = {}
@@ -213,172 +228,114 @@ def _class_data(n):
     return data
 
 
-def _class_values(n, num):
-    """{class: numerator} when num is constant on every conjugacy class of
-    S_n (a class num misses has value 0, and is left out), else None."""
-    data = _class_data(n)
-    cls = data.class_of
-    vals = {}
-    for p, v in num.items():
-        if vals.setdefault(cls[p], v) != v:
-            return None
-    # num meets each class in at most its size, so equal totals mean num
-    # covers every class it meets
-    if sum(data.size[e] for e in vals) != len(num):
-        return None
-    return vals
-
-
 class GroupAlgebraElement:
-    """Sparse element of Q[S_n]: permutation tuple -> coefficient.
+    """A central element of Q[S_n], a class function: cycle type ->
+    coefficient.
 
-    Coefficients are stored as int numerators num[p] over one positive
+    Coefficients are stored as int numerators num[E] over one positive
     common denominator den, with gcd(den, num...) = 1, so equal elements
-    have equal fields.  coeffs is the read-only Fraction view.
+    have equal fields; a class missing from num has coefficient 0.  coeffs
+    is the read-only view on permutations.
 
-    An element is central iff its numerators are constant on every
-    conjugacy class, which is the same as commuting with all of S_n; it
-    records that once, as its class values (None if not central), since
-    elements are never mutated.  A product x * y of two central elements is
-    computed in the class algebra: the centre is a subalgebra, so xy is
-    central and its value at one representative g_E fixes its whole class,
+    The centre is a subalgebra, so a product xy is central and its value at
+    one representative g_E fixes its whole class,
 
         (xy)(g_E) = sum over C, D of N_E(C, D) x_C y_D,
 
-    at most p(n)^3 multiply-adds (124 nonzero counts at n = 5) in place of
-    (n!)^2 (14400), with the counts N_E(C, D) of _ClassData.  Every other product sums c * d at
-    p o q over the terms c p of x and d q of y, composing the tuples.
+    at most p(n)^3 multiply-adds (124 nonzero counts at n = 5) with the
+    counts N_E(C, D) of _ClassData.
     """
 
-    def __init__(self, n, coeffs):
-        coeffs = {p: Fraction(c) for p, c in coeffs.items() if c}
-        for p in coeffs:
-            if len(p) != n or sorted(p) != list(range(n)):
-                raise InvariantError("not a permutation of %d letters" % n)
-        den = lcm(*(c.denominator for c in coeffs.values()))
+    def __init__(self, n, values):
+        values = {e: Fraction(c) for e, c in values.items() if c}
+        for e in values:
+            if not isinstance(e, tuple) or sum(e) != n or \
+                    check_partition(e) != e:
+                raise InvariantError("not a partition of %d" % n)
+        den = lcm(*(c.denominator for c in values.values()))
         self.n = n
-        self.num = {p: c.numerator * (den // c.denominator)
-                    for p, c in coeffs.items()}
+        self.num = {e: c.numerator * (den // c.denominator)
+                    for e, c in values.items()}
         self.den = den
 
     @classmethod
     def _make(cls, n, num, den):
-        """An element from int numerators over den > 0, with no permutation
-        check: callers pass composites of checked permutations."""
-        num = {p: v for p, v in num.items() if v}
+        """An element from int numerators over den > 0, with no class
+        check: callers pass the cycle types of S_n."""
+        num = {e: v for e, v in num.items() if v}
         g = gcd(den, *num.values())
         if g > 1:
-            num = {p: v // g for p, v in num.items()}
+            num = {e: v // g for e, v in num.items()}
             den //= g
         out = cls.__new__(cls)
         out.n, out.num, out.den = n, num, den
         return out
 
-    @classmethod
-    def _from_classes(cls, n, vals, den):
-        """The central element with numerator vals.get(E, 0) at every
-        permutation of class E, over den > 0."""
-        return cls._make(n, {p: vals.get(e, 0) for p, e in
-                             _class_data(n).class_of.items()}, den)
-
-    @cached_property
-    def _classes(self):
-        """{class: numerator} if the element is central, else None."""
-        return _class_values(self.n, self.num)
-
     @property
     def coeffs(self):
-        den = self.den
-        return {p: Fraction(v, den) for p, v in self.num.items()}
+        """{permutation: Fraction} over the permutations of the classes
+        with a nonzero value; the zero element enumerates nothing."""
+        if not self.num:
+            return {}
+        num, den = self.num, self.den
+        out = {}
+        for p in permutations(range(self.n)):
+            v = num.get(cycle_type(p))
+            if v:
+                out[p] = Fraction(v, den)
+        return out
 
     def __mul__(self, other):
-        n = self.n
-        den = self.den * other.den
-        x = self._classes
-        y = other._classes if x is not None else None
-        if y is not None:
-            vals = {}
-            for e, terms in _class_data(n).class_counts().items():
-                total = 0
-                for c, d, m in terms:
-                    if c in x and d in y:
-                        total += m * x[c] * y[d]
-                vals[e] = total
-            return GroupAlgebraElement._from_classes(n, vals, den)
-        out = {}
-        get = out.get
-        for p, c in self.num.items():
-            at = p.__getitem__
-            for q, d in other.num.items():
-                r = tuple(map(at, q))
-                out[r] = get(r, 0) + c * d
-        return GroupAlgebraElement._make(n, out, den)
-
-    def __add__(self, other):
-        den = lcm(self.den, other.den)
-        a, b = den // self.den, den // other.den
-        out = {p: a * v for p, v in self.num.items()}
-        for p, v in other.num.items():
-            out[p] = out.get(p, 0) + b * v
-        return GroupAlgebraElement._make(self.n, out, den)
-
-    def scale(self, c):
-        c = Fraction(c)
-        k = c.numerator
-        return GroupAlgebraElement._make(
-            self.n, {p: k * v for p, v in self.num.items()},
-            self.den * c.denominator)
+        x, y = self.num, other.num
+        vals = {}
+        for e, terms in _class_data(self.n).class_counts().items():
+            total = 0
+            for c, d, m in terms:
+                if c in x and d in y:
+                    total += m * x[c] * y[d]
+            vals[e] = total
+        return GroupAlgebraElement._make(self.n, vals, self.den * other.den)
 
     def __eq__(self, other):
         return (isinstance(other, GroupAlgebraElement) and self.n == other.n
                 and self.den == other.den and self.num == other.num)
 
     def __repr__(self):
-        return "GroupAlgebraElement(S_%d, %d terms)" % (self.n,
-                                                        len(self.num))
+        return "GroupAlgebraElement(S_%d, %d classes)" % (self.n,
+                                                          len(self.num))
 
 
-_IDEMPOTENTS = {}    # (parts, verified) -> c_lambda, stored once checked
+_IDEMPOTENTS = {}    # parts -> c_lambda, stored once built (and checked)
 
 
-def central_idempotent(partition, verify=None):
+def central_idempotent(partition):
     """The central block idempotent
 
         c_lambda = (f^lambda / n!) sum_sigma chi_lambda(sigma^(-1)) sigma,
 
-    built from its class values f^lambda chi_lambda(C) / n! (sigma^(-1)
-    has the cycle type of sigma).  At construction for n <= 6 (and on
-    request above) it is verified central, its numerators being constant
-    on every conjugacy class, and idempotent, c^2 = c through the class
-    product, whose counts come from permutations and not from characters.
-    Results are memoized by partition and by whether they were verified;
-    elements are never mutated, so callers share them.  n above
-    CHARACTER_CAP raises CapExceededError, also on a memo hit.
+    kept by its class values f^lambda chi_lambda(C) / n! (sigma^(-1) has
+    the cycle type of sigma).  For n <= 6 construction checks c^2 = c
+    through the class product, whose counts come from permutations and not
+    from characters; above, the counts would cost p(n) n! compositions once
+    per process and n (887040 at n = 8), so construction leaves the check
+    to callers.  Results are memoized by partition; elements are never
+    mutated, so callers share them.  n above CHARACTER_CAP raises
+    CapExceededError, also on a memo hit.
     """
-    parts = partition.parts if isinstance(partition, Partition) \
-        else check_partition(partition)
+    parts = _parts(partition)
     n = sum(parts)
     if n > CHARACTER_CAP:
         raise CapExceededError("idempotent cap is n <= %d" % CHARACTER_CAP,
                                needed=n, cap=CHARACTER_CAP)
-    if verify is None:
-        # c^2 = c costs p(n)^3 multiply-adds and, once per process and n,
-        # p(n) n! compositions for the class counts: 7920 at n = 6, and
-        # 887040 at n = 8
-        verify = n <= 6
-    key = (parts, bool(verify))
-    if key in _IDEMPOTENTS:
-        return _IDEMPOTENTS[key]
-    row = character_table_row(parts)
-    f = standard_tableau_count(parts)
-    c = GroupAlgebraElement._from_classes(
-        n, {e: f * chi for e, chi in row.items()}, factorial(n))
-    if verify:
-        if c._classes is None:
-            raise InvariantError("idempotent is not central")
-        if c * c != c:
+    c = _IDEMPOTENTS.get(parts)
+    if c is None:
+        row = character_table_row(parts)
+        f = standard_tableau_count(parts)
+        c = GroupAlgebraElement._make(
+            n, {e: f * chi for e, chi in row.items()}, factorial(n))
+        if n <= 6 and c * c != c:
             raise InvariantError("central idempotent failed c^2 = c")
-    _IDEMPOTENTS[key] = c
+        _IDEMPOTENTS[parts] = c
     return c
 
 
@@ -429,12 +386,16 @@ def _signed_permutation_entries(v, n, perm):
 
 def _numerator_action(v, elem):
     """The columns of elem.den times the action of elem on v^(x n), on
-    ints: the signed permutation entries of every term times its
-    numerator."""
-    cols = [{} for _ in range(_power_dim(v, elem.n))]
-    for p, c in elem.num.items():
-        for col, (tgt, sign) in zip(
-                cols, _signed_permutation_entries(v, elem.n, p)):
+    ints: the signed permutation entries of every permutation times the
+    numerator of its class."""
+    n, num = elem.n, elem.num
+    cols = [{} for _ in range(_power_dim(v, n))]
+    for p in permutations(range(n)):
+        c = num.get(cycle_type(p))
+        if not c:
+            continue
+        for col, (tgt, sign) in zip(cols,
+                                    _signed_permutation_entries(v, n, p)):
             col[tgt] = col.get(tgt, 0) + sign * c
     return [{i: s for i, s in col.items() if s} for col in cols]
 
@@ -449,19 +410,18 @@ def _super_trace(v, lengths):
 
 
 def schur_dimension(partition, v, force_matrix=False):
-    """dim S_lambda(v) computed from the idempotent action on v^(x n).
+    """dim S_lambda(v), the rank of the idempotent's action on v^(x n).
 
     The action of a central idempotent is an idempotent matrix, so in
     characteristic zero its rank equals its trace.  The super trace of a
-    permutation depends on its cycle type alone and c_lambda is constant on
-    each class, so the trace is the sum of |C| c_C str(C) over the p(n)
-    conjugacy classes C; it builds no matrix and answers at every size.
-    force_matrix computes the rank of the action instead (the --oracle
-    cross-check and the tests' reference) and raises CapExceededError when
-    t^n exceeds TENSOR_CAP.
+    permutation depends on its cycle type alone, so the trace is the sum of
+    |C| c_C str(C) over the p(n) conjugacy classes C, with |C| = n!/z_C and
+    c_C the stored class value; it builds no matrix and answers at every
+    size.  force_matrix computes the rank of the action instead (the
+    --oracle cross-check and the tests' reference) and raises
+    CapExceededError when t^n exceeds TENSOR_CAP.
     """
-    parts = partition.parts if isinstance(partition, Partition) \
-        else check_partition(partition)
+    parts = _parts(partition)
     n = sum(parts)
     c = central_idempotent(parts)
     t = v.total
@@ -473,7 +433,7 @@ def schur_dimension(partition, v, force_matrix=False):
         return matrix_rank(_numerator_action(v, c))
     size = _class_data(n).size
     val, rem = divmod(sum(size[e] * coeff * _super_trace(v, e)
-                          for e, coeff in c._classes.items()), c.den)
+                          for e, coeff in c.num.items()), c.den)
     if rem:
         raise InvariantError("projector trace is not an integer")
     return val
@@ -482,8 +442,7 @@ def schur_dimension(partition, v, force_matrix=False):
 def super_schur_value(partition, v):
     """Independent oracle: f^lambda * hs_lambda(1^d+ | 1^d-) via the
     Jacobi-Trudi determinant in the complete supersymmetric functions."""
-    parts = partition.parts if isinstance(partition, Partition) \
-        else check_partition(partition)
+    parts = _parts(partition)
     a, b = v.even, v.odd
 
     def comb(m, k):
@@ -526,8 +485,7 @@ def super_schur_value(partition, v):
 
 def rectangle_criterion(partition, v):
     """True iff S_lambda(v) = 0 by the hook criterion: lambda_(d+ + 1) >= d- + 1."""
-    parts = partition.parts if isinstance(partition, Partition) \
-        else check_partition(partition)
+    parts = _parts(partition)
     a, b = v.even, v.odd
     return len(parts) > a and parts[a] >= b + 1
 

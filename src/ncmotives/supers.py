@@ -73,7 +73,8 @@ class GradedSpace:
 
 class KunnethPair:
     """The pair of projections of a super space onto its even/odd parts,
-    each the list of its columns."""
+    each the list of its columns.  Idempotents P and M with P + M = I are
+    orthogonal, PM = P - P^2 = 0, so that is not checked apart."""
 
     def __init__(self, space, plus, minus):
         self.space = space
@@ -85,8 +86,6 @@ class KunnethPair:
         if compose_cols(plus, plus) != plus or \
                 compose_cols(minus, minus) != minus:
             raise InvariantError("projectors are not idempotent")
-        if any(compose_cols(plus, minus)):
-            raise InvariantError("projectors are not orthogonal")
         if matrix_rank(plus) != space.even or matrix_rank(minus) != space.odd:
             raise InvariantError("projector ranks disagree with the declared "
                                  "dimensions")

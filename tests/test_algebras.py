@@ -14,8 +14,8 @@ from ncmotives.algebras import (
 )
 from ncmotives.exactlin import LinSubspace, apply_cols, vec_addmul, vec_sub
 from ncmotives.hochschild import periodic_cyclic
-from test_exactlin import (_columns, _dense, _oracle_identity, _oracle_kron,
-                           _oracle_product)
+from test_exactlin import (_columns, _dense, _oracle_identity, _oracle_product,
+                           _sparse_kron)
 from test_hochschild import (quiver_algebras, corrupting, _over_q1,
                              loop_algebra, _conjugated)
 
@@ -722,7 +722,8 @@ def test_content_key_matches_the_matrix_key(name):
 @pytest.mark.parametrize("name", zoo.ZOO_NAMES)
 def test_coefficient_bimodule_matches_kron(name):
     """The coefficients y (x) x of the Tor complex equal the Kronecker
-    products I (x) y.left[k] and x.right[k] (x) I they replaced."""
+    products I (x) y.left[k] and x.right[k] (x) I they replaced, built by
+    the sparse oracle (test_exactlin pins it against the dense one)."""
     mods = _zoo_bimodules(zoo.get(name))
     for x, y in zip(mods, mods[1:] + mods[:1]):
         with mock.patch.object(algebras, "_chain_basis",
@@ -730,10 +731,10 @@ def test_coefficient_bimodule_matches_kron(name):
             derived_tensor(x, y, bound=0)
         m = spy.call_args.args[0]
         ix, iy = _oracle_identity(x.dim), _oracle_identity(y.dim)
-        assert m.left == [_columns(_oracle_kron(ix, _dense(g, y.dim)),
-                                   m.dim) for g in y.left]
-        assert m.right == [_columns(_oracle_kron(_dense(g, x.dim), iy),
-                                    m.dim) for g in x.right]
+        assert m.left == [_sparse_kron(ix, _dense(g, y.dim))
+                          for g in y.left]
+        assert m.right == [_sparse_kron(_dense(g, x.dim), iy)
+                           for g in x.right]
 
 
 def test_resolution_stops_at_the_memory_guard(monkeypatch):

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ncmotives import categories, zoo
 from ncmotives.errors import InvariantError, CapExceededError
-from ncmotives.exactlin import Elimination, LinSubspace
+from ncmotives.exactlin import Elimination, LinSubspace, solve_columns
 from ncmotives.inputs import load_category
 from ncmotives.categories import (
     PresentedCategory, karoubi, is_idempotent_split,
@@ -1614,6 +1614,39 @@ def _oracle_interpolate(points, values):
                                   + [Fraction(y)]
                                   for x, y in zip(points, values)])
     return [rows[c][k] for c in range(k)]
+
+
+def _vandermonde_interpolate(points, values):
+    """categories._interpolate before Newton's divided differences,
+    verbatim: the solve of the Vandermonde system through a tracked
+    elimination, whose column c holds the points to the power c."""
+    vandermonde = [{r: x ** c for r, x in enumerate(points) if x or not c}
+                   for c in range(len(points))]
+    target = {r: Fraction(y) for r, y in enumerate(values) if y}
+    sol = solve_columns(vandermonde, [target])[0]
+    return [sol.get(i, Fraction(0)) for i in range(len(points))]
+
+
+INTERPOLATION_DATA = st.lists(
+    st.integers(-9, 9), min_size=1, max_size=5, unique=True).flatmap(
+    lambda points: st.tuples(st.just(points), st.lists(
+        st.integers(-60, 60), min_size=len(points), max_size=len(points))))
+
+
+@settings(deadline=None, max_examples=80)
+@given(INTERPOLATION_DATA)
+@example(([0, 1, -1, 2], [-6, 3, 0, 7]))    # the search's point order
+@example(([5], [0]))
+def test_newton_interpolation_matches_the_vandermonde_solve(data):
+    """The same coefficients, lowest first and all Fractions, as the solve
+    it replaced and the dense Gauss-Jordan oracle, on distinct integer
+    points."""
+    points, values = data
+    got = categories._interpolate(points, values)
+    assert got == _vandermonde_interpolate(points, values) \
+        == _oracle_interpolate(points, values)
+    assert all(type(v) is Fraction for v in got)
+    assert [poly_eval(got, x) for x in points] == values
 
 
 def _oracle_is_irreducible_over_q(coeffs, degree_cap=6):

@@ -152,6 +152,24 @@ def test_schur_sweep():
     assert "(2, 2)" in out
 
 
+SCHUR_CERTIFICATE = ("certificate: vanishing verified by the exact trace of "
+                     "the idempotent, summed over conjugacy classes\n")
+
+
+def test_schur_certificate_names_the_trace_route():
+    """The vanishing is decided by the class-sum trace of c_lambda; the
+    matrix rank of its action appears only under --oracle, on its own
+    line, and the certificate line is the same either way."""
+    status, out, _ = run_cli(["schur", "--dims", "2,1", "--max-weight", "6"])
+    assert status == 0
+    assert out.endswith("\nweight: 6\n" + SCHUR_CERTIFICATE)
+    status, out, _ = run_cli(["schur", "--dims", "2,1", "--max-weight", "6",
+                              "--oracle"])
+    assert status == 0
+    assert out.endswith("\noracle agreement: matrix rank 0, hook value 0\n"
+                        + SCHUR_CERTIFICATE)
+
+
 UNKNOWN_ARROW = {"kind": "quiver", "vertices": ["1", "2"],
                  "arrows": [["a", "1", "2"]], "truncation": 2,
                  "relations": [[["1", ["a", "z"]]]]}

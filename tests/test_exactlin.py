@@ -65,6 +65,22 @@ def _oracle_kron(x, y):
     return [[a * b for a in xrow for b in yrow] for xrow in x for yrow in y]
 
 
+def _sparse_kron(x, y):
+    """The sparse columns of _oracle_kron(x, y): each product of a nonzero
+    x[r][c] and a nonzero y[s][d] placed at its Kronecker position, row
+    r * len(y) + s of column c * len(y[0]) + d."""
+    rows, cols = len(y), len(y[0]) if y else 0
+    out = [{} for _ in range((len(x[0]) if x else 0) * cols)]
+    y_entries = [(s, d, b) for s, row in enumerate(y)
+                 for d, b in enumerate(row) if b]
+    for r, row in enumerate(x):
+        for c, a in enumerate(row):
+            if a:
+                for s, d, b in y_entries:
+                    out[c * cols + d][r * rows + s] = a * b
+    return out
+
+
 def _oracle_row_reduce(x):
     """(reduced row echelon form of x, its pivot columns), by Gauss-Jordan
     elimination over Fractions."""
@@ -421,6 +437,18 @@ def test_column_helpers_match_the_dense_oracle(data):
     assert nilpotent == all(_oracle_trace(_oracle_power(f, k)) == 0
                             for k in range(1, n + 1))
     assert is_nilpotent_by_traces(cols) == nilpotent
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_sparse_kron_matches_the_dense_oracle(data):
+    """_sparse_kron is the columns of _oracle_kron on random rational
+    matrices of up to 4 x 4, not square, with zero columns."""
+    shape = [data.draw(st.integers(1, 4)) for _ in range(4)]
+    x = data.draw(dense_matrices(shape[0], shape[1]))
+    y = data.draw(dense_matrices(shape[2], shape[3]))
+    assert _sparse_kron(x, y) == _columns(_oracle_kron(x, y),
+                                          shape[1] * shape[3])
 
 
 SHAPE_ERRORS = [

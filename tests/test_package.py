@@ -117,7 +117,6 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
 TEST_ONLY_OPTIONS = {
     "derived_tensor.bound":
         "the tests' handle on Tor below the certified bound",
-    "central_idempotent.verify": "the tests check c^2 = c above n = 6",
     "semisimplicity_check.basis": "the declared span of the library question",
     "hp_of_homomorphism.cap":
         "the chain memory guard every hochschild entry point takes, part of "

@@ -2,12 +2,10 @@ import os
 import random
 import subprocess
 import sys
-from contextlib import nullcontext
 from fractions import Fraction
 from math import factorial
 from functools import lru_cache, reduce
 from itertools import permutations
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,10 +32,28 @@ def perm_sign(perm):
     return (-1) ** (len(perm) - len(cycle_type(perm)))
 
 
+def naive_mul(x, y):
+    """The product in Q[S_n] of x and y, {permutation: coefficient}, by
+    convolution: (p o q)(i) = p(q(i))."""
+    out = {}
+    for p, c in x.items():
+        for q, d in y.items():
+            r = tuple(p[q[i]] for i in range(len(q)))
+            out[r] = out.get(r, 0) + c * d
+    return {r: v for r, v in out.items() if v}
+
+
+def naive_add(x, y):
+    out = dict(x)
+    for p, c in y.items():
+        out[p] = out.get(p, 0) + c
+    return {p: v for p, v in out.items() if v}
+
+
 def young_symmetrizer(partition):
     """The classical (non-central) Young symmetrizer of the canonical
-    tableau, normalized to an idempotent: a secondary route to the same
-    Schur functors."""
+    tableau, normalized to an idempotent, as {permutation: Fraction}: a
+    secondary route to the same Schur functors."""
     parts = tuple(partition)
     n = sum(parts)
     rows = []
@@ -62,14 +78,11 @@ def young_symmetrizer(partition):
             perms = [compose_perm(p, q) for p in perms for q in new]
         return perms
 
-    row_sum = GroupAlgebraElement(
-        n, {p: 1 for p in group_of(rows)})
-    col_sum = GroupAlgebraElement(
-        n, {p: perm_sign(p) for p in group_of(cols)})
-    y = row_sum * col_sum
+    y = naive_mul({p: 1 for p in group_of(rows)},
+                  {p: perm_sign(p) for p in group_of(cols)})
     # y^2 = (n!/f) y, so scale to an idempotent
-    f = standard_tableau_count(parts)
-    return y.scale(Fraction(f, factorial(n)))
+    scale = Fraction(standard_tableau_count(parts), factorial(n))
+    return {p: scale * c for p, c in y.items()}
 
 
 def tensor_power_action(v, n, perm):
@@ -83,11 +96,15 @@ def tensor_power_action(v, n, perm):
             for tgt, sign in schur._signed_permutation_entries(v, n, perm)]
 
 
-def group_element_action(v, elem):
-    """The columns of the action of elem on v^(x n)."""
-    den = elem.den
-    return [{i: Fraction(s, den) for i, s in col.items()}
-            for col in schur._numerator_action(v, elem)]
+def group_element_action(v, n, x):
+    """The columns of the action on v^(x n) of x in Q[S_n], given as
+    {permutation: coefficient}."""
+    cols = [{} for _ in range(v.total ** n)]
+    for p, c in x.items():
+        for col, (tgt, sign) in zip(
+                cols, schur._signed_permutation_entries(v, n, p)):
+            col[tgt] = col.get(tgt, 0) + sign * c
+    return [{i: s for i, s in col.items() if s} for col in cols]
 
 
 def test_character_trivial_and_sign():
@@ -159,8 +176,8 @@ def test_central_idempotents_orthogonal_and_complete():
                 prod = a * b
                 assert prod == (a if i == j else
                                 GroupAlgebraElement(n, {}))
-        total = reduce(lambda x, y: x + y, cs)
-        assert total.coeffs == {tuple(range(n)): 1}
+        total = reduce(naive_add, (c.coeffs for c in cs))
+        assert total == {tuple(range(n)): 1}
 
 
 def test_central_idempotent_is_built_once_per_partition(monkeypatch):
@@ -183,10 +200,9 @@ def test_central_idempotent_is_built_once_per_partition(monkeypatch):
         central_idempotent((2, 2))
 
 
-def test_central_idempotent_verify_is_one_class_product(monkeypatch):
-    """Verification checks centrality on the numerators and c^2 = c by one
-    class product, with no products by transpositions; it runs by default
-    up to n = 6 and on request above."""
+def test_central_idempotent_checks_c2_by_one_class_product(monkeypatch):
+    """Construction checks c^2 = c by one class product up to n = 6, and
+    makes no product above, where c^2 = c is the caller's to check."""
     monkeypatch.setattr(schur, "_IDEMPOTENTS", {})
     products = []
     mul = GroupAlgebraElement.__mul__
@@ -196,23 +212,21 @@ def test_central_idempotent_verify_is_one_class_product(monkeypatch):
         return mul(x, y)
 
     monkeypatch.setattr(GroupAlgebraElement, "__mul__", counted_mul)
-    checked = central_idempotent((4, 2))        # n = 6: verified
+    checked = central_idempotent((4, 2))        # n = 6: checked
     assert products == [(checked, checked)]
-    assert central_idempotent((4, 2), verify=True) is checked
+    assert central_idempotent((4, 2)) is checked
     assert len(products) == 1
-    plain = central_idempotent((4, 2, 1))       # n = 7: unverified
+    plain = central_idempotent((4, 2, 1))       # n = 7: not checked
     assert len(products) == 1
-    checked = central_idempotent((4, 2, 1), verify=True)
-    assert products[1:] == [(checked, checked)]
-    assert checked == plain
-    central_idempotent((4, 2, 1), verify=True)
-    assert len(products) == 2
+    assert central_idempotent((4, 2, 1)) is plain
+    assert plain * plain == plain
+    assert products[1:] == [(plain, plain)]
 
 
 def test_a_corrupted_character_fails_default_construction(monkeypatch):
     """One character value off by one, at the class of a transposition:
-    default construction verifies c^2 = c at n = 6 and raises; at n = 7 it
-    builds the element unchecked, and verify=True raises."""
+    construction checks c^2 = c at n = 6 and raises; at n = 7 it builds the
+    element unchecked, and c^2 = c computed here fails."""
     monkeypatch.setattr(schur, "_IDEMPOTENTS", {})
     row = schur.character_table_row
 
@@ -222,25 +236,35 @@ def test_a_corrupted_character_fails_default_construction(monkeypatch):
         return out
 
     monkeypatch.setattr(schur, "character_table_row", corrupted_row)
-    failed = r"^central idempotent failed c\^2 = c$"
-    with pytest.raises(InvariantError, match=failed):
+    with pytest.raises(InvariantError,
+                       match=r"^central idempotent failed c\^2 = c$"):
         central_idempotent((4, 2))
-    central_idempotent((4, 2, 1))
-    with pytest.raises(InvariantError, match=failed):
-        central_idempotent((4, 2, 1), verify=True)
+    c = central_idempotent((4, 2, 1))
+    assert c * c != c
 
 
 def test_young_symmetrizer_idempotent_and_matching_rank():
     v = SuperSpace(2, 0)
     for parts in ((2,), (1, 1), (2, 1)):
         y = young_symmetrizer(parts)
-        assert y * y == y
+        assert naive_mul(y, y) == y
         n = sum(parts)
         # the (non-central) symmetrizer cuts one irreducible copy:
         # rank = s_lambda(v), while the central block cuts f^lambda copies
-        ry = matrix_rank(group_element_action(v, y))
+        ry = matrix_rank(group_element_action(v, n, y))
         rc = schur_dimension(parts, v, force_matrix=True)
         assert rc == standard_tableau_count(parts) * ry
+
+
+def test_numerator_action_is_the_expanded_element_acting():
+    """The forced route's action, read class by class, is den times the
+    action of the expanded coefficients, one permutation at a time."""
+    for parts, v in (((2, 1), SuperSpace(1, 1)), ((2, 2), SuperSpace(2, 0)),
+                     ((3, 1, 1), SuperSpace(1, 1))):
+        c = central_idempotent(parts)
+        expanded = group_element_action(v, sum(parts), c.coeffs)
+        assert schur._numerator_action(v, c) == \
+            [{i: c.den * s for i, s in col.items()} for col in expanded]
 
 
 def test_tensor_power_action_identity_and_signs():
@@ -263,7 +287,7 @@ def test_tensor_cap_refuses_every_built_action(monkeypatch):
     with pytest.raises(CapExceededError, match=message):
         tensor_power_action(v, 4, (1, 0, 2, 3))
     with pytest.raises(CapExceededError, match=message):
-        group_element_action(v, central_idempotent((2, 2)))
+        schur._numerator_action(v, central_idempotent((2, 2)))
     with pytest.raises(CapExceededError, match=r"^tensor power exceeds cap$"):
         schur_dimension((2, 2), v, force_matrix=True)
     assert schur_dimension((2, 2), v) == super_schur_value((2, 2), v)
@@ -363,64 +387,12 @@ def test_partition_validation():
 
 
 # ---------------------------------------------------------------------------
-# Q[S_n] arithmetic against a naive Fraction-dict convolution
-
-
-def naive_mul(x, y):
-    out = {}
-    for p, c in x.items():
-        for q, d in y.items():
-            r = tuple(p[q[i]] for i in range(len(q)))
-            out[r] = out.get(r, 0) + c * d
-    return {r: v for r, v in out.items() if v}
-
-
-def naive_add(x, y):
-    out = dict(x)
-    for p, c in y.items():
-        out[p] = out.get(p, 0) + c
-    return {p: v for p, v in out.items() if v}
+# the class algebra against a naive Fraction-dict convolution
 
 
 small_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
 nonzero_fractions = st.builds(Fraction, st.integers(-6, 6).filter(bool),
                               st.integers(1, 6))
-
-
-@st.composite
-def group_elements(draw, n):
-    """At most 6 terms, or (for n <= 5) at least half of S_n."""
-    perms = list(permutations(range(n)))
-    if n > 5 or draw(st.booleans()):
-        return draw(st.dictionaries(st.sampled_from(perms), small_fractions,
-                                    max_size=6))
-    size = draw(st.integers((len(perms) + 1) // 2, len(perms)))
-    support = draw(st.permutations(perms))[:size]
-    coeffs = draw(st.lists(nonzero_fractions, min_size=size, max_size=size))
-    return dict(zip(support, coeffs))
-
-
-@settings(deadline=None, max_examples=60)
-@given(st.data())
-def test_group_algebra_arithmetic_matches_naive_convolution(data):
-    # two sizes per draw; a product with a non-central factor composes
-    # tuples, and one of two central factors multiplies in the class algebra
-    for n in data.draw(st.lists(st.integers(1, 6), min_size=2, max_size=2,
-                                unique=True)):
-        x = data.draw(group_elements(n))
-        y = data.draw(group_elements(n))
-        c = data.draw(small_fractions)
-        ex, ey = GroupAlgebraElement(n, x), GroupAlgebraElement(n, y)
-        for (a, b), (ea, eb) in (((x, y), (ex, ey)), ((y, x), (ey, ex))):
-            product = naive_mul(a, b)
-            assert (ea * eb).coeffs == product
-            # results are equal to the same element built from outside
-            assert ea * eb == GroupAlgebraElement(n, product)
-        assert (ex + ey).coeffs == naive_add(x, y)
-        assert ex.scale(c).coeffs == {p: c * v for p, v in x.items() if c * v}
-        assert (ex == ey) == (naive_add(x, {p: -v for p, v in y.items()})
-                              == {})
-        assert ex + ey == GroupAlgebraElement(n, naive_add(x, y))
 
 
 @lru_cache(maxsize=None)
@@ -453,9 +425,10 @@ def is_class_function(x, n):
 
 @st.composite
 def class_functions(draw, n):
-    """A central element: one value per conjugacy class, zero, negative or
-    rational.  At n = 6 at most two classes are nonzero, so that the
-    naive product stays small."""
+    """A central element as (its class values by cycle type, its expansion
+    on the conjugation orbits): values zero, negative or rational.  At
+    n = 6 at most two classes are nonzero, so that the naive product stays
+    small."""
     classes = conjugacy_classes(n)
     if n <= 5:
         values = draw(st.lists(small_fractions, min_size=len(classes),
@@ -464,66 +437,100 @@ def class_functions(draw, n):
         chosen = draw(st.dictionaries(st.integers(0, len(classes) - 1),
                                       nonzero_fractions, max_size=2))
         values = [chosen.get(i, 0) for i in range(len(classes))]
-    return {p: v for cl, v in zip(classes, values) for p in cl if v}
-
-
-def _refused(*args):
-    raise AssertionError("a product with a non-central factor read the "
-                         "class counts")
+    return ({cycle_type(cl[0]): v for cl, v in zip(classes, values)},
+            {p: v for cl, v in zip(classes, values) for p in cl if v})
 
 
 @settings(deadline=None, max_examples=40)
 @given(st.data())
 def test_class_product_matches_naive_convolution(data):
-    """Two central factors multiply in the class algebra, in both orders;
-    with a non-central factor the product composes tuples and never reads
-    the class counts.  Each must equal the naive convolution."""
+    """Central factors multiply in the class algebra, in both orders; the
+    expanded product equals the naive convolution of the expanded factors,
+    and it is the element built from the convolution's class values."""
     n = data.draw(st.integers(1, 6))
-    x = data.draw(class_functions(n))
-    y = data.draw(class_functions(n))
-    z = data.draw(group_elements(n))
-    ex, ey, ez = (GroupAlgebraElement(n, d) for d in (x, y, z))
-    assert ex._classes is not None and ey._classes is not None
-    assert (ez._classes is not None) == is_class_function(z, n)
+    (xv, x), (yv, y) = data.draw(class_functions(n)), data.draw(
+        class_functions(n))
+    ex, ey = GroupAlgebraElement(n, xv), GroupAlgebraElement(n, yv)
+    assert ex.coeffs == x and ey.coeffs == y
     for a, b, ea, eb in ((x, y, ex, ey), (y, x, ey, ex)):
         product = naive_mul(a, b)
+        assert is_class_function(product, n)
         assert (ea * eb).coeffs == product
-        assert ea * eb == GroupAlgebraElement(n, product)
-    guard = (mock.patch.object(schur._ClassData, "class_counts", _refused)
-             if ez._classes is None else nullcontext())
-    with guard:
-        for a, b, ea, eb in ((x, z, ex, ez), (z, x, ez, ex)):
-            product = naive_mul(a, b)
-            assert (ea * eb).coeffs == product
-            assert ea * eb == GroupAlgebraElement(n, product)
+        assert ea * eb == GroupAlgebraElement(
+            n, {cycle_type(p): v for p, v in product.items()})
+
+
+def test_class_sizes_and_representatives():
+    """size[E] is the number of permutations of cycle type E, counted here
+    for n <= 7, and rep[E] has cycle type E."""
+    for n in range(1, 8):
+        counted = {}
+        for p in permutations(range(n)):
+            e = cycle_type(p)
+            counted[e] = counted.get(e, 0) + 1
+        data = schur._ClassData(n)
+        assert data.size == counted
+        assert sorted(data.rep) == sorted(counted)
+        for e, g in data.rep.items():
+            assert sorted(g) == list(range(n)) and cycle_type(g) == e
+
+
+def _counting(monkeypatch):
+    """Record the letters of every enumeration of S_n and of every
+    composition that schur makes, in two lists."""
+    enumerated, composed = [], []
+    perms, compose = schur.permutations, schur.compose_perm
+
+    def counted_permutations(letters):
+        enumerated.append(len(letters))
+        return perms(letters)
+
+    def counted_compose(p, q):
+        composed.append(len(p))
+        return compose(p, q)
+
+    monkeypatch.setattr(schur, "permutations", counted_permutations)
+    monkeypatch.setattr(schur, "compose_perm", counted_compose)
+    return enumerated, composed
 
 
 def test_class_counts_are_built_once_by_central_products(monkeypatch):
-    """Products of non-central elements build class maps but no counts;
-    the first central product at n counts p(n) n! compositions, 840 at
-    n = 5, and every later one none."""
+    """Class data is made without enumerating S_n and holds no counts; the
+    first product at n counts p(n) n! compositions, 840 at n = 5, and
+    every later one none."""
     monkeypatch.setattr(schur, "_CLASSES", {})
     monkeypatch.setattr(schur, "_IDEMPOTENTS", {})
-    young_symmetrizer((4, 3))
-    young_symmetrizer((3, 3))
-    assert sorted(schur._CLASSES) == [6, 7]
+    enumerated, compositions = _counting(monkeypatch)
+    v = SuperSpace(1, 1)
+    schur_dimension((4, 3), v)
+    schur_dimension((4, 4), v)
+    assert sorted(schur._CLASSES) == [7, 8]
     assert all(data.counts is None for data in schur._CLASSES.values())
-    compositions = []
-    compose = schur.compose_perm
-
-    def counted_compose(p, q):
-        compositions.append(len(p))
-        return compose(p, q)
-
-    monkeypatch.setattr(schur, "compose_perm", counted_compose)
+    assert enumerated == compositions == []
     for _ in range(2):
         for parts in partitions_of(5):
-            c = central_idempotent(parts)       # verified: c^2 = c
+            c = central_idempotent(parts)       # checked: c^2 = c
             assert c * c == c
+    assert enumerated == [5]
     assert compositions == [5] * 840
     counts = schur._CLASSES[5].counts
     assert sum(m for terms in counts.values() for _, _, m in terms) == 840
-    assert schur._CLASSES[6].counts is None
+
+
+def test_schur_finiteness_enumerates_permutations_up_to_six_only(
+        monkeypatch):
+    """(3|1) is annihilated at weight 8; the search reads the class values
+    of every c_lambda up to n = 8 but enumerates S_n, once, and composes
+    permutations only for the class counts of c^2 = c at n <= 6."""
+    monkeypatch.setattr(schur, "_CLASSES", {})
+    monkeypatch.setattr(schur, "_IDEMPOTENTS", {})
+    enumerated, composed = _counting(monkeypatch)
+    assert is_schur_finite(SuperSpace(3, 1)).parts == (2, 2, 2, 2)
+    assert enumerated == [1, 2, 3, 4, 5, 6]
+    assert sorted(set(composed)) == [1, 2, 3, 4, 5, 6]
+    assert sorted(schur._CLASSES) == list(range(1, 9))
+    assert [n for n, data in sorted(schur._CLASSES.items())
+            if data.counts is not None] == [1, 2, 3, 4, 5, 6]
 
 
 def test_importing_the_package_builds_no_class_data():
@@ -539,23 +546,28 @@ def test_importing_the_package_builds_no_class_data():
     assert out.stdout == "0\n"
 
 
-def test_group_algebra_element_rejects_non_permutations():
-    with pytest.raises(InvariantError):
-        GroupAlgebraElement(3, {(0, 0, 1): 1})
-    with pytest.raises(InvariantError):
-        GroupAlgebraElement(3, {(0, 1): 1})
+def test_group_algebra_element_rejects_non_partitions():
+    for key in ((2, 2), (2,), (1, 2), (3, 0), 3):
+        with pytest.raises(InvariantError):
+            GroupAlgebraElement(3, {key: 1})
+    assert GroupAlgebraElement(3, {(2, 1): 1, (3,): 0}).num == {(2, 1): 1}
 
 
-def test_coeffs_view_is_numerators_over_the_denominator():
+def test_coeffs_view_is_numerators_over_the_denominator(monkeypatch):
     for parts in ((2, 1), (2, 2), (3, 1, 1)):
         c = central_idempotent(parts)
+        n = sum(parts)
         assert c.den > 0
-        assert set(c.coeffs) == set(c.num)
-        for p, v in c.coeffs.items():
-            assert v == Fraction(c.num[p], c.den)
-            assert type(c.num[p]) is int
-    y = young_symmetrizer((2, 1))
-    assert y.coeffs == {p: Fraction(v, y.den) for p, v in y.num.items()}
+        assert all(type(v) is int for v in c.num.values())
+        assert c.coeffs == {p: Fraction(c.num[cycle_type(p)], c.den)
+                            for p in permutations(range(n))
+                            if cycle_type(p) in c.num}
+
+    def refused(letters):
+        raise AssertionError("the zero element enumerated S_n")
+
+    monkeypatch.setattr(schur, "permutations", refused)
+    assert GroupAlgebraElement(8, {}).coeffs == {}
 
 
 def test_perm_sign_is_inversion_parity():

@@ -45,7 +45,7 @@ def test_kunneth_pair_refuses_each_broken_law():
     """KunnethPair refuses projectors of (1|1) that do not sum to the
     identity, have the wrong number of columns, are not idempotent or have
     the wrong ranks.  (Idempotents summing to the identity are
-    orthogonal, so that check cannot fail after these.)"""
+    orthogonal, so KunnethPair has no orthogonality check.)"""
     v = SuperSpace(1, 1)
     cases = [
         ([{0: 1}, {}], [{}, {}], "do not sum to the identity"),

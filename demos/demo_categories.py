@@ -58,9 +58,10 @@ print("Dagger twist")
 print("------------")
 sl = super_line_category()
 print("Super lines I, P with Koszul symmetry c_PP =",
-      sl.symmetry[("P", "P")])
+      sl.symmetry[("P", "P")], "and tr(id_P) =", sl.trace("P", sl.ident["P"]))
 dag = dagger_twist(sl, {"I": {0: 1}, "P": {}})
 print("After the twist, c_PP =", dag.symmetry[("P", "P")],
-      "- the odd-odd sign flips and nothing else changes;")
+      "and tr(id_P) =", dag.trace("P", dag.ident["P"]),
+      "- the odd-odd sign flips with the trace;")
 print("hom spaces and composition tables are untouched:",
       dag.hom == sl.hom and dag.comp == sl.comp)

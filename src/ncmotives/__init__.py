@@ -10,9 +10,10 @@ arithmetic; there is no floating point anywhere.  The main layers:
               instance checkers for the even/odd projector and kernel
               comparison questions
   categories  finitely presented monoidal categories: Karoubi envelope,
-              orbit category, coefficient extension, trace ideal, quotients
+              orbit category, coefficient extension, trace ideal, quotients,
+              the dagger twist of the symmetry and the traces
   schur       symmetric-group idempotents and Schur functors
-  supers      super vector spaces, Kuenneth projectors, the dagger twist
+  supers      super dimensions (d+|d-)
 """
 
 from .errors import (

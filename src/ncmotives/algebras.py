@@ -80,11 +80,6 @@ class Algebra:
     def mult_vec(self, x, y):
         return bilinear(self.table, x, y)
 
-    def element(self, label_coeffs):
-        """Vector from {label: coefficient}."""
-        idx = {lab: i for i, lab in enumerate(self.basis)}
-        return {idx[lab]: Fraction(c) for lab, c in label_coeffs.items() if c}
-
     def radical(self):
         if self._rad is None:
             self._rad = exactlin.jacobson_radical(self)

@@ -14,8 +14,8 @@ a compatible ideal (e = id); with the trace ideal N(X, Y) = {f | tr(g f) = 0
 for all g} these are the two steps from NChow to NNum.  Besides: the orbit
 category of a tensor-invertible object with a declared boundedness
 certificate, extension of coefficients along an irreducible rational
-minimal polynomial, and the dagger twist replacing the symmetry by its
-odd-odd sign flip.
+minimal polynomial, and the dagger twist, which flips the odd-odd sign of
+the symmetry and the odd part of each declared trace.
 
 Every constructor re-proves the axioms through `PresentedCategory.check`.
 It verifies each distinct instance of a law once: an instance is keyed by
@@ -1249,32 +1249,57 @@ def quotient_by_ideal(c, ideal):
 
 
 def dagger_twist(c, plus_idempotents):
-    """Replace each symmetry constraint by its odd-odd sign flip:
+    """Twist the symmetry constraints and the declared traces by the parity
+    sign of pi+, a natural family of idempotents (pi- = id - pi+):
 
-        c_dagger = c o (id - 2 pi-_X (x) pi-_Y),   pi- = id - pi+.
+        c_dagger = c o (id - 2 pi-_X (x) pi-_Y),
+        t_dagger_X(f) = t_X(f o (pi+_X - pi-_X)).
 
-    Hom spaces, composition, and tensor tables are untouched; only the
-    symmetry constraints change, and the symmetric-monoidal axioms are
-    re-verified on the result.
+    The symmetry flips its odd-odd sign and each trace its odd part, so
+    tr(id_X) and tr(c_{X,X}) move together between d+ + d- and d+ - d-,
+    and twisting twice gives back c.  Nothing else changes: Hom spaces,
+    composition and tensor tables are c's, and the axioms are re-verified
+    on the result.  pi+ is refused unless every object has one, each is
+    idempotent and the family is natural (pi+_Y o f = f o pi+_X for every
+    basis morphism f: X -> Y): otherwise the twisted symmetry would not be
+    natural, nor the twisted functionals traces.
     """
-    for x, e in plus_idempotents.items():
-        if c.compose(x, x, x, e, e) != e:
+    plus = plus_idempotents
+    missing = [x for x in c.objects if x not in plus]
+    if missing:
+        raise InvariantError("missing even idempotent for %s"
+                             % ", ".join(map(str, missing)))
+    for x in c.objects:
+        if c.compose(x, x, x, plus[x], plus[x]) != plus[x]:
             raise InvariantError("pi+ on %s is not idempotent" % x)
+        for y in c.objects:
+            for i in range(c.hom[(x, y)]):
+                f = {i: 1}
+                if c.compose(x, y, y, plus[y], f) != \
+                        c.compose(x, x, y, f, plus[x]):
+                    raise InvariantError("pi+ is not natural on Hom(%s,%s)"
+                                         % (x, y))
     symmetry = {}
     for (x, y), cvec in c.symmetry.items():
-        if x not in plus_idempotents or y not in plus_idempotents:
-            raise InvariantError("missing even idempotent for %s or %s"
-                                 % (x, y))
         xy = c.tensor_objects(x, y)
         yx = c.tensor_objects(y, x)
-        minus_x = vec_sub(c.ident[x], plus_idempotents[x])
-        minus_y = vec_sub(c.ident[y], plus_idempotents[y])
+        minus_x = vec_sub(c.ident[x], plus[x])
+        minus_y = vec_sub(c.ident[y], plus[y])
         mm = c.tensor_morphisms(x, x, y, y, minus_x, minus_y)
         twist_op = vec_sub(c.ident[xy], vec_scale(2, mm))
         symmetry[(x, y)] = c.compose(xy, xy, yx, cvec, twist_op)
+    traces = {}
+    for x in c.objects:
+        if x in c.traces:
+            sign = vec_sub(vec_scale(2, plus[x]), c.ident[x])
+            t = c.traces[x]
+            row = {i: sum(t.get(k, 0) * v for k, v in
+                          c.compose(x, x, x, {i: 1}, sign).items())
+                   for i in range(c.hom[(x, x)])}
+            traces[x] = {i: v for i, v in row.items() if v}
     return PresentedCategory(list(c.objects), dict(c.hom), c.comp, c.ident,
                              c.unit, dict(c.tensor_obj), c.tensor_mor,
-                             symmetry, dict(c.traces), dict(c.grading),
+                             symmetry, traces, dict(c.grading),
                              name="%s-dagger" % c.name)
 
 
@@ -1289,8 +1314,9 @@ def graded_space_category(objects, window, name="graded spaces"):
     object L_(2,2) has a 2-dimensional degree-2 part).  Morphisms are
     degree-preserving maps; tensor adds degrees and is defined only when
     everything stays within [-window, window].  Symmetry swaps the factors
-    with no signs (the plain graded convention; the super collapse is the
-    realization functor, not this category)."""
+    with no signs and the traces are the plain ones (the graded
+    convention; dagger_twist by the identities on the even-degree slots
+    gives the Koszul signs and the supertraces)."""
     objs = dict(objects)
     labels = list(objs)
     hom = {}

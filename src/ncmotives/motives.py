@@ -628,10 +628,6 @@ class KernelComparisonVerdict:
         self.caveat = caveat
         self.basis_names = basis_names
 
-    @property
-    def equal(self):
-        return self.status == "EQUAL"
-
     def __repr__(self):
         return "KernelComparisonVerdict(%s%s)" % (
             self.status, ", " + self.caveat if self.caveat else "")

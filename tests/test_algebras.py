@@ -25,8 +25,8 @@ def test_path_algebra_a2_shape():
     assert a.dim == 3
     assert set(a.basis) == {"e_1", "e_2", "a"}
     # vertex idempotents sum to the unit
-    e1 = a.element({"e_1": 1})
-    e2 = a.element({"e_2": 1})
+    e1 = {a.basis.index("e_1"): 1}
+    e2 = {a.basis.index("e_2"): 1}
     assert a.mult_vec(e1, e1) == e1
     assert a.mult_vec(e1, e2) == {}
     s = dict(e1)
@@ -38,7 +38,7 @@ def test_path_algebra_a2_shape():
 def test_path_algebra_dual_numbers_relation():
     a = zoo.get("dual")
     assert a.dim == 2
-    x = a.element({"x": 1})
+    x = {a.basis.index("x"): 1}
     assert a.mult_vec(x, x) == {}
 
 
@@ -257,8 +257,8 @@ def test_an_arrow_named_by_the_empty_string_is_a_path():
 def test_commutative_square_relation_identified():
     a = zoo.get("square")
     assert a.dim == 9
-    ac = a.mult_vec(a.element({"a": 1}), a.element({"c": 1}))
-    bd = a.mult_vec(a.element({"b": 1}), a.element({"d": 1}))
+    ac = a.mult_vec({a.basis.index("a"): 1}, {a.basis.index("c"): 1})
+    bd = a.mult_vec({a.basis.index("b"): 1}, {a.basis.index("d"): 1})
     assert ac == bd and ac
 
 

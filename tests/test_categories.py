@@ -337,11 +337,13 @@ def test_dagger_identity_when_all_even():
     g = graded_line_window(2)
     plus = {x: dict(g.ident[x]) for x in g.objects}
     d = dagger_twist(g, plus)
-    assert d.symmetry == g.symmetry
+    assert d.symmetry == g.symmetry and d.traces == g.traces
     assert d.comp == g.comp and d.hom == g.hom
 
 
 def test_dagger_flips_odd_odd_sign():
+    """The twist flips c_{P,P} and the trace of id_P together, so in both
+    categories tr(id_P) = tr(c_{P,P}), the rank of P."""
     sl = super_line_category()
     plus = {"I": {0: 1}, "P": {}}
     d = dagger_twist(sl, plus)
@@ -350,12 +352,42 @@ def test_dagger_flips_odd_odd_sign():
     assert d.symmetry[("I", "P")] == sl.symmetry[("I", "P")]
     assert d.symmetry[("P", "I")] == sl.symmetry[("P", "I")]
     assert d.hom == sl.hom and d.comp == sl.comp
+    for c, rank in ((sl, -1), (d, 1)):
+        assert c.trace("P", c.ident["P"]) == rank
+        assert c.trace("I", c.symmetry[("P", "P")]) == rank
+    assert d.traces == {"I": {0: 1}, "P": {0: 1}}
+    back = dagger_twist(d, plus)
+    assert back.symmetry == sl.symmetry and back.traces == sl.traces
 
 
 def test_dagger_rejects_non_idempotent():
     sl = super_line_category()
     with pytest.raises(InvariantError):
         dagger_twist(sl, {"I": {0: 1}, "P": {0: Fraction(1, 2)}})
+
+
+def test_dagger_refuses_a_missing_idempotent():
+    """Every object needs its pi+, also one that no symmetry key names:
+    here X, on which no tensor product is presented."""
+    sl = super_line_category()
+    with pytest.raises(InvariantError,
+                       match=r"^missing even idempotent for P$"):
+        dagger_twist(sl, {"I": {0: 1}})
+    g = graded_space_category({"1": (0,), "X": (1,)}, 0)
+    assert ("X", "X") not in g.symmetry
+    with pytest.raises(InvariantError,
+                       match=r"^missing even idempotent for X$"):
+        dagger_twist(g, {"1": {0: 1}})
+
+
+def test_dagger_refuses_a_non_natural_family():
+    """pi+_X the projection onto one of two degree-1 slots of X: idempotent,
+    but it does not commute with the slot swap in End(X), so the twisted
+    symmetry would not be natural."""
+    g = graded_space_category({"1": (0,), "X": (1, 1)}, 0)
+    with pytest.raises(InvariantError,
+                       match=r"^pi\+ is not natural on Hom\(X,X\)$"):
+        dagger_twist(g, {"1": {0: 1}, "X": {0: 1}})
 
 
 # ---------------------------------------------------------------------------

@@ -559,7 +559,7 @@ def test_cnc_rejects_malformed_realization_shapes(realizations, message):
 def test_dnc_equal_on_acceptance_algebras():
     for name in ("Q", "QxQ", "A2", "A3"):
         v = kernel_comparison(zoo.get(name), n_max=6)
-        assert v.equal
+        assert v.status == "EQUAL"
         assert v.ker_hom.dim == 0 and v.ker_num.dim == 0
         assert v.caveat == ""
 
@@ -569,7 +569,7 @@ def test_dnc_equal_on_the_two_cycle_algebra():
     chains in every degree of its relative mixed complex; its verdict is
     the one the complex relative to Q.1 gives."""
     v = kernel_comparison(_two_cycle(), n_max=6)
-    assert v.equal
+    assert v.status == "EQUAL"
     assert v.ker_hom.dim == 0 and v.ker_num.dim == 0
     assert v.caveat == ""
 
@@ -584,7 +584,7 @@ def test_kernel_comparison_window_stable_caveat():
     but records the truncation caveat; with K0 of rank one and pairing 2,
     both kernels vanish."""
     v = kernel_comparison(zoo.get("dual"), n_max=6)
-    assert v.equal
+    assert v.status == "EQUAL"
     assert v.caveat
     assert v.ker_hom.dim == 0 and v.ker_num.dim == 0
 
@@ -673,7 +673,7 @@ def test_pairings_and_span_products_build_no_tor(monkeypatch):
     assert pairing_matrix(span, span).rank == len(span)
     assert numerical_kernel(a, a, span).kernel.dim == 0
     assert semisimplicity_check(a).radical_dim == 0
-    assert kernel_comparison(zoo.get("A3"), n_max=6).equal
+    assert kernel_comparison(zoo.get("A3"), n_max=6).status == "EQUAL"
     with pytest.raises(AssertionError, match="derived_tensor called"):
         compose(span[0], span[1])
 

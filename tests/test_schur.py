@@ -367,18 +367,6 @@ def test_is_schur_finite_minimal_partitions():
     assert is_schur_finite(SuperSpace(0, 2)).parts == (3,)
 
 
-def test_schur_finite_transport_under_collapse():
-    """If S_lambda kills a graded space it kills its super collapse: the
-    annihilating partition transports along the collapse realization."""
-    from ncmotives.supers import GradedSpace
-    for dims in ({0: 1, 1: 1}, {0: 2}, {-1: 1, 2: 1}, {0: 1, 1: 1, 2: 1}):
-        g = GradedSpace(dims)
-        v = g.collapse()
-        # graded space realized with everything in its parity
-        lam = is_schur_finite(v, search_cap=10)
-        assert schur_dimension(lam, v) == 0
-
-
 def test_partition_validation():
     with pytest.raises(InvariantError):
         Partition((1, 2))

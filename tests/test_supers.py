@@ -127,36 +127,63 @@ def test_ranks():
         assert d.trace(x, d.ident[x]) == 1 - 2 * (degree % 2)
 
 
+def _product_traces(a, b):
+    """tr(id) of V = (a+|a-), W = (b+|b-) and V (x) W, on the graded
+    presentation and after the twist, as two dicts keyed "V", "W", "VW"."""
+    # W's degrees lie at least 99 apart and V's in 1..6, so every sum v + w
+    # is distinct
+    v = (2, 4, 6)[:a[0]] + (1, 3, 5)[:a[1]]
+    w = (200, 400, 600)[:b[0]] + (101, 301, 501)[:b[1]]
+    vw = tuple(sorted(p + q for p in v for q in w))
+    c = graded_space_category({"1": (0,), "V": v, "W": w, "VW": vw}, max(vw))
+    assert c.tensor_objects("V", "W") == "VW"
+    d = dagger_twist(c, _even_idempotents(c))
+    return tuple({x: k.trace(x, k.ident[x]) for x in ("V", "W", "VW")}
+                 for k in (c, d))
+
+
+def _product_dims(a, b):
+    """The super dimensions (d+|d-) of V (x) W, read off the plain trace
+    d+ + d- and the signed trace d+ - d- of its identity."""
+    plain, signed = _product_traces(a, b)
+    return ((plain["VW"] + signed["VW"]) // 2,
+            (plain["VW"] - signed["VW"]) // 2)
+
+
+def _random_pairs(rng, n):
+    """n pairs of super dimensions in 0..3, neither of them (0|0)."""
+    pairs = []
+    while len(pairs) < n:
+        a = (rng.randint(0, 3), rng.randint(0, 3))
+        b = (rng.randint(0, 3), rng.randint(0, 3))
+        if sum(a) and sum(b):
+            pairs.append((a, b))
+    return pairs
+
+
+def test_kunneth_tensor_dims():
+    """(1|1) (x) (1|1) = (2|2), the even line is a unit, and odd (x) odd is
+    the even line."""
+    assert _product_dims((1, 1), (1, 1)) == (2, 2)
+    for dims in ((2, 1), (0, 2), (3, 0)):
+        assert _product_dims(dims, (1, 0)) == dims
+    assert _product_dims((0, 1), (0, 1)) == (1, 0)
+
+
+def test_kunneth_tensor_matches_super_product():
+    """The super dimensions of V (x) W follow the product rule
+    (a+ b+ + a- b-, a+ b- + a- b+)."""
+    for a, b in _random_pairs(random.Random(1), 20):
+        assert _product_dims(a, b) == (a[0] * b[0] + a[1] * b[1],
+                                       a[0] * b[1] + a[1] * b[0])
+
+
 def test_rank_multiplicativity():
     """tr(id_(V (x) W)) = tr(id_V) tr(id_W) on the graded presentation and
-    after the twist, so the super dimensions of V (x) W, read off the two
-    traces, follow the product rule (a+ b+ + a- b-, a+ b- + a- b+): (1|1)
-    (x) (1|1) = (2|2), the even line is a unit, and odd (x) odd = (1|0)."""
-    rng = random.Random(9)
-    pairs = [((1, 1), (1, 1)), ((2, 1), (1, 0)), ((0, 2), (1, 0)),
-             ((3, 0), (1, 0)), ((0, 1), (0, 1))]
-    pairs += [((rng.randint(0, 3), rng.randint(0, 3)),
-               (rng.randint(0, 3), rng.randint(0, 3))) for _ in range(20)]
-    for a, b in pairs:
-        if not sum(a) or not sum(b):
-            continue
-        # W's degrees lie at least 99 apart and V's in 1..6, so every sum
-        # v + w is distinct
-        v = (2, 4, 6)[:a[0]] + (1, 3, 5)[:a[1]]
-        w = (200, 400, 600)[:b[0]] + (101, 301, 501)[:b[1]]
-        vw = tuple(sorted(p + q for p in v for q in w))
-        c = graded_space_category({"1": (0,), "V": v, "W": w, "VW": vw},
-                                  max(vw))
-        assert c.tensor_objects("V", "W") == "VW"
-        d = dagger_twist(c, _even_idempotents(c))
-        plain, signed = ({x: k.trace(x, k.ident[x]) for x in ("V", "W", "VW")}
-                         for k in (c, d))
-        for t in (plain, signed):
+    after the twist."""
+    for a, b in _random_pairs(random.Random(9), 30):
+        for t in _product_traces(a, b):
             assert t["VW"] == t["V"] * t["W"]
-        even = (plain["VW"] + signed["VW"]) // 2
-        odd = (plain["VW"] - signed["VW"]) // 2
-        assert (even, odd) == (a[0] * b[0] + a[1] * b[1],
-                               a[0] * b[1] + a[1] * b[0])
 
 
 @settings(deadline=None, max_examples=20)

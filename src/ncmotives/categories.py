@@ -1319,6 +1319,12 @@ def graded_space_category(objects, window, name="graded spaces"):
     gives the Koszul signs and the supertraces)."""
     objs = dict(objects)
     labels = list(objs)
+    by_degrees = {}
+    for x in labels:
+        other = by_degrees.setdefault(tuple(objs[x]), x)
+        if other != x:
+            raise InvariantError("objects %s and %s share the degree list %s"
+                                 % (other, x, list(objs[x])))
     hom = {}
     basis = {}          # (x, y) -> list of (slot_y, slot_x)
     index = {}          # (x, y) -> {(slot_y, slot_x): basis position}
@@ -1348,7 +1354,6 @@ def graded_space_category(objects, window, name="graded spaces"):
         ident[x] = {pos[(s, s)]: 1 for s in range(len(objs[x]))}
     # tensor: concatenation of degree lists, sorted, when inside the window
     tensor_obj = {}
-    by_degrees = {tuple(objs[x]): x for x in labels}
     for x in labels:
         for y in labels:
             degs = tuple(sorted(a + b for a in objs[x] for b in objs[y]))

@@ -1,27 +1,45 @@
 """Chain complex homology over Q.
 
 A complex is stored column-wise: diffs[n] is the list of columns of
-d_n : C_n -> C_{n-1} (each column a sparse dict).  Ranks are cached; cycle
-representatives are extracted lazily so that large kernels never have to be
-materialized when only a few homology classes are needed.  homology_space
-starts from the cached echelon form of d_(n+1) (Elimination.modulo) and
-feeds only candidate cycles, since project drops boundary coordinates.
-induced_map gives the columns of a chain map on homology.
+d_n : C_n -> C_{n-1} (each column a sparse dict).  Cycle representatives
+are extracted lazily so that large kernels never have to be materialized
+when only a few homology classes are needed.  induced_map gives the
+columns of a chain map on homology.
 
-The rank of d_n is read from its rows, with cohomology clearing: a
+Ranks come from one row pass per degree, with cohomology clearing: a
 rank-only elimination of the rows of d_n skips row i whenever i is a lead
-of the row echelon form of d_(n-1).  That lead is a coboundary
-e_i + (entries after i), and d_(n-1) o d_n = 0 puts row i in the span of
-the later rows, so the skip is exact only once d o d = 0 is proved:
-check_dd_zero runs in the constructor, and a complex built with
-check=False must have it proved elsewhere (the mixed complex's
-_verify_relations).  The columns of d_n at the leads of its row echelon
-form are a basis of im d_n, and boundary_elim(n), the span homology_space
-reduces against, is fed only those: each must become a pivot.
+of the row echelon form of d_(n-1), and the leads it finds are cached;
+rank(n) is their count.  A skipped lead is a coboundary e_i + (entries
+after i), and d_(n-1) o d_n = 0 puts row i in the span of the later rows,
+so the skip is exact only once d o d = 0 is proved: check_dd_zero runs in
+the constructor, and a complex built with check=False must have it proved
+elsewhere (the mixed complex's _verify_relations).
+
+The span of the boundaries is eliminated only when a homology space needs
+it: boundary_elim(n) is fed the columns of d_n at the row leads alone.
+They are independent, because the r pivots of the row pass form a
+triangular r x r minor of d_n at those columns; a dependent one is refused.
+The span is built in reversed coordinates (index i of C_(n-1) is fed as
+dims[n-1]-1-i), so each pivot's lead is the largest index of a boundary.
+
+homology_space starts from that span (Elimination.modulo) and feeds the
+candidate cycles, then the kernel vectors z_k of cycles_lazy, whose largest
+index f_k is the k-th dependent column of d_n.  z_1..z_k span the cycles
+supported on indices <= f_k, and every vector already tried lies in the
+span, which holds only cycles; so a kernel vector is a new class iff its
+largest index is not a lead of the span, and the chosen ones become pivots
+with no reduction step.  project solves against the same span; its
+coefficients are unique, since the representatives are independent modulo
+the boundaries.
 """
 
 from .errors import InvariantError
 from .exactlin import Elimination, apply_cols
+
+
+def _reversed(vec, dim):
+    """vec with index i moved to dim - 1 - i."""
+    return {dim - 1 - i: v for i, v in vec.items()}
 
 
 class ChainComplex:
@@ -31,7 +49,8 @@ class ChainComplex:
         self.dims = list(dims)
         self.top = len(dims) - 1
         self.diffs = diffs            # diffs[0] is None
-        self._elims = {}              # n -> rank-only Elimination of d_n
+        self._leads = {0: []}         # n -> leads of d_n's row echelon form
+        self._elims = {}              # n -> reversed boundary span of d_n
         self._spaces = {}
         if check:
             self.check_dd_zero()
@@ -57,17 +76,25 @@ class ChainComplex:
             elim.add_column(rows[i])
         return sorted(elim.pivots)
 
+    def leads(self, n):
+        """The leads of d_n's row echelon form (cached), for 1 <= n <= top;
+        the row pass skips the leads one degree down."""
+        if n not in self._leads:
+            self._leads[n] = self._row_leads(n, set(self.leads(n - 1)))
+        return self._leads[n]
+
     def boundary_elim(self, n):
-        """Elimination spanning im(d_n), fed only the columns of d_n at the
-        leads of its row echelon form (a basis of im d_n); rank-only,
-        cached.  The row pass skips the leads of d_(n-1)'s row echelon
-        form, which d_(n-1) o d_n = 0 puts in the span of the later rows."""
+        """Rank-only Elimination spanning im(d_n) in reversed coordinates,
+        fed only the columns of d_n at its row leads; cached.  A refusal
+        drops the cached leads of degree n."""
         if n not in self._elims:
             elim = Elimination()
             if 1 <= n <= self.top:
-                cleared = set(self.boundary_elim(n - 1).pivot_cols)
-                for j in self._row_leads(n, cleared):
-                    if not elim.add_column(self.diffs[n][j], j):
+                rows = self.dims[n - 1]
+                for j in self.leads(n):
+                    if not elim.add_column(_reversed(self.diffs[n][j], rows),
+                                           j):
+                        del self._leads[n]
                         raise InvariantError(
                             "column %d of d_%d is a row echelon lead but "
                             "depends on the earlier ones" % (j, n))
@@ -77,7 +104,7 @@ class ChainComplex:
     def rank(self, n):
         if n < 1 or n > self.top:
             return 0
-        return self.boundary_elim(n).rank
+        return len(self.leads(n))
 
     def cycle_dim(self, n):
         return self.dims[n] - self.rank(n)
@@ -95,7 +122,8 @@ class ChainComplex:
         return not apply_cols(self.diffs[n], vec)
 
     def cycles_lazy(self, n):
-        """Generator of kernel vectors of d_n (all of C_n when n = 0)."""
+        """Generator of kernel vectors of d_n (all of C_n when n = 0); the
+        k-th has its largest index at the k-th dependent column."""
         if n == 0 or n > self.top:
             for i in range(self.dims[n]):
                 yield {i: 1}
@@ -116,31 +144,30 @@ class ChainComplex:
         if n in self._spaces:
             return self._spaces[n]
         h = self.homology_dim(n)
+        dim = self.dims[n]
         # boundary coordinates are dropped by project, so the cached span of
-        # d_(n+1) serves as it is: only the candidate cycles are fed
+        # d_(n+1) serves as it is: only new classes become pivots
         span = Elimination.modulo(self.boundary_elim(n + 1))
         reps = []
-
-        def try_rep(z):
-            if span.add_column(z, len(reps)):
-                reps.append(dict(z))
-
         for z in candidates:
             if len(reps) == h:
                 break
-            if self.is_cycle(n, z):
-                try_rep(z)
+            if self.is_cycle(n, z) and span.add_column(_reversed(z, dim),
+                                                       len(reps)):
+                reps.append(dict(z))
         if len(reps) < h:
             for z in self.cycles_lazy(n):
                 if len(reps) == h:
                     break
-                try_rep(z)
+                if dim - 1 - max(z) not in span.pivots:
+                    span.add_column(_reversed(z, dim), len(reps))
+                    reps.append(dict(z))
         if len(reps) != h:
             raise InvariantError("could not extract a homology basis at "
                                  "degree %d" % n)
 
         def project(vec):
-            coeffs = span.solve(vec)
+            coeffs = span.solve(_reversed(vec, dim))
             if coeffs is None:
                 raise InvariantError("vector is not a cycle-mod-boundary "
                                      "combination at degree %d" % n)

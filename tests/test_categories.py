@@ -390,6 +390,19 @@ def test_dagger_refuses_a_non_natural_family():
         dagger_twist(g, {"1": {0: 1}, "X": {0: 1}})
 
 
+def test_graded_spaces_refuse_two_objects_with_one_degree_list():
+    """Each degree list names one object, the tensor target of every pair
+    whose degrees add up to it, so a second label for the same list is
+    refused by name (it used to become the unit and fail as "unit object
+    is not strict on 1")."""
+    with pytest.raises(InvariantError, match=r"^objects 1 and V share the "
+                                             r"degree list \[0\]$"):
+        graded_space_category({"1": (0,), "V": (0,)}, 2)
+    with pytest.raises(InvariantError, match=r"^objects X and Y share the "
+                                             r"degree list \[0, 1\]$"):
+        graded_space_category({"1": (0,), "X": (0, 1), "Y": (0, 1)}, 2)
+
+
 # ---------------------------------------------------------------------------
 # the two comparison-lemma instances
 

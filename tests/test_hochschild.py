@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import itertools
 import weakref
@@ -1576,17 +1577,19 @@ COEFFS = st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
 def _assert_seeded_spaces_match(cx, candidates, data):
     """At every degree of a fresh copy of cx, the rank of d_n is the rank
     of all of its columns, and the boundary elimination, fed only its
-    rank's worth of columns, spans what the replaced route spans; at every
-    certified degree, homology_space has the replaced route's
-    representatives and projection (on cycle + boundary combinations drawn
-    from data), and leaves the cached boundary elimination as it was."""
+    rank's worth of columns, spans (its reversed coordinates mapped back)
+    what the replaced route spans; at every certified degree,
+    homology_space has the replaced route's representatives and projection
+    (on cycle + boundary combinations drawn from data), and leaves the
+    cached boundary elimination as it was."""
     fresh = ChainComplex(cx.dims, cx.diffs, check=False)
     old = ChainComplex(cx.dims, cx.diffs, check=False)
     for n in range(cx.top):
         bound, fed = _fed_columns(lambda: fresh.boundary_elim(n + 1))
         rows = cx.dims[n]
         assert fresh.rank(n + 1) == bound.rank == matrix_rank(cx.diffs[n + 1])
-        assert (LinSubspace(rows, bound.pivots.values())
+        assert (LinSubspace(rows, [{rows - 1 - i: v for i, v in p.items()}
+                                   for p in bound.pivots.values()])
                 == LinSubspace(rows, _oracle_boundary_elim(old, n + 1)
                                .pivots.values()))
         assert sum(k for elim, k in fed if elim is bound) == bound.rank
@@ -1646,6 +1649,15 @@ def test_seeded_homology_space_matches_the_replaced_route(drawn, q, data):
 CUBIC = DEMO_ALGEBRAS / "cubic.json"
 
 
+@settings(deadline=None, max_examples=3)
+@given(st.data())
+def test_cubic_tot_homology_space_matches_the_replaced_route(data):
+    """The same comparison on the Tot complex of Q[x]/x^3 at n_max 8 with
+    its C_0 candidates, where most kernel vectors are boundaries."""
+    cyc = CyclicData(load_algebra(str(CUBIC)), 8)
+    _assert_seeded_spaces_match(cyc.tot, cyc._unit_candidates, data)
+
+
 def test_row_pass_skips_the_leads_one_degree_down():
     """On the Tot complex of Q[x]/x^3 at n_max 8 the row pass of d_n skips
     its rows at the rank(n - 1) leads of the row echelon form one degree
@@ -1692,3 +1704,92 @@ def test_a_dependent_lead_column_is_refused_and_caches_nothing():
             cx.boundary_elim(8)
     assert cx._elims == before
     assert cx.rank(8) == 348
+
+
+def _calls(build, *names):
+    """(result of build(), {name: the degrees the ChainComplex method name
+    was called with while build ran})."""
+    calls = {name: [] for name in names}
+
+    def recorder(name, method):
+        def recorded(self, n, *args, **kwargs):
+            calls[name].append(n)
+            return method(self, n, *args, **kwargs)
+        return recorded
+
+    with contextlib.ExitStack() as stack:
+        for name in names:
+            stack.enter_context(mock.patch.object(
+                ChainComplex, name,
+                recorder(name, getattr(ChainComplex, name))))
+        result = build()
+    return result, calls
+
+
+def test_ranks_feed_no_column_pass():
+    """HH and HC of Q[x]/x^3 at n_max 8 read every rank from the row pass:
+    no boundary span is built and no differential's columns are
+    eliminated."""
+    a = load_algebra(str(CUBIC))
+    for build in (lambda: hochschild_homology(a, n_max=8),
+                  lambda: cyclic_homology(a, n_max=8)):
+        (_, fed), calls = _calls(
+            lambda: _fed_columns(build), "boundary_elim", "cycles_lazy",
+            "homology_space")
+        assert fed
+        assert calls == {"boundary_elim": [], "cycles_lazy": [],
+                         "homology_space": []}
+    assert hochschild_homology(a, n_max=8).dims == [3] + [2] * 7
+    assert cyclic_homology(a, n_max=8).dims == [3, 0] * 4
+
+
+def test_homology_space_feeds_only_new_classes():
+    """On HH and Tot of Q[x]/x^3 at n_max 8, the span homology_space
+    starts from the boundaries receives the candidate cycles it tries and
+    then h kernel vectors of cycles_lazy, each of which becomes a pivot at
+    once: a kernel vector whose largest index is a lead of the span is
+    never fed, although cycles_lazy yields many."""
+    cyc = CyclicData(load_algebra(str(CUBIC)), 8)
+    modulo, add_column = Elimination.modulo.__func__, Elimination.add_column
+    skipped = 0
+    for cx, candidates in ((cyc.hh, lambda n: ()),
+                           (cyc.tot, cyc._unit_candidates)):
+        for n in range(cx.top):
+            cx.boundary_elim(n + 1)
+            h = cx.homology_dim(n)
+            spans, fed = [], []
+
+            def started(cls, base):
+                spans.append(modulo(cls, base))
+                return spans[-1]
+
+            def counted(elim, col, index=None):
+                new = add_column(elim, col, index)
+                if spans and elim is spans[0]:
+                    fed.append((col, new))
+                return new
+
+            with mock.patch.object(Elimination, "modulo",
+                                   classmethod(started)), \
+                    mock.patch.object(Elimination, "add_column", counted):
+                (reps, _), calls = _calls(
+                    lambda: cx.homology_space(n, candidates(n)),
+                    "cycles_lazy")
+            tried = []
+            for z in candidates(n):
+                if len([c for c in tried if c in reps]) == h:
+                    break
+                if cx.is_cycle(n, z):
+                    tried.append(z)
+            from_candidates = [z for z in reps if z in tried]
+            rows = cx.dims[n]
+            assert ([col for col, _ in fed]
+                    == [{rows - 1 - i: v for i, v in z.items()}
+                        for z in tried + reps[len(from_candidates):]])
+            assert all(new for _, new in fed[len(tried):])
+            assert len(fed) == len(tried) + h - len(from_candidates)
+            if calls["cycles_lazy"]:
+                yielded = [max(z) for z in cx.cycles_lazy(n)]
+                last = yielded.index(max(reps[-1]))
+                skipped += last + 1 - (h - len(from_candidates))
+    assert skipped > 0

@@ -33,9 +33,9 @@ from types import MappingProxyType
 
 from .errors import InvariantError, CapExceededError, UncertifiedError
 from . import exactlin
-from .exactlin import (LinSubspace, apply_cols, bilinear, combine_cols,
-                       compose_cols, identity_cols, vec_addmul, vec_scale,
-                       _norm)
+from .exactlin import (LinSubspace, apply_cols, bilinear, check_shape,
+                       combine_cols, compose_cols, identity_cols, vec_addmul,
+                       vec_scale, _norm)
 from .homcore import ChainComplex
 
 
@@ -49,6 +49,10 @@ class Algebra:
     vertex_names: optional {basis index: name} for the unit's terms, which
            name the vertices of presentation(); a term without a name is
            named by its basis label.
+
+    Construction checks the unit law on every basis element and
+    associativity on the basis triples (i, j, k) with b_i b_j or b_j b_k
+    stored; on the others both sides are products with 0.
     """
 
     def __init__(self, name, basis, unit, table, vertex_names=None,
@@ -94,13 +98,22 @@ class Algebra:
             ej = {j: 1}
             if self.mult_vec(self.unit, ej) != ej or self.mult_vec(ej, self.unit) != ej:
                 raise InvariantError("unit law fails at basis element %r" % self.basis[j])
-        for i, j, k in itertools.product(range(self.dim), repeat=3):
-            left = self.mult_vec(self.mult_basis(i, j), {k: 1})
-            right = self.mult_vec({i: 1}, self.mult_basis(j, k))
-            if left != right:
-                raise InvariantError(
-                    "associativity fails on (%s,%s,%s)" %
-                    (self.basis[i], self.basis[j], self.basis[k]))
+        # (b_i b_j) b_k = b_i (b_j b_k) reads 0 = 0 unless b_i b_j or b_j b_k
+        # is stored: then k ranges over all of the basis or over the k
+        # with b_j b_k stored, in the order of the full enumeration
+        stored = {}
+        for j, k in sorted(self.table):
+            stored.setdefault(j, []).append(k)
+        every = range(self.dim)
+        for i in every:
+            for j in every:
+                for k in every if (i, j) in self.table else stored.get(j, ()):
+                    left = self.mult_vec(self.mult_basis(i, j), {k: 1})
+                    right = self.mult_vec({i: 1}, self.mult_basis(j, k))
+                    if left != right:
+                        raise InvariantError(
+                            "associativity fails on (%s,%s,%s)" %
+                            (self.basis[i], self.basis[j], self.basis[k]))
 
     def __repr__(self):
         return "Algebra(%s, dim %d)" % (self.name, self.dim)
@@ -375,7 +388,10 @@ class Bimodule:
     B-basis of the right actions, each a list of dim read-only sparse
     columns (column c the image of basis vector c; zero columns may share
     one empty mapping).  Both actions are unital and commute; this is
-    verified on basis elements at construction.
+    verified on basis elements at construction, after each map's column
+    count, skipping only the equations whose two sides both vanish: a
+    product law with b_i b_j = 0 and one of the two maps zero, and a
+    commutation with either map zero.
     """
 
     def __init__(self, left_algebra, right_algebra, dim, left, right,
@@ -394,20 +410,32 @@ class Bimodule:
     def _check(self):
         ident = identity_cols(self.dim)
         sides = (("left", self.A, self.left), ("right", self.B, self.right))
+        for _, _, acts in sides:
+            for act in acts:
+                check_shape(act, self.dim)
         for side, alg, acts in sides:
             if combine_cols(acts, alg.unit, self.dim) != ident:
                 raise InvariantError("%s action is not unital" % side)
+        zero = {side: [not any(act) for act in acts]
+                for side, _, acts in sides}
         for side, alg, acts in sides:
             for i, j in itertools.product(range(alg.dim), repeat=2):
                 # the right action reverses composition: m*(xy) = (m*x)*y
                 f, g = (i, j) if side == "left" else (j, i)
+                if (i, j) not in alg.table and \
+                        (zero[side][f] or zero[side][g]):
+                    continue
                 if (combine_cols(acts, alg.mult_basis(i, j), self.dim)
                         != compose_cols(acts[f], acts[g])):
                     raise InvariantError("%s action is not an algebra action"
                                          % side)
-        for f, g in itertools.product(self.left, self.right):
-            if compose_cols(f, g) != compose_cols(g, f):
-                raise InvariantError("left and right actions do not commute")
+        for f_zero, f in zip(zero["left"], self.left):
+            for g_zero, g in zip(zero["right"], self.right):
+                if f_zero or g_zero:
+                    continue
+                if compose_cols(f, g) != compose_cols(g, f):
+                    raise InvariantError("left and right actions do not "
+                                         "commute")
 
     def content_key(self):
         """Deterministic hash key: dimensions plus sorted action entries."""

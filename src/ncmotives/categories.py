@@ -20,7 +20,11 @@ the symmetry and the odd part of each declared trace.
 Every constructor re-proves the axioms through `PresentedCategory.check`.
 It verifies each distinct instance of a law once: an instance is keyed by
 the contents of the tables it reads and the hom dimensions it ranges over,
-and the graded presentations repeat a few tables many times over.
+and the graded presentations repeat a few tables many times over.  Inside
+an instance it pays for stored entries, not for basis tuples: the basis
+elements it tries are read off nonzero table entries, and an equation is
+skipped only when each of its two sides is bilinear in a vector that is
+zero, so that both read {} and it cannot fail.
 """
 
 import itertools
@@ -34,28 +38,37 @@ from .exactlin import (LinSubspace, Elimination, kernel, bilinear,
 from .algebras import structure_algebra
 
 
+_EMPTY = {}     # the absent table entry or vector; never written to
+
+
 class _TableIds:
     """Content ids of the tables PresentedCategory.check reads.
 
     A vector's id stands for its coefficients; a table's id for its
     entries together with the declared dimensions of the two Homs its
     indexes range over.  Equal ids mean equal contents (and, for tables,
-    equal index ranges), whatever object or key holds them; the maps comp,
-    tensor_mor, symmetry and ident give each table's id under its key.
-    Asking for an id also refuses a table key or a nonzero coordinate
-    outside a declared hom dimension; a Hom between labels that are not
-    objects, with no declared dimension, bounds nothing."""
+    equal index ranges), whatever object or key holds them.  The maps give
+    each table's id by the objects of its key, so that the walks read ids
+    without building a key tuple per instance: comp[(x, y)][z] for the
+    composition table on (x, y, z), ident[x], symmetry[x][y],
+    tensor_mor[(x1, x2)][(y1, y2)] for the tensor table on (x1, y1, x2,
+    y2), and the two families the hexagon reads, diagonal[(a, b)][z] for
+    (a, b, z, z) and scalar[y][(c, d)] for (y, y, c, d).  Asking for an id
+    also refuses a table key or a nonzero coordinate outside a declared hom
+    dimension; check refuses every label that is not an object first, so
+    each Hom asked about has one."""
 
     def __init__(self, hom):
         self.hom = hom
         self.vectors, self.tables = {}, {}
-        self.comp, self.tensor_mor, self.symmetry, self.ident = {}, {}, {}, {}
+        self.comp, self.ident, self.symmetry = {}, {}, {}
+        self.tensor_mor, self.diagonal, self.scalar = {}, {}, {}
 
     def vector(self, vec, out, kind, key):
         """The id of vec, a vector in Hom(out)."""
-        dim = self.hom.get(out)
-        if dim is not None and any(c and not 0 <= k < dim
-                                   for k, c in vec.items()):
+        dim = self.hom[out]
+        if vec and (min(vec) < 0 or max(vec) >= dim) and \
+                any(c and not 0 <= k < dim for k, c in vec.items()):
             raise _outside(kind, key)
         return self.vectors.setdefault(frozenset(vec.items()),
                                        len(self.vectors))
@@ -63,11 +76,10 @@ class _TableIds:
     def table(self, table, left, right, out, kind, key):
         """The id of a table {(i, j): vector in Hom(out)}, i indexing
         Hom(left) and j Hom(right)."""
-        dl, dr = self.hom.get(left), self.hom.get(right)
+        dl, dr = self.hom[left], self.hom[right]
         content = []
         for (i, j), vec in table.items():
-            if dl is not None and not 0 <= i < dl or \
-                    dr is not None and not 0 <= j < dr:
+            if not (0 <= i < dl and 0 <= j < dr):
                 raise _outside(kind, key)
             content.append(((i, j), self.vector(vec, out, kind, key)))
         return self.tables.setdefault((frozenset(content), dl, dr),
@@ -77,6 +89,18 @@ class _TableIds:
 def _outside(kind, key):
     return InvariantError("%s at (%s) lies outside the declared hom "
                           "dimensions" % (kind, ",".join(map(str, key))))
+
+
+def _unknown_object_names(objects, sections):
+    """The refusal of the first section that names a label outside
+    objects, or None; sections are (field name, names) pairs."""
+    known = set(objects)
+    for field, names in sections:
+        unknown = sorted(set(names) - known)
+        if unknown:
+            return "%s names unknown object(s): %s" % (
+                field, ", ".join(map(str, unknown)))
+    return None
 
 
 class PresentedCategory:
@@ -160,6 +184,10 @@ class PresentedCategory:
         """Verify the axioms over the presented fragment; the first failure
         raises InvariantError.
 
+        It first refuses a unit, Hom, table key, tensor object, identity,
+        trace or grading entry that names a label outside the objects, and
+        a negative hom dimension, with the loader's wording.
+
         The associativity, interchange and hexagon walks key each instance
         by the content ids (`_TableIds`) of the tables it reads and the hom
         dimensions its loops range over, and skip a key already verified.
@@ -171,6 +199,16 @@ class PresentedCategory:
         instance.  The unit and id (x) id walks verify every instance: one
         or two products each, about what building a key costs.
 
+        Inside an instance, an equation is skipped only when each of its
+        two sides is bilinear in a vector that is zero, so both read {}:
+        for f and g, associativity evaluates h o (g o f) = (h o g) o f only
+        at the h read off stored entries, (h, k) of the (w, y, z) table
+        with k in the support of g o f and (h, g) of the (x, y, z) table;
+        interchange evaluates (h o f) (x) (k o g) = (h (x) k) o (f (x) g)
+        only where h o f and k o g are both stored, or h (x) k and f (x) g
+        are.  A failing equation is never skipped, and an instance's
+        message does not name its basis elements.
+
         Taking an id refuses a table key or a nonzero coordinate outside a
         declared hom dimension.  Each kind of table gets its ids where it is
         first needed: composition tables, identities and traces at the
@@ -178,35 +216,56 @@ class PresentedCategory:
         one on a pair whose object tensor is not presented; each symmetry
         after its fragment check.
         """
+        message = _unknown_object_names(self.objects, [
+            ("unit", [self.unit]),
+            ("hom", [o for key in self.hom for o in key]),
+            ("composition", [o for key in self.comp for o in key]),
+            ("identities", self.ident),
+            ("tensor_objects", [o for key, z in self.tensor_obj.items()
+                                for o in key + (z,)]),
+            ("tensor_morphisms", [o for key in self.tensor_mor for o in key]),
+            ("symmetry", [o for key in self.symmetry for o in key]),
+            ("traces", self.traces),
+            ("grading", self.grading)])
+        if message:
+            raise InvariantError(message)
+        hom = self.hom
+        for (x, y), d in hom.items():
+            if d < 0:
+                raise InvariantError("Hom(%s,%s) has negative dimension %d"
+                                     % (x, y, d))
         missing = sorted(set(self.objects) - set(self.ident))
         if missing:
             raise InvariantError("no identity given for object(s): %s"
                                  % ", ".join(missing))
         for x in self.objects:
-            if self.hom[(x, x)] < 1:
+            if hom[(x, x)] < 1:
                 raise InvariantError("End(%s) must contain an identity" % x)
-        ids = _TableIds(self.hom)
+        ids = _TableIds(hom)
         for key, table in self.comp.items():
             x, y, z = key
-            ids.comp[key] = ids.table(table, (y, z), (x, y), (x, z),
-                                      "composition", key)
+            ids.comp.setdefault((x, y), {})[z] = ids.table(
+                table, (y, z), (x, y), (x, z), "composition", key)
         for x, vec in self.ident.items():
             ids.ident[x] = ids.vector(vec, (x, x), "identity", (x,))
         for x, vec in self.traces.items():
             ids.vector(vec, (x, x), "trace", (x,))
-        comp_id = ids.comp.get
         # the indexes keep the order of self.objects, so the walks below
         # meet the defined tuples, and the first failure, in the order of
-        # the full objects^k enumeration
-        successors = {x: [y for y in self.objects if self.hom[(x, y)]]
+        # the full objects^k enumeration: successors[x] lists the (y,
+        # hom(x, y)) with hom(x, y) > 0, tensor_of[x] maps y to x (x) y
+        successors = {x: [(y, hom[(x, y)]) for y in self.objects
+                          if hom[(x, y)]]
                       for x in self.objects}
-        partners = {x: [y for y in self.objects
-                        if (x, y) in self.tensor_obj]
-                    for x in self.objects}
+        tensor_of = {x: {} for x in self.objects}
+        for x in self.objects:
+            for y in self.objects:
+                if (x, y) in self.tensor_obj:
+                    tensor_of[x][y] = self.tensor_obj[(x, y)]
         # identity and associativity
         for x in self.objects:
-            for y in successors[x]:
-                for i in range(self.hom[(x, y)]):
+            for y, d in successors[x]:
+                for i in range(d):
                     f = {i: 1}
                     if self.compose(x, y, y, self.ident[y], f) != f:
                         raise InvariantError("left unit law fails on "
@@ -214,39 +273,64 @@ class PresentedCategory:
                     if self.compose(x, x, y, f, self.ident[x]) != f:
                         raise InvariantError("right unit law fails on "
                                              "Hom(%s,%s)" % (x, y))
+        rows = {}       # composition key -> its _rows
         seen = set()
         for w in self.objects:
-            for x in successors[w]:
-                for y in successors[x]:
-                    first = self.comp.get((w, x, y), {})
-                    for z in successors[y]:
-                        key = (comp_id((w, x, y)), comp_id((x, y, z)),
-                               comp_id((w, y, z)), comp_id((w, x, z)),
-                               self.hom[(w, x)], self.hom[(x, y)],
-                               self.hom[(y, z)])
+            for x, dwx in successors[w]:
+                ids_wx = ids.comp.get((w, x), _EMPTY)
+                for y, dxy in successors[x]:
+                    ids_xy = ids.comp.get((x, y), _EMPTY)
+                    ids_wy = ids.comp.get((w, y), _EMPTY)
+                    first = ids_wx.get(y)
+                    for z, dyz in successors[y]:
+                        key = (first, ids_xy.get(z), ids_wy.get(z),
+                               ids_wx.get(z), dwx, dxy, dyz)
                         if key in seen:
                             continue
                         seen.add(key)
-                        second = self.comp.get((x, y, z), {})
-                        for fi in range(self.hom[(w, x)]):
-                            for gi in range(self.hom[(x, y)]):
-                                gf = first.get((gi, fi), {})
-                                for hi in range(self.hom[(y, z)]):
-                                    left = self.compose(w, y, z, {hi: 1}, gf)
-                                    right = self.compose(
-                                        w, x, z,
-                                        second.get((hi, gi), {}),
-                                        {fi: 1})
-                                    if left != right:
-                                        raise InvariantError(
-                                            "composition not associative at "
-                                            "(%s,%s,%s,%s)" % (w, x, y, z))
-        self._check_tensor(partners, ids)
-        self._check_symmetry(partners, ids)
+                        self._check_associativity(w, x, y, z, rows)
+        self._check_tensor(tensor_of, ids, rows)
+        self._check_symmetry(tensor_of, ids)
 
-    def _check_tensor(self, partners, ids):
-        """partners[x]: the y of self.objects, in order, with x (x) y
-        defined; ids: check's _TableIds, which gains tensor_mor."""
+    def _rows(self, rows, key):
+        """rows[key] = {j: [i with (i, j) stored]} for the composition
+        table on key, built on first use."""
+        if key not in rows:
+            rows[key] = by_column = {}
+            for i, j in self.comp.get(key, _EMPTY):
+                by_column.setdefault(j, []).append(i)
+        return rows[key]
+
+    def _check_associativity(self, w, x, y, z, rows):
+        """h o (g o f) = (h o g) o f on the basis, for f: w -> x, g: x -> y,
+        h: y -> z, at the h read off stored entries."""
+        first = self.comp.get((w, x, y), _EMPTY)
+        second = self.comp.get((x, y, z), _EMPTY)
+        after_g = self._rows(rows, (x, y, z))      # g -> h with h o g stored
+        after_gf = self._rows(rows, (w, y, z))     # k -> h with h o k stored
+        for gi in range(self.hom[(x, y)]):
+            hs = after_g.get(gi, ())
+            for fi in range(self.hom[(w, x)]):
+                gf = first.get((gi, fi), _EMPTY)
+                candidates = hs
+                if gf:
+                    candidates = set(hs)
+                    for k in gf:
+                        candidates.update(after_gf.get(k, ()))
+                for hi in candidates:
+                    left = self.compose(w, y, z, {hi: 1}, gf)
+                    right = self.compose(w, x, z,
+                                         second.get((hi, gi), _EMPTY),
+                                         {fi: 1})
+                    if left != right:
+                        raise InvariantError(
+                            "composition not associative at "
+                            "(%s,%s,%s,%s)" % (w, x, y, z))
+
+    def _check_tensor(self, tensor_of, ids, rows):
+        """tensor_of[x]: {y: x (x) y} over the y of self.objects, in order;
+        ids: check's _TableIds, which gains the tensor maps; rows: check's
+        memo of _rows."""
         tobj, tmor = self.tensor_obj, self.tensor_mor
         u = self.unit
         for x in self.objects:
@@ -256,87 +340,104 @@ class PresentedCategory:
                 raise InvariantError("unit object is not strict on %s" % x)
         # associativity of the object table wherever both routes are defined
         for x in self.objects:
-            for y in partners[x]:
-                xy = tobj[(x, y)]
-                for z in partners[y]:
-                    if (xy, z) in tobj:
-                        yz = tobj[(y, z)]
-                        if (x, yz) in tobj and tobj[(xy, z)] != tobj[(x, yz)]:
+            for y, xy in tensor_of[x].items():
+                for z, yz in tensor_of[y].items():
+                    xy_z = tensor_of[xy].get(z)
+                    if xy_z is not None:
+                        x_yz = tensor_of[x].get(yz)
+                        if x_yz is not None and xy_z != x_yz:
                             raise InvariantError(
                                 "object tensor not associative at "
                                 "(%s,%s,%s)" % (x, y, z))
-        # the tensor tables, on the object table just verified
+        # the tensor tables, on the object table just verified; the maps
+        # list each source pair's targets in the order of self.objects
+        position = {}
+        for i, z in enumerate(self.objects):
+            position.setdefault(z, i)
+        targets = {}
         for key, table in tmor.items():
             x1, y1, x2, y2 = key
             if (x1, x2) not in tobj or (y1, y2) not in tobj:
                 raise InvariantError("tensor of morphisms declared outside "
                                      "the tensor fragment at (%s,%s,%s,%s)"
                                      % key)
-            ids.tensor_mor[key] = ids.table(
-                table, (x1, y1), (x2, y2), (tobj[(x1, x2)], tobj[(y1, y2)]),
-                "tensor of morphisms", key)
-        # interchange (bifunctoriality) on basis elements where defined:
-        # targets[(y1, y2)] lists (z1, z2, z1 (x) z2, id of the table on
-        # (y1, z1, y2, z2)) over the (z1, z2) of self.objects with
-        # (y1, z1, y2, z2) in tensor_mor, in the order of self.objects.
-        # The table ids carry hom(x1, y1), hom(x2, y2), hom(y1, z1) and
-        # hom(y2, z2), the ranges of the four loops.
-        position = {}
-        for i, z in enumerate(self.objects):
-            position.setdefault(z, i)
-        tmor_id, comp_id = ids.tensor_mor, ids.comp.get
-        targets = {}
-        for key in tmor:
-            y1, z1, y2, z2 = key
-            if z1 in position and z2 in position:
-                targets.setdefault((y1, y2), []).append(
-                    (z1, z2, tobj[(z1, z2)], tmor_id[key]))
-        for quads in targets.values():
-            quads.sort(key=lambda q: (position[q[0]], position[q[1]]))
+            tid = ids.table(table, (x1, y1), (x2, y2),
+                            (tobj[(x1, x2)], tobj[(y1, y2)]),
+                            "tensor of morphisms", key)
+            targets.setdefault((x1, x2), []).append(
+                (position[y1], position[y2], (y1, y2), tid))
+            if y1 == x1:
+                ids.scalar.setdefault(x1, {})[(x2, y2)] = tid
+            if y2 == x2:
+                ids.diagonal.setdefault((x1, y1), {})[x2] = tid
+        for pair, quads in targets.items():
+            quads.sort()
+            ids.tensor_mor[pair] = {yy: tid for _, _, yy, tid in quads}
+        # interchange (bifunctoriality) on basis elements where defined;
+        # the table ids carry hom(x1, y1), hom(x2, y2), hom(y1, z1) and
+        # hom(y2, z2), the ranges of the four loops
         seen = set()
-        for (x1, y1, x2, y2), table in tmor.items():
-            xx, yy = tobj[(x1, x2)], tobj[(y1, y2)]
-            outer = tmor_id[(x1, y1, x2, y2)]
-            for z1, z2, zz, inner in targets.get((y1, y2), ()):
-                across = tmor_id.get((x1, z1, x2, z2))
+        for (x1, y1, x2, y2) in tmor:
+            from_x = ids.tensor_mor[(x1, x2)]
+            outer = from_x[(y1, y2)]
+            xx, yy = tensor_of[x1][x2], tensor_of[y1][y2]
+            ids_1 = ids.comp.get((x1, y1), _EMPTY)
+            ids_2 = ids.comp.get((x2, y2), _EMPTY)
+            ids_xx = ids.comp.get((xx, yy), _EMPTY)
+            for zs, inner in ids.tensor_mor.get((y1, y2), _EMPTY).items():
+                across = from_x.get(zs)
                 if across is None:
                     continue
-                key = (outer, inner, across, comp_id((x1, y1, z1)),
-                       comp_id((x2, y2, z2)), comp_id((xx, yy, zz)))
+                z1, z2 = zs
+                zz = tensor_of[z1][z2]
+                key = (outer, inner, across, ids_1.get(z1), ids_2.get(z2),
+                       ids_xx.get(zz))
                 if key in seen:
                     continue
                 seen.add(key)
-                inner_table = tmor[(y1, z1, y2, z2)]
-                comp1 = self.comp.get((x1, y1, z1), {})
-                comp2 = self.comp.get((x2, y2, z2), {})
-                for fi in range(self.hom[(x1, y1)]):
-                    for gi in range(self.hom[(x2, y2)]):
-                        fg = table.get((fi, gi), {})
-                        for hi in range(self.hom[(y1, z1)]):
-                            hf = comp1.get((hi, fi), {})
-                            for ki in range(self.hom[(y2, z2)]):
-                                lhs = self.tensor_morphisms(
-                                    x1, z1, x2, z2, hf,
-                                    comp2.get((ki, gi), {}))
-                                rhs = self.compose(
-                                    xx, yy, zz,
-                                    inner_table.get((hi, ki), {}), fg)
-                                if lhs != rhs:
-                                    raise InvariantError(
-                                        "tensor interchange fails at "
-                                        "(%s,%s,%s,%s)" % (x1, y1, x2, y2))
+                self._check_interchange(x1, y1, z1, x2, y2, z2, rows)
         # identities tensor to identities where defined
         for x in self.objects:
-            for y in partners[x]:
+            for y, xy in tensor_of[x].items():
                 if (x, x, y, y) in tmor:
-                    xy = tobj[(x, y)]
                     if self.tensor_morphisms(x, x, y, y, self.ident[x],
                                              self.ident[y]) != self.ident[xy]:
                         raise InvariantError("id (x) id != id at (%s,%s)"
                                              % (x, y))
 
-    def _check_symmetry(self, partners, ids):
-        """ids: check's _TableIds, which gains symmetry."""
+    def _check_interchange(self, x1, y1, z1, x2, y2, z2, rows):
+        """(h o f) (x) (k o g) = (h (x) k) o (f (x) g) on the basis, for
+        f: x1 -> y1, g: x2 -> y2, h: y1 -> z1, k: y2 -> z2, where h o f
+        and k o g are both stored or h (x) k and f (x) g are."""
+        tobj = self.tensor_obj
+        xx, yy, zz = tobj[(x1, x2)], tobj[(y1, y2)], tobj[(z1, z2)]
+        outer = self.tensor_mor[(x1, y1, x2, y2)]
+        inner = self.tensor_mor[(y1, z1, y2, z2)]
+        comp1 = self.comp.get((x1, y1, z1), _EMPTY)
+        comp2 = self.comp.get((x2, y2, z2), _EMPTY)
+        after_f = self._rows(rows, (x1, y1, z1))   # f -> h with h o f stored
+        after_g = self._rows(rows, (x2, y2, z2))   # g -> k with k o g stored
+        for fi in range(self.hom[(x1, y1)]):
+            hs = after_f.get(fi, ())
+            for gi in range(self.hom[(x2, y2)]):
+                fg = outer.get((fi, gi), _EMPTY)
+                pairs = [(hi, ki) for hi in hs for ki in after_g.get(gi, ())]
+                if fg:
+                    pairs = set(pairs).union(inner)
+                for hi, ki in pairs:
+                    lhs = self.tensor_morphisms(
+                        x1, z1, x2, z2, comp1.get((hi, fi), _EMPTY),
+                        comp2.get((ki, gi), _EMPTY))
+                    rhs = self.compose(xx, yy, zz,
+                                       inner.get((hi, ki), _EMPTY), fg)
+                    if lhs != rhs:
+                        raise InvariantError(
+                            "tensor interchange fails at "
+                            "(%s,%s,%s,%s)" % (x1, y1, x2, y2))
+
+    def _check_symmetry(self, tensor_of, ids):
+        """tensor_of: as for _check_tensor; ids: check's _TableIds, which
+        gains symmetry."""
         tobj = self.tensor_obj
         for (x, y), c in self.symmetry.items():
             if (x, y) not in tobj or (y, x) not in tobj:
@@ -344,7 +445,8 @@ class PresentedCategory:
                                      "fragment")
             xy = tobj[(x, y)]
             yx = tobj[(y, x)]
-            ids.symmetry[(x, y)] = ids.vector(c, (xy, yx), "symmetry", (x, y))
+            ids.symmetry.setdefault(x, {})[y] = ids.vector(
+                c, (xy, yx), "symmetry", (x, y))
             cyx = self.symmetry.get((y, x))
             if cyx is None:
                 raise InvariantError("missing inverse symmetry (%s,%s)"
@@ -354,31 +456,31 @@ class PresentedCategory:
                                      % (x, y))
         # hexagon (strict): c_{x, y(x)z} = (id_y (x) c_{x,z}) o (c_{x,y} (x) id_z)
         # over (x, y) in symmetry (so both tensors are defined, by the loop
-        # above) and z in partners[y]; a tensor table on (xy, yx, z, z) or
-        # (y, y, xz, zx) puts xy (x) z, yx (x) z, y (x) xz and y (x) zx in
-        # the fragment, since _check_tensor refuses one outside it
-        sym_id, tmor_id = ids.symmetry, ids.tensor_mor.get
-        ident_id, comp_id = ids.ident, ids.comp.get
+        # above) and z with y (x) z defined; a tensor table on (xy, yx, z,
+        # z) or (y, y, xz, zx) puts xy (x) z, yx (x) z, y (x) xz and y (x)
+        # zx in the fragment, since _check_tensor refuses one outside it
         seen = set()
         for x in self.objects:
+            sym_x = ids.symmetry.get(x, _EMPTY)
             for y in self.objects:
-                if (x, y) not in self.symmetry:
+                if y not in sym_x:
                     continue
-                xy, yx = tobj[(x, y)], tobj[(y, x)]
-                for z in partners[y]:
-                    yz = tobj[(y, z)]
-                    if (x, yz) not in self.symmetry or \
-                            (x, z) not in self.symmetry:
+                xy, yx = tensor_of[x][y], tensor_of[y][x]
+                step1_ids = ids.diagonal.get((xy, yx), _EMPTY)
+                step2_ids = ids.scalar.get(y, _EMPTY)
+                for z, yz in tensor_of[y].items():
+                    if yz not in sym_x or z not in sym_x:
                         continue
-                    xz, zx = tobj[(x, z)], tobj[(z, x)]
-                    step1_id = tmor_id((xy, yx, z, z))
-                    step2_id = tmor_id((y, y, xz, zx))
+                    xz, zx = tensor_of[x][z], tensor_of[z][x]
+                    step1_id = step1_ids.get(z)
+                    step2_id = step2_ids.get((xz, zx))
                     if step1_id is None or step2_id is None:
                         continue
-                    xyz, mid, tgt = tobj[(x, yz)], tobj[(yx, z)], tobj[(y, zx)]
-                    key = (sym_id[(x, yz)], sym_id[(x, y)], sym_id[(x, z)],
-                           ident_id[y], ident_id[z], step1_id, step2_id,
-                           comp_id((xyz, mid, tgt)))
+                    xyz, mid = tensor_of[x][yz], tensor_of[yx][z]
+                    tgt = tensor_of[y][zx]
+                    key = (sym_x[yz], sym_x[y], sym_x[z], ids.ident[y],
+                           ids.ident[z], step1_id, step2_id,
+                           ids.comp.get((xyz, mid), _EMPTY).get(tgt))
                     if key in seen:
                         continue
                     seen.add(key)
@@ -482,6 +584,35 @@ def _interpolate(points, values):
     return [Fraction(c, scale) for c in poly]
 
 
+def _primitive(poly):
+    """The primitive integer multiple, leading coefficient positive, of a
+    nonzero rational polynomial (lowest first, trailing zeros dropped)."""
+    poly = list(poly)
+    while not poly[-1]:
+        poly.pop()
+    lcm = math.lcm(*(Fraction(v).denominator for v in poly))
+    ints = [int(v * lcm) for v in poly]
+    g = math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)
+    return [v // g for v in ints]
+
+
+def _divides(num, den):
+    """Does den, a primitive integer polynomial, divide the integer
+    polynomial num in Q[t]?  By Gauss's lemma the quotient then has integer
+    coefficients, so trial division on ints decides it: a leading term that
+    den's leading coefficient does not divide ends the trial."""
+    num = list(num)
+    lead, n = den[-1], len(den)
+    for shift in range(len(num) - n, -1, -1):
+        q, r = divmod(num[shift + n - 1], lead)
+        if r:
+            return False
+        if q:
+            for i, d in enumerate(den):
+                num[shift + i] -= q * d
+    return not any(num)
+
+
 FACTOR_CAP = 6
 
 
@@ -492,7 +623,9 @@ def _proper_factor(p):
     Any factorization has a factor of degree <= deg/2; its values at k+1
     integer points divide the polynomial's values there (Gauss), so trying
     every divisor combination and interpolating is complete.  A rational
-    root among the points is a linear factor at once.
+    root among the points is a linear factor at once.  Each candidate is
+    tried by dividing its primitive integer multiple into p's on ints
+    (_divides).
     """
     deg = len(p) - 1
     lcm = math.lcm(*(v.denominator for v in p))
@@ -510,10 +643,9 @@ def _proper_factor(p):
             cand = _interpolate([pt for pt, _ in points], list(combo))
             if not any(cand[1:]):
                 continue
-            cand = poly_normalize(cand)
-            q, r = poly_divmod(p, cand)
-            if not r and len(q) >= 2:
-                return cand
+            prim = _primitive(cand)
+            if len(prim) < len(ip) and _divides(ip, prim):
+                return poly_normalize(cand)
     return None
 
 
@@ -1336,16 +1468,21 @@ def graded_space_category(objects, window, name="graded spaces"):
             basis[(x, y)] = pairs
             index[(x, y)] = {p: i for i, p in enumerate(pairs)}
             hom[(x, y)] = len(pairs)
+    # the tables are built along nonzero Homs, in the order of labels, so
+    # they come out as from the full walk over labels^3 and labels^4
+    succ = {x: [y for y in labels if hom[(x, y)]] for x in labels}
     comp = {}
     for x in labels:
-        for y in labels:
-            for z in labels:
+        for y in succ[x]:
+            into = {}       # slot of y -> the (fi, slot of x) of f hitting it
+            for fi, (ty, sx) in enumerate(basis[(x, y)]):
+                into.setdefault(ty, []).append((fi, sx))
+            for z in succ[y]:
                 table = {}
                 pos = index[(x, z)]
                 for gi, (tz, sy) in enumerate(basis[(y, z)]):
-                    for fi, (ty, sx) in enumerate(basis[(x, y)]):
-                        if sy == ty:
-                            table[(gi, fi)] = {pos[(tz, sx)]: 1}
+                    for fi, sx in into.get(sy, ()):
+                        table[(gi, fi)] = {pos[(tz, sx)]: 1}
                 if table:
                     comp[(x, y, z)] = table
     ident = {}
@@ -1371,17 +1508,15 @@ def graded_space_category(objects, window, name="graded spaces"):
                 for x in labels}
     tensor_mor = {}
     for x1 in labels:
-        for y1 in labels:
+        for y1 in succ[x1]:
             basis1 = basis[(x1, y1)]
-            if not basis1:
-                continue
             for x2 in partners[x1]:
                 posxx = slots[(x1, x2)]
                 xx = tensor_obj[(x1, x2)]
-                for y2 in partners[y1]:
-                    basis2 = basis[(x2, y2)]
-                    if not basis2:
+                for y2 in succ[x2]:
+                    if (y1, y2) not in tensor_obj:
                         continue
+                    basis2 = basis[(x2, y2)]
                     posyy = slots[(y1, y2)]
                     pos_out = index[(xx, tensor_obj[(y1, y2)])]
                     tensor_mor[(x1, y1, x2, y2)] = {

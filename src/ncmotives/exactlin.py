@@ -104,15 +104,21 @@ def compose_cols(f, g):
     return [apply_cols(f, col) for col in g]
 
 
+def check_shape(cols, dim):
+    """Refuse a map, given by its columns, that does not have dim of
+    them."""
+    if len(cols) != dim:
+        raise InvariantError("shape mismatch: a map with %d columns in "
+                             "a combination on dimension %d"
+                             % (len(cols), dim))
+
+
 def combine_cols(maps, x, dim):
     """The columns of sum_k x_k maps[k], for the maps maps (column lists)
     of a space of dimension dim."""
     out = [{} for _ in range(dim)]
     for k, c in x.items():
-        if len(maps[k]) != dim:
-            raise InvariantError("shape mismatch: a map with %d columns in "
-                                 "a combination on dimension %d"
-                                 % (len(maps[k]), dim))
+        check_shape(maps[k], dim)
         for col, add in zip(out, maps[k]):
             vec_addmul(col, c, add)
     return out

@@ -12,7 +12,8 @@ from fractions import Fraction
 from .errors import InvariantError, ParseInputError
 from .exactlin import _norm
 from .algebras import Quiver, path_algebra, structure_algebra
-from .categories import PresentedCategory, TensorInvertible
+from .categories import (PresentedCategory, TensorInvertible,
+                         _unknown_object_names)
 
 
 def _frac(s):
@@ -205,10 +206,8 @@ def load_category(path):
 
 def _check_object_names(objects, sections):
     """Refuse a presentation whose sections name objects outside the
-    declared list; sections are (field name, names) pairs."""
-    known = set(objects)
-    for field, names in sections:
-        unknown = sorted(set(names) - known)
-        if unknown:
-            raise ParseInputError("%s names unknown object(s): %s"
-                                  % (field, ", ".join(unknown)))
+    declared list; sections are (field name, names) pairs.  The wording is
+    PresentedCategory.check's, which refuses the same with InvariantError."""
+    message = _unknown_object_names(objects, sections)
+    if message:
+        raise ParseInputError(message)

@@ -687,6 +687,44 @@ def test_bimodule_check_refuses_each_broken_law():
             assert str(refused.value) == message, (m, law)
 
 
+def test_laws_with_one_zero_operand_are_checked():
+    """A law whose one side is bilinear in a zero product and whose other
+    side is not is still checked: on 1, x, y with x y = y, (x x) y = 0 but
+    x (x y) = y; Q[x]/x^2 acting on Q^3 by the shift e0 -> e1 -> e2 -> 0
+    has x x = 0 but a nonzero action of x x."""
+    one = [("1", b, {b: 1}) for b in ("1", "x", "y")] + \
+        [(b, "1", {b: 1}) for b in ("x", "y")]
+    with pytest.raises(InvariantError) as refused:
+        structure_algebra("xy=y", ["1", "x", "y"], {"1": 1},
+                          one + [("x", "y", {"y": 1})])
+    assert str(refused.value) == "associativity fails on (x,x,y)"
+    dual = structure_algebra("Q[x]/x^2", ["1", "x"], {"1": 1},
+                             [("1", "1", {"1": 1}), ("1", "x", {"x": 1}),
+                              ("x", "1", {"x": 1})])
+    q = structure_algebra("Q", ["1"], {"1": 1}, [("1", "1", {"1": 1})])
+    ident = [{0: 1}, {1: 1}, {2: 1}]
+    shift = [{1: 1}, {2: 1}, {}]
+    with pytest.raises(InvariantError) as refused:
+        Bimodule(dual, q, 3, [ident, shift], [ident])
+    assert str(refused.value) == "left action is not an algebra action"
+
+
+def test_bimodule_check_refuses_a_misshapen_action_first():
+    """Each action map is checked for dim columns before any law, also one
+    that only zero products would reach."""
+    a = zoo.get("A2")
+    m = regular_bimodule(a)
+    k = min(set(range(a.dim)) - set(a.unit))
+    for side in ("left", "right"):
+        acts = {"left": list(m.left), "right": list(m.right)}
+        acts[side][k] = acts[side][k][:-1]
+        with pytest.raises(InvariantError) as refused:
+            Bimodule(a, a, m.dim, acts["left"], acts["right"])
+        assert str(refused.value) == ("shape mismatch: a map with %d columns "
+                                      "in a combination on dimension %d"
+                                      % (m.dim - 1, m.dim))
+
+
 def _old_content_key(m):
     """Bimodule.content_key on (row, col)-keyed actions, as it was."""
     parts = [m.dim]

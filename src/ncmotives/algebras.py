@@ -389,9 +389,9 @@ class Bimodule:
     columns (column c the image of basis vector c; zero columns may share
     one empty mapping).  Both actions are unital and commute; this is
     verified on basis elements at construction, after each map's column
-    count, skipping only the equations whose two sides both vanish: a
-    product law with b_i b_j = 0 and one of the two maps zero, and a
-    commutation with either map zero.
+    count and row indices, skipping only the equations whose two sides
+    both vanish: a product law with b_i b_j = 0 and one of the two maps
+    zero, and a commutation with either map zero.
     """
 
     def __init__(self, left_algebra, right_algebra, dim, left, right,
@@ -410,9 +410,13 @@ class Bimodule:
     def _check(self):
         ident = identity_cols(self.dim)
         sides = (("left", self.A, self.left), ("right", self.B, self.right))
-        for _, _, acts in sides:
+        rows = range(self.dim)
+        for side, _, acts in sides:
             for act in acts:
                 check_shape(act, self.dim)
+                if any(r not in rows for col in act for r in col):
+                    raise InvariantError("%s action has a row index outside "
+                                         "the dimension %d" % (side, self.dim))
         for side, alg, acts in sides:
             if combine_cols(acts, alg.unit, self.dim) != ident:
                 raise InvariantError("%s action is not unital" % side)

@@ -20,11 +20,11 @@ the symmetry and the odd part of each declared trace.
 Every constructor re-proves the axioms through `PresentedCategory.check`.
 It verifies each distinct instance of a law once: an instance is keyed by
 the contents of the tables it reads and the hom dimensions it ranges over,
-and the graded presentations repeat a few tables many times over.  Inside
-an instance it pays for stored entries, not for basis tuples: the basis
-elements it tries are read off nonzero table entries, and an equation is
-skipped only when each of its two sides is bilinear in a vector that is
-zero, so that both read {} and it cannot fail.
+and the graded presentations repeat a few tables many times over.  An
+associativity or interchange instance builds both of its sides from stored
+table entries, as dicts over basis tuples that hold only nonzero values,
+and compares them, so an equation whose two sides are both 0 is never
+formed.
 """
 
 import itertools
@@ -91,6 +91,26 @@ def _outside(kind, key):
                           "dimensions" % (kind, ",".join(map(str, key))))
 
 
+def _contract(table, inner, post):
+    """Each vector of the composition table `table` composed with each
+    basis element of the far Hom of `inner`, a composition table through
+    the Hom those vectors lie in: {(c, a, b): c o table[(a, b)]} when post
+    (inner keyed (c, m)), else {(a, b, c): table[(a, b)] o c} (inner keyed
+    (m, c)).  Only stored entries are read, and a composite that vanishes
+    is left out."""
+    by_middle = {}
+    for (i, j), vec in inner.items():
+        m, c = (j, i) if post else (i, j)
+        by_middle.setdefault(m, []).append((c, vec))
+    out = {}
+    for (a, b), vec in table.items():
+        for m, coeff in vec.items():
+            for c, prod in by_middle.get(m, ()):
+                vec_addmul(out.setdefault((c, a, b) if post else (a, b, c),
+                                          {}), coeff, prod)
+    return {key: vec for key, vec in out.items() if vec}
+
+
 def _unknown_object_names(objects, sections):
     """The refusal of the first section that names a label outside
     objects, or None; sections are (field name, names) pairs."""
@@ -101,6 +121,21 @@ def _unknown_object_names(objects, sections):
             return "%s names unknown object(s): %s" % (
                 field, ", ".join(map(str, unknown)))
     return None
+
+
+def _label_sections(c):
+    """The (field name, labels) pairs of the presentation c, in the order
+    they are refused."""
+    return [("unit", [c.unit]),
+            ("hom", [o for key in c.hom for o in key]),
+            ("composition", [o for key in c.comp for o in key]),
+            ("identities", c.ident),
+            ("tensor_objects", [o for key, z in c.tensor_obj.items()
+                                for o in key + (z,)]),
+            ("tensor_morphisms", [o for key in c.tensor_mor for o in key]),
+            ("symmetry", [o for key in c.symmetry for o in key]),
+            ("traces", c.traces),
+            ("grading", c.grading)]
 
 
 class PresentedCategory:
@@ -189,8 +224,9 @@ class PresentedCategory:
         a negative hom dimension, with the loader's wording.
 
         The associativity, interchange and hexagon walks key each instance
-        by the content ids (`_TableIds`) of the tables it reads and the hom
-        dimensions its loops range over, and skip a key already verified.
+        by the content ids (`_TableIds`) of the tables it reads, and
+        associativity also by the dimensions of its three Homs, and skip a
+        key already verified.
         Each law is multilinear in those tables, and an instance's objects
         enter its equations only through them, so an equal key means
         identical equations.  The first failing instance raises at once, so
@@ -199,15 +235,14 @@ class PresentedCategory:
         instance.  The unit and id (x) id walks verify every instance: one
         or two products each, about what building a key costs.
 
-        Inside an instance, an equation is skipped only when each of its
-        two sides is bilinear in a vector that is zero, so both read {}:
-        for f and g, associativity evaluates h o (g o f) = (h o g) o f only
-        at the h read off stored entries, (h, k) of the (w, y, z) table
-        with k in the support of g o f and (h, g) of the (x, y, z) table;
-        interchange evaluates (h o f) (x) (k o g) = (h (x) k) o (f (x) g)
-        only where h o f and k o g are both stored, or h (x) k and f (x) g
-        are.  A failing equation is never skipped, and an instance's
-        message does not name its basis elements.
+        Inside an instance the two sides are dicts over basis tuples that
+        hold only nonzero values, built from stored entries: associativity
+        keys h o (g o f) and (h o g) o f by (h, g, f), each one composition
+        table contracted into another through the middle index
+        (`_contract`); interchange keys (h o f) (x) (k o g) and (h (x) k) o
+        (f (x) g) by (h, k, f, g), each from the pairs of stored entries of
+        two tables.  Equal dicts mean every basis equation holds, and an
+        instance's message does not name its basis elements.
 
         Taking an id refuses a table key or a nonzero coordinate outside a
         declared hom dimension.  Each kind of table gets its ids where it is
@@ -216,17 +251,7 @@ class PresentedCategory:
         one on a pair whose object tensor is not presented; each symmetry
         after its fragment check.
         """
-        message = _unknown_object_names(self.objects, [
-            ("unit", [self.unit]),
-            ("hom", [o for key in self.hom for o in key]),
-            ("composition", [o for key in self.comp for o in key]),
-            ("identities", self.ident),
-            ("tensor_objects", [o for key, z in self.tensor_obj.items()
-                                for o in key + (z,)]),
-            ("tensor_morphisms", [o for key in self.tensor_mor for o in key]),
-            ("symmetry", [o for key in self.symmetry for o in key]),
-            ("traces", self.traces),
-            ("grading", self.grading)])
+        message = _unknown_object_names(self.objects, _label_sections(self))
         if message:
             raise InvariantError(message)
         hom = self.hom
@@ -273,7 +298,6 @@ class PresentedCategory:
                     if self.compose(x, x, y, f, self.ident[x]) != f:
                         raise InvariantError("right unit law fails on "
                                              "Hom(%s,%s)" % (x, y))
-        rows = {}       # composition key -> its _rows
         seen = set()
         for w in self.objects:
             for x, dwx in successors[w]:
@@ -288,49 +312,25 @@ class PresentedCategory:
                         if key in seen:
                             continue
                         seen.add(key)
-                        self._check_associativity(w, x, y, z, rows)
-        self._check_tensor(tensor_of, ids, rows)
+                        self._check_associativity(w, x, y, z)
+        self._check_tensor(tensor_of, ids)
         self._check_symmetry(tensor_of, ids)
 
-    def _rows(self, rows, key):
-        """rows[key] = {j: [i with (i, j) stored]} for the composition
-        table on key, built on first use."""
-        if key not in rows:
-            rows[key] = by_column = {}
-            for i, j in self.comp.get(key, _EMPTY):
-                by_column.setdefault(j, []).append(i)
-        return rows[key]
+    def _check_associativity(self, w, x, y, z):
+        """h o (g o f) = (h o g) o f for f: w -> x, g: x -> y, h: y -> z,
+        both sides keyed (h, g, f) and built from stored entries."""
+        comp = self.comp
+        left = _contract(comp.get((w, x, y), _EMPTY),
+                         comp.get((w, y, z), _EMPTY), True)
+        right = _contract(comp.get((x, y, z), _EMPTY),
+                          comp.get((w, x, z), _EMPTY), False)
+        if left != right:
+            raise InvariantError("composition not associative at "
+                                 "(%s,%s,%s,%s)" % (w, x, y, z))
 
-    def _check_associativity(self, w, x, y, z, rows):
-        """h o (g o f) = (h o g) o f on the basis, for f: w -> x, g: x -> y,
-        h: y -> z, at the h read off stored entries."""
-        first = self.comp.get((w, x, y), _EMPTY)
-        second = self.comp.get((x, y, z), _EMPTY)
-        after_g = self._rows(rows, (x, y, z))      # g -> h with h o g stored
-        after_gf = self._rows(rows, (w, y, z))     # k -> h with h o k stored
-        for gi in range(self.hom[(x, y)]):
-            hs = after_g.get(gi, ())
-            for fi in range(self.hom[(w, x)]):
-                gf = first.get((gi, fi), _EMPTY)
-                candidates = hs
-                if gf:
-                    candidates = set(hs)
-                    for k in gf:
-                        candidates.update(after_gf.get(k, ()))
-                for hi in candidates:
-                    left = self.compose(w, y, z, {hi: 1}, gf)
-                    right = self.compose(w, x, z,
-                                         second.get((hi, gi), _EMPTY),
-                                         {fi: 1})
-                    if left != right:
-                        raise InvariantError(
-                            "composition not associative at "
-                            "(%s,%s,%s,%s)" % (w, x, y, z))
-
-    def _check_tensor(self, tensor_of, ids, rows):
+    def _check_tensor(self, tensor_of, ids):
         """tensor_of[x]: {y: x (x) y} over the y of self.objects, in order;
-        ids: check's _TableIds, which gains the tensor maps; rows: check's
-        memo of _rows."""
+        ids: check's _TableIds, which gains the tensor maps."""
         tobj, tmor = self.tensor_obj, self.tensor_mor
         u = self.unit
         for x in self.objects:
@@ -373,9 +373,8 @@ class PresentedCategory:
         for pair, quads in targets.items():
             quads.sort()
             ids.tensor_mor[pair] = {yy: tid for _, _, yy, tid in quads}
-        # interchange (bifunctoriality) on basis elements where defined;
-        # the table ids carry hom(x1, y1), hom(x2, y2), hom(y1, z1) and
-        # hom(y2, z2), the ranges of the four loops
+        # interchange (bifunctoriality) wherever the four tensor tables
+        # are defined
         seen = set()
         for (x1, y1, x2, y2) in tmor:
             from_x = ids.tensor_mor[(x1, x2)]
@@ -395,7 +394,7 @@ class PresentedCategory:
                 if key in seen:
                     continue
                 seen.add(key)
-                self._check_interchange(x1, y1, z1, x2, y2, z2, rows)
+                self._check_interchange(x1, y1, z1, x2, y2, z2)
         # identities tensor to identities where defined
         for x in self.objects:
             for y, xy in tensor_of[x].items():
@@ -405,35 +404,30 @@ class PresentedCategory:
                         raise InvariantError("id (x) id != id at (%s,%s)"
                                              % (x, y))
 
-    def _check_interchange(self, x1, y1, z1, x2, y2, z2, rows):
-        """(h o f) (x) (k o g) = (h (x) k) o (f (x) g) on the basis, for
-        f: x1 -> y1, g: x2 -> y2, h: y1 -> z1, k: y2 -> z2, where h o f
-        and k o g are both stored or h (x) k and f (x) g are."""
+    def _check_interchange(self, x1, y1, z1, x2, y2, z2):
+        """(h o f) (x) (k o g) = (h (x) k) o (f (x) g) for f: x1 -> y1,
+        g: x2 -> y2, h: y1 -> z1, k: y2 -> z2, both sides keyed (h, k, f,
+        g) and built from pairs of stored entries."""
         tobj = self.tensor_obj
-        xx, yy, zz = tobj[(x1, x2)], tobj[(y1, y2)], tobj[(z1, z2)]
-        outer = self.tensor_mor[(x1, y1, x2, y2)]
-        inner = self.tensor_mor[(y1, z1, y2, z2)]
-        comp1 = self.comp.get((x1, y1, z1), _EMPTY)
-        comp2 = self.comp.get((x2, y2, z2), _EMPTY)
-        after_f = self._rows(rows, (x1, y1, z1))   # f -> h with h o f stored
-        after_g = self._rows(rows, (x2, y2, z2))   # g -> k with k o g stored
-        for fi in range(self.hom[(x1, y1)]):
-            hs = after_f.get(fi, ())
-            for gi in range(self.hom[(x2, y2)]):
-                fg = outer.get((fi, gi), _EMPTY)
-                pairs = [(hi, ki) for hi in hs for ki in after_g.get(gi, ())]
-                if fg:
-                    pairs = set(pairs).union(inner)
-                for hi, ki in pairs:
-                    lhs = self.tensor_morphisms(
-                        x1, z1, x2, z2, comp1.get((hi, fi), _EMPTY),
-                        comp2.get((ki, gi), _EMPTY))
-                    rhs = self.compose(xx, yy, zz,
-                                       inner.get((hi, ki), _EMPTY), fg)
-                    if lhs != rhs:
-                        raise InvariantError(
-                            "tensor interchange fails at "
-                            "(%s,%s,%s,%s)" % (x1, y1, x2, y2))
+        across = self.tensor_mor[(x1, z1, x2, z2)]
+        after = self.comp.get((tobj[(x1, x2)], tobj[(y1, y2)],
+                               tobj[(z1, z2)]), _EMPTY)
+        left, right = {}, {}
+        second = self.comp.get((x2, y2, z2), _EMPTY).items()
+        for (h, f), hf in self.comp.get((x1, y1, z1), _EMPTY).items():
+            for (k, g), kg in second:
+                vec = bilinear(across, hf, kg)
+                if vec:
+                    left[(h, k, f, g)] = vec
+        outer = self.tensor_mor[(x1, y1, x2, y2)].items()
+        for hk, hk_vec in self.tensor_mor[(y1, z1, y2, z2)].items():
+            for fg, fg_vec in outer:
+                vec = bilinear(after, hk_vec, fg_vec)
+                if vec:
+                    right[hk + fg] = vec
+        if left != right:
+            raise InvariantError("tensor interchange fails at (%s,%s,%s,%s)"
+                                 % (x1, y1, x2, y2))
 
     def _check_symmetry(self, tensor_of, ids):
         """tensor_of: as for _check_tensor; ids: check's _TableIds, which

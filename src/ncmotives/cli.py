@@ -16,7 +16,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .errors import (ParseInputError, InvariantError,
+from .errors import (NCMotivesError, ParseInputError, InvariantError,
                      CapExceededError, UncertifiedError)
 from .hochschild import (hochschild_homology, cyclic_homology, sbi_check,
                          periodic_cyclic, DEFAULT_CAP, HH_MIN_DEGREE,
@@ -446,18 +446,9 @@ def main(argv=None):
                   file=sys.stderr)
             return 1
         rep = COMMANDS[args.command](args)
-    except ParseInputError as exc:
-        print("parse error: %s" % exc, file=sys.stderr)
-        return 1
-    except InvariantError as exc:
-        print("invariant violation: %s" % exc, file=sys.stderr)
-        return 2
-    except CapExceededError as exc:
-        print("cap exceeded: %s" % exc, file=sys.stderr)
-        return 3
-    except UncertifiedError as exc:
-        print("uncertified refusal: %s" % exc, file=sys.stderr)
-        return 4
+    except NCMotivesError as exc:
+        print("%s: %s" % (exc.prefix, exc), file=sys.stderr)
+        return exc.exit_status
     except Exception as exc:
         print("internal error: %s: %s" % (type(exc).__name__, exc),
               file=sys.stderr)

@@ -13,7 +13,7 @@ from .errors import InvariantError, ParseInputError
 from .exactlin import _norm
 from .algebras import Quiver, path_algebra, structure_algebra
 from .categories import (PresentedCategory, TensorInvertible,
-                         _unknown_object_names)
+                         _label_sections, _unknown_object_names)
 
 
 def _frac(s):
@@ -170,20 +170,11 @@ def load_category(path):
         grading = {str(x): v for x, v in doc.get("grading", {}).items()}
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseInputError("malformed category presentation: %s" % exc)
-    _check_object_names(objects, [
-        ("unit", [unit]),
-        ("hom", [o for key in hom for o in key]),
-        ("composition", [o for key in comp for o in key]),
-        ("identities", ident),
-        ("tensor_objects", [o for key, z in tensor_obj.items()
-                            for o in key + (z,)]),
-        ("tensor_morphisms", [o for key in tensor_mor for o in key]),
-        ("symmetry", [o for key in symmetry for o in key]),
-        ("traces", traces),
-        ("grading", grading)])
     cat = PresentedCategory(objects, hom, comp, ident, unit, tensor_obj,
                             tensor_mor, symmetry, traces, grading,
-                            name=doc.get("name", "category"))
+                            name=doc.get("name", "category"), check=False)
+    _check_object_names(objects, _label_sections(cat))
+    cat.check()
     inv = None
     if "invertible" in doc:
         decl = doc["invertible"]

@@ -394,22 +394,6 @@ def numerical_kernel(a, b, basis, dual_basis=None, cap=DEFAULT_CAP):
 # span arithmetic and the semisimplicity certificate
 
 
-def _span_solver(span_vectors):
-    """A function giving the coefficients that write a class vector in the
-    span, or None; the span is eliminated once."""
-    keys = sorted({k for v in span_vectors for k in v})
-    pos = {k: i for i, k in enumerate(keys)}
-    elim = Elimination(track=True)
-    for j, v in enumerate(span_vectors):
-        elim.add_column({pos[k]: val for k, val in v.items()}, j)
-
-    def solve(x):
-        if any(k not in pos for k in x):
-            return None
-        return elim.solve({pos[k]: val for k, val in x.items()})
-    return solve
-
-
 class SemisimplicityReport:
     def __init__(self, algebra_name, span_size, pairing_rank, kernel_dim,
                  quotient_dim, radical_dim, structure):
@@ -446,11 +430,14 @@ def _span_products(a, basis, cap):
                 yield i, j, _syntactic_span_coeffs(compose(x, y, cap), basis)
         return
     vectors = [correspondence_class_vector(x) for x in basis]
-    solve = _span_solver(vectors)
+    # one elimination of the span, its rows the vertex pairs of the classes
+    elim = Elimination(track=True)
+    for j, v in enumerate(vectors):
+        elim.add_column(v, j)
     cb = cartan_counts(a)
     for i, xv in enumerate(vectors):
         for j, yv in enumerate(vectors):
-            yield i, j, solve(_compose_classes(xv, yv, cb))
+            yield i, j, elim.solve(_compose_classes(xv, yv, cb))
 
 
 def _span_structure_constants(a, basis, cap):

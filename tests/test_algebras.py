@@ -557,14 +557,21 @@ def _old_top_generators(m):
     return gens
 
 
+_OLD_RREF = [None, None]    # the last kv _old_restrict saw, and its RREF
+
+
 def _old_restrict(cols, kv):
     """_restrict as it was: the syzygy in the canonical RREF of its kernel
     vectors, with LinSubspace.coordinates' reading of an image -- the value
     at each row's lead, then a zero remainder -- as the oracle of the
     kernel-basis version.  The RREF is fully reduced, so no other row
-    touches a lead and the leads can be read in any order.  Returns the
-    actions as column lists."""
-    sub = LinSubspace(len(cols[0]), kv)
+    touches a lead and the leads can be read in any order.  The left and
+    the right actions of a step share one kv list, so its RREF is built
+    once per step, matched by identity.  Returns the actions as column
+    lists."""
+    if _OLD_RREF[0] is not kv:
+        _OLD_RREF[:] = [kv, LinSubspace(len(cols[0]), kv)]
+    sub = _OLD_RREF[1]
     row_of = {min(row): r for r, row in enumerate(sub.rows)}
     out = []
     for mat in cols:
@@ -710,8 +717,20 @@ def test_laws_with_one_zero_operand_are_checked():
 
 
 def test_bimodule_check_refuses_a_misshapen_action_first():
-    """Each action map is checked for dim columns before any law, also one
-    that only zero products would reach."""
+    """Each action map is checked for dim columns, and for row indices in
+    [0, dim), before any law, also one that only zero products would
+    reach.  Q[x]/x^2 on Q^2 with x acting by a column that reaches row 5,
+    in either column, once leaked IndexError from apply_cols."""
+    dual = structure_algebra("Q[x]/x^2", ["1", "x"], {"1": 1},
+                             [("1", "1", {"1": 1}), ("1", "x", {"x": 1}),
+                              ("x", "1", {"x": 1})])
+    q = structure_algebra("Q", ["1"], {"1": 1}, [("1", "1", {"1": 1})])
+    ident = [{0: 1}, {1: 1}]
+    for x in ([{}, {5: 1}], [{5: 1}, {}]):
+        with pytest.raises(InvariantError) as refused:
+            Bimodule(dual, q, 2, [ident, x], [ident])
+        assert str(refused.value) == ("left action has a row index outside "
+                                      "the dimension 2")
     a = zoo.get("A2")
     m = regular_bimodule(a)
     k = min(set(range(a.dim)) - set(a.unit))

@@ -23,7 +23,8 @@ coefficients' idempotent actions are 0/1 coordinate projections (for Tor:
 x's right and y's left actions, as on every corner and projective-pair
 bimodule); E = Q.1 otherwise.  On a quiver algebra the unit's terms are the
 vertex idempotents; M_2(Q), products of fields and tensor products of such
-algebras have them too.  Both grounds give the same homology.
+algebras have them too.  Both grounds give the same homology.  The ground
+and the reduced basis of each ground are memoized on the algebra.
 """
 
 import itertools
@@ -71,6 +72,8 @@ class Algebra:
         self.vertex_names = dict(vertex_names or {})
         self._rad = None
         self._presentation = None   # (presentation(self),) once computed
+        self._ground = None         # (_basis_ground(self),) once computed
+        self._reduced = {}      # relative -> _reduced(self, relative)
         self._cyclic = {}       # (n_max, cap) -> hochschild.CyclicData
         self._gldim = {}        # bound -> global_dimension(self, bound)
         if check:
@@ -685,8 +688,14 @@ def _basis_ground(b):
     matrices sum to the identity, so their supports are disjoint), and it
     puts every b_j in exactly one e_u B e_w.  On a quiver algebra the terms
     are the vertex idempotents and corner[j] is (source, target) of the
-    path b_j; with one term, E would be Q.1.
+    path b_j; with one term, E would be Q.1.  Memoized on the algebra.
     """
+    if b._ground is None:
+        b._ground = (_read_ground(b),)
+    return b._ground[0]
+
+
+def _read_ground(b):
     if len(b.unit) < 2:
         return None
     corner = [[None, None] for _ in range(b.dim)]
@@ -793,6 +802,16 @@ class _Reduced:
                 v = self.ends[t][1]
                 out[v] = out.get(v, 0) + k
         return out
+
+
+def _reduced(b, relative):
+    """_Reduced(b) over E from the unit's idempotent terms when relative,
+    over E = Q.1 otherwise; memoized on the algebra, and read only."""
+    red = b._reduced.get(relative)
+    if red is None:
+        red = _Reduced(b, _basis_ground(b) if relative else None)
+        b._reduced[relative] = red
+    return red
 
 
 class _Chains:
@@ -917,7 +936,7 @@ def _chain_basis(m, n_max, ends, cap):
     composable chains, relative to E from the unit's idempotent terms when
     ends is set and to E = Q.1 when it is None.  The memory guard sees the
     total before any chain is listed (no guard when cap is None)."""
-    red = _Reduced(m.A, None if ends is None else _basis_ground(m.A))
+    red = _reduced(m.A, ends is not None)
     if ends is None:
         ends = [(None, None)] * m.dim
     dims = red.chain_dims(ends, n_max)

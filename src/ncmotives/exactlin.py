@@ -269,7 +269,12 @@ class Elimination:
         if self._reduce(icol, expr) is not None:
             return None
         own = expr.pop(_TARGET)
-        return {j: _norm(Fraction(-c, own)) for j, c in expr.items() if c}
+        out = {}
+        for j, c in expr.items():
+            if c:
+                q, r = divmod(-c, own)
+                out[j] = Fraction(-c, own) if r else q
+        return out
 
     def kernel_expression(self):
         """After add_column returned False (track mode): the dependency just

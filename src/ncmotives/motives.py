@@ -161,25 +161,26 @@ def categorical_trace(x, cap=DEFAULT_CAP):
     return total
 
 
-def intersection_number(x, y, cap=DEFAULT_CAP):
+def intersection_number(x, y):
     """<x . y> = sum_ij a_i b_j chi(HH(A; X_i (x)^L_B Y_j)) as an exact
     rational; equals the categorical trace of the composite.
 
     When both algebras have presentations and every term has a class
-    vector, the pairing is the trace of the K_0 composite,
-    sum [x o y](i, l) C_A(l, i): the composite's P_il = Ae_i (x) e_lA has
-    Hochschild homology e_lAe_i in degree 0.  Otherwise each pair of terms
-    is resolved through Tor and HH.
+    vector, the pairing is the trace of the K_0 composite, read off x's
+    Euler-form row (_euler_row).  Otherwise each pair of terms is resolved
+    through Tor and HH under the default memory guard; pairing_matrix
+    takes a guard.
     """
-    if x.target is not y.source or y.target is not x.source:
-        raise InvariantError("pairing needs x: A -> B against y: B -> A")
+    _require_pairable(x, y)
     xv, yv = _class_vector_or_none(x), _class_vector_or_none(y)
     if xv is None or yv is None:
-        return _tor_intersection_number(x, y, cap)
-    ca = cartan_counts(x.source)
-    composite = _compose_classes(xv, yv, cartan_counts(x.target))
-    return sum((c * ca.get((l, i), 0) for (i, l), c in composite.items()),
-               Fraction(0))
+        return _tor_intersection_number(x, y)
+    return _pair(_euler_row(x, xv), yv)
+
+
+def _require_pairable(x, y):
+    if x.target is not y.source or y.target is not x.source:
+        raise InvariantError("pairing needs x: A -> B against y: B -> A")
 
 
 def _tor_intersection_number(x, y, cap=DEFAULT_CAP):
@@ -257,6 +258,32 @@ def _class_vector_or_none(x):
         return correspondence_class_vector(x)
     except UncertifiedError:
         return None
+
+
+def _euler_row(x, xv):
+    """The Euler-form row of x: A -> B with class vector xv,
+    w[(k, l)] = sum_ij x(i, j) C_B(j, k) C_A(l, i), so that <x . y> is
+    sum_kl y(k, l) w[(k, l)] for every y: B -> A with a class vector.  That
+    is the trace of the K_0 composite (_compose_classes),
+    sum [x o y](i, l) C_A(l, i): the composite's P_il = Ae_i (x) e_lA has
+    Hochschild homology e_lAe_i in degree 0."""
+    succ, pred = {}, {}
+    for (j, k), n in cartan_counts(x.target).items():
+        succ.setdefault(j, []).append((k, n))
+    for (l, i), n in cartan_counts(x.source).items():
+        pred.setdefault(i, []).append((l, n))
+    row = {}
+    for (i, j), u in xv.items():
+        for k, n in succ.get(j, ()):
+            for l, m in pred.get(i, ()):
+                row[(k, l)] = row.get((k, l), 0) + u * n * m
+    return row
+
+
+def _pair(row, yv):
+    """sum_kl y(k, l) w[(k, l)]: the pairing of a class vector yv against
+    the Euler-form row of its partner."""
+    return sum((v * row.get(key, 0) for key, v in yv.items()), Fraction(0))
 
 
 def _compose_classes(xv, yv, cb):
@@ -351,10 +378,33 @@ class PairingMatrix:
 
 
 def pairing_matrix(basis, dual_basis, cap=DEFAULT_CAP):
+    """<x_i . y_j> for x_i in basis against y_j in dual_basis, refused as
+    intersection_number refuses, at the first pair it refuses.
+
+    Each correspondence's class vector is read once and each x's
+    Euler-form row is built once, so a pair with class vectors on both
+    sides costs one sparse dot product.  A pair without them takes the Tor
+    route, each derived tensor under the memory guard cap.
+    """
+    vectors = {}
+
+    def vector(y):
+        if id(y) not in vectors:
+            vectors[id(y)] = _class_vector_or_none(y)
+        return vectors[id(y)]
+
     columns = [{} for _ in dual_basis]
     for i, x in enumerate(basis):
+        row = None
         for j, y in enumerate(dual_basis):
-            v = intersection_number(x, y, cap)
+            _require_pairable(x, y)
+            xv, yv = vector(x), vector(y)
+            if xv is None or yv is None:
+                v = _tor_intersection_number(x, y, cap)
+            else:
+                if row is None:
+                    row = _euler_row(x, xv)
+                v = _pair(row, yv)
             if v:
                 columns[j][i] = v
     return PairingMatrix(basis, dual_basis, columns)

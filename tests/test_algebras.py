@@ -13,7 +13,7 @@ from ncmotives.algebras import (
     is_right_projective, Bimodule, presentation, minimal_resolution,
 )
 from ncmotives.exactlin import LinSubspace, apply_cols, vec_addmul, vec_sub
-from ncmotives.hochschild import periodic_cyclic
+from ncmotives.hochschild import hochschild_complex, periodic_cyclic
 from test_exactlin import (_columns, _dense, _oracle_identity, _oracle_product,
                            _sparse_kron)
 from test_hochschild import (quiver_algebras, corrupting, _over_q1,
@@ -814,3 +814,37 @@ def test_resolution_stops_at_the_memory_guard(monkeypatch):
     s, t = _right_simple(a, 1), _left_simple(a, 1)
     with pytest.raises(UncertifiedError):
         derived_tensor(s, t)
+
+
+def test_ground_and_reduced_bases_are_built_once_per_algebra(monkeypatch):
+    """Two derived tensors (one relative to the vertices of A2, one over
+    Q.1 because a factor's basis is not adapted to them) and a Hochschild
+    complex over a fresh A2 read its ground once and build the reduced
+    basis of each ground once; the memos equal a fresh computation."""
+    grounds, reduced = [], []
+    read_ground, real_reduced = algebras._read_ground, algebras._Reduced
+
+    def counted_ground(b):
+        grounds.append(b)
+        return read_ground(b)
+
+    def counted_reduced(b, corners=None):
+        reduced.append((b, corners is not None))
+        return real_reduced(b, corners)
+
+    monkeypatch.setattr(algebras, "_read_ground", counted_ground)
+    monkeypatch.setattr(algebras, "_Reduced", counted_reduced)
+    a = zoo.a2_algebra()
+    reg = regular_bimodule(a)
+    scrambled = _conjugated(reg)
+    derived_tensor(corner_bimodule(a, "1", "2"), reg)
+    derived_tensor(reg, scrambled)
+    hochschild_complex(a, n_max=3)
+    hochschild_complex(a, scrambled, n_max=3)
+    assert grounds == [a]
+    assert sorted(reduced, key=lambda r: r[1]) == [(a, False), (a, True)]
+    monkeypatch.undo()
+    assert algebras._basis_ground(a) == read_ground(a)
+    for relative, corners in ((False, None), (True, read_ground(a))):
+        fresh = real_reduced(a, corners)
+        assert vars(algebras._reduced(a, relative)) == vars(fresh)

@@ -311,8 +311,8 @@ def test_solve_round_trip(data):
     assert (sol is None) == (matrix_rank(m + [t]) > matrix_rank(m))
     if sol is not None:
         assert apply_cols(m, sol) == t
-        assert all(type(v) is int for v in sol.values()
-                   if Fraction(v).denominator == 1)
+        assert all(type(v) is (int if Fraction(v).denominator == 1
+                               else Fraction) and v for v in sol.values())
 
 
 @settings(deadline=None)

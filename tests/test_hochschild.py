@@ -149,6 +149,175 @@ def test_mixed_complex_refuses_a_nonzero_b_squared():
             TruncatedMixedComplex(zoo.get("A2"), 3)
 
 
+def _first_broken_relation(mx, b_squared=True):
+    """The first of b^2 = 0, B^2 = 0, bB + Bb = 0 that fails on the
+    columns of mx, in _verify_relations' order, each checked column by
+    column with no shortcut: (relation, degree), or None."""
+    b, B = mx.b, mx.B
+    for n in range(2, mx.n_max + 1) if b_squared else ():
+        if any(apply_cols(b[n - 1], col) for col in b[n]):
+            return "b^2", n
+    for n in range(mx.n_max - 1):
+        if any(apply_cols(B[n + 1], col) for col in B[n]):
+            return "B^2", n
+    for n in range(mx.n_max):
+        for j, col in enumerate(B[n]):
+            acc = apply_cols(b[n + 1], col)
+            for k, c in b[n][j].items() if n else ():
+                vec_addmul(acc, c, B[n - 1][k])
+            if acc:
+                return "bB + Bb", n
+    return None
+
+
+def _signed_classes(cols):
+    """(first, s) for each column: cols[j] = s * cols[first], first the
+    first column equal to it up to sign."""
+    firsts = {}
+    out = []
+    for j, col in enumerate(cols):
+        items = sorted(col.items())
+        sign = -1 if items and items[0][1] < 0 else 1
+        f, fsign = firsts.setdefault(
+            tuple((k, sign * v) for k, v in items), (j, sign))
+        out.append((f, sign * fsign))
+    return out
+
+
+def _corruptions(mx, n):
+    """(what, columns, index, corrupted column) for the later members j of
+    B_n's classes outside the image of B_(n-1) (a change at j in the image
+    breaks a relation at degree n - 1 first): B e_j negated (for each sign
+    of j against the first member) or doubled where b B e_j != 0, B e_j
+    with 1 added at a row r with b e_r != 0 and B e_r = 0, b e_j with 1
+    added at a row r with B e_r != 0, and an entry of b e_j moved from a
+    row k with B e_k != 0 to a row of k's class with the other sign.
+    Those are the changes that can break bB + Bb = 0 at degree n and
+    leave B^2 = 0 and the relations below degree n."""
+    top = n + 1 == mx.n_max
+    image = {k for col in mx.B[n - 1] for k in col} if n else set()
+    below = _signed_classes(mx.B[n - 1]) if n else []
+    for j, (f, s) in enumerate(_signed_classes(mx.B[n])):
+        if f == j or j in image:
+            continue
+        col = mx.B[n][j]
+        if apply_cols(mx.b[n + 1], col):
+            yield ("B negated, sign %+d" % s, mx.B[n], j,
+                   {k: -v for k, v in col.items()})
+            yield "B doubled", mx.B[n], j, {k: 2 * v for k, v in col.items()}
+        for r in range(mx.dims[n + 1]):
+            if mx.b[n + 1][r] and (top or not mx.B[n + 1][r]):
+                yield "B entry", mx.B[n], j, _added(col, r)
+        for r in range(mx.dims[n - 1]) if n else ():
+            if mx.B[n - 1][r]:
+                yield "b entry", mx.b[n], j, _added(mx.b[n][j], r)
+        for k, c in mx.b[n][j].items() if n else ():
+            if mx.B[n - 1][k]:
+                for r, (g, t) in enumerate(below):
+                    if g == below[k][0] and t != below[k][1]:
+                        bad = _added(mx.b[n][j], r, c)
+                        yield "b entry moved", mx.b[n], j, \
+                            _added(bad, k, -c)
+
+
+def _added(col, r, c=1):
+    """col with c added at row r."""
+    out = dict(col)
+    out[r] = out.get(r, 0) + c
+    if not out[r]:
+        del out[r]
+    return out
+
+
+def _mutation_complexes(name):
+    """The mixed complex at n_max 6 of Q[x]/x^3 or the dual numbers over
+    Q.1, of its tensor product with Q x Q relative to that algebra's two
+    vertices, and of a copy in a rational basis over Q.1: for Q[x]/x^3 the
+    basis 1 + x/2, x/2 + x^2/3, x^2/3, whose unit has three terms, so the
+    class of the dropped element has two; for the dual numbers, whose
+    Abar is a line, 1, 1/2 + 2e/3."""
+    a = zoo.get(name)
+    vectors = {"cubic": [{0: 1, 1: Fraction(1, 2)},
+                         {1: Fraction(1, 2), 2: Fraction(1, 3)},
+                         {2: Fraction(1, 3)}],
+               "dual": [{0: 1}, {0: Fraction(1, 2), 1: Fraction(2, 3)}]}[name]
+    relative = tensor_algebra(a, zoo.get("QxQ"))
+    assert _basis_ground(relative) is not None
+    rational = _in_basis(a, vectors, name + "-rational")
+    mixed = [TruncatedMixedComplex(a, 6, _absolute=True),
+             TruncatedMixedComplex(relative, 6),
+             TruncatedMixedComplex(rational, 6)]
+    assert mixed[1].red.ends[0] != (None, None)
+    assert mixed[2].denominator > 1
+    if name == "cubic":
+        assert max(len(cls) for cls in mixed[2].red.classes.values()) == 2
+    return mixed
+
+
+def test_bb_check_is_literal_once_per_class(monkeypatch):
+    """On these valid mixed complexes every later member of a class of
+    B_n's columns is accepted by its class coordinates, so the bB + Bb
+    check applies b_(n+1) to one column per class: Q[x]/x^3 at n_max 8
+    and M2(Q) at n_max 5 over Q.1, and Q[x]/x^3 at n_max 6 over Q.1 and
+    tensored with Q x Q.  (In the rational basis of _mutation_complexes,
+    whose unit has three terms, some columns of B_(n-1) are combinations
+    of others, and some members there are checked literally.)"""
+    applied = []
+    real = hochschild.apply_cols
+
+    def counting(cols, vec):
+        applied.append(cols)
+        return real(cols, vec)
+
+    mixed = [TruncatedMixedComplex(zoo.get("cubic"), 8, _absolute=True),
+             TruncatedMixedComplex(zoo.get("M2(Q)"), 5, _absolute=True)]
+    for mx in mixed + _mutation_complexes("cubic")[:2]:
+        monkeypatch.setattr(hochschild, "apply_cols", counting)
+        del applied[:]
+        mx._verify_relations()
+        monkeypatch.undo()
+        literal = [sum(1 for cols in applied if cols is mx.b[n + 1])
+                   for n in range(mx.n_max)]
+        assert literal == [len({f for f, _ in _signed_classes(mx.B[n])})
+                           for n in range(mx.n_max)]
+        assert sum(literal) < sum(map(len, mx.B)) // 2
+
+
+@pytest.mark.parametrize("name", ["cubic", "dual"])
+def test_verify_relations_catches_a_corrupted_class_member(name):
+    """bB + Bb = 0 is proved literally on the first member of each class of
+    B_n's columns equal up to sign and through class coordinates on the
+    others.  At every degree n, the first corruption of each kind that
+    _corruptions offers (a later member's B column negated, doubled or
+    changed in one entry, or one entry of its b column changed or moved)
+    breaks bB + Bb = 0 at n and no relation before it, as a literal check
+    finds, and is refused with 'bB + Bb != 0 at degree n'.  A corrupted b
+    column is checked with b^2 = 0 left out, since it breaks that first."""
+    for mx in _mutation_complexes(name):
+        assert _first_broken_relation(mx) is None
+        found = set()
+        for n in range(mx.n_max):
+            first = {}
+            for what, cols, j, bad in _corruptions(mx, n):
+                first.setdefault(what, (cols, j, bad))
+            for what, (cols, j, bad) in first.items():
+                good, cols[j] = cols[j], bad
+                b_squared = not what.startswith("b ")
+                assert _first_broken_relation(mx, b_squared) == \
+                    ("bB + Bb", n), (what, n, j)
+                with contextlib.ExitStack() as stack:
+                    if not b_squared:
+                        stack.enter_context(mock.patch.object(
+                            ChainComplex, "check_dd_zero", lambda self: None))
+                    with pytest.raises(InvariantError, match=r"bB \+ Bb != 0 "
+                                       "at degree %d$" % n):
+                        mx._verify_relations()
+                cols[j] = good
+                found.add(what)
+        mx._verify_relations()
+        assert "b entry" in found and "B entry" in found, found
+
+
 def test_cyclic_homology_ground_field_pattern():
     hc = cyclic_homology(zoo.get("Q"), n_max=7)
     assert hc.dims == [1, 0, 1, 0, 1, 0, 1]

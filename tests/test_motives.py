@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from ncmotives import algebras, motives, zoo
 from ncmotives.errors import InvariantError, UncertifiedError, CapExceededError
@@ -760,6 +760,152 @@ def test_k0_route_matches_the_tor_route_on_random_quivers(data):
     q = row.source
     assert _compose_classes(cv, rv, cartan_counts(q)) == \
         _tor_composite_class_vector(col, row)
+
+
+def _pair_by_pair(basis, dual_basis):
+    """The pairing matrix as intersection_number gives it pair by pair, in
+    row-major order: (columns, None), or (None, the first refusal)."""
+    columns = [{} for _ in dual_basis]
+    try:
+        for i, x in enumerate(basis):
+            for j, y in enumerate(dual_basis):
+                v = intersection_number(x, y)
+                assert type(v) is Fraction
+                if v:
+                    columns[j][i] = v
+    except (InvariantError, UncertifiedError) as refused:
+        return None, (type(refused), str(refused))
+    return columns, None
+
+
+def _assert_pairing_matches(basis, dual_basis):
+    """pairing_matrix against intersection_number pair by pair (values,
+    Fraction entries and the first refusal), and each entry against the
+    K_0 double loop where both sides have class vectors and against the
+    Tor route; returns the number of pairs that took the Tor route, or
+    None when the matrix is refused."""
+    try:
+        got = pairing_matrix(basis, dual_basis).columns, None
+    except (InvariantError, UncertifiedError) as refused:
+        got = None, (type(refused), str(refused))
+    assert got == _pair_by_pair(basis, dual_basis)
+    columns = got[0]
+    if columns is None:
+        return None
+    assert all(type(v) is Fraction for col in columns for v in col.values())
+    tor = 0
+    for i, x in enumerate(basis):
+        for j, y in enumerate(dual_basis):
+            v = columns[j].get(i, 0)
+            assert v == _tor_intersection_number(x, y)
+            if None not in (motives._class_vector_or_none(x),
+                            motives._class_vector_or_none(y)):
+                assert v == _old_k0_intersection_number(x, y)
+            else:
+                tor += 1
+    return tor
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.data())
+def test_pairing_matrix_is_the_pairing_pair_by_pair(data):
+    """The Euler-form rows of pairing_matrix against intersection_number,
+    the K_0 double loop and the Tor route, pair by pair.  Spans of up to
+    three correspondences (possibly none, possibly the zero one) with
+    Fraction coefficients are drawn over a random quiver algebra of finite
+    global dimension: A -> A on the unit, every corner, simple bimodules
+    and their Tor, or Q -> A on the row projectives against A -> Q on the
+    column projectives (either one first), where the Cartan matrix need
+    not be symmetric; the two pools are first paired whole, both ways.  Or
+    they are drawn over the dual numbers or Q[x]/x^3, whose unit has no
+    class vector: its pairs with corners take the Tor route and its pair
+    with itself is refused (there one of the two spans is drawn on the
+    corners alone, so most matrices are answered).  The unit of Q drawn
+    into the dual span is a mismatched pair, refused at the first pair
+    that reaches it."""
+    kind = data.draw(st.sampled_from(["A -> A", "Q -> A"] * 2
+                                     + ["dual", "cubic"]))
+    if kind in ("dual", "cubic"):
+        a = zoo.get(kind)
+    else:
+        a = data.draw(quiver_algebras())
+        assume(a.dim <= 6)
+        assume(global_dimension(a, bound=4) is not None)
+    vs = presentation(a).vertices
+    vertex = st.sampled_from(vs)
+    corners = [x.terms[0][1] for x in canonical_span(a)]
+    pools = [[unit_correspondence(a).terms[0][1]] + corners, corners]
+    if kind == "A -> A":
+        simples = [_simple(a, data.draw(vertex), data.draw(vertex))
+                   for _ in range(2)]
+        pools[0] += simples + [t for t in derived_tensor(*simples) if t.dim]
+        pools[1] = pools[0]
+    elif kind == "Q -> A":
+        pools = [[row_projective_correspondence(a, v).terms[0][1]
+                  for v in vs],
+                 [column_projective_correspondence(a, v).terms[0][1]
+                  for v in vs]]
+    whole = [[Correspondence(x.A, x.B, [(1, x)]) for x in pool]
+             for pool in pools]
+    _assert_pairing_matches(*whole)
+    _assert_pairing_matches(*whole[::-1])
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+    def span(pool):
+        term = st.tuples(coeff, st.sampled_from(pool))
+        return data.draw(st.lists(st.lists(term, max_size=2).map(
+            lambda terms: Correspondence(pool[0].A, pool[0].B, terms)),
+            max_size=3))
+
+    basis, dual_basis = span(pools[0]), span(pools[1])
+    if data.draw(st.booleans()):
+        basis, dual_basis = dual_basis, basis
+    if data.draw(st.booleans()):
+        stray = unit_correspondence(zoo.get("Q"))
+        dual_basis.insert(data.draw(st.integers(0, len(dual_basis))), stray)
+    tor = _assert_pairing_matches(basis, dual_basis)
+    event("%s: %s" % (kind, "refused" if tor is None else
+                      "Tor pairs" if tor else "K_0 pairs only"))
+
+
+def test_pairing_matrix_takes_the_tor_route_without_class_vectors(
+        monkeypatch):
+    """Over the dual numbers the unit has no class vector: its pairs with
+    the corner take the Tor route, once each, beside K_0 pairs in the same
+    matrix; the zero correspondence pairs to 0 and empty spans give empty
+    matrices.  The unit against itself and a mismatched pair are refused
+    with the messages of intersection_number, whichever comes first."""
+    dual = zoo.get("dual")
+    corner = canonical_span(dual)[0]
+    unit = unit_correspondence(dual)
+    mixed = corner + unit.scale(Fraction(-1, 2))
+    zero = Correspondence(dual, dual, [])
+    taken = []
+    real = motives._tor_intersection_number
+
+    def counting(x, y, cap=DEFAULT_CAP):
+        taken.append((x, y))
+        return real(x, y, cap)
+
+    monkeypatch.setattr(motives, "_tor_intersection_number", counting)
+    basis = [corner, unit, mixed, zero]
+    dual_basis = [corner, corner.scale(Fraction(2, 3)), zero]
+    assert pairing_matrix(basis, dual_basis).columns == \
+        [{0: 4, 1: 2, 2: 3}, {0: Fraction(8, 3), 1: Fraction(4, 3), 2: 2}, {}]
+    assert [(basis.index(x), dual_basis.index(y)) for x, y in taken] == \
+        [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]
+    monkeypatch.setattr(motives, "_tor_intersection_number", real)
+    assert _assert_pairing_matches(basis, dual_basis) == 6
+    assert pairing_matrix([], dual_basis).columns == [{}, {}, {}]
+    assert pairing_matrix(basis, []).columns == []
+    with pytest.raises(UncertifiedError, match="Euler characteristic"):
+        pairing_matrix([corner, unit], [corner, unit])
+    stray = row_projective_correspondence(dual, "1")
+    with pytest.raises(InvariantError, match="pairing needs x: A -> B "
+                                             "against y: B -> A"):
+        pairing_matrix([corner], [corner, stray])
+    with pytest.raises(UncertifiedError, match="Euler characteristic"):
+        pairing_matrix([unit], [unit, stray])
 
 
 def test_class_vectors_are_resolved_once_per_bimodule_object(monkeypatch):

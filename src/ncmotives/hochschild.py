@@ -6,11 +6,7 @@ lowers degree, the Connes operator B raises it, and
 
     b^2 = B^2 = bB + Bb = 0
 
-holds exactly on every constructed mixed complex (verified at construction:
-b^2 and B^2 column by column, bB + Bb literally on the first of each class
-of B_n's columns equal up to sign and on the other members through the
-coordinates of B b over the classes one degree down, in O(n) a column,
-falling back to the literal check where those differ).
+holds exactly on every constructed mixed complex (verified at construction).
 The mixed complex stores D.b and D.B as integer columns, D the lcm of the
 denominators of their entries (1 on an integral algebra): the relations are
 homogeneous and D.b, D.B have the kernels and images of b, B, so cycles,
@@ -222,41 +218,16 @@ class TruncatedMixedComplex:
             for col in self.B[n]:
                 if apply_cols(upper, col):
                     raise InvariantError("B^2 != 0 at degree %d" % n)
-        # bB + Bb = 0, literally at the first member f of each class of
-        # B_n's columns equal up to sign.  Another member j, with
-        # B e_j = s B e_f, has b B e_j = s b B e_f, so the relation holds
-        # at j when s B b e_j = B b e_f, and that holds when s v_j = v_f,
-        # v the coordinates of B b e over the classes of B_(n-1)'s
-        # columns, read off b e in O(n); a column whose coordinates differ
-        # is checked literally
-        below = None
+        # bB + Bb = 0
         for n in range(self.n_max):
             bB = self.B[n - 1] if n >= 1 else None
-            classes = _sign_classes(self.B[n])
-            proved = {}     # first member f -> v_f
             for j, col in enumerate(self.B[n]):
-                f, s = classes[j]
-                v = {}
-                if n >= 1:
-                    for k, c in self.b[n][j].items():
-                        if bB[k]:
-                            g, t = below[k]
-                            w = v.get(g, 0) + s * t * c
-                            if w:
-                                v[g] = w
-                            else:
-                                del v[g]
-                if f != j and proved.get(f) == v:
-                    continue
                 acc = apply_cols(self.b[n + 1], col)
                 if n >= 1:
                     for k, c in self.b[n][j].items():
                         vec_addmul(acc, c, bB[k])
                 if acc:
                     raise InvariantError("bB + Bb != 0 at degree %d" % n)
-                if f == j:
-                    proved[j] = v
-            below = classes
 
     # _verify_relations proved b^2 = 0, and with B^2 = bB + Bb = 0 that
     # the totalization squares to zero, so neither complex checks again
@@ -304,32 +275,6 @@ class TruncatedMixedComplex:
                     cols.append(col)
             diffs.append(cols)
         return ChainComplex(dims, diffs, check=False)
-
-
-def _sign_classes(cols):
-    """(f, s) for each column j: cols[j] = s * cols[f], f the first column
-    equal to it up to sign (s = 1 on the zero columns).  Columns are keyed
-    by the hash of their rows and confirmed against each first member with
-    those rows, whose least entry has the same sign (s = 1) or not."""
-    firsts = {}     # hash of the rows -> [(f, least entry of cols[f] > 0)]
-    out = []
-    for j, col in enumerate(cols):
-        pos = col[min(col)] > 0 if col else True
-        bucket = firsts.setdefault(hash(frozenset(col)), [])
-        for f, fpos in bucket:
-            first = cols[f]
-            if pos == fpos:
-                if col == first:
-                    out.append((f, 1))
-                    break
-            elif len(col) == len(first) and all(
-                    first.get(k) == -v for k, v in col.items()):
-                out.append((f, -1))
-                break
-        else:
-            bucket.append((j, pos))
-            out.append((j, 1))
-    return out
 
 
 def _times(cols_by_degree, d):

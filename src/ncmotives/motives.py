@@ -163,24 +163,9 @@ def categorical_trace(x, cap=DEFAULT_CAP):
 
 def intersection_number(x, y):
     """<x . y> = sum_ij a_i b_j chi(HH(A; X_i (x)^L_B Y_j)) as an exact
-    rational; equals the categorical trace of the composite.
-
-    When both algebras have presentations and every term has a class
-    vector, the pairing is the trace of the K_0 composite, read off x's
-    Euler-form row (_euler_row).  Otherwise each pair of terms is resolved
-    through Tor and HH under the default memory guard; pairing_matrix
-    takes a guard.
-    """
-    _require_pairable(x, y)
-    xv, yv = _class_vector_or_none(x), _class_vector_or_none(y)
-    if xv is None or yv is None:
-        return _tor_intersection_number(x, y)
-    return _pair(_euler_row(x, xv), yv)
-
-
-def _require_pairable(x, y):
-    if x.target is not y.source or y.target is not x.source:
-        raise InvariantError("pairing needs x: A -> B against y: B -> A")
+    rational; equals the categorical trace of the composite.  It is the
+    1 x 1 pairing_matrix, under the default memory guard."""
+    return pairing_matrix([x], [y]).columns[0].get(0, Fraction(0))
 
 
 def _tor_intersection_number(x, y, cap=DEFAULT_CAP):
@@ -280,12 +265,6 @@ def _euler_row(x, xv):
     return row
 
 
-def _pair(row, yv):
-    """sum_kl y(k, l) w[(k, l)]: the pairing of a class vector yv against
-    the Euler-form row of its partner."""
-    return sum((v * row.get(key, 0) for key, v in yv.items()), Fraction(0))
-
-
 def _compose_classes(xv, yv, cb):
     """[x o y] from the class vectors of x: A -> B and y: B -> C, with cb
     the Cartan counts of B: P_ij (x)_B P'_kl is C_B(j, k) copies of
@@ -378,13 +357,16 @@ class PairingMatrix:
 
 
 def pairing_matrix(basis, dual_basis, cap=DEFAULT_CAP):
-    """<x_i . y_j> for x_i in basis against y_j in dual_basis, refused as
-    intersection_number refuses, at the first pair it refuses.
+    """<x_i . y_j> for x_i in basis against y_j in dual_basis, refused at
+    the first pair (in row-major order) that is refused.
 
-    Each correspondence's class vector is read once and each x's
-    Euler-form row is built once, so a pair with class vectors on both
-    sides costs one sparse dot product.  A pair without them takes the Tor
-    route, each derived tensor under the memory guard cap.
+    When both algebras have presentations and every term of x and y has a
+    class vector, <x . y> is the trace of the K_0 composite, read off x's
+    Euler-form row (_euler_row).  Each correspondence's class vector is
+    read once and each x's row is built once, so such a pair costs one
+    sparse dot product.  Any other pair is resolved through Tor and HH
+    (_tor_intersection_number), each derived tensor under the memory guard
+    cap.
     """
     vectors = {}
 
@@ -397,14 +379,17 @@ def pairing_matrix(basis, dual_basis, cap=DEFAULT_CAP):
     for i, x in enumerate(basis):
         row = None
         for j, y in enumerate(dual_basis):
-            _require_pairable(x, y)
+            if x.target is not y.source or y.target is not x.source:
+                raise InvariantError(
+                    "pairing needs x: A -> B against y: B -> A")
             xv, yv = vector(x), vector(y)
             if xv is None or yv is None:
                 v = _tor_intersection_number(x, y, cap)
             else:
                 if row is None:
                     row = _euler_row(x, xv)
-                v = _pair(row, yv)
+                v = sum((c * row.get(kl, 0) for kl, c in yv.items()),
+                        Fraction(0))
             if v:
                 columns[j][i] = v
     return PairingMatrix(basis, dual_basis, columns)

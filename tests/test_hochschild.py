@@ -152,7 +152,7 @@ def test_mixed_complex_refuses_a_nonzero_b_squared():
 def _first_broken_relation(mx, b_squared=True):
     """The first of b^2 = 0, B^2 = 0, bB + Bb = 0 that fails on the
     columns of mx, in _verify_relations' order, each checked column by
-    column with no shortcut: (relation, degree), or None."""
+    column: (relation, degree), or None."""
     b, B = mx.b, mx.B
     for n in range(2, mx.n_max + 1) if b_squared else ():
         if any(apply_cols(b[n - 1], col) for col in b[n]):
@@ -254,45 +254,17 @@ def _mutation_complexes(name):
     return mixed
 
 
-def test_bb_check_is_literal_once_per_class(monkeypatch):
-    """On these valid mixed complexes every later member of a class of
-    B_n's columns is accepted by its class coordinates, so the bB + Bb
-    check applies b_(n+1) to one column per class: Q[x]/x^3 at n_max 8
-    and M2(Q) at n_max 5 over Q.1, and Q[x]/x^3 at n_max 6 over Q.1 and
-    tensored with Q x Q.  (In the rational basis of _mutation_complexes,
-    whose unit has three terms, some columns of B_(n-1) are combinations
-    of others, and some members there are checked literally.)"""
-    applied = []
-    real = hochschild.apply_cols
-
-    def counting(cols, vec):
-        applied.append(cols)
-        return real(cols, vec)
-
-    mixed = [TruncatedMixedComplex(zoo.get("cubic"), 8, _absolute=True),
-             TruncatedMixedComplex(zoo.get("M2(Q)"), 5, _absolute=True)]
-    for mx in mixed + _mutation_complexes("cubic")[:2]:
-        monkeypatch.setattr(hochschild, "apply_cols", counting)
-        del applied[:]
-        mx._verify_relations()
-        monkeypatch.undo()
-        literal = [sum(1 for cols in applied if cols is mx.b[n + 1])
-                   for n in range(mx.n_max)]
-        assert literal == [len({f for f, _ in _signed_classes(mx.B[n])})
-                           for n in range(mx.n_max)]
-        assert sum(literal) < sum(map(len, mx.B)) // 2
-
-
 @pytest.mark.parametrize("name", ["cubic", "dual"])
 def test_verify_relations_catches_a_corrupted_class_member(name):
-    """bB + Bb = 0 is proved literally on the first member of each class of
-    B_n's columns equal up to sign and through class coordinates on the
-    others.  At every degree n, the first corruption of each kind that
-    _corruptions offers (a later member's B column negated, doubled or
-    changed in one entry, or one entry of its b column changed or moved)
-    breaks bB + Bb = 0 at n and no relation before it, as a literal check
-    finds, and is refused with 'bB + Bb != 0 at degree n'.  A corrupted b
-    column is checked with b^2 = 0 left out, since it breaks that first."""
+    """bB + Bb = 0 is proved on every column of B_n, also on the later
+    members of a class of columns equal up to sign, whose relation follows
+    from the first member's while the columns are valid.  At every degree
+    n, the first corruption of each kind that _corruptions offers (a later
+    member's B column negated, doubled or changed in one entry, or one
+    entry of its b column changed or moved) breaks bB + Bb = 0 at n and no
+    relation before it, as a literal check finds, and is refused with
+    'bB + Bb != 0 at degree n'.  A corrupted b column is checked with
+    b^2 = 0 left out, since it breaks that first."""
     for mx in _mutation_complexes(name):
         assert _first_broken_relation(mx) is None
         found = set()

@@ -763,8 +763,9 @@ def test_k0_route_matches_the_tor_route_on_random_quivers(data):
 
 
 def _pair_by_pair(basis, dual_basis):
-    """The pairing matrix as intersection_number gives it pair by pair, in
-    row-major order: (columns, None), or (None, the first refusal)."""
+    """The pairing matrix from intersection_number, the 1 x 1 matrix, pair
+    by pair in row-major order: (columns, None), or (None, the first
+    refusal)."""
     columns = [{} for _ in dual_basis]
     try:
         for i, x in enumerate(basis):
@@ -809,7 +810,8 @@ def _assert_pairing_matches(basis, dual_basis):
 @settings(deadline=None, max_examples=50)
 @given(st.data())
 def test_pairing_matrix_is_the_pairing_pair_by_pair(data):
-    """The Euler-form rows of pairing_matrix against intersection_number,
+    """pairing_matrix, which shares class vectors and Euler-form rows
+    across its pairs, against its 1 x 1 matrices (intersection_number),
     the K_0 double loop and the Tor route, pair by pair.  Spans of up to
     three correspondences (possibly none, possibly the zero one) with
     Fraction coefficients are drawn over a random quiver algebra of finite

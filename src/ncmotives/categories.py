@@ -11,7 +11,13 @@ On top of the presentations: one subquotient construction, Hom'(k1, k2) =
 e2 o Hom(x1, x2) o e1 / I(x1, x2), which gives both the Karoubi
 (idempotent-splitting) envelope (objects (X, e), I = 0) and the quotient by
 a compatible ideal (e = id); with the trace ideal N(X, Y) = {f | tr(g f) = 0
-for all g} these are the two steps from NChow to NNum.  Besides: the orbit
+for all g} these are the two steps from NChow to NNum.  The Karoubi
+objects come from a maximal orthogonal family of primitive idempotents of
+each small End(X): a corner mod the radical is split by the spectral
+idempotents of a candidate element, one per irreducible factor of its
+minimal polynomial, each solved by one tracked Elimination, and a corner
+that no candidate splits or shows to be a field is refused
+(UncertifiedError), never returned as primitive.  Besides: the orbit
 category of a tensor-invertible object with a declared boundedness
 certificate, extension of coefficients along an irreducible rational
 minimal polynomial, and the dagger twist, which flips the odd-odd sign of
@@ -29,6 +35,7 @@ formed.
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 from .errors import InvariantError, CapExceededError, UncertifiedError
@@ -661,7 +668,7 @@ IDEMPOTENT_CAP = 4
 
 
 def _rational_factors(coeffs):
-    """Irreducible monic factors (no multiplicity) of a squarefree monic
+    """Irreducible monic factors, repeated by multiplicity, of a monic
     rational polynomial of degree <= 6, by recursive Kronecker splitting."""
     p = poly_normalize(coeffs)
     factor = _proper_factor(p)
@@ -674,58 +681,20 @@ def _rational_factors(coeffs):
     return _rational_factors(factor) + _rational_factors(q)
 
 
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, av in enumerate(a):
-        if av:
-            for j, bv in enumerate(b):
-                out[i + j] += av * bv
-    return out
-
-
-def _poly_product(fs):
-    out = [Fraction(1)]
-    for f in fs:
-        out = _poly_mul(out, f)
-    return out
-
-
-def _poly_mod(a, m):
-    _, r = poly_divmod(a, m)
-    return r
-
-
-def _poly_inverse_mod(a, m):
-    """u with u a = 1 mod m, via extended Euclid in Q[t]."""
-    r0, r1 = [Fraction(v) for v in m], _poly_mod(a, m)
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while any(r1):
-        q, r2 = poly_divmod(r0, r1)
-        s2 = _poly_sub(s0, _poly_mul(q, s1))
-        r0, r1 = r1, r2
-        s0, s1 = s1, s2
-    if len(r0) != 1:
-        raise InvariantError("polynomials are not coprime")
-    inv = [v / r0[0] for v in s0]
-    return _poly_mod(inv, m)
-
-
-def _poly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, v in enumerate(a):
-        out[i] += v
-    for i, v in enumerate(b):
-        out[i] -= v
-    while out and not out[-1]:
-        out.pop()
-    return out or [Fraction(0)]
-
-
 def primitive_idempotents(alg):
     """A maximal orthogonal family of primitive idempotents of a small
     algebra: split the semisimple quotient by minimal polynomials, then lift
     through the radical keeping exact orthogonality.  An algebra above
-    IDEMPOTENT_CAP dimensions raises CapExceededError."""
+    IDEMPOTENT_CAP dimensions raises CapExceededError.
+
+    A corner e A e mod rad of dimension > 1 is tried with the elements of
+    its basis and their pairwise differences.  It is split by the first
+    whose minimal polynomial has two distinct irreducible factors, and it
+    is primitive once one generates it (a field: the degree of the minimal
+    polynomial is the corner's dimension).  A corner that no candidate
+    splits or generates, such as M2(Q) in a basis whose candidates all
+    have minimal polynomials t^2 - a, or the quaternions, raises
+    UncertifiedError."""
     if alg.dim > IDEMPOTENT_CAP:
         raise CapExceededError("idempotent enumeration cap is dimension %d; "
                                "%s has dimension %d"
@@ -738,36 +707,12 @@ def primitive_idempotents(alg):
     changed = True
     while changed:
         changed = False
-        for idx, e in enumerate(list(family)):
-            # corner algebra e A e modulo rad: probe basis elements
-            corner_span = []
-            for i in range(alg.dim):
-                v = alg.mult_vec(alg.mult_vec(e, {i: 1}), e)
-                v = rad.reduce(v)
-                if v:
-                    corner_span.append(v)
-            corner = LinSubspace(alg.dim, corner_span)
-            if corner.dim <= 1:
-                continue
-            split = None
-            candidates = [dict(b) for b in corner.basis()]
-            candidates += [vec_sub(candidates[i], candidates[j])
-                           for i in range(len(candidates))
-                           for j in range(i)]
-            for x in candidates:
-                x = alg.mult_vec(alg.mult_vec(e, x), e)
-                mp = _min_poly_in_algebra_mod(alg, x, e, rad)
-                if mp is None:
-                    continue
-                factors = _rational_factors(mp)
-                if len(factors) >= 2:
-                    split = _crt_idempotents_mod(alg, x, factors, e, rad)
-                    break
-                if len(mp) - 1 == corner.dim:
-                    break
-            if split:
-                family[idx:idx + 1] = split
-                changed = True
+        refined = []
+        for e in family:
+            split = _split_corner(alg, e, rad)
+            refined += split or [e]
+            changed = changed or bool(split)
+        family = refined
     # exact lift through the radical, sequentially orthogonal
     if rad.dim == 0:
         exact = family
@@ -793,6 +738,36 @@ def primitive_idempotents(alg):
     return exact
 
 
+def _split_corner(alg, e, rad):
+    """Orthogonal idempotents mod rad summing to e that split the corner
+    e A e mod rad, or [] when the corner is shown to be a field (dimension
+    1 included); UncertifiedError when neither is found."""
+    corner_span = []
+    for i in range(alg.dim):
+        v = rad.reduce(alg.mult_vec(alg.mult_vec(e, {i: 1}), e))
+        if v:
+            corner_span.append(v)
+    corner = LinSubspace(alg.dim, corner_span)
+    if corner.dim <= 1:
+        return []
+    candidates = [dict(b) for b in corner.basis()]
+    candidates += [vec_sub(candidates[i], candidates[j])
+                   for i in range(len(candidates)) for j in range(i)]
+    for x in candidates:
+        x = alg.mult_vec(alg.mult_vec(e, x), e)
+        mp = _min_poly_in_algebra_mod(alg, x, e, rad)
+        if mp is None:
+            continue
+        split = _spectral_idempotents_mod(alg, x, mp, e, rad)
+        if split:
+            return split
+        if len(mp) - 1 == corner.dim:
+            return []
+    raise UncertifiedError("no candidate splits or generates a corner of "
+                           "dimension %d of %s modulo its radical"
+                           % (corner.dim, alg.name))
+
+
 def _min_poly_in_algebra_mod(alg, x, e, rad):
     """Minimal polynomial of x inside the corner eAe mod rad, with unit e."""
     if not x:
@@ -815,25 +790,42 @@ def _min_poly_in_algebra_mod(alg, x, e, rad):
             return None
 
 
-def _crt_idempotents_mod(alg, x, factors, e, rad):
-    """Spectral idempotents of x in the corner with unit e, modulo rad."""
-    full = poly_normalize(_poly_product([list(f) for f in factors]))
+def _spectral_idempotents_mod(alg, x, mp, e, rad):
+    """The spectral idempotents of x in the corner with unit e, modulo rad,
+    one per irreducible g of its minimal polynomial mp = prod g^k; [] when
+    mp has a single irreducible factor.
+
+    With r = mp / g^k, the unit e_g of the factor Q[t]/(g^k) is s r for
+    any s with s r r = r, as r is a unit there and 0 on every other
+    factor: one tracked elimination solves sum_j c_j (r x^j) r = r, and
+    e_g = sum_j c_j r x^j."""
+    powers = Counter(tuple(g) for g in _rational_factors(mp))
+    if len(powers) < 2:
+        return []
     out = []
-    for f in factors:
-        rest, r = poly_divmod(full, f)
-        if r:
-            raise InvariantError("a factor does not divide the minimal "
-                                 "polynomial it was split from")
-        u = _poly_inverse_mod(rest, f)
-        e_poly = _poly_mod(_poly_mul(u, rest), full)
-        # evaluate with unit e: powers of x inside the corner
-        val = {}
-        power = dict(e)
-        for c in e_poly:
-            if c:
-                vec_addmul(val, c, power)
+    for g, k in powers.items():
+        r = mp
+        for _ in range(k):
+            r = poly_divmod(r, g)[0]
+        # r(x), with unit e
+        rx, power = {}, dict(e)
+        for c in r:
+            vec_addmul(rx, c, power)
             power = rad.reduce(alg.mult_vec(power, x))
-        out.append(rad.reduce(val))
+        rx = term = rad.reduce(rx)
+        elim = Elimination(track=True)
+        terms = []
+        for j in range(len(mp) - 1):
+            terms.append(term)
+            elim.add_column(rad.reduce(alg.mult_vec(term, rx)), j)
+            term = rad.reduce(alg.mult_vec(term, x))
+        coeffs = elim.solve(rx)
+        if coeffs is None:
+            raise InvariantError("no unit in the ideal of a spectral factor")
+        eg = {}
+        for j, c in coeffs.items():
+            vec_addmul(eg, c, terms[j])
+        out.append(rad.reduce(eg))
     return out
 
 
@@ -980,41 +972,6 @@ def karoubi(c):
                  if x == c.unit and e == c.ident[c.unit]), c.unit)
     return _subquotient(c, objs, bases, {}, tensor_obj, unit, None,
                         "karoubi(%s)" % c.name)
-
-
-def is_idempotent_split(c):
-    """Does every idempotent endomorphism (up to the enumerated
-    representatives) have an image object with a retraction?  An End
-    algebra above IDEMPOTENT_CAP dimensions raises CapExceededError."""
-    for x in c.objects:
-        for e in idempotent_representatives(c.end_algebra(x)):
-            if not any(_splits_through(c, x, y, e) for y in c.objects):
-                return False
-    return True
-
-
-def _splits_through(c, x, y, e):
-    """Is there r: x -> y, s: y -> x on the witness grid with r o s = id_y
-    and s o r = e?"""
-    return any(c.compose(y, x, y, r, s) == c.ident[y] and
-               c.compose(x, y, x, s, r) == e
-               for r in _hom_grid(c, x, y) for s in _hom_grid(c, y, x))
-
-
-def _hom_grid(c, x, y):
-    """A small deterministic grid of hom vectors (for witness searches)."""
-    d = c.hom[(x, y)]
-    if d == 0:
-        return
-    if d <= 2:
-        for combo in itertools.product((0, 1, -1, Fraction(1, 2), 2),
-                                       repeat=d):
-            v = {i: Fraction(cc) for i, cc in enumerate(combo) if cc}
-            if v:
-                yield v
-    else:
-        for i in range(d):
-            yield {i: 1}
 
 
 # ---------------------------------------------------------------------------
@@ -1237,7 +1194,7 @@ def extend_coefficients(c, minpoly):
             c.tensor_obj, c.tensor_mor, c.symmetry, c.traces, c.grading,
             name=c.name, check=False)
     # powers of t modulo the minimal polynomial
-    tpow = [_poly_mod([0] * m + [1], mp) for m in range(2 * deg - 1)]
+    tpow = [poly_divmod([0] * m + [1], mp)[1] for m in range(2 * deg - 1)]
 
     def ext_index(i, p):
         return i * deg + p

@@ -17,15 +17,17 @@ Conventions:
     combine maps in that form, and Elimination, the rank, kernel, solve
     and inverse helpers read it,
   * subspaces are kept in a canonical reduced row echelon form, so equality
-    of subspaces is equality of representations; a kernel basis from
-    kernel_vectors needs no such copy to be read in (kernel_coordinates),
+    of subspaces is equality of representations; LinSubspace reads it off
+    the pivots of one rank-only Elimination, each scaled to 1 at its lead
+    and back-substituted, so Elimination is the one row reduction here; a
+    kernel basis from kernel_vectors needs no such copy to be read in
+    (kernel_coordinates),
   * Elimination.modulo(base) starts a tracked elimination from another
     one's pivots with empty expressions, so that solving modulo a span that
     is already eliminated (the boundaries, for homology bases) feeds only
     the new columns.
 """
 
-from bisect import insort
 from fractions import Fraction
 from math import gcd
 
@@ -348,26 +350,14 @@ class LinSubspace:
 
     def __init__(self, ambient, vectors=()):
         self.ambient = ambient
-        # rows in the order found, each 0 at the leads of the rows before
-        # it, so reducing by a row brings in only leads of later rows
-        found, position = [], {}
+        elim = Elimination()
         for vec in vectors:
-            v = {i: Fraction(x) for i, x in vec.items() if x}
-            todo = sorted(position[i] for i in v if i in position)
-            while todo:
-                lead, row = found[todo.pop(0)]
-                if lead in v:
-                    for i in row:
-                        if i not in v and i in position:
-                            insort(todo, position[i])
-                    vec_addmul(v, -v[lead], row)
-            if v:
-                lead = min(v)
-                position[lead] = len(found)
-                found.append((lead, vec_scale(Fraction(1) / v[lead], v)))
-        # back-substitute, last pivot first: a reduced row holds no other
-        # lead, so each row is reduced once at each lead among its entries
-        by_lead = dict(sorted(found, key=lambda lr: lr[0]))
+            elim.add_column(vec)
+        # each pivot scaled to 1 at its lead, then back-substituted, last
+        # pivot first: a reduced row holds no other lead, so each row is
+        # reduced once at each lead among its entries
+        by_lead = {lead: vec_scale(Fraction(1, col[lead]), col)
+                   for lead, col in sorted(elim.pivots.items())}
         for lead, row in reversed(by_lead.items()):
             for i in sorted((i for i in row if i in by_lead and i != lead),
                             reverse=True):

@@ -282,11 +282,6 @@ def _compose_classes(xv, yv, cb):
     return out
 
 
-def _tor_composite_class_vector(x, y, cap=DEFAULT_CAP):
-    """[x o y] from the Tor bimodules of the composite, each resolved."""
-    return correspondence_class_vector(compose(x, y, cap))
-
-
 # ---------------------------------------------------------------------------
 # spanning sets
 

@@ -6,20 +6,23 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ncmotives import categories, zoo
-from ncmotives.errors import InvariantError, CapExceededError
-from ncmotives.exactlin import Elimination, LinSubspace, solve_columns
+from ncmotives.errors import InvariantError, CapExceededError, UncertifiedError
+from ncmotives.algebras import structure_algebra
+from ncmotives.exactlin import (Elimination, LinSubspace, jacobson_radical,
+                                matrix_rank, solve_columns, vec_addmul)
 from ncmotives.inputs import load_category
 from ncmotives.categories import (
-    PresentedCategory, karoubi, is_idempotent_split,
+    PresentedCategory, karoubi,
     TensorInvertible, orbit, orbit_twist_identification, extend_coefficients,
     n_ideal, quotient_by_ideal, dagger_twist, is_irreducible_over_q,
     primitive_idempotents, idempotent_representatives,
     graded_space_category, graded_line_window, super_line_category,
     two_block_object_category, poly_normalize, poly_eval, poly_divmod,
-    _divisors,
+    _divisors, _min_poly_in_algebra_mod, _rational_factors,
+    _spectral_idempotents_mod,
 )
 from test_exactlin import _oracle_row_reduce
 
@@ -43,12 +46,12 @@ def test_primitive_idempotents_reject_a_non_idempotent_member(monkeypatch):
     an assert, python -O keeps."""
     calls = []
 
-    def bad_split(alg, x, factors, e, rad):
+    def bad_split(alg, x, mp, e, rad):
         calls.append(x)
-        # sums to 1, but (2 e_1 - e_2)^2 = 4 e_1 + e_2
-        return [{0: 2, 1: -1}, {0: -1, 1: 2}] if len(calls) == 1 else []
+        # corners of dimension 1, but (2 e_1)^2 = 4 e_1
+        return [{0: 2}, {1: -1}] if len(calls) == 1 else []
 
-    monkeypatch.setattr(categories, "_crt_idempotents_mod", bad_split)
+    monkeypatch.setattr(categories, "_spectral_idempotents_mod", bad_split)
     with pytest.raises(InvariantError, match="not idempotent"):
         primitive_idempotents(zoo.get("QxQ"))
     assert calls
@@ -70,6 +73,42 @@ def test_missing_identity_is_an_invariant_error():
     comp = {(x, x, x): {(0, 0): {0: 1}} for x in ("I", "X")}
     with pytest.raises(InvariantError, match=r"object\(s\): I$"):
         PresentedCategory(["X", "I"], hom, comp, {"X": {0: 1}}, "I")
+
+
+def is_idempotent_split(c):
+    """Does every idempotent endomorphism (up to the enumerated
+    representatives) have an image object with a retraction?  A grid
+    search for a witness: True proves it, False proves nothing.  An End
+    algebra above IDEMPOTENT_CAP dimensions raises CapExceededError."""
+    for x in c.objects:
+        for e in idempotent_representatives(c.end_algebra(x)):
+            if not any(_splits_through(c, x, y, e) for y in c.objects):
+                return False
+    return True
+
+
+def _splits_through(c, x, y, e):
+    """Is there r: x -> y, s: y -> x on the witness grid with r o s = id_y
+    and s o r = e?"""
+    return any(c.compose(y, x, y, r, s) == c.ident[y] and
+               c.compose(x, y, x, s, r) == e
+               for r in _hom_grid(c, x, y) for s in _hom_grid(c, y, x))
+
+
+def _hom_grid(c, x, y):
+    """A small deterministic grid of hom vectors (for witness searches)."""
+    d = c.hom[(x, y)]
+    if d == 0:
+        return
+    if d <= 2:
+        for combo in itertools.product((0, 1, -1, Fraction(1, 2), 2),
+                                       repeat=d):
+            v = {i: Fraction(cc) for i, cc in enumerate(combo) if cc}
+            if v:
+                yield v
+    else:
+        for i in range(d):
+            yield {i: 1}
 
 
 def test_karoubi_splits_idempotent_pair():
@@ -122,7 +161,7 @@ def test_karoubi_idempotent():
     assert sorted(k2.objects) == sorted(list(whole) + parts)
     assert _tables_on(k2, whole) == _tables_on(k1, {x: x for x in k1.objects})
     for x in parts:
-        assert any(categories._splits_through(k2, x, y, k2.ident[x])
+        assert any(_splits_through(k2, x, y, k2.ident[x])
                    for y in whole)
 
 
@@ -2060,3 +2099,278 @@ def test_extend_coefficients_matches_the_replaced_tables(p):
         # the trace functional of X is 1 on the basis element 0
         assert ([new.traces["X"].get(q, 0) for q in range(deg)]
                 == [_oracle_companion_trace(mp, q) for q in range(deg)])
+
+
+# ---------------------------------------------------------------------------
+# idempotent splitting: the spectral idempotents against the CRT they
+# replaced, and End algebras in bases that hide their idempotents
+
+
+def _oracle_poly_mul(a, b):
+    """categories._poly_mul as it was, verbatim."""
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, av in enumerate(a):
+        if av:
+            for j, bv in enumerate(b):
+                out[i + j] += av * bv
+    return out
+
+
+def _oracle_poly_product(fs):
+    """categories._poly_product as it was, verbatim."""
+    out = [Fraction(1)]
+    for f in fs:
+        out = _oracle_poly_mul(out, f)
+    return out
+
+
+def _oracle_poly_mod(a, m):
+    """categories._poly_mod as it was, verbatim."""
+    _, r = poly_divmod(a, m)
+    return r
+
+
+def _oracle_poly_inverse_mod(a, m):
+    """u with u a = 1 mod m, via extended Euclid in Q[t]:
+    categories._poly_inverse_mod as it was, verbatim."""
+    r0, r1 = [Fraction(v) for v in m], _oracle_poly_mod(a, m)
+    s0, s1 = [Fraction(0)], [Fraction(1)]
+    while any(r1):
+        q, r2 = poly_divmod(r0, r1)
+        s2 = _oracle_poly_sub(s0, _oracle_poly_mul(q, s1))
+        r0, r1 = r1, r2
+        s0, s1 = s1, s2
+    if len(r0) != 1:
+        raise InvariantError("polynomials are not coprime")
+    inv = [v / r0[0] for v in s0]
+    return _oracle_poly_mod(inv, m)
+
+
+def _oracle_poly_sub(a, b):
+    """categories._poly_sub as it was, verbatim."""
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, v in enumerate(a):
+        out[i] += v
+    for i, v in enumerate(b):
+        out[i] -= v
+    while out and not out[-1]:
+        out.pop()
+    return out or [Fraction(0)]
+
+
+def _oracle_crt_idempotents_mod(alg, x, factors, e, rad):
+    """Spectral idempotents of x in the corner with unit e, modulo rad, by
+    CRT through extended Euclid: categories._crt_idempotents_mod as it
+    was, verbatim.  It needs the factors pairwise coprime."""
+    full = poly_normalize(_oracle_poly_product([list(f) for f in factors]))
+    out = []
+    for f in factors:
+        rest, r = poly_divmod(full, f)
+        if r:
+            raise InvariantError("a factor does not divide the minimal "
+                                 "polynomial it was split from")
+        u = _oracle_poly_inverse_mod(rest, f)
+        e_poly = _oracle_poly_mod(_oracle_poly_mul(u, rest), full)
+        # evaluate with unit e: powers of x inside the corner
+        val = {}
+        power = dict(e)
+        for c in e_poly:
+            if c:
+                vec_addmul(val, c, power)
+            power = rad.reduce(alg.mult_vec(power, x))
+        out.append(rad.reduce(val))
+    return out
+
+
+def _quotient_ring(f):
+    """Q[t]/(f), f monic, in the basis 1, t, ..., t^(deg f - 1)."""
+    n = len(f) - 1
+    labels = ["t%d" % i for i in range(n)]
+    products = [(labels[i], labels[j],
+                 {labels[k]: c for k, c in enumerate(
+                     poly_divmod([0] * (i + j) + [1], f)[1]) if c})
+                for i in range(n) for j in range(n)]
+    return structure_algebra("Q[t]/(f)", labels, {"t0": 1}, products)
+
+
+IRREDUCIBLES = ([0, 1], [-1, 1], [1, 1], [-2, 1], [1, 0, 1], [-2, 0, 1],
+                [1, 1, 1])
+
+
+@st.composite
+def squarefree_splits(draw):
+    """(Q[t]/(f), x): f a product of at least two distinct irreducibles,
+    each once or twice, of degree <= 4, and x a nonzero element."""
+    factors = draw(st.lists(st.sampled_from(IRREDUCIBLES), min_size=2,
+                            max_size=4, unique_by=tuple))
+    f = [1]
+    for g in factors:
+        for _ in range(draw(st.integers(1, 2))):
+            f = _int_product([f, g])
+    assume(len(f) - 1 <= categories.IDEMPOTENT_CAP)
+    alg = _quotient_ring(f)
+    x = draw(st.lists(st.integers(-2, 2), min_size=alg.dim,
+                      max_size=alg.dim))
+    assume(any(x))
+    return alg, {i: c for i, c in enumerate(x) if c}
+
+
+@settings(deadline=None, max_examples=80)
+@given(squarefree_splits())
+@example((_quotient_ring([0, -1, 0, 1]), {1: 1}))     # t^3 - t, x = t
+@example((_quotient_ring([0, 0, -1, 1]), {1: 1}))     # t^2 (t - 1)
+def test_spectral_idempotents_match_the_crt(drawn):
+    """Modulo the radical the minimal polynomial of x in the commutative
+    Q[t]/(f) is squarefree, so the CRT applies: the spectral idempotents
+    are its idempotents, in the order of the factors, and a single factor
+    splits nothing."""
+    alg, x = drawn
+    rad = jacobson_radical(alg)
+    e = dict(alg.unit)
+    mp = _min_poly_in_algebra_mod(alg, x, e, rad)
+    factors = _rational_factors(mp)
+    assert len({tuple(g) for g in factors}) == len(factors)
+    got = _spectral_idempotents_mod(alg, x, mp, e, rad)
+    if len(factors) < 2:
+        assert got == []
+    else:
+        assert got == _oracle_crt_idempotents_mod(alg, x, factors, e, rad)
+
+
+def _end_in_basis(basis, mult, unit):
+    """The category with one object X whose End is spanned by basis,
+    linearly independent tuples closed under the product mult, with the
+    identity unit; composition g o f is mult(g, f)."""
+    elim = Elimination(track=True)
+    for j, b in enumerate(basis):
+        elim.add_column({r: v for r, v in enumerate(b) if v}, j)
+
+    def coords(t):
+        out = elim.solve({r: v for r, v in enumerate(t) if v})
+        if out is None:
+            raise InvariantError("the product leaves the span")
+        return out
+
+    comp = {}
+    for i, g in enumerate(basis):
+        for j, f in enumerate(basis):
+            vec = coords(mult(g, f))
+            if vec:
+                comp[(i, j)] = vec
+    return PresentedCategory(["X"], {("X", "X"): len(basis)},
+                             {("X", "X", "X"): comp}, {"X": coords(unit)},
+                             "X", name="End(X) in a basis")
+
+
+def _matrix_product(g, f):
+    """The product of 2 x 2 matrices written (a, b, c, d) for
+    [[a, b], [c, d]]."""
+    a, b, c, d = g
+    p, q, r, s = f
+    return (a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s)
+
+
+def _pointwise_product(g, f):
+    return tuple(a * b for a, b in zip(g, f))
+
+
+def _quaternion_product(g, f):
+    """Hamilton's product on (1, i, j, k) coordinates."""
+    a, b, c, d = g
+    p, q, r, s = f
+    return (a * p - b * q - c * r - d * s, a * q + b * p + c * s - d * r,
+            a * r - b * s + c * p + d * q, a * s + b * r - c * q + d * p)
+
+
+M2_UNIT = (1, 0, 0, 1)
+MATRIX_UNITS = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+# no basis element and no pairwise difference has a minimal polynomial
+# with two distinct factors, and none has degree 4
+ODD_M2_BASIS = [M2_UNIT, (1, -1, -1, -2), (2, 2, 1, -1), (1, 1, -2, -1)]
+# e12 and e21 come first, with minimal polynomial t^2
+NILPOTENT_FIRST_M2_BASIS = [M2_UNIT, (0, 1, 0, 0), (0, 0, 1, 0),
+                            (1, 0, 0, -1)]
+
+
+def _end_dimensions(c):
+    k = karoubi(c)
+    return sorted(k.hom[(o, o)] for o in k.objects)
+
+
+def test_karoubi_refuses_m2_when_no_candidate_splits_it():
+    """In the odd basis M2(Q) was reported primitive: one object, End of
+    dimension 4.  No candidate splits the corner or generates it as a
+    field, so it is refused; in matrix units it splits."""
+    with pytest.raises(UncertifiedError,
+                       match=r"^no candidate splits or generates a corner "
+                             r"of dimension 4 of End\(X\) modulo its "
+                             r"radical$"):
+        karoubi(_end_in_basis(ODD_M2_BASIS, _matrix_product, M2_UNIT))
+    assert _end_dimensions(_end_in_basis(MATRIX_UNITS, _matrix_product,
+                                       M2_UNIT)) == [1, 1, 4]
+
+
+def test_karoubi_splits_m2_whose_first_candidates_are_nilpotent():
+    """e12 has minimal polynomial t^2, a prime power, which splits nothing
+    (CRT once refused its factors t, t as not coprime); e11 - e22 splits
+    the unit into e11 = (1 + h) / 2 and e22 = (1 - h) / 2."""
+    c = _end_in_basis(NILPOTENT_FIRST_M2_BASIS, _matrix_product, M2_UNIT)
+    half = Fraction(1, 2)
+    assert primitive_idempotents(c.end_algebra("X")) == \
+        [{0: half, 3: half}, {0: half, 3: -half}]
+    assert _end_dimensions(c) == [1, 1, 4]
+
+
+def test_quaternions_are_refused():
+    """Every element of Hamilton's quaternions has a minimal polynomial of
+    degree <= 2, so no candidate shows the division algebra is a field of
+    dimension 4, and none splits it: refused (it was returned as primitive,
+    the right answer, only because nothing split)."""
+    c = _end_in_basis(MATRIX_UNITS, _quaternion_product, (1, 0, 0, 0))
+    with pytest.raises(UncertifiedError, match="dimension 4 of End"):
+        primitive_idempotents(c.end_algebra("X"))
+
+
+def test_two_corners_split_in_one_pass():
+    """Q^4 in a basis whose first element is (1, 1, 2, 2): it splits the
+    unit into two corners of dimension 2, and both split in the next pass
+    (before, the second split replaced the first's new member, and the
+    family was refused as not orthogonal)."""
+    basis = [(1, 1, 2, 2), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    c = _end_in_basis(basis, _pointwise_product, (1, 1, 1, 1))
+    prim = primitive_idempotents(c.end_algebra("X"))
+    assert len(prim) == 4
+    total = {}
+    for e in prim:
+        vec_addmul(total, 1, e)
+    assert total == c.ident["X"]
+    assert _end_dimensions(c) == [1] * 4 + [2] * 6 + [3] * 4 + [4]
+
+
+def _bases(dim):
+    """Bases of Q^dim with entries in -2..2."""
+    return st.lists(st.lists(st.integers(-2, 2), min_size=dim,
+                             max_size=dim).map(tuple),
+                    min_size=dim, max_size=dim).filter(
+        lambda b: matrix_rank([{r: v for r, v in enumerate(x) if v}
+                               for x in b]) == dim)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_bases(4), _bases(2))
+@example(MATRIX_UNITS, [(1, 0), (0, 1)])
+@example(NILPOTENT_FIRST_M2_BASIS, [(1, 1), (1, -1)])
+@example(ODD_M2_BASIS, [(1, 1), (0, 1)])
+def test_karoubi_of_m2_and_qxq_in_random_bases(m2_basis, qxq_basis):
+    """Karoubi of one object with End M2(Q), in any basis, refuses or
+    gives e11, e22 and the identity (End dimensions 1, 1, 4); with End
+    Q x Q it always gives 1, 1, 2."""
+    try:
+        dims = _end_dimensions(_end_in_basis(m2_basis, _matrix_product,
+                                           M2_UNIT))
+    except UncertifiedError:
+        pass
+    else:
+        assert dims == [1, 1, 4]
+    assert _end_dimensions(_end_in_basis(qxq_basis, _pointwise_product,
+                                       (1, 1))) == [1, 1, 2]

@@ -365,6 +365,46 @@ def test_exit_status_missing_identity(tmp_path, command):
     assert "no identity given for object(s): U" in err
 
 
+def _category_file(path, c):
+    """Write the presentation of c, a category with no tensor, to path."""
+    def vec(v):
+        return {str(k): str(x) for k, x in v.items()}
+
+    path.write_text(json.dumps({
+        "kind": "category_presentation", "name": c.name,
+        "objects": c.objects, "unit": c.unit,
+        "hom": {"%s|%s" % key: d for key, d in c.hom.items()},
+        "composition": [[x, y, z, gi, fi, vec(v)]
+                        for (x, y, z), table in c.comp.items()
+                        for (gi, fi), v in table.items()],
+        "identities": {x: vec(v) for x, v in c.ident.items()}}))
+    return str(path)
+
+
+def test_karoubi_of_m2_in_two_bases(tmp_path):
+    """M2(Q) in a basis none of whose candidates splits or generates it
+    is refused (it was reported as one primitive object, exit 0); in a
+    basis whose first candidates are nilpotent it splits into e11 and e22
+    (it exited 2, the CRT refusing the factors t, t as not coprime)."""
+    from test_categories import (_end_in_basis, _matrix_product, M2_UNIT,
+                                 ODD_M2_BASIS, NILPOTENT_FIRST_M2_BASIS)
+    odd = _category_file(tmp_path / "odd.json", _end_in_basis(
+        ODD_M2_BASIS, _matrix_product, M2_UNIT))
+    status, out, err = run_cli(["karoubi", "--input", odd])
+    assert (status, out) == (4, "")
+    assert err.startswith("uncertified refusal: no candidate splits or "
+                          "generates a corner of dimension 4")
+    nil = _category_file(tmp_path / "nilpotent_first.json", _end_in_basis(
+        NILPOTENT_FIRST_M2_BASIS, _matrix_product, M2_UNIT))
+    status, out, err = run_cli(["karoubi", "--input", nil,
+                                "--format", "structured"])
+    assert (status, err) == (0, "")
+    report = json.loads(out)
+    assert report["objects after"] == 3
+    assert sorted(int(row[1]) for row in report["split objects"]["rows"]) \
+        == [1, 1, 4]
+
+
 def test_exit_status_cap_exceeded():
     # Q[x]/x^3 has the single idempotent 1, so its complex is taken over
     # Q.1: at degree 8 it has 1533 > 1000 chains

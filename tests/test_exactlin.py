@@ -322,6 +322,35 @@ def test_rank_plus_nullity(m):
     assert matrix_rank(cols) + len(kernel_vectors(cols)) == len(cols)
 
 
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_subspace_is_the_dense_reduced_row_echelon_form(data):
+    """LinSubspace's rows and leads are the nonzero rows and pivot columns
+    of the dense Gauss-Jordan form of its vectors, zero and repeated
+    vectors included; reduce leaves 0 at every lead and changes its input
+    by an element of the span."""
+    n = data.draw(st.integers(1, 6))
+    drawn = data.draw(st.lists(vectors(n), max_size=5))
+    pool = drawn + [{}]
+    given_vecs = drawn + data.draw(st.lists(st.sampled_from(pool),
+                                            max_size=3))
+    sub = LinSubspace(n, given_vecs)
+    dense = [[v.get(i, Fraction(0)) for i in range(n)] for v in given_vecs]
+    rows, pivots = _oracle_row_reduce(dense)
+    assert sub.leads == pivots
+    assert sub.rows == [{i: v for i, v in enumerate(row) if v}
+                        for row in rows[:len(pivots)]]
+    assert sub.dim == _oracle_rank(dense)
+    x = data.draw(vectors(n))
+    rest = sub.reduce(x)
+    assert not rest.keys() & set(sub.leads)
+    moved = vec_sub(x, rest)
+    assert _oracle_rank(dense + [[moved.get(i, 0) for i in range(n)]]) == \
+        sub.dim
+    assert sub.contains(moved)
+    assert sub.contains(x) == (not rest)
+
+
 @st.composite
 def integer_matrices(draw):
     rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 7))

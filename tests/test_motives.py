@@ -21,7 +21,7 @@ from ncmotives.motives import (
     numerical_kernel, pairing_matrix, semisimplicity_check, even_projector_in_span, kernel_comparison,
     row_projective_correspondence,
     column_projective_correspondence, is_env_projective, bimodule_class_vector,
-    cartan_counts, _tor_intersection_number, _tor_composite_class_vector,
+    cartan_counts, _tor_intersection_number,
     _compose_classes, _span_structure_constants, SemisimplicityReport,
 )
 from test_exactlin import _columns, _dense
@@ -699,6 +699,11 @@ def _simple(a, i, j):
         return [[{0: 1} if k == presentation(a).index[v] else {}]
                 for k in range(a.dim)]
     return Bimodule(a, a, 1, at(i), at(j), name="S_%s%s" % (i, j))
+
+
+def _tor_composite_class_vector(x, y):
+    """[x o y] from the Tor bimodules of the composite, each resolved."""
+    return correspondence_class_vector(compose(x, y, DEFAULT_CAP))
 
 
 def _old_k0_intersection_number(x, y):

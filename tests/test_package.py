@@ -51,10 +51,11 @@ def test_the_trace_names_resolve_in_the_package():
     assert hochschild._guard is algebras._guard
 
 
-def _unnamed_public_definitions(folders):
-    """Every public function, class and method of the package named
-    nowhere in the code of the .py files under folders other than its own
-    def line, as "module.py:line name".  Names are NAME tokens, so a name
+def _unnamed_definitions(folders, private=False):
+    """Every public function, class and method of the package, or with
+    private every private one that is not a dunder method, named nowhere
+    in the code of the .py files under folders other than its own def
+    line, as "module.py:line name".  Names are NAME tokens, so a name
     that appears only in a string or a comment is not named."""
     import io
     import tokenize
@@ -73,9 +74,10 @@ def _unnamed_public_definitions(folders):
             members = node.body if isinstance(node, ast.ClassDef) else []
             for sub in [node] + members:
                 if isinstance(sub, (ast.FunctionDef, ast.ClassDef)) \
-                        and not sub.name.startswith("_"):
+                        and sub.name.startswith("_") == private \
+                        and not sub.name.endswith("__"):
                     defs.append((path.name, sub.lineno, sub.name))
-    assert len(defs) > 100
+    assert len(defs) > (80 if private else 100)
     # a name defined k times must be named more than k times
     times_defined = Counter(name for _, _, name in defs)
     return ["%s:%d %s" % d for d in defs
@@ -86,7 +88,7 @@ def test_every_public_definition_is_used():
     """Every public function, class and method of the package is named
     somewhere in src, tests, demos, perfbench or tools other than its own
     def line, so no unreferenced public API accumulates."""
-    assert _unnamed_public_definitions(
+    assert _unnamed_definitions(
         ("src", "tests", "demos", "perfbench", "tools")) == []
 
 
@@ -95,8 +97,6 @@ TEST_ONLY_DEFINITIONS = {
     "tensor_algebra": "the tensor product of algebras, which ROADMAP item 6 "
                       "(the Kuenneth sum of global dimensions) gives a "
                       "caller",
-    "is_idempotent_split": "the tests' proof that karoubi returns an "
-                           "idempotent-complete category",
     "is_nilpotent_by_traces": "acceptance criterion 7 compares it with "
                               "power vanishing",
     "opposite": "perfbench/tracer.py counts its calls, and "
@@ -110,10 +110,18 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
     out of the corpus: a public definition that only the tests name is
     either in TEST_ONLY_DEFINITIONS, with its reason, or leaves the
     package (into the tests, if a test needs it as an oracle)."""
-    unnamed = _unnamed_public_definitions(
-        ("src", "demos", "perfbench", "tools"))
+    unnamed = _unnamed_definitions(("src", "demos", "perfbench", "tools"))
     assert sorted(entry.split()[1] for entry in unnamed) == \
         sorted(TEST_ONLY_DEFINITIONS), unnamed
+
+
+def test_every_private_definition_has_a_caller_outside_the_tests():
+    """The same scan over private functions, classes and methods, dunder
+    methods left out: one that only the tests name moves into the tests,
+    beside the oracles, so the package holds no code that nothing in it
+    runs."""
+    assert _unnamed_definitions(("src", "demos", "perfbench", "tools"),
+                                private=True) == []
 
 
 # optional parameters that only the tests set, each kept for its reason

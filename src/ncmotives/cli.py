@@ -23,11 +23,6 @@ from .hochschild import (hochschild_homology, cyclic_homology, sbi_check,
                          MIXED_MIN_DEGREE)
 from .algebras import global_dimension, presentation
 from .homcore import ChainComplex
-from .motives import (unit_correspondence, canonical_span, numerical_kernel,
-                      semisimplicity_check, even_projector_in_span, kernel_comparison,
-                      pairing_matrix)
-from .supers import SuperSpace
-from .schur import is_schur_finite, schur_dimension, super_schur_value
 from .inputs import _int, load_algebra, load_category
 from .exactlin import identity_cols
 
@@ -250,6 +245,7 @@ def cmd_sbi(args):
 
 
 def cmd_pair(args):
+    from .motives import canonical_span, pairing_matrix
     a = load_algebra(args.input)
     span = canonical_span(a)
     pm = pairing_matrix(span, span, cap=_cap(args))
@@ -266,6 +262,7 @@ def cmd_pair(args):
 
 
 def cmd_numquot(args):
+    from .motives import canonical_span, numerical_kernel
     a = load_algebra(args.input)
     span = canonical_span(a)
     nq = numerical_kernel(a, a, span, cap=_cap(args))
@@ -279,6 +276,7 @@ def cmd_numquot(args):
 
 
 def cmd_semisimple(args):
+    from .motives import semisimplicity_check
     a = load_algebra(args.input)
     r = semisimplicity_check(a, cap=_cap(args))
     rep = Report("semisimple")
@@ -294,6 +292,8 @@ def cmd_semisimple(args):
 
 
 def cmd_schur(args):
+    from .schur import is_schur_finite, schur_dimension, super_schur_value
+    from .supers import SuperSpace
     try:
         dplus, dminus = (_count(x) for x in args.dims.split(","))
     except (AttributeError, ValueError, argparse.ArgumentTypeError):
@@ -317,6 +317,7 @@ def cmd_schur(args):
 
 
 def cmd_cnc(args):
+    from .motives import unit_correspondence, even_projector_in_span
     a = load_algebra(args.input)
     hp = periodic_cyclic(a, n_max=max(args.max_degree, 4), cap=_cap(args))
     if hp.certificate != "CERTIFIED":
@@ -341,6 +342,7 @@ def cmd_cnc(args):
 
 
 def cmd_dnc(args):
+    from .motives import kernel_comparison
     a = load_algebra(args.input)
     v = kernel_comparison(a, n_max=max(args.max_degree, 4), cap=_cap(args))
     rep = Report("dnc")

@@ -12,8 +12,6 @@ from fractions import Fraction
 from .errors import InvariantError, ParseInputError
 from .exactlin import _norm
 from .algebras import Quiver, path_algebra, structure_algebra
-from .categories import (PresentedCategory, TensorInvertible,
-                         _label_sections, _unknown_object_names)
 
 
 def _frac(s):
@@ -133,6 +131,8 @@ def _algebra_from_constants(doc):
 
 def load_category(path):
     """Returns (category, invertible or None)."""
+    from .categories import (PresentedCategory, TensorInvertible,
+                             _label_sections)
     doc = load_document(path)
     if doc["kind"] != "category_presentation":
         raise ParseInputError("kind %r is not a category presentation"
@@ -199,6 +199,7 @@ def _check_object_names(objects, sections):
     """Refuse a presentation whose sections name objects outside the
     declared list; sections are (field name, names) pairs.  The wording is
     PresentedCategory.check's, which refuses the same with InvariantError."""
+    from .categories import _unknown_object_names
     message = _unknown_object_names(objects, sections)
     if message:
         raise ParseInputError(message)

@@ -791,7 +791,9 @@ def test_subprocess_entry_point():
     """The module runs as a subprocess with identical output across runs."""
     cmd = [sys.executable, "-m", "ncmotives.cli", "hp",
            "--input", str(ALG / "qxq.json"), "--max-degree", "5"]
-    env = dict(os.environ)
+    # pytest's pythonpath setting reaches only its own process
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(REPO / "src"), os.environ.get("PYTHONPATH")])))
     outs = [subprocess.run(cmd, capture_output=True, text=True, env=env)
             for _ in range(2)]
     assert all(r.returncode == 0 for r in outs)

@@ -1,5 +1,11 @@
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ncmotives"
 
@@ -49,6 +55,120 @@ def test_the_trace_names_resolve_in_the_package():
     # package module holds it, so the builders' module must hold that one
     from ncmotives import algebras, hochschild
     assert hochschild._guard is algebras._guard
+
+
+_LAYER_STATES = """
+import json, sys, types
+def state(m):
+    mod = sys.modules.get("ncmotives." + m)
+    return ("absent" if mod is None else
+            "run" if type(mod) is types.ModuleType else "deferred")
+print(json.dumps({m: state(m) for m in %r}))
+"""
+
+
+def _fresh(code):
+    """Run code in a fresh interpreter, then read each layer that
+    perfbench/tracer.py traces as absent from sys.modules, deferred (a
+    lazy module whose body has not run) or run.  type() reads no attribute,
+    so the reading runs no deferred layer."""
+    script = code + _LAYER_STATES % (_tracer().MODULES,)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                       text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    return json.loads(r.stdout.splitlines()[-1])
+
+
+def test_the_cli_defers_the_layers_no_algebra_command_runs():
+    """import ncmotives.cli registers every traced layer in sys.modules
+    (Trace.report reads them all there), but motives, categories, schur
+    and supers stay lazy modules whose source is not yet compiled."""
+    from ncmotives import DEFERRED
+    modules = _tracer().MODULES
+    assert set(DEFERRED) <= set(modules)
+    assert _fresh("import ncmotives.cli") == {
+        m: "deferred" if m in DEFERRED else "run" for m in modules}
+
+
+def test_a_command_runs_the_deferred_layer_it_uses():
+    states = _fresh("from ncmotives import cli\n"
+                    "cli.main(['karoubi', '--input', %r])\n"
+                    % str(PACKAGE.parent.parent / "demos" / "categories"
+                          / "two_block.json"))
+    assert states["categories"] == "run"
+    assert states["motives"] == "deferred"
+
+
+@pytest.mark.parametrize("code, module, name", [
+    ("from ncmotives import categories as layer", "categories", "karoubi"),
+    ("import ncmotives.motives as layer", "motives", "canonical_span"),
+    ("import ncmotives.schur\nlayer = ncmotives.schur", "schur",
+     "central_idempotent"),
+])
+def test_naming_a_deferred_layer_runs_it(code, module, name):
+    """An explicit import has run the layer by the time it returns, so a
+    caller pays the compile in its set-up, not in its first request.  The
+    check reads type(layer) before any attribute of it."""
+    states = _fresh("%s\nimport types\n"
+                    "assert type(layer) is types.ModuleType\n"
+                    "assert callable(layer.%s)\n" % (code, name))
+    assert states[module] == "run"
+
+
+def test_an_unknown_package_attribute_raises():
+    """Reading a name the package lacks raises AttributeError and runs no
+    deferred layer."""
+    from ncmotives import DEFERRED
+    states = _fresh("import ncmotives\n"
+                    "try:\n    ncmotives.nothere\n"
+                    "except AttributeError:\n    pass\n"
+                    "else:\n    raise SystemExit('no AttributeError')\n")
+    assert {states[m] for m in DEFERRED} == {"deferred"}
+
+
+def _imports_at_load(module):
+    """The package modules that running module's body imports: import
+    statements outside function bodies, relative or absolute."""
+    tree = ast.parse((PACKAGE / (module + ".py")).read_text())
+    found, stack = set(), list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names
+                      if a.name.startswith("ncmotives.")}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "ncmotives":
+                    continue
+                module = module[len("ncmotives."):]
+            elif node.level > 1:
+                continue
+            # from .m import x imports m; from . import m, n imports m and n
+            found |= {module.split(".")[0]} if module else \
+                {a.name for a in node.names}
+        stack.extend(ast.iter_child_nodes(node))
+    return {m for m in found if (PACKAGE / (m + ".py")).is_file()}
+
+
+def test_no_import_at_load_of_the_cli_reaches_a_deferred_layer():
+    """Follows the import statements that run when ncmotives.cli loads,
+    across modules: a top-level import of a deferred layer in cli, inputs
+    or anything they import would compile it in every command."""
+    from ncmotives import DEFERRED
+    reached, todo = set(), ["__init__", "cli"]
+    while todo:
+        module = todo.pop()
+        if module not in reached:
+            reached.add(module)
+            todo += sorted(_imports_at_load(module))
+    assert {"inputs", "hochschild", "algebras", "exactlin"} <= reached
+    assert reached & set(DEFERRED) == set()
 
 
 def _unnamed_definitions(folders, private=False):

@@ -75,6 +75,9 @@ class Algebra:
         self._ground = None         # (_basis_ground(self),) once computed
         self._reduced = {}      # relative -> _reduced(self, relative)
         self._cyclic = {}       # (n_max, cap) -> hochschild.CyclicData
+        # (t, the arrow names of each basis path) when the algebra is
+        # kQ / J^(t+1), a quiver's paths with no relation (path_algebra)
+        self.truncated_quiver = None
         self._gldim = {}        # bound -> global_dimension(self, bound)
         if check:
             self._check_axioms()
@@ -271,8 +274,12 @@ def path_algebra(quiver, relations=(), truncation=1, name=None):
                 table[(inew, jnew)] = vec
 
     unit = {vertex_idx[v]: 1 for v in quiver.vertices}
-    return Algebra(name or "path algebra", labels, unit, table,
-                   vertex_names={k: v for v, k in vertex_idx.items()})
+    alg = Algebra(name or "path algebra", labels, unit, table,
+                  vertex_names={k: v for v, k in vertex_idx.items()})
+    if not ideal.rows:
+        alg.truncated_quiver = (truncation,
+                                [names for names, _, _ in paths])
+    return alg
 
 
 def structure_algebra(name, basis, unit_coeffs, products):
@@ -931,32 +938,47 @@ def _guard(total, cap):
             % (total, cap), needed=total, cap=cap)
 
 
-def _chain_basis(m, n_max, ends, cap):
+def _guarded_dims(m, n_max, ends, cap):
     """The reduced basis, the chain dimensions in degrees 0..n_max and the
-    composable chains, relative to E from the unit's idempotent terms when
-    ends is set and to E = Q.1 when it is None.  The memory guard sees the
-    total before any chain is listed (no guard when cap is None)."""
+    ends of m's coordinates, relative to E from the unit's idempotent terms
+    when ends is set and to E = Q.1 when it is None.  The memory guard sees
+    the total before any chain is listed (no guard when cap is None)."""
     red = _reduced(m.A, ends is not None)
     if ends is None:
         ends = [(None, None)] * m.dim
     dims = red.chain_dims(ends, n_max)
     _guard(sum(dims), cap)
+    return red, dims, ends
+
+
+def _chain_basis(m, n_max, ends, cap):
+    """_guarded_dims, with the composable chains in place of the ends."""
+    red, dims, ends = _guarded_dims(m, n_max, ends, cap)
     return red, dims, _Chains(red, ends, n_max)
 
 
 def hochschild_columns(m, red, n, chains):
     """Columns of b_n : M (x)_{E^e} Bbar^{(x)_E n} -> degree n - 1, for a
-    B-bimodule m,
-
-        b(m (x) b_1 (x) ... (x) b_n) = m.b_1 (x) b_2 (x) ... (x) b_n
-            + sum_i (-1)^i m (x) ... (x) b_i b_(i+1) (x) ...
-            + (-1)^n b_n.m (x) b_1 (x) ... (x) b_(n-1),
-
-    on the composable chains of the _Chains chains: the columns are those
-    of chains.lists[n], with rows indexed by positions in
+    B-bimodule m, on the composable chains of the _Chains chains: the
+    columns are those of chains.lists[n], with rows indexed by positions in
     chains.lists[n - 1].  The composable chains span a direct summand
     subcomplex of M (x) Bbar^n over Q, since every face of a composable
     chain is composable and the faces of the others stay outside it.
+    """
+    column = hochschild_column_reader(m, red, n)
+    return chains.renumber(n - 1, [column(chain)
+                                   for chain in chains.lists[n]])
+
+
+def hochschild_column_reader(m, red, n):
+    """The column of b_n at one chain code, over codes of degree n - 1:
+
+        b(m (x) b_1 (x) ... (x) b_n) = m.b_1 (x) b_2 (x) ... (x) b_n
+            + sum_i (-1)^i m (x) ... (x) b_i b_(i+1) (x) ...
+            + (-1)^n b_n.m (x) b_1 (x) ... (x) b_(n-1).
+
+    The reader holds the action columns and the middle faces of each word
+    it has read, so the columns of a whole degree share them.
     """
     dbar = red.dbar
     pows = [dbar ** j for j in range(n + 1)]
@@ -972,8 +994,8 @@ def hochschild_columns(m, red, n, chains):
                for st, p in red.redprod.items()}
     signed = [negprod if i % 2 == 0 else red.redprod for i in range(n - 1)]
     faces_of = {}       # the middle faces of each word, shared by its chains
-    cols = []
-    for chain in chains.lists[n]:
+
+    def column(chain):
         c, t = divmod(chain, pows[n])
         faces = faces_of.get(t)
         if faces is None:
@@ -1004,8 +1026,8 @@ def hochschild_columns(m, red, n, chains):
                 col[code] = val
             else:
                 col.pop(code, None)
-        cols.append(col)
-    return chains.renumber(n - 1, cols)
+        return col
+    return column
 
 
 def _on_digit(g, weight, size, reps, project):

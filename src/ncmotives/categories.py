@@ -688,7 +688,8 @@ def primitive_idempotents(alg):
     IDEMPOTENT_CAP dimensions raises CapExceededError.
 
     A corner e A e mod rad of dimension > 1 is tried with the elements of
-    its basis and their pairwise differences.  It is split by the first
+    its basis and their pairwise differences, then, if none of those
+    answers, their pairwise products and sums.  It is split by the first
     whose minimal polynomial has two distinct irreducible factors, and it
     is primitive once one generates it (a field: the degree of the minimal
     polynomial is the corner's dimension).  A corner that no candidate
@@ -750,9 +751,18 @@ def _split_corner(alg, e, rad):
     corner = LinSubspace(alg.dim, corner_span)
     if corner.dim <= 1:
         return []
-    candidates = [dict(b) for b in corner.basis()]
-    candidates += [vec_sub(candidates[i], candidates[j])
-                   for i in range(len(candidates)) for j in range(i)]
+    basis = [dict(b) for b in corner.basis()]
+    pairs = [(x, y) for i, x in enumerate(basis) for y in basis[:i]]
+
+    def plus(x, y):
+        out = dict(x)
+        vec_addmul(out, 1, y)
+        return out
+    # the products and sums are made only once the others have failed
+    candidates = itertools.chain(
+        basis, (vec_sub(x, y) for x, y in pairs),
+        (alg.mult_vec(x, y) for x in basis for y in basis),
+        (plus(x, y) for x, y in pairs))
     for x in candidates:
         x = alg.mult_vec(alg.mult_vec(e, x), e)
         mp = _min_poly_in_algebra_mod(alg, x, e, rad)

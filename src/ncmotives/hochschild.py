@@ -1,5 +1,6 @@
 """Hochschild, cyclic, and periodic cyclic homology of finite-dimensional
-rational algebras, computed exactly from the normalized chain complex.
+rational algebras, computed exactly from the normalized chain complex or,
+for a truncated path algebra, from its Morse complex.
 
 Grading convention is homological throughout: the Hochschild boundary b
 lowers degree, the Connes operator B raises it, and
@@ -41,8 +42,30 @@ built here, on the same chains.
 
 Cyclic homology comes from the first-quadrant (b, B)-bicomplex totalization
 Tot_n = (+)_i C_{n-2i} with differential b + B; the periodicity operator S
-drops the top component.  Periodic cyclic homology is reported as a stable
-(even, odd) pair with an explicit certificate:
+drops the top component, and the connecting map HC_n -> HH_(n+1) is the top
+component of b + B on a cycle moved one component below the top.
+
+A truncated path algebra kQ / J^(t+1) with t >= 2, no relation and an
+oriented cycle in Q, which path_algebra marks (Algebra.truncated_quiver),
+reads HH with regular coefficients, HC, the SBI maps and the S towers from
+the Morse complex of its totalization instead (morse: the Anick matching,
+which splits a path of length >= 2 at an odd position of the bar word into
+(first arrow, rest) and merges a path shorter than t at an even position
+into the arrow before it).  Its Hochschild complex is the top component of
+its totalization, so S, I and the connecting map are the same code on
+either complex.  Every other input keeps the bar complex: structure
+constants, explicit relations, t = 1, any algebra whose chains are not
+relative to its vertices, and an acyclic quiver, whose relative chains all
+lie in degree 0.  On the Morse route the literal checks move to the cells
+the reduction reads: D o D = 0 (b^2, bB + Bb, B^2) on every column it
+reads, each matched coefficient +-1, no cycle in the matching, and
+(D^M)^2 = 0 on the reduced complex; the bar complex and its three checks
+are built only when read (CyclicData.mixed: the Chern character, projected
+through Phi, and hp_of_homomorphism).  The memory guard reads the bar chain
+count first on either route, so it refuses what it refused before.
+
+Periodic cyclic homology is reported as a stable (even, odd) pair with an
+explicit certificate:
 
   CERTIFIED      finite global dimension g and truncation >= g + 3, so
                  Hochschild homology vanishes above g and the S tower is
@@ -53,7 +76,9 @@ drops the top component.  Periodic cyclic homology is reported as a stable
 """
 
 import itertools
+import weakref
 from fractions import Fraction
+from functools import cached_property
 from math import factorial, lcm
 
 from .errors import InvariantError, UncertifiedError
@@ -62,7 +87,8 @@ from .exactlin import (Elimination, apply_cols, compose_cols, identity_cols,
                        inverse)
 from .homcore import ChainComplex, induced_map
 # _guard is re-exported: perfbench/tracer.py wraps hochschild._guard
-from .algebras import (DEFAULT_CAP, _chain_basis, _gldim_certificate, _guard,
+from .algebras import (DEFAULT_CAP, _basis_ground, _chain_basis,
+                       _gldim_certificate, _guard,
                        _relative_ends, hochschild_columns, regular_bimodule)
 
 
@@ -77,13 +103,21 @@ MIXED_MIN_DEGREE = 2
 
 
 def connes_columns(red, n, chains):
-    """Columns of B_n : C_n(A) -> C_(n+1)(A) on normalized chains,
+    """Columns of B_n : C_n(A) -> C_(n+1)(A) on the composable chains of
+    the _Chains chains, as for hochschild_columns."""
+    column = connes_column_reader(red, n)
+    return chains.renumber(n + 1, [column(chain)
+                                   for chain in chains.lists[n]])
+
+
+def connes_column_reader(red, n):
+    """The column of B_n at one chain code of degree n, over codes of
+    degree n + 1, on normalized chains:
 
         B(a_0 (x) ... (x) a_n) =
-            sum_i (-1)^(i n)  1 (x) a_i (x) ... (x) a_n (x) a_0 (x) ... (x) a_(i-1),
+            sum_i (-1)^(i n)  1 (x) a_i (x) ... (x) a_n (x) a_0 (x) ... (x) a_(i-1).
 
-    on the composable chains of the _Chains chains, as for
-    hochschild_columns.  Relative to E, 1 (x)_{E^e} is e_v (x), v the
+    Relative to E, 1 (x)_{E^e} is e_v (x), v the
     source of the first slot after the rotation (red.units; over E = Q.1
     that is the unit of A), and the column of a chain whose coefficient
     a_0 lies in E (one of the unit's terms) is 0, since a_0 vanishes in
@@ -108,10 +142,11 @@ def connes_columns(red, n, chains):
     # the terms of e_v (x) in front of a rotation whose leading digit is t
     fronts = [[(k * pow_next, cu) for k, cu in red.units[u].items()]
               for u, _ in red.ends]
-    cols = []
-    for chain in chains.lists[n]:
+    classes = red.classes
+
+    def column(chain):
         c, t = divmod(chain, pow_n)
-        digits = [(s * pow_n + t, cs) for s, cs in red.classes[c].items()]
+        digits = [(s * pow_n + t, cs) for s, cs in classes[c].items()]
         col = {}
         for head, tail, lead, sgn in rotations:
             for f, cs in digits:
@@ -123,8 +158,8 @@ def connes_columns(red, n, chains):
                         col[code] = val
                     else:
                         col.pop(code, None)
-        cols.append(col)
-    return chains.renumber(n + 1, cols)
+        return col
+    return column
 
 
 def hochschild_complex(a, m=None, n_max=4, cap=DEFAULT_CAP):
@@ -172,10 +207,45 @@ class HomologyTable:
 
 
 def hochschild_homology(a, m=None, n_max=4, cap=DEFAULT_CAP):
-    """dims of HH_n(A; M) for n <= n_max - 1, exact in that range."""
-    cx = hochschild_complex(a, m, n_max, cap)
+    """dims of HH_n(A; M) for n <= n_max - 1, exact in that range; with
+    regular coefficients on kQ / J^(t+1), t >= 2, from the Morse complex
+    of the bar complex (_reduction)."""
+    reduction = None
+    if m is None and n_max >= HH_MIN_DEGREE:
+        reduction = _reduction(a, n_max, cap, 1)
+    if reduction is None:
+        cx = hochschild_complex(a, m, n_max, cap)
+    else:
+        cx = reduction.complex()
     dims = [cx.homology_dim(n) for n in range(n_max)]
     return HomologyTable("HH", dims, n_max, n_max - 1)
+
+
+def _reduction(a, n_max, cap, components):
+    """The morse.MorseReduction of the first components of a's
+    totalization (1: the Hochschild complex) when a is kQ / J^(t+1) with
+    t >= 2 (path_algebra marks it) and Q has an oriented cycle, else None:
+    every other algebra keeps the bar complex, and so do t = 1, where every
+    chain is critical, and an acyclic Q, whose relative chains all lie in
+    degree 0, so that its bar complex is already minimal and morse is never
+    loaded.  The memory guard reads the bar chain count either way."""
+    if a.truncated_quiver is None or a.truncated_quiver[0] < 2:
+        return None
+    # arrows as (source, target) corners; with one vertex every arrow is a
+    # loop.  Dropping the arrows whose source no remaining arrow enters, as
+    # long as one is dropped, leaves none iff Q is acyclic.
+    corner = _basis_ground(a)
+    arrows = [corner[k] if corner else (None, None)
+              for k, names in enumerate(a.truncated_quiver[1])
+              if len(names) == 1]
+    while arrows:
+        entered = {w for _, w in arrows}
+        kept = [(u, w) for u, w in arrows if u in entered]
+        if len(kept) == len(arrows):
+            from .morse import reduce_totalization
+            return reduce_totalization(a, n_max, cap, components)
+        arrows = kept
+    return None
 
 
 class TruncatedMixedComplex:
@@ -191,9 +261,6 @@ class TruncatedMixedComplex:
     """
 
     def __init__(self, a, n_max, cap=DEFAULT_CAP, *, _absolute=False):
-        if n_max < MIXED_MIN_DEGREE:
-            raise InvariantError("a mixed complex needs n_max >= %d"
-                                 % MIXED_MIN_DEGREE)
         self.n_max = n_max
         m = regular_bimodule(a)
         ends = None if _absolute else _relative_ends(m)
@@ -289,13 +356,55 @@ def _times(cols_by_degree, d):
 
 
 class CyclicData:
-    """Shared homological state for one algebra at one truncation."""
+    """Shared homological state for one algebra at one truncation: the
+    Hochschild complex hh and the totalization tot, the first component of
+    Tot_n (its top, C_n) laid out as hh's degree n.  Both are the bar
+    complex's, or on kQ / J^(t+1), t >= 2, its Morse complexes (_reduction;
+    not with _absolute or _bar, which keep the bar complex).  tot's columns
+    are denominator times those of b + B.  mixed, the bar complex, is built
+    on its first read there (the Chern character, hp_of_homomorphism), and
+    from_bar carries its Tot vectors onto tot's.
+    """
 
-    def __init__(self, a, n_max, cap=DEFAULT_CAP, *, _absolute=False):
+    def __init__(self, a, n_max, cap=DEFAULT_CAP, *, _absolute=False,
+                 _bar=False):
+        if n_max < MIXED_MIN_DEGREE:
+            raise InvariantError("a mixed complex needs n_max >= %d"
+                                 % MIXED_MIN_DEGREE)
         self.n_max = n_max
-        self.mixed = TruncatedMixedComplex(a, n_max, cap, _absolute=_absolute)
-        self.hh = self.mixed.hochschild_chain_complex()
-        self.tot = self.mixed.tot_complex()
+        self._source = (weakref.ref(a), cap)
+        self.reduction = None
+        if not (_absolute or _bar):
+            self.reduction = _reduction(a, n_max, cap, n_max // 2 + 1)
+        if self.reduction is None:
+            self.mixed = TruncatedMixedComplex(a, n_max, cap,
+                                               _absolute=_absolute)
+            self.hh = self.mixed.hochschild_chain_complex()
+            self.tot = self.mixed.tot_complex()
+            self.denominator = self.mixed.denominator
+        else:
+            self.tot = self.reduction.complex()
+            top = [len(codes) for codes in self.reduction.critical]
+            self.hh = ChainComplex(top, [None] + [
+                self.tot.diffs[n][:top[n]] for n in range(1, n_max + 1)],
+                check=False)
+            self.denominator = 1
+
+    @cached_property
+    def mixed(self):
+        """The bar complex under the Morse complexes, built when read."""
+        ref, cap = self._source
+        a = ref()
+        if a is None:
+            raise InvariantError("the algebra of this cyclic data is gone")
+        return TruncatedMixedComplex(a, self.n_max, cap)
+
+    def from_bar(self, n, vec):
+        """A vector of the bar complex's Tot_n as a vector of tot's, through
+        Phi (morse) on the Morse complexes, n < n_max."""
+        if self.reduction is None:
+            return vec
+        return self.reduction.from_bar(n, vec, self.mixed)
 
     # certified homology dimensions -------------------------------------
 
@@ -308,13 +417,15 @@ class CyclicData:
     # homology spaces with cheap candidate generators --------------------
 
     def _unit_candidates(self, n):
-        """Cycles of Tot_n supported in the C_0 component: x with B_0 x = 0."""
+        """Cycle candidates of Tot_n supported in the C_0 component: the
+        kernel of D_2 on the C_0 component of Tot_2 (B_0 on the bar
+        complex), shifted into Tot_n; homology_space keeps the cycles."""
         if n % 2 or n > self.n_max:
             return []
-        comps, _ = self.mixed.tot_offsets(n)
-        base = dict(comps)[0]
-        return [{base + i: c for i, c in v.items()}
-                for v in kernel_vectors(self.mixed.B[0])]
+        top = self.hh.dims[2]
+        kernel = kernel_vectors(self.tot.diffs[2][top:])
+        base = self.tot.dims[n] - self.hh.dims[0]
+        return [{base + i: c for i, c in v.items()} for v in kernel]
 
     def hh_space(self, n):
         return self.hh.homology_space(n)
@@ -330,20 +441,24 @@ class CyclicData:
 
     def map_S(self, n):
         """HC_n -> HC_(n-2): drop the top component of the totalization."""
-        top_dim = self.mixed.dims[n]
+        top_dim = self.hh.dims[n]
         return induced_map(self.hc_space(n), self.hc_space(n - 2),
                            lambda z: {i - top_dim: v for i, v in z.items()
                                       if i >= top_dim})
 
     def map_Bconn(self, n):
-        """HC_n -> HH_(n+1): the connecting map [z] -> [B(z_top)], B being
-        the stored D.B divided back by D."""
-        top_dim = self.mixed.dims[n]
-        inv = Fraction(1, self.mixed.denominator)
-        return induced_map(self.hc_space(n), self.hh_space(n + 1),
-                           lambda z: vec_scale(inv, apply_cols(
-                               self.mixed.B[n],
-                               {i: v for i, v in z.items() if i < top_dim})))
+        """HC_n -> HH_(n+1), the connecting map: [z] -> the top component
+        of D(u z), u z being z one component below the top of Tot_(n+2),
+        divided by the denominator; on the bar complex that is [B(z_top)]."""
+        shift, top = self.hh.dims[n + 2], self.hh.dims[n + 1]
+        inv = Fraction(1, self.denominator)
+        diff = self.tot.diffs[n + 2]
+
+        def connecting(z):
+            image = apply_cols(diff, {i + shift: v for i, v in z.items()})
+            return vec_scale(inv, {i: v for i, v in image.items()
+                                   if i < top})
+        return induced_map(self.hc_space(n), self.hh_space(n + 1), connecting)
 
 
 def cyclic_data(a, n_max, cap=DEFAULT_CAP):
@@ -354,11 +469,13 @@ def cyclic_data(a, n_max, cap=DEFAULT_CAP):
     return a._cyclic[key]
 
 
-def _absolute_cyclic_data(a, n_max, cap):
-    """The CyclicData of a relative to E = Q.1, memoized under its own key."""
-    key = (n_max, cap, "Q.1")
+def _bar_cyclic_data(a, n_max, cap, absolute=False):
+    """The CyclicData of a on its bar complex, relative to E = Q.1 when
+    absolute, memoized under its own key."""
+    key = (n_max, cap, "Q.1" if absolute else "bar")
     if key not in a._cyclic:
-        a._cyclic[key] = CyclicData(a, n_max, cap, _absolute=True)
+        a._cyclic[key] = CyclicData(a, n_max, cap, _absolute=absolute,
+                                    _bar=True)
     return a._cyclic[key]
 
 
@@ -402,13 +519,15 @@ def sbi_check(a, n_max=6, cap=DEFAULT_CAP):
     N = n_max
     hh = data.hh_dims()
     hc = data.hc_dims()
+    maps_I = {n: data.map_I(n) for n in range(N) if hh[n] and hc[n]}
+    maps_S = {n: data.map_S(n) for n in range(2, N) if hc[n] and hc[n - 2]}
     rank_I = {}
     rank_S = {}
     rank_B = {}
     for n in range(N):
-        rank_I[n] = matrix_rank(data.map_I(n)) if hh[n] and hc[n] else 0
+        rank_I[n] = matrix_rank(maps_I[n]) if n in maps_I else 0
         if n >= 2:
-            rank_S[n] = matrix_rank(data.map_S(n)) if hc[n] and hc[n - 2] else 0
+            rank_S[n] = matrix_rank(maps_S[n]) if n in maps_S else 0
         if n + 1 <= N - 1:
             rank_B[n] = matrix_rank(data.map_Bconn(n)) if hc[n] and hh[n + 1] else 0
 
@@ -438,8 +557,8 @@ def sbi_check(a, n_max=6, cap=DEFAULT_CAP):
 
     # composite-zero spot checks on the homology-level matrices
     for n in range(2, N):
-        if hh[n] and hc[n] and hc[n - 2]:
-            if any(compose_cols(data.map_S(n), data.map_I(n))):
+        if n in maps_I and n in maps_S:
+            if any(compose_cols(maps_S[n], maps_I[n])):
                 ok = False
                 entries.append({"node": "S.I", "degree": n, "exact": False,
                                 "detail": "S o I != 0"})
@@ -619,9 +738,10 @@ def _chain_map_on_tot(f, a, b, data_a, data_b, n, vec):
 
         a_0 (x) abar_1 (x) ... |-> f(a_0) (x) fbar(a_1) (x) ...
 
-    followed by B's projection (_Chains.project).  This is
-    the map of mixed complexes induced by f when f carries A's ground
-    algebra into B's, as hp_of_homomorphism arranges.
+    followed by B's projection (_Chains.project) and data_b.from_bar.
+    This is the map of mixed complexes induced by f when f carries A's
+    ground algebra into B's, as hp_of_homomorphism arranges; data_a holds
+    the bar complex.
     """
     mixed_a, mixed_b = data_a.mixed, data_b.mixed
     kept = mixed_a.red.kept
@@ -635,7 +755,7 @@ def _chain_map_on_tot(f, a, b, data_a, data_b, n, vec):
             slots = [f[c]] + [f[kept[t]] for t in word]
             image = mixed_b.chains.project(m, mixed_b.red.expand(slots))
             vec_addmul(out, val, {off_b[m] + p: v for p, v in image.items()})
-    return out
+    return data_b.from_bar(n, out)
 
 
 def _grounds_compatible(f, mixed_a, mixed_b):
@@ -654,11 +774,12 @@ def hp_of_homomorphism(f, a, b, n_max=6, cap=DEFAULT_CAP):
     Returns the columns of the (even, odd) maps in the stable homology
     bases of the cyclic data of A and B, so the maps of composable
     homomorphisms compose.
-    Both sides must have CERTIFIED periodic cyclic homology.  When f does
-    not carry A's ground algebra into B's (say Q x Q -> M_2(Q),
-    e_1 |-> e11 + e12, e_2 |-> e22 - e12), f is read on A's complex over
-    Q.1 and brought back to A's basis through the projection of that
-    complex onto A's own chains, an isomorphism on HC.
+    Both sides must have CERTIFIED periodic cyclic homology.  f is read on
+    A's bar complex.  When f does not carry A's ground algebra into B's
+    (say Q x Q -> M_2(Q), e_1 |-> e11 + e12, e_2 |-> e22 - e12), that is
+    A's complex over Q.1; either way, when it is not the complex of A's
+    cyclic data, the map is brought back to A's basis through the
+    projection onto A's own chains and Phi, an isomorphism on HC.
     """
     check_homomorphism(f, a, b)
     hp_a = periodic_cyclic(a, n_max, cap)
@@ -670,8 +791,10 @@ def hp_of_homomorphism(f, a, b, n_max=6, cap=DEFAULT_CAP):
     data_b = cyclic_data(b, n_max, cap)
     flat = data_a
     if not _grounds_compatible(f, data_a.mixed, data_b.mixed):
-        flat = _absolute_cyclic_data(a, n_max, cap)
-        identity = identity_cols(a.dim)
+        flat = _bar_cyclic_data(a, n_max, cap, absolute=True)
+    elif data_a.reduction is not None:
+        flat = _bar_cyclic_data(a, n_max, cap)
+    identity = identity_cols(a.dim)
     r0 = max(hp_a.r0, hp_b.r0)
     window = [n for n in range(r0, n_max - 2)]
     n_even = max(n for n in window if n % 2 == 0)
@@ -788,4 +911,4 @@ def chern_class_in_hc(e, a, n_max=6, cap=DEFAULT_CAP):
         for i, v in comp.items():
             vec[off + i] = v
     _, project = data.hc_space(n_even)
-    return project(vec), n_even
+    return project(data.from_bar(n_even, vec)), n_even

@@ -1,6 +1,8 @@
 import copy
 import itertools
+import json
 import math
+import random
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -8,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from ncmotives import categories, zoo
+from ncmotives import categories, cli, zoo
 from ncmotives.errors import InvariantError, CapExceededError, UncertifiedError
 from ncmotives.algebras import structure_algebra
 from ncmotives.exactlin import (Elimination, LinSubspace, jacobson_radical,
@@ -2285,8 +2287,11 @@ def _quaternion_product(g, f):
 M2_UNIT = (1, 0, 0, 1)
 MATRIX_UNITS = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
 # no basis element and no pairwise difference has a minimal polynomial
-# with two distinct factors, and none has degree 4
+# with two distinct factors, and none has degree 4; a product does
 ODD_M2_BASIS = [M2_UNIT, (1, -1, -1, -2), (2, 2, 1, -1), (1, 1, -2, -1)]
+# no element, pairwise difference, product or sum splits M2(Q)
+REFUSED_M2_BASIS = [(-1, -4, 1, -1), (4, -2, 2, -2), (-5, 3, -4, 5),
+                    (5, -1, 2, -1)]
 # e12 and e21 come first, with minimal polynomial t^2
 NILPOTENT_FIRST_M2_BASIS = [M2_UNIT, (0, 1, 0, 0), (0, 0, 1, 0),
                             (1, 0, 0, -1)]
@@ -2298,16 +2303,36 @@ def _end_dimensions(c):
 
 
 def test_karoubi_refuses_m2_when_no_candidate_splits_it():
-    """In the odd basis M2(Q) was reported primitive: one object, End of
-    dimension 4.  No candidate splits the corner or generates it as a
-    field, so it is refused; in matrix units it splits."""
+    """In a basis where no candidate splits the corner or generates it as
+    a field, M2(Q) is refused (it was once reported primitive: one object,
+    End of dimension 4).  In matrix units it splits, and so it does in the
+    odd basis, whose elements and differences were the only candidates
+    once and refused it: a product of two basis elements splits it."""
     with pytest.raises(UncertifiedError,
                        match=r"^no candidate splits or generates a corner "
                              r"of dimension 4 of End\(X\) modulo its "
                              r"radical$"):
-        karoubi(_end_in_basis(ODD_M2_BASIS, _matrix_product, M2_UNIT))
-    assert _end_dimensions(_end_in_basis(MATRIX_UNITS, _matrix_product,
-                                       M2_UNIT)) == [1, 1, 4]
+        karoubi(_end_in_basis(REFUSED_M2_BASIS, _matrix_product, M2_UNIT))
+    for basis in (MATRIX_UNITS, ODD_M2_BASIS):
+        assert _end_dimensions(_end_in_basis(basis, _matrix_product,
+                                           M2_UNIT)) == [1, 1, 4]
+
+
+def test_m2_splits_in_300_seeded_random_bases():
+    """primitive_idempotents splits M2(Q) in each of 300 seeded random
+    bases with entries -2..2 into two idempotents; with the basis
+    elements and their differences alone, 1 of these 300 was refused."""
+    rng = random.Random(1)
+    tried = 0
+    while tried < 300:
+        basis = [tuple(rng.randint(-2, 2) for _ in range(4))
+                 for _ in range(4)]
+        if matrix_rank([{r: v for r, v in enumerate(x) if v}
+                        for x in basis]) < 4:
+            continue
+        tried += 1
+        c = _end_in_basis(basis, _matrix_product, M2_UNIT)
+        assert len(primitive_idempotents(c.end_algebra("X"))) == 2, basis
 
 
 def test_karoubi_splits_m2_whose_first_candidates_are_nilpotent():
@@ -2329,6 +2354,23 @@ def test_quaternions_are_refused():
     c = _end_in_basis(MATRIX_UNITS, _quaternion_product, (1, 0, 0, 0))
     with pytest.raises(UncertifiedError, match="dimension 4 of End"):
         primitive_idempotents(c.end_algebra("X"))
+
+
+def test_karoubi_of_the_quaternions_exits_4(tmp_path, capsys):
+    """The products and sums that split M2(Q) do not certify the
+    quaternions either: the CLI refuses them with exit status 4."""
+    c = _end_in_basis(MATRIX_UNITS, _quaternion_product, (1, 0, 0, 0))
+    doc = {"kind": "category_presentation", "name": "quaternions",
+           "objects": ["X"], "unit": "X", "hom": {"X|X": 4},
+           "composition": [["X", "X", "X", g, f,
+                            {str(k): str(v) for k, v in vec.items()}]
+                           for (g, f), vec in
+                           sorted(c.comp[("X", "X", "X")].items())],
+           "identities": {"X": {"0": "1"}}}
+    path = tmp_path / "quaternions.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["karoubi", "--input", str(path)]) == 4
+    assert "dimension 4 of End" in capsys.readouterr().err
 
 
 def test_two_corners_split_in_one_pass():

@@ -387,9 +387,9 @@ def test_karoubi_of_m2_in_two_bases(tmp_path):
     basis whose first candidates are nilpotent it splits into e11 and e22
     (it exited 2, the CRT refusing the factors t, t as not coprime)."""
     from test_categories import (_end_in_basis, _matrix_product, M2_UNIT,
-                                 ODD_M2_BASIS, NILPOTENT_FIRST_M2_BASIS)
+                                 REFUSED_M2_BASIS, NILPOTENT_FIRST_M2_BASIS)
     odd = _category_file(tmp_path / "odd.json", _end_in_basis(
-        ODD_M2_BASIS, _matrix_product, M2_UNIT))
+        REFUSED_M2_BASIS, _matrix_product, M2_UNIT))
     status, out, err = run_cli(["karoubi", "--input", odd])
     assert (status, out) == (4, "")
     assert err.startswith("uncertified refusal: no candidate splits or "

@@ -1,6 +1,8 @@
 import contextlib
 import gc
+import io
 import itertools
+import json
 import weakref
 from unittest import mock
 from fractions import Fraction
@@ -1309,9 +1311,11 @@ def _oracle_on_homology(g, reps, project, weight, size):
 
 @pytest.mark.parametrize("name", zoo.ZOO_NAMES)
 def test_sbi_maps_match_the_replaced_loops(name):
-    """map_I, map_S and map_Bconn at every degree that sbi_check reads."""
+    """map_I, map_S and map_Bconn at every degree that sbi_check reads, on
+    the bar complex, which the oracles read (_bar keeps it for A2, A3 and
+    cubic, whose cyclic data is a Morse complex)."""
     n_max = 5
-    data = cyclic_data(zoo.get(name), n_max)
+    data = CyclicData(zoo.get(name), n_max, _bar=True)
     for n in range(n_max):
         assert data.map_I(n) == _oracle_map_I(data, n)
         if n >= 2:
@@ -1793,19 +1797,20 @@ CUBIC = DEMO_ALGEBRAS / "cubic.json"
 @settings(deadline=None, max_examples=3)
 @given(st.data())
 def test_cubic_tot_homology_space_matches_the_replaced_route(data):
-    """The same comparison on the Tot complex of Q[x]/x^3 at n_max 8 with
-    its C_0 candidates, where most kernel vectors are boundaries."""
-    cyc = CyclicData(load_algebra(str(CUBIC)), 8)
+    """The same comparison on the bar complex's Tot of Q[x]/x^3 at n_max 8
+    (_bar; its cyclic data is a Morse complex) with its C_0 candidates,
+    where most kernel vectors are boundaries."""
+    cyc = CyclicData(load_algebra(str(CUBIC)), 8, _bar=True)
     _assert_seeded_spaces_match(cyc.tot, cyc._unit_candidates, data)
 
 
 def test_row_pass_skips_the_leads_one_degree_down():
-    """On the Tot complex of Q[x]/x^3 at n_max 8 the row pass of d_n skips
-    its rows at the rank(n - 1) leads of the row echelon form one degree
-    down and is fed the other nonzero rows, and the boundary elimination
-    is fed exactly rank(n) columns (the replaced route fed all dims[n] of
-    them)."""
-    tot = CyclicData(load_algebra(str(CUBIC)), 8).tot
+    """On the bar complex's Tot of Q[x]/x^3 at n_max 8 (_bar) the row pass
+    of d_n skips its rows at the rank(n - 1) leads of the row echelon form
+    one degree down and is fed the other nonzero rows, and the boundary
+    elimination is fed exactly rank(n) columns (the replaced route fed all
+    dims[n] of them)."""
+    tot = CyclicData(load_algebra(str(CUBIC)), 8, _bar=True).tot
     cx = ChainComplex(tot.dims, tot.diffs, check=False)
     assert cx.dims == [3, 6, 15, 30, 63, 126, 255, 510, 1023]
     skipped, rows_fed, cols_fed = [], [], []
@@ -1829,7 +1834,7 @@ def test_a_dependent_lead_column_is_refused_and_caches_nothing():
     """A row pass whose lead set gains a column that depends on the leads
     makes boundary_elim raise InvariantError and leaves the cached
     eliminations as they were."""
-    tot = CyclicData(load_algebra(str(CUBIC)), 8).tot
+    tot = CyclicData(load_algebra(str(CUBIC)), 8, _bar=True).tot
     cx = ChainComplex(tot.dims, tot.diffs, check=False)
     cx.boundary_elim(7)
     before = dict(cx._elims)
@@ -1885,12 +1890,12 @@ def test_ranks_feed_no_column_pass():
 
 
 def test_homology_space_feeds_only_new_classes():
-    """On HH and Tot of Q[x]/x^3 at n_max 8, the span homology_space
-    starts from the boundaries receives the candidate cycles it tries and
-    then h kernel vectors of cycles_lazy, each of which becomes a pivot at
-    once: a kernel vector whose largest index is a lead of the span is
-    never fed, although cycles_lazy yields many."""
-    cyc = CyclicData(load_algebra(str(CUBIC)), 8)
+    """On HH and Tot of Q[x]/x^3 at n_max 8, on the bar complex (_bar), the
+    span homology_space starts from the boundaries receives the candidate
+    cycles it tries and then h kernel vectors of cycles_lazy, each of which
+    becomes a pivot at once: a kernel vector whose largest index is a lead
+    of the span is never fed, although cycles_lazy yields many."""
+    cyc = CyclicData(load_algebra(str(CUBIC)), 8, _bar=True)
     modulo, add_column = Elimination.modulo.__func__, Elimination.add_column
     skipped = 0
     for cx, candidates in ((cyc.hh, lambda n: ()),
@@ -1934,3 +1939,283 @@ def test_homology_space_feeds_only_new_classes():
                 last = yielded.index(max(reps[-1]))
                 skipped += last + 1 - (h - len(from_candidates))
     assert skipped > 0
+
+
+# ---------------------------------------------------------------------------
+# truncated quiver algebras kQ / J^(t+1), t >= 2: the Morse complex of the
+# (b, B) totalization against the bar complex
+
+
+@st.composite
+def truncated_quivers(draw):
+    """(quiver, t): 1-3 vertices and 1-3 arrows, loops and 2-cycles
+    included, truncated at t in {2, 3}, with no relation."""
+    vertices = [str(v) for v in range(draw(st.integers(1, 3)))]
+    ends = st.tuples(st.sampled_from(vertices), st.sampled_from(vertices))
+    arrows = [("x%d" % i, s, t) for i, (s, t) in
+              enumerate(draw(st.lists(ends, min_size=1, max_size=3)))]
+    return Quiver(vertices, arrows), draw(st.integers(2, 3))
+
+
+def _on_the_bar_route(a, n_max, cap):
+    """a with its cyclic_data memo seeded at (n_max, cap) with the bar
+    complex (_bar), so that cyclic_homology, sbi_check and periodic_cyclic
+    read the bar route."""
+    a._cyclic[(n_max, cap)] = CyclicData(a, n_max, cap, _bar=True)
+    return a
+
+
+def _hp_fields(hp):
+    details = {k: v for k, v in hp.details.items() if k != "s_iso_verified"}
+    return hp.even, hp.odd, hp.r0, hp.certificate, details
+
+
+@settings(deadline=None, max_examples=60)
+@given(truncated_quivers(), st.integers(4, 6))
+@example((Quiver(["1"], [("x", "1", "1")]), 2), 6)
+@example((Quiver(["1", "2"], [("x", "1", "2"), ("y", "2", "1"),
+                              ("z", "1", "1")]), 3), 6)
+def test_morse_route_matches_the_bar_route(drawn, n_max):
+    """HH and HC dimensions, every SBIReport entry and the HPResult
+    (dimensions, r0, certificate and the rest of details) of a truncated
+    quiver algebra are those of the bar route, guard permitting; a
+    stabilized HP is the nil-invariant value.  The route is taken exactly
+    when the quiver has an oriented cycle: with at most 3 vertices and
+    t >= 2 that is when the bar complex has a chain of degree 1."""
+    quiver, t = drawn
+    cap = 6000
+    a = path_algebra(quiver, truncation=t)
+    while True:
+        try:
+            data = cyclic_data(a, n_max, cap)
+            break
+        except CapExceededError:
+            assume(n_max > 2)
+            n_max -= 1
+    bar = CyclicData(a, n_max, cap, _bar=True)
+    assert (data.reduction is None) == (bar.hh.dims[1] == 0)
+    assert hochschild_homology(a, n_max=n_max, cap=cap).dims \
+        == bar.hh_dims() == data.hh_dims()
+    assert cyclic_homology(a, n_max, cap).dims == bar.hc_dims()
+    b = _on_the_bar_route(path_algebra(quiver, truncation=t), n_max, cap)
+    morse_sbi, bar_sbi = sbi_check(a, n_max, cap), sbi_check(b, n_max, cap)
+    assert (morse_sbi.hh, morse_sbi.hc, morse_sbi.entries,
+            morse_sbi.all_exact) == (bar_sbi.hh, bar_sbi.hc, bar_sbi.entries,
+                                     bar_sbi.all_exact)
+    assert morse_sbi.all_exact
+    if n_max >= 4:
+        hp = periodic_cyclic(a, n_max, cap)
+        assert _hp_fields(hp) == _hp_fields(periodic_cyclic(b, n_max, cap))
+        if hp.certificate != "NOT-STABILIZED":
+            assert hp.super_dims == hp_nil_invariant(a)
+
+
+@pytest.mark.parametrize("m", [3, 5])
+def test_hh_of_a_truncated_polynomial_ring(m):
+    """HH_n(Q[x]/x^m) = m - 1 for 1 <= n <= 12 (and HH_0 = m), read from
+    the Morse complex with no guard: the bar complex of Q[x]/x^5 at n_max
+    13 has 447392425 chains."""
+    a = path_algebra(Quiver(["1"], [("x", "1", "1")]), truncation=m - 1)
+    assert hochschild_homology(a, n_max=13, cap=None).dims == \
+        [m] + [m - 1] * 12
+    hp = periodic_cyclic(a, 8, cap=None)
+    assert hp.super_dims == hp_nil_invariant(a) == (1, 0)
+
+
+def test_cubic_at_degree_15_walks_without_recursion():
+    """Q[x]/x^3 at n_max 15 fits the default guard (196605 chains), and
+    the walk keeps its own stack: HH and HC come out with the recursion
+    limit a few dozen frames above the caller's."""
+    import inspect
+    import sys
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 60)
+    try:
+        hh = hochschild_homology(zoo.truncated_cubic(), n_max=15)
+        hc = cyclic_homology(zoo.truncated_cubic(), n_max=15)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert hh.dims == [3] + [2] * 14
+    assert hc.dims == [3, 0] * 7 + [3]
+
+
+def test_acyclic_quivers_keep_the_bar_complex_and_never_load_morse():
+    """A2 and A3 have no relative chain above degree 0, so their bar
+    complex is already minimal: HH, HC, SBI and HP read it and the morse
+    module is never loaded; Q[x]/x^3 loads it."""
+    def loads_morse(build):
+        return _fresh_python(
+            "from ncmotives import hochschild, zoo\n"
+            "a = zoo.%s()\n"
+            "hochschild.hochschild_homology(a, n_max=6)\n"
+            "hochschild.sbi_check(a, 6)\n"
+            "hochschild.periodic_cyclic(a, 6)\n"
+            "import sys\n"
+            "print('ncmotives.morse' in sys.modules)\n" % build) == "True"
+    assert not loads_morse("a2_algebra") and not loads_morse("a3_algebra")
+    assert loads_morse("truncated_cubic")
+    assert cyclic_data(zoo.a3_algebra(), 8).reduction is None
+
+
+def _fresh_python(code):
+    """The last line that code prints in a fresh interpreter."""
+    import os
+    import subprocess
+    import sys
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    return r.stdout.splitlines()[-1]
+
+
+def test_morse_route_reads_the_bar_complex_only_when_asked():
+    """sbi_check and periodic_cyclic of Q[x]/x^3 build no bar complex; the
+    Chern class of the unit does, and its cycle, read through Phi, has a
+    nonzero class, as on the bar route."""
+    cubic = zoo.truncated_cubic()
+    built = []
+    init = TruncatedMixedComplex.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(args[0].name)
+        init(self, *args, **kwargs)
+
+    with mock.patch.object(TruncatedMixedComplex, "__init__", spy):
+        sbi_check(cubic, 6)
+        periodic_cyclic(cubic, 6)
+        assert built == []
+        cls, n_even = chern_class_in_hc([[cubic.unit]], cubic, n_max=6)
+    assert built == [cubic.name] and n_even == 4
+    assert cls and matrix_rank([cls]) == 1
+    bar = _on_the_bar_route(zoo.truncated_cubic(), 6, DEFAULT_CAP)
+    assert bool(chern_class_in_hc([[bar.unit]], bar, n_max=6)[0])
+
+
+def test_hp_of_homomorphism_brings_the_bar_complex_back_through_phi(
+        monkeypatch):
+    """An algebra on the Morse route has an oriented cycle, so infinite
+    global dimension, and hp_of_homomorphism refuses it; with a CERTIFIED
+    HP stubbed in for Q[x]/x^3, the identity is read on its bar complex and
+    brought back through Phi to the identity on the Morse HC classes."""
+    cubic = zoo.truncated_cubic()
+    with pytest.raises(UncertifiedError):
+        hp_of_homomorphism(identity_cols(cubic.dim), cubic, cubic, n_max=6)
+
+    def certified(a, n_max=6, cap=DEFAULT_CAP):
+        return hochschild.HPResult(1, 0, 1, "CERTIFIED", n_max)
+
+    monkeypatch.setattr(hochschild, "periodic_cyclic", certified)
+    even, odd = hp_of_homomorphism(identity_cols(cubic.dim), cubic, cubic,
+                                   n_max=6)
+    assert cyclic_data(cubic, 6).reduction is not None
+    assert (even, odd) == (identity_cols(3), [])
+
+
+def test_cubic_payloads_match_its_structure_constants(tmp_path):
+    """hh, hc, sbi and hp of demos/algebras/cubic.json (the Morse route)
+    and of the same algebra written as structure constants (the bar route)
+    print the same structured payloads apart from the name."""
+    a = load_algebra(str(DEMO_ALGEBRAS / "cubic.json"))
+    doc = {"kind": "structure_constants", "name": "cubic by constants",
+           "basis": a.basis,
+           "unit": {a.basis[i]: str(c) for i, c in a.unit.items()},
+           "products": [[a.basis[i], a.basis[j],
+                         {a.basis[k]: str(c)
+                          for k, c in a.mult_basis(i, j).items()}]
+                        for i in range(a.dim) for j in range(a.dim)]}
+    constants = tmp_path / "cubic_constants.json"
+    constants.write_text(json.dumps(doc))
+    assert load_algebra(str(constants)).truncated_quiver is None
+    for command in ("hh", "hc", "sbi", "hp"):
+        for degree in ("4", "8"):
+            payloads = []
+            for path in (DEMO_ALGEBRAS / "cubic.json", constants):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    assert cli.main([command, "--input", str(path),
+                                     "--max-degree", degree,
+                                     "--format", "structured"]) == 0
+                payload = json.loads(out.getvalue())
+                payload.pop("algebra")
+                payloads.append(payload)
+            assert payloads[0] == payloads[1], (command, degree)
+
+
+def _cubic_codes():
+    """Chain codes of Q[x]/x^3 over Q.1: basis e_1, x, x*x (indices 0, 1,
+    2), Abar spanned by x, x*x (letters 0, 1), so a_0 (x) w has the code
+    a_0 * 2^n + (the base-2 digits of w)."""
+    def code(a0, *word):
+        return _word_code(word, 2) + a0 * 2 ** len(word)
+    return code
+
+
+def test_a_flipped_B_column_is_refused_at_its_degree(monkeypatch):
+    """The sign of the first B column the reduction reads, flipped, breaks
+    bB + Bb = 0 on that chain, and the walk refuses it before using it,
+    naming the chain's degree."""
+    from ncmotives import morse
+    reader, reads = morse.connes_column_reader, []
+
+    def spy(red, n):
+        column = reader(red, n)
+        return lambda code: reads.append((n, code)) or column(code)
+
+    monkeypatch.setattr(morse, "connes_column_reader", spy)
+    cyclic_homology(zoo.truncated_cubic(), 6)
+    degree, flipped = reads[0]
+
+    def with_a_flip(red, n):
+        column = reader(red, n)
+        if n != degree:
+            return column
+        return lambda code: ({c: -v for c, v in column(code).items()}
+                             if code == flipped else column(code))
+
+    monkeypatch.setattr(morse, "connes_column_reader", with_a_flip)
+    with pytest.raises(InvariantError,
+                       match=r"^bB \+ Bb != 0 at degree %d$" % degree):
+        cyclic_homology(zoo.truncated_cubic(), 6)
+
+
+def test_a_matched_coefficient_of_2_is_refused(monkeypatch):
+    """b(1 (x) x (x) x) = 2 x (x) x - 1 (x) x^2: matching x (x) x with
+    1 (x) x (x) x, whose coefficient on it is 2, is refused."""
+    from ncmotives import morse
+    code = _cubic_codes()
+    match = morse.MorseReduction._match
+
+    def with_a_2(self, n, c):
+        if (n, c) == (1, code(1, 0)):
+            return code(0, 0, 0)
+        return match(self, n, c)
+
+    monkeypatch.setattr(morse.MorseReduction, "_match", with_a_2)
+    with pytest.raises(InvariantError, match=r"^a matched coefficient is "
+                       r"2, not \+-1, on a chain of degree 1$"):
+        cyclic_homology(zoo.truncated_cubic(), 4)
+
+
+def test_a_matching_with_a_2_cycle_is_refused(monkeypatch):
+    """Matching a second face e of a partner d+ with d+ too, where
+    <Dd+, e> = +-1, makes Phi(d) need Phi(e) and Phi(e) need Phi(d): the
+    walk refuses the cycle with InvariantError, not RecursionError."""
+    from ncmotives import morse
+    red = cyclic_data(zoo.truncated_cubic(), 6).reduction
+    found = [(n, d, e, up) for n, d in sorted(red._phi)
+             for up in [red._match(n, d)] if up is not None and up >= 0
+             for e, v in red._read(False, n + 1, up).items()
+             if e != d and v in (1, -1)]
+    n, _, e, up = found[0]
+    match = morse.MorseReduction._match
+
+    def with_a_cycle(self, m, c):
+        return up if (m, c) == (n, e) else match(self, m, c)
+
+    monkeypatch.setattr(morse.MorseReduction, "_match", with_a_cycle)
+    with pytest.raises(InvariantError, match=r"^the matching has a cycle: "
+                       r"a walk re-enters a chain of degree %d " % n):
+        cyclic_homology(zoo.truncated_cubic(), 6)
